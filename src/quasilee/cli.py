@@ -87,8 +87,8 @@ def _load_matrix(args):
         with open(args.matrix) as fh:
             text = fh.read()
         if text.lstrip().startswith("{"):
-            return matrix_from_json_dict(json.loads(text))
-        return matrix_from_text(text)
+            return matrix_from_json_dict(json.loads(text), ambient_cap=args.cap)
+        return matrix_from_text(text, ambient_cap=args.cap)
     return None
 
 
@@ -100,6 +100,7 @@ def _json(obj) -> str:
 
 def cmd_admissible(args) -> str:
     _require(args, "p", "family")
+    make_field(args.p, args.k, cap=args.cap)  # enforce the ambient cap
     rep = admissibility(args.p, args.k, args.family)
     if args.fmt == "json":
         return _json(rep.to_json_dict())
@@ -145,7 +146,7 @@ def cmd_spectrum(args) -> str:
 
 def cmd_code_gen(args) -> str:
     _require(args, "p", "family")
-    code = build_code(args.p, args.k, args.family)
+    code = build_code(args.p, args.k, args.family, ambient_cap=args.cap)
     if args.fmt == "json":
         return _json(code.to_json_dict())
     radius = "none" if code.covering_radius is None else code.covering_radius
@@ -215,6 +216,7 @@ def cmd_decode(args) -> str:
 
 def cmd_lemma_suite(args) -> str:
     _require(args, "p")
+    make_field(args.p, args.k, cap=args.cap)  # enforce the ambient cap
     checks = lemma_battery(args.p, args.k)
     passed = sum(c.passed for c in checks)
     if args.fmt == "json":

@@ -4,11 +4,17 @@ A generator set H with representatives beta_1 .. beta_n defines the code
 
     C = {c in F_p^n : sum_j c_j * beta_j = 0 in F_q x F_q}
 
-whose parity-check matrix stacks the 2k coefficient vectors of each
-representative.  Error correction and covering radius in the Lee metric
-are read off a coset-leader table: the table records, for every syndrome,
-a minimal-Lee-weight error producing it, found by breadth-first search
-over error vectors ordered by weight.
+whose parity-check matrix M stacks the 2k coefficient vectors of each
+representative.  A pair index is the base-p number whose 2k digits are the
+coefficient vectors of (x, y), so the syndrome of an error e is the digit
+encoding of M e mod p, and ``syndromes`` computes it for a whole batch of
+words with one matrix product.
+
+Error correction and covering radius in the Lee metric are read off a
+coset-leader table: for every syndrome, a minimal-Lee-weight error
+producing it, found by breadth-first search over error vectors ordered by
+weight.  The table is stored as the BFS tree itself (a parent syndrome and
+a +-1 step per syndrome), and leaders are rebuilt from it on demand.
 
 The table construction and the sumset layer growth are independent
 computations of the same quantities (reachable syndromes per weight), so
@@ -22,11 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import GeneratorSet, from_representatives, generator_set
-from .fields import FieldCtx, SizeCapError, make_field, pair_add, pair_neg, pair_scale
+from .fields import DEFAULT_AMBIENT_CAP, SizeCapError, make_field
 from .sumsets import (Classification, CoverageError, classify, lee_ball_size,
                       DEFAULT_LAYER_CAP)
 
 MAX_TABLE_VERTICES = 1 << 20
+# frontier syndromes expanded per array operation in the table BFS
+_BFS_CHUNK = 1024
 
 
 class VerificationError(RuntimeError):
@@ -104,7 +112,8 @@ def parity_check_matrix(gen: GeneratorSet) -> ParityCheckMatrix:
     return ParityCheckMatrix(gen, gen.coordinate_matrix())
 
 
-def matrix_from_text(text: str) -> ParityCheckMatrix:
+def matrix_from_text(text: str,
+                     ambient_cap: int = DEFAULT_AMBIENT_CAP) -> ParityCheckMatrix:
     lines = [ln for ln in text.splitlines()
              if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines:
@@ -115,18 +124,19 @@ def matrix_from_text(text: str) -> ParityCheckMatrix:
     p, k, n = int(head[0]), int(head[1]), int(head[2])
     family = head[3]
     rows = [[int(v) for v in ln.split()] for ln in lines[1:]]
-    return _matrix_from_parts(p, k, n, family, rows)
+    return _matrix_from_parts(p, k, n, family, rows, ambient_cap)
 
 
-def matrix_from_json_dict(d: dict) -> ParityCheckMatrix:
+def matrix_from_json_dict(d: dict,
+                          ambient_cap: int = DEFAULT_AMBIENT_CAP) -> ParityCheckMatrix:
     return _matrix_from_parts(int(d["p"]), int(d["k"]), int(d["n"]),
-                              d["family"], d["rows"])
+                              d["family"], d["rows"], ambient_cap)
 
 
-def _matrix_from_parts(p, k, n, family, rows) -> ParityCheckMatrix:
+def _matrix_from_parts(p, k, n, family, rows, ambient_cap) -> ParityCheckMatrix:
     if len(rows) != 2 * k or any(len(r) != n for r in rows):
         raise ValueError(f"matrix body must be {2 * k} rows of {n} entries")
-    ctx = make_field(p, k)
+    ctx = make_field(p, k, cap=ambient_cap)
     cols = np.array(rows, dtype=np.int64).T % p
     reps = []
     for col in cols:
@@ -157,39 +167,77 @@ def rank_mod_p(entries: np.ndarray, p: int) -> int:
     return rank
 
 
+def _digit_weights(matrix: ParityCheckMatrix) -> np.ndarray:
+    """p ** (0 .. 2k-1): dotted with a digit vector, gives the pair index."""
+    return matrix.p ** np.arange(matrix.entries.shape[0], dtype=np.int64)
+
+
+def syndromes(matrix: ParityCheckMatrix, words) -> np.ndarray:
+    """Pair index of sum_j e_j * beta_j for every row e of an m x n array.
+
+    Entries may be any integers; they are reduced mod p first.
+    """
+    arr = np.asarray(words)
+    if arr.ndim != 2:
+        raise ValueError(f"expected a 2-D array of words, got shape {arr.shape}")
+    if arr.shape[1] != matrix.n:
+        raise ValueError(f"length mismatch: expected {matrix.n}, got {arr.shape[1]}")
+    arr = (arr % matrix.p).astype(np.int64)
+    return (arr @ matrix.entries.T % matrix.p) @ _digit_weights(matrix)
+
+
 def syndrome(matrix: ParityCheckMatrix, word) -> int:
     """Pair index of sum_j word_j * beta_j; words must have length n."""
-    gen = matrix.generator
-    if len(word) != gen.n:
-        raise ValueError(f"length mismatch: expected {gen.n}, got {len(word)}")
-    ctx = gen.base
-    syn = 0
-    for c, rep in zip(word, gen.reps):
-        c %= gen.p
-        if c:
-            syn = pair_add(ctx, syn, pair_scale(ctx, rep, c))
-    return syn
+    return int(syndromes(matrix, [word])[0])
 
 
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class CosetLeaderTable:
-    """Minimal-weight error representative for every syndrome.
+    """Minimal-weight error representative for every syndrome, as a BFS tree.
 
-    Built contiguously by weight, so leaders[s] attains the true minimal
-    Lee weight of the coset.  Ties resolve deterministically: parents
-    expand in first-recorded order, positions ascend, and at each position
-    the +1 step precedes the -1 step.
+    Each syndrome s != 0 stores the syndrome ``parent[s]`` it was reached
+    from and the ``step[s]`` = 2*j + b taken there: +1 (b = 0) or -1
+    (b = 1) at position j.  Its leader is the sum of the steps on the path
+    to the root 0, so leaders are not stored: ``leader`` rebuilds one and
+    ``leader_words`` a batch, in at most ``max_weight`` parent hops, and
+    ``leaders`` materializes them all.
+
+    Built contiguously by weight, so the leader of s attains the true
+    minimal Lee weight ``weights[s]`` of the coset.  Ties resolve
+    deterministically: parents expand in first-recorded order, positions
+    ascend, and at each position the +1 step precedes the -1 step.
     """
     matrix: ParityCheckMatrix
-    leaders: tuple      # tuple of words, index = syndrome pair index
-    weights: np.ndarray
+    parent: np.ndarray   # int32; parent[0] == 0
+    step: np.ndarray     # int32; step[0] == -1
+    weights: np.ndarray  # int32
     max_weight: int
 
     @property
     def size(self) -> int:
-        return len(self.leaders)
+        return len(self.weights)
+
+    @property
+    def leaders(self) -> tuple:
+        """Every leader as a tuple, index = syndrome pair index."""
+        words = self.leader_words(np.arange(self.size)).tolist()
+        return tuple(map(tuple, words))
+
+    def leader(self, syn: int) -> tuple:
+        """Leader of one syndrome, entries in [0, p)."""
+        err = [0] * self.matrix.n
+        while syn:
+            st = int(self.step[syn])
+            err[st >> 1] += 1 - 2 * (st & 1)
+            syn = int(self.parent[syn])
+        return tuple(e % self.matrix.p for e in err)
+
+    def leader_words(self, syns) -> np.ndarray:
+        """Leaders of a batch of syndromes, one row each, entries in [0, p)."""
+        return _signed_leaders(self.parent, self.step, syns, self.max_weight,
+                               self.matrix.n) % self.matrix.p
 
     def histogram(self) -> dict:
         vals, cnts = np.unique(self.weights, return_counts=True)
@@ -200,60 +248,79 @@ class CosetLeaderTable:
         return int((self.weights <= w).sum())
 
 
+def _signed_leaders(parent, step, syns, hops, n) -> np.ndarray:
+    """Leaders of ``syns`` with entries in [-(p-1)/2, (p-1)/2], summed over
+    at most ``hops`` tree edges towards the root."""
+    cur = np.array(syns, dtype=np.int64).ravel()
+    out = np.zeros((cur.size, n), dtype=np.int64)
+    for _ in range(hops):
+        rows = np.flatnonzero(cur)
+        if not rows.size:
+            break
+        st = step[cur[rows]]
+        out[rows, st >> 1] += 1 - 2 * (st & 1)
+        cur[rows] = parent[cur[rows]]
+    return out
+
+
 def coset_leader_table(matrix: ParityCheckMatrix,
                        cap: int = DEFAULT_LAYER_CAP) -> CosetLeaderTable:
     """Breadth-first search over error vectors ordered by Lee weight.
 
     Level w + 1 is generated from the recorded leaders of level w by all
     single-coordinate steps e -> e +- unit_j that raise the weight by
-    exactly one; a syndrome keeps the first leader that reaches it.
+    exactly one; a syndrome keeps the first leader that reaches it, with
+    candidates ordered by (parent, position, +1 before -1).  Each level is
+    expanded as array operations over frontier chunks x n x {+1, -1}.
     Raises CoverageError if the search stalls or exceeds ``cap`` levels
     before assigning every syndrome.
     """
-    gen = matrix.generator
-    ctx = gen.base
-    p, n = gen.p, gen.n
-    size = gen.ambient_size
+    p, n = matrix.p, matrix.n
+    size = matrix.generator.ambient_size
     if size > MAX_TABLE_VERTICES:
         raise SizeCapError(f"{size} syndromes exceed table cap {MAX_TABLE_VERTICES}")
+    half = (p - 1) // 2
+    pw = _digit_weights(matrix)
+    # digits of the syndrome shift of step 2*j + b: +beta_j, then -beta_j
+    shifts = np.repeat(matrix.entries.T, 2, axis=0)
+    shifts[1::2] = -shifts[1::2] % p
 
-    step_syn = []  # per position: syndrome shift for +1 and for -1
-    for rep in gen.reps:
-        step_syn.append((rep, pair_neg(ctx, rep)))
-
-    leaders = [None] * size
-    weights = np.full(size, -1, dtype=np.int64)
-    zero = tuple([0] * n)
-    leaders[0] = zero
-    weights[0] = 0
-    frontier = [0]
+    parent = np.full(size, -1, dtype=np.int32)
+    step = np.full(size, -1, dtype=np.int32)
+    weights = np.full(size, -1, dtype=np.int32)
+    parent[0] = weights[0] = 0
+    frontier = np.zeros(1, dtype=np.int64)
     filled = 1
     w = 0
-    while filled < size and frontier and w < cap:
-        nxt = []
-        for syn in frontier:
-            err = leaders[syn]
-            for j in range(n):
-                v = err[j]
-                lee_v = min(v, p - v) if v else 0
-                for dv, shift in zip((1, -1), step_syn[j]):
-                    nv = (v + dv) % p
-                    if min(nv, p - nv) != lee_v + 1:
-                        continue  # step must raise the Lee weight
-                    s2 = pair_add(ctx, syn, shift)
-                    if leaders[s2] is None:
-                        leaders[s2] = err[:j] + (nv,) + err[j + 1:]
-                        weights[s2] = w + 1
-                        filled += 1
-                        nxt.append(s2)
-        frontier = nxt
+    while filled < size and frontier.size and w < cap:
+        found = []
+        for lo in range(0, frontier.size, _BFS_CHUNK):
+            rows = frontier[lo:lo + _BFS_CHUNK]
+            err = _signed_leaders(parent, step, rows, w, n)
+            # a step must raise the Lee weight: move away from 0, not past p/2
+            rises = np.stack([(err >= 0) & (err < half),
+                              (err <= 0) & (err > -half)], axis=2)
+            digits = rows[:, None] // pw % p
+            cand = np.zeros((rows.size, 2 * n), dtype=np.int64)
+            for d in range(pw.size):
+                cand += (digits[:, d, None] + shifts[:, d]) % p * pw[d]
+            pos = np.flatnonzero(rises.reshape(rows.size, 2 * n)
+                                 & (weights[cand] < 0))
+            hits = cand.ravel()[pos]
+            first = np.sort(np.unique(hits, return_index=True)[1])
+            new, pos = hits[first], pos[first]
+            parent[new] = rows[pos // (2 * n)]
+            step[new] = pos % (2 * n)
+            weights[new] = w + 1
+            found.append(new)
+        frontier = np.concatenate(found)
+        filled += frontier.size
         w += 1
     if filled < size:
-        reason = "stalled" if not frontier else f"exceeded {cap} levels"
+        reason = "stalled" if not frontier.size else f"exceeded {cap} levels"
         raise CoverageError(
             f"coset table {reason} with {size - filled} syndromes unassigned")
-    return CosetLeaderTable(matrix, tuple(leaders), weights,
-                            int(weights.max()))
+    return CosetLeaderTable(matrix, parent, step, weights, int(weights.max()))
 
 
 @dataclass(frozen=True)
@@ -269,7 +336,7 @@ def decode(table: CosetLeaderTable, word) -> DecodeResult:
     p = table.matrix.p
     word = [int(c) % p for c in word]
     syn = syndrome(table.matrix, word)
-    err = table.leaders[syn]
+    err = table.leader(syn)
     cw = tuple((c - e) % p for c, e in zip(word, err))
     return DecodeResult(cw, err, int(table.weights[syn]), syn)
 
@@ -322,10 +389,12 @@ def code_parameters(gen: GeneratorSet,
         verdict=cls.verdict, classification=cls)
 
 
-def build_code(p: int, k: int, family: str,
-               cap: int = DEFAULT_LAYER_CAP) -> LeeCode:
-    """Convenience: field -> generator set -> code parameters."""
-    return code_parameters(generator_set(make_field(p, k), family), cap)
+def build_code(p: int, k: int, family: str, cap: int = DEFAULT_LAYER_CAP,
+               ambient_cap: int = DEFAULT_AMBIENT_CAP) -> LeeCode:
+    """Convenience: field -> generator set -> code parameters.  ``cap``
+    bounds the sumset layers, ``ambient_cap`` the field size q^2."""
+    ctx = make_field(p, k, cap=ambient_cap)
+    return code_parameters(generator_set(ctx, family), cap)
 
 
 @dataclass(frozen=True)
@@ -358,9 +427,10 @@ def verify_quasi_perfect(code: LeeCode,
     """Cross-check decoder-table parameters against the sumset layers.
 
     Three routes must agree: the layer census (mask convolution), the
-    leader-weight histogram (coset BFS), and explicit enumeration of the
-    light error vectors (injectivity of the syndrome map on Lee balls).
-    Raises VerificationError on any mismatch.
+    leader-weight histogram (coset BFS), and the injectivity of the
+    syndrome map on Lee balls.  Injectivity is checked by enumerating the
+    ball, unless #B_w > q^2, where the pigeonhole principle already rules
+    it out.  Raises VerificationError on any mismatch.
     """
     gen = code.generator
     if table is None:
@@ -378,14 +448,16 @@ def verify_quasi_perfect(code: LeeCode,
     if not census_ok:
         raise VerificationError("leader census disagrees with layer sizes")
 
-    # injectivity of the syndrome map on Lee balls, by direct enumeration
+    # injectivity of the syndrome map on Lee balls
     t_table = 0
     for w in range(1, min(3, r_table) + 1):
+        ball_size = lee_ball_size(gen.n, w)
+        if ball_size > gen.ambient_size:
+            break  # more light errors than syndromes: cannot be injective
         ball = lee_ball_vectors(gen.n, gen.p, w)
-        if len(ball) != lee_ball_size(gen.n, w):
+        if len(ball) != ball_size:
             break  # wraparound regime (p < 2w + 1): formula no longer counts
-        syns = {syndrome(code.matrix, v) for v in ball}
-        if len(syns) == len(ball):
+        if np.unique(syndromes(code.matrix, ball)).size == ball_size:
             t_table = w
         else:
             break
@@ -407,17 +479,21 @@ def round_trip_check(table: CosetLeaderTable, trials: int, seed: int,
 
     A codeword is sampled by decoding a uniform random word (uniform over
     the code), a random error of Lee weight <= max_weight is added, and
-    the decoder must return exactly the original pair.
+    the decoder must return exactly the original pair.  All trials are
+    drawn first, in the order of one trial after another, then decoded
+    as one batch.
     """
-    gen = table.matrix.generator
-    p, n = gen.p, gen.n
+    mat = table.matrix
+    p, n = mat.p, mat.n
     rng = random.Random(seed)
     errors = lee_ball_vectors(n, p, max_weight)
-    ok = 0
+    words, picked = [], []
     for _ in range(trials):
-        cw = decode(table, [rng.randrange(p) for _ in range(n)]).codeword
-        err = errors[rng.randrange(len(errors))]
-        got = decode(table, [(c + e) % p for c, e in zip(cw, err)])
-        if got.codeword == cw and got.error == err:
-            ok += 1
-    return ok, trials
+        words.append([rng.randrange(p) for _ in range(n)])
+        picked.append(errors[rng.randrange(len(errors))])
+    words = np.array(words, dtype=np.int64).reshape(trials, n)
+    err = np.array(picked, dtype=np.int64).reshape(trials, n)
+    cw = (words - table.leader_words(syndromes(mat, words))) % p
+    got = table.leader_words(syndromes(mat, (cw + err) % p))
+    # the decoded codeword is cw exactly when the returned error is err
+    return int((got == err).all(axis=1).sum()), trials

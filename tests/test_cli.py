@@ -53,6 +53,37 @@ def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
 
 
+@pytest.fixture
+def p13_matrix_file(tmp_path):
+    mat = tmp_path / "m.txt"
+    assert main(["code-gen", "--p", "13", "--family", "plus",
+                 "--out", str(mat)]) == 0
+    return str(mat)
+
+
+@pytest.mark.parametrize("argv", [
+    ["admissible", "--p", "13", "--family", "plus"],
+    ["subset", "--p", "13", "--family", "plus"],
+    ["spectrum", "--p", "13", "--family", "plus"],
+    ["code-gen", "--p", "13", "--family", "plus"],
+    ["code-verify", "--p", "13", "--family", "plus"],
+    ["code-verify", "--matrix", None],
+    ["decode", "--p", "13", "--family", "plus"],
+    ["decode", "--matrix", None],
+    ["lemma-suite", "--p", "13"],
+], ids=["admissible", "subset", "spectrum", "code-gen", "code-verify",
+        "code-verify-matrix", "decode", "decode-matrix", "lemma-suite"])
+def test_ambient_cap_applies_to_every_subcommand(capsys, monkeypatch,
+                                                 p13_matrix_file, argv):
+    # q^2 = 169 exceeds --cap 100 whether q comes from flags or a matrix file
+    argv = [p13_matrix_file if a is None else a for a in argv]
+    monkeypatch.setattr("sys.stdin", io.StringIO("0 0 0 0 0 0 0\n"))
+    code, out, err = run(capsys, *argv, "--cap", "100")
+    assert code == 1 and out == ""
+    assert err.startswith("error: precondition:")
+    assert "exceeds cap 100" in err
+
+
 def test_uncoverable_decode_is_verification_error(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("1\n"))
     code, _, err = run(capsys, "decode", "--p", "3", "--family", "minus")

@@ -1,19 +1,22 @@
 """Parity-check matrices, coset-leader decoding and the cross-checked verdict."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quasilee import codes
 from quasilee.codes import (CosetLeaderTable, VerificationError, build_code,
                             code_parameters, coset_leader_table, decode,
                             lee_ball_vectors, lee_distance, lee_weight,
                             matrix_from_json_dict, matrix_from_text,
                             parity_check_matrix, rank_mod_p, round_trip_check,
-                            syndrome, verify_quasi_perfect)
+                            syndrome, syndromes, verify_quasi_perfect)
 from quasilee.curves import generator_set
-from quasilee.fields import make_field
-from quasilee.sumsets import CoverageError, cumulative_layers
+from quasilee.fields import SizeCapError, make_field, pair_add, pair_neg, pair_scale
+from quasilee.sumsets import CoverageError, cumulative_layers, lee_ball_size
 
 
 def gen_for(p, k, family):
@@ -22,6 +25,59 @@ def gen_for(p, k, family):
 
 def table_for(p, k, family, cap=8) -> CosetLeaderTable:
     return coset_leader_table(parity_check_matrix(gen_for(p, k, family)), cap)
+
+
+@functools.lru_cache(maxsize=None)
+def matrix_for(p, k, family):
+    return parity_check_matrix(gen_for(p, k, family))
+
+
+# -- scalar oracles ----------------------------------------------------------------
+# Independent of the array code in quasilee.codes: they walk the group
+# F_q x F_q one pair_add at a time.
+
+def scalar_syndrome(mat, word) -> int:
+    """sum_j word_j * beta_j by scalar pair arithmetic."""
+    ctx = mat.generator.base
+    syn = 0
+    for c, rep in zip(word, mat.generator.reps):
+        syn = pair_add(ctx, syn, pair_scale(ctx, rep, c % mat.p))
+    return syn
+
+
+def scalar_bfs_leaders(mat, cap=8) -> tuple:
+    """Coset leaders and their weights by a scalar breadth-first search.
+
+    Level w + 1 extends each level-w leader, in first-recorded order, by
+    the steps +1 then -1 at positions 0 .. n-1 that raise its Lee weight
+    by exactly one; a syndrome keeps the first leader that reaches it.
+    """
+    gen = mat.generator
+    ctx, p, n = gen.base, gen.p, gen.n
+    shifts = [(rep, pair_neg(ctx, rep)) for rep in gen.reps]
+    leaders = [None] * gen.ambient_size
+    weights = [-1] * gen.ambient_size
+    leaders[0], weights[0] = tuple([0] * n), 0
+    frontier = [0]
+    w = 0
+    while frontier and w < cap:
+        nxt = []
+        for syn in frontier:
+            err = leaders[syn]
+            for j in range(n):
+                v = err[j]
+                for dv, shift in zip((1, -1), shifts[j]):
+                    nv = (v + dv) % p
+                    if min(nv, p - nv) != min(v, p - v) + 1:
+                        continue
+                    s2 = pair_add(ctx, syn, shift)
+                    if leaders[s2] is None:
+                        leaders[s2] = err[:j] + (nv,) + err[j + 1:]
+                        weights[s2] = w + 1
+                        nxt.append(s2)
+        frontier = nxt
+        w += 1
+    return tuple(leaders), weights
 
 
 # -- Lee metric ----------------------------------------------------------------
@@ -89,6 +145,30 @@ def test_syndrome_rejects_wrong_length():
     mat = parity_check_matrix(gen_for(13, 1, "plus"))
     with pytest.raises(ValueError, match="expected 7, got 3"):
         syndrome(mat, [1, 2, 3])
+    with pytest.raises(ValueError, match="expected 7, got 3"):
+        syndromes(mat, [[1, 2, 3]])
+    with pytest.raises(ValueError, match="2-D"):
+        syndromes(mat, [1, 2, 3, 4, 5, 6, 7])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(13, 1, "plus"), (5, 2, "plus"), (5, 3, "minus")]),
+       st.data())
+def test_batched_syndromes_match_scalar_oracle(config, data):
+    mat = matrix_for(*config)
+    p = mat.p
+    words = data.draw(st.lists(
+        st.lists(st.integers(-3 * p, 3 * p), min_size=mat.n, max_size=mat.n),
+        min_size=1, max_size=5))
+    got = syndromes(mat, words)
+    assert got.tolist() == [scalar_syndrome(mat, w) for w in words]
+    assert syndrome(mat, words[0]) == got[0]
+
+
+def test_syndrome_reduces_huge_entries():
+    mat = matrix_for(13, 1, "plus")
+    word = [10 ** 30, -(10 ** 25), 3, 0, 0, 0, 1]
+    assert syndrome(mat, word) == scalar_syndrome(mat, word)
 
 
 def test_rank_mod_p():
@@ -173,6 +253,32 @@ def test_leaders_attain_minimal_weight(p, k, family):
         assert table.weights[s] == w
 
 
+@pytest.mark.parametrize("p,k,family", [
+    (13, 1, "plus"), (5, 1, "minus"), (7, 1, "minus"), (23, 1, "minus"),
+    (5, 2, "plus"), (7, 2, "minus"),
+])
+def test_table_matches_scalar_bfs_oracle(p, k, family):
+    mat = matrix_for(p, k, family)
+    table = coset_leader_table(mat)
+    leaders, weights = scalar_bfs_leaders(mat)
+    assert table.leaders == leaders
+    assert table.weights.tolist() == weights
+    syns = np.arange(table.size)
+    assert table.leader_words(syns).tolist() == [list(v) for v in leaders]
+    assert [table.leader(s) for s in syns[::7]] == list(leaders[::7])
+
+
+def test_table_is_a_bfs_tree():
+    table = table_for(5, 1, "minus")  # radius 4
+    assert table.max_weight == 4
+    assert (table.parent[0], table.step[0], table.weights[0]) == (0, -1, 0)
+    rest = np.arange(1, table.size)
+    # every edge goes one level down and is a +-1 step at a valid position
+    assert (table.weights[table.parent[rest]] == table.weights[rest] - 1).all()
+    assert ((table.step[rest] >= 0) & (table.step[rest] < 2 * table.matrix.n)).all()
+    assert table.parent.dtype == table.step.dtype == np.int32
+
+
 def test_table_is_deterministic():
     t1 = table_for(13, 1, "plus")
     t2 = table_for(13, 1, "plus")
@@ -203,6 +309,14 @@ def test_decode_identifies_planted_errors():
         assert got.weight == lee_weight(err, 13)
 
 
+def test_decode_result_holds_python_ints():
+    table = table_for(13, 1, "plus")
+    res = decode(table, [25, -1, 0, 3, 0, 0, 40])
+    assert all(type(v) is int for v in res.codeword + res.error)
+    assert type(res.weight) is int and type(res.syndrome) is int
+    assert res.error == table.leaders[res.syndrome]
+
+
 def test_decode_is_translation_invariant():
     table = table_for(13, 1, "plus")
     rng = np.random.default_rng(3)
@@ -221,6 +335,14 @@ def test_round_trips_both_example_codes():
         table = table_for(p, 1, family)
         ok, trials = round_trip_check(table, trials=1000, seed=0)
         assert (ok, trials) == (1000, 1000)
+
+
+def test_round_trip_rng_stream_is_pinned():
+    # the value of the one-word-at-a-time decoder, which drew a random word
+    # and then an error index per trial; the batched check keeps that order
+    table = table_for(13, 1, "plus")
+    assert round_trip_check(table, trials=300, seed=1, max_weight=3) == (99, 300)
+    assert round_trip_check(table, trials=0, seed=1) == (0, 0)
 
 
 def test_round_trip_at_weight_three_can_fail():
@@ -257,6 +379,32 @@ def test_verify_quasi_perfect_p13():
     d = rep.to_json_dict()
     assert d["quasi_perfect"] is True
     assert d["leader_weight_histogram"] == {"0": 1, "1": 14, "2": 98, "3": 56}
+
+
+def test_verify_skips_radius_three_ball_by_pigeonhole(monkeypatch):
+    code = build_code(97, 1, "plus")
+    assert lee_ball_size(code.n, 3) > 97 ** 2
+    real = codes.lee_ball_vectors
+
+    def no_radius_three(n, p, radius):
+        if radius >= 3:
+            raise AssertionError("radius-3 ball must not be enumerated")
+        return real(n, p, radius)
+
+    monkeypatch.setattr(codes, "lee_ball_vectors", no_radius_three)
+    rep = verify_quasi_perfect(code)
+    assert (rep.error_correction, rep.covering_radius) == (2, 3)
+    assert rep.quasi_perfect
+
+
+def test_matrix_parsers_respect_ambient_cap():
+    mat = matrix_for(13, 1, "plus")
+    with pytest.raises(SizeCapError, match="exceeds cap 100"):
+        matrix_from_text(mat.to_text(), ambient_cap=100)
+    with pytest.raises(SizeCapError, match="exceeds cap 100"):
+        matrix_from_json_dict(mat.to_json_dict(), ambient_cap=100)
+    with pytest.raises(SizeCapError, match="exceeds cap 100"):
+        build_code(13, 1, "plus", ambient_cap=100)
 
 
 def test_verify_rejects_mismatched_table():
