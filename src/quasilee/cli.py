@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 
-from .codes import (VerificationError, build_code, code_parameters,
+from .codes import (VerificationError, code_parameters,
                     coset_leader_table, decode, matrix_from_json_dict,
                     matrix_from_text, parity_check_matrix, round_trip_check,
                     verify_quasi_perfect)
@@ -82,13 +82,22 @@ def _generator(args):
     return generator_set(make_field(args.p, args.k, cap=args.cap), args.family)
 
 
+def _check_cap(args, ambient_size):
+    """Refuse q^2 above --cap, with the message make_field gives."""
+    if ambient_size > args.cap:
+        raise SizeCapError(f"q^2 = {ambient_size} exceeds cap {args.cap}")
+
+
 def _load_matrix(args):
     if getattr(args, "matrix", None):
         with open(args.matrix) as fh:
             text = fh.read()
         if text.lstrip().startswith("{"):
-            return matrix_from_json_dict(json.loads(text), ambient_cap=args.cap)
-        return matrix_from_text(text, ambient_cap=args.cap)
+            mat = matrix_from_json_dict(json.loads(text))
+        else:
+            mat = matrix_from_text(text)
+        _check_cap(args, mat.generator.ambient_size)
+        return mat
     return None
 
 
@@ -100,7 +109,7 @@ def _json(obj) -> str:
 
 def cmd_admissible(args) -> str:
     _require(args, "p", "family")
-    make_field(args.p, args.k, cap=args.cap)  # enforce the ambient cap
+    _check_cap(args, args.p ** (2 * args.k))
     rep = admissibility(args.p, args.k, args.family)
     if args.fmt == "json":
         return _json(rep.to_json_dict())
@@ -145,8 +154,7 @@ def cmd_spectrum(args) -> str:
 
 
 def cmd_code_gen(args) -> str:
-    _require(args, "p", "family")
-    code = build_code(args.p, args.k, args.family, ambient_cap=args.cap)
+    code = code_parameters(_generator(args))
     if args.fmt == "json":
         return _json(code.to_json_dict())
     radius = "none" if code.covering_radius is None else code.covering_radius
@@ -216,7 +224,7 @@ def cmd_decode(args) -> str:
 
 def cmd_lemma_suite(args) -> str:
     _require(args, "p")
-    make_field(args.p, args.k, cap=args.cap)  # enforce the ambient cap
+    _check_cap(args, args.p ** (2 * args.k))
     checks = lemma_battery(args.p, args.k)
     passed = sum(c.passed for c in checks)
     if args.fmt == "json":

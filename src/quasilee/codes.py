@@ -28,13 +28,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import GeneratorSet, from_representatives, generator_set
-from .fields import DEFAULT_AMBIENT_CAP, SizeCapError, make_field
+from .fields import SizeCapError, make_field
 from .sumsets import (Classification, CoverageError, classify, lee_ball_size,
                       DEFAULT_LAYER_CAP)
 
 MAX_TABLE_VERTICES = 1 << 20
 # frontier syndromes expanded per array operation in the table BFS
 _BFS_CHUNK = 1024
+# round-trip trials drawn and decoded per batch
+_ROUND_TRIP_BLOCK = 4096
 
 
 class VerificationError(RuntimeError):
@@ -112,8 +114,7 @@ def parity_check_matrix(gen: GeneratorSet) -> ParityCheckMatrix:
     return ParityCheckMatrix(gen, gen.coordinate_matrix())
 
 
-def matrix_from_text(text: str,
-                     ambient_cap: int = DEFAULT_AMBIENT_CAP) -> ParityCheckMatrix:
+def matrix_from_text(text: str) -> ParityCheckMatrix:
     lines = [ln for ln in text.splitlines()
              if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines:
@@ -124,19 +125,18 @@ def matrix_from_text(text: str,
     p, k, n = int(head[0]), int(head[1]), int(head[2])
     family = head[3]
     rows = [[int(v) for v in ln.split()] for ln in lines[1:]]
-    return _matrix_from_parts(p, k, n, family, rows, ambient_cap)
+    return _matrix_from_parts(p, k, n, family, rows)
 
 
-def matrix_from_json_dict(d: dict,
-                          ambient_cap: int = DEFAULT_AMBIENT_CAP) -> ParityCheckMatrix:
+def matrix_from_json_dict(d: dict) -> ParityCheckMatrix:
     return _matrix_from_parts(int(d["p"]), int(d["k"]), int(d["n"]),
-                              d["family"], d["rows"], ambient_cap)
+                              d["family"], d["rows"])
 
 
-def _matrix_from_parts(p, k, n, family, rows, ambient_cap) -> ParityCheckMatrix:
+def _matrix_from_parts(p, k, n, family, rows) -> ParityCheckMatrix:
     if len(rows) != 2 * k or any(len(r) != n for r in rows):
         raise ValueError(f"matrix body must be {2 * k} rows of {n} entries")
-    ctx = make_field(p, k, cap=ambient_cap)
+    ctx = make_field(p, k)
     cols = np.array(rows, dtype=np.int64).T % p
     reps = []
     for col in cols:
@@ -200,9 +200,9 @@ class CosetLeaderTable:
     Each syndrome s != 0 stores the syndrome ``parent[s]`` it was reached
     from and the ``step[s]`` = 2*j + b taken there: +1 (b = 0) or -1
     (b = 1) at position j.  Its leader is the sum of the steps on the path
-    to the root 0, so leaders are not stored: ``leader`` rebuilds one and
-    ``leader_words`` a batch, in at most ``max_weight`` parent hops, and
-    ``leaders`` materializes them all.
+    to the root 0, so leaders are not stored: ``leader_words`` rebuilds a
+    batch of them in at most ``max_weight`` parent hops, and ``leaders``
+    materializes them all.
 
     Built contiguously by weight, so the leader of s attains the true
     minimal Lee weight ``weights[s]`` of the coset.  Ties resolve
@@ -224,15 +224,6 @@ class CosetLeaderTable:
         """Every leader as a tuple, index = syndrome pair index."""
         words = self.leader_words(np.arange(self.size)).tolist()
         return tuple(map(tuple, words))
-
-    def leader(self, syn: int) -> tuple:
-        """Leader of one syndrome, entries in [0, p)."""
-        err = [0] * self.matrix.n
-        while syn:
-            st = int(self.step[syn])
-            err[st >> 1] += 1 - 2 * (st & 1)
-            syn = int(self.parent[syn])
-        return tuple(e % self.matrix.p for e in err)
 
     def leader_words(self, syns) -> np.ndarray:
         """Leaders of a batch of syndromes, one row each, entries in [0, p)."""
@@ -336,7 +327,7 @@ def decode(table: CosetLeaderTable, word) -> DecodeResult:
     p = table.matrix.p
     word = [int(c) % p for c in word]
     syn = syndrome(table.matrix, word)
-    err = table.leader(syn)
+    err = tuple(table.leader_words([syn])[0].tolist())
     cw = tuple((c - e) % p for c, e in zip(word, err))
     return DecodeResult(cw, err, int(table.weights[syn]), syn)
 
@@ -389,12 +380,10 @@ def code_parameters(gen: GeneratorSet,
         verdict=cls.verdict, classification=cls)
 
 
-def build_code(p: int, k: int, family: str, cap: int = DEFAULT_LAYER_CAP,
-               ambient_cap: int = DEFAULT_AMBIENT_CAP) -> LeeCode:
-    """Convenience: field -> generator set -> code parameters.  ``cap``
-    bounds the sumset layers, ``ambient_cap`` the field size q^2."""
-    ctx = make_field(p, k, cap=ambient_cap)
-    return code_parameters(generator_set(ctx, family), cap)
+def build_code(p: int, k: int, family: str,
+               cap: int = DEFAULT_LAYER_CAP) -> LeeCode:
+    """Convenience: field -> generator set -> code parameters."""
+    return code_parameters(generator_set(make_field(p, k), family), cap)
 
 
 @dataclass(frozen=True)
@@ -479,21 +468,24 @@ def round_trip_check(table: CosetLeaderTable, trials: int, seed: int,
 
     A codeword is sampled by decoding a uniform random word (uniform over
     the code), a random error of Lee weight <= max_weight is added, and
-    the decoder must return exactly the original pair.  All trials are
-    drawn first, in the order of one trial after another, then decoded
-    as one batch.
+    the decoder must return exactly the original pair.  Trials are drawn
+    one after another and decoded in batches of a fixed size, so memory
+    does not grow with ``trials``.
     """
     mat = table.matrix
     p, n = mat.p, mat.n
     rng = random.Random(seed)
     errors = lee_ball_vectors(n, p, max_weight)
-    words, picked = [], []
-    for _ in range(trials):
-        words.append([rng.randrange(p) for _ in range(n)])
-        picked.append(errors[rng.randrange(len(errors))])
-    words = np.array(words, dtype=np.int64).reshape(trials, n)
-    err = np.array(picked, dtype=np.int64).reshape(trials, n)
-    cw = (words - table.leader_words(syndromes(mat, words))) % p
-    got = table.leader_words(syndromes(mat, (cw + err) % p))
-    # the decoded codeword is cw exactly when the returned error is err
-    return int((got == err).all(axis=1).sum()), trials
+    ok = 0
+    for lo in range(0, trials, _ROUND_TRIP_BLOCK):
+        words, picked = [], []
+        for _ in range(min(_ROUND_TRIP_BLOCK, trials - lo)):
+            words.append([rng.randrange(p) for _ in range(n)])
+            picked.append(errors[rng.randrange(len(errors))])
+        words = np.array(words, dtype=np.int64)
+        err = np.array(picked, dtype=np.int64)
+        cw = (words - table.leader_words(syndromes(mat, words))) % p
+        got = table.leader_words(syndromes(mat, (cw + err) % p))
+        # the decoded codeword is cw exactly when the returned error is err
+        ok += int((got == err).all(axis=1).sum())
+    return ok, trials

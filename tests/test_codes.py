@@ -15,7 +15,7 @@ from quasilee.codes import (CosetLeaderTable, VerificationError, build_code,
                             parity_check_matrix, rank_mod_p, round_trip_check,
                             syndrome, syndromes, verify_quasi_perfect)
 from quasilee.curves import generator_set
-from quasilee.fields import SizeCapError, make_field, pair_add, pair_neg, pair_scale
+from quasilee.fields import make_field, pair_add, pair_neg, pair_scale
 from quasilee.sumsets import CoverageError, cumulative_layers, lee_ball_size
 
 
@@ -265,7 +265,6 @@ def test_table_matches_scalar_bfs_oracle(p, k, family):
     assert table.weights.tolist() == weights
     syns = np.arange(table.size)
     assert table.leader_words(syns).tolist() == [list(v) for v in leaders]
-    assert [table.leader(s) for s in syns[::7]] == list(leaders[::7])
 
 
 def test_table_is_a_bfs_tree():
@@ -337,9 +336,12 @@ def test_round_trips_both_example_codes():
         assert (ok, trials) == (1000, 1000)
 
 
-def test_round_trip_rng_stream_is_pinned():
+@pytest.mark.parametrize("block", [codes._ROUND_TRIP_BLOCK, 7])
+def test_round_trip_rng_stream_is_pinned(monkeypatch, block):
     # the value of the one-word-at-a-time decoder, which drew a random word
-    # and then an error index per trial; the batched check keeps that order
+    # and then an error index per trial; batches of any size, the last one
+    # short, keep that order
+    monkeypatch.setattr(codes, "_ROUND_TRIP_BLOCK", block)
     table = table_for(13, 1, "plus")
     assert round_trip_check(table, trials=300, seed=1, max_weight=3) == (99, 300)
     assert round_trip_check(table, trials=0, seed=1) == (0, 0)
@@ -395,16 +397,6 @@ def test_verify_skips_radius_three_ball_by_pigeonhole(monkeypatch):
     rep = verify_quasi_perfect(code)
     assert (rep.error_correction, rep.covering_radius) == (2, 3)
     assert rep.quasi_perfect
-
-
-def test_matrix_parsers_respect_ambient_cap():
-    mat = matrix_for(13, 1, "plus")
-    with pytest.raises(SizeCapError, match="exceeds cap 100"):
-        matrix_from_text(mat.to_text(), ambient_cap=100)
-    with pytest.raises(SizeCapError, match="exceeds cap 100"):
-        matrix_from_json_dict(mat.to_json_dict(), ambient_cap=100)
-    with pytest.raises(SizeCapError, match="exceeds cap 100"):
-        build_code(13, 1, "plus", ambient_cap=100)
 
 
 def test_verify_rejects_mismatched_table():
