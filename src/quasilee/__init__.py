@@ -11,8 +11,8 @@ via ``quasilee lemma-suite``.
 
 from .codes import (CosetLeaderTable, DecodeResult, LeeCode, ParityCheckMatrix,
                     QuasiPerfectReport, VerificationError, build_code,
-                    code_parameters, coset_leader_table, decode, lee_ball_vectors,
-                    lee_distance, lee_weight, matrix_from_json_dict,
+                    code_parameters, coset_leader_table, decode, lee_ball_array,
+                    lee_ball_vectors, lee_distance, lee_weight, matrix_from_json_dict,
                     matrix_from_text, parity_check_matrix, rank_mod_p,
                     round_trip_check, syndrome, syndromes,
                     verify_quasi_perfect)

@@ -139,9 +139,10 @@ def cmd_spectrum(args) -> str:
         with open(args.dump_csv, "w") as fh:
             heads = ",".join(f"count_{j}" for j in range(gen.p))
             fh.write(f"alpha,eigenvalue,{heads}\n")
-            for alpha in range(gen.ambient_size):
-                row = ",".join(str(int(c)) for c in rep.counts[alpha])
-                fh.write(f"{alpha},{float(rep.eigenvalues[alpha])!r},{row}\n")
+            rows = [",".join(map(str, r)) for r in rep.class_counts.tolist()]
+            for alpha, (eig, cls) in enumerate(zip(rep.eigenvalues.tolist(),
+                                                   rep.class_index.tolist())):
+                fh.write(f"{alpha},{eig!r},{rows[cls]}\n")
     if args.fmt == "json":
         return _json(rep.to_json_dict())
     return (f"family={gen.family} p={gen.p} k={gen.k} "

@@ -22,13 +22,14 @@ computations of the same quantities (reachable syndromes per weight), so
 ``VerificationError`` on any disagreement.
 """
 
+import itertools
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from .curves import GeneratorSet, from_representatives, generator_set
-from .fields import SizeCapError, make_field
+from .fields import SizeCapError, VerificationError, make_field
 from .sumsets import (Classification, CoverageError, classify, lee_ball_size,
                       DEFAULT_LAYER_CAP)
 
@@ -37,10 +38,6 @@ MAX_TABLE_VERTICES = 1 << 20
 _BFS_CHUNK = 1024
 # round-trip trials drawn and decoded per batch
 _ROUND_TRIP_BLOCK = 4096
-
-
-class VerificationError(RuntimeError):
-    """Independently computed code parameters disagree."""
 
 
 def lee_weight(word, p: int) -> int:
@@ -54,27 +51,47 @@ def lee_distance(a, b, p: int) -> int:
     return lee_weight([x - y for x, y in zip(a, b)], p)
 
 
-def lee_ball_vectors(n: int, p: int, radius: int) -> list:
-    """All words of Z_p^n with Lee weight <= radius, entries in [0, p).
+def lee_ball_array(n: int, p: int, radius: int) -> np.ndarray:
+    """All words of Z_p^n with Lee weight <= radius, entries in [0, p), as
+    the rows of an int64 array.
 
-    Exact for any p; agrees with ``lee_ball_size`` whenever the radius is
-    at most (p-1)/2.
+    Exact for any p; the row count agrees with ``lee_ball_size`` whenever
+    the radius is at most (p-1)/2.  Rows come in depth-first order: a word
+    is followed by its extensions at later positions, and siblings go by
+    position, then weight w, then value w before p - w.  That is the
+    order of the key (j_1, r_1, j_2, r_2, ...) over the nonzero positions
+    j_i, with r = 2(w - 1) for the value w and r = 2(w - 1) + 1 for p - w,
+    a key sorting before its extensions.
     """
     half = (p - 1) // 2
-    out = [tuple([0] * n)]
-    vec = [0] * n
+    keys, blocks = [], []
+    for m in range(1, min(radius, n) + 1):
+        pos = np.array(list(itertools.combinations(range(n), m)),
+                       dtype=np.int64).reshape(-1, m)
+        for ws in itertools.product(range(1, min(half, radius) + 1), repeat=m):
+            if sum(ws) > radius:
+                continue
+            for signs in itertools.product((0, 1), repeat=m):
+                vals = [p - w if s else w for w, s in zip(ws, signs)]
+                ranks = [2 * (w - 1) + s for w, s in zip(ws, signs)]
+                key = np.full((len(pos), 2 * radius), -1, dtype=np.int64)
+                key[:, 0:2 * m:2] = pos
+                key[:, 1:2 * m:2] = ranks
+                block = np.zeros((len(pos), n), dtype=np.int64)
+                np.put_along_axis(block, pos, np.array(vals, dtype=np.int64), axis=1)
+                keys.append(key)
+                blocks.append(block)
+    if not blocks:
+        return np.zeros((1, n), dtype=np.int64)
+    keys = np.concatenate(keys)
+    order = np.lexsort(keys.T[::-1])
+    return np.concatenate([np.zeros((1, n), dtype=np.int64),
+                           np.concatenate(blocks)[order]])
 
-    def extend(start, budget):
-        for j in range(start, n):
-            for w in range(1, min(budget, half) + 1):
-                for val in (w, p - w):
-                    vec[j] = val
-                    out.append(tuple(vec))
-                    extend(j + 1, budget - w)
-                vec[j] = 0
 
-    extend(0, radius)
-    return out
+def lee_ball_vectors(n: int, p: int, radius: int) -> list:
+    """The rows of ``lee_ball_array`` as tuples, in the same order."""
+    return [tuple(w) for w in lee_ball_array(n, p, radius).tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +460,7 @@ def verify_quasi_perfect(code: LeeCode,
         ball_size = lee_ball_size(gen.n, w)
         if ball_size > gen.ambient_size:
             break  # more light errors than syndromes: cannot be injective
-        ball = lee_ball_vectors(gen.n, gen.p, w)
+        ball = lee_ball_array(gen.n, gen.p, w)
         if len(ball) != ball_size:
             break  # wraparound regime (p < 2w + 1): formula no longer counts
         if np.unique(syndromes(code.matrix, ball)).size == ball_size:
@@ -475,15 +492,15 @@ def round_trip_check(table: CosetLeaderTable, trials: int, seed: int,
     mat = table.matrix
     p, n = mat.p, mat.n
     rng = random.Random(seed)
-    errors = lee_ball_vectors(n, p, max_weight)
+    errors = lee_ball_array(n, p, max_weight)
     ok = 0
     for lo in range(0, trials, _ROUND_TRIP_BLOCK):
         words, picked = [], []
         for _ in range(min(_ROUND_TRIP_BLOCK, trials - lo)):
             words.append([rng.randrange(p) for _ in range(n)])
-            picked.append(errors[rng.randrange(len(errors))])
+            picked.append(rng.randrange(len(errors)))
         words = np.array(words, dtype=np.int64)
-        err = np.array(picked, dtype=np.int64)
+        err = errors[picked]
         cw = (words - table.leader_words(syndromes(mat, words))) % p
         got = table.leader_words(syndromes(mat, (cw + err) % p))
         # the decoded codeword is cw exactly when the returned error is err

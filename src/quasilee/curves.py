@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import (FieldCtx, QuadExt, make_field, minus3_character,
-                     pair_add, pair_index, pair_neg, pair_split)
+from .fields import (FieldCtx, QuadExt, VerificationError, make_field,
+                     minus3_character, pair_add, pair_index, pair_neg,
+                     pair_split)
 
 PLUS = "plus"
 MINUS = "minus"
@@ -83,6 +84,18 @@ class GeneratorSet:
     def member_pairs(self) -> list:
         return [self.split(z) for z in self.members]
 
+    def indicator_fft(self) -> np.ndarray:
+        """fftn of the indicator 1_H over F_q x F_q read as Z_p^{2k}.
+
+        An index is the base-p number whose 2k digits are the coefficient
+        vectors of (x, y), so a flat array over the q^2 indices, reshaped
+        to (p,) * 2k, has one axis per digit; the result has that shape.
+        It is real, because H = -H.
+        """
+        ind = np.zeros(self.ambient_size)
+        ind[list(self.members)] = 1.0
+        return np.fft.fftn(ind.reshape((self.p,) * (2 * self.k)))
+
     def coordinate_matrix(self) -> np.ndarray:
         """2k x n matrix over F_p whose j-th column stacks the coefficient
         vectors of (x_j, y_j) for the j-th representative."""
@@ -125,11 +138,14 @@ def norm_circle(ext: QuadExt) -> GeneratorSet:
 
     Has exactly q + 1 elements (the norm map is a surjective homomorphism
     onto F_q^* with kernel of that size); closed under negation because
-    norm(-z) = norm(z), and zero-free since norm(0) = 0.
+    norm(-z) = norm(z), and zero-free since norm(0) = 0.  Read off one
+    ``norm_array`` over all q^2 indices.
     """
-    members = [z for z in ext.elements() if ext.norm(z) == 1]
-    gen = _finish(PLUS, ext.base, members, ext)
-    assert gen.degree == ext.q + 1, "norm-one circle has wrong cardinality"
+    members = np.flatnonzero(ext.norm_array(np.arange(ext.size)) == 1)
+    gen = _finish(PLUS, ext.base, members.tolist(), ext)
+    if gen.degree != ext.q + 1:
+        raise VerificationError(
+            f"norm-one circle has {gen.degree} points, expected {ext.q + 1}")
     return gen
 
 
@@ -140,7 +156,9 @@ def unit_hyperbola(ctx: FieldCtx) -> GeneratorSet:
     """
     members = [pair_index(ctx, x, ctx.inv(x)) for x in range(1, ctx.q)]
     gen = _finish(MINUS, ctx, members)
-    assert gen.degree == ctx.q - 1, "unit hyperbola has wrong cardinality"
+    if gen.degree != ctx.q - 1:
+        raise VerificationError(
+            f"unit hyperbola has {gen.degree} points, expected {ctx.q - 1}")
     return gen
 
 
@@ -273,7 +291,8 @@ def admissibility(p: int, k: int, family: str) -> AdmissibilityReport:
     cls = {1: "square", -1: "nonsquare"}[eta]
 
     rule = residue_rule_minus3(p, k)
-    assert (rule == 1) == (eta == 1), "mod-12 rule disagrees with character"
+    if (rule == 1) != (eta == 1):
+        raise VerificationError("mod-12 rule disagrees with character")
 
     if family == PLUS:
         if eta == 1:

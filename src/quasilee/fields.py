@@ -42,6 +42,10 @@ class SizeCapError(ValueError):
     """Requested field exceeds the configured desk-scale cap."""
 
 
+class VerificationError(RuntimeError):
+    """Independently computed quantities disagree."""
+
+
 def is_prime(n: int) -> bool:
     """Deterministic trial division; ample for desk-scale parameters."""
     if n < 2:
@@ -300,15 +304,13 @@ class FieldCtx:
         dig = (self._digits[a] + self._digits[b]) % self.p
         return dig @ (self.p ** np.arange(self.k))
 
-    def mul_array(self, arr, c: int):
-        """Multiply an index array by the fixed element c."""
-        arr = np.asarray(arr)
-        if c == 0:
-            return np.zeros_like(arr)
-        out = np.zeros_like(arr)
-        nz = arr != 0
-        out[nz] = self._exp[(self._log[arr[nz]] + self._log[c]) % (self.q - 1)]
-        return out
+    def mul_array(self, a, b):
+        """Index multiplication, elementwise and broadcast; a and b are
+        index arrays, or one of them a scalar."""
+        a, b = np.asarray(a), np.asarray(b)
+        prod = self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        prod[(a == 0) | (b == 0)] = 0
+        return prod
 
     # -----------------------------------------------------------------------
 
@@ -407,6 +409,14 @@ class QuadExt:
         b = self.base
         x, y = self.decode(z)
         return b.sub(b.mul(x, x), b.mul(self.delta, b.mul(y, y)))
+
+    def norm_array(self, z):
+        """``norm`` elementwise over an index array."""
+        b = self.base
+        z = np.asarray(z)
+        x, y = z % b.q, z // b.q
+        return b.add_array(b.mul_array(x, x),
+                           b.mul_array(b.mul_array(y, y), b.neg(self.delta)))
 
     def inv(self, z: int) -> int:
         if z == 0:

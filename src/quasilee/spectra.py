@@ -3,20 +3,34 @@
 The graphs are abelian Cayley graphs on G = F_q x F_q, so the characters
 of G diagonalize the adjacency operator: for a character indexed by
 alpha, the eigenvalue is a sum of 2n p-th roots of unity whose exponents
-are integer pairings <alpha, beta> over the members beta of H.  Each
-eigenvalue is kept with its exact exponent-count vector; the float value
-is the fold of that vector through cos(2*pi*j/p), so all real-ness and
-bound checks run against exactly counted data.
-
-The pairing depends on the family:
+are integer pairings <alpha, beta> over the members beta of H.  The
+pairing depends on the family:
 
 * plus:  <alpha, beta> = trace_to_prime(2 * xpart(alpha * beta)) in the
   quadratic extension (the additive character composed with rel_trace of
   the product against the conjugate-symmetric form);
 * minus: <(a, b), (x, y)> = trace(a*x + b*y) componentwise.
 
-For the plus family every nontrivial eigenvalue equals the negated
-Kloosterman sum -K(1, norm(alpha)), which pins the Ramanujan bound
+``full_spectrum`` computes the spectrum by two routes and checks one
+against the other.
+
+* Exact counts by classes.  The curve's symmetries permute H, so the
+  exponent counts of alpha depend only on its class: norm(alpha) for
+  plus (multiplication by the circle), giving q classes and the
+  eigenvalues -K(1, norm(alpha)); for minus ((a, b) -> (a*t, b/t)) a*b
+  off the axes, giving K(1, a*b), plus one class each for the origin and
+  the two axes, q + 2 classes.  Counts are taken once per class
+  representative.  The float eigenvalue is the fold of the exact counts
+  through cos(2*pi*j/p), so all real-ness and bound checks run against
+  exactly counted data.  This holds only when H is exactly its family's
+  curve, so other generator sets are refused.
+* The Fourier transform.  G is Z_p^{2k} and both pairings are linear in
+  the digits of beta, so the eigenvalue at alpha is fftn(1_H) read at a
+  linearly reindexed character: its digits are trace(c * e_i) over the
+  power basis e_i, with c = 2*a_x and 2*delta*a_y for plus (for k = 1
+  just (2*a_x, 2*delta*a_y)) and c = a, b for minus.
+
+For the plus family every nontrivial eigenvalue obeys the Ramanujan bound
 2*sqrt(q) = 2*sqrt(degree - 1); the minus family obeys the slightly
 weaker bound 2*sqrt(q) = 2*sqrt(degree + 1).
 """
@@ -27,10 +41,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import MINUS, PLUS, GeneratorSet
-from .fields import SizeCapError, unity_cos_sin
+from .fields import SizeCapError, VerificationError, unity_cos_sin
 
 DEFAULT_SPECTRUM_BUDGET = 1 << 20
 BOUND_TOL = 1e-9
+# largest allowed distance between a class eigenvalue and the FFT of 1_H
+FFT_TOL = 1e-6
+# count rows are folded through cos in blocks of this many rows (see _fold)
+_FOLD_ROWS = 16
 
 RAMANUJAN = "Ramanujan"
 ALMOST_RAMANUJAN = "AlmostRamanujan"
@@ -47,7 +65,11 @@ def _pairing_exponent(gen: GeneratorSet, alpha: int, beta: int) -> int:
 
 
 def character_counts(gen: GeneratorSet, alpha: int) -> np.ndarray:
-    """Exact exponent counts: counts[j] = #{beta in H : <alpha,beta> = j}."""
+    """Exact exponent counts: counts[j] = #{beta in H : <alpha,beta> = j}.
+
+    Scalar oracle, one member at a time; tests check ``full_spectrum``
+    against it.
+    """
     counts = np.zeros(gen.p, dtype=np.int64)
     for beta in gen.members:
         counts[_pairing_exponent(gen, alpha, beta)] += 1
@@ -55,11 +77,15 @@ def character_counts(gen: GeneratorSet, alpha: int) -> np.ndarray:
 
 
 def eigenvalue(gen: GeneratorSet, alpha: int) -> float:
-    """The Cayley eigenvalue at character alpha (always real: H = -H)."""
+    """The Cayley eigenvalue at character alpha (always real: H = -H).
+
+    Scalar oracle built on ``character_counts``.
+    """
     counts = character_counts(gen, alpha)
     cos, sin = unity_cos_sin(gen.p)
     im = float(counts @ sin)
-    assert abs(im) <= BOUND_TOL, f"eigenvalue not real at alpha={alpha}"
+    if abs(im) > BOUND_TOL:
+        raise VerificationError(f"eigenvalue not real at alpha={alpha}")
     return float(counts @ cos)
 
 
@@ -67,7 +93,8 @@ def eigenvalue(gen: GeneratorSet, alpha: int) -> float:
 class SpectrumReport:
     generator: GeneratorSet
     eigenvalues: np.ndarray   # float64, index = character alpha
-    counts: np.ndarray        # int64, shape (size, p)
+    class_counts: np.ndarray  # int64, shape (classes, p): exact counts per class
+    class_index: np.ndarray   # int32, index = character alpha: its class
     max_nontrivial_abs: float
     ramanujan_bound: float
     almost_bound: float
@@ -77,6 +104,12 @@ class SpectrumReport:
     @property
     def degree(self) -> int:
         return self.generator.degree
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Exact counts per character, int64 of shape (q^2, p), expanded
+        from the class rows on each access."""
+        return self.class_counts[self.class_index]
 
     def histogram(self) -> dict:
         """Multiplicities of the eigenvalues rounded to nearest 1e-6."""
@@ -98,40 +131,126 @@ class SpectrumReport:
         }
 
 
+def _require_curve(gen: GeneratorSet) -> None:
+    """Refuse H unless it is exactly the norm-one circle (plus) or the unit
+    hyperbola (minus): the classes are orbits of the curve's symmetries."""
+    q = gen.q
+    members = np.asarray(gen.members, dtype=np.int64)
+    if gen.family == PLUS:
+        on_curve = gen.ext.norm_array(members) == 1
+        size = q + 1
+    else:
+        on_curve = gen.base.mul_array(members % q, members // q) == 1
+        size = q - 1
+    if len(set(gen.members)) != size or not on_curve.all():
+        raise ValueError(f"the generator set is not the {gen.family} curve over "
+                         f"F_{q}; the class spectrum is exact only there")
+
+
+def _class_keys(gen: GeneratorSet) -> np.ndarray:
+    """Class of every character alpha: norm(alpha) for plus; for minus a*b
+    off the axes, q on the axis b = 0 and q + 1 on the axis a = 0.  The
+    origin is class 0 in both families and the only member of it.  Every
+    class in range(q) (plus) or range(q + 2) (minus) is taken."""
+    q = gen.q
+    alpha = np.arange(q * q)
+    if gen.family == PLUS:
+        return gen.ext.norm_array(alpha)
+    a, b = alpha % q, alpha // q
+    keys = gen.base.mul_array(a, b)
+    keys[(a != 0) & (b == 0)] = q
+    keys[(a == 0) & (b != 0)] = q + 1
+    return keys
+
+
+def _pairing_exponents(gen: GeneratorSet, alphas: np.ndarray) -> np.ndarray:
+    """expo[i, j] = <alphas[i], members[j]>, as one (len(alphas), |H|) array."""
+    ctx, q = gen.base, gen.q
+    beta = np.asarray(gen.members, dtype=np.int64)
+    ax, ay = (alphas % q)[:, None], (alphas // q)[:, None]
+    bx, by = beta % q, beta // q
+    if gen.family == PLUS:
+        # xpart(alpha * beta) = ax*bx + delta*ay*by, doubled, then traced
+        xp = ctx.add_array(ctx.mul_array(ax, bx),
+                           ctx.mul_array(ay, ctx.mul_array(by, gen.ext.delta)))
+        return ctx.trace_table[ctx.add_array(xp, xp)]
+    return ctx.trace_table[ctx.add_array(ctx.mul_array(ax, bx),
+                                         ctx.mul_array(ay, by))]
+
+
+def _character_index(gen: GeneratorSet) -> np.ndarray:
+    """For every alpha, the flat index into ``gen.indicator_fft()`` of the
+    character alpha pairs by: digit i of a coordinate a is trace(c*a*e_i),
+    e_i = p**i the power basis, c the coordinate's coefficient in the
+    pairing."""
+    ctx = gen.base
+    q, p, k = ctx.q, ctx.p, ctx.k
+    if gen.family == PLUS:
+        cx = ctx.embed(2)
+        cy = ctx.mul(cx, gen.ext.delta)
+    else:
+        cx = cy = 1
+    elems = np.arange(q)
+
+    def digits(c):
+        return sum(ctx.trace_table[ctx.mul_array(elems, ctx.mul(c, p ** i))] * p ** i
+                   for i in range(k))
+
+    alpha = np.arange(q * q)
+    return digits(cx)[alpha % q] + q * digits(cy)[alpha // q]
+
+
+def _fold(counts: np.ndarray, cos: np.ndarray) -> np.ndarray:
+    """counts @ cos, with zero rows padded on to a multiple of _FOLD_ROWS.
+
+    The BLAS matrix-vector kernel works on blocks of rows and sums a
+    leftover partial block in another order, which moves a few
+    eigenvalues by some ulp.  With the padding every class row is summed
+    the way the rows of the full (q^2, p) count matrix are, so each
+    eigenvalue has the same bits as ``counts @ cos`` over all characters.
+    """
+    rows = -(-len(counts) // _FOLD_ROWS) * _FOLD_ROWS
+    padded = np.zeros((rows, counts.shape[1]), dtype=counts.dtype)
+    padded[:len(counts)] = counts
+    return (padded @ cos)[:len(counts)]
+
+
 def full_spectrum(gen: GeneratorSet,
                   budget: int = DEFAULT_SPECTRUM_BUDGET) -> SpectrumReport:
     """All q^2 eigenvalues with exact counts, plus bound classification.
 
-    Vectorized over characters: for each member beta the pairing exponent
-    is evaluated on every alpha at once through the context's table
-    arithmetic.  Refuses vertex counts above ``budget``.
+    Counts exponents once per class representative, in one (classes x |H|)
+    array operation, then checks every eigenvalue against the FFT of 1_H
+    and raises VerificationError on a mismatch.  Refuses vertex counts
+    above ``budget`` (SizeCapError) and generator sets that are not their
+    family's curve (ValueError), before allocating.
     """
     size = gen.ambient_size
     if size > budget:
         raise SizeCapError(f"{size} vertices exceed spectrum budget {budget}")
-    ctx = gen.base
-    q, p = ctx.q, gen.p
-    idx = np.arange(size)
-    ax, ay = idx % q, idx // q
+    _require_curve(gen)
+    p = gen.p
 
-    counts = np.zeros((size, p), dtype=np.int64)
-    for beta in gen.members:
-        bx, by = gen.split(beta)
-        if gen.family == PLUS:
-            # xpart(alpha * beta) = ax*bx + delta*ay*by, doubled, then traced
-            t1 = ctx.mul_array(ax, bx)
-            t2 = ctx.mul_array(ay, ctx.mul(gen.ext.delta, by))
-            xp = ctx.add_array(t1, t2)
-            expo = ctx.trace_table[ctx.add_array(xp, xp)]
-        else:
-            expo = ctx.trace_table[
-                ctx.add_array(ctx.mul_array(ax, bx), ctx.mul_array(ay, by))]
-        counts[idx, expo] += 1
+    class_index = _class_keys(gen).astype(np.int32)
+    n_cls = gen.q + (0 if gen.family == PLUS else 2)
+    # any member represents its class: the counts are the same on all of it
+    reps = np.zeros(n_cls, dtype=np.int64)
+    reps[class_index] = np.arange(size)
+    expo = _pairing_exponents(gen, reps)
+    cell = np.arange(n_cls)[:, None] * p + expo
+    class_counts = np.bincount(cell.ravel(), minlength=n_cls * p).reshape(n_cls, p)
 
     cos, sin = unity_cos_sin(p)
-    eigs = counts @ cos
-    assert np.abs(counts @ sin).max() <= BOUND_TOL, "spectrum not real"
-    assert abs(eigs[0] - gen.degree) <= BOUND_TOL, "trivial eigenvalue wrong"
+    if np.abs(class_counts @ sin).max() > BOUND_TOL:
+        raise VerificationError("spectrum not real")
+    eigs = _fold(class_counts, cos)[class_index]
+    if abs(eigs[0] - gen.degree) > BOUND_TOL:
+        raise VerificationError("trivial eigenvalue wrong")
+    fourier = gen.indicator_fft().ravel()[_character_index(gen)]
+    worst = float(np.abs(fourier - eigs).max())
+    if worst > FFT_TOL:
+        raise VerificationError(
+            f"class eigenvalues differ from the FFT of 1_H by up to {worst:.3g}")
 
     max_nt = float(np.abs(eigs[1:]).max())
     ram = 2.0 * math.sqrt(gen.degree - 1)
@@ -143,11 +262,16 @@ def full_spectrum(gen: GeneratorSet,
     else:
         cls = NEITHER_BOUND
     connected = not np.any(np.abs(eigs[1:] - gen.degree) <= BOUND_TOL)
-    return SpectrumReport(gen, eigs, counts, max_nt, ram, almost, cls, connected)
+    return SpectrumReport(gen, eigs, class_counts, class_index, max_nt, ram,
+                          almost, cls, connected)
 
 
 def adjacency_matrix(gen: GeneratorSet) -> np.ndarray:
-    """Dense 0/1 adjacency matrix of the Cayley graph (oracle-sized inputs)."""
+    """Dense 0/1 adjacency matrix of the Cayley graph.
+
+    Oracle for oracle-sized inputs: tests compare its eigensolver spectrum
+    with ``full_spectrum``.
+    """
     size = gen.ambient_size
     if size > 1 << 14:
         raise SizeCapError(f"{size} vertices is too large for a dense matrix")

@@ -1,7 +1,12 @@
 """End-to-end command-line checks, run in process via main()."""
 
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -135,6 +140,49 @@ def test_spectrum_dump_csv(capsys, tmp_path):
     first = lines[1].split(",")
     assert first[0] == "0" and float(first[1]) == 6.0
     assert sum(int(c) for c in first[2:]) == 6
+
+
+# sha256 of the CSV written by the per-vertex count matrix that the class
+# counts replaced
+CSV_SHA256 = {
+    ("13", "1", "plus"): "f11411a3cb806aec47170bd1ec9642756c52c31f632b6e415fa2acea9a16ef8f",
+    ("5", "2", "minus"): "62d3c74c56e73c56c24e2a7f24e5769b4b84fee332ded53bdee734b5871929dc",
+}
+
+
+@pytest.mark.parametrize("p,k,family", sorted(CSV_SHA256))
+def test_spectrum_dump_csv_pinned(capsys, tmp_path, p, k, family):
+    csv = tmp_path / "spectrum.csv"
+    code, _, _ = run(capsys, "spectrum", "--p", p, "--k", k, "--family", family,
+                     "--dump-csv", str(csv))
+    assert code == 0
+    digest = hashlib.sha256(csv.read_bytes()).hexdigest()
+    assert digest == CSV_SHA256[(p, k, family)]
+
+
+# Each snippet breaks one computation so that its cross-check must fire.
+INJECTED = {
+    # class keys shifted by one vertex: class eigenvalues leave the FFT's
+    "spectrum": "import quasilee.spectra as s\n"
+                "keys = s._class_keys\n"
+                "s._class_keys = lambda gen: np.roll(keys(gen), 1)\n",
+    # every convolution value moved 0.4 off its integer
+    "subset": "inv = np.fft.ifftn\n"
+              "np.fft.ifftn = lambda a: inv(a) + 0.4\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(INJECTED))
+def test_injected_mismatch_exits_2_under_optimize(command):
+    script = ("import sys\nimport numpy as np\n" + INJECTED[command]
+              + "from quasilee.cli import main\n"
+              + f"sys.exit(main(['{command}', '--p', '13', '--family', 'plus']))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    res = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error: verification:")
+    assert res.stdout == ""
 
 
 # -- code generation and verification ------------------------------------------------

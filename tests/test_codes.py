@@ -45,6 +45,26 @@ def scalar_syndrome(mat, word) -> int:
     return syn
 
 
+def scalar_lee_ball(n, p, radius) -> list:
+    """Lee ball words by depth-first recursion: for each position j, weight
+    w and value w then p - w, the word, then its extensions past j."""
+    half = (p - 1) // 2
+    out = [tuple([0] * n)]
+    vec = [0] * n
+
+    def extend(start, budget):
+        for j in range(start, n):
+            for w in range(1, min(budget, half) + 1):
+                for val in (w, p - w):
+                    vec[j] = val
+                    out.append(tuple(vec))
+                    extend(j + 1, budget - w)
+                vec[j] = 0
+
+    extend(0, radius)
+    return out
+
+
 def scalar_bfs_leaders(mat, cap=8) -> tuple:
     """Coset leaders and their weights by a scalar breadth-first search.
 
@@ -108,6 +128,15 @@ def test_lee_distance_is_a_metric(p, a, b):
 def test_lee_distance_length_check():
     with pytest.raises(ValueError, match="length mismatch"):
         lee_distance([1, 2], [1], 5)
+
+
+@pytest.mark.parametrize("n,p,radius", [
+    (0, 5, 2), (1, 3, 1), (2, 3, 2), (3, 7, 2), (5, 5, 3), (7, 13, 4),
+    (12, 3, 3), (20, 7, 3), (62, 5, 2)])
+def test_ball_array_matches_scalar_oracle(n, p, radius):
+    ball = codes.lee_ball_array(n, p, radius)
+    assert ball.dtype == np.int64 and ball.shape[1] == n
+    assert [tuple(w) for w in ball.tolist()] == scalar_lee_ball(n, p, radius)
 
 
 def test_ball_vectors_are_distinct_and_light():
@@ -386,14 +415,14 @@ def test_verify_quasi_perfect_p13():
 def test_verify_skips_radius_three_ball_by_pigeonhole(monkeypatch):
     code = build_code(97, 1, "plus")
     assert lee_ball_size(code.n, 3) > 97 ** 2
-    real = codes.lee_ball_vectors
+    real = codes.lee_ball_array
 
     def no_radius_three(n, p, radius):
         if radius >= 3:
             raise AssertionError("radius-3 ball must not be enumerated")
         return real(n, p, radius)
 
-    monkeypatch.setattr(codes, "lee_ball_vectors", no_radius_three)
+    monkeypatch.setattr(codes, "lee_ball_array", no_radius_three)
     rep = verify_quasi_perfect(code)
     assert (rep.error_correction, rep.covering_radius) == (2, 3)
     assert rep.quasi_perfect

@@ -131,9 +131,11 @@ def test_vectorized_ops_match_scalar(ctx):
     c = ctx.q - 2
     add = ctx.add_array(arr, c)
     mul = ctx.mul_array(arr, c)
+    mul_rev = ctx.mul_array(arr, arr[::-1])
     for a in range(ctx.q):
         assert add[a] == ctx.add(a, c)
         assert mul[a] == ctx.mul(a, c)
+        assert mul_rev[a] == ctx.mul(a, ctx.q - 1 - a)
         assert ctx.trace_table[a] == ctx.trace(a)
 
 
@@ -149,6 +151,8 @@ def test_quad_ext_is_a_field(base):
             assert ext.norm(ext.mul(z1, z2)) == \
                 base.mul(ext.norm(z1), ext.norm(z2))
     assert all(ext.norm(z) != 0 for z in range(1, ext.size))
+    assert ext.norm_array(np.arange(ext.size)).tolist() == \
+        [ext.norm(z) for z in range(ext.size)]
     for z in range(1, ext.size):
         assert ext.mul(z, ext.inv(z)) == 1
     with pytest.raises(ZeroDivisionError):

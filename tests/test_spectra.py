@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from quasilee.curves import generator_set
-from quasilee.fields import QuadExt, SizeCapError, kloosterman, make_field
+from quasilee.curves import from_representatives, generator_set
+from quasilee.fields import (QuadExt, SizeCapError, kloosterman, make_field,
+                             unity_cos_sin)
 from quasilee.spectra import (RAMANUJAN, SpectrumReport, adjacency_matrix,
                               character_counts, eigenvalue, full_spectrum)
 
@@ -94,6 +95,47 @@ def test_norm_circle_eigenvalues_are_kloosterman_values():
         assert nrm != 0
         want = -kloosterman(base, 1, nrm)
         assert eigenvalue(gen, alpha) == pytest.approx(want, abs=1e-9)
+
+
+ORACLE_CONFIGS = [(5, 1, "plus"), (5, 1, "minus"), (7, 1, "plus"),
+                  (7, 1, "minus"), (13, 1, "plus"), (13, 1, "minus"),
+                  (3, 2, "plus"), (5, 2, "minus"), (3, 3, "minus")]
+
+
+@pytest.mark.parametrize("p,k,family", ORACLE_CONFIGS)
+def test_class_counts_match_scalar_oracle(p, k, family):
+    gen = generator_set(make_field(p, k), family)
+    rep = full_spectrum(gen)
+    want = np.array([character_counts(gen, a) for a in range(gen.ambient_size)])
+    assert np.array_equal(rep.counts, want)
+    assert len(rep.class_counts) == gen.q + (0 if family == "plus" else 2)
+    assert rep.class_index.dtype == np.int32
+
+
+@pytest.mark.parametrize("p,k,family", [(11, 1, "plus"), (17, 1, "minus"),
+                                        (11, 2, "minus")])
+def test_class_fold_is_bitwise_the_per_vertex_fold(p, k, family):
+    # class counts alone, folded without padding, round some of these
+    # eigenvalues differently in the last bits
+    rep = spectrum(p, k, family)
+    cos, _ = unity_cos_sin(p)
+    assert np.array_equal(rep.eigenvalues, rep.counts @ cos)
+
+
+@pytest.mark.parametrize("family", ["plus", "minus"])
+def test_refuses_generator_set_off_the_curve(family):
+    base = make_field(13)
+    gen = generator_set(base, family)
+    # the curve itself, rebuilt from its representatives, is accepted
+    same = from_representatives(base, family, gen.reps)
+    assert full_spectrum(same).max_nontrivial_abs == \
+        full_spectrum(gen).max_nontrivial_abs
+    # right size, one point off the curve
+    off = next(z for z in range(1, gen.ambient_size)
+               if z not in gen.members and gen.neg(z) not in gen.members)
+    for reps in ([1, 2, 3], list(gen.reps[:-1]) + [off]):
+        with pytest.raises(ValueError, match="not the .* curve"):
+            full_spectrum(from_representatives(base, family, reps))
 
 
 def test_histogram_accounts_for_every_vertex():

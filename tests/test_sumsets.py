@@ -75,6 +75,19 @@ def test_layers_are_nested_and_start_correctly():
     assert [int(m.sum()) for m in lay.masks] == list(lay.sizes)
 
 
+@pytest.mark.parametrize("p,k,family", [
+    (5, 1, "plus"), (5, 1, "minus"), (7, 1, "plus"), (7, 1, "minus"),
+    (13, 1, "plus"), (13, 1, "minus"), (3, 2, "plus"), (5, 2, "minus"),
+    (3, 3, "minus")])
+def test_layers_match_scalar_sumset_oracle(p, k, family):
+    gen = generator_set(make_field(p, k), family)
+    lay = cumulative_layers(gen)
+    grown = {0}
+    for t in range(len(lay.masks)):
+        assert lay.layer_set(t) == grown, f"layer {t}"
+        grown = grown | sumset(grown, gen.members, gen.base)
+
+
 def test_cap_validation():
     gen = generator_set(make_field(5), "plus")
     with pytest.raises(ValueError):
