@@ -21,7 +21,7 @@ from .curves import (AdmissibilityReport, GeneratorSet, admissibility,
                      norm_circle, projective_cubic_count, shifted_circle_sum,
                      shifted_norm_image, unit_hyperbola)
 from .fields import (CharacterSumValue, FieldCtx, QuadExt, ResidueClassReport,
-                     SizeCapError, field_arith, gauss_quadratic_sum, is_prime,
+                     SizeCapError, gauss_quadratic_sum, is_prime,
                      kloosterman, make_field, minus3_character, pair_add,
                      pair_index, pair_neg, pair_scale, pair_split,
                      residue_class_mod12)

@@ -78,12 +78,6 @@ class GeneratorSet:
     def split(self, z: int) -> tuple:
         return pair_split(self.base, z)
 
-    def rep_pairs(self) -> list:
-        return [self.split(z) for z in self.reps]
-
-    def member_pairs(self) -> list:
-        return [self.split(z) for z in self.members]
-
     def indicator_fft(self) -> np.ndarray:
         """fftn of the indicator 1_H over F_q x F_q read as Z_p^{2k}.
 

@@ -206,7 +206,9 @@ class FieldCtx:
                 t = 0
                 for i in range(k):
                     t = self.add(t, self.pow(a, p ** i))
-                assert t < p, "trace escaped the prime subfield"
+                if t >= p:
+                    raise VerificationError(
+                        f"trace of {a} escaped the prime subfield")
                 tr[a] = t
             self.trace_table = tr
 
@@ -304,6 +306,13 @@ class FieldCtx:
         dig = (self._digits[a] + self._digits[b]) % self.p
         return dig @ (self.p ** np.arange(self.k))
 
+    def neg_array(self, a):
+        """Index negation, elementwise."""
+        if self.k == 1:
+            return -a % self.p
+        dig = -self._digits[a] % self.p
+        return dig @ (self.p ** np.arange(self.k))
+
     def mul_array(self, a, b):
         """Index multiplication, elementwise and broadcast; a and b are
         index arrays, or one of them a scalar."""
@@ -311,6 +320,11 @@ class FieldCtx:
         prod = self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
         prod[(a == 0) | (b == 0)] = 0
         return prod
+
+    def quad_character_array(self, a):
+        """``quad_character`` elementwise over an index array."""
+        a = np.asarray(a)
+        return np.where(a == 0, 0, 1 - 2 * (self._log[a] % 2))
 
     # -----------------------------------------------------------------------
 
@@ -324,19 +338,6 @@ class FieldCtx:
 def make_field(p: int, k: int = 1, cap: int = DEFAULT_AMBIENT_CAP) -> FieldCtx:
     """Construct F_{p**k} with the canonical modulus; see FieldCtx."""
     return FieldCtx(p, k, cap)
-
-
-_ARITH_OPS = ("add", "sub", "mul", "inv", "neg", "pow")
-
-def field_arith(ctx: FieldCtx, op: str, a: int, b: int = None) -> int:
-    """Dispatch one field operation by name on index-encoded elements."""
-    if op not in _ARITH_OPS:
-        raise ValueError(f"unknown op {op!r}")
-    if op in ("inv", "neg"):
-        return getattr(ctx, op)(a)
-    if b is None:
-        raise ValueError(f"op {op!r} needs a second operand")
-    return getattr(ctx, op)(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -386,11 +387,12 @@ class QuadExt:
     def add(self, z1: int, z2: int) -> int:
         return pair_add(self.base, z1, z2)
 
-    def neg(self, z: int) -> int:
-        return pair_neg(self.base, z)
-
-    def sub(self, z1: int, z2: int) -> int:
-        return self.add(z1, self.neg(z2))
+    def add_array(self, z1, z2):
+        """``add`` elementwise and broadcast over index arrays."""
+        b = self.base
+        z1, z2 = np.asarray(z1), np.asarray(z2)
+        return (b.add_array(z1 % b.q, z2 % b.q)
+                + b.q * b.add_array(z1 // b.q, z2 // b.q))
 
     def mul(self, z1: int, z2: int) -> int:
         b = self.base
@@ -400,9 +402,16 @@ class QuadExt:
         y = b.add(b.mul(x1, y2), b.mul(y1, x2))
         return self.encode(x, y)
 
-    def conj(self, z: int) -> int:
-        x, y = self.decode(z)
-        return self.encode(x, self.base.neg(y))
+    def mul_array(self, z1, z2):
+        """``mul`` elementwise and broadcast over index arrays."""
+        b = self.base
+        z1, z2 = np.asarray(z1), np.asarray(z2)
+        x1, y1 = z1 % b.q, z1 // b.q
+        x2, y2 = z2 % b.q, z2 // b.q
+        x = b.add_array(b.mul_array(x1, x2),
+                        b.mul_array(b.mul_array(y1, y2), self.delta))
+        y = b.add_array(b.mul_array(x1, y2), b.mul_array(y1, x2))
+        return x + b.q * y
 
     def norm(self, z: int) -> int:
         """x**2 - delta*y**2, the multiplicative norm down to F_q."""
@@ -418,22 +427,10 @@ class QuadExt:
         return b.add_array(b.mul_array(x, x),
                            b.mul_array(b.mul_array(y, y), b.neg(self.delta)))
 
-    def inv(self, z: int) -> int:
-        if z == 0:
-            raise ZeroDivisionError("inverse of zero")
-        b = self.base
-        n_inv = b.inv(self.norm(z))
-        x, y = self.decode(z)
-        return self.encode(b.mul(x, n_inv), b.mul(b.neg(y), n_inv))
-
     def rel_trace(self, z: int) -> int:
         """Trace down to F_q: z + conj(z) = 2x."""
         x, _ = self.decode(z)
         return self.base.add(x, x)
-
-    def abs_trace(self, z: int) -> int:
-        """Trace all the way to F_p (composition through F_q)."""
-        return self.base.trace(self.rel_trace(z))
 
     def elements(self) -> range:
         return range(self.size)
@@ -488,8 +485,8 @@ class CharacterSumValue:
 def kloosterman(ctx: FieldCtx, a: int, b: int) -> float:
     """K(a, b) = sum over x != 0 of zeta_p**trace(a*x + b/x); real-valued.
 
-    Requires b nonzero.  The Hasse-Weil bound |K| <= 2*sqrt(q) is asserted
-    on the computed value.
+    Requires b nonzero.  The computed value is checked to be real and
+    within the Hasse-Weil bound |K| <= 2*sqrt(q); VerificationError if not.
     """
     if b == 0:
         raise ValueError("kloosterman requires a nonzero second argument")
@@ -498,9 +495,11 @@ def kloosterman(ctx: FieldCtx, a: int, b: int) -> float:
         e = ctx.trace(ctx.add(ctx.mul(a, x), ctx.mul(b, ctx.inv(x))))
         counts[e] += 1
     v = CharacterSumValue.from_counts(ctx.p, counts)
-    assert abs(v.im) <= SUM_TOL, f"Kloosterman sum not real: im={v.im}"
-    assert abs(v.re) <= 2.0 * math.sqrt(ctx.q) + SUM_TOL, \
-        f"Hasse-Weil bound violated: |{v.re}| > 2*sqrt({ctx.q})"
+    if not abs(v.im) <= SUM_TOL:
+        raise VerificationError(f"Kloosterman sum not real: im={v.im}")
+    if not abs(v.re) <= 2.0 * math.sqrt(ctx.q) + SUM_TOL:
+        raise VerificationError(
+            f"Hasse-Weil bound violated: |{v.re}| > 2*sqrt({ctx.q})")
     return v.re
 
 
@@ -509,7 +508,8 @@ def gauss_quadratic_sum(ctx: FieldCtx, c: int, a: int) -> CharacterSumValue:
 
     The result is checked against the classical closed form
     (-1)**(k-1) * eta(c) * sqrt(p*)**k * zeta_p**trace(-a**2/(4c))
-    with p* = (-1)**((p-1)/2) * p, to 1e-9 per component.
+    with p* = (-1)**((p-1)/2) * p, to 1e-9 per component; VerificationError
+    if they differ.
     """
     if c == 0:
         raise ValueError("quadratic coefficient must be nonzero")
@@ -525,8 +525,9 @@ def gauss_quadratic_sum(ctx: FieldCtx, c: int, a: int) -> CharacterSumValue:
     closed = ((-1) ** (k - 1) * ctx.quad_character(c) * sqrt_pstar ** k
               * complex(math.cos(2 * math.pi * shift / p),
                         math.sin(2 * math.pi * shift / p)))
-    assert abs(v.re - closed.real) <= SUM_TOL and abs(v.im - closed.imag) <= SUM_TOL, \
-        f"Gauss sum disagrees with closed form: {v.value} vs {closed}"
+    if not (abs(v.re - closed.real) <= SUM_TOL and abs(v.im - closed.imag) <= SUM_TOL):
+        raise VerificationError(
+            f"Gauss sum disagrees with closed form: {v.value} vs {closed}")
     return v
 
 
@@ -558,7 +559,9 @@ def residue_class_mod12(p: int) -> ResidueClassReport:
         "three": euler(3),
         "minus3": euler(-3),
     }
-    assert by_rule == by_char, f"reciprocity rule disagrees with characters at p={p}"
+    if by_rule != by_char:
+        raise VerificationError(
+            f"reciprocity rule disagrees with characters at p={p}")
     return ResidueClassReport(p, p % 12, by_rule["minus1"], by_rule["three"],
                               by_rule["minus3"])
 

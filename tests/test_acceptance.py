@@ -175,9 +175,9 @@ def test_c06_eigenvalues_are_kloosterman_values():
 # -- 7: the brute-force battery ---------------------------------------------------------
 
 def test_c07_lemma_battery():
-    with criterion(7, "all battery checks pass for q in {5,7,9,11,13}; "
+    with criterion(7, "all battery checks pass for q in {5,7,9,11,13,27,29}; "
                       "mod-12 rule for primes up to 200", budget=20.0):
-        for p, k in PLUS_FIELDS:
+        for p, k in PLUS_FIELDS + [(3, 3), (29, 1)]:
             checks = lemma_battery(p, k)
             failed = [c.name for c in checks if not c.passed]
             assert not failed, f"q={p ** k}: {failed}"

@@ -320,6 +320,54 @@ def test_lemma_suite_json_p3(capsys):
     assert all(c["passed"] for c in d["checks"])
 
 
+# sha256 of the stdout of the scalar battery that the array enumerations
+# replaced; the printed floats must stay bit-identical
+LEMMA_SHA256 = {
+    (13, 1, "text"): "0be006ba7a07c52f951290347470d0672c6bfca45945a6bd6ae71ca8f2c27e51",
+    (13, 1, "json"): "de2345278f16368aa91e7c08e6eef31c54f1e143bbd0053ad646537980fc3403",
+    (23, 1, "text"): "d3cc0640397e892bae88640692ef5412807043531211cd8545c98dda608aa7fe",
+    (23, 1, "json"): "d409a8d63cc09dc7856cda0001c71855c821a1c5b7020a433f80aa32d838bd79",
+    (5, 2, "text"): "f2535b95d6ef32f69ddc27080560fcc75595f728f9a1fa03482fdc71698031a6",
+    (5, 2, "json"): "3480094f8a53345fb1c4bf21d7a97d6f298a1ea7efd5c13ecf4a878f668c1db1",
+    (3, 2, "text"): "c76ecc718eee09f17e2a0d4b867cf8313eaf0bda29c82c793310712de4f1400d",
+    (3, 2, "json"): "a2dc4a7b04dac2cd16055b0990df374baf19fa44d29c0572951e48ae43893cc6",
+    (3, 3, "text"): "f0e62a5c87a666c207acfc3069e69c7b4eb74ec5c625feffa3e58b44299ca09e",
+    (3, 3, "json"): "144d4a18ea81c5b39b9e127a0a61c2b3b6383ead41d839344e6655d2ea6fef16",
+}
+
+
+@pytest.mark.parametrize("p,k,fmt", sorted(LEMMA_SHA256))
+def test_lemma_suite_pinned(capsys, p, k, fmt):
+    code, out, _ = run(capsys, "lemma-suite", "--p", str(p), "--k", str(k),
+                       "--format", fmt)
+    assert code == 0
+    if (p, fmt) == (23, "text"):
+        assert "max |K| = 7.960687 <= 2*sqrt(q) = 9.591663" in out
+        assert "worst deviation 1.78e-15" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == LEMMA_SHA256[(p, k, fmt)]
+
+
+def test_injected_lemma_fault_exits_2_under_optimize():
+    # one abscissa dropped from the c = 1 circle: only that check may fail
+    script = ("import sys\n"
+              "import quasilee.lemmas as lemmas\n"
+              "grid = lemmas.abscissa_grid\n"
+              "def dropped(ctx):\n"
+              "    g = grid(ctx)\n"
+              "    g[1, g[1].argmax()] = False\n"
+              "    return g\n"
+              "lemmas.abscissa_grid = dropped\n"
+              "from quasilee.cli import main\n"
+              "sys.exit(main(['lemma-suite', '--p', '13']))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    res = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error: verification:")
+    assert "FAIL circle_abscissas: VerificationError" in res.stdout
+    assert res.stdout.endswith("15/16 checks passed\n")
+
+
 def test_out_writes_file_and_silences_stdout(capsys, tmp_path):
     target = tmp_path / "report.json"
     code, out, _ = run(capsys, "admissible", "--p", "13", "--family", "plus",

@@ -7,7 +7,7 @@ from quasilee.curves import (GeneratorSet, admissibility, circle_abscissas,
                              from_representatives, generator_set, norm_circle,
                              projective_cubic_count, shifted_circle_sum,
                              shifted_norm_image, unit_hyperbola)
-from quasilee.fields import QuadExt, make_field, pair_index
+from quasilee.fields import QuadExt, make_field, pair_index, pair_split
 
 
 @pytest.mark.parametrize("p,k", [(5, 1), (7, 1), (13, 1), (3, 2), (11, 1)])
@@ -40,14 +40,15 @@ def test_unit_hyperbola_structure(p, k):
 
 def test_frozen_p13_plus_representatives():
     gen = generator_set(make_field(13), "plus")
-    assert gen.rep_pairs() == [(1, 0), (4, 1), (9, 1), (3, 2), (10, 2),
-                               (5, 5), (8, 5)]
+    assert [pair_split(gen.base, z) for z in gen.reps] == \
+        [(1, 0), (4, 1), (9, 1), (3, 2), (10, 2), (5, 5), (8, 5)]
     assert gen.ext.delta == 2
 
 
 def test_frozen_p23_minus_representatives():
     gen = generator_set(make_field(23), "minus")
-    assert set(gen.member_pairs()) == {(x, pow(x, -1, 23)) for x in range(1, 23)}
+    assert {pair_split(gen.base, z) for z in gen.members} == \
+        {(x, pow(x, -1, 23)) for x in range(1, 23)}
 
 
 def test_generator_set_rank_spans_ambient():
