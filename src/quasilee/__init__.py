@@ -11,11 +11,11 @@ via ``quasilee lemma-suite``.
 
 from .codes import (CosetLeaderTable, DecodeResult, LeeCode, ParityCheckMatrix,
                     QuasiPerfectReport, VerificationError, build_code,
-                    code_parameters, coset_leader_table, decode, lee_ball_array,
-                    lee_ball_vectors, lee_distance, lee_weight, matrix_from_json_dict,
-                    matrix_from_text, parity_check_matrix, rank_mod_p,
-                    round_trip_check, syndrome, syndromes,
-                    verify_quasi_perfect)
+                    code_parameters, coset_leader_table, decode, decode_words,
+                    lee_ball_array, lee_ball_vectors, lee_distance, lee_weight,
+                    matrix_from_json_dict, matrix_from_text,
+                    parity_check_matrix, rank_mod_p, round_trip_check,
+                    syndrome, syndromes, verify_quasi_perfect)
 from .curves import (AdmissibilityReport, GeneratorSet, admissibility,
                      circle_abscissas, from_representatives, generator_set,
                      norm_circle, projective_cubic_count, shifted_circle_sum,

@@ -19,7 +19,7 @@ import json
 import sys
 
 from .codes import (VerificationError, code_parameters,
-                    coset_leader_table, decode, matrix_from_json_dict,
+                    coset_leader_table, decode_words, matrix_from_json_dict,
                     matrix_from_text, parity_check_matrix, round_trip_check,
                     verify_quasi_perfect)
 from .curves import admissibility, generator_set
@@ -29,6 +29,9 @@ from .spectra import full_spectrum
 from .sumsets import CoverageError, classify
 
 _YESNO = {True: "yes", False: "no"}
+# non-comment stdin lines that `decode` decodes per batch call; a block,
+# not all of stdin, so that memory does not grow with the input
+_DECODE_BLOCK = 256
 
 
 def _add_common(sub):
@@ -198,28 +201,44 @@ def cmd_code_verify(args) -> str:
             f"round_trip: {ok}/{total} seed={args.seed}\n")
 
 
+def _decoded_lines(table, rows, fmt, digits) -> list:
+    """Output lines for a block of parsed words, from one batch decode;
+    ``digits[v]`` is ``str(v)`` for every residue v."""
+    cws, errs, weights, _ = decode_words(table, rows)
+    decoded = zip(cws.tolist(), errs.tolist(), weights.tolist())
+    if fmt == "json":
+        return [json.dumps({"codeword": c, "error": e, "weight": w}, sort_keys=True)
+                for c, e, w in decoded]
+    return [f"{' '.join(map(digits.__getitem__, c))} | "
+            f"{' '.join(map(digits.__getitem__, e))} | {w}" for c, e, w in decoded]
+
+
 def cmd_decode(args) -> str:
     mat = _load_matrix(args)
     if mat is None:
         mat = parity_check_matrix(_generator(args))
     table = coset_leader_table(mat)
-    out = []
+    n, digits = mat.n, [str(v) for v in range(mat.p)]
+    out, rows = [], []
     for lineno, line in enumerate(sys.stdin, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
+        # each line is checked as it is read, so the first bad line is the
+        # one reported, whatever the block it falls in
         try:
-            word = [int(tok) for tok in line.split()]
-            res = decode(table, word)
+            row = list(map(int, line.split()))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
-        if args.fmt == "json":
-            out.append(json.dumps({"codeword": list(res.codeword),
-                                   "error": list(res.error),
-                                   "weight": res.weight}, sort_keys=True))
-        else:
-            out.append(f"{' '.join(map(str, res.codeword))} | "
-                       f"{' '.join(map(str, res.error))} | {res.weight}")
+        if len(row) != n:
+            raise ValueError(f"line {lineno}: length mismatch: "
+                             f"expected {n}, got {len(row)}")
+        rows.append(row)
+        if len(rows) == _DECODE_BLOCK:
+            out += _decoded_lines(table, rows, args.fmt, digits)
+            rows = []
+    if rows:
+        out += _decoded_lines(table, rows, args.fmt, digits)
     return "\n".join(out) + ("\n" if out else "")
 
 

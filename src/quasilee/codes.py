@@ -339,14 +339,36 @@ class DecodeResult:
     syndrome: int
 
 
-def decode(table: CosetLeaderTable, word) -> DecodeResult:
-    """Subtract the coset leader of the word's syndrome."""
+def _residues(words, p: int) -> np.ndarray:
+    """Words as an int64 array with entries reduced mod p.  Entries beyond
+    the int64 range are reduced as Python ints first."""
+    try:
+        arr = np.asarray(words, dtype=np.int64)
+    except OverflowError:
+        arr = np.array([[int(c) % p for c in w] for w in words], dtype=np.int64)
+    return arr % p
+
+
+def decode_words(table: CosetLeaderTable, words) -> tuple:
+    """Decode a batch of words: subtract from each the coset leader of its
+    syndrome.
+
+    ``words`` is an m x n array (or list of rows) of any integers.  Returns
+    the arrays (codewords, errors, weights, syndromes): m x n codewords and
+    errors with entries in [0, p), and m leader weights and syndromes.
+    """
     p = table.matrix.p
-    word = [int(c) % p for c in word]
-    syn = syndrome(table.matrix, word)
-    err = tuple(table.leader_words([syn])[0].tolist())
-    cw = tuple((c - e) % p for c, e in zip(word, err))
-    return DecodeResult(cw, err, int(table.weights[syn]), syn)
+    arr = _residues(words, p)
+    syns = syndromes(table.matrix, arr)
+    errors = table.leader_words(syns)
+    return (arr - errors) % p, errors, table.weights[syns], syns
+
+
+def decode(table: CosetLeaderTable, word) -> DecodeResult:
+    """Decode one word: ``decode_words`` on a single row, as Python ints."""
+    cws, errs, weights, syns = decode_words(table, [word])
+    return DecodeResult(tuple(cws[0].tolist()), tuple(errs[0].tolist()),
+                        int(weights[0]), int(syns[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +511,7 @@ def round_trip_check(table: CosetLeaderTable, trials: int, seed: int,
     one after another and decoded in batches of a fixed size, so memory
     does not grow with ``trials``.
     """
-    mat = table.matrix
-    p, n = mat.p, mat.n
+    p, n = table.matrix.p, table.matrix.n
     rng = random.Random(seed)
     errors = lee_ball_array(n, p, max_weight)
     ok = 0
@@ -499,10 +520,9 @@ def round_trip_check(table: CosetLeaderTable, trials: int, seed: int,
         for _ in range(min(_ROUND_TRIP_BLOCK, trials - lo)):
             words.append([rng.randrange(p) for _ in range(n)])
             picked.append(rng.randrange(len(errors)))
-        words = np.array(words, dtype=np.int64)
         err = errors[picked]
-        cw = (words - table.leader_words(syndromes(mat, words))) % p
-        got = table.leader_words(syndromes(mat, (cw + err) % p))
+        cw = decode_words(table, words)[0]
+        got = decode_words(table, cw + err)[1]
         # the decoded codeword is cw exactly when the returned error is err
         ok += int((got == err).all(axis=1).sum())
     return ok, trials

@@ -4,12 +4,14 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from quasilee import cli
 from quasilee.cli import main
 
 
@@ -300,6 +302,95 @@ def test_decode_with_matrix_file(capsys, monkeypatch, tmp_path):
     code, out, _ = run(capsys, "decode", "--matrix", str(mat))
     assert code == 0
     assert out.endswith("| 0 0 0 0 0 0 0 0 0 0 1 | 1\n")
+
+
+def test_decode_reduces_huge_and_negative_tokens(capsys, monkeypatch):
+    # entries are reduced mod p as Python ints: no int64 overflow
+    monkeypatch.setattr("sys.stdin", io.StringIO(
+        "1000000000000000000000000000001 0 0 0 0 0 -1\n"
+        "-1000000000000000000000000000001 0 0 0 0 0 14\n"))
+    code, out, err = run(capsys, "decode", "--p", "13", "--family", "plus")
+    assert code == 0 and err == ""
+    assert out == ("3 0 0 0 0 1 12 | 12 0 0 0 0 12 0 | 2\n"
+                   "10 0 0 0 0 12 1 | 1 0 0 0 0 1 0 | 2\n")
+
+
+@pytest.mark.parametrize("block", [None, 1, 2])
+@pytest.mark.parametrize("lines,message", [
+    (["0 0 0 0 0 0 0", "1 2 3", "0 0 0 0 0 0 x"],
+     "line 2: length mismatch: expected 7, got 3"),
+    (["0 0 0 0 0 0 0", "0 x", "1 2 3"],
+     "line 2: invalid literal for int() with base 10: 'x'"),
+], ids=["short-then-unparsable", "unparsable-then-short"])
+def test_decode_reports_first_bad_line(capsys, monkeypatch, block, lines, message):
+    # lines 2 and 3 share a block by default; blocks of 1 or 2 split them
+    if block is not None:
+        monkeypatch.setattr(cli, "_DECODE_BLOCK", block)
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "decode", "--p", "13", "--family", "plus",
+                             "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == f"error: precondition: {message}\n"
+        sys.stdin.seek(0)
+
+
+# -- decode: pinned streams ----------------------------------------------------------
+
+# (p, k, family) -> n
+DECODE_CONFIGS = {(13, 1, "plus"): 7, (23, 1, "minus"): 11,
+                  (5, 2, "plus"): 13, (7, 2, "minus"): 24}
+
+# sha256 of the stdout of the one-word-at-a-time decoder that the block
+# decoder replaced, on ``decode_stream``
+DECODE_SHA256 = {
+    (13, 1, "plus", "text"): "6c8c884144846ce998a6aa3dd74ea57a5a5d669d37cd5cbbc43553b00f247fbf",
+    (13, 1, "plus", "json"): "05cbb53a9a176aa454760f1f5c0d44cb042c7051edfa12ee6975f263e5c7d987",
+    (23, 1, "minus", "text"): "07d224a18e37e8ceb78b2fe2f9b758917456a29884cba2dc8bc379217ff59f6d",
+    (23, 1, "minus", "json"): "3d65c4f34539c9bc1bd7f0660d02c68b4a9edbd770768a22e2df9578fe541057",
+    (5, 2, "plus", "text"): "4fdb262dac00798d5c2f36b29a430c24d4747c575bededbfd6e5c7331ea719b5",
+    (5, 2, "plus", "json"): "1c3d4599ed5ad4aefb701c3ca4869c637d247ae96fcbc8253867622b068864e4",
+    (7, 2, "minus", "text"): "3846bdd3e82fc59825f10c5ea491186d0e96dd92512ee9abe353dd78379b337e",
+    (7, 2, "minus", "json"): "0be22c920eec3dba08ebefe479f0a2c9aed60ecbfe80adeb05542405b9b04e68",
+}
+
+
+def decode_stream(p, n, words=2000, seed=7):
+    """A seeded stdin for ``decode``: words with negative entries, entries
+    >= p and a few huge ones, mixed with comments, blank lines and uneven
+    whitespace."""
+    rng = random.Random(seed * 1009 + p * n)
+    lines = []
+    for i in range(words):
+        roll = rng.random()
+        if roll < 0.05:
+            lines.append(rng.choice(["# comment", "   # indented comment", ""]))
+        elif roll < 0.08:
+            lines.append(rng.choice([" ", "\t", "  \t "]))
+        lo, hi = (-3 * p, 3 * p) if i % 3 else (0, p - 1)
+        row = [rng.randint(lo, hi) for _ in range(n)]
+        if i % 97 == 0:
+            row[rng.randrange(n)] = rng.choice([1, -1]) * (10 ** 30 + rng.randrange(p))
+        sep = rng.choice([" ", " ", "  ", "\t"])
+        lines.append(sep.join(map(str, row)) + rng.choice(["", "", " ", "\t"]))
+    return "\n".join(lines) + rng.choice(["", "\n"])
+
+
+@pytest.mark.parametrize("block", [None, 3])
+@pytest.mark.parametrize("p,k,family,fmt", sorted(DECODE_SHA256))
+def test_decode_stream_pinned(capsys, monkeypatch, tmp_path, p, k, family, fmt,
+                              block):
+    if block is not None:
+        monkeypatch.setattr(cli, "_DECODE_BLOCK", block)
+    mat = tmp_path / "m.txt"
+    assert main(["code-gen", "--p", str(p), "--k", str(k), "--family", family,
+                 "--out", str(mat)]) == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(
+        decode_stream(p, DECODE_CONFIGS[(p, k, family)])))
+    code, out, err = run(capsys, "decode", "--matrix", str(mat), "--format", fmt)
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 2000
+    assert hashlib.sha256(out.encode()).hexdigest() == DECODE_SHA256[(p, k, family, fmt)]
 
 
 # -- lemma suite -----------------------------------------------------------------------

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasilee import codes
-from quasilee.codes import (CosetLeaderTable, VerificationError, build_code,
-                            code_parameters, coset_leader_table, decode,
+from quasilee.codes import (CosetLeaderTable, DecodeResult, VerificationError,
+                            build_code, code_parameters, coset_leader_table,
+                            decode, decode_words, lee_ball_array,
                             lee_ball_vectors, lee_distance, lee_weight,
                             matrix_from_json_dict, matrix_from_text,
                             parity_check_matrix, rank_mod_p, round_trip_check,
@@ -98,6 +99,17 @@ def scalar_bfs_leaders(mat, cap=8) -> tuple:
         frontier = nxt
         w += 1
     return tuple(leaders), weights
+
+
+def scalar_decode(table, word) -> DecodeResult:
+    """The one-word-at-a-time decoder that ``decode_words`` replaced: reduce
+    the word as Python ints, then subtract the leader of its syndrome."""
+    p = table.matrix.p
+    word = [int(c) % p for c in word]
+    syn = syndrome(table.matrix, word)
+    err = tuple(table.leader_words([syn])[0].tolist())
+    cw = tuple((c - e) % p for c, e in zip(word, err))
+    return DecodeResult(cw, err, int(table.weights[syn]), syn)
 
 
 # -- Lee metric ----------------------------------------------------------------
@@ -356,6 +368,43 @@ def test_decode_is_translation_invariant():
         assert shifted.error == plain.error
         assert shifted.codeword == tuple((c + b) % 13
                                          for c, b in zip(plain.codeword, base))
+
+
+@pytest.mark.parametrize("p,k,family", [(13, 1, "plus"), (23, 1, "minus"),
+                                          (5, 2, "plus"), (7, 2, "minus")])
+def test_decode_words_match_scalar_decode(p, k, family):
+    # random words with entries outside [0, p), then the whole radius-2 ball
+    table = table_for(p, k, family)
+    n = table.matrix.n
+    rng = np.random.default_rng(p * k)
+    words = np.concatenate([rng.integers(-3 * p, 3 * p, size=(300, n)),
+                            lee_ball_array(n, p, 2)])
+    cws, errs, weights, syns = decode_words(table, words)
+    assert cws.shape == errs.shape == words.shape
+    for i, word in enumerate(words.tolist()):
+        want = scalar_decode(table, word)
+        got = DecodeResult(tuple(cws[i].tolist()), tuple(errs[i].tolist()),
+                           int(weights[i]), int(syns[i]))
+        assert got == want == decode(table, word)
+
+
+def test_decode_reduces_huge_and_negative_entries():
+    table = table_for(13, 1, "plus")
+    word = [10 ** 30 + 1, -(10 ** 30 + 1), -1, 14, 0, 0, -27]
+    reduced = [c % 13 for c in word]
+    want = scalar_decode(table, word)
+    assert decode(table, word) == decode(table, reduced) == want
+    cws, errs, _, _ = decode_words(table, [word, reduced])
+    assert tuple(cws[0].tolist()) == tuple(cws[1].tolist()) == want.codeword
+    assert tuple(errs[0].tolist()) == want.error
+
+
+def test_decode_words_rejects_wrong_length():
+    table = table_for(13, 1, "plus")
+    with pytest.raises(ValueError, match="expected 7, got 3"):
+        decode_words(table, [[1, 2, 3]])
+    with pytest.raises(ValueError, match="expected 7, got 3"):
+        decode(table, [1, 2, 3])
 
 
 def test_round_trips_both_example_codes():
