@@ -29,9 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import GeneratorSet, from_representatives, generator_set
-from .fields import SizeCapError, VerificationError, make_field
-from .sumsets import (Classification, CoverageError, classify, lee_ball_size,
-                      DEFAULT_LAYER_CAP)
+from .fields import (SizeCapError, VerificationError, index_pack, make_field,
+                     pair_add, pair_neg)
+from .sumsets import (MAX_LAYERS, Classification, CoverageError, classify,
+                      lee_ball_size)
 
 MAX_TABLE_VERTICES = 1 << 20
 # frontier syndromes expanded per array operation in the table BFS
@@ -146,21 +147,26 @@ def matrix_from_text(text: str) -> ParityCheckMatrix:
 
 
 def matrix_from_json_dict(d: dict) -> ParityCheckMatrix:
-    return _matrix_from_parts(int(d["p"]), int(d["k"]), int(d["n"]),
-                              d["family"], d["rows"])
+    """Parse ``to_json_dict`` output; ValueError names a bad field."""
+    for key, kind in (("p", int), ("k", int), ("n", int), ("family", str),
+                      ("rows", list)):
+        if not isinstance(d.get(key), kind):
+            raise ValueError(f"matrix JSON field {key!r} is missing or "
+                             f"not of type {kind.__name__}")
+    if not all(isinstance(r, list) and all(isinstance(v, int) for v in r)
+               for r in d["rows"]):
+        raise ValueError("matrix JSON field 'rows' must hold lists of integers")
+    return _matrix_from_parts(d["p"], d["k"], d["n"], d["family"], d["rows"])
 
 
 def _matrix_from_parts(p, k, n, family, rows) -> ParityCheckMatrix:
     if len(rows) != 2 * k or any(len(r) != n for r in rows):
         raise ValueError(f"matrix body must be {2 * k} rows of {n} entries")
     ctx = make_field(p, k)
-    cols = np.array(rows, dtype=np.int64).T % p
-    reps = []
-    for col in cols:
-        x = ctx.from_coeffs([int(v) for v in col[:k]])
-        y = ctx.from_coeffs([int(v) for v in col[k:]])
-        reps.append(x + ctx.q * y)
-    gen = from_representatives(ctx, family, reps)
+    # row i holds digit i of every representative's pair index; entries are
+    # reduced as Python ints, so that any integer is accepted
+    reps = index_pack(np.array([[v % p for v in r] for r in rows], dtype=np.int64), p)
+    gen = from_representatives(ctx, family, reps.tolist())
     return parity_check_matrix(gen)
 
 
@@ -184,11 +190,6 @@ def rank_mod_p(entries: np.ndarray, p: int) -> int:
     return rank
 
 
-def _digit_weights(matrix: ParityCheckMatrix) -> np.ndarray:
-    """p ** (0 .. 2k-1): dotted with a digit vector, gives the pair index."""
-    return matrix.p ** np.arange(matrix.entries.shape[0], dtype=np.int64)
-
-
 def syndromes(matrix: ParityCheckMatrix, words) -> np.ndarray:
     """Pair index of sum_j e_j * beta_j for every row e of an m x n array.
 
@@ -200,7 +201,7 @@ def syndromes(matrix: ParityCheckMatrix, words) -> np.ndarray:
     if arr.shape[1] != matrix.n:
         raise ValueError(f"length mismatch: expected {matrix.n}, got {arr.shape[1]}")
     arr = (arr % matrix.p).astype(np.int64)
-    return (arr @ matrix.entries.T % matrix.p) @ _digit_weights(matrix)
+    return index_pack(matrix.entries @ arr.T % matrix.p, matrix.p)
 
 
 def syndrome(matrix: ParityCheckMatrix, word) -> int:
@@ -271,8 +272,7 @@ def _signed_leaders(parent, step, syns, hops, n) -> np.ndarray:
     return out
 
 
-def coset_leader_table(matrix: ParityCheckMatrix,
-                       cap: int = DEFAULT_LAYER_CAP) -> CosetLeaderTable:
+def coset_leader_table(matrix: ParityCheckMatrix) -> CosetLeaderTable:
     """Breadth-first search over error vectors ordered by Lee weight.
 
     Level w + 1 is generated from the recorded leaders of level w by all
@@ -280,7 +280,7 @@ def coset_leader_table(matrix: ParityCheckMatrix,
     exactly one; a syndrome keeps the first leader that reaches it, with
     candidates ordered by (parent, position, +1 before -1).  Each level is
     expanded as array operations over frontier chunks x n x {+1, -1}.
-    Raises CoverageError if the search stalls or exceeds ``cap`` levels
+    Raises CoverageError if the search stalls or exceeds MAX_LAYERS levels
     before assigning every syndrome.
     """
     p, n = matrix.p, matrix.n
@@ -288,10 +288,10 @@ def coset_leader_table(matrix: ParityCheckMatrix,
     if size > MAX_TABLE_VERTICES:
         raise SizeCapError(f"{size} syndromes exceed table cap {MAX_TABLE_VERTICES}")
     half = (p - 1) // 2
-    pw = _digit_weights(matrix)
-    # digits of the syndrome shift of step 2*j + b: +beta_j, then -beta_j
-    shifts = np.repeat(matrix.entries.T, 2, axis=0)
-    shifts[1::2] = -shifts[1::2] % p
+    ctx = matrix.generator.base
+    # the syndrome shift of step 2*j + b: +beta_j, then -beta_j
+    beta = np.array(matrix.generator.reps, dtype=np.int64)
+    shifts = np.stack([beta, pair_neg(ctx, beta)], axis=1).ravel()
 
     parent = np.full(size, -1, dtype=np.int32)
     step = np.full(size, -1, dtype=np.int32)
@@ -300,7 +300,7 @@ def coset_leader_table(matrix: ParityCheckMatrix,
     frontier = np.zeros(1, dtype=np.int64)
     filled = 1
     w = 0
-    while filled < size and frontier.size and w < cap:
+    while filled < size and frontier.size and w < MAX_LAYERS:
         found = []
         for lo in range(0, frontier.size, _BFS_CHUNK):
             rows = frontier[lo:lo + _BFS_CHUNK]
@@ -308,10 +308,7 @@ def coset_leader_table(matrix: ParityCheckMatrix,
             # a step must raise the Lee weight: move away from 0, not past p/2
             rises = np.stack([(err >= 0) & (err < half),
                               (err <= 0) & (err > -half)], axis=2)
-            digits = rows[:, None] // pw % p
-            cand = np.zeros((rows.size, 2 * n), dtype=np.int64)
-            for d in range(pw.size):
-                cand += (digits[:, d, None] + shifts[:, d]) % p * pw[d]
+            cand = pair_add(ctx, rows[:, None], shifts)
             pos = np.flatnonzero(rises.reshape(rows.size, 2 * n)
                                  & (weights[cand] < 0))
             hits = cand.ravel()[pos]
@@ -325,7 +322,7 @@ def coset_leader_table(matrix: ParityCheckMatrix,
         filled += frontier.size
         w += 1
     if filled < size:
-        reason = "stalled" if not frontier.size else f"exceeded {cap} levels"
+        reason = "stalled" if not frontier.size else f"exceeded {MAX_LAYERS} levels"
         raise CoverageError(
             f"coset table {reason} with {size - filled} syndromes unassigned")
     return CosetLeaderTable(matrix, parent, step, weights, int(weights.max()))
@@ -403,10 +400,9 @@ class LeeCode:
         }
 
 
-def code_parameters(gen: GeneratorSet,
-                    cap: int = DEFAULT_LAYER_CAP) -> LeeCode:
+def code_parameters(gen: GeneratorSet) -> LeeCode:
     """Code parameters with t and R taken from the sumset layer indices."""
-    cls = classify(gen, cap)
+    cls = classify(gen)
     mat = parity_check_matrix(gen)
     rank = rank_mod_p(mat.entries, gen.p)
     dim = gen.n - rank
@@ -419,10 +415,9 @@ def code_parameters(gen: GeneratorSet,
         verdict=cls.verdict, classification=cls)
 
 
-def build_code(p: int, k: int, family: str,
-               cap: int = DEFAULT_LAYER_CAP) -> LeeCode:
+def build_code(p: int, k: int, family: str) -> LeeCode:
     """Convenience: field -> generator set -> code parameters."""
-    return code_parameters(generator_set(make_field(p, k), family), cap)
+    return code_parameters(generator_set(make_field(p, k), family))
 
 
 @dataclass(frozen=True)
@@ -509,8 +504,10 @@ def round_trip_check(table: CosetLeaderTable, trials: int, seed: int,
     the code), a random error of Lee weight <= max_weight is added, and
     the decoder must return exactly the original pair.  Trials are drawn
     one after another and decoded in batches of a fixed size, so memory
-    does not grow with ``trials``.
+    does not grow with ``trials``.  ValueError if ``trials`` < 0.
     """
+    if trials < 0:
+        raise ValueError(f"trial count must be nonnegative, got {trials}")
     p, n = table.matrix.p, table.matrix.n
     rng = random.Random(seed)
     errors = lee_ball_array(n, p, max_weight)

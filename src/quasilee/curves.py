@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import (FieldCtx, QuadExt, VerificationError, make_field,
-                     minus3_character, pair_add, pair_index, pair_neg,
-                     pair_split)
+from .fields import (FieldCtx, QuadExt, VerificationError, index_digits,
+                     make_field, minus3_character, pair_add, pair_index,
+                     pair_neg)
 
 PLUS = "plus"
 MINUS = "minus"
@@ -69,15 +69,6 @@ class GeneratorSet:
     def ambient_size(self) -> int:
         return self.base.q ** 2
 
-    def add(self, z1: int, z2: int) -> int:
-        return pair_add(self.base, z1, z2)
-
-    def neg(self, z: int) -> int:
-        return pair_neg(self.base, z)
-
-    def split(self, z: int) -> tuple:
-        return pair_split(self.base, z)
-
     def indicator_fft(self) -> np.ndarray:
         """fftn of the indicator 1_H over F_q x F_q read as Z_p^{2k}.
 
@@ -92,12 +83,9 @@ class GeneratorSet:
 
     def coordinate_matrix(self) -> np.ndarray:
         """2k x n matrix over F_p whose j-th column stacks the coefficient
-        vectors of (x_j, y_j) for the j-th representative."""
-        cols = []
-        for z in self.reps:
-            x, y = self.split(z)
-            cols.append(self.base.coeffs(x) + self.base.coeffs(y))
-        return np.array(cols, dtype=np.int64).T
+        vectors of (x_j, y_j): the 2k digits of the j-th representative."""
+        reps = np.array(self.reps, dtype=np.int64)
+        return np.array(index_digits(reps, self.p, 2 * self.k), dtype=np.int64)
 
     def to_json_dict(self) -> dict:
         ctx_json = (self.ext.to_json_dict() if self.ext is not None
@@ -116,15 +104,11 @@ class GeneratorSet:
 
 
 def _finish(family, base, members, ext=None) -> GeneratorSet:
-    members = sorted(members)
-    seen = set()
-    reps = []
-    for z in members:
-        if z not in seen:
-            reps.append(z)
-            seen.add(z)
-            seen.add(pair_neg(base, z))
-    return GeneratorSet(family, base, tuple(reps), tuple(members), ext)
+    # the representative of each {z, -z} is the smaller index
+    members = np.sort(np.asarray(members, dtype=np.int64))
+    reps = members[members < pair_neg(base, members)]
+    return GeneratorSet(family, base, tuple(reps.tolist()),
+                        tuple(members.tolist()), ext)
 
 
 def norm_circle(ext: QuadExt) -> GeneratorSet:
@@ -136,7 +120,7 @@ def norm_circle(ext: QuadExt) -> GeneratorSet:
     ``norm_array`` over all q^2 indices.
     """
     members = np.flatnonzero(ext.norm_array(np.arange(ext.size)) == 1)
-    gen = _finish(PLUS, ext.base, members.tolist(), ext)
+    gen = _finish(PLUS, ext.base, members, ext)
     if gen.degree != ext.q + 1:
         raise VerificationError(
             f"norm-one circle has {gen.degree} points, expected {ext.q + 1}")
@@ -213,7 +197,7 @@ def shifted_circle_sum(ext: QuadExt, w: int) -> frozenset:
     out = set()
     for z1 in circle:
         for z2 in circle:
-            out.add(ext.add(z1, ext.mul(z2, w)))
+            out.add(pair_add(ext.base, z1, ext.mul(z2, w)))
     return frozenset(out)
 
 

@@ -9,6 +9,12 @@ subfield.  The modulus is the lexicographically smallest monic irreducible
 of degree k (coefficient tuples compared constant-term first), so contexts
 are reproducible across runs.
 
+Each additive group here is Z_p^m held as packed base-p indices: F_q
+(m = k) and the pair group F_q x F_q (m = 2k, (x, y) packed as x + q*y).
+``index_add``/``index_neg`` are its one addition and negation, for ints
+and int64 arrays alike, and ``index_digits``/``index_pack`` its one digit
+conversion; ``tests/oracles.py`` holds the oracles they are checked with.
+
 On top of the ground field sit:
 
 * ``QuadExt`` -- the quadratic extension F_q[sqrt(delta)] for the
@@ -61,6 +67,46 @@ def is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# packed base-p indices: the additive group Z_p^m
+
+def index_digits(a, p: int, m: int) -> list:
+    """The m base-p digits of packed indices, least significant first."""
+    return [a // p ** i % p for i in range(m)]
+
+
+def index_pack(digits, p: int):
+    """sum(digits[i] * p**i), over a sequence or an array's first axis."""
+    a = 0
+    for d in reversed(digits):
+        a = a * p + d
+    return a
+
+
+def index_add(a, b, p: int, m: int):
+    """Digitwise sum mod p of packed m-digit indices, ints or broadcast
+    int64 arrays.  a + b is the sum of d_i * p**i over the digit sums d_i;
+    p**(i+1) comes off for each d_i >= p, read from the high parts a // p**i.
+    """
+    s = t = a + b
+    for i in range(1, m):
+        a, b = a // p, b // p
+        u = a + b
+        s = s - (t - u * p >= p) * p ** i
+        t = u
+    return s - (s >= p ** m) * p ** m
+
+
+def index_neg(a, p: int, m: int):
+    """Digitwise negation mod p: -a plus p**(i+1) per nonzero digit i."""
+    s = -a
+    for i in range(1, m):
+        high = a // p
+        s = s + (a != high * p) * p ** i
+        a = high
+    return s + (s < 0) * p ** m
+
+
+# ---------------------------------------------------------------------------
 # polynomial helpers over F_p (coefficient lists, constant term first)
 
 def _poly_mul_mod(a, b, modulus, p):
@@ -93,24 +139,14 @@ def _poly_divides(d, f, p):
             f[shift + i] = (f[shift + i] - c * di) % p
     return not any(f)
 
-def _poly_eval(f, x, p):
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * x + c) % p
-    return acc
-
 def _smallest_irreducible(p: int, k: int) -> tuple:
     """Lexicographically smallest monic irreducible of degree k over F_p."""
     if k == 1:
         return (0, 1)  # placeholder x - 0; arithmetic is plain mod p
     for coeffs in product(range(p), repeat=k):
-        if coeffs[0] == 0:
-            continue  # divisible by x
         f = list(coeffs) + [1]
-        if any(_poly_eval(f, x, p) == 0 for x in range(p)):
-            continue
         reducible = False
-        for d in range(2, k // 2 + 1):
+        for d in range(1, k // 2 + 1):
             for dc in product(range(p), repeat=d):
                 if _poly_divides(list(dc) + [1], f, p):
                     reducible = True
@@ -167,7 +203,7 @@ class FieldCtx:
         else:
             mod = list(self.modulus)
             def raw_mul(a, b):
-                return self._from_coeffs_list(
+                return self.from_coeffs(
                     _poly_mul_mod(self.coeffs(a), self.coeffs(b), mod, p))
 
         def raw_pow(a, e):
@@ -192,38 +228,27 @@ class FieldCtx:
         self._exp = np.array(exp, dtype=np.int64)
         self._log = np.array(log, dtype=np.int64)
 
-        if k == 1:
-            self.trace_table = np.arange(q, dtype=np.int64)
-            self._digits = None
-        else:
-            self._digits = np.zeros((q, k), dtype=np.int64)
-            rem = np.arange(q)
-            for i in range(k):
-                self._digits[:, i] = rem % p
-                rem //= p
-            tr = np.zeros(q, dtype=np.int64)
-            for a in range(1, q):
-                t = 0
-                for i in range(k):
-                    t = self.add(t, self.pow(a, p ** i))
-                if t >= p:
-                    raise VerificationError(
-                        f"trace of {a} escaped the prime subfield")
-                tr[a] = t
-            self.trace_table = tr
+        # trace(a) = sum of the conjugates a**(p**i), one array pass each
+        tr = np.zeros(q, dtype=np.int64)
+        for i in range(k):
+            conj = self._exp[self._log * p ** i % (q - 1)]
+            conj[0] = 0
+            tr = index_add(tr, conj, p, k)
+        escaped = np.flatnonzero(tr >= p)
+        if escaped.size:
+            raise VerificationError(
+                f"trace of {escaped[0]} escaped the prime subfield")
+        self.trace_table = tr
 
     # -- scalar operations --------------------------------------------------
 
-    def add(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a + b) % self.p
-        return self._from_coeffs_list(
-            [(x + y) % self.p for x, y in zip(self.coeffs(a), self.coeffs(b))])
+    def add(self, a, b):
+        """Index addition; a and b are ints or int64 arrays (broadcast)."""
+        return index_add(a, b, self.p, self.k)
 
-    def neg(self, a: int) -> int:
-        if self.k == 1:
-            return -a % self.p
-        return self._from_coeffs_list([-x % self.p for x in self.coeffs(a)])
+    def neg(self, a):
+        """Index negation; a is an int or an int64 array."""
+        return index_neg(a, self.p, self.k)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -237,15 +262,6 @@ class FieldCtx:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return int(self._exp[-self._log[a] % (self.q - 1)])
-
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise ZeroDivisionError("negative power of zero")
-            return 0
-        return int(self._exp[(self._log[a] * e) % (self.q - 1)])
 
     def trace(self, a: int) -> int:
         """Absolute trace to F_p: sum of the k Frobenius conjugates."""
@@ -277,41 +293,20 @@ class FieldCtx:
 
     def coeffs(self, a: int) -> list:
         """Coefficient vector (a_0, ..., a_{k-1}) of the element with index a."""
-        out = []
-        for _ in range(self.k):
-            out.append(a % self.p)
-            a //= self.p
-        return out
+        return index_digits(a, self.p, self.k)
 
     def from_coeffs(self, coeffs) -> int:
         if len(coeffs) != self.k:
             raise ValueError(f"expected {self.k} coefficients, got {len(coeffs)}")
-        return self._from_coeffs_list(coeffs)
-
-    def _from_coeffs_list(self, coeffs) -> int:
-        a = 0
-        for c in reversed(coeffs):
-            a = a * self.p + c
-        return a
+        return index_pack(coeffs, self.p)
 
     def elements(self) -> range:
         return range(self.q)
 
     # -- vectorized counterparts (numpy index arrays) -----------------------
 
-    def add_array(self, a, b):
-        """Index addition, elementwise; a, b arrays or scalars (broadcast)."""
-        if self.k == 1:
-            return (a + b) % self.p
-        dig = (self._digits[a] + self._digits[b]) % self.p
-        return dig @ (self.p ** np.arange(self.k))
-
-    def neg_array(self, a):
-        """Index negation, elementwise."""
-        if self.k == 1:
-            return -a % self.p
-        dig = -self._digits[a] % self.p
-        return dig @ (self.p ** np.arange(self.k))
+    add_array = add
+    neg_array = neg
 
     def mul_array(self, a, b):
         """Index multiplication, elementwise and broadcast; a and b are
@@ -349,14 +344,12 @@ def pair_index(ctx: FieldCtx, x: int, y: int) -> int:
 def pair_split(ctx: FieldCtx, z: int) -> tuple:
     return z % ctx.q, z // ctx.q
 
-def pair_add(ctx: FieldCtx, z1: int, z2: int) -> int:
-    x1, y1 = pair_split(ctx, z1)
-    x2, y2 = pair_split(ctx, z2)
-    return pair_index(ctx, ctx.add(x1, x2), ctx.add(y1, y2))
+def pair_add(ctx: FieldCtx, z1, z2):
+    """Addition in F_q x F_q: ``index_add`` over the 2k digits of (x, y)."""
+    return index_add(z1, z2, ctx.p, 2 * ctx.k)
 
-def pair_neg(ctx: FieldCtx, z: int) -> int:
-    x, y = pair_split(ctx, z)
-    return pair_index(ctx, ctx.neg(x), ctx.neg(y))
+def pair_neg(ctx: FieldCtx, z):
+    return index_neg(z, ctx.p, 2 * ctx.k)
 
 def pair_scale(ctx: FieldCtx, z: int, c: int) -> int:
     """Scale by a prime-subfield scalar c in [0, p)."""
@@ -378,29 +371,13 @@ class QuadExt:
     def q(self) -> int:
         return self.base.q
 
-    def encode(self, x: int, y: int) -> int:
-        return x + self.base.q * y
-
-    def decode(self, z: int) -> tuple:
-        return z % self.base.q, z // self.base.q
-
-    def add(self, z1: int, z2: int) -> int:
-        return pair_add(self.base, z1, z2)
-
-    def add_array(self, z1, z2):
-        """``add`` elementwise and broadcast over index arrays."""
-        b = self.base
-        z1, z2 = np.asarray(z1), np.asarray(z2)
-        return (b.add_array(z1 % b.q, z2 % b.q)
-                + b.q * b.add_array(z1 // b.q, z2 // b.q))
-
     def mul(self, z1: int, z2: int) -> int:
         b = self.base
-        x1, y1 = self.decode(z1)
-        x2, y2 = self.decode(z2)
+        x1, y1 = pair_split(b, z1)
+        x2, y2 = pair_split(b, z2)
         x = b.add(b.mul(x1, x2), b.mul(self.delta, b.mul(y1, y2)))
         y = b.add(b.mul(x1, y2), b.mul(y1, x2))
-        return self.encode(x, y)
+        return pair_index(b, x, y)
 
     def mul_array(self, z1, z2):
         """``mul`` elementwise and broadcast over index arrays."""
@@ -416,7 +393,7 @@ class QuadExt:
     def norm(self, z: int) -> int:
         """x**2 - delta*y**2, the multiplicative norm down to F_q."""
         b = self.base
-        x, y = self.decode(z)
+        x, y = pair_split(b, z)
         return b.sub(b.mul(x, x), b.mul(self.delta, b.mul(y, y)))
 
     def norm_array(self, z):
@@ -429,7 +406,7 @@ class QuadExt:
 
     def rel_trace(self, z: int) -> int:
         """Trace down to F_q: z + conj(z) = 2x."""
-        x, _ = self.decode(z)
+        x, _ = pair_split(self.base, z)
         return self.base.add(x, x)
 
     def elements(self) -> range:

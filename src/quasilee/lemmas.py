@@ -34,7 +34,8 @@ import numpy as np
 
 from .curves import norm_circle, unit_hyperbola
 from .fields import (CharacterSumValue, QuadExt, VerificationError, make_field,
-                     minus3_character, residue_class_mod12, unity_cos_sin)
+                     minus3_character, pair_add, residue_class_mod12,
+                     unity_cos_sin)
 from .spectra import BOUND_TOL, full_spectrum
 
 IDENTITY_TOL = 1e-9
@@ -79,7 +80,7 @@ def _sum_mask(ext: QuadExt, a, b):
     The addition is that of F_q x F_q, which is also the addition of
     F_{q^2}, so it serves both families.
     """
-    return _mask(ext.size, ext.add_array(a[:, None], b[None, :]))
+    return _mask(ext.size, pair_add(ext.base, a[:, None], b[None, :]))
 
 
 def _count_rows(ctx, args):
@@ -102,7 +103,7 @@ def shifted_sum_masks(ext: QuadExt, members, ws, norms):
     ws = np.asarray(ws)
     rows = np.arange(len(ws))[:, None]
     scaled = ext.mul_array(ws[:, None], members[None, :])
-    sums = ext.add_array(members[None, :, None], scaled[:, None, :])
+    sums = pair_add(ext.base, members[None, :, None], scaled[:, None, :])
     sums = sums.reshape(len(ws), -1)
     seen = np.zeros((len(ws), ext.size), dtype=bool)
     seen[rows, sums] = True

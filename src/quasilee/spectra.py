@@ -41,7 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import MINUS, PLUS, GeneratorSet
-from .fields import SizeCapError, VerificationError, unity_cos_sin
+from .fields import (SizeCapError, VerificationError, index_pack, pair_add,
+                     pair_split, unity_cos_sin)
 
 DEFAULT_SPECTRUM_BUDGET = 1 << 20
 BOUND_TOL = 1e-9
@@ -59,8 +60,8 @@ def _pairing_exponent(gen: GeneratorSet, alpha: int, beta: int) -> int:
     if gen.family == PLUS:
         prod = gen.ext.mul(alpha, beta)
         return gen.base.trace(gen.ext.rel_trace(prod))
-    a, b = gen.split(alpha)
-    x, y = gen.split(beta)
+    a, b = pair_split(gen.base, alpha)
+    x, y = pair_split(gen.base, beta)
     return gen.base.trace(gen.base.add(gen.base.mul(a, x), gen.base.mul(b, y)))
 
 
@@ -193,8 +194,8 @@ def _character_index(gen: GeneratorSet) -> np.ndarray:
     elems = np.arange(q)
 
     def digits(c):
-        return sum(ctx.trace_table[ctx.mul_array(elems, ctx.mul(c, p ** i))] * p ** i
-                   for i in range(k))
+        return index_pack([ctx.trace_table[ctx.mul_array(elems, ctx.mul(c, p ** i))]
+                           for i in range(k)], p)
 
     alpha = np.arange(q * q)
     return digits(cx)[alpha % q] + q * digits(cy)[alpha // q]
@@ -215,19 +216,19 @@ def _fold(counts: np.ndarray, cos: np.ndarray) -> np.ndarray:
     return (padded @ cos)[:len(counts)]
 
 
-def full_spectrum(gen: GeneratorSet,
-                  budget: int = DEFAULT_SPECTRUM_BUDGET) -> SpectrumReport:
+def full_spectrum(gen: GeneratorSet) -> SpectrumReport:
     """All q^2 eigenvalues with exact counts, plus bound classification.
 
     Counts exponents once per class representative, in one (classes x |H|)
     array operation, then checks every eigenvalue against the FFT of 1_H
     and raises VerificationError on a mismatch.  Refuses vertex counts
-    above ``budget`` (SizeCapError) and generator sets that are not their
-    family's curve (ValueError), before allocating.
+    above DEFAULT_SPECTRUM_BUDGET (SizeCapError) and generator sets that
+    are not their family's curve (ValueError), before allocating.
     """
     size = gen.ambient_size
-    if size > budget:
-        raise SizeCapError(f"{size} vertices exceed spectrum budget {budget}")
+    if size > DEFAULT_SPECTRUM_BUDGET:
+        raise SizeCapError(
+            f"{size} vertices exceed spectrum budget {DEFAULT_SPECTRUM_BUDGET}")
     _require_curve(gen)
     p = gen.p
 
@@ -276,7 +277,6 @@ def adjacency_matrix(gen: GeneratorSet) -> np.ndarray:
     if size > 1 << 14:
         raise SizeCapError(f"{size} vertices is too large for a dense matrix")
     mat = np.zeros((size, size), dtype=np.int8)
-    for v in range(size):
-        for h in gen.members:
-            mat[v, gen.add(v, h)] = 1
+    v = np.arange(size)[:, None]
+    mat[v, pair_add(gen.base, v, np.array(gen.members))] = 1
     return mat

@@ -29,7 +29,8 @@ from .fields import FieldCtx, VerificationError, pair_add
 
 # Lee ball size evaluation is supported for r <= 3 only.
 MAX_BALL_RADIUS = 3
-DEFAULT_LAYER_CAP = 8
+# most layers grown, and most BFS levels searched, before giving up
+MAX_LAYERS = 8
 # largest allowed distance of a convolution value from an integer
 INTEGRALITY_TOL = 0.25
 
@@ -39,7 +40,7 @@ NEITHER = "Neither"
 
 
 class CoverageError(RuntimeError):
-    """Sumset layers stabilized (or hit the cap) without covering the group."""
+    """Sumset layers stabilized (or hit MAX_LAYERS) without covering the group."""
 
 
 def sumset(a, b, ctx: FieldCtx) -> set:
@@ -120,14 +121,13 @@ def _sumset_support(mask: np.ndarray, h_hat: np.ndarray) -> np.ndarray:
     return counts > 0
 
 
-def cumulative_layers(gen: GeneratorSet, cap: int = DEFAULT_LAYER_CAP) -> SumsetLayers:
-    """Grow C_0 .. C_t until the group is covered, growth stops, or t = cap.
+def cumulative_layers(gen: GeneratorSet) -> SumsetLayers:
+    """Grow C_0 .. C_t until the group is covered, growth stops, or
+    t = MAX_LAYERS.
 
-    Always computes at least min(cap, 3) layers so the critical index can
-    be evaluated even when coverage happens early.
+    Always computes at least 3 layers so the critical index can be
+    evaluated even when coverage happens early.
     """
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
     size = gen.ambient_size
     h_hat = gen.indicator_fft()
 
@@ -137,7 +137,7 @@ def cumulative_layers(gen: GeneratorSet, cap: int = DEFAULT_LAYER_CAP) -> Sumset
     sizes = [1]
     stabilized = False
     t = 0
-    while t < cap:
+    while t < MAX_LAYERS:
         prev = masks[-1]
         nxt = prev | _sumset_support(prev, h_hat)
         t += 1
@@ -146,7 +146,7 @@ def cumulative_layers(gen: GeneratorSet, cap: int = DEFAULT_LAYER_CAP) -> Sumset
         if sizes[-1] == sizes[-2]:
             stabilized = True
         done = sizes[-1] == size or stabilized
-        if done and t >= min(cap, MAX_BALL_RADIUS):
+        if done and t >= MAX_BALL_RADIUS:
             break
 
     covered = sizes[-1] == size
@@ -172,7 +172,7 @@ class Classification:
         return d
 
 
-def classify(gen: GeneratorSet, cap: int = DEFAULT_LAYER_CAP) -> Classification:
+def classify(gen: GeneratorSet) -> Classification:
     """Decide Perfect2 / QuasiPerfect2 / Neither from the layer growth.
 
     Perfect2:      #C_2 = #B_2 = q^2 (radius-2 spheres tile the group).
@@ -181,7 +181,7 @@ def classify(gen: GeneratorSet, cap: int = DEFAULT_LAYER_CAP) -> Classification:
     """
     if gen.p < 5:
         raise ValueError("classification requires p >= 5")
-    layers = cumulative_layers(gen, cap)
+    layers = cumulative_layers(gen)
     n, size = gen.n, gen.ambient_size
     b2, b3 = lee_ball_size(n, 2), lee_ball_size(n, 3)
     sizes = layers.sizes

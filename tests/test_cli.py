@@ -249,6 +249,35 @@ def test_code_verify_missing_matrix_file(capsys, tmp_path):
     assert err.startswith("error: precondition:")
 
 
+def test_code_verify_negative_trials_is_precondition_error(capsys):
+    code, out, err = run(capsys, "code-verify", "--p", "13", "--family", "plus",
+                         "--trials", "-5")
+    assert code == 1 and out == ""
+    assert err.startswith("error: precondition:")
+    assert "nonnegative" in err
+    code, out, _ = run(capsys, "code-verify", "--p", "13", "--family", "plus",
+                       "--trials", "0")
+    assert code == 0
+    assert "round_trip: 0/0 seed=0" in out
+
+
+@pytest.mark.parametrize("command", ["decode", "code-verify"])
+@pytest.mark.parametrize("body,field", [
+    ({"p": 13, "k": 1, "n": 7}, "'family'"),
+    ({"p": 13, "k": 1, "n": 7, "family": "plus", "rows": 5}, "'rows'"),
+])
+def test_malformed_json_matrix_is_precondition_error(capsys, monkeypatch,
+                                                     tmp_path, command, body,
+                                                     field):
+    mat = tmp_path / "m.json"
+    mat.write_text(json.dumps(body))
+    monkeypatch.setattr("sys.stdin", io.StringIO("0 0 0 0 0 0 0\n"))
+    code, out, err = run(capsys, command, "--matrix", str(mat))
+    assert code == 1 and out == ""
+    assert err.startswith("error: precondition:")
+    assert field in err
+
+
 def test_code_verify_not_quasi_perfect_still_exits_zero(capsys):
     # verification = all routes agree; the verdict itself may be negative
     code, out, _ = run(capsys, "code-verify", "--p", "5", "--family", "minus")

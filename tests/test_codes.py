@@ -3,6 +3,7 @@
 import functools
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,17 +16,18 @@ from quasilee.codes import (CosetLeaderTable, DecodeResult, VerificationError,
                             matrix_from_json_dict, matrix_from_text,
                             parity_check_matrix, rank_mod_p, round_trip_check,
                             syndrome, syndromes, verify_quasi_perfect)
-from quasilee.curves import generator_set
-from quasilee.fields import make_field, pair_add, pair_neg, pair_scale
-from quasilee.sumsets import CoverageError, cumulative_layers, lee_ball_size
+from quasilee.curves import from_representatives, generator_set
+from quasilee.fields import make_field, pair_index, pair_scale
+from quasilee.sumsets import (MAX_LAYERS, CoverageError, cumulative_layers,
+                              lee_ball_size)
 
 
 def gen_for(p, k, family):
     return generator_set(make_field(p, k), family)
 
 
-def table_for(p, k, family, cap=8) -> CosetLeaderTable:
-    return coset_leader_table(parity_check_matrix(gen_for(p, k, family)), cap)
+def table_for(p, k, family) -> CosetLeaderTable:
+    return coset_leader_table(parity_check_matrix(gen_for(p, k, family)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -34,15 +36,16 @@ def matrix_for(p, k, family):
 
 
 # -- scalar oracles ----------------------------------------------------------------
-# Independent of the array code in quasilee.codes: they walk the group
-# F_q x F_q one pair_add at a time.
+# Independent of the array code in quasilee.codes and of the index kernel in
+# quasilee.fields: they walk the group F_q x F_q one oracles.pair_add at a
+# time.
 
 def scalar_syndrome(mat, word) -> int:
     """sum_j word_j * beta_j by scalar pair arithmetic."""
     ctx = mat.generator.base
     syn = 0
     for c, rep in zip(word, mat.generator.reps):
-        syn = pair_add(ctx, syn, pair_scale(ctx, rep, c % mat.p))
+        syn = oracles.pair_add(ctx, syn, pair_scale(ctx, rep, c % mat.p))
     return syn
 
 
@@ -66,7 +69,7 @@ def scalar_lee_ball(n, p, radius) -> list:
     return out
 
 
-def scalar_bfs_leaders(mat, cap=8) -> tuple:
+def scalar_bfs_leaders(mat) -> tuple:
     """Coset leaders and their weights by a scalar breadth-first search.
 
     Level w + 1 extends each level-w leader, in first-recorded order, by
@@ -75,13 +78,13 @@ def scalar_bfs_leaders(mat, cap=8) -> tuple:
     """
     gen = mat.generator
     ctx, p, n = gen.base, gen.p, gen.n
-    shifts = [(rep, pair_neg(ctx, rep)) for rep in gen.reps]
+    shifts = [(rep, oracles.pair_neg(ctx, rep)) for rep in gen.reps]
     leaders = [None] * gen.ambient_size
     weights = [-1] * gen.ambient_size
     leaders[0], weights[0] = tuple([0] * n), 0
     frontier = [0]
     w = 0
-    while frontier and w < cap:
+    while frontier and w < MAX_LAYERS:
         nxt = []
         for syn in frontier:
             err = leaders[syn]
@@ -91,7 +94,7 @@ def scalar_bfs_leaders(mat, cap=8) -> tuple:
                     nv = (v + dv) % p
                     if min(nv, p - nv) != min(v, p - v) + 1:
                         continue
-                    s2 = pair_add(ctx, syn, shift)
+                    s2 = oracles.pair_add(ctx, syn, shift)
                     if leaders[s2] is None:
                         leaders[s2] = err[:j] + (nv,) + err[j + 1:]
                         weights[s2] = w + 1
@@ -177,8 +180,7 @@ def test_syndrome_is_additive():
         a = rng.integers(0, 13, size=7)
         b = rng.integers(0, 13, size=7)
         lhs = syndrome(mat, (a + b) % 13)
-        from quasilee.fields import pair_add
-        assert lhs == pair_add(ctx, syndrome(mat, a), syndrome(mat, b))
+        assert lhs == oracles.pair_add(ctx, syndrome(mat, a), syndrome(mat, b))
     assert syndrome(mat, [0] * 7) == 0
 
 
@@ -236,6 +238,38 @@ def test_matrix_json_roundtrip():
     back = matrix_from_json_dict(mat.to_json_dict())
     assert back.entries.tolist() == mat.entries.tolist()
     assert back.generator.k == 2
+
+
+@pytest.mark.parametrize("change,msg", [
+    ({"family": None}, "'family' is missing"),
+    ({"rows": None}, "'rows' is missing"),
+    ({"p": None}, "'p' is missing"),
+    ({"rows": 5}, "'rows' is missing or not of type list"),
+    ({"rows": [5, 6]}, "'rows' must hold lists of integers"),
+    ({"rows": [[1, None], [0, 1]]}, "'rows' must hold lists of integers"),
+    ({"rows": [[1.0] * 7, [0] * 7]}, "'rows' must hold lists of integers"),
+    ({"n": "seven"}, "'n' is missing or not of type int"),
+    ({"k": [1]}, "'k' is missing or not of type int"),
+    ({"family": 1}, "'family' is missing or not of type str"),
+])
+def test_matrix_json_rejects_missing_or_ill_typed_fields(change, msg):
+    d = parity_check_matrix(gen_for(13, 1, "plus")).to_json_dict()
+    for key, value in change.items():
+        if value is None:
+            del d[key]
+        else:
+            d[key] = value
+    with pytest.raises(ValueError, match=msg):
+        matrix_from_json_dict(d)
+
+
+def test_matrix_entries_beyond_int64_are_reduced_mod_p():
+    huge = 13 * 10 ** 30
+    mat = matrix_from_text(f"13 1 2 plus\n{huge + 4} {huge + 1}\n1 {-huge}\n")
+    assert mat.entries.tolist() == [[4, 1], [1, 0]]
+    d = {"p": 13, "k": 1, "n": 2, "family": "plus",
+         "rows": [[huge + 4, 1], [1 - huge, 0]]}
+    assert matrix_from_json_dict(d).entries.tolist() == [[4, 1], [1, 0]]
 
 
 def test_matrix_text_preserves_column_order():
@@ -332,9 +366,12 @@ def test_uncoverable_generator_raises():
 
 
 def test_cap_too_small_raises():
-    gen = gen_for(5, 1, "minus")  # needs 4 levels
-    with pytest.raises(CoverageError, match="exceeded 2 levels"):
-        coset_leader_table(parity_check_matrix(gen), cap=2)
+    # +-(1, 0), +-(0, 1) over F_23: the Lee metric of Z_23^2, radius 22
+    base = make_field(23)
+    gen = from_representatives(base, "minus",
+                               [pair_index(base, 1, 0), pair_index(base, 0, 1)])
+    with pytest.raises(CoverageError, match=f"exceeded {MAX_LAYERS} levels"):
+        coset_leader_table(parity_check_matrix(gen))
 
 
 # -- decoding ---------------------------------------------------------------------
@@ -423,6 +460,12 @@ def test_round_trip_rng_stream_is_pinned(monkeypatch, block):
     table = table_for(13, 1, "plus")
     assert round_trip_check(table, trials=300, seed=1, max_weight=3) == (99, 300)
     assert round_trip_check(table, trials=0, seed=1) == (0, 0)
+
+
+def test_round_trip_rejects_negative_trials():
+    table = table_for(13, 1, "plus")
+    with pytest.raises(ValueError, match="nonnegative"):
+        round_trip_check(table, trials=-5, seed=0)
 
 
 def test_round_trip_at_weight_three_can_fail():

@@ -1,11 +1,13 @@
 """Cayley-graph spectra: character sums against a dense eigensolver oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from quasilee.curves import from_representatives, generator_set
 from quasilee.fields import (QuadExt, SizeCapError, kloosterman, make_field,
-                             unity_cos_sin)
+                             pair_neg, unity_cos_sin)
 from quasilee.spectra import (RAMANUJAN, SpectrumReport, adjacency_matrix,
                               character_counts, eigenvalue, full_spectrum)
 
@@ -132,7 +134,7 @@ def test_refuses_generator_set_off_the_curve(family):
         full_spectrum(gen).max_nontrivial_abs
     # right size, one point off the curve
     off = next(z for z in range(1, gen.ambient_size)
-               if z not in gen.members and gen.neg(z) not in gen.members)
+               if z not in gen.members and pair_neg(base, z) not in gen.members)
     for reps in ([1, 2, 3], list(gen.reps[:-1]) + [off]):
         with pytest.raises(ValueError, match="not the .* curve"):
             full_spectrum(from_representatives(base, family, reps))
@@ -146,8 +148,16 @@ def test_histogram_accounts_for_every_vertex():
 
 
 def test_budget_cap():
-    with pytest.raises(SizeCapError):
-        full_spectrum(generator_set(make_field(23), "minus"), budget=16)
+    # q^2 = 1 062 961 > 2^20: refused before any q^2-sized array exists
+    gen = generator_set(make_field(1031), "minus")
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError, match="exceed spectrum budget"):
+            full_spectrum(gen)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_report_json_shape():
