@@ -12,22 +12,19 @@ via ``quasilee lemma-suite``.
 from .codes import (CosetLeaderTable, DecodeResult, LeeCode, ParityCheckMatrix,
                     QuasiPerfectReport, VerificationError, build_code,
                     code_parameters, coset_leader_table, decode, decode_words,
-                    lee_ball_array, lee_ball_vectors, lee_distance, lee_weight,
+                    lee_ball_array, lee_distance, lee_weight,
                     matrix_from_json_dict, matrix_from_text,
                     parity_check_matrix, rank_mod_p, round_trip_check,
                     syndrome, syndromes, verify_quasi_perfect)
 from .curves import (AdmissibilityReport, GeneratorSet, admissibility,
-                     circle_abscissas, from_representatives, generator_set,
-                     norm_circle, projective_cubic_count, shifted_circle_sum,
-                     shifted_norm_image, unit_hyperbola)
+                     from_representatives, generator_set, norm_circle,
+                     unit_hyperbola)
 from .fields import (CharacterSumValue, FieldCtx, QuadExt, ResidueClassReport,
                      SizeCapError, gauss_quadratic_sum, is_prime,
                      kloosterman, make_field, minus3_character, pair_add,
-                     pair_index, pair_neg, pair_scale, pair_split,
-                     residue_class_mod12)
+                     pair_index, pair_neg, pair_split, residue_class_mod12)
 from .lemmas import LemmaCheck, lemma_battery
-from .spectra import (SpectrumReport, adjacency_matrix, character_counts,
-                      eigenvalue, full_spectrum)
+from .spectra import SpectrumReport, full_spectrum
 from .sumsets import (Classification, CoverageError, SumsetLayers, classify,
                       cumulative_layers, lee_ball_size, sumset)
 

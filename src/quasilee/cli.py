@@ -23,7 +23,7 @@ from .codes import (VerificationError, code_parameters,
                     matrix_from_text, parity_check_matrix, round_trip_check,
                     verify_quasi_perfect)
 from .curves import admissibility, generator_set
-from .fields import DEFAULT_AMBIENT_CAP, SizeCapError, make_field
+from .fields import AMBIENT_CAP, SizeCapError, check_ambient, make_field
 from .lemmas import lemma_battery
 from .spectra import full_spectrum
 from .sumsets import CoverageError, classify
@@ -42,7 +42,7 @@ def _add_common(sub):
     sub.add_argument("--format", choices=("json", "text"), default="text",
                      dest="fmt", help="output format (default text)")
     sub.add_argument("--out", help="write output to this file instead of stdout")
-    sub.add_argument("--cap", type=int, default=DEFAULT_AMBIENT_CAP,
+    sub.add_argument("--cap", type=int, default=AMBIENT_CAP,
                      help="ambient size cap on q^2")
 
 
@@ -80,15 +80,16 @@ def _require(args, *names):
             raise ValueError(f"--{name} is required for this command")
 
 
+def _check_cap(args, p, k):
+    """Refuse q^2 = p^(2k) above --cap, which can lower AMBIENT_CAP but
+    not raise it.  Every subcommand and the --matrix path go through here."""
+    check_ambient(p, k, min(args.cap, AMBIENT_CAP))
+
+
 def _generator(args):
     _require(args, "p", "family")
-    return generator_set(make_field(args.p, args.k, cap=args.cap), args.family)
-
-
-def _check_cap(args, ambient_size):
-    """Refuse q^2 above --cap, with the message make_field gives."""
-    if ambient_size > args.cap:
-        raise SizeCapError(f"q^2 = {ambient_size} exceeds cap {args.cap}")
+    _check_cap(args, args.p, args.k)
+    return generator_set(make_field(args.p, args.k), args.family)
 
 
 def _load_matrix(args):
@@ -99,7 +100,7 @@ def _load_matrix(args):
             mat = matrix_from_json_dict(json.loads(text))
         else:
             mat = matrix_from_text(text)
-        _check_cap(args, mat.generator.ambient_size)
+        _check_cap(args, mat.p, mat.generator.k)
         return mat
     return None
 
@@ -112,7 +113,7 @@ def _json(obj) -> str:
 
 def cmd_admissible(args) -> str:
     _require(args, "p", "family")
-    _check_cap(args, args.p ** (2 * args.k))
+    _check_cap(args, args.p, args.k)
     rep = admissibility(args.p, args.k, args.family)
     if args.fmt == "json":
         return _json(rep.to_json_dict())
@@ -244,7 +245,7 @@ def cmd_decode(args) -> str:
 
 def cmd_lemma_suite(args) -> str:
     _require(args, "p")
-    _check_cap(args, args.p ** (2 * args.k))
+    _check_cap(args, args.p, args.k)
     checks = lemma_battery(args.p, args.k)
     passed = sum(c.passed for c in checks)
     if args.fmt == "json":

@@ -90,11 +90,6 @@ def lee_ball_array(n: int, p: int, radius: int) -> np.ndarray:
                            np.concatenate(blocks)[order]])
 
 
-def lee_ball_vectors(n: int, p: int, radius: int) -> list:
-    """The rows of ``lee_ball_array`` as tuples, in the same order."""
-    return [tuple(w) for w in lee_ball_array(n, p, radius).tolist()]
-
-
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -219,8 +214,7 @@ class CosetLeaderTable:
     from and the ``step[s]`` = 2*j + b taken there: +1 (b = 0) or -1
     (b = 1) at position j.  Its leader is the sum of the steps on the path
     to the root 0, so leaders are not stored: ``leader_words`` rebuilds a
-    batch of them in at most ``max_weight`` parent hops, and ``leaders``
-    materializes them all.
+    batch of them in at most ``max_weight`` parent hops.
 
     Built contiguously by weight, so the leader of s attains the true
     minimal Lee weight ``weights[s]`` of the coset.  Ties resolve
@@ -236,12 +230,6 @@ class CosetLeaderTable:
     @property
     def size(self) -> int:
         return len(self.weights)
-
-    @property
-    def leaders(self) -> tuple:
-        """Every leader as a tuple, index = syndrome pair index."""
-        words = self.leader_words(np.arange(self.size)).tolist()
-        return tuple(map(tuple, words))
 
     def leader_words(self, syns) -> np.ndarray:
         """Leaders of a batch of syndromes, one row each, entries in [0, p)."""

@@ -9,12 +9,8 @@ Two symmetric subsets of the additive group F_q x F_q are built here:
 
 Both are closed under negation and exclude zero, so each yields a
 2n-regular Cayley graph on q^2 vertices (n = half the set size) and a
-parity-check matrix with n columns over F_p.
-
-The module also provides the point counts that drive the sumset lemmas:
-abscissa sets of norm fibers, norm images of shifted double sums, and a
-plane projective cubic whose point count certifies coverage for the minus
-family at q >= 13.
+parity-check matrix with n columns over F_p.  Each set is read off one
+array operation over its field.
 """
 
 from dataclasses import dataclass, field
@@ -22,8 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import (FieldCtx, QuadExt, VerificationError, index_digits,
-                     make_field, minus3_character, pair_add, pair_index,
-                     pair_neg)
+                     make_field, minus3_character, pair_index, pair_neg)
 
 PLUS = "plus"
 MINUS = "minus"
@@ -117,9 +112,9 @@ def norm_circle(ext: QuadExt) -> GeneratorSet:
     Has exactly q + 1 elements (the norm map is a surjective homomorphism
     onto F_q^* with kernel of that size); closed under negation because
     norm(-z) = norm(z), and zero-free since norm(0) = 0.  Read off one
-    ``norm_array`` over all q^2 indices.
+    ``norm`` over all q^2 indices.
     """
-    members = np.flatnonzero(ext.norm_array(np.arange(ext.size)) == 1)
+    members = np.flatnonzero(ext.norm(np.arange(ext.size)) == 1)
     gen = _finish(PLUS, ext.base, members, ext)
     if gen.degree != ext.q + 1:
         raise VerificationError(
@@ -132,7 +127,8 @@ def unit_hyperbola(ctx: FieldCtx) -> GeneratorSet:
 
     Has q - 1 elements; -(x, 1/x) = (-x, 1/(-x)) keeps it symmetric.
     """
-    members = [pair_index(ctx, x, ctx.inv(x)) for x in range(1, ctx.q)]
+    x = np.arange(1, ctx.q)
+    members = pair_index(ctx, x, ctx.inv(x))
     gen = _finish(MINUS, ctx, members)
     if gen.degree != ctx.q - 1:
         raise VerificationError(
@@ -169,67 +165,6 @@ def from_representatives(base: FieldCtx, family: str, reps) -> GeneratorSet:
     # keep the representative order as given: it fixes the column order of
     # a parity-check matrix parsed from a file
     return GeneratorSet(family, base, tuple(reps), tuple(sorted(members)), ext)
-
-
-# ---------------------------------------------------------------------------
-# supporting point counts
-
-def circle_abscissas(ctx: FieldCtx, c: int) -> frozenset:
-    """x-coordinates of points on the circle x**2 - delta*y**2 = c, c != 0.
-
-    Equals {x : x**2 = c, or x**2 - c is a nonsquare}; independent of the
-    choice of nonsquare delta.  Size (q+3)/2 when c is a square, (q+1)/2
-    otherwise.
-    """
-    if c == 0:
-        raise ValueError("c must be nonzero")
-    out = set()
-    for x in ctx.elements():
-        d = ctx.sub(ctx.mul(x, x), c)
-        if d == 0 or ctx.quad_character(d) == -1:
-            out.add(x)
-    return frozenset(out)
-
-
-def shifted_circle_sum(ext: QuadExt, w: int) -> frozenset:
-    """The translated double sum H + H*w of the norm-one circle H."""
-    circle = [z for z in ext.elements() if ext.norm(z) == 1]
-    out = set()
-    for z1 in circle:
-        for z2 in circle:
-            out.add(pair_add(ext.base, z1, ext.mul(z2, w)))
-    return frozenset(out)
-
-
-def shifted_norm_image(ext: QuadExt, w: int) -> frozenset:
-    """Norms of the translated double sum H + H*w, w != 0.
-
-    Size (q+3)/2 when norm(w) is a square, (q+1)/2 otherwise; always a
-    subset of the abscissa set of the corresponding circle.
-    """
-    if w == 0:
-        raise ValueError("w must be nonzero")
-    return frozenset(ext.norm(z) for z in shifted_circle_sum(ext, w))
-
-
-def projective_cubic_count(ctx: FieldCtx, t: int) -> int:
-    """Points on the plane projective cubic
-    (X + Y + t*Z) * (X*Y - Z*X - Y*Z) + X*Y*Z = 0 over F_q, t != -1.
-
-    Counted as the affine points (Z = 1) plus the three fixed points at
-    infinity (1:0:0), (0:1:0), (1:-1:0).  For t != -1 the curve is
-    absolutely irreducible so the count obeys |count - (q+1)| <= 2*sqrt(q).
-    """
-    if t == ctx.neg(1):
-        raise ValueError("t = -1 gives a reducible curve")
-    count = 3
-    for x in ctx.elements():
-        for y in ctx.elements():
-            s = ctx.mul(ctx.add(ctx.add(x, y), t),
-                        ctx.sub(ctx.mul(x, y), ctx.add(x, y)))
-            if ctx.add(s, ctx.mul(x, y)) == 0:
-                count += 1
-    return count
 
 
 # ---------------------------------------------------------------------------

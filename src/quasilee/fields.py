@@ -11,9 +11,16 @@ are reproducible across runs.
 
 Each additive group here is Z_p^m held as packed base-p indices: F_q
 (m = k) and the pair group F_q x F_q (m = 2k, (x, y) packed as x + q*y).
-``index_add``/``index_neg`` are its one addition and negation, for ints
-and int64 arrays alike, and ``index_digits``/``index_pack`` its one digit
-conversion; ``tests/oracles.py`` holds the oracles they are checked with.
+``index_add``/``index_neg`` are its one addition and negation, and
+``index_digits``/``index_pack`` its one digit conversion.  Every field
+operation (``add``, ``neg``, ``mul``, ``inv``, ``quad_character``, and
+``QuadExt.mul``/``norm``) is one kernel that takes Python ints or
+broadcast int64 arrays; an int in gives an int out.  The independent
+routes they are checked with live in ``tests/oracles.py``.
+
+``AMBIENT_CAP`` bounds q^2.  ``check_ambient`` applies it before any
+trial division, multiplying by p only until the product passes the cap,
+so a huge p or k is refused at once.
 
 On top of the ground field sit:
 
@@ -39,13 +46,26 @@ from itertools import product
 import numpy as np
 
 # Ambient size cap q**2 <= 2**26; construction refuses anything larger.
-DEFAULT_AMBIENT_CAP = 1 << 26
+AMBIENT_CAP = 1 << 26
 
 SUM_TOL = 1e-9
 
 
 class SizeCapError(ValueError):
     """Requested field exceeds the configured desk-scale cap."""
+
+
+def check_ambient(p: int, k: int, cap: int = AMBIENT_CAP) -> None:
+    """SizeCapError unless q^2 = p**(2k) <= cap.  The product stops growing
+    once it passes the cap, so neither a huge p nor a huge k costs time,
+    and the message names q^2 only when it is at most cap * |p| <= cap**2."""
+    size = 1
+    for step in range(1, 2 * k + 1):
+        size *= abs(p)
+        if size > cap:
+            if step < 2 * k:
+                raise SizeCapError(f"q^2 exceeds cap {cap}: p^{step} already does")
+            raise SizeCapError(f"q^2 = {size} exceeds cap {cap}")
 
 
 class VerificationError(RuntimeError):
@@ -180,7 +200,9 @@ class FieldCtx:
     constructor and every operation is a pure function of its inputs.
     """
 
-    def __init__(self, p: int, k: int = 1, cap: int = DEFAULT_AMBIENT_CAP):
+    def __init__(self, p: int, k: int = 1):
+        # the cap comes first: trial division of a huge p would not end
+        check_ambient(p, k)
         if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         if p == 2:
@@ -188,8 +210,6 @@ class FieldCtx:
         if k < 1:
             raise ValueError(f"extension degree k = {k} must be >= 1")
         q = p ** k
-        if q * q > cap:
-            raise SizeCapError(f"q^2 = {q * q} exceeds cap {cap}")
         self.p = p
         self.k = k
         self.q = q
@@ -221,12 +241,17 @@ class FieldCtx:
         exp = [1] * (q - 1)
         for i in range(1, q - 1):
             exp[i] = raw_mul(exp[i - 1], gen)
-        log = [0] * q
+        # log[0] = 2(q-1) lies past every sum of two logs of units, and exp
+        # is zero from 2(q-1) on, so a product is exp[log[a] + log[b]]: no
+        # reduction mod q-1 and no test for zero
+        log = [2 * (q - 1)] * q
         for i, e in enumerate(exp):
             log[e] = i
         self.generator = gen
-        self._exp = np.array(exp, dtype=np.int64)
+        self._exp = np.array(exp * 2 + [0] * (2 * q - 1), dtype=np.int64)
         self._log = np.array(log, dtype=np.int64)
+        self._chi = 1 - 2 * (self._log % 2)
+        self._chi[0] = 0
 
         # trace(a) = sum of the conjugates a**(p**i), one array pass each
         tr = np.zeros(q, dtype=np.int64)
@@ -240,38 +265,33 @@ class FieldCtx:
                 f"trace of {escaped[0]} escaped the prime subfield")
         self.trace_table = tr
 
-    # -- scalar operations --------------------------------------------------
+    # -- operations: ints, or int64 arrays broadcast against each other -----
 
     def add(self, a, b):
-        """Index addition; a and b are ints or int64 arrays (broadcast)."""
+        """Index addition."""
         return index_add(a, b, self.p, self.k)
 
     def neg(self, a):
-        """Index negation; a is an int or an int64 array."""
+        """Index negation."""
         return index_neg(a, self.p, self.k)
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+    def mul(self, a, b):
+        """Index multiplication: one lookup, zero factors included."""
+        return _gathered(self._exp[self._log[a] + self._log[b]])
 
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return int(self._exp[(self._log[a] + self._log[b]) % (self.q - 1)])
-
-    def inv(self, a: int) -> int:
-        if a == 0:
+    def inv(self, a):
+        """ZeroDivisionError if a is, or holds, zero."""
+        if np.any(a == 0):
             raise ZeroDivisionError("inverse of zero")
-        return int(self._exp[-self._log[a] % (self.q - 1)])
+        return _gathered(self._exp[self.q - 1 - self._log[a]])
+
+    def quad_character(self, a):
+        """0 for zero, +1 for nonzero squares, -1 for nonsquares."""
+        return _gathered(self._chi[a])
 
     def trace(self, a: int) -> int:
         """Absolute trace to F_p: sum of the k Frobenius conjugates."""
         return int(self.trace_table[a])
-
-    def quad_character(self, a: int) -> int:
-        """0 for zero, +1 for nonzero squares, -1 for nonsquares."""
-        if a == 0:
-            return 0
-        return 1 if self._log[a] % 2 == 0 else -1
 
     def sqrt(self, a: int) -> int:
         """One square root of a square element (the other is its negative)."""
@@ -285,7 +305,7 @@ class FieldCtx:
     @functools.cached_property
     def nonsquare(self) -> int:
         """The canonical nonsquare: smallest index with character -1."""
-        return next(a for a in range(1, self.q) if self.quad_character(a) == -1)
+        return int(np.flatnonzero(self._chi == -1)[0])
 
     def embed(self, c: int) -> int:
         """Embed an integer into the prime subfield (index c mod p)."""
@@ -300,27 +320,6 @@ class FieldCtx:
             raise ValueError(f"expected {self.k} coefficients, got {len(coeffs)}")
         return index_pack(coeffs, self.p)
 
-    def elements(self) -> range:
-        return range(self.q)
-
-    # -- vectorized counterparts (numpy index arrays) -----------------------
-
-    add_array = add
-    neg_array = neg
-
-    def mul_array(self, a, b):
-        """Index multiplication, elementwise and broadcast; a and b are
-        index arrays, or one of them a scalar."""
-        a, b = np.asarray(a), np.asarray(b)
-        prod = self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
-        prod[(a == 0) | (b == 0)] = 0
-        return prod
-
-    def quad_character_array(self, a):
-        """``quad_character`` elementwise over an index array."""
-        a = np.asarray(a)
-        return np.where(a == 0, 0, 1 - 2 * (self._log[a] % 2))
-
     # -----------------------------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -330,15 +329,21 @@ class FieldCtx:
         return f"FieldCtx(p={self.p}, k={self.k})"
 
 
-def make_field(p: int, k: int = 1, cap: int = DEFAULT_AMBIENT_CAP) -> FieldCtx:
+def make_field(p: int, k: int = 1) -> FieldCtx:
     """Construct F_{p**k} with the canonical modulus; see FieldCtx."""
-    return FieldCtx(p, k, cap)
+    return FieldCtx(p, k)
+
+
+def _gathered(v):
+    """A table lookup's result: a Python int for a scalar index, else the
+    array."""
+    return v if isinstance(v, np.ndarray) else int(v)
 
 
 # ---------------------------------------------------------------------------
 # the additive group F_q x F_q, shared by both generator-set families
 
-def pair_index(ctx: FieldCtx, x: int, y: int) -> int:
+def pair_index(ctx: FieldCtx, x, y):
     return x + ctx.q * y
 
 def pair_split(ctx: FieldCtx, z: int) -> tuple:
@@ -350,12 +355,6 @@ def pair_add(ctx: FieldCtx, z1, z2):
 
 def pair_neg(ctx: FieldCtx, z):
     return index_neg(z, ctx.p, 2 * ctx.k)
-
-def pair_scale(ctx: FieldCtx, z: int, c: int) -> int:
-    """Scale by a prime-subfield scalar c in [0, p)."""
-    x, y = pair_split(ctx, z)
-    e = ctx.embed(c)
-    return pair_index(ctx, ctx.mul(x, e), ctx.mul(y, e))
 
 
 class QuadExt:
@@ -371,46 +370,22 @@ class QuadExt:
     def q(self) -> int:
         return self.base.q
 
-    def mul(self, z1: int, z2: int) -> int:
-        b = self.base
-        x1, y1 = pair_split(b, z1)
-        x2, y2 = pair_split(b, z2)
-        x = b.add(b.mul(x1, x2), b.mul(self.delta, b.mul(y1, y2)))
+    def mul(self, z1, z2):
+        """(x1 + sqrt(delta)*y1) * (x2 + sqrt(delta)*y2); ints or broadcast
+        int64 arrays."""
+        b, q = self.base, self.base.q
+        x1, y1 = z1 % q, z1 // q
+        x2, y2 = z2 % q, z2 // q
+        x = b.add(b.mul(x1, x2), b.mul(b.mul(y1, y2), self.delta))
         y = b.add(b.mul(x1, y2), b.mul(y1, x2))
-        return pair_index(b, x, y)
+        return x + q * y
 
-    def mul_array(self, z1, z2):
-        """``mul`` elementwise and broadcast over index arrays."""
-        b = self.base
-        z1, z2 = np.asarray(z1), np.asarray(z2)
-        x1, y1 = z1 % b.q, z1 // b.q
-        x2, y2 = z2 % b.q, z2 // b.q
-        x = b.add_array(b.mul_array(x1, x2),
-                        b.mul_array(b.mul_array(y1, y2), self.delta))
-        y = b.add_array(b.mul_array(x1, y2), b.mul_array(y1, x2))
-        return x + b.q * y
-
-    def norm(self, z: int) -> int:
-        """x**2 - delta*y**2, the multiplicative norm down to F_q."""
-        b = self.base
-        x, y = pair_split(b, z)
-        return b.sub(b.mul(x, x), b.mul(self.delta, b.mul(y, y)))
-
-    def norm_array(self, z):
-        """``norm`` elementwise over an index array."""
-        b = self.base
-        z = np.asarray(z)
-        x, y = z % b.q, z // b.q
-        return b.add_array(b.mul_array(x, x),
-                           b.mul_array(b.mul_array(y, y), b.neg(self.delta)))
-
-    def rel_trace(self, z: int) -> int:
-        """Trace down to F_q: z + conj(z) = 2x."""
-        x, _ = pair_split(self.base, z)
-        return self.base.add(x, x)
-
-    def elements(self) -> range:
-        return range(self.size)
+    def norm(self, z):
+        """x**2 - delta*y**2, the multiplicative norm down to F_q; an int or
+        an int64 array."""
+        b, q = self.base, self.base.q
+        x, y = z % q, z // q
+        return b.add(b.mul(x, x), b.mul(b.mul(y, y), b.neg(self.delta)))
 
     def to_json_dict(self) -> dict:
         d = self.base.to_json_dict()
@@ -449,14 +424,6 @@ class CharacterSumValue:
         cos, sin = unity_cos_sin(p)
         vec = np.array(counts, dtype=np.float64)
         return cls(p, counts, float(vec @ cos), float(vec @ sin))
-
-    @property
-    def value(self) -> complex:
-        return complex(self.re, self.im)
-
-    @property
-    def term_count(self) -> int:
-        return sum(self.counts)
 
 
 def kloosterman(ctx: FieldCtx, a: int, b: int) -> float:
@@ -504,7 +471,7 @@ def gauss_quadratic_sum(ctx: FieldCtx, c: int, a: int) -> CharacterSumValue:
                         math.sin(2 * math.pi * shift / p)))
     if not (abs(v.re - closed.real) <= SUM_TOL and abs(v.im - closed.imag) <= SUM_TOL):
         raise VerificationError(
-            f"Gauss sum disagrees with closed form: {v.value} vs {closed}")
+            f"Gauss sum disagrees with closed form: {complex(v.re, v.im)} vs {closed}")
     return v
 
 

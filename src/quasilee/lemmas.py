@@ -15,11 +15,11 @@ visits every term: the (q+1)^2 sums z1 + z2*w for every shift w != 0
 Kloosterman sums, and the q x q grid for the abscissa and hyperbola
 predicates and the cubic counts.  The double and triple sums are
 broadcast additions, not the FFT layers of ``sumsets``, so the battery
-stays independent of the code it certifies.  The scalar routines
-``shifted_circle_sum``, ``shifted_norm_image``, ``circle_abscissas`` and
-``projective_cubic_count`` (in ``curves``) and ``kloosterman`` and
-``gauss_quadratic_sum`` (in ``fields``) are the oracles that the tests
-compare these enumerations with.
+stays independent of the code it certifies.  The tests compare these
+enumerations with the scalar ``kloosterman`` and ``gauss_quadratic_sum``
+of ``fields`` and with the scalar oracles ``shifted_circle_sum``,
+``shifted_norm_image``, ``circle_abscissas`` and
+``projective_cubic_count`` of ``tests/oracles.py``.
 
 ``lemma_battery(p, k)`` returns one ``LemmaCheck`` per fact; a check never
 raises, it reports failure with the offending detail instead.  Inside a
@@ -102,7 +102,7 @@ def shifted_sum_masks(ext: QuadExt, members, ws, norms):
     """
     ws = np.asarray(ws)
     rows = np.arange(len(ws))[:, None]
-    scaled = ext.mul_array(ws[:, None], members[None, :])
+    scaled = ext.mul(ws[:, None], members[None, :])
     sums = pair_add(ext.base, members[None, :, None], scaled[:, None, :])
     sums = sums.reshape(len(ws), -1)
     seen = np.zeros((len(ws), ext.size), dtype=bool)
@@ -119,9 +119,9 @@ def gauss_count_rows(ctx):
     as in the counts of ``gauss_quadratic_sum(ctx, c, a)``.
     """
     x = np.arange(ctx.q)
-    cx2 = ctx.mul_array(x[1:, None, None], ctx.mul_array(x, x))
-    ax = ctx.mul_array(x[:, None], x)
-    return _count_rows(ctx, ctx.add_array(cx2, ax))
+    cx2 = ctx.mul(x[1:, None, None], ctx.mul(x, x))
+    ax = ctx.mul(x[:, None], x)
+    return _count_rows(ctx, ctx.add(cx2, ax))
 
 
 def kloosterman_count_rows(ctx):
@@ -131,10 +131,9 @@ def kloosterman_count_rows(ctx):
     fold through cos is ``kloosterman(ctx, a, b)``.
     """
     units = np.arange(1, ctx.q)
-    inverses = np.array([ctx.inv(x) for x in range(1, ctx.q)])
-    ax = ctx.mul_array(units[:, None, None], units)
-    bx = ctx.mul_array(units[:, None], inverses)
-    return _count_rows(ctx, ctx.add_array(ax, bx))
+    ax = ctx.mul(units[:, None, None], units)
+    bx = ctx.mul(units[:, None], ctx.inv(units))
+    return _count_rows(ctx, ctx.add(ax, bx))
 
 
 def abscissa_grid(ctx):
@@ -144,8 +143,8 @@ def abscissa_grid(ctx):
     c != 0 row c is the set ``circle_abscissas(ctx, c)``.
     """
     x = np.arange(ctx.q)
-    d = ctx.add_array(ctx.mul_array(x, x), ctx.neg_array(x)[:, None])
-    return (d == 0) | (ctx.quad_character_array(d) == -1)
+    d = ctx.add(ctx.mul(x, x), ctx.neg(x)[:, None])
+    return (d == 0) | (ctx.quad_character(d) == -1)
 
 
 def cubic_counts(ctx):
@@ -156,10 +155,10 @@ def cubic_counts(ctx):
     (x + y + t) * (x*y - x - y) + x*y = 0.
     """
     x = np.arange(ctx.q)
-    xy = ctx.mul_array(x[:, None], x)
-    s = ctx.add_array(x[:, None], x)
-    rest = ctx.add_array(xy, ctx.neg_array(s))
-    val = ctx.add_array(ctx.mul_array(ctx.add_array(s, x[:, None, None]), rest), xy)
+    xy = ctx.mul(x[:, None], x)
+    s = ctx.add(x[:, None], x)
+    rest = ctx.add(xy, ctx.neg(s))
+    val = ctx.add(ctx.mul(ctx.add(s, x[:, None, None]), rest), xy)
     return 3 + (val == 0).sum(axis=(1, 2))
 
 
@@ -172,7 +171,7 @@ def lemma_battery(p: int, k: int = 1) -> list:
     hyper = unit_hyperbola(ctx)
     eta_m3 = minus3_character(ctx)
 
-    norms = ext.norm_array(np.arange(q * q))
+    norms = ext.norm(np.arange(q * q))
     ones = np.array(circle.members)
     units = np.array(hyper.members)
     on_circle, on_hyper = _mask(q * q, ones), _mask(q * q, units)
@@ -198,12 +197,12 @@ def lemma_battery(p: int, k: int = 1) -> list:
         counts = gauss_count_rows(ctx)
         re, im = counts @ cos, counts @ sin
         x = np.arange(q)
-        inv4c = np.array([ctx.inv(ctx.mul(ctx.embed(4), c)) for c in range(1, q)])
-        shift = ctx.trace_table[ctx.neg_array(
-            ctx.mul_array(ctx.mul_array(x, x), inv4c[:, None]))]
+        inv4c = ctx.inv(ctx.mul(x[1:], ctx.embed(4)))
+        shift = ctx.trace_table[ctx.neg(
+            ctx.mul(ctx.mul(x, x), inv4c[:, None]))]
         sqrt_pstar = math.sqrt(p) * (1 if p % 4 == 1 else 1j)
         scale = ((-1) ** (k - 1) * sqrt_pstar ** k
-                 * ctx.quad_character_array(x[1:])[:, None])
+                 * ctx.quad_character(x[1:])[:, None])
         closed = scale * (cos[shift] + 1j * sin[shift])
         bad = _first(~((np.abs(re - closed.real) <= IDENTITY_TOL)
                        & (np.abs(im - closed.imag) <= IDENTITY_TOL)))
@@ -223,7 +222,7 @@ def lemma_battery(p: int, k: int = 1) -> list:
                 raise VerificationError(f"|K(1, {b})| = {abs(v.re)} > 2*sqrt(q)")
         # substitution x -> x/a shows the sum depends only on a*b: the
         # exponent counts of K(a, b) are those of K(1, ab)
-        ab = ctx.mul_array(np.arange(1, q)[:, None], np.arange(1, q))
+        ab = ctx.mul(np.arange(1, q)[:, None], np.arange(1, q))
         bad = _first((k_counts != k_counts[0][ab - 1]).any(axis=2))
         if bad is not None:
             a, b = bad[0] + 1, bad[1] + 1
@@ -247,7 +246,7 @@ def lemma_battery(p: int, k: int = 1) -> list:
         proj[norms, np.arange(q * q) % q] = True
         differs = (got != proj).any(axis=1)
         sizes = got.sum(axis=1)
-        want = np.where(ctx.quad_character_array(np.arange(q)) == 1,
+        want = np.where(ctx.quad_character(np.arange(q)) == 1,
                         (q + 3) // 2, (q + 1) // 2)
         bad = _first((differs | (sizes != want))[1:])
         if bad is not None:
@@ -266,7 +265,7 @@ def lemma_battery(p: int, k: int = 1) -> list:
             ws = np.arange(start, min(start + SHIFT_CHUNK, q * q))
             seen, image = shifted_sum_masks(ext, ones, ws, norms)
             n_sums, n_norms = seen.sum(axis=1), image.sum(axis=1)
-            square = ctx.quad_character_array(norms[ws]) == 1
+            square = ctx.quad_character(norms[ws]) == 1
             bad_norms = n_norms != np.where(square, (q + 3) // 2, (q + 1) // 2)
             want = np.where(square, (q + 1) * (q + 3) // 2, (q + 1) ** 2 // 2)
             bad_sums = ~on_circle[ws] & (n_sums != want)
@@ -311,11 +310,11 @@ def lemma_battery(p: int, k: int = 1) -> list:
     def hyper_pair():
         a, b = np.arange(q)[:, None], np.arange(q)
         member = h2[a + q * b]
-        t = ctx.mul_array(a, b)
+        t = ctx.mul(a, b)
         minus1 = ctx.neg(1)
-        s = ctx.add_array(ctx.mul_array(t, ctx.inv(ctx.embed(2))), minus1)
-        disc = ctx.add_array(ctx.mul_array(s, s), minus1)
-        differs = member != ((t != 0) & (ctx.quad_character_array(disc) >= 0))
+        s = ctx.add(ctx.mul(t, ctx.inv(ctx.embed(2))), minus1)
+        disc = ctx.add(ctx.mul(s, s), minus1)
+        differs = member != ((t != 0) & (ctx.quad_character(disc) >= 0))
         differs[0, 0] = False
         bad = _first(differs)
         if bad is not None:
@@ -327,7 +326,7 @@ def lemma_battery(p: int, k: int = 1) -> list:
         def hyper_products():
             z = np.flatnonzero(h2)
             z = z[z != 0]
-            found = int(np.count_nonzero(np.bincount(ctx.mul_array(z % q, z // q))))
+            found = int(np.count_nonzero(np.bincount(ctx.mul(z % q, z // q))))
             if found != (q - 1) // 2:
                 raise VerificationError(f"{found} products")
             return f"#{{ab}} over the double sum = {(q - 1) // 2}"
@@ -371,7 +370,7 @@ def lemma_battery(p: int, k: int = 1) -> list:
     def hyper_scaling():
         # membership reduction (a,b) -> (ab, 1) for b != 0
         a, b = np.arange(q)[:, None], np.arange(1, q)
-        bad = _first(h3[a + q * b] != h3[ctx.mul_array(a, b) + q])
+        bad = _first(h3[a + q * b] != h3[ctx.mul(a, b) + q])
         if bad is not None:
             raise VerificationError(
                 f"scaling reduction fails at ({bad[0]},{bad[1] + 1})")

@@ -7,12 +7,13 @@ are integer pairings <alpha, beta> over the members beta of H.  The
 pairing depends on the family:
 
 * plus:  <alpha, beta> = trace_to_prime(2 * xpart(alpha * beta)) in the
-  quadratic extension (the additive character composed with rel_trace of
-  the product against the conjugate-symmetric form);
+  quadratic extension (the additive character composed with the trace
+  z + conj(z) = 2 * xpart(z) down to F_q);
 * minus: <(a, b), (x, y)> = trace(a*x + b*y) componentwise.
 
 ``full_spectrum`` computes the spectrum by two routes and checks one
-against the other.
+against the other.  The tests also check it against a pairing summed one
+member at a time and a dense eigensolver, both in ``tests/oracles.py``.
 
 * Exact counts by classes.  The curve's symmetries permute H, so the
   exponent counts of alpha depend only on its class: norm(alpha) for
@@ -41,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import MINUS, PLUS, GeneratorSet
-from .fields import (SizeCapError, VerificationError, index_pack, pair_add,
-                     pair_split, unity_cos_sin)
+from .fields import (SizeCapError, VerificationError, index_pack,
+                     unity_cos_sin)
 
 DEFAULT_SPECTRUM_BUDGET = 1 << 20
 BOUND_TOL = 1e-9
@@ -54,40 +55,6 @@ _FOLD_ROWS = 16
 RAMANUJAN = "Ramanujan"
 ALMOST_RAMANUJAN = "AlmostRamanujan"
 NEITHER_BOUND = "Neither"
-
-
-def _pairing_exponent(gen: GeneratorSet, alpha: int, beta: int) -> int:
-    if gen.family == PLUS:
-        prod = gen.ext.mul(alpha, beta)
-        return gen.base.trace(gen.ext.rel_trace(prod))
-    a, b = pair_split(gen.base, alpha)
-    x, y = pair_split(gen.base, beta)
-    return gen.base.trace(gen.base.add(gen.base.mul(a, x), gen.base.mul(b, y)))
-
-
-def character_counts(gen: GeneratorSet, alpha: int) -> np.ndarray:
-    """Exact exponent counts: counts[j] = #{beta in H : <alpha,beta> = j}.
-
-    Scalar oracle, one member at a time; tests check ``full_spectrum``
-    against it.
-    """
-    counts = np.zeros(gen.p, dtype=np.int64)
-    for beta in gen.members:
-        counts[_pairing_exponent(gen, alpha, beta)] += 1
-    return counts
-
-
-def eigenvalue(gen: GeneratorSet, alpha: int) -> float:
-    """The Cayley eigenvalue at character alpha (always real: H = -H).
-
-    Scalar oracle built on ``character_counts``.
-    """
-    counts = character_counts(gen, alpha)
-    cos, sin = unity_cos_sin(gen.p)
-    im = float(counts @ sin)
-    if abs(im) > BOUND_TOL:
-        raise VerificationError(f"eigenvalue not real at alpha={alpha}")
-    return float(counts @ cos)
 
 
 @dataclass(frozen=True)
@@ -138,10 +105,10 @@ def _require_curve(gen: GeneratorSet) -> None:
     q = gen.q
     members = np.asarray(gen.members, dtype=np.int64)
     if gen.family == PLUS:
-        on_curve = gen.ext.norm_array(members) == 1
+        on_curve = gen.ext.norm(members) == 1
         size = q + 1
     else:
-        on_curve = gen.base.mul_array(members % q, members // q) == 1
+        on_curve = gen.base.mul(members % q, members // q) == 1
         size = q - 1
     if len(set(gen.members)) != size or not on_curve.all():
         raise ValueError(f"the generator set is not the {gen.family} curve over "
@@ -156,9 +123,9 @@ def _class_keys(gen: GeneratorSet) -> np.ndarray:
     q = gen.q
     alpha = np.arange(q * q)
     if gen.family == PLUS:
-        return gen.ext.norm_array(alpha)
+        return gen.ext.norm(alpha)
     a, b = alpha % q, alpha // q
-    keys = gen.base.mul_array(a, b)
+    keys = gen.base.mul(a, b)
     keys[(a != 0) & (b == 0)] = q
     keys[(a == 0) & (b != 0)] = q + 1
     return keys
@@ -172,11 +139,9 @@ def _pairing_exponents(gen: GeneratorSet, alphas: np.ndarray) -> np.ndarray:
     bx, by = beta % q, beta // q
     if gen.family == PLUS:
         # xpart(alpha * beta) = ax*bx + delta*ay*by, doubled, then traced
-        xp = ctx.add_array(ctx.mul_array(ax, bx),
-                           ctx.mul_array(ay, ctx.mul_array(by, gen.ext.delta)))
-        return ctx.trace_table[ctx.add_array(xp, xp)]
-    return ctx.trace_table[ctx.add_array(ctx.mul_array(ax, bx),
-                                         ctx.mul_array(ay, by))]
+        xp = ctx.add(ctx.mul(ax, bx), ctx.mul(ay, ctx.mul(by, gen.ext.delta)))
+        return ctx.trace_table[ctx.add(xp, xp)]
+    return ctx.trace_table[ctx.add(ctx.mul(ax, bx), ctx.mul(ay, by))]
 
 
 def _character_index(gen: GeneratorSet) -> np.ndarray:
@@ -194,7 +159,7 @@ def _character_index(gen: GeneratorSet) -> np.ndarray:
     elems = np.arange(q)
 
     def digits(c):
-        return index_pack([ctx.trace_table[ctx.mul_array(elems, ctx.mul(c, p ** i))]
+        return index_pack([ctx.trace_table[ctx.mul(elems, ctx.mul(c, p ** i))]
                            for i in range(k)], p)
 
     alpha = np.arange(q * q)
@@ -266,17 +231,3 @@ def full_spectrum(gen: GeneratorSet) -> SpectrumReport:
     return SpectrumReport(gen, eigs, class_counts, class_index, max_nt, ram,
                           almost, cls, connected)
 
-
-def adjacency_matrix(gen: GeneratorSet) -> np.ndarray:
-    """Dense 0/1 adjacency matrix of the Cayley graph.
-
-    Oracle for oracle-sized inputs: tests compare its eigensolver spectrum
-    with ``full_spectrum``.
-    """
-    size = gen.ambient_size
-    if size > 1 << 14:
-        raise SizeCapError(f"{size} vertices is too large for a dense matrix")
-    mat = np.zeros((size, size), dtype=np.int8)
-    v = np.arange(size)[:, None]
-    mat[v, pair_add(gen.base, v, np.array(gen.members))] = 1
-    return mat

@@ -95,9 +95,6 @@ class SumsetLayers:
     def n(self) -> int:
         return self.generator.n
 
-    def layer_set(self, t: int) -> frozenset:
-        return frozenset(int(i) for i in np.flatnonzero(self.masks[t]))
-
     def to_json_dict(self) -> dict:
         return {
             "family": self.generator.family,

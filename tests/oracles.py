@@ -1,12 +1,23 @@
 """Independent routes that the tests check the program against.
 
-Addition in the packed-index groups, done the way the field once did it
-for k > 1: split each index into its list of base-p digits, add or negate
-digit by digit mod p, and pack the list again.  None of this shares code
-with ``quasilee.fields.index_add``/``index_neg``, which the program uses
-for every addition, so a test that compares the two does not check the
-kernel against itself.
+Each oracle does one element at a time what the program does over whole
+arrays.  Addition in the packed-index groups takes each index apart one
+base-p digit at a time, adds or negates the digits mod p and puts the
+result together again.  ``field_mul`` multiplies the lists of digits as
+polynomials mod the field's modulus.  None of
+this shares code with ``quasilee.fields.index_add``/``index_neg`` or with
+the log tables of ``FieldCtx.mul``, so a test that compares the two does
+not check a kernel against itself.
+
+The point counts, the shifted double sums and the spectrum oracles below
+add only with ``field_add``/``pair_add``; they multiply with the scalar
+``FieldCtx.mul``, which ``tests/test_fields.py`` checks against
+``field_mul``.
 """
+
+import functools
+
+import numpy as np
 
 
 def _digit_list(a: int, p: int, m: int) -> list:
@@ -26,14 +37,35 @@ def _packed(digits, p: int) -> int:
 
 def field_add(ctx, a: int, b: int) -> int:
     """a + b in F_q, q = p**k, one coefficient at a time."""
-    p, k = ctx.p, ctx.k
-    return _packed([(x + y) % p for x, y in zip(_digit_list(a, p, k),
-                                                _digit_list(b, p, k))], p)
+    p, out, unit = ctx.p, 0, 1
+    for _ in range(ctx.k):
+        out += (a % p + b % p) % p * unit
+        a, b, unit = a // p, b // p, unit * p
+    return out
 
 
 def field_neg(ctx, a: int) -> int:
     """-a in F_q, one coefficient at a time."""
-    return _packed([-x % ctx.p for x in _digit_list(a, ctx.p, ctx.k)], ctx.p)
+    p, out, unit = ctx.p, 0, 1
+    for _ in range(ctx.k):
+        out += -(a % p) % p * unit
+        a, unit = a // p, unit * p
+    return out
+
+
+def field_mul(ctx, a: int, b: int) -> int:
+    """a * b in F_q: the coefficient lists multiplied as polynomials, then
+    x**d for d >= k replaced by x**(d-k) times -(modulus - x**k)."""
+    p, k, mod = ctx.p, ctx.k, ctx.modulus
+    prod = [0] * (2 * k - 1)
+    for i, x in enumerate(_digit_list(a, p, k)):
+        for j, y in enumerate(_digit_list(b, p, k)):
+            prod[i + j] += x * y
+    for d in range(2 * k - 2, k - 1, -1):
+        c = prod.pop()
+        for i in range(k):
+            prod[d - k + i] -= c * mod[i]
+    return _packed([c % p for c in prod], p)
 
 
 def pair_add(ctx, z1: int, z2: int) -> int:
@@ -47,3 +79,132 @@ def pair_neg(ctx, z: int) -> int:
     """-z in F_q x F_q, both parts negated by ``field_neg``."""
     q = ctx.q
     return field_neg(ctx, z % q) + q * field_neg(ctx, z // q)
+
+
+def pair_scale(ctx, z: int, c: int) -> int:
+    """c * z in F_q x F_q for an integer c, read in the prime subfield."""
+    q, e = ctx.q, c % ctx.p
+    return ctx.mul(z % q, e) + q * ctx.mul(z // q, e)
+
+
+# -- the quadratic extension F_q[sqrt(delta)] ------------------------------------
+
+def ext_mul(ext, z1: int, z2: int) -> int:
+    """(x1 + sqrt(delta)*y1) * (x2 + sqrt(delta)*y2)
+    = (x1*x2 + delta*y1*y2) + sqrt(delta)*(x1*y2 + y1*x2)."""
+    b, q = ext.base, ext.q
+    x1, y1, x2, y2 = z1 % q, z1 // q, z2 % q, z2 // q
+    x = field_add(b, b.mul(x1, x2), b.mul(ext.delta, b.mul(y1, y2)))
+    y = field_add(b, b.mul(x1, y2), b.mul(y1, x2))
+    return x + q * y
+
+
+def ext_norm(ext, z: int) -> int:
+    """x**2 - delta*y**2."""
+    b, q = ext.base, ext.q
+    x, y = z % q, z // q
+    return field_add(b, b.mul(x, x), field_neg(b, b.mul(ext.delta, b.mul(y, y))))
+
+
+def circle(ext) -> tuple:
+    """The norm-one circle H, ascending."""
+    return tuple(z for z in range(ext.q ** 2) if ext_norm(ext, z) == 1)
+
+
+# -- point counts behind the lemma battery ---------------------------------------
+
+def circle_abscissas(ctx, c: int) -> frozenset:
+    """x-coordinates of points on the circle x**2 - delta*y**2 = c, c != 0.
+
+    Equals {x : x**2 = c, or x**2 - c is a nonsquare}; independent of the
+    choice of nonsquare delta.  Size (q+3)/2 when c is a square, (q+1)/2
+    otherwise.
+    """
+    if c == 0:
+        raise ValueError("c must be nonzero")
+    out = set()
+    for x in range(ctx.q):
+        d = field_add(ctx, ctx.mul(x, x), field_neg(ctx, c))
+        if d == 0 or ctx.quad_character(d) == -1:
+            out.add(x)
+    return frozenset(out)
+
+
+@functools.lru_cache(maxsize=1)
+def shifted_circle_sum(ext, members: tuple, w: int) -> frozenset:
+    """The translated double sum H + H*w, H given by its ``members``;
+    H*w is scaled once.  The last sum is kept, so that
+    ``shifted_norm_image`` of the same shift does not add it up again."""
+    scaled = [ext_mul(ext, z, w) for z in members]
+    return frozenset(pair_add(ext.base, z1, z2) for z1 in members for z2 in scaled)
+
+
+def shifted_norm_image(ext, members, w: int) -> frozenset:
+    """Norms of H + H*w, w != 0.
+
+    Size (q+3)/2 when norm(w) is a square, (q+1)/2 otherwise; always a
+    subset of the abscissa set of the corresponding circle.
+    """
+    if w == 0:
+        raise ValueError("w must be nonzero")
+    return frozenset(ext_norm(ext, z) for z in shifted_circle_sum(ext, members, w))
+
+
+def projective_cubic_count(ctx, t: int) -> int:
+    """Points on the plane projective cubic
+    (X + Y + t*Z) * (X*Y - Z*X - Y*Z) + X*Y*Z = 0 over F_q, t != -1.
+
+    Counted as the affine points (Z = 1) plus the three fixed points at
+    infinity (1:0:0), (0:1:0), (1:-1:0).  For t != -1 the curve is
+    absolutely irreducible so the count obeys |count - (q+1)| <= 2*sqrt(q).
+    """
+    if t == field_neg(ctx, 1):
+        raise ValueError("t = -1 gives a reducible curve")
+    count = 3
+    for x in range(ctx.q):
+        for y in range(ctx.q):
+            s, xy = field_add(ctx, x, y), ctx.mul(x, y)
+            val = ctx.mul(field_add(ctx, s, t), field_add(ctx, xy, field_neg(ctx, s)))
+            if field_add(ctx, val, xy) == 0:
+                count += 1
+    return count
+
+
+# -- Cayley spectra ----------------------------------------------------------------
+
+def pairing_exponent(gen, alpha: int, beta: int) -> int:
+    """<alpha, beta>: trace(2 * xpart(alpha * beta)) for plus, trace(a*x +
+    b*y) for minus, with alpha = (a, b) and beta = (x, y)."""
+    ctx, q = gen.base, gen.q
+    a, b, x, y = alpha % q, alpha // q, beta % q, beta // q
+    if gen.family == "plus":
+        xp = ext_mul(gen.ext, alpha, beta) % q
+        return ctx.trace(field_add(ctx, xp, xp))
+    return ctx.trace(field_add(ctx, ctx.mul(a, x), ctx.mul(b, y)))
+
+
+def character_counts(gen, alpha: int) -> np.ndarray:
+    """counts[j] = #{beta in H : <alpha, beta> = j}, one member at a time."""
+    counts = np.zeros(gen.p, dtype=np.int64)
+    for beta in gen.members:
+        counts[pairing_exponent(gen, alpha, beta)] += 1
+    return counts
+
+
+def eigenvalue(gen, alpha: int) -> float:
+    """The Cayley eigenvalue at character alpha, from ``character_counts``;
+    it must be real, because H = -H."""
+    ang = 2 * np.pi * np.arange(gen.p) / gen.p
+    counts = character_counts(gen, alpha)
+    assert abs(counts @ np.sin(ang)) <= 1e-9, f"eigenvalue not real at {alpha}"
+    return float(counts @ np.cos(ang))
+
+
+def adjacency_matrix(gen) -> np.ndarray:
+    """Dense 0/1 adjacency matrix of the Cayley graph: v ~ v + h."""
+    size = gen.ambient_size
+    mat = np.zeros((size, size), dtype=np.int8)
+    for v in range(size):
+        for h in gen.members:
+            mat[v, pair_add(gen.base, v, h)] = 1
+    return mat

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -89,6 +90,29 @@ def test_ambient_cap_applies_to_every_subcommand(capsys, monkeypatch,
     assert code == 1 and out == ""
     assert err.startswith("error: precondition:")
     assert "exceeds cap 100" in err
+
+
+SUBCOMMANDS = ["admissible", "subset", "spectrum", "code-gen", "code-verify",
+               "decode", "lemma-suite"]
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+@pytest.mark.parametrize("gate_args", [
+    ["--p", "8209", "--cap", "1000000000"],      # --cap may not raise 2^26
+    ["--p", "8209", "--k", "2", "--cap", str(10 ** 12)],  # nor name a higher cap
+    ["--p", "1000000000000000003"],              # no trial division first
+    ["--p", "13", "--k", "3000"],                # q^2 has 6 684 digits
+    ["--p", "13", "--k", "30000000"],            # p^(2k) is never computed
+], ids=["cap-above-default", "cap-above-default-k2", "huge-p", "k-3000", "k-30000000"])
+def test_ambient_gate_refuses_at_once(capsys, monkeypatch, command, gate_args):
+    monkeypatch.setattr("sys.stdin", io.StringIO("0\n"))
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, *gate_args, "--family", "plus")
+    assert time.perf_counter() - start < 2.0
+    assert code == 1 and out == ""
+    assert err.startswith("error: precondition:")
+    assert f"exceeds cap {1 << 26}" in err
+    assert len(err) < 200
 
 
 def test_uncoverable_decode_is_verification_error(capsys, monkeypatch):

@@ -12,12 +12,12 @@ from quasilee import codes
 from quasilee.codes import (CosetLeaderTable, DecodeResult, VerificationError,
                             build_code, code_parameters, coset_leader_table,
                             decode, decode_words, lee_ball_array,
-                            lee_ball_vectors, lee_distance, lee_weight,
+                            lee_distance, lee_weight,
                             matrix_from_json_dict, matrix_from_text,
                             parity_check_matrix, rank_mod_p, round_trip_check,
                             syndrome, syndromes, verify_quasi_perfect)
 from quasilee.curves import from_representatives, generator_set
-from quasilee.fields import make_field, pair_index, pair_scale
+from quasilee.fields import make_field, pair_index
 from quasilee.sumsets import (MAX_LAYERS, CoverageError, cumulative_layers,
                               lee_ball_size)
 
@@ -35,6 +35,11 @@ def matrix_for(p, k, family):
     return parity_check_matrix(gen_for(p, k, family))
 
 
+def all_leaders(table) -> list:
+    """Every leader as a list, index = syndrome."""
+    return table.leader_words(np.arange(table.size)).tolist()
+
+
 # -- scalar oracles ----------------------------------------------------------------
 # Independent of the array code in quasilee.codes and of the index kernel in
 # quasilee.fields: they walk the group F_q x F_q one oracles.pair_add at a
@@ -45,7 +50,7 @@ def scalar_syndrome(mat, word) -> int:
     ctx = mat.generator.base
     syn = 0
     for c, rep in zip(word, mat.generator.reps):
-        syn = oracles.pair_add(ctx, syn, pair_scale(ctx, rep, c % mat.p))
+        syn = oracles.pair_add(ctx, syn, oracles.pair_scale(ctx, rep, c))
     return syn
 
 
@@ -155,12 +160,12 @@ def test_ball_array_matches_scalar_oracle(n, p, radius):
 
 
 def test_ball_vectors_are_distinct_and_light():
-    ball = lee_ball_vectors(3, 7, 2)
+    ball = [tuple(v) for v in lee_ball_array(3, 7, 2).tolist()]
     assert len(ball) == len(set(ball)) == 25
     assert all(lee_weight(v, 7) <= 2 for v in ball)
     assert all(0 <= c < 7 for v in ball for c in v)
     # wraparound regime: radius 2 over Z_3 in two coordinates gives all words
-    assert len(lee_ball_vectors(2, 3, 2)) == 9
+    assert len(lee_ball_array(2, 3, 2)) == 9
 
 
 # -- matrices and syndromes ------------------------------------------------------
@@ -295,7 +300,7 @@ def test_matrix_text_rejects_malformed(text, msg):
 def test_table_weights_and_syndromes_agree():
     table = table_for(13, 1, "plus")
     mat = table.matrix
-    for syn, err in enumerate(table.leaders):
+    for syn, err in enumerate(all_leaders(table)):
         assert syndrome(mat, err) == syn
         assert lee_weight(err, 13) == table.weights[syn]
     assert table.max_weight == 3
@@ -319,7 +324,7 @@ def test_leaders_attain_minimal_weight(p, k, family):
     mat = table.matrix
     n = mat.n
     best = {}
-    for v in lee_ball_vectors(n, p, table.max_weight):
+    for v in lee_ball_array(n, p, table.max_weight).tolist():
         s = syndrome(mat, v)
         w = lee_weight(v, p)
         best[s] = min(best.get(s, n * p), w)
@@ -336,10 +341,8 @@ def test_table_matches_scalar_bfs_oracle(p, k, family):
     mat = matrix_for(p, k, family)
     table = coset_leader_table(mat)
     leaders, weights = scalar_bfs_leaders(mat)
-    assert table.leaders == leaders
+    assert all_leaders(table) == [list(v) for v in leaders]
     assert table.weights.tolist() == weights
-    syns = np.arange(table.size)
-    assert table.leader_words(syns).tolist() == [list(v) for v in leaders]
 
 
 def test_table_is_a_bfs_tree():
@@ -356,7 +359,7 @@ def test_table_is_a_bfs_tree():
 def test_table_is_deterministic():
     t1 = table_for(13, 1, "plus")
     t2 = table_for(13, 1, "plus")
-    assert t1.leaders == t2.leaders
+    assert all_leaders(t1) == all_leaders(t2)
 
 
 def test_uncoverable_generator_raises():
@@ -379,10 +382,10 @@ def test_cap_too_small_raises():
 def test_decode_identifies_planted_errors():
     table = table_for(13, 1, "plus")
     cw = tuple([0] * 7)
-    for err in lee_ball_vectors(7, 13, 2):
+    for err in lee_ball_array(7, 13, 2).tolist():
         got = decode(table, err)
         assert got.codeword == cw
-        assert got.error == err
+        assert got.error == tuple(err)
         assert got.weight == lee_weight(err, 13)
 
 
@@ -391,7 +394,7 @@ def test_decode_result_holds_python_ints():
     res = decode(table, [25, -1, 0, 3, 0, 0, 40])
     assert all(type(v) is int for v in res.codeword + res.error)
     assert type(res.weight) is int and type(res.syndrome) is int
-    assert res.error == table.leaders[res.syndrome]
+    assert list(res.error) == table.leader_words([res.syndrome])[0].tolist()
 
 
 def test_decode_is_translation_invariant():

@@ -1,12 +1,11 @@
 """Generator families, point counts and admissibility."""
 
+import oracles
 import pytest
 
 from quasilee.codes import rank_mod_p
-from quasilee.curves import (GeneratorSet, admissibility, circle_abscissas,
-                             from_representatives, generator_set, norm_circle,
-                             projective_cubic_count, shifted_circle_sum,
-                             shifted_norm_image, unit_hyperbola)
+from quasilee.curves import (GeneratorSet, admissibility, from_representatives,
+                             generator_set, norm_circle, unit_hyperbola)
 from quasilee.fields import QuadExt, make_field, pair_index, pair_neg, pair_split
 
 
@@ -86,7 +85,7 @@ def test_from_representatives_validation():
                              [pair_index(ctx, 2, 3), pair_index(ctx, 11, 10)])
 
 
-# -- point counts -----------------------------------------------------------
+# -- point counts: the scalar oracles of the lemma battery --------------------
 
 @pytest.mark.parametrize("p,k", [(5, 1), (13, 1), (3, 2)])
 def test_circle_abscissa_sizes(p, k):
@@ -94,30 +93,31 @@ def test_circle_abscissa_sizes(p, k):
     q = ctx.q
     for c in range(1, q):
         want = (q + 3) // 2 if ctx.quad_character(c) == 1 else (q + 1) // 2
-        assert len(circle_abscissas(ctx, c)) == want
+        assert len(oracles.circle_abscissas(ctx, c)) == want
     with pytest.raises(ValueError):
-        circle_abscissas(ctx, 0)
+        oracles.circle_abscissas(ctx, 0)
 
 
 def test_shifted_norm_image_frozen():
     ext5 = QuadExt(make_field(5))
-    i1 = shifted_norm_image(ext5, 1)
+    i1 = oracles.shifted_norm_image(ext5, oracles.circle(ext5), 1)
     assert len(i1) == 4 and 1 in i1          # -3 is a nonsquare in F_5
     ext13 = QuadExt(make_field(13))
-    j1 = shifted_norm_image(ext13, 1)
+    j1 = oracles.shifted_norm_image(ext13, oracles.circle(ext13), 1)
     assert len(j1) == 8 and 1 not in j1      # -3 is a square in F_13
     with pytest.raises(ValueError):
-        shifted_norm_image(ext5, 0)
+        oracles.shifted_norm_image(ext5, oracles.circle(ext5), 0)
 
 
 def test_shifted_circle_sum_sizes():
     ext = QuadExt(make_field(7))
     q = 7
-    circle = set(norm_circle(ext).members)
+    circle = oracles.circle(ext)
+    assert circle == norm_circle(ext).members
     for w in range(1, q * q):
         if w in circle:
             continue
-        got = len(shifted_circle_sum(ext, w))
+        got = len(oracles.shifted_circle_sum(ext, circle, w))
         if ext.base.quad_character(ext.norm(w)) == 1:
             assert got == (q + 1) * (q + 3) // 2
         else:
@@ -126,10 +126,10 @@ def test_shifted_circle_sum_sizes():
 
 def test_projective_cubic_counts_frozen_q13():
     ctx = make_field(13)
-    counts = [projective_cubic_count(ctx, t) for t in range(12)]
+    counts = [oracles.projective_cubic_count(ctx, t) for t in range(12)]
     assert counts == [13, 12, 18, 12, 13, 18, 12, 18, 12, 12, 12, 18]
     with pytest.raises(ValueError, match="reducible"):
-        projective_cubic_count(ctx, 12)     # t = -1
+        oracles.projective_cubic_count(ctx, 12)     # t = -1
 
 
 def test_projective_cubic_count_infinity_points():
@@ -138,7 +138,7 @@ def test_projective_cubic_count_infinity_points():
     for t in range(5):
         if t == 4:
             continue
-        assert projective_cubic_count(ctx, t) >= 3
+        assert oracles.projective_cubic_count(ctx, t) >= 3
 
 
 # -- admissibility ----------------------------------------------------------

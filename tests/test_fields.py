@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasilee.fields import (CharacterSumValue, FieldCtx, QuadExt, SizeCapError,
-                             gauss_quadratic_sum, index_add, index_digits,
-                             index_neg, index_pack, is_prime,
-                             kloosterman, make_field, minus3_character,
-                             pair_add, pair_index, pair_neg, pair_scale,
+from quasilee.fields import (AMBIENT_CAP, CharacterSumValue, QuadExt,
+                             SizeCapError, check_ambient, gauss_quadratic_sum,
+                             index_add, index_digits, index_neg, index_pack,
+                             is_prime, kloosterman, make_field,
+                             minus3_character, pair_add, pair_index, pair_neg,
                              pair_split, residue_class_mod12, unity_cos_sin)
 
 F5 = make_field(5)
@@ -20,6 +20,7 @@ F7 = make_field(7)
 F13 = make_field(13)
 F9 = make_field(3, 2)
 F25 = make_field(5, 2)
+F27 = make_field(3, 3)
 ALL = [F5, F7, F13, F9, F25]
 
 
@@ -34,7 +35,27 @@ def test_construction_rejects_bad_parameters():
         make_field(5, 0)
     with pytest.raises(SizeCapError):
         make_field(257, 2)
-    make_field(257, 2, cap=1 << 40)  # explicit cap admits it
+
+
+@pytest.mark.parametrize("p,k", [(10 ** 18 + 3, 1), (13, 3000), (13, 30_000_000),
+                                 (8209, 1), (-(10 ** 18), 1)])
+def test_ambient_cap_is_checked_first_and_fast(p, k):
+    # before any trial division, and without computing p**(2k)
+    with pytest.raises(SizeCapError, match=f"exceeds cap {AMBIENT_CAP}"):
+        make_field(p, k)
+
+
+def test_check_ambient_messages():
+    check_ambient(13, 1, 169)
+    with pytest.raises(SizeCapError, match=r"^q\^2 = 169 exceeds cap 100$"):
+        check_ambient(13, 1, 100)
+    # neither a huge k nor a p of thousands of digits reaches the message
+    with pytest.raises(SizeCapError, match=r"^q\^2 exceeds cap 100: p\^2 already does$"):
+        check_ambient(13, 10 ** 4000, 100)
+    for p in (10 ** 4000 + 1, -(10 ** 4000)):
+        with pytest.raises(SizeCapError, match=r"^q\^2 exceeds cap 100: p\^1 already does$"):
+            check_ambient(p, 1, 100)
+    assert make_field(8191).q ** 2 <= AMBIENT_CAP
 
 
 def test_canonical_moduli():
@@ -83,7 +104,6 @@ def test_field_axioms(data):
     assert ctx.mul(a, b) == ctx.mul(b, a)
     assert ctx.mul(a, ctx.add(b, c)) == ctx.add(ctx.mul(a, b), ctx.mul(a, c))
     assert ctx.add(a, ctx.neg(a)) == 0
-    assert ctx.sub(a, b) == ctx.add(a, ctx.neg(b))
     # trace is F_p-linear
     assert ctx.trace(ctx.add(a, b)) == (ctx.trace(a) + ctx.trace(b)) % ctx.p
     # quadratic character is multiplicative
@@ -117,20 +137,56 @@ def test_coeffs_roundtrip():
 
 @pytest.mark.parametrize("ctx", [F13, F9], ids=lambda c: f"q{c.q}")
 def test_vectorized_ops_match_scalar(ctx):
+    # the broadcast form of every operation against the oracles, element
+    # by element, and against its own int form
     arr = np.arange(ctx.q)
     c = ctx.q - 2
-    add = ctx.add_array(arr, c)
-    mul = ctx.mul_array(arr, c)
-    mul_rev = ctx.mul_array(arr, arr[::-1])
-    neg = ctx.neg_array(arr)
-    chi = ctx.quad_character_array(arr)
-    for a in range(ctx.q):
-        assert add[a] == oracles.field_add(ctx, a, c)
-        assert mul[a] == ctx.mul(a, c)
-        assert mul_rev[a] == ctx.mul(a, ctx.q - 1 - a)
-        assert neg[a] == oracles.field_neg(ctx, a)
-        assert chi[a] == ctx.quad_character(a)
-        assert ctx.trace_table[a] == ctx.trace(a)
+    ops = {
+        "add": (ctx.add(arr, c), [oracles.field_add(ctx, a, c) for a in arr.tolist()]),
+        "neg": (ctx.neg(arr), [oracles.field_neg(ctx, a) for a in arr.tolist()]),
+        "mul": (ctx.mul(arr, c), [oracles.field_mul(ctx, a, c) for a in arr.tolist()]),
+        "mul_rev": (ctx.mul(arr, arr[::-1]),
+                    [oracles.field_mul(ctx, a, ctx.q - 1 - a) for a in arr.tolist()]),
+    }
+    for name, (got, want) in ops.items():
+        assert got.tolist() == want, name
+    assert [ctx.mul(a, c) for a in range(ctx.q)] == ops["mul"][1]
+    assert ctx.quad_character(arr).tolist() == \
+        [ctx.quad_character(a) for a in range(ctx.q)]
+    assert ctx.trace_table.tolist() == [ctx.trace(a) for a in range(ctx.q)]
+
+
+def _oracle_power(ctx, a, e):
+    r = 1
+    for _ in range(e):
+        r = oracles.field_mul(ctx, r, a)
+    return r
+
+
+@pytest.mark.parametrize("p,k", [(5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (5, 3)])
+def test_mul_inv_character_match_polynomial_oracle(p, k):
+    ctx = make_field(p, k)
+    q = ctx.q
+    z = np.arange(q)
+    want = [[oracles.field_mul(ctx, a, b) for b in range(q)] for a in range(q)]
+    assert ctx.mul(z[:, None], z).tolist() == want
+    assert [[ctx.mul(a, b) for b in range(q)] for a in range(q)] == want
+    # inverses: the oracle product with the inverse is 1, in both forms
+    units = z[1:]
+    inv = ctx.inv(units)
+    assert [ctx.inv(a) for a in range(1, q)] == inv.tolist()
+    assert all(oracles.field_mul(ctx, a, b) == 1 for a, b in zip(range(1, q), inv.tolist()))
+    for zero in (0, z, np.zeros((2, 2), dtype=np.int64)):
+        with pytest.raises(ZeroDivisionError):
+            ctx.inv(zero)
+    # Euler's criterion: a**((q-1)/2) is 1 for squares and -1 for nonsquares
+    minus_one = oracles.field_neg(ctx, 1)
+    euler = [0] + [{1: 1, minus_one: -1}[_oracle_power(ctx, a, (q - 1) // 2)]
+                   for a in range(1, q)]
+    assert ctx.quad_character(z).tolist() == euler
+    assert [ctx.quad_character(a) for a in range(q)] == euler
+    for value in (ctx.mul(2, q - 1), ctx.inv(q - 1), ctx.quad_character(q - 1)):
+        assert type(value) is int
 
 
 # -- the packed-index kernel against the digit-list oracles ----------------------
@@ -197,29 +253,38 @@ def test_quad_ext_is_a_field(base):
             assert ext.norm(ext.mul(z1, z2)) == \
                 base.mul(ext.norm(z1), ext.norm(z2))
     assert all(ext.norm(z) != 0 for z in range(1, ext.size))
-    assert ext.norm_array(np.arange(ext.size)).tolist() == \
+    assert ext.norm(np.arange(ext.size)).tolist() == \
         [ext.norm(z) for z in range(ext.size)]
 
 
-@pytest.mark.parametrize("base", [F5, F7, F9], ids=lambda c: f"q{c.q}")
+@pytest.mark.parametrize("base", [F5, F7, F9, F27], ids=lambda c: f"q{c.q}")
 def test_quad_ext_array_ops_match_scalar(base):
     ext = QuadExt(base)
-    z = np.arange(ext.size)
-    mul = ext.mul_array(z[:, None], z)
-    add = pair_add(base, z[:, None], z)
+    q, z = base.q, np.arange(ext.size)
+    # the oracle formulas over full pair tables, gathered from q x q tables
+    # of the field oracles
+    elems = range(q)
+    add = np.array([[oracles.field_add(base, a, b) for b in elems] for a in elems])
+    mul = np.array([[oracles.field_mul(base, a, b) for b in elems] for a in elems])
+    neg_delta = oracles.field_neg(base, ext.delta)
+    x, y = z % q, z // q
+    x1, y1 = x[:, None], y[:, None]
+    want = (add[mul[x1, x], mul[ext.delta, mul[y1, y]]]
+            + q * add[mul[x1, y], mul[y1, x]])
+    got = ext.mul(z[:, None], z)
+    assert np.array_equal(got, want)
+    norm = add[mul[x, x], mul[neg_delta, mul[y, y]]]
+    assert np.array_equal(ext.norm(z), norm)
+    # the int forms against the scalar oracles: every row, strided columns
+    cols = range(0, ext.size, 1 + ext.size // 64)
     for z1 in range(ext.size):
-        assert mul[z1].tolist() == [ext.mul(z1, z2) for z2 in range(ext.size)]
-        assert add[z1].tolist() == [oracles.pair_add(base, z1, z2)
-                                    for z2 in range(ext.size)]
+        row = [ext.mul(z1, z2) for z2 in cols]
+        assert row == [oracles.ext_mul(ext, z1, z2) for z2 in cols]
+        assert row == want[z1, cols].tolist()
+        assert ext.norm(z1) == oracles.ext_norm(ext, z1) == norm[z1]
+    assert type(ext.mul(2, ext.size - 1)) is int and type(ext.norm(ext.size - 1)) is int
     # every nonzero element has exactly one inverse
-    assert ((mul[1:, 1:] == 1).sum(axis=1) == 1).all()
-
-
-def test_quad_ext_traces():
-    ext = QuadExt(F13)
-    for z in range(0, ext.size, 7):
-        x, y = pair_split(F13, z)
-        assert ext.rel_trace(z) == F13.add(x, x)
+    assert ((got[1:, 1:] == 1).sum(axis=1) == 1).all()
 
 
 def test_pair_helpers():
@@ -227,7 +292,7 @@ def test_pair_helpers():
     assert pair_split(F13, 55) == (3, 4)
     z = pair_index(F13, 5, 12)
     assert pair_add(F13, z, pair_neg(F13, z)) == 0
-    assert pair_scale(F13, pair_index(F13, 2, 3), 4) == pair_index(F13, 8, 12)
+    assert oracles.pair_scale(F13, pair_index(F13, 2, 3), 4) == pair_index(F13, 8, 12)
 
 
 # -- character sums ---------------------------------------------------------
@@ -254,8 +319,8 @@ def test_gauss_sum_magnitude(ctx):
     for c in (1, ctx.nonsquare):
         for a in (0, 1, ctx.q - 1):
             v = gauss_quadratic_sum(ctx, c, a)
-            assert abs(v.value) == pytest.approx(math.sqrt(ctx.q), abs=1e-9)
-            assert v.term_count == ctx.q
+            assert abs(complex(v.re, v.im)) == pytest.approx(math.sqrt(ctx.q), abs=1e-9)
+            assert sum(v.counts) == ctx.q
     with pytest.raises(ValueError, match="quadratic coefficient"):
         gauss_quadratic_sum(ctx, 0, 1)
 
@@ -268,7 +333,7 @@ def test_gauss_frozen_value():
 
 def test_character_sum_counts_fold():
     v = CharacterSumValue.from_counts(5, [5, 0, 0, 0, 0])
-    assert v.value == pytest.approx(5.0)
+    assert complex(v.re, v.im) == pytest.approx(5.0)
     w = CharacterSumValue.from_counts(5, [0, 1, 1, 1, 1])
     assert w.re == pytest.approx(-1.0, abs=1e-12)  # all nontrivial roots sum to -1
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasilee.codes import lee_ball_vectors
+from quasilee.codes import lee_ball_array
 from quasilee.curves import generator_set
 from quasilee.fields import make_field
 from quasilee.sumsets import (NEITHER, QUASI_PERFECT_2, classify,
@@ -69,8 +69,8 @@ def test_hyperbola_q3_stalls():
 def test_layers_are_nested_and_start_correctly():
     gen = generator_set(make_field(7), "plus")
     lay = cumulative_layers(gen)
-    assert lay.layer_set(0) == {0}
-    assert lay.layer_set(1) == set(gen.members) | {0}
+    assert np.flatnonzero(lay.masks[0]).tolist() == [0]
+    assert np.flatnonzero(lay.masks[1]).tolist() == [0, *gen.members]
     for t in range(len(lay.masks) - 1):
         assert not np.any(lay.masks[t] & ~lay.masks[t + 1])
     assert [int(m.sum()) for m in lay.masks] == list(lay.sizes)
@@ -85,7 +85,7 @@ def test_layers_match_scalar_sumset_oracle(p, k, family):
     lay = cumulative_layers(gen)
     grown = {0}
     for t in range(len(lay.masks)):
-        assert lay.layer_set(t) == grown, f"layer {t}"
+        assert set(np.flatnonzero(lay.masks[t]).tolist()) == grown, f"layer {t}"
         grown = grown | sumset(grown, gen.members, gen.base)
 
 
@@ -110,7 +110,7 @@ def test_lee_ball_size_radius3_always_integer():
 @given(n=st.integers(1, 5), r=st.integers(0, 3), p=st.sampled_from([7, 11, 13]))
 def test_ball_size_matches_enumeration(n, r, p):
     # formula counts Z_p^n words whenever p >= 2r + 1
-    assert lee_ball_size(n, r) == len(lee_ball_vectors(n, p, r))
+    assert lee_ball_size(n, r) == len(lee_ball_array(n, p, r))
 
 
 # -- raw sumsets ---------------------------------------------------------------
