@@ -18,14 +18,14 @@ import argparse
 import json
 import sys
 
-from .codes import (VerificationError, code_parameters,
+from .codes import (MAX_TABLE_VERTICES, VerificationError, code_parameters,
                     coset_leader_table, decode_words, matrix_from_json_dict,
                     matrix_from_text, parity_check_matrix, round_trip_check,
                     verify_quasi_perfect)
 from .curves import admissibility, generator_set
 from .fields import AMBIENT_CAP, SizeCapError, check_ambient, make_field
 from .lemmas import lemma_battery
-from .spectra import full_spectrum
+from .spectra import DEFAULT_SPECTRUM_BUDGET, full_spectrum
 from .sumsets import CoverageError, classify
 
 _YESNO = {True: "yes", False: "no"}
@@ -81,9 +81,12 @@ def _require(args, *names):
 
 
 def _check_cap(args, p, k):
-    """Refuse q^2 = p^(2k) above --cap, which can lower AMBIENT_CAP but
-    not raise it.  Every subcommand and the --matrix path go through here."""
-    check_ambient(p, k, min(args.cap, AMBIENT_CAP))
+    """Refuse q^2 = p^(2k) above --cap, AMBIENT_CAP or the subcommand's own
+    stage limit, before anything of size q^2 is built.  Every subcommand
+    and the --matrix path go through here."""
+    stage = {"code-verify": MAX_TABLE_VERTICES, "decode": MAX_TABLE_VERTICES,
+             "spectrum": DEFAULT_SPECTRUM_BUDGET}.get(args.command, AMBIENT_CAP)
+    check_ambient(p, k, min(args.cap, AMBIENT_CAP, stage))
 
 
 def _generator(args):

@@ -12,9 +12,12 @@ words with one matrix product.
 
 Error correction and covering radius in the Lee metric are read off a
 coset-leader table: for every syndrome, a minimal-Lee-weight error
-producing it, found by breadth-first search over error vectors ordered by
-weight.  The table is stored as the BFS tree itself (a parent syndrome and
-a +-1 step per syndrome), and leaders are rebuilt from it on demand.
+producing it.  The syndrome of a weight-w error is a sum of w steps
++-beta_j, so that weight is a distance in the Cayley graph of F_q x F_q
+with these steps, and the table is a breadth-first search on that graph,
+stored as the BFS tree (a parent syndrome and a step per syndrome).  Lee
+balls are held as the supports of their words, (position, value) pairs,
+to which the parity-check map is applied.
 
 The table construction and the sumset layer growth are independent
 computations of the same quantities (reachable syndromes per weight), so
@@ -46,48 +49,39 @@ def lee_weight(word, p: int) -> int:
     return sum(min(c % p, p - c % p) for c in word)
 
 
-def lee_distance(a, b, p: int) -> int:
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return lee_weight([x - y for x, y in zip(a, b)], p)
+def lee_ball_support(n: int, p: int, radius: int) -> tuple:
+    """All words of Z_p^n with Lee weight <= radius, as their supports.
 
-
-def lee_ball_array(n: int, p: int, radius: int) -> np.ndarray:
-    """All words of Z_p^n with Lee weight <= radius, entries in [0, p), as
-    the rows of an int64 array.
-
-    Exact for any p; the row count agrees with ``lee_ball_size`` whenever
-    the radius is at most (p-1)/2.  Rows come in depth-first order: a word
-    is followed by its extensions at later positions, and siblings go by
-    position, then weight w, then value w before p - w.  That is the
-    order of the key (j_1, r_1, j_2, r_2, ...) over the nonzero positions
-    j_i, with r = 2(w - 1) for the value w and r = 2(w - 1) + 1 for p - w,
-    a key sorting before its extensions.
+    Returns int64 arrays ``pos`` and ``val`` of shape rows x min(radius, n):
+    row i is the word with entry val[i, t] at position pos[i, t], and the
+    pairs past its support are (0, 0).  Exact for any p; the row count
+    agrees with ``lee_ball_size`` whenever the radius is at most (p-1)/2.
+    Rows come in depth-first order: a word is followed by its extensions at
+    later positions, and siblings go by position, then weight w, then value
+    w before p - w.  That is the order of the key (j_1, r_1, j_2, r_2, ...)
+    over the nonzero positions j_i, with r = 2(w - 1) for the value w and
+    r = 2(w - 1) + 1 for p - w, padded with -1 so that a key sorts before
+    its extensions.
     """
-    half = (p - 1) // 2
-    keys, blocks = [], []
-    for m in range(1, min(radius, n) + 1):
+    half, width = (p - 1) // 2, min(radius, n)
+    keys = [np.full((1, 2 * width), -1, dtype=np.int64)]  # the zero word
+    for m in range(1, width + 1):
         pos = np.array(list(itertools.combinations(range(n), m)),
                        dtype=np.int64).reshape(-1, m)
         for ws in itertools.product(range(1, min(half, radius) + 1), repeat=m):
             if sum(ws) > radius:
                 continue
             for signs in itertools.product((0, 1), repeat=m):
-                vals = [p - w if s else w for w, s in zip(ws, signs)]
-                ranks = [2 * (w - 1) + s for w, s in zip(ws, signs)]
-                key = np.full((len(pos), 2 * radius), -1, dtype=np.int64)
+                key = np.full((len(pos), 2 * width), -1, dtype=np.int64)
                 key[:, 0:2 * m:2] = pos
-                key[:, 1:2 * m:2] = ranks
-                block = np.zeros((len(pos), n), dtype=np.int64)
-                np.put_along_axis(block, pos, np.array(vals, dtype=np.int64), axis=1)
+                key[:, 1:2 * m:2] = [2 * (w - 1) + s for w, s in zip(ws, signs)]
                 keys.append(key)
-                blocks.append(block)
-    if not blocks:
-        return np.zeros((1, n), dtype=np.int64)
     keys = np.concatenate(keys)
-    order = np.lexsort(keys.T[::-1])
-    return np.concatenate([np.zeros((1, n), dtype=np.int64),
-                           np.concatenate(blocks)[order]])
+    keys = keys[np.lexsort(keys.T[::-1])] if width else keys
+    pos, rank = keys[:, 0::2], keys[:, 1::2]
+    w = (rank >> 1) + 1
+    # the padding rank -1 gives w = 0 and the value p - 0 = 0 mod p
+    return np.maximum(pos, 0), np.where(rank & 1, p - w, w) % p
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +226,18 @@ class CosetLeaderTable:
         return len(self.weights)
 
     def leader_words(self, syns) -> np.ndarray:
-        """Leaders of a batch of syndromes, one row each, entries in [0, p)."""
-        return _signed_leaders(self.parent, self.step, syns, self.max_weight,
-                               self.matrix.n) % self.matrix.p
+        """Leaders of a batch of syndromes, one row each, entries in [0, p):
+        the steps summed over at most ``max_weight`` hops to the root."""
+        cur = np.array(syns, dtype=np.int64).ravel()
+        out = np.zeros((cur.size, self.matrix.n), dtype=np.int64)
+        for _ in range(self.max_weight):
+            rows = np.flatnonzero(cur)
+            if not rows.size:
+                break
+            st = self.step[cur[rows]]
+            out[rows, st >> 1] += 1 - 2 * (st & 1)
+            cur[rows] = self.parent[cur[rows]]
+        return out % self.matrix.p
 
     def histogram(self) -> dict:
         vals, cnts = np.unique(self.weights, return_counts=True)
@@ -245,37 +248,23 @@ class CosetLeaderTable:
         return int((self.weights <= w).sum())
 
 
-def _signed_leaders(parent, step, syns, hops, n) -> np.ndarray:
-    """Leaders of ``syns`` with entries in [-(p-1)/2, (p-1)/2], summed over
-    at most ``hops`` tree edges towards the root."""
-    cur = np.array(syns, dtype=np.int64).ravel()
-    out = np.zeros((cur.size, n), dtype=np.int64)
-    for _ in range(hops):
-        rows = np.flatnonzero(cur)
-        if not rows.size:
-            break
-        st = step[cur[rows]]
-        out[rows, st >> 1] += 1 - 2 * (st & 1)
-        cur[rows] = parent[cur[rows]]
-    return out
-
-
 def coset_leader_table(matrix: ParityCheckMatrix) -> CosetLeaderTable:
-    """Breadth-first search over error vectors ordered by Lee weight.
+    """Breadth-first search on the Cayley graph of F_q x F_q with the steps
+    +-beta_j.
 
-    Level w + 1 is generated from the recorded leaders of level w by all
-    single-coordinate steps e -> e +- unit_j that raise the weight by
-    exactly one; a syndrome keeps the first leader that reaches it, with
-    candidates ordered by (parent, position, +1 before -1).  Each level is
-    expanded as array operations over frontier chunks x n x {+1, -1}.
-    Raises CoverageError if the search stalls or exceeds MAX_LAYERS levels
-    before assigning every syndrome.
+    An error of Lee weight w has as syndrome a sum of w steps, so the
+    minimal weight of a coset is the distance of its syndrome from 0, and
+    the path that first reaches the syndrome spells a leader.  Level w + 1
+    is every unfilled syndrome one step from level w; a syndrome keeps the
+    first step that reaches it, with candidates ordered by (parent,
+    position, +1 before -1).  Each level is expanded as array operations
+    over frontier chunks x n x {+1, -1}, up to the chunk that fills the
+    last syndrome.  Raises CoverageError if the search stalls or exceeds
+    MAX_LAYERS levels before assigning every syndrome.
     """
-    p, n = matrix.p, matrix.n
     size = matrix.generator.ambient_size
     if size > MAX_TABLE_VERTICES:
         raise SizeCapError(f"{size} syndromes exceed table cap {MAX_TABLE_VERTICES}")
-    half = (p - 1) // 2
     ctx = matrix.generator.base
     # the syndrome shift of step 2*j + b: +beta_j, then -beta_j
     beta = np.array(matrix.generator.reps, dtype=np.int64)
@@ -291,23 +280,23 @@ def coset_leader_table(matrix: ParityCheckMatrix) -> CosetLeaderTable:
     while filled < size and frontier.size and w < MAX_LAYERS:
         found = []
         for lo in range(0, frontier.size, _BFS_CHUNK):
+            if filled == size:
+                break  # a later chunk could only reach filled syndromes
             rows = frontier[lo:lo + _BFS_CHUNK]
-            err = _signed_leaders(parent, step, rows, w, n)
-            # a step must raise the Lee weight: move away from 0, not past p/2
-            rises = np.stack([(err >= 0) & (err < half),
-                              (err <= 0) & (err > -half)], axis=2)
+            # a step that does not raise the weight of a level-w leader lands
+            # at distance <= w, all filled before level w is expanded: so the
+            # unfilled test alone keeps exactly the weight-raising steps
             cand = pair_add(ctx, rows[:, None], shifts)
-            pos = np.flatnonzero(rises.reshape(rows.size, 2 * n)
-                                 & (weights[cand] < 0))
+            pos = np.flatnonzero(weights[cand] < 0)
             hits = cand.ravel()[pos]
             first = np.sort(np.unique(hits, return_index=True)[1])
             new, pos = hits[first], pos[first]
-            parent[new] = rows[pos // (2 * n)]
-            step[new] = pos % (2 * n)
+            parent[new] = rows[pos // shifts.size]
+            step[new] = pos % shifts.size
             weights[new] = w + 1
+            filled += new.size
             found.append(new)
         frontier = np.concatenate(found)
-        filled += frontier.size
         w += 1
     if filled < size:
         reason = "stalled" if not frontier.size else f"exceeded {MAX_LAYERS} levels"
@@ -439,9 +428,9 @@ def verify_quasi_perfect(code: LeeCode,
 
     Three routes must agree: the layer census (mask convolution), the
     leader-weight histogram (coset BFS), and the injectivity of the
-    syndrome map on Lee balls.  Injectivity is checked by enumerating the
-    ball, unless #B_w > q^2, where the pigeonhole principle already rules
-    it out.  Raises VerificationError on any mismatch.
+    syndrome map on Lee balls.  Injectivity is checked on the syndromes of
+    the ball's supports, unless #B_w > q^2, where the pigeonhole principle
+    already rules it out.  Raises VerificationError on any mismatch.
     """
     gen = code.generator
     if table is None:
@@ -465,10 +454,13 @@ def verify_quasi_perfect(code: LeeCode,
         ball_size = lee_ball_size(gen.n, w)
         if ball_size > gen.ambient_size:
             break  # more light errors than syndromes: cannot be injective
-        ball = lee_ball_array(gen.n, gen.p, w)
-        if len(ball) != ball_size:
+        pos, val = lee_ball_support(gen.n, gen.p, w)
+        if len(pos) != ball_size:
             break  # wraparound regime (p < 2w + 1): formula no longer counts
-        if np.unique(syndromes(code.matrix, ball)).size == ball_size:
+        # the parity-check map on the supports: M[:, pos] . val mod p
+        syns = index_pack((code.matrix.entries[:, pos] * val).sum(axis=2) % gen.p,
+                          gen.p)
+        if np.unique(syns).size == ball_size:
             t_table = w
         else:
             break
@@ -498,14 +490,16 @@ def round_trip_check(table: CosetLeaderTable, trials: int, seed: int,
         raise ValueError(f"trial count must be nonnegative, got {trials}")
     p, n = table.matrix.p, table.matrix.n
     rng = random.Random(seed)
-    errors = lee_ball_array(n, p, max_weight)
+    pos, val = lee_ball_support(n, p, max_weight)
     ok = 0
     for lo in range(0, trials, _ROUND_TRIP_BLOCK):
         words, picked = [], []
         for _ in range(min(_ROUND_TRIP_BLOCK, trials - lo)):
             words.append([rng.randrange(p) for _ in range(n)])
-            picked.append(rng.randrange(len(errors)))
-        err = errors[picked]
+            picked.append(rng.randrange(len(pos)))
+        # dense rows for the picked errors only
+        err = np.zeros((len(picked), n), dtype=np.int64)
+        np.add.at(err, (np.arange(len(picked))[:, None], pos[picked]), val[picked])
         cw = decode_words(table, words)[0]
         got = decode_words(table, cw + err)[1]
         # the decoded codeword is cw exactly when the returned error is err

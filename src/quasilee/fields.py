@@ -293,15 +293,6 @@ class FieldCtx:
         """Absolute trace to F_p: sum of the k Frobenius conjugates."""
         return int(self.trace_table[a])
 
-    def sqrt(self, a: int) -> int:
-        """One square root of a square element (the other is its negative)."""
-        if a == 0:
-            return 0
-        l = int(self._log[a])
-        if l % 2:
-            raise ValueError(f"element {a} is not a square")
-        return int(self._exp[l // 2])
-
     @functools.cached_property
     def nonsquare(self) -> int:
         """The canonical nonsquare: smallest index with character -1."""
@@ -345,9 +336,6 @@ def _gathered(v):
 
 def pair_index(ctx: FieldCtx, x, y):
     return x + ctx.q * y
-
-def pair_split(ctx: FieldCtx, z: int) -> tuple:
-    return z % ctx.q, z // ctx.q
 
 def pair_add(ctx: FieldCtx, z1, z2):
     """Addition in F_q x F_q: ``index_add`` over the 2k digits of (x, y)."""

@@ -73,12 +73,6 @@ class SpectrumReport:
     def degree(self) -> int:
         return self.generator.degree
 
-    @property
-    def counts(self) -> np.ndarray:
-        """Exact counts per character, int64 of shape (q^2, p), expanded
-        from the class rows on each access."""
-        return self.class_counts[self.class_index]
-
     def histogram(self) -> dict:
         """Multiplicities of the eigenvalues rounded to nearest 1e-6."""
         vals, cnts = np.unique(np.round(self.eigenvalues, 6), return_counts=True)

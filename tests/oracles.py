@@ -12,12 +12,18 @@ not check a kernel against itself.
 The point counts, the shifted double sums and the spectrum oracles below
 add only with ``field_add``/``pair_add``; they multiply with the scalar
 ``FieldCtx.mul``, which ``tests/test_fields.py`` checks against
-``field_mul``.
+``field_mul``.  The decoder-stack oracles at the end walk F_q x F_q the
+same way: the syndrome of one word, the Lee ball by recursion, and a
+breadth-first search over error vectors that keeps only the steps
+raising the Lee weight.
 """
 
 import functools
 
 import numpy as np
+
+from quasilee.codes import DecodeResult, syndrome
+from quasilee.sumsets import MAX_LAYERS
 
 
 def _digit_list(a: int, p: int, m: int) -> list:
@@ -208,3 +214,81 @@ def adjacency_matrix(gen) -> np.ndarray:
         for h in gen.members:
             mat[v, pair_add(gen.base, v, h)] = 1
     return mat
+
+
+# -- the decoder stack -------------------------------------------------------------
+
+def scalar_syndrome(mat, word) -> int:
+    """sum_j word_j * beta_j by scalar pair arithmetic."""
+    ctx = mat.generator.base
+    syn = 0
+    for c, rep in zip(word, mat.generator.reps):
+        syn = pair_add(ctx, syn, pair_scale(ctx, rep, c))
+    return syn
+
+
+def scalar_lee_ball(n, p, radius) -> list:
+    """Lee ball words by depth-first recursion: for each position j, weight
+    w and value w then p - w, the word, then its extensions past j."""
+    half = (p - 1) // 2
+    out = [tuple([0] * n)]
+    vec = [0] * n
+
+    def extend(start, budget):
+        for j in range(start, n):
+            for w in range(1, min(budget, half) + 1):
+                for val in (w, p - w):
+                    vec[j] = val
+                    out.append(tuple(vec))
+                    extend(j + 1, budget - w)
+                vec[j] = 0
+
+    extend(0, radius)
+    return out
+
+
+def scalar_bfs_leaders(mat) -> tuple:
+    """Coset leaders and their weights by a scalar breadth-first search
+    over error vectors.
+
+    Level w + 1 extends each level-w leader, in first-recorded order, by
+    the steps +1 then -1 at positions 0 .. n-1 that raise its Lee weight
+    by exactly one; a syndrome keeps the first leader that reaches it.
+    """
+    gen = mat.generator
+    ctx, p, n = gen.base, gen.p, gen.n
+    shifts = [(rep, pair_neg(ctx, rep)) for rep in gen.reps]
+    leaders = [None] * gen.ambient_size
+    weights = [-1] * gen.ambient_size
+    leaders[0], weights[0] = tuple([0] * n), 0
+    frontier = [0]
+    w = 0
+    while frontier and w < MAX_LAYERS:
+        nxt = []
+        for syn in frontier:
+            err = leaders[syn]
+            for j in range(n):
+                v = err[j]
+                for dv, shift in zip((1, -1), shifts[j]):
+                    nv = (v + dv) % p
+                    if min(nv, p - nv) != min(v, p - v) + 1:
+                        continue
+                    s2 = pair_add(ctx, syn, shift)
+                    if leaders[s2] is None:
+                        leaders[s2] = err[:j] + (nv,) + err[j + 1:]
+                        weights[s2] = w + 1
+                        nxt.append(s2)
+        frontier = nxt
+        w += 1
+    return tuple(leaders), weights
+
+
+def scalar_decode(table, word) -> DecodeResult:
+    """The one-word-at-a-time decoder that ``decode_words`` replaced: reduce
+    the word as Python ints, then subtract the leader of its syndrome."""
+    p = table.matrix.p
+    word = [int(c) % p for c in word]
+    syn = syndrome(table.matrix, word)
+    err = tuple(table.leader_words([syn])[0].tolist())
+    cw = tuple((c - e) % p for c, e in zip(word, err))
+    return DecodeResult(cw, err, int(table.weights[syn]), syn)

@@ -111,8 +111,23 @@ def test_ambient_gate_refuses_at_once(capsys, monkeypatch, command, gate_args):
     assert time.perf_counter() - start < 2.0
     assert code == 1 and out == ""
     assert err.startswith("error: precondition:")
-    assert f"exceeds cap {1 << 26}" in err
+    # the coset table and the spectrum apply their own, lower stage limit
+    cap = 1 << 20 if command in ("spectrum", "code-verify", "decode") else 1 << 26
+    assert f"exceeds cap {cap}" in err
     assert len(err) < 200
+
+
+@pytest.mark.parametrize("command", ["code-verify", "decode", "spectrum"])
+def test_stage_gate_refuses_before_building(capsys, monkeypatch, command):
+    # q^2 = 4093^2 passes the ambient gate but not the 2^20 limit of the
+    # coset table or of the spectrum, which refuse before H is built
+    monkeypatch.setattr("sys.stdin", io.StringIO("0\n"))
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "--p", "4093", "--family", "plus")
+    assert time.perf_counter() - start < 2.0
+    assert code == 1 and out == ""
+    assert err.startswith("error: precondition:")
+    assert f"exceeds cap {1 << 20}" in err
 
 
 def test_uncoverable_decode_is_verification_error(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Parity-check matrices, coset-leader decoding and the cross-checked verdict."""
 
 import functools
+import tracemalloc
 
 import numpy as np
 import oracles
@@ -11,13 +12,12 @@ from hypothesis import strategies as st
 from quasilee import codes
 from quasilee.codes import (CosetLeaderTable, DecodeResult, VerificationError,
                             build_code, code_parameters, coset_leader_table,
-                            decode, decode_words, lee_ball_array,
-                            lee_distance, lee_weight,
+                            decode, decode_words, lee_ball_support, lee_weight,
                             matrix_from_json_dict, matrix_from_text,
                             parity_check_matrix, rank_mod_p, round_trip_check,
                             syndrome, syndromes, verify_quasi_perfect)
 from quasilee.curves import from_representatives, generator_set
-from quasilee.fields import make_field, pair_index
+from quasilee.fields import make_field, pair_add, pair_index
 from quasilee.sumsets import (MAX_LAYERS, CoverageError, cumulative_layers,
                               lee_ball_size)
 
@@ -40,84 +40,24 @@ def all_leaders(table) -> list:
     return table.leader_words(np.arange(table.size)).tolist()
 
 
-# -- scalar oracles ----------------------------------------------------------------
-# Independent of the array code in quasilee.codes and of the index kernel in
-# quasilee.fields: they walk the group F_q x F_q one oracles.pair_add at a
-# time.
-
-def scalar_syndrome(mat, word) -> int:
-    """sum_j word_j * beta_j by scalar pair arithmetic."""
-    ctx = mat.generator.base
-    syn = 0
-    for c, rep in zip(word, mat.generator.reps):
-        syn = oracles.pair_add(ctx, syn, oracles.pair_scale(ctx, rep, c))
-    return syn
-
-
-def scalar_lee_ball(n, p, radius) -> list:
-    """Lee ball words by depth-first recursion: for each position j, weight
-    w and value w then p - w, the word, then its extensions past j."""
-    half = (p - 1) // 2
-    out = [tuple([0] * n)]
-    vec = [0] * n
-
-    def extend(start, budget):
-        for j in range(start, n):
-            for w in range(1, min(budget, half) + 1):
-                for val in (w, p - w):
-                    vec[j] = val
-                    out.append(tuple(vec))
-                    extend(j + 1, budget - w)
-                vec[j] = 0
-
-    extend(0, radius)
-    return out
-
-
-def scalar_bfs_leaders(mat) -> tuple:
-    """Coset leaders and their weights by a scalar breadth-first search.
-
-    Level w + 1 extends each level-w leader, in first-recorded order, by
-    the steps +1 then -1 at positions 0 .. n-1 that raise its Lee weight
-    by exactly one; a syndrome keeps the first leader that reaches it.
-    """
-    gen = mat.generator
-    ctx, p, n = gen.base, gen.p, gen.n
-    shifts = [(rep, oracles.pair_neg(ctx, rep)) for rep in gen.reps]
-    leaders = [None] * gen.ambient_size
-    weights = [-1] * gen.ambient_size
-    leaders[0], weights[0] = tuple([0] * n), 0
-    frontier = [0]
-    w = 0
-    while frontier and w < MAX_LAYERS:
-        nxt = []
-        for syn in frontier:
-            err = leaders[syn]
-            for j in range(n):
-                v = err[j]
-                for dv, shift in zip((1, -1), shifts[j]):
-                    nv = (v + dv) % p
-                    if min(nv, p - nv) != min(v, p - v) + 1:
-                        continue
-                    s2 = oracles.pair_add(ctx, syn, shift)
-                    if leaders[s2] is None:
-                        leaders[s2] = err[:j] + (nv,) + err[j + 1:]
-                        weights[s2] = w + 1
-                        nxt.append(s2)
-        frontier = nxt
-        w += 1
-    return tuple(leaders), weights
-
-
-def scalar_decode(table, word) -> DecodeResult:
-    """The one-word-at-a-time decoder that ``decode_words`` replaced: reduce
-    the word as Python ints, then subtract the leader of its syndrome."""
-    p = table.matrix.p
-    word = [int(c) % p for c in word]
-    syn = syndrome(table.matrix, word)
-    err = tuple(table.leader_words([syn])[0].tolist())
-    cw = tuple((c - e) % p for c, e in zip(word, err))
-    return DecodeResult(cw, err, int(table.weights[syn]), syn)
+def ball_words(n, p, radius) -> list:
+    """The words of ``lee_ball_support``, in its row order.  Each row must
+    list its support first, positions ascending and values nonzero, and
+    then only (0, 0) pairs."""
+    pos, val = lee_ball_support(n, p, radius)
+    assert pos.dtype == val.dtype == np.int64
+    width = min(radius, n)
+    assert pos.shape == val.shape == (len(pos), width)
+    words = []
+    for ps, vs in zip(pos.tolist(), val.tolist()):
+        m = sum(v != 0 for v in vs)
+        assert all(0 < v < p for v in vs[:m]) and ps[:m] == sorted(set(ps[:m]))
+        assert ps[m:] == vs[m:] == [0] * (width - m)
+        word = [0] * n
+        for j, v in zip(ps[:m], vs[:m]):
+            word[j] = v
+        words.append(tuple(word))
+    return words
 
 
 # -- Lee metric ----------------------------------------------------------------
@@ -134,38 +74,34 @@ def test_lee_weight_frozen():
        st.lists(st.integers(-30, 30), min_size=1, max_size=6),
        st.lists(st.integers(-30, 30), min_size=1, max_size=6))
 def test_lee_distance_is_a_metric(p, a, b):
+    # the Lee distance of a and b is the Lee weight of a - b
     m = min(len(a), len(b))
     a, b = a[:m], b[:m]
-    assert lee_distance(a, b, p) == lee_distance(b, a, p)
-    assert (lee_distance(a, b, p) == 0) == all((x - y) % p == 0
-                                               for x, y in zip(a, b))
-    zero = [0] * m
-    assert lee_distance(a, zero, p) == lee_weight(a, p)
-    assert lee_distance(a, b, p) <= lee_weight(a, p) + lee_weight(b, p)
+
+    def dist(u, v):
+        return lee_weight([x - y for x, y in zip(u, v)], p)
+
+    assert dist(a, b) == dist(b, a)
+    assert (dist(a, b) == 0) == all((x - y) % p == 0 for x, y in zip(a, b))
+    assert dist(a, [0] * m) == lee_weight(a, p)
+    assert dist(a, b) <= lee_weight(a, p) + lee_weight(b, p)
     assert lee_weight(a, p) <= m * (p - 1) // 2
-
-
-def test_lee_distance_length_check():
-    with pytest.raises(ValueError, match="length mismatch"):
-        lee_distance([1, 2], [1], 5)
 
 
 @pytest.mark.parametrize("n,p,radius", [
     (0, 5, 2), (1, 3, 1), (2, 3, 2), (3, 7, 2), (5, 5, 3), (7, 13, 4),
-    (12, 3, 3), (20, 7, 3), (62, 5, 2)])
+    (12, 3, 3), (20, 7, 3), (62, 5, 2), (4, 7, 0)])
 def test_ball_array_matches_scalar_oracle(n, p, radius):
-    ball = codes.lee_ball_array(n, p, radius)
-    assert ball.dtype == np.int64 and ball.shape[1] == n
-    assert [tuple(w) for w in ball.tolist()] == scalar_lee_ball(n, p, radius)
+    assert ball_words(n, p, radius) == oracles.scalar_lee_ball(n, p, radius)
 
 
 def test_ball_vectors_are_distinct_and_light():
-    ball = [tuple(v) for v in lee_ball_array(3, 7, 2).tolist()]
+    ball = ball_words(3, 7, 2)
     assert len(ball) == len(set(ball)) == 25
     assert all(lee_weight(v, 7) <= 2 for v in ball)
     assert all(0 <= c < 7 for v in ball for c in v)
     # wraparound regime: radius 2 over Z_3 in two coordinates gives all words
-    assert len(lee_ball_array(2, 3, 2)) == 9
+    assert len(ball_words(2, 3, 2)) == 9
 
 
 # -- matrices and syndromes ------------------------------------------------------
@@ -209,14 +145,14 @@ def test_batched_syndromes_match_scalar_oracle(config, data):
         st.lists(st.integers(-3 * p, 3 * p), min_size=mat.n, max_size=mat.n),
         min_size=1, max_size=5))
     got = syndromes(mat, words)
-    assert got.tolist() == [scalar_syndrome(mat, w) for w in words]
+    assert got.tolist() == [oracles.scalar_syndrome(mat, w) for w in words]
     assert syndrome(mat, words[0]) == got[0]
 
 
 def test_syndrome_reduces_huge_entries():
     mat = matrix_for(13, 1, "plus")
     word = [10 ** 30, -(10 ** 25), 3, 0, 0, 0, 1]
-    assert syndrome(mat, word) == scalar_syndrome(mat, word)
+    assert syndrome(mat, word) == oracles.scalar_syndrome(mat, word)
 
 
 def test_rank_mod_p():
@@ -324,7 +260,7 @@ def test_leaders_attain_minimal_weight(p, k, family):
     mat = table.matrix
     n = mat.n
     best = {}
-    for v in lee_ball_array(n, p, table.max_weight).tolist():
+    for v in oracles.scalar_lee_ball(n, p, table.max_weight):
         s = syndrome(mat, v)
         w = lee_weight(v, p)
         best[s] = min(best.get(s, n * p), w)
@@ -340,9 +276,41 @@ def test_leaders_attain_minimal_weight(p, k, family):
 def test_table_matches_scalar_bfs_oracle(p, k, family):
     mat = matrix_for(p, k, family)
     table = coset_leader_table(mat)
-    leaders, weights = scalar_bfs_leaders(mat)
+    leaders, weights = oracles.scalar_bfs_leaders(mat)
     assert all_leaders(table) == [list(v) for v in leaders]
     assert table.weights.tolist() == weights
+
+
+def test_table_does_not_depend_on_chunk_size(monkeypatch):
+    default = {c: coset_leader_table(matrix_for(*c))
+               for c in [(97, 1, "plus"), (5, 3, "minus")]}
+    monkeypatch.setattr(codes, "_BFS_CHUNK", 7)
+    for config, want in default.items():
+        got = coset_leader_table(matrix_for(*config))
+        for name in ("parent", "step", "weights"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+    for config in [(13, 1, "plus"), (23, 1, "minus"), (5, 2, "plus")]:
+        mat = matrix_for(*config)
+        leaders, weights = oracles.scalar_bfs_leaders(mat)
+        table = coset_leader_table(mat)
+        assert all_leaders(table) == [list(v) for v in leaders]
+        assert table.weights.tolist() == weights
+
+
+def test_bfs_stops_at_the_chunk_that_fills_the_table(monkeypatch):
+    # p = 307 plus: 94 249 syndromes, 49 frontier chunks up to level 3, of
+    # which the sixth fills the table; every chunk makes one pair_add call
+    mat = matrix_for(307, 1, "plus")
+    calls = []
+
+    def counted(ctx, z1, z2):
+        calls.append(1)
+        return pair_add(ctx, z1, z2)
+
+    monkeypatch.setattr(codes, "pair_add", counted)
+    table = coset_leader_table(mat)
+    assert len(calls) == 6
+    assert table.histogram() == {0: 1, 1: 308, 2: 47432, 3: 46508}
 
 
 def test_table_is_a_bfs_tree():
@@ -382,7 +350,7 @@ def test_cap_too_small_raises():
 def test_decode_identifies_planted_errors():
     table = table_for(13, 1, "plus")
     cw = tuple([0] * 7)
-    for err in lee_ball_array(7, 13, 2).tolist():
+    for err in oracles.scalar_lee_ball(7, 13, 2):
         got = decode(table, err)
         assert got.codeword == cw
         assert got.error == tuple(err)
@@ -418,11 +386,11 @@ def test_decode_words_match_scalar_decode(p, k, family):
     n = table.matrix.n
     rng = np.random.default_rng(p * k)
     words = np.concatenate([rng.integers(-3 * p, 3 * p, size=(300, n)),
-                            lee_ball_array(n, p, 2)])
+                            oracles.scalar_lee_ball(n, p, 2)])
     cws, errs, weights, syns = decode_words(table, words)
     assert cws.shape == errs.shape == words.shape
     for i, word in enumerate(words.tolist()):
-        want = scalar_decode(table, word)
+        want = oracles.scalar_decode(table, word)
         got = DecodeResult(tuple(cws[i].tolist()), tuple(errs[i].tolist()),
                            int(weights[i]), int(syns[i]))
         assert got == want == decode(table, word)
@@ -432,7 +400,7 @@ def test_decode_reduces_huge_and_negative_entries():
     table = table_for(13, 1, "plus")
     word = [10 ** 30 + 1, -(10 ** 30 + 1), -1, 14, 0, 0, -27]
     reduced = [c % 13 for c in word]
-    want = scalar_decode(table, word)
+    want = oracles.scalar_decode(table, word)
     assert decode(table, word) == decode(table, reduced) == want
     cws, errs, _, _ = decode_words(table, [word, reduced])
     assert tuple(cws[0].tolist()) == tuple(cws[1].tolist()) == want.codeword
@@ -510,17 +478,33 @@ def test_verify_quasi_perfect_p13():
 def test_verify_skips_radius_three_ball_by_pigeonhole(monkeypatch):
     code = build_code(97, 1, "plus")
     assert lee_ball_size(code.n, 3) > 97 ** 2
-    real = codes.lee_ball_array
+    real = codes.lee_ball_support
 
     def no_radius_three(n, p, radius):
         if radius >= 3:
             raise AssertionError("radius-3 ball must not be enumerated")
         return real(n, p, radius)
 
-    monkeypatch.setattr(codes, "lee_ball_array", no_radius_three)
+    monkeypatch.setattr(codes, "lee_ball_support", no_radius_three)
     rep = verify_quasi_perfect(code)
     assert (rep.error_correction, rep.covering_radius) == (2, 3)
     assert rep.quasi_perfect
+
+
+def test_verify_and_round_trip_build_no_dense_ball():
+    # p = 307 plus: the radius-2 ball has 47 741 words of length 154, which
+    # as dense int64 rows alone take 56 MiB
+    code = build_code(307, 1, "plus")
+    table = coset_leader_table(code.matrix)
+    tracemalloc.start()
+    try:
+        rep = verify_quasi_perfect(code, table)
+        assert round_trip_check(table, trials=200, seed=0) == (200, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.quasi_perfect
+    assert peak < 16 << 20
 
 
 def test_verify_rejects_mismatched_table():

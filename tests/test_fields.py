@@ -13,7 +13,7 @@ from quasilee.fields import (AMBIENT_CAP, CharacterSumValue, QuadExt,
                              index_add, index_digits, index_neg, index_pack,
                              is_prime, kloosterman, make_field,
                              minus3_character, pair_add, pair_index, pair_neg,
-                             pair_split, residue_class_mod12, unity_cos_sin)
+                             residue_class_mod12, unity_cos_sin)
 
 F5 = make_field(5)
 F7 = make_field(7)
@@ -113,13 +113,16 @@ def test_field_axioms(data):
 
 @pytest.mark.parametrize("ctx", ALL, ids=lambda c: f"q{c.q}")
 def test_square_roots(ctx):
-    squares = {ctx.mul(a, a) for a in range(ctx.q)}
-    assert len(squares) == (ctx.q + 1) // 2
-    for s in squares:
-        r = ctx.sqrt(s)
-        assert ctx.mul(r, r) == s
-    with pytest.raises(ValueError, match="not a square"):
-        ctx.sqrt(ctx.nonsquare)
+    roots = {}
+    for a in range(ctx.q):
+        roots.setdefault(ctx.mul(a, a), []).append(a)
+    assert len(roots) == (ctx.q + 1) // 2
+    # a nonzero square has two roots, r and -r
+    for s, rs in roots.items():
+        assert len(rs) == (1 if s == 0 else 2)
+        assert ctx.quad_character(s) == (0 if s == 0 else 1)
+        assert {ctx.neg(r) for r in rs} == set(rs)
+    assert ctx.nonsquare not in roots
 
 
 def test_zero_division_paths():
@@ -289,7 +292,7 @@ def test_quad_ext_array_ops_match_scalar(base):
 
 def test_pair_helpers():
     assert pair_index(F13, 3, 4) == 3 + 13 * 4
-    assert pair_split(F13, 55) == (3, 4)
+    assert divmod(55, F13.q) == (4, 3)
     z = pair_index(F13, 5, 12)
     assert pair_add(F13, z, pair_neg(F13, z)) == 0
     assert oracles.pair_scale(F13, pair_index(F13, 2, 3), 4) == pair_index(F13, 8, 12)

@@ -1,10 +1,11 @@
 """Repository hygiene: no assert-based verification in the library, every
-demo runs to completion, and every library name the benchmark reaches
-exists."""
+demo runs to completion, every library name the benchmark reaches exists,
+and no library function or class is there for the tests alone."""
 
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 import types
@@ -17,6 +18,7 @@ import quasilee
 ROOT = Path(__file__).parents[1]
 SOURCES = sorted((ROOT / "src" / "quasilee").glob("*.py"))
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def test_sources_found():
@@ -66,3 +68,34 @@ def test_benchmark_names_resolve():
     assert {"sumset", "code_parameters", "round_trip_check"} <= reached
     missing = sorted(name for name in reached if not hasattr(quasilee, name))
     assert missing == []
+
+
+def _names_used_outside_tests() -> set:
+    """Every name that the library, the demos and perfbench reach: names,
+    attributes, imported names and identifier strings such as the entries
+    of ``TRACED``.  The export lists of ``quasilee/__init__.py`` do not
+    count.  Files are parsed from their text, so nothing is written."""
+    used = set()
+    for path in SOURCES + DEMOS + BENCH:
+        exports = path == ROOT / "src" / "quasilee" / "__init__.py"
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and not exports:
+                used.update(alias.name for alias in node.names)
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and re.fullmatch(r"[\w.]+", node.value)):
+                used.add(node.value.rsplit(".", 1)[-1])
+    return used
+
+
+def test_no_library_name_serves_only_the_tests():
+    assert BENCH
+    used = _names_used_outside_tests()
+    unused = [f"{path.stem}.{node.name}" for path in SOURCES
+              for node in ast.parse(path.read_text()).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name not in used]
+    assert unused == [], "used only by tests (move them to tests/oracles.py)"

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasilee.codes import lee_ball_array
 from quasilee.curves import generator_set
 from quasilee.fields import make_field
 from quasilee.sumsets import (NEITHER, QUASI_PERFECT_2, classify,
@@ -110,7 +109,7 @@ def test_lee_ball_size_radius3_always_integer():
 @given(n=st.integers(1, 5), r=st.integers(0, 3), p=st.sampled_from([7, 11, 13]))
 def test_ball_size_matches_enumeration(n, r, p):
     # formula counts Z_p^n words whenever p >= 2r + 1
-    assert lee_ball_size(n, r) == len(lee_ball_array(n, p, r))
+    assert lee_ball_size(n, r) == len(oracles.scalar_lee_ball(n, p, r))
 
 
 # -- raw sumsets ---------------------------------------------------------------
