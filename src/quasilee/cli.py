@@ -18,6 +18,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .codes import (MAX_TABLE_VERTICES, VerificationError, code_parameters,
                     coset_leader_table, decode_words, matrix_from_json_dict,
                     matrix_from_text, parity_check_matrix, round_trip_check,
@@ -29,8 +31,9 @@ from .spectra import DEFAULT_SPECTRUM_BUDGET, full_spectrum
 from .sumsets import CoverageError, classify
 
 _YESNO = {True: "yes", False: "no"}
-# non-comment stdin lines that `decode` decodes per batch call; a block,
-# not all of stdin, so that memory does not grow with the input
+# non-comment stdin lines that `decode` parses and decodes per batch call;
+# a block, not all of stdin, so that the parsed words do not grow with the
+# input (the output is held to the end, so that a bad line leaves it empty)
 _DECODE_BLOCK = 256
 
 
@@ -205,31 +208,40 @@ def cmd_code_verify(args) -> str:
             f"round_trip: {ok}/{total} seed={args.seed}\n")
 
 
-def _decoded_lines(table, rows, fmt, digits) -> list:
-    """Output lines for a block of parsed words, from one batch decode;
-    ``digits[v]`` is ``str(v)`` for every residue v."""
-    cws, errs, weights, _ = decode_words(table, rows)
-    decoded = zip(cws.tolist(), errs.tolist(), weights.tolist())
-    if fmt == "json":
-        return [json.dumps({"codeword": c, "error": e, "weight": w}, sort_keys=True)
-                for c, e, w in decoded]
-    return [f"{' '.join(map(digits.__getitem__, c))} | "
-            f"{' '.join(map(digits.__getitem__, e))} | {w}" for c, e, w in decoded]
-
-
-def cmd_decode(args) -> str:
-    mat = _load_matrix(args)
-    if mat is None:
-        mat = parity_check_matrix(_generator(args))
-    table = coset_leader_table(mat)
-    n, digits = mat.n, [str(v) for v in range(mat.p)]
-    out, rows = [], []
-    for lineno, line in enumerate(sys.stdin, start=1):
+def _blocks(stream):
+    """The (line number, stripped line) pairs of the non-comment lines of
+    ``stream``, in lists of ``_DECODE_BLOCK``."""
+    block = []
+    for lineno, line in enumerate(stream, start=1):
         line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        # each line is checked as it is read, so the first bad line is the
-        # one reported, whatever the block it falls in
+        if line and not line.startswith("#"):
+            block.append((lineno, line))
+            if len(block) == _DECODE_BLOCK:
+                yield block
+                block = []
+    if block:
+        yield block
+
+
+def _plain_words(lines, n):
+    """The lines as an m x n int64 array when each is n ASCII digit strings
+    joined by single spaces, every one below 10^18; otherwise None."""
+    text = " ".join(lines)
+    if not (text.isascii() and text.replace(" ", "").isdigit()
+            and "  " not in text and all(ln.count(" ") == n - 1 for ln in lines)):
+        return None
+    words = np.fromstring(text, dtype=np.int64, sep=" ")
+    # numpy clamps a value beyond int64 to 2^63 - 1 without a warning
+    if words.size != len(lines) * n or (words >= 10 ** 18).any():
+        return None
+    return words.reshape(len(lines), n)
+
+
+def _int_words(block, n) -> list:
+    """The block's lines parsed token by token with ``int``: the reference
+    route for every input, and the one that names the first bad line."""
+    rows = []
+    for lineno, line in block:
         try:
             row = list(map(int, line.split()))
         except ValueError as exc:
@@ -238,12 +250,61 @@ def cmd_decode(args) -> str:
             raise ValueError(f"line {lineno}: length mismatch: "
                              f"expected {n}, got {len(row)}")
         rows.append(row)
-        if len(rows) == _DECODE_BLOCK:
-            out += _decoded_lines(table, rows, args.fmt, digits)
-            rows = []
-    if rows:
-        out += _decoded_lines(table, rows, args.fmt, digits)
-    return "\n".join(out) + ("\n" if out else "")
+    return rows
+
+
+# the literal pieces of one output line: the separator of two entries, then
+# the text before the codeword, before the error, before the weight and after it
+_LINE_PIECES = {"text": (" ", "", " | ", " | ", "\n"),
+                "json": (", ", '{"codeword": [', '], "error": [', '], "weight": ',
+                         "}\n")}
+
+
+def _byte_table(strings) -> np.ndarray:
+    """One uint8 row per ASCII string, padded with NUL bytes to one width."""
+    width = max(map(len, strings))
+    return np.frombuffer(b"".join(s.encode().ljust(width, b"\0") for s in strings),
+                         dtype=np.uint8).reshape(len(strings), width)
+
+
+def _format_lines(cws, errs, weights, digits, wdigits, pieces) -> bytes:
+    """The output lines of a decoded block, built as one byte array.
+    ``digits[v]`` holds the separator and ``str(v)``, ``wdigits[w]`` holds
+    ``str(w)``, both NUL-padded; the NULs and the separator before the first
+    entry of each word are dropped."""
+    m, cut = len(weights), len(pieces[0])
+    head, mid, tail, end = (np.broadcast_to(np.frombuffer(s.encode(), dtype=np.uint8),
+                                            (m, len(s))) for s in pieces[1:])
+    cols = [head, digits[cws].reshape(m, -1)[:, cut:], mid,
+            digits[errs].reshape(m, -1)[:, cut:], tail, wdigits[weights], end]
+    return np.concatenate(cols, axis=1).tobytes().translate(None, b"\0")
+
+
+def cmd_decode(args) -> str:
+    """Decode stdin in blocks of ``_DECODE_BLOCK`` non-comment lines, each
+    parsed, decoded and formatted as arrays.  A block whose lines are all
+    plain (n ASCII digit strings joined by single spaces, each below 10^18)
+    goes through numpy's text parser; any other block goes token by token
+    through ``int``, so every token is read or refused as ``int`` does, and
+    the first bad line of stdin is the one named, since earlier blocks
+    parsed cleanly."""
+    mat = _load_matrix(args)
+    if mat is None:
+        mat = parity_check_matrix(_generator(args))
+    table = coset_leader_table(mat)
+    n, pieces = mat.n, _LINE_PIECES[args.fmt]
+    digits = _byte_table([pieces[0] + str(v) for v in range(mat.p)])
+    wdigits = _byte_table([str(w) for w in range(table.max_weight + 1)])
+    # one growing buffer rather than a list of blocks joined at the end,
+    # so the output is held once, not twice
+    out = bytearray()
+    for block in _blocks(sys.stdin):
+        words = _plain_words([line for _, line in block], n)
+        if words is None:
+            words = _int_words(block, n)
+        cws, errs, weights, _ = decode_words(table, words)
+        out += _format_lines(cws, errs, weights, digits, wdigits, pieces)
+    return out.decode()
 
 
 def cmd_lemma_suite(args) -> str:

@@ -381,6 +381,24 @@ def test_decode_reduces_huge_and_negative_tokens(capsys, monkeypatch):
     assert code == 0 and err == ""
     assert out == ("3 0 0 0 0 1 12 | 12 0 0 0 0 12 0 | 2\n"
                    "10 0 0 0 0 12 1 | 1 0 0 0 0 1 0 | 2\n")
+    # single-spaced lines that reach the array parse: entries at or beyond
+    # 10^18 (which numpy would clamp to 2^63 - 1) and spellings only int
+    # reads must decode as the words of their residues, alone in a block or not
+    tokens = ["999999999999999999", str(10 ** 18), "9223372036854775807",
+              "9223372036854775808", "18446744073709551617", "007",
+              "+5", "1_0", "\u0663"]
+    lines = [" ".join(["1"] * (i % 7) + [t] + ["2"] * (6 - i % 7))
+             for i, t in enumerate(tokens)]
+    reduced = [" ".join(str(int(t) % 13) for t in line.split(" ")) for line in lines]
+    for block in (None, 1):
+        if block is not None:
+            monkeypatch.setattr(cli, "_DECODE_BLOCK", block)
+        outs = []
+        for text in (lines, reduced):
+            monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(text) + "\n"))
+            outs.append(run(capsys, "decode", "--p", "13", "--family", "plus"))
+        assert outs[0] == outs[1] and outs[0][0] == 0
+        assert len(outs[0][1].splitlines()) == len(tokens)
 
 
 @pytest.mark.parametrize("block", [None, 1, 2])
@@ -389,7 +407,10 @@ def test_decode_reduces_huge_and_negative_tokens(capsys, monkeypatch):
      "line 2: length mismatch: expected 7, got 3"),
     (["0 0 0 0 0 0 0", "0 x", "1 2 3"],
      "line 2: invalid literal for int() with base 10: 'x'"),
-], ids=["short-then-unparsable", "unparsable-then-short"])
+    # 6 + 8 tokens: the block still holds 7 per line on average
+    (["0 0 0 0 0 0 0", "1 2 3 4 5 6", "1 2 3 4 5 6 7 8"],
+     "line 2: length mismatch: expected 7, got 6"),
+], ids=["short-then-unparsable", "unparsable-then-short", "short-then-long"])
 def test_decode_reports_first_bad_line(capsys, monkeypatch, block, lines, message):
     # lines 2 and 3 share a block by default; blocks of 1 or 2 split them
     if block is not None:
@@ -409,17 +430,35 @@ def test_decode_reports_first_bad_line(capsys, monkeypatch, block, lines, messag
 DECODE_CONFIGS = {(13, 1, "plus"): 7, (23, 1, "minus"): 11,
                   (5, 2, "plus"): 13, (7, 2, "minus"): 24}
 
-# sha256 of the stdout of the one-word-at-a-time decoder that the block
-# decoder replaced, on ``decode_stream``
+# sha256 of the stdout on each stream of ``STREAMS``: on the mixed stream
+# that of the one-word-at-a-time decoder that the block decoder replaced,
+# on the plain and alternating streams that of the per-token ``int`` parse
+# and per-line formatting that the array parse and formatter replaced
 DECODE_SHA256 = {
-    (13, 1, "plus", "text"): "6c8c884144846ce998a6aa3dd74ea57a5a5d669d37cd5cbbc43553b00f247fbf",
-    (13, 1, "plus", "json"): "05cbb53a9a176aa454760f1f5c0d44cb042c7051edfa12ee6975f263e5c7d987",
-    (23, 1, "minus", "text"): "07d224a18e37e8ceb78b2fe2f9b758917456a29884cba2dc8bc379217ff59f6d",
-    (23, 1, "minus", "json"): "3d65c4f34539c9bc1bd7f0660d02c68b4a9edbd770768a22e2df9578fe541057",
-    (5, 2, "plus", "text"): "4fdb262dac00798d5c2f36b29a430c24d4747c575bededbfd6e5c7331ea719b5",
-    (5, 2, "plus", "json"): "1c3d4599ed5ad4aefb701c3ca4869c637d247ae96fcbc8253867622b068864e4",
-    (7, 2, "minus", "text"): "3846bdd3e82fc59825f10c5ea491186d0e96dd92512ee9abe353dd78379b337e",
-    (7, 2, "minus", "json"): "0be22c920eec3dba08ebefe479f0a2c9aed60ecbfe80adeb05542405b9b04e68",
+    ("mixed", 13, 1, "plus", "text"): "6c8c884144846ce998a6aa3dd74ea57a5a5d669d37cd5cbbc43553b00f247fbf",
+    ("mixed", 13, 1, "plus", "json"): "05cbb53a9a176aa454760f1f5c0d44cb042c7051edfa12ee6975f263e5c7d987",
+    ("mixed", 23, 1, "minus", "text"): "07d224a18e37e8ceb78b2fe2f9b758917456a29884cba2dc8bc379217ff59f6d",
+    ("mixed", 23, 1, "minus", "json"): "3d65c4f34539c9bc1bd7f0660d02c68b4a9edbd770768a22e2df9578fe541057",
+    ("mixed", 5, 2, "plus", "text"): "4fdb262dac00798d5c2f36b29a430c24d4747c575bededbfd6e5c7331ea719b5",
+    ("mixed", 5, 2, "plus", "json"): "1c3d4599ed5ad4aefb701c3ca4869c637d247ae96fcbc8253867622b068864e4",
+    ("mixed", 7, 2, "minus", "text"): "3846bdd3e82fc59825f10c5ea491186d0e96dd92512ee9abe353dd78379b337e",
+    ("mixed", 7, 2, "minus", "json"): "0be22c920eec3dba08ebefe479f0a2c9aed60ecbfe80adeb05542405b9b04e68",
+    ("alternating", 5, 2, "plus", "json"): "ed3a082abcc6068ddf817c6f7a1d3e4959ac013a7988eb7edb1b2e39c34b8d74",
+    ("alternating", 5, 2, "plus", "text"): "86fc254436956887ee15fadd6560a8a2b265275801bfc900c069f6dfe566ce06",
+    ("alternating", 7, 2, "minus", "json"): "996e72ae8b45e685cf4bde1897b48be339ede4f6132b5b7957928efca98a733e",
+    ("alternating", 7, 2, "minus", "text"): "f341371757b44bb2cc98ac1855a34abb4b654285a230b57d746221445925a977",
+    ("alternating", 13, 1, "plus", "json"): "4b9661597050b15f009203cf9ee30f800a98f91e25b95735aff56d84b91854e4",
+    ("alternating", 13, 1, "plus", "text"): "cfacd414340ecb55e0e6ef026a05298d43e315534dd38a653c1f82b3bf468580",
+    ("alternating", 23, 1, "minus", "json"): "f34102c71f83aaacc5bdc3f238a0c5ffb0fdfaa043ca867b8fae1e38990f70df",
+    ("alternating", 23, 1, "minus", "text"): "3c4aea48860fe9eb22cee63837a4bd295e8b6745bb85c19a4e85734c4e15ca5c",
+    ("plain", 5, 2, "plus", "json"): "060b3c9301f26732c71d801bbcb7f64519a5b5e270261e3d21ef1add34525a2f",
+    ("plain", 5, 2, "plus", "text"): "11ce43ae6a0e92e2a127194bf71582a162b4dbad7d7fc0cf513c65c443285765",
+    ("plain", 7, 2, "minus", "json"): "f9aac1940b630d5afdd8e1def19b03e5da66b03a00df67df2fa861c668ee2775",
+    ("plain", 7, 2, "minus", "text"): "69ff8da174d63a6fe4ee7e5943e5be235eda7eb841d3a4ee4d865098a4fa64b6",
+    ("plain", 13, 1, "plus", "json"): "d8f9b0eab05c94f67601759a872b44fe289570b89d0b99837c055b9589c7120e",
+    ("plain", 13, 1, "plus", "text"): "7ac692bd4500791c5389d228275854c03390f586979b2defe8e9899de542c85f",
+    ("plain", 23, 1, "minus", "json"): "74f6d9d0a3153f65d083f09126858add6083b786e7b8453d373b2cedf1f78863",
+    ("plain", 23, 1, "minus", "text"): "c9f91ae674aa843a1e86c0410ec152033a56361d6e902f358ae71e916f2b9236",
 }
 
 
@@ -444,21 +483,91 @@ def decode_stream(p, n, words=2000, seed=7):
     return "\n".join(lines) + rng.choice(["", "\n"])
 
 
+def plain_stream(p, n, words=2000, seed=7):
+    """A seeded stdin of plain words: entries in [0, p) separated by single
+    spaces, one word per line, no comments."""
+    rng = random.Random(seed * 1013 + p * n)
+    return "".join(" ".join(str(rng.randrange(p)) for _ in range(n)) + "\n"
+                   for _ in range(words))
+
+
+# spellings of an entry v that only ``int`` reads
+INT_ONLY = [lambda v: f"-{v}", lambda v: f"+{v}", lambda v: f"{v}_0",
+            lambda v: "".join(chr(0x660 + int(d)) for d in str(v)),
+            lambda v: str(10 ** 18 + v), lambda v: str(10 ** 30 + v)]
+
+
+def alternating_stream(p, n, words=2000, seed=7):
+    """A seeded stdin whose words, counted in threes, alternate between
+    plain groups and groups holding one word that only ``int`` reads (a
+    signed, underscored, non-ASCII or 19-digit entry, a tab or a double
+    space), with comments, blank lines and outer whitespace in between."""
+    rng = random.Random(seed * 1019 + p * n)
+    lines, bad = [], -1
+    for i in range(words):
+        if rng.random() < 0.05:
+            lines.append(rng.choice(["# comment", "", "  "]))
+        if i % 6 == 3:
+            bad = i + rng.randrange(3)
+        row = [str(rng.randrange(p)) for _ in range(n)]
+        sep = " "
+        if i == bad:
+            form = rng.randrange(len(INT_ONLY) + 2)
+            if form < len(INT_ONLY):
+                j = rng.randrange(n)
+                row[j] = INT_ONLY[form](int(row[j]))
+            else:
+                sep = ["\t", "  "][form - len(INT_ONLY)]
+        elif rng.random() < 0.1:
+            j = rng.randrange(n)
+            row[j] = "00" + row[j]
+        lines.append(rng.choice(["", " ", "\t"]) + sep.join(row)
+                     + rng.choice(["", " "]))
+    return "\n".join(lines) + "\n"
+
+
+STREAMS = {"mixed": decode_stream, "plain": plain_stream,
+           "alternating": alternating_stream}
+
+
 @pytest.mark.parametrize("block", [None, 3])
-@pytest.mark.parametrize("p,k,family,fmt", sorted(DECODE_SHA256))
-def test_decode_stream_pinned(capsys, monkeypatch, tmp_path, p, k, family, fmt,
-                              block):
+@pytest.mark.parametrize(
+    "stream,p,k,family,fmt", sorted(DECODE_SHA256),
+    # the mixed stream keeps the ids it had before the other streams came
+    ids=["-".join(map(str, key[1:] if key[0] == "mixed" else key))
+         for key in sorted(DECODE_SHA256)])
+def test_decode_stream_pinned(capsys, monkeypatch, tmp_path, stream, p, k,
+                              family, fmt, block):
     if block is not None:
         monkeypatch.setattr(cli, "_DECODE_BLOCK", block)
     mat = tmp_path / "m.txt"
     assert main(["code-gen", "--p", str(p), "--k", str(k), "--family", family,
                  "--out", str(mat)]) == 0
     monkeypatch.setattr("sys.stdin", io.StringIO(
-        decode_stream(p, DECODE_CONFIGS[(p, k, family)])))
+        STREAMS[stream](p, DECODE_CONFIGS[(p, k, family)])))
     code, out, err = run(capsys, "decode", "--matrix", str(mat), "--format", fmt)
     assert code == 0 and err == ""
     assert len(out.splitlines()) == 2000
-    assert hashlib.sha256(out.encode()).hexdigest() == DECODE_SHA256[(p, k, family, fmt)]
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == DECODE_SHA256[(stream, p, k, family, fmt)]
+
+
+def test_decode_plain_blocks_skip_int(capsys, monkeypatch, tmp_path):
+    # plain blocks take the array parse and every other block the int loop,
+    # so the alternating stream falls back in exactly its 333 odd groups
+    calls = []
+    int_words = cli._int_words
+    monkeypatch.setattr(cli, "_int_words",
+                        lambda block, n: calls.append(block) or int_words(block, n))
+    monkeypatch.setattr(cli, "_DECODE_BLOCK", 3)
+    for stream, fallbacks in (("plain", 0), ("alternating", 333)):
+        monkeypatch.setattr("sys.stdin", io.StringIO(STREAMS[stream](13, 7)))
+        code, out, err = run(capsys, "decode", "--p", "13", "--family", "plus")
+        assert code == 0 and err == ""
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == DECODE_SHA256[(stream, 13, 1, "plus", "text")]
+        assert len(calls) == fallbacks
+        calls.clear()
 
 
 # -- lemma suite -----------------------------------------------------------------------
