@@ -136,13 +136,14 @@ def matrix_from_text(text: str) -> ParityCheckMatrix:
 
 
 def matrix_from_json_dict(d: dict) -> ParityCheckMatrix:
-    """Parse ``to_json_dict`` output; ValueError names a bad field."""
+    """Parse ``to_json_dict`` output; ValueError names a bad field.  Types
+    match exactly: JSON true/false are bool, an int subclass, not ints."""
     for key, kind in (("p", int), ("k", int), ("n", int), ("family", str),
                       ("rows", list)):
-        if not isinstance(d.get(key), kind):
+        if type(d.get(key)) is not kind:
             raise ValueError(f"matrix JSON field {key!r} is missing or "
                              f"not of type {kind.__name__}")
-    if not all(isinstance(r, list) and all(isinstance(v, int) for v in r)
+    if not all(type(r) is list and all(type(v) is int for v in r)
                for r in d["rows"]):
         raise ValueError("matrix JSON field 'rows' must hold lists of integers")
     return _matrix_from_parts(d["p"], d["k"], d["n"], d["family"], d["rows"])

@@ -20,7 +20,8 @@ routes they are checked with live in ``tests/oracles.py``.
 
 ``AMBIENT_CAP`` bounds q^2.  ``check_ambient`` applies it before any
 trial division, multiplying by p only until the product passes the cap,
-so a huge p or k is refused at once.
+so a huge p or k is refused at once (and |p| < 2 goes on to the
+primality test at once).
 
 On top of the ground field sit:
 
@@ -28,7 +29,9 @@ On top of the ground field sit:
   canonical (smallest-index) nonsquare delta.  Elements are pairs
   (x, y) = x + sqrt(delta)*y packed into the single index x + q*y.
 * quadratic Gauss sums, checked on the fly against their classical
-  closed form, and Kloosterman sums with the Hasse-Weil bound;
+  closed form, and Kloosterman sums with the Hasse-Weil bound, each one
+  row of ``gauss_counts``/``kloosterman_counts``, which count every
+  character sum by the one kernel ``trace_counts``;
 * quadratic-residue predicates for -1, 3 and -3 modulo a prime,
   evaluated both by congruence rule and by direct character computation.
 
@@ -58,7 +61,10 @@ class SizeCapError(ValueError):
 def check_ambient(p: int, k: int, cap: int = AMBIENT_CAP) -> None:
     """SizeCapError unless q^2 = p**(2k) <= cap.  The product stops growing
     once it passes the cap, so neither a huge p nor a huge k costs time,
-    and the message names q^2 only when it is at most cap * |p| <= cap**2."""
+    and the message names q^2 only when it is at most cap * |p| <= cap**2.
+    For |p| < 2 it never grows, so such a p is let through at once."""
+    if abs(p) < 2:
+        return
     size = 1
     for step in range(1, 2 * k + 1):
         size *= abs(p)
@@ -414,6 +420,44 @@ class CharacterSumValue:
         return cls(p, counts, float(vec @ cos), float(vec @ sin))
 
 
+def trace_counts(ctx: FieldCtx, args: np.ndarray) -> np.ndarray:
+    """How many entries along the last axis of ``args`` have trace j, shape
+    args.shape[:-1] + (p,): one bincount over row * p + trace(arg)."""
+    lead = args.shape[:-1]
+    rows = math.prod(lead)
+    keys = np.arange(rows).reshape(lead + (1,)) * ctx.p + ctx.trace_table[args]
+    return np.bincount(keys.ravel(), minlength=rows * ctx.p).reshape(lead + (ctx.p,))
+
+
+def kloosterman_counts(ctx: FieldCtx, a, b) -> np.ndarray:
+    """Counts of the x != 0 with trace(a*x + b/x) = j; ints or broadcast
+    arrays, shape broadcast(a, b).shape + (p,)."""
+    x = np.arange(1, ctx.q)
+    a, b = np.asarray(a)[..., None], np.asarray(b)[..., None]
+    return trace_counts(ctx, ctx.add(ctx.mul(a, x), ctx.mul(b, ctx.inv(x))))
+
+
+def gauss_counts(ctx: FieldCtx, c, a) -> np.ndarray:
+    """Counts of the x in F_q with trace(c*x**2 + a*x) = j; ints or
+    broadcast arrays, shape broadcast(c, a).shape + (p,)."""
+    x = np.arange(ctx.q)
+    c, a = np.asarray(c)[..., None], np.asarray(a)[..., None]
+    return trace_counts(ctx, ctx.add(ctx.mul(c, ctx.mul(x, x)), ctx.mul(a, x)))
+
+
+def gauss_closed_form(ctx: FieldCtx, c, a):
+    """(-1)**(k-1) * eta(c) * sqrt(p*)**k * zeta_p**trace(-a**2/(4c)), the
+    classical value of the quadratic Gauss sum at (c, a), c nonzero, with
+    p* = (-1)**((p-1)/2) * p.  Complex; ints or broadcast arrays."""
+    p, k = ctx.p, ctx.k
+    cos, sin = unity_cos_sin(p)
+    shift = ctx.trace_table[ctx.neg(
+        ctx.mul(ctx.mul(a, a), ctx.inv(ctx.mul(c, ctx.embed(4)))))]
+    sqrt_pstar = math.sqrt(p) * (1 if p % 4 == 1 else 1j)
+    return ((-1) ** (k - 1) * sqrt_pstar ** k * ctx.quad_character(c)
+            * (cos[shift] + 1j * sin[shift]))
+
+
 def kloosterman(ctx: FieldCtx, a: int, b: int) -> float:
     """K(a, b) = sum over x != 0 of zeta_p**trace(a*x + b/x); real-valued.
 
@@ -422,11 +466,7 @@ def kloosterman(ctx: FieldCtx, a: int, b: int) -> float:
     """
     if b == 0:
         raise ValueError("kloosterman requires a nonzero second argument")
-    counts = [0] * ctx.p
-    for x in range(1, ctx.q):
-        e = ctx.trace(ctx.add(ctx.mul(a, x), ctx.mul(b, ctx.inv(x))))
-        counts[e] += 1
-    v = CharacterSumValue.from_counts(ctx.p, counts)
+    v = CharacterSumValue.from_counts(ctx.p, kloosterman_counts(ctx, a, b))
     if not abs(v.im) <= SUM_TOL:
         raise VerificationError(f"Kloosterman sum not real: im={v.im}")
     if not abs(v.re) <= 2.0 * math.sqrt(ctx.q) + SUM_TOL:
@@ -438,25 +478,13 @@ def kloosterman(ctx: FieldCtx, a: int, b: int) -> float:
 def gauss_quadratic_sum(ctx: FieldCtx, c: int, a: int) -> CharacterSumValue:
     """sum over x in F_q of zeta_p**trace(c*x**2 + a*x), c nonzero.
 
-    The result is checked against the classical closed form
-    (-1)**(k-1) * eta(c) * sqrt(p*)**k * zeta_p**trace(-a**2/(4c))
-    with p* = (-1)**((p-1)/2) * p, to 1e-9 per component; VerificationError
-    if they differ.
+    The result is checked against ``gauss_closed_form`` to 1e-9 per
+    component; VerificationError if they differ.
     """
     if c == 0:
         raise ValueError("quadratic coefficient must be nonzero")
-    counts = [0] * ctx.p
-    for x in range(ctx.q):
-        e = ctx.trace(ctx.add(ctx.mul(c, ctx.mul(x, x)), ctx.mul(a, x)))
-        counts[e] += 1
-    v = CharacterSumValue.from_counts(ctx.p, counts)
-
-    p, k = ctx.p, ctx.k
-    sqrt_pstar = math.sqrt(p) * (1 if p % 4 == 1 else 1j)
-    shift = ctx.trace(ctx.neg(ctx.mul(ctx.mul(a, a), ctx.inv(ctx.mul(ctx.embed(4), c)))))
-    closed = ((-1) ** (k - 1) * ctx.quad_character(c) * sqrt_pstar ** k
-              * complex(math.cos(2 * math.pi * shift / p),
-                        math.sin(2 * math.pi * shift / p)))
+    v = CharacterSumValue.from_counts(ctx.p, gauss_counts(ctx, c, a))
+    closed = gauss_closed_form(ctx, c, a)
     if not (abs(v.re - closed.real) <= SUM_TOL and abs(v.im - closed.imag) <= SUM_TOL):
         raise VerificationError(
             f"Gauss sum disagrees with closed form: {complex(v.re, v.im)} vs {closed}")

@@ -15,11 +15,11 @@ visits every term: the (q+1)^2 sums z1 + z2*w for every shift w != 0
 Kloosterman sums, and the q x q grid for the abscissa and hyperbola
 predicates and the cubic counts.  The double and triple sums are
 broadcast additions, not the FFT layers of ``sumsets``, so the battery
-stays independent of the code it certifies.  The tests compare these
-enumerations with the scalar ``kloosterman`` and ``gauss_quadratic_sum``
-of ``fields`` and with the scalar oracles ``shifted_circle_sum``,
-``shifted_norm_image``, ``circle_abscissas`` and
-``projective_cubic_count`` of ``tests/oracles.py``.
+stays independent of the code it certifies.  The Gauss and Kloosterman
+tables come from ``fields.gauss_counts``/``kloosterman_counts``.  The
+tests compare these enumerations with the scalar oracles of the same
+names and ``shifted_circle_sum``, ``shifted_norm_image``,
+``circle_abscissas`` and ``projective_cubic_count`` of ``tests/oracles.py``.
 
 ``lemma_battery(p, k)`` returns one ``LemmaCheck`` per fact; a check never
 raises, it reports failure with the offending detail instead.  Inside a
@@ -27,15 +27,17 @@ check a failing fact raises VerificationError, so no check depends on
 ``assert``.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .curves import norm_circle, unit_hyperbola
-from .fields import (CharacterSumValue, QuadExt, VerificationError, make_field,
-                     minus3_character, pair_add, residue_class_mod12,
-                     unity_cos_sin)
+from .fields import (CharacterSumValue, QuadExt, VerificationError,
+                     gauss_closed_form, gauss_counts, kloosterman_counts,
+                     make_field, minus3_character, pair_add,
+                     residue_class_mod12, unity_cos_sin)
 from .spectra import BOUND_TOL, full_spectrum
 
 IDENTITY_TOL = 1e-9
@@ -83,15 +85,6 @@ def _sum_mask(ext: QuadExt, a, b):
     return _mask(ext.size, pair_add(ext.base, a[:, None], b[None, :]))
 
 
-def _count_rows(ctx, args):
-    """Exponent counts along the last axis of ``args``: one bincount over
-    row * p + trace(arg), shape args.shape[:-1] + (p,)."""
-    lead = args.shape[:-1]
-    rows = math.prod(lead)
-    keys = np.arange(rows).reshape(lead + (1,)) * ctx.p + ctx.trace_table[args]
-    return np.bincount(keys.ravel(), minlength=rows * ctx.p).reshape(lead + (ctx.p,))
-
-
 def shifted_sum_masks(ext: QuadExt, members, ws, norms):
     """The shifted double sums H + H*w and their norm images.
 
@@ -110,30 +103,6 @@ def shifted_sum_masks(ext: QuadExt, members, ws, norms):
     image = np.zeros((len(ws), ext.q), dtype=bool)
     image[rows, norms[sums]] = True
     return seen, image
-
-
-def gauss_count_rows(ctx):
-    """Exponent counts of every quadratic Gauss sum, shape (q-1, q, p).
-
-    Entry [c-1, a, j] counts the x in F_q with trace(c*x**2 + a*x) = j,
-    as in the counts of ``gauss_quadratic_sum(ctx, c, a)``.
-    """
-    x = np.arange(ctx.q)
-    cx2 = ctx.mul(x[1:, None, None], ctx.mul(x, x))
-    ax = ctx.mul(x[:, None], x)
-    return _count_rows(ctx, ctx.add(cx2, ax))
-
-
-def kloosterman_count_rows(ctx):
-    """Exponent counts of every Kloosterman sum, shape (q-1, q-1, p).
-
-    Entry [a-1, b-1, j] counts the x != 0 with trace(a*x + b/x) = j; its
-    fold through cos is ``kloosterman(ctx, a, b)``.
-    """
-    units = np.arange(1, ctx.q)
-    ax = ctx.mul(units[:, None, None], units)
-    bx = ctx.mul(units[:, None], ctx.inv(units))
-    return _count_rows(ctx, ctx.add(ax, bx))
 
 
 def abscissa_grid(ctx):
@@ -170,6 +139,7 @@ def lemma_battery(p: int, k: int = 1) -> list:
     circle = norm_circle(ext)
     hyper = unit_hyperbola(ctx)
     eta_m3 = minus3_character(ctx)
+    x = np.arange(q)
 
     norms = ext.norm(np.arange(q * q))
     ones = np.array(circle.members)
@@ -179,9 +149,13 @@ def lemma_battery(p: int, k: int = 1) -> list:
     c3 = _sum_mask(ext, np.flatnonzero(c2), ones)
     h2 = _sum_mask(ext, units, units)
     h3 = _sum_mask(ext, np.flatnonzero(h2), units)
-    k_counts = kloosterman_count_rows(ctx)
-    # K(1, c), folded one value at a time exactly as ``kloosterman`` does
+    # entry [a-1, b-1] counts K(a, b); K(1, c) is folded one row at a time
+    # exactly as ``kloosterman`` does
+    k_counts = kloosterman_counts(ctx, x[1:, None], x[1:])
     k1 = [CharacterSumValue.from_counts(p, row) for row in k_counts[0]]
+
+    # built once, at its first use; a raise fails each check that uses it
+    circle_spectrum = functools.cache(lambda: full_spectrum(circle))
 
     results = []
 
@@ -194,16 +168,10 @@ def lemma_battery(p: int, k: int = 1) -> list:
 
     def gauss():
         cos, sin = unity_cos_sin(p)
-        counts = gauss_count_rows(ctx)
+        # entry [c-1, a] is the sum at (c, a)
+        counts = gauss_counts(ctx, x[1:, None], x)
         re, im = counts @ cos, counts @ sin
-        x = np.arange(q)
-        inv4c = ctx.inv(ctx.mul(x[1:], ctx.embed(4)))
-        shift = ctx.trace_table[ctx.neg(
-            ctx.mul(ctx.mul(x, x), inv4c[:, None]))]
-        sqrt_pstar = math.sqrt(p) * (1 if p % 4 == 1 else 1j)
-        scale = ((-1) ** (k - 1) * sqrt_pstar ** k
-                 * ctx.quad_character(x[1:])[:, None])
-        closed = scale * (cos[shift] + 1j * sin[shift])
+        closed = gauss_closed_form(ctx, x[1:, None], x)
         bad = _first(~((np.abs(re - closed.real) <= IDENTITY_TOL)
                        & (np.abs(im - closed.imag) <= IDENTITY_TOL)))
         if bad is not None:
@@ -222,7 +190,7 @@ def lemma_battery(p: int, k: int = 1) -> list:
                 raise VerificationError(f"|K(1, {b})| = {abs(v.re)} > 2*sqrt(q)")
         # substitution x -> x/a shows the sum depends only on a*b: the
         # exponent counts of K(a, b) are those of K(1, ab)
-        ab = ctx.mul(np.arange(1, q)[:, None], np.arange(1, q))
+        ab = ctx.mul(x[1:, None], x[1:])
         bad = _first((k_counts != k_counts[0][ab - 1]).any(axis=2))
         if bad is not None:
             a, b = bad[0] + 1, bad[1] + 1
@@ -398,7 +366,7 @@ def lemma_battery(p: int, k: int = 1) -> list:
     _run(results, "cubic_point_bounds", cubic)
 
     def eig_identity():
-        rep = full_spectrum(circle)
+        rep = circle_spectrum()
         kl = np.array([0.0] + [v.re for v in k1])
         worst = float(np.max(np.abs(rep.eigenvalues[1:] + kl[norms[1:]])))
         if not worst <= IDENTITY_TOL:
@@ -407,7 +375,7 @@ def lemma_battery(p: int, k: int = 1) -> list:
     _run(results, "circle_eigenvalue_identity", eig_identity)
 
     def spectral():
-        plus = full_spectrum(circle)
+        plus = circle_spectrum()
         minus = full_spectrum(hyper)
         if not plus.max_nontrivial_abs <= 2 * math.sqrt(q) + BOUND_TOL:
             raise VerificationError("norm-one circle graph must meet the Ramanujan bound")

@@ -21,7 +21,8 @@ member at a time and a dense eigensolver, both in ``tests/oracles.py``.
   eigenvalues -K(1, norm(alpha)); for minus ((a, b) -> (a*t, b/t)) a*b
   off the axes, giving K(1, a*b), plus one class each for the origin and
   the two axes, q + 2 classes.  Counts are taken once per class
-  representative.  The float eigenvalue is the fold of the exact counts
+  representative, by ``fields.trace_counts`` over the F_q arguments of
+  the pairing, the kernel that counts every character sum.  The float eigenvalue is the fold of the exact counts
   through cos(2*pi*j/p), so all real-ness and bound checks run against
   exactly counted data.  This holds only when H is exactly its family's
   curve, so other generator sets are refused.
@@ -43,7 +44,7 @@ import numpy as np
 
 from .curves import MINUS, PLUS, GeneratorSet
 from .fields import (SizeCapError, VerificationError, index_pack,
-                     unity_cos_sin)
+                     trace_counts, unity_cos_sin)
 
 DEFAULT_SPECTRUM_BUDGET = 1 << 20
 BOUND_TOL = 1e-9
@@ -125,17 +126,18 @@ def _class_keys(gen: GeneratorSet) -> np.ndarray:
     return keys
 
 
-def _pairing_exponents(gen: GeneratorSet, alphas: np.ndarray) -> np.ndarray:
-    """expo[i, j] = <alphas[i], members[j]>, as one (len(alphas), |H|) array."""
+def _pairing_arguments(gen: GeneratorSet, alphas: np.ndarray) -> np.ndarray:
+    """arg[i, j] in F_q with trace(arg[i, j]) = <alphas[i], members[j]>, as
+    one (len(alphas), |H|) array."""
     ctx, q = gen.base, gen.q
     beta = np.asarray(gen.members, dtype=np.int64)
     ax, ay = (alphas % q)[:, None], (alphas // q)[:, None]
     bx, by = beta % q, beta // q
     if gen.family == PLUS:
-        # xpart(alpha * beta) = ax*bx + delta*ay*by, doubled, then traced
+        # xpart(alpha * beta) = ax*bx + delta*ay*by, doubled
         xp = ctx.add(ctx.mul(ax, bx), ctx.mul(ay, ctx.mul(by, gen.ext.delta)))
-        return ctx.trace_table[ctx.add(xp, xp)]
-    return ctx.trace_table[ctx.add(ctx.mul(ax, bx), ctx.mul(ay, by))]
+        return ctx.add(xp, xp)
+    return ctx.add(ctx.mul(ax, bx), ctx.mul(ay, by))
 
 
 def _character_index(gen: GeneratorSet) -> np.ndarray:
@@ -189,18 +191,15 @@ def full_spectrum(gen: GeneratorSet) -> SpectrumReport:
         raise SizeCapError(
             f"{size} vertices exceed spectrum budget {DEFAULT_SPECTRUM_BUDGET}")
     _require_curve(gen)
-    p = gen.p
 
     class_index = _class_keys(gen).astype(np.int32)
     n_cls = gen.q + (0 if gen.family == PLUS else 2)
     # any member represents its class: the counts are the same on all of it
     reps = np.zeros(n_cls, dtype=np.int64)
     reps[class_index] = np.arange(size)
-    expo = _pairing_exponents(gen, reps)
-    cell = np.arange(n_cls)[:, None] * p + expo
-    class_counts = np.bincount(cell.ravel(), minlength=n_cls * p).reshape(n_cls, p)
+    class_counts = trace_counts(gen.base, _pairing_arguments(gen, reps))
 
-    cos, sin = unity_cos_sin(p)
+    cos, sin = unity_cos_sin(gen.p)
     if np.abs(class_counts @ sin).max() > BOUND_TOL:
         raise VerificationError("spectrum not real")
     eigs = _fold(class_counts, cos)[class_index]

@@ -9,10 +9,10 @@ this shares code with ``quasilee.fields.index_add``/``index_neg`` or with
 the log tables of ``FieldCtx.mul``, so a test that compares the two does
 not check a kernel against itself.
 
-The point counts, the shifted double sums and the spectrum oracles below
-add only with ``field_add``/``pair_add``; they multiply with the scalar
-``FieldCtx.mul``, which ``tests/test_fields.py`` checks against
-``field_mul``.  The decoder-stack oracles at the end walk F_q x F_q the
+The character sums, the point counts, the shifted double sums and the
+spectrum oracles below add only with ``field_add``/``pair_add``, one term
+at a time; they multiply with the scalar ``FieldCtx.mul``, which
+``tests/test_fields.py`` checks against ``field_mul``.  The decoder-stack oracles at the end walk F_q x F_q the
 same way: the syndrome of one word, the Lee ball by recursion, and a
 breadth-first search over error vectors that keeps only the steps
 raising the Lee weight.
@@ -115,6 +115,24 @@ def ext_norm(ext, z: int) -> int:
 def circle(ext) -> tuple:
     """The norm-one circle H, ascending."""
     return tuple(z for z in range(ext.q ** 2) if ext_norm(ext, z) == 1)
+
+
+# -- character sums ----------------------------------------------------------------
+
+def kloosterman_counts(ctx, a: int, b: int) -> list:
+    """counts[j] = #{x != 0 : trace(a*x + b/x) = j}, one x at a time."""
+    counts = [0] * ctx.p
+    for x in range(1, ctx.q):
+        counts[ctx.trace(field_add(ctx, ctx.mul(a, x), ctx.mul(b, ctx.inv(x))))] += 1
+    return counts
+
+
+def gauss_counts(ctx, c: int, a: int) -> list:
+    """counts[j] = #{x in F_q : trace(c*x**2 + a*x) = j}, one x at a time."""
+    counts = [0] * ctx.p
+    for x in range(ctx.q):
+        counts[ctx.trace(field_add(ctx, ctx.mul(c, ctx.mul(x, x)), ctx.mul(a, x)))] += 1
+    return counts
 
 
 # -- point counts behind the lemma battery ---------------------------------------

@@ -117,6 +117,21 @@ def test_ambient_gate_refuses_at_once(capsys, monkeypatch, command, gate_args):
     assert len(err) < 200
 
 
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+@pytest.mark.parametrize("p", ["0", "1", "-1"])
+def test_ambient_gate_passes_small_p_to_primality_at_once(capsys, monkeypatch,
+                                                          command, p):
+    # |p|^(2k) never passes the cap, so the gate must not multiply k times
+    monkeypatch.setattr("sys.stdin", io.StringIO("0\n"))
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "--p", p, "--k", "30000000",
+                         "--family", "plus")
+    assert time.perf_counter() - start < 2.0
+    assert code == 1 and out == ""
+    assert err.startswith("error: precondition:")
+    assert "is not prime" in err
+
+
 @pytest.mark.parametrize("command", ["code-verify", "decode", "spectrum"])
 def test_stage_gate_refuses_before_building(capsys, monkeypatch, command):
     # q^2 = 4093^2 passes the ambient gate but not the 2^20 limit of the

@@ -192,6 +192,9 @@ def test_matrix_json_roundtrip():
     ({"n": "seven"}, "'n' is missing or not of type int"),
     ({"k": [1]}, "'k' is missing or not of type int"),
     ({"family": 1}, "'family' is missing or not of type str"),
+    # JSON true/false are bool, a subclass of int, but not integers
+    ({"k": True}, "'k' is missing or not of type int"),
+    ({"rows": [[True] * 7, [0] * 7]}, "'rows' must hold lists of integers"),
 ])
 def test_matrix_json_rejects_missing_or_ill_typed_fields(change, msg):
     d = parity_check_matrix(gen_for(13, 1, "plus")).to_json_dict()

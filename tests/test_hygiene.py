@@ -1,8 +1,10 @@
 """Repository hygiene: no assert-based verification in the library, every
-demo runs to completion, every library name the benchmark reaches exists,
-and no library function or class is there for the tests alone."""
+demo runs to completion with its pinned stdout, every library name the
+benchmark reaches exists, and no library function or class is there for
+the tests alone."""
 
 import ast
+import hashlib
 import importlib
 import os
 import re
@@ -33,12 +35,28 @@ def test_library_has_no_assert_statements(path):
     assert lines == [], f"{path.name} has assert statements at lines {lines}"
 
 
+# sha256 of each demo's stdout; the demos are deterministic, and 01 and 03
+# print Gauss and Kloosterman values
+DEMO_STDOUT_SHA256 = {
+    "01_field_tour.py":
+        "0fa5d7f9a067abe1d358a403f3062f9ddaaeb8807e7da91d6f7373e54c4b8b93",
+    "02_curve_families.py":
+        "25fa8802a4e3aca4d8d75893aed7d007682a707e42341cc20f346fe32dc2c7d7",
+    "03_ramanujan_spectra.py":
+        "6ece75498fab6884f8dbdaa94dbe5b9293913c2eb503868b49d7a58900c57807",
+    "04_decode_walkthrough.py":
+        "80021230f55a3c3d9cb20045c5a77dbe16602dd6b672ed1070eee795435cea38",
+}
+
+
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
 def test_demo_exits_zero(path):
+    """Each demo exits 0 and prints exactly its pinned stdout."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     res = subprocess.run([sys.executable, str(path)], env=env, cwd=ROOT,
-                         capture_output=True, text=True, timeout=120)
-    assert res.returncode == 0, res.stderr
+                         capture_output=True, timeout=120)
+    assert res.returncode == 0, res.stderr.decode()
+    assert hashlib.sha256(res.stdout).hexdigest() == DEMO_STDOUT_SHA256[path.name]
 
 
 def _perfbench_layers():

@@ -1,13 +1,14 @@
-"""The battery's array enumerations against the scalar oracles."""
+"""The battery's array enumerations and the character-sum count tables
+against the scalar oracles."""
 
 import numpy as np
 import oracles
 import pytest
 
-from quasilee.fields import (CharacterSumValue, QuadExt, gauss_quadratic_sum,
-                             kloosterman, make_field)
+from quasilee.fields import (CharacterSumValue, QuadExt, VerificationError,
+                             gauss_counts, gauss_quadratic_sum, kloosterman,
+                             kloosterman_counts, make_field)
 from quasilee.lemmas import (SHIFT_CHUNK, abscissa_grid, cubic_counts,
-                             gauss_count_rows, kloosterman_count_rows,
                              lemma_battery, shifted_sum_masks)
 
 
@@ -30,27 +31,35 @@ def test_shifted_sum_masks_match_scalar(p, k, stride):
                 sorted(oracles.shifted_norm_image(ext, circle, w))
 
 
+# the broadcast tables are the battery's calls; each row is compared with
+# the per-x oracle and, folded, with the scalar sum it is one row of
 @pytest.mark.parametrize("p,k", [(5, 1), (7, 1), (3, 2), (3, 3)])
 def test_gauss_count_rows_match_scalar(p, k):
     ctx = make_field(p, k)
-    rows = gauss_count_rows(ctx)
+    x = np.arange(ctx.q)
+    rows = gauss_counts(ctx, x[1:, None], x)
     assert rows.shape == (ctx.q - 1, ctx.q, p)
     for c in range(1, ctx.q):
         for a in range(ctx.q):
-            assert tuple(rows[c - 1, a].tolist()) == \
-                gauss_quadratic_sum(ctx, c, a).counts
+            assert rows[c - 1, a].tolist() == oracles.gauss_counts(ctx, c, a)
+            assert CharacterSumValue.from_counts(p, rows[c - 1, a]) == \
+                gauss_quadratic_sum(ctx, c, a)
+    assert gauss_counts(ctx, 1, 0).shape == (p,)
 
 
 @pytest.mark.parametrize("p,k", [(5, 1), (7, 1), (3, 2), (3, 3)])
 def test_kloosterman_count_rows_match_scalar(p, k):
     ctx = make_field(p, k)
-    rows = kloosterman_count_rows(ctx)
+    units = np.arange(1, ctx.q)
+    rows = kloosterman_counts(ctx, units[:, None], units)
     assert rows.shape == (ctx.q - 1, ctx.q - 1, p)
     for a in range(1, ctx.q):
         for b in range(1, ctx.q):
+            assert rows[a - 1, b - 1].tolist() == oracles.kloosterman_counts(ctx, a, b)
             # the same fold as the scalar sum, so the floats agree exactly
             assert CharacterSumValue.from_counts(p, rows[a - 1, b - 1]).re == \
                 kloosterman(ctx, a, b)
+    assert kloosterman_counts(ctx, 1, 1).shape == (p,)
 
 
 @pytest.mark.parametrize("p,k", [(5, 1), (13, 1), (3, 2), (5, 2)])
@@ -77,3 +86,16 @@ def test_failing_fact_is_reported_not_raised(monkeypatch):
     checks = {c.name: c for c in lemma_battery(13)}
     assert [n for n, c in checks.items() if not c.passed] == ["cubic_point_bounds"]
     assert checks["cubic_point_bounds"].detail.startswith("VerificationError: t=0:")
+
+
+def test_failing_spectrum_fails_both_spectral_checks(monkeypatch):
+    # the circle's spectrum is shared by two checks and built inside them,
+    # so a raise fails each of them and leaves the rest passing
+    def broken(gen):
+        raise VerificationError("spectrum not real")
+    monkeypatch.setattr("quasilee.lemmas.full_spectrum", broken)
+    checks = {c.name: c for c in lemma_battery(13)}
+    failed = [n for n, c in checks.items() if not c.passed]
+    assert failed == ["circle_eigenvalue_identity", "spectral_bounds"]
+    for name in failed:
+        assert checks[name].detail == "VerificationError: spectrum not real"
