@@ -26,7 +26,7 @@ from .codes import (MAX_TABLE_VERTICES, VerificationError, code_parameters,
                     verify_quasi_perfect)
 from .curves import admissibility, generator_set
 from .fields import AMBIENT_CAP, SizeCapError, check_ambient, make_field
-from .lemmas import lemma_battery
+from .lemmas import MAX_LEMMA_VERTICES, lemma_battery
 from .spectra import DEFAULT_SPECTRUM_BUDGET, full_spectrum
 from .sumsets import CoverageError, classify
 
@@ -88,6 +88,7 @@ def _check_cap(args, p, k):
     stage limit, before anything of size q^2 is built.  Every subcommand
     and the --matrix path go through here."""
     stage = {"code-verify": MAX_TABLE_VERTICES, "decode": MAX_TABLE_VERTICES,
+             "lemma-suite": MAX_LEMMA_VERTICES,
              "spectrum": DEFAULT_SPECTRUM_BUDGET}.get(args.command, AMBIENT_CAP)
     check_ambient(p, k, min(args.cap, AMBIENT_CAP, stage))
 

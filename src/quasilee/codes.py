@@ -427,11 +427,12 @@ def verify_quasi_perfect(code: LeeCode,
                          table: CosetLeaderTable = None) -> QuasiPerfectReport:
     """Cross-check decoder-table parameters against the sumset layers.
 
-    Three routes must agree: the layer census (mask convolution), the
-    leader-weight histogram (coset BFS), and the injectivity of the
-    syndrome map on Lee balls.  Injectivity is checked on the syndromes of
-    the ball's supports, unless #B_w > q^2, where the pigeonhole principle
-    already rules it out.  Raises VerificationError on any mismatch.
+    Three routes must agree: the layer census (by orbit classes, or by the
+    FFT off the curves), the leader-weight histogram (coset BFS), and the
+    injectivity of the syndrome map on Lee balls.  Injectivity is checked
+    on the syndromes of the ball's supports, unless #B_w > q^2, where the
+    pigeonhole principle already rules it out.  Raises VerificationError on
+    any mismatch.
     """
     gen = code.generator
     if table is None:

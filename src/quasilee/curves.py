@@ -9,8 +9,11 @@ Two symmetric subsets of the additive group F_q x F_q are built here:
 
 Both are closed under negation and exclude zero, so each yields a
 2n-regular Cayley graph on q^2 vertices (n = half the set size) and a
-parity-check matrix with n columns over F_p.  Each set is read off one
-array operation over its field.
+parity-check matrix with n columns over F_p.  Each set is built by O(q)
+array operations over its field, the circle by its Cayley
+parametrization.  ``curve_classes`` gives the orbits of each curve's
+symmetry group on F_q x F_q: the sumset layers and the eigenvalues are
+constant on them.
 """
 
 from dataclasses import dataclass, field
@@ -111,14 +114,20 @@ def norm_circle(ext: QuadExt) -> GeneratorSet:
 
     Has exactly q + 1 elements (the norm map is a surjective homomorphism
     onto F_q^* with kernel of that size); closed under negation because
-    norm(-z) = norm(z), and zero-free since norm(0) = 0.  Read off one
-    ``norm`` over all q^2 indices.
+    norm(-z) = norm(z), and zero-free since norm(0) = 0.  Built in O(q)
+    by the Cayley parametrization t -> ((t^2 + delta)/(t^2 - delta),
+    2t/(t^2 - delta)) of the conic x^2 - delta*y^2 = 1, plus (1, 0); the
+    denominator never vanishes, delta being a nonsquare.
     """
-    members = np.flatnonzero(ext.norm(np.arange(ext.size)) == 1)
-    gen = _finish(PLUS, ext.base, members, ext)
-    if gen.degree != ext.q + 1:
+    b, t = ext.base, np.arange(ext.q)
+    t2 = b.mul(t, t)
+    den = b.inv(b.add(t2, b.neg(ext.delta)))
+    x = b.mul(b.add(t2, ext.delta), den)
+    members = np.append(pair_index(b, x, b.mul(b.add(t, t), den)), 1)
+    gen = _finish(PLUS, b, members, ext)
+    if curve_classes(gen) is None:
         raise VerificationError(
-            f"norm-one circle has {gen.degree} points, expected {ext.q + 1}")
+            f"the {ext.q + 1} points made are not all of the norm-one circle")
     return gen
 
 
@@ -167,6 +176,52 @@ def from_representatives(base: FieldCtx, family: str, reps) -> GeneratorSet:
     return GeneratorSet(family, base, tuple(reps), tuple(sorted(members)), ext)
 
 
+@dataclass(frozen=True, eq=False)
+class CurveClasses:
+    """The orbits on F_q x F_q of the curve's symmetry group, which acts by
+    additive automorphisms and permutes H: the circle by multiplication
+    (plus), (a, b) -> (a*t, b/t) (minus).  So the layers C_t and the
+    eigenvalues are constant on each orbit.  Class 0 is the origin alone,
+    every other class has |H| points; ``reps`` holds one index per class."""
+    gen: GeneratorSet
+    reps: np.ndarray
+    sizes: np.ndarray
+
+    def of(self, z):
+        """Class of each index of an int64 array: the norm for plus (q
+        classes); for minus a*b off the axes, q on b = 0, q + 1 on a = 0."""
+        q = self.gen.q
+        if self.gen.family == PLUS:
+            return self.gen.ext.norm(z)
+        keys = self.gen.base.mul(z % q, z // q)  # 0 on both axes
+        return keys + (keys == 0) * ((z % q != 0) * q + (z >= q) * (q + 1))
+
+
+def curve_classes(gen: GeneratorSet):
+    """The classes of ``gen``'s curve, or None unless ``gen`` is exactly
+    that curve: only then does the group permute H."""
+    ctx, ext, q, x = gen.base, gen.ext, gen.q, np.arange(gen.q)
+    members = np.asarray(gen.members, dtype=np.int64)
+    if gen.family == PLUS:
+        on_curve = ext.norm(members) == 1
+        # nonsquare c = norm(root(c / norm(z0)) * z0) for the first z0 =
+        # u + sqrt(delta) of nonsquare norm: u^2 - delta takes (q + 1)/2 values
+        root = np.zeros(q, dtype=np.int64)
+        root[ctx.mul(x, x)] = x
+        z0 = next(z for z in x + q if ctx.quad_character(ext.norm(z)) == -1)
+        reps = np.where(ctx.quad_character(x) == -1,
+                        ext.mul(root[ctx.mul(x, ctx.inv(ext.norm(z0)))], z0), root)
+    else:
+        on_curve = ctx.mul(members % q, members // q) == 1
+        reps = np.concatenate(([0], x[1:] + q, [1, q]))  # (c, 1), (1, 0), (0, 1)
+    if len(set(gen.members)) != q + (1 if gen.family == PLUS else -1) \
+            or not on_curve.all():
+        return None
+    sizes = np.full(len(reps), gen.degree)
+    sizes[0] = 1
+    return CurveClasses(gen, reps, sizes)
+
+
 # ---------------------------------------------------------------------------
 # admissibility
 
@@ -189,11 +244,15 @@ class AdmissibilityReport:
 
 
 def admissibility(p: int, k: int, family: str) -> AdmissibilityReport:
-    """Decide whether (p, k, family) yields a 2-quasi-perfect construction.
+    """Decide whether (p, k, family) meets the paper's sufficient condition
+    for a 2-quasi-perfect construction.
 
     Plus family: -3 must be a square in F_q and p >= 5.  Minus family:
     -3 must be a nonsquare in F_q and q > 12.  Whether -3 is a square in
-    F_{p^k} depends only on p mod 12 and the parity of k.
+    F_{p^k} depends only on p mod 12 and the parity of k.  The condition
+    is sufficient, not necessary: the minus family at q = 11 is refused
+    here, yet its code is 2-quasi-perfect, the only such case with
+    5 <= p and q < 400.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")

@@ -41,6 +41,12 @@ from .fields import (CharacterSumValue, QuadExt, VerificationError,
 from .spectra import BOUND_TOL, full_spectrum
 
 IDENTITY_TOL = 1e-9
+# lemma-suite's stage limit on q^2.  The battery's largest arrays hold about
+# q^3 int64 entries: the arguments of kloosterman_counts, (q - 1)^3, and the
+# triple sums C_2 + H of _sum_mask, (q + 1)^3 / 2, with their temporaries.
+# Its traced peak is 5.0 to 5.4 such arrays (p = 23 to 131), so 48 q^3 bytes
+# bounds it; q^2 is admitted while that stays within 2 GiB (q <= 355).
+MAX_LEMMA_VERTICES = int((2 ** 31 / 48) ** (2 / 3))
 # shifts per shifted_sum_masks call; larger chunks raise peak memory
 SHIFT_CHUNK = 16
 

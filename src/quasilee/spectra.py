@@ -15,17 +15,14 @@ pairing depends on the family:
 against the other.  The tests also check it against a pairing summed one
 member at a time and a dense eigensolver, both in ``tests/oracles.py``.
 
-* Exact counts by classes.  The curve's symmetries permute H, so the
-  exponent counts of alpha depend only on its class: norm(alpha) for
-  plus (multiplication by the circle), giving q classes and the
-  eigenvalues -K(1, norm(alpha)); for minus ((a, b) -> (a*t, b/t)) a*b
-  off the axes, giving K(1, a*b), plus one class each for the origin and
-  the two axes, q + 2 classes.  Counts are taken once per class
-  representative, by ``fields.trace_counts`` over the F_q arguments of
-  the pairing, the kernel that counts every character sum.  The float eigenvalue is the fold of the exact counts
-  through cos(2*pi*j/p), so all real-ness and bound checks run against
-  exactly counted data.  This holds only when H is exactly its family's
-  curve, so other generator sets are refused.
+* Exact counts by classes.  The exponent counts of alpha depend only on
+  its class under ``curves.curve_classes``, giving the eigenvalues
+  -K(1, norm(alpha)) for plus and K(1, a*b) off the axes for minus.  They
+  are counted once per class representative by ``fields.trace_counts``,
+  the kernel that counts every character sum, and the float eigenvalue is
+  their fold through cos(2*pi*j/p), so the real-ness and bound checks run
+  on exactly counted data.  Only a generator set that is exactly its
+  curve has these classes; any other is refused.
 * The Fourier transform.  G is Z_p^{2k} and both pairings are linear in
   the digits of beta, so the eigenvalue at alpha is fftn(1_H) read at a
   linearly reindexed character: its digits are trace(c * e_i) over the
@@ -42,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import MINUS, PLUS, GeneratorSet
+from .curves import PLUS, GeneratorSet, curve_classes
 from .fields import (SizeCapError, VerificationError, index_pack,
                      trace_counts, unity_cos_sin)
 
@@ -92,38 +89,6 @@ class SpectrumReport:
             "connected": self.connected,
             "histogram": {f"{v:.6f}": c for v, c in sorted(self.histogram().items())},
         }
-
-
-def _require_curve(gen: GeneratorSet) -> None:
-    """Refuse H unless it is exactly the norm-one circle (plus) or the unit
-    hyperbola (minus): the classes are orbits of the curve's symmetries."""
-    q = gen.q
-    members = np.asarray(gen.members, dtype=np.int64)
-    if gen.family == PLUS:
-        on_curve = gen.ext.norm(members) == 1
-        size = q + 1
-    else:
-        on_curve = gen.base.mul(members % q, members // q) == 1
-        size = q - 1
-    if len(set(gen.members)) != size or not on_curve.all():
-        raise ValueError(f"the generator set is not the {gen.family} curve over "
-                         f"F_{q}; the class spectrum is exact only there")
-
-
-def _class_keys(gen: GeneratorSet) -> np.ndarray:
-    """Class of every character alpha: norm(alpha) for plus; for minus a*b
-    off the axes, q on the axis b = 0 and q + 1 on the axis a = 0.  The
-    origin is class 0 in both families and the only member of it.  Every
-    class in range(q) (plus) or range(q + 2) (minus) is taken."""
-    q = gen.q
-    alpha = np.arange(q * q)
-    if gen.family == PLUS:
-        return gen.ext.norm(alpha)
-    a, b = alpha % q, alpha // q
-    keys = gen.base.mul(a, b)
-    keys[(a != 0) & (b == 0)] = q
-    keys[(a == 0) & (b != 0)] = q + 1
-    return keys
 
 
 def _pairing_arguments(gen: GeneratorSet, alphas: np.ndarray) -> np.ndarray:
@@ -190,14 +155,13 @@ def full_spectrum(gen: GeneratorSet) -> SpectrumReport:
     if size > DEFAULT_SPECTRUM_BUDGET:
         raise SizeCapError(
             f"{size} vertices exceed spectrum budget {DEFAULT_SPECTRUM_BUDGET}")
-    _require_curve(gen)
+    classes = curve_classes(gen)
+    if classes is None:
+        raise ValueError(f"the generator set is not the {gen.family} curve over "
+                         f"F_{gen.q}; the class spectrum is exact only there")
 
-    class_index = _class_keys(gen).astype(np.int32)
-    n_cls = gen.q + (0 if gen.family == PLUS else 2)
-    # any member represents its class: the counts are the same on all of it
-    reps = np.zeros(n_cls, dtype=np.int64)
-    reps[class_index] = np.arange(size)
-    class_counts = trace_counts(gen.base, _pairing_arguments(gen, reps))
+    class_index = classes.of(np.arange(size)).astype(np.int32)
+    class_counts = trace_counts(gen.base, _pairing_arguments(gen, classes.reps))
 
     cos, sin = unity_cos_sin(gen.p)
     if np.abs(class_counts @ sin).max() > BOUND_TOL:

@@ -14,6 +14,8 @@ import pytest
 
 from quasilee import cli
 from quasilee.cli import main
+from quasilee.fields import is_prime
+from quasilee.lemmas import MAX_LEMMA_VERTICES
 
 
 def run(capsys, *argv):
@@ -111,8 +113,10 @@ def test_ambient_gate_refuses_at_once(capsys, monkeypatch, command, gate_args):
     assert time.perf_counter() - start < 2.0
     assert code == 1 and out == ""
     assert err.startswith("error: precondition:")
-    # the coset table and the spectrum apply their own, lower stage limit
-    cap = 1 << 20 if command in ("spectrum", "code-verify", "decode") else 1 << 26
+    # the coset table, the spectrum and the lemma battery apply their own,
+    # lower stage limit
+    cap = {"spectrum": 1 << 20, "code-verify": 1 << 20, "decode": 1 << 20,
+           "lemma-suite": MAX_LEMMA_VERTICES}.get(command, 1 << 26)
     assert f"exceeds cap {cap}" in err
     assert len(err) < 200
 
@@ -143,6 +147,22 @@ def test_stage_gate_refuses_before_building(capsys, monkeypatch, command):
     assert code == 1 and out == ""
     assert err.startswith("error: precondition:")
     assert f"exceeds cap {1 << 20}" in err
+
+
+# the first prime whose q^2 the lemma battery's stage limit refuses
+FIRST_REFUSED_LEMMA_PRIME = min(p for p in range(3, 1000)
+                                if is_prime(p) and p * p > MAX_LEMMA_VERTICES)
+
+
+@pytest.mark.parametrize("p", [FIRST_REFUSED_LEMMA_PRIME, 1021])
+def test_lemma_suite_stage_gate_refuses_before_allocating(capsys, p):
+    # p = 1021 passes the ambient gate; the battery's q^3 arrays would not fit
+    start = time.perf_counter()
+    code, out, err = run(capsys, "lemma-suite", "--p", str(p))
+    assert time.perf_counter() - start < 2.0
+    assert code == 1 and out == ""
+    assert err.startswith("error: precondition:")
+    assert f"exceeds cap {MAX_LEMMA_VERTICES}" in err
 
 
 def test_uncoverable_decode_is_verification_error(capsys, monkeypatch):
@@ -216,28 +236,48 @@ def test_spectrum_dump_csv_pinned(capsys, tmp_path, p, k, family):
     assert digest == CSV_SHA256[(p, k, family)]
 
 
-# Each snippet breaks one computation so that its cross-check must fire.
+# p = 13, plus, with the last column moved off the circle to (8, 6): a
+# symmetric generator set that is not its curve, so its layers take the FFT
+OFF_CURVE_MATRIX = "13 1 7 plus\n1 4 9 3 10 5 8\n0 1 1 2 2 5 6\n"
+
+# Each snippet breaks one computation so that its cross-check must fire:
+# (snippet, command line, words of the error message).  MATRIX stands for a
+# file holding OFF_CURVE_MATRIX.
 INJECTED = {
-    # class keys shifted by one vertex: class eigenvalues leave the FFT's
-    "spectrum": "import quasilee.spectra as s\n"
-                "keys = s._class_keys\n"
-                "s._class_keys = lambda gen: np.roll(keys(gen), 1)\n",
-    # every convolution value moved 0.4 off its integer
-    "subset": "inv = np.fft.ifftn\n"
-              "np.fft.ifftn = lambda a: inv(a) + 0.4\n",
+    # the class of each character taken from its neighbour's: the trivial
+    # eigenvalue and the FFT check catch it
+    "spectrum": ("import quasilee.curves as c\n"
+                 "of = c.CurveClasses.of\n"
+                 "c.CurveClasses.of = lambda self, z: np.roll(of(self, z), 1)\n",
+                 ["spectrum", "--p", "13", "--family", "plus"], "eigenvalue"),
+    # every class key one higher: the layers' double-counting identity fails
+    "subset": ("import quasilee.curves as c\n"
+               "of = c.CurveClasses.of\n"
+               "c.CurveClasses.of = lambda self, z: (of(self, z) + 1) % len(self.sizes)\n",
+               ["subset", "--p", "13", "--family", "plus"], "double-counting identity"),
+    # every convolution value moved 0.4 off its integer, on the FFT route
+    "code-verify-matrix": ("inv = np.fft.ifftn\n"
+                           "np.fft.ifftn = lambda a: inv(a) + 0.4\n",
+                           ["code-verify", "--matrix", "MATRIX"], "from an integer"),
 }
 
 
 @pytest.mark.parametrize("command", sorted(INJECTED))
-def test_injected_mismatch_exits_2_under_optimize(command):
-    script = ("import sys\nimport numpy as np\n" + INJECTED[command]
-              + "from quasilee.cli import main\n"
-              + f"sys.exit(main(['{command}', '--p', '13', '--family', 'plus']))\n")
+def test_injected_mismatch_exits_2_under_optimize(command, tmp_path):
+    snippet, argv, message = INJECTED[command]
+    matrix = tmp_path / "off_curve.txt"
+    matrix.write_text(OFF_CURVE_MATRIX)
+    argv = [str(matrix) if a == "MATRIX" else a for a in argv]
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
-    res = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert res.returncode == 2, res.stderr
+    for fault, code in (("", 0), (snippet, 2)):
+        script = ("import sys\nimport numpy as np\n" + fault
+                  + "from quasilee.cli import main\n"
+                  + f"sys.exit(main({argv!r}))\n")
+        res = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == code, res.stderr
     assert res.stderr.startswith("error: verification:")
+    assert message in res.stderr
     assert res.stdout == ""
 
 

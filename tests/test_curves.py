@@ -1,19 +1,24 @@
 """Generator families, point counts and admissibility."""
 
+import numpy as np
 import oracles
 import pytest
 
 from quasilee.codes import rank_mod_p
-from quasilee.curves import (GeneratorSet, admissibility, from_representatives,
-                             generator_set, norm_circle, unit_hyperbola)
+from quasilee.curves import (GeneratorSet, admissibility, curve_classes,
+                             from_representatives, generator_set, norm_circle,
+                             unit_hyperbola)
 from quasilee.fields import QuadExt, make_field, pair_index, pair_neg
 
 
-@pytest.mark.parametrize("p,k", [(5, 1), (7, 1), (13, 1), (3, 2), (11, 1)])
+@pytest.mark.parametrize("p,k", [(5, 1), (7, 1), (13, 1), (3, 2), (11, 1),
+                                 (5, 2), (3, 3)])
 def test_norm_circle_structure(p, k):
     ctx = make_field(p, k)
     ext = QuadExt(ctx)
     gen = norm_circle(ext)
+    # the Cayley parametrization gives the norm scan's members exactly
+    assert gen.members == oracles.circle(ext)
     assert gen.degree == ctx.q + 1
     assert gen.n == (ctx.q + 1) // 2
     assert all(ext.norm(z) == 1 for z in gen.members)
@@ -35,6 +40,51 @@ def test_unit_hyperbola_structure(p, k):
         y, x = divmod(z, ctx.q)
         assert x != 0 and ctx.mul(x, y) == 1
     assert {pair_neg(ctx, z) for z in gen.members} == set(gen.members)
+
+
+def oracle_class(gen, z):
+    """The orbit label of z: the norm for plus; for minus a*b off the axes,
+    q on the axis b = 0, q + 1 on the axis a = 0."""
+    q = gen.q
+    if gen.family == "plus":
+        return oracles.ext_norm(gen.ext, z)
+    a, b = z % q, z // q
+    if a == 0 or b == 0:
+        return 0 if a == b else (q if b == 0 else q + 1)
+    return oracles.field_mul(gen.base, a, b)
+
+
+@pytest.mark.parametrize("family", ["plus", "minus"])
+@pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (7, 1), (13, 1), (3, 2),
+                                 (5, 2), (3, 3)])
+def test_curve_classes_are_the_orbits(p, k, family):
+    gen = generator_set(make_field(p, k), family)
+    classes = curve_classes(gen)
+    z = np.arange(gen.ambient_size)
+    keys = classes.of(z)
+    assert keys.tolist() == [oracle_class(gen, int(a)) for a in z]
+    assert classes.of(classes.reps).tolist() == list(range(len(classes.reps)))
+    assert np.bincount(keys).tolist() == classes.sizes.tolist()
+    assert classes.sizes.tolist() == [1] + [gen.degree] * (len(classes.sizes) - 1)
+    # the symmetry group permutes H and maps every class onto itself
+    if family == "plus":
+        moved = gen.ext.mul(np.array(gen.members)[:, None], z)
+    else:
+        t = np.array(gen.members) % gen.q
+        moved = (gen.base.mul(t[:, None], z % gen.q)
+                 + gen.q * gen.base.mul(gen.base.inv(t)[:, None], z // gen.q))
+    assert (classes.of(moved) == keys).all()
+
+
+@pytest.mark.parametrize("family", ["plus", "minus"])
+def test_curve_classes_only_on_the_curve(family):
+    base = make_field(13)
+    gen = generator_set(base, family)
+    assert curve_classes(from_representatives(base, family, gen.reps)) is not None
+    off = next(z for z in range(1, gen.ambient_size)
+               if z not in gen.members and pair_neg(base, z) not in gen.members)
+    for reps in ([1, 2, 3], list(gen.reps[:-1]) + [off]):
+        assert curve_classes(from_representatives(base, family, reps)) is None
 
 
 def test_frozen_p13_plus_representatives():

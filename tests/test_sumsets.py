@@ -6,14 +6,40 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasilee.curves import generator_set
-from quasilee.fields import make_field
+from quasilee import sumsets
+from quasilee.cli import main
+from quasilee.curves import (admissibility, curve_classes, from_representatives,
+                             generator_set)
+from quasilee.fields import is_prime, make_field, pair_neg
 from quasilee.sumsets import (NEITHER, QUASI_PERFECT_2, classify,
                               cumulative_layers, lee_ball_size, sumset)
 
 
 def layers(p, k, family):
     return cumulative_layers(generator_set(make_field(p, k), family))
+
+
+def layer_masks(lay):
+    """The class route's layers as masks over the q^2 indices."""
+    gen = lay.generator
+    keys = curve_classes(gen).of(np.arange(gen.ambient_size))
+    return [c[keys] for c in lay.class_sets]
+
+
+def fft_sizes(gen):
+    """Layer sizes grown by the FFT step, whatever H is."""
+    h_hat, size = gen.indicator_fft(), gen.ambient_size
+    return tuple(sumsets._grow(np.arange(size) == 0,
+                               lambda new: sumsets._sumset_support(new, h_hat),
+                               np.count_nonzero, size)[1])
+
+
+def oracle_layers(gen, count):
+    """The first ``count`` layers grown with the scalar ``sumset``."""
+    grown = [{0}]
+    while len(grown) < count:
+        grown.append(grown[-1] | sumset(grown[-1], gen.members, gen.base))
+    return grown
 
 
 FROZEN_PLUS = {
@@ -68,11 +94,12 @@ def test_hyperbola_q3_stalls():
 def test_layers_are_nested_and_start_correctly():
     gen = generator_set(make_field(7), "plus")
     lay = cumulative_layers(gen)
-    assert np.flatnonzero(lay.masks[0]).tolist() == [0]
-    assert np.flatnonzero(lay.masks[1]).tolist() == [0, *gen.members]
-    for t in range(len(lay.masks) - 1):
-        assert not np.any(lay.masks[t] & ~lay.masks[t + 1])
-    assert [int(m.sum()) for m in lay.masks] == list(lay.sizes)
+    masks = layer_masks(lay)
+    assert np.flatnonzero(masks[0]).tolist() == [0]
+    assert np.flatnonzero(masks[1]).tolist() == [0, *gen.members]
+    for t in range(len(masks) - 1):
+        assert not np.any(masks[t] & ~masks[t + 1])
+    assert [int(m.sum()) for m in masks] == list(lay.sizes)
 
 
 @pytest.mark.parametrize("p,k,family", [
@@ -82,10 +109,35 @@ def test_layers_are_nested_and_start_correctly():
 def test_layers_match_scalar_sumset_oracle(p, k, family):
     gen = generator_set(make_field(p, k), family)
     lay = cumulative_layers(gen)
-    grown = {0}
-    for t in range(len(lay.masks)):
-        assert set(np.flatnonzero(lay.masks[t]).tolist()) == grown, f"layer {t}"
-        grown = grown | sumset(grown, gen.members, gen.base)
+    masks = layer_masks(lay)
+    for t, grown in enumerate(oracle_layers(gen, len(masks))):
+        assert set(np.flatnonzero(masks[t]).tolist()) == grown, f"layer {t}"
+
+
+@pytest.mark.parametrize("p,k,family", [(7, 1, "plus"), (13, 1, "minus"),
+                                        (3, 2, "plus"), (5, 2, "minus")])
+def test_off_curve_set_takes_the_fft_route(p, k, family):
+    base = make_field(p, k)
+    gen = generator_set(base, family)
+    # one representative moved off the curve
+    off = next(z for z in range(1, gen.ambient_size)
+               if z not in gen.members and pair_neg(base, z) not in gen.members)
+    odd = from_representatives(base, family, list(gen.reps[:-1]) + [off])
+    lay = cumulative_layers(odd)
+    assert lay.class_sets is None
+    want = oracle_layers(odd, len(lay.sizes))
+    assert lay.sizes == tuple(len(c) for c in want)
+
+
+@pytest.mark.parametrize("p,k,family", [(13, 1, "plus"), (23, 1, "minus"),
+                                        (5, 2, "plus"), (5, 3, "minus")])
+def test_subset_on_a_curve_never_calls_the_fft(capsys, monkeypatch, p, k, family):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.fft called on the class route")
+    monkeypatch.setattr(np.fft, "fftn", refuse)
+    monkeypatch.setattr(np.fft, "ifftn", refuse)
+    assert main(["subset", "--p", str(p), "--k", str(k), "--family", family]) == 0
+    assert "layers: " in capsys.readouterr().out
 
 
 # -- ball sizes ---------------------------------------------------------------
@@ -161,3 +213,60 @@ def test_layers_json_shape():
     assert d["verdict"] == QUASI_PERFECT_2
     assert d["layer_sizes"] == [1, 15, 113, 169]
     assert d["context"]["delta"] == 2
+
+
+# -- the paper's theorem across every field with 5 <= p and q < 400 ------------
+
+# field: plus/minus, each the verdict (Q QuasiPerfect2, N Neither), the
+# critical index and the limit index, as computed by the FFT layers
+SWEEP = """
+5:N13/N24 5^2:Q23/N13 5^3:N13/Q23 7:Q23/N14 7^2:Q23/N13 7^3:Q23/N13 11:N13/Q23 11^2:Q23/N13
+13:Q23/N13 13^2:Q23/N13 17:N13/Q23 17^2:Q23/N13 19:Q23/N13 19^2:Q23/N13 23:N13/Q23 29:N13/Q23
+31:Q23/N13 37:Q23/N13 41:N13/Q23 43:Q23/N13 47:N13/Q23 53:N13/Q23 59:N13/Q23 61:Q23/N13
+67:Q23/N13 71:N13/Q23 73:Q23/N13 79:Q23/N13 83:N13/Q23 89:N13/Q23 97:Q23/N13 101:N13/Q23
+103:Q23/N13 107:N13/Q23 109:Q23/N13 113:N13/Q23 127:Q23/N13 131:N13/Q23 137:N13/Q23 139:Q23/N13
+149:N13/Q23 151:Q23/N13 157:Q23/N13 163:Q23/N13 167:N13/Q23 173:N13/Q23 179:N13/Q23 181:Q23/N13
+191:N13/Q23 193:Q23/N13 197:N13/Q23 199:Q23/N13 211:Q23/N13 223:Q23/N13 227:N13/Q23 229:Q23/N13
+233:N13/Q23 239:N13/Q23 241:Q23/N13 251:N13/Q23 257:N13/Q23 263:N13/Q23 269:N13/Q23 271:Q23/N13
+277:Q23/N13 281:N13/Q23 283:Q23/N13 293:N13/Q23 307:Q23/N13 311:N13/Q23 313:Q23/N13 317:N13/Q23
+331:Q23/N13 337:Q23/N13 347:N13/Q23 349:Q23/N13 353:N13/Q23 359:N13/Q23 367:Q23/N13 373:Q23/N13
+379:Q23/N13 383:N13/Q23 389:N13/Q23 397:Q23/N13
+"""
+VERDICTS = {"Q": QUASI_PERFECT_2, "N": NEITHER}
+
+
+def sweep_table() -> dict:
+    table = {}
+    for entry in SWEEP.split():
+        field, verdicts = entry.split(":")
+        p, _, k = field.partition("^")
+        for family, v in zip(("plus", "minus"), verdicts.split("/")):
+            table[int(p), int(k or 1), family] = (VERDICTS[v[0]], int(v[1]), int(v[2]))
+    return table
+
+
+def test_theorem_sweep_is_frozen_and_q11_minus_is_the_only_exception():
+    table = sweep_table()
+    fields = {(p, k) for p in range(5, 400) if is_prime(p)
+              for k in range(1, 5) if p ** k < 400}
+    assert {(p, k) for p, k, _ in table} == fields
+    exceptions = []
+    for (p, k, family), want in sorted(table.items()):
+        cls = classify(generator_set(make_field(p, k), family))
+        lay = cls.layers
+        assert (cls.verdict, lay.critical_index, lay.limit_index) == want, (p, k, family)
+        if (cls.verdict == QUASI_PERFECT_2) != admissibility(p, k, family).admissible:
+            exceptions.append((p, k, family))
+    # the paper's q > 12 is sufficient for the minus family, not necessary
+    assert exceptions == [(11, 1, "minus")]
+
+
+# every field with q < 100 and every third one above, both families
+FFT_SWEEP = [key for i, key in enumerate(sorted(sweep_table()))
+             if key[0] ** key[1] < 100 or i % 6 < 2]
+
+
+@pytest.mark.parametrize("p,k,family", FFT_SWEEP)
+def test_class_route_sizes_match_the_fft(p, k, family):
+    gen = generator_set(make_field(p, k), family)
+    assert cumulative_layers(gen).sizes == fft_sizes(gen)
