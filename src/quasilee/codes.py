@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import GeneratorSet, from_representatives, generator_set
-from .fields import (SizeCapError, VerificationError, index_pack, make_field,
-                     pair_add, pair_neg)
+from .fields import (SizeCapError, VerificationError, index_mask, index_pack,
+                     make_field, pair_add, pair_neg)
 from .sumsets import (MAX_LAYERS, Classification, CoverageError, classify,
                       lee_ball_size)
 
@@ -462,7 +462,7 @@ def verify_quasi_perfect(code: LeeCode,
         # the parity-check map on the supports: M[:, pos] . val mod p
         syns = index_pack((code.matrix.entries[:, pos] * val).sum(axis=2) % gen.p,
                           gen.p)
-        if np.unique(syns).size == ball_size:
+        if np.count_nonzero(index_mask(gen.ambient_size, syns)) == ball_size:
             t_table = w
         else:
             break

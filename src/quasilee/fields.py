@@ -9,10 +9,21 @@ subfield.  The modulus is the lexicographically smallest monic irreducible
 of degree k (coefficient tuples compared constant-term first), so contexts
 are reproducible across runs.
 
+The tables are built from whole index arrays, with no polynomial
+arithmetic on single elements.  The modulus comes from a sieve: every
+monic product g*h with 1 <= deg g <= k/2 is formed at once by
+broadcasting and marked at the rank of its coefficients, and the first
+unmarked rank wins (for k = 1 nothing is marked and the modulus is x).
+Multiplication by x on all q indices shifts the digits up and adds the
+top digit times -modulus; multiplication by g contracts g's digits with
+the k shifted copies x**i * a.  The generator is the first g >= 2 whose
+orbit of 1 holds all q - 1 units, and that orbit is the exp table.
+
 Each additive group here is Z_p^m held as packed base-p indices: F_q
 (m = k) and the pair group F_q x F_q (m = 2k, (x, y) packed as x + q*y).
-``index_add``/``index_neg`` are its one addition and negation, and
-``index_digits``/``index_pack`` its one digit conversion.  Every field
+``index_add``/``index_neg`` are its one addition and negation,
+``index_digits``/``index_pack`` its one digit conversion, and
+``index_mask`` its one indicator of a set of indices.  Every field
 operation (``add``, ``neg``, ``mul``, ``inv``, ``quad_character``, and
 ``QuadExt.mul``/``norm``) is one kernel that takes Python ints or
 broadcast int64 arrays; an int in gives an int out.  The independent
@@ -44,7 +55,6 @@ number of distinct exponents rather than the number of terms.
 import functools
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -132,69 +142,28 @@ def index_neg(a, p: int, m: int):
     return s + (s < 0) * p ** m
 
 
-# ---------------------------------------------------------------------------
-# polynomial helpers over F_p (coefficient lists, constant term first)
+def index_mask(size: int, idx) -> np.ndarray:
+    """Boolean mask of length ``size``, True at the indices ``idx``."""
+    mask = np.zeros(size, dtype=bool)
+    mask[idx] = True
+    return mask
 
-def _poly_mul_mod(a, b, modulus, p):
-    k = len(modulus) - 1
-    res = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                res[i + j] = (res[i + j] + ai * bj) % p
-    for d in range(len(res) - 1, k - 1, -1):
-        c = res[d]
-        if c:
-            res[d] = 0
-            for i in range(k):
-                res[d - k + i] = (res[d - k + i] - c * modulus[i]) % p
-    res = res[:k]
-    return res + [0] * (k - len(res))
-
-def _poly_divides(d, f, p):
-    f = list(f)
-    deg_d = len(d) - 1
-    while True:
-        while f and f[-1] == 0:
-            f.pop()
-        if len(f) - 1 < deg_d or not f:
-            break
-        c = f[-1]
-        shift = len(f) - 1 - deg_d
-        for i, di in enumerate(d):
-            f[shift + i] = (f[shift + i] - c * di) % p
-    return not any(f)
 
 def _smallest_irreducible(p: int, k: int) -> tuple:
-    """Lexicographically smallest monic irreducible of degree k over F_p."""
-    if k == 1:
-        return (0, 1)  # placeholder x - 0; arithmetic is plain mod p
-    for coeffs in product(range(p), repeat=k):
-        f = list(coeffs) + [1]
-        reducible = False
-        for d in range(1, k // 2 + 1):
-            for dc in product(range(p), repeat=d):
-                if _poly_divides(list(dc) + [1], f, p):
-                    reducible = True
-                    break
-            if reducible:
-                break
-        if not reducible:
-            return tuple(f)
-    raise AssertionError(f"no irreducible of degree {k} over F_{p}")  # impossible
+    """Lexicographically smallest monic irreducible of degree k over F_p:
+    the first rank (k low coefficients, constant term most significant)
+    that no product g*h with 1 <= deg g <= k/2 marks; x for k = 1."""
+    def monic(d):  # the monic polynomials of degree d: p**d + [0, p**d)
+        return np.array(index_digits(p ** d + np.arange(p ** d), p, d + 1))
 
-
-def _prime_factors(n):
-    out = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
+    marked = np.zeros(p ** k, dtype=bool)
+    for d in range(1, k // 2 + 1):
+        g, h = monic(d), monic(k - d)
+        gh = np.zeros((k + 1, p ** d, p ** (k - d)), dtype=np.int64)
+        for i in range(d + 1):
+            gh[i:i + k - d + 1] += g[i, :, None] * h[:, None, :]
+        marked[index_pack(gh[k - 1::-1] % p, p)] = True
+    return tuple(index_digits(int(np.argmin(marked)), p, k)[::-1]) + (1,)
 
 
 # ---------------------------------------------------------------------------
@@ -224,38 +193,30 @@ class FieldCtx:
 
     def _build_tables(self):
         p, k, q = self.p, self.k, self.q
-        if k == 1:
-            raw_mul = lambda a, b: (a * b) % p
-        else:
-            mod = list(self.modulus)
-            def raw_mul(a, b):
-                return self.from_coeffs(
-                    _poly_mul_mod(self.coeffs(a), self.coeffs(b), mod, p))
-
-        def raw_pow(a, e):
-            r = 1
-            while e:
-                if e & 1:
-                    r = raw_mul(r, a)
-                a = raw_mul(a, a)
-                e >>= 1
-            return r
-
-        factors = _prime_factors(q - 1)
-        gen = next(g for g in range(2, q)
-                   if all(raw_pow(g, (q - 1) // r) != 1 for r in factors))
-        exp = [1] * (q - 1)
-        for i in range(1, q - 1):
-            exp[i] = raw_mul(exp[i - 1], gen)
+        # shifted[i] holds the digits of x**i * a for every index a: x * a
+        # is a's digits shifted up, plus its top digit times -modulus
+        shifted = [np.array(index_digits(np.arange(q), p, k))]
+        for _ in range(k - 1):
+            a = shifted[-1]
+            up = np.concatenate([np.zeros_like(a[:1]), a[:-1]])
+            shifted.append((up - a[-1] * np.array(self.modulus[:k])[:, None]) % p)
+        # the generator is the first g >= 2 whose orbit of 1 holds all q - 1
+        # units: the exp table, grown by doubling (next n steps = g**n * first n)
+        for gen in range(2, q):
+            step = index_pack(np.tensordot(index_digits(gen, p, k), shifted, 1) % p, p)
+            exp = np.ones(1, dtype=np.int64)
+            while len(exp) < q - 1:
+                exp, step = np.concatenate([exp, step[exp]]), step[step]
+            exp = exp[:q - 1]
+            if np.count_nonzero(exp == 1) == 1:
+                break
         # log[0] = 2(q-1) lies past every sum of two logs of units, and exp
         # is zero from 2(q-1) on, so a product is exp[log[a] + log[b]]: no
         # reduction mod q-1 and no test for zero
-        log = [2 * (q - 1)] * q
-        for i, e in enumerate(exp):
-            log[e] = i
         self.generator = gen
-        self._exp = np.array(exp * 2 + [0] * (2 * q - 1), dtype=np.int64)
-        self._log = np.array(log, dtype=np.int64)
+        self._exp = np.concatenate([exp, exp, np.zeros(2 * q - 1, dtype=np.int64)])
+        self._log = np.full(q, 2 * (q - 1), dtype=np.int64)
+        self._log[exp] = np.arange(q - 1)
         self._chi = 1 - 2 * (self._log % 2)
         self._chi[0] = 0
 

@@ -35,9 +35,10 @@ import numpy as np
 
 from .curves import norm_circle, unit_hyperbola
 from .fields import (CharacterSumValue, QuadExt, VerificationError,
-                     gauss_closed_form, gauss_counts, kloosterman_counts,
-                     make_field, minus3_character, pair_add,
-                     residue_class_mod12, unity_cos_sin)
+                     check_ambient, gauss_closed_form, gauss_counts,
+                     index_mask, kloosterman_counts, make_field,
+                     minus3_character, pair_add, residue_class_mod12,
+                     unity_cos_sin)
 from .spectra import BOUND_TOL, full_spectrum
 
 IDENTITY_TOL = 1e-9
@@ -75,20 +76,13 @@ def _first(bad):
     return tuple(int(i) for i in hits[0]) if len(hits) else None
 
 
-def _mask(size, idx):
-    """Boolean mask of length ``size``, True at the indices ``idx``."""
-    mask = np.zeros(size, dtype=bool)
-    mask[idx] = True
-    return mask
-
-
 def _sum_mask(ext: QuadExt, a, b):
     """Mask over the q^2 indices of the sumset a + b of two index arrays.
 
     The addition is that of F_q x F_q, which is also the addition of
     F_{q^2}, so it serves both families.
     """
-    return _mask(ext.size, pair_add(ext.base, a[:, None], b[None, :]))
+    return index_mask(ext.size, pair_add(ext.base, a[:, None], b[None, :]))
 
 
 def shifted_sum_masks(ext: QuadExt, members, ws, norms):
@@ -138,7 +132,9 @@ def cubic_counts(ctx):
 
 
 def lemma_battery(p: int, k: int = 1) -> list:
-    """Run every check over F_{p^k}; returns a list of LemmaCheck."""
+    """Run every check over F_{p^k}; returns a list of LemmaCheck.  Refuses
+    q^2 above MAX_LEMMA_VERTICES (SizeCapError) before building anything."""
+    check_ambient(p, k, MAX_LEMMA_VERTICES)
     ctx = make_field(p, k)
     q = ctx.q
     ext = QuadExt(ctx)
@@ -150,7 +146,7 @@ def lemma_battery(p: int, k: int = 1) -> list:
     norms = ext.norm(np.arange(q * q))
     ones = np.array(circle.members)
     units = np.array(hyper.members)
-    on_circle, on_hyper = _mask(q * q, ones), _mask(q * q, units)
+    on_circle, on_hyper = index_mask(q * q, ones), index_mask(q * q, units)
     c2 = _sum_mask(ext, ones, ones)
     c3 = _sum_mask(ext, np.flatnonzero(c2), ones)
     h2 = _sum_mask(ext, units, units)

@@ -26,8 +26,9 @@ member at a time and a dense eigensolver, both in ``tests/oracles.py``.
 * The Fourier transform.  G is Z_p^{2k} and both pairings are linear in
   the digits of beta, so the eigenvalue at alpha is fftn(1_H) read at a
   linearly reindexed character: its digits are trace(c * e_i) over the
-  power basis e_i, with c = 2*a_x and 2*delta*a_y for plus (for k = 1
-  just (2*a_x, 2*delta*a_y)) and c = a, b for minus.
+  power basis e_i, with c = 2*a_x and 2*delta*a_y for plus and c = a, b
+  for minus.  ``_pairing_coefficients`` gives the factors 2 and 2*delta
+  (1 and 1 for minus) to both routes.
 
 For the plus family every nontrivial eigenvalue obeys the Ramanujan bound
 2*sqrt(q) = 2*sqrt(degree - 1); the minus family obeys the slightly
@@ -91,18 +92,23 @@ class SpectrumReport:
         }
 
 
+def _pairing_coefficients(gen: GeneratorSet) -> tuple:
+    """(cx, cy) with <alpha, beta> = trace(cx*ax*bx + cy*ay*by): (2, 2*delta)
+    for plus, (1, 1) for minus."""
+    if gen.family == PLUS:
+        return 2, gen.base.mul(2, gen.ext.delta)
+    return 1, 1
+
+
 def _pairing_arguments(gen: GeneratorSet, alphas: np.ndarray) -> np.ndarray:
     """arg[i, j] in F_q with trace(arg[i, j]) = <alphas[i], members[j]>, as
     one (len(alphas), |H|) array."""
     ctx, q = gen.base, gen.q
+    cx, cy = _pairing_coefficients(gen)
     beta = np.asarray(gen.members, dtype=np.int64)
     ax, ay = (alphas % q)[:, None], (alphas // q)[:, None]
-    bx, by = beta % q, beta // q
-    if gen.family == PLUS:
-        # xpart(alpha * beta) = ax*bx + delta*ay*by, doubled
-        xp = ctx.add(ctx.mul(ax, bx), ctx.mul(ay, ctx.mul(by, gen.ext.delta)))
-        return ctx.add(xp, xp)
-    return ctx.add(ctx.mul(ax, bx), ctx.mul(ay, by))
+    return ctx.add(ctx.mul(ax, ctx.mul(cx, beta % q)),
+                   ctx.mul(ay, ctx.mul(cy, beta // q)))
 
 
 def _character_index(gen: GeneratorSet) -> np.ndarray:
@@ -112,11 +118,7 @@ def _character_index(gen: GeneratorSet) -> np.ndarray:
     pairing."""
     ctx = gen.base
     q, p, k = ctx.q, ctx.p, ctx.k
-    if gen.family == PLUS:
-        cx = ctx.embed(2)
-        cy = ctx.mul(cx, gen.ext.delta)
-    else:
-        cx = cy = 1
+    cx, cy = _pairing_coefficients(gen)
     elems = np.arange(q)
 
     def digits(c):

@@ -4,8 +4,9 @@ Each oracle does one element at a time what the program does over whole
 arrays.  Addition in the packed-index groups takes each index apart one
 base-p digit at a time, adds or negates the digits mod p and puts the
 result together again.  ``field_mul`` multiplies the lists of digits as
-polynomials mod the field's modulus.  None of
-this shares code with ``quasilee.fields.index_add``/``index_neg`` or with
+polynomials mod the field's modulus, and ``smallest_primitive_root`` finds
+a prime field's generator by ``pow`` over the prime factors of p - 1.  None
+of this shares code with ``quasilee.fields.index_add``/``index_neg`` or with
 the log tables of ``FieldCtx.mul``, so a test that compares the two does
 not check a kernel against itself.
 
@@ -72,6 +73,21 @@ def field_mul(ctx, a: int, b: int) -> int:
         for i in range(k):
             prod[d - k + i] -= c * mod[i]
     return _packed([c % p for c in prod], p)
+
+
+def smallest_primitive_root(p: int) -> int:
+    """The smallest g >= 2 with g**((p - 1) / r) != 1 mod p for every prime
+    factor r of p - 1, the factors found by trial division."""
+    factors, n, d = set(), p - 1, 2
+    while d * d <= n:
+        while n % d == 0:
+            factors.add(d)
+            n //= d
+        d += 1
+    if n > 1:
+        factors.add(n)
+    return next(g for g in range(2, p)
+                if all(pow(g, (p - 1) // r, p) != 1 for r in factors))
 
 
 def pair_add(ctx, z1: int, z2: int) -> int:

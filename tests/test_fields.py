@@ -65,6 +65,74 @@ def test_canonical_moduli():
     assert make_field(3, 3).modulus == (1, 0, 2, 1)
 
 
+# (modulus, generator) of all 38 extension fields the ambient gate admits,
+# computed apart from the sieve, by polynomial trial division and by the
+# order test over the prime factors of q - 1
+FROZEN_EXTENSIONS = {
+    (3, 2): ((1, 0, 1), 4),
+    (5, 2): ((1, 1, 1), 7),
+    (7, 2): ((1, 0, 1), 9),
+    (11, 2): ((1, 0, 1), 15),
+    (13, 2): ((1, 3, 1), 18),
+    (17, 2): ((1, 1, 1), 20),
+    (19, 2): ((1, 0, 1), 22),
+    (23, 2): ((1, 0, 1), 25),
+    (29, 2): ((1, 1, 1), 35),
+    (31, 2): ((1, 0, 1), 35),
+    (37, 2): ((1, 3, 1), 41),
+    (41, 2): ((1, 1, 1), 44),
+    (43, 2): ((1, 0, 1), 45),
+    (47, 2): ((1, 0, 1), 49),
+    (53, 2): ((1, 1, 1), 58),
+    (59, 2): ((1, 0, 1), 62),
+    (61, 2): ((1, 5, 1), 67),
+    (67, 2): ((1, 0, 1), 74),
+    (71, 2): ((1, 0, 1), 79),
+    (73, 2): ((1, 3, 1), 77),
+    (79, 2): ((1, 0, 1), 85),
+    (83, 2): ((1, 0, 1), 93),
+    (89, 2): ((1, 1, 1), 92),
+    (3, 3): ((1, 0, 2, 1), 3),
+    (5, 3): ((1, 0, 1, 1), 7),
+    (7, 3): ((1, 0, 1, 1), 9),
+    (11, 3): ((1, 0, 4, 1), 12),
+    (13, 3): ((1, 0, 4, 1), 18),
+    (17, 3): ((1, 0, 3, 1), 18),
+    (19, 3): ((1, 0, 1, 1), 21),
+    (3, 4): ((1, 0, 1, 1, 1), 10),
+    (5, 4): ((1, 0, 1, 1, 1), 30),
+    (7, 4): ((1, 0, 0, 1, 1), 13),
+    (3, 5): ((1, 0, 0, 0, 2, 1), 3),
+    (5, 5): ((1, 0, 0, 0, 4, 1), 7),
+    (3, 6): ((1, 0, 0, 0, 1, 1, 1), 4),
+    (3, 7): ((1, 0, 0, 0, 0, 1, 2, 1), 3),
+    (3, 8): ((1, 0, 0, 0, 0, 1, 1, 0, 1), 4),
+}
+
+
+def test_extension_fields_frozen():
+    admitted = {(p, k) for k in range(2, 14) for p in range(3, 100)
+                if is_prime(p) and p ** (2 * k) <= AMBIENT_CAP}
+    assert admitted == FROZEN_EXTENSIONS.keys()
+    for (p, k), (modulus, gen) in FROZEN_EXTENSIONS.items():
+        ctx = make_field(p, k)
+        assert (ctx.modulus, ctx.generator) == (modulus, gen)
+        if ctx.q <= 125:
+            # the exp table is the powers of the generator, multiplied as
+            # polynomials mod the modulus
+            power = 1
+            for e in ctx._exp[:ctx.q - 1]:
+                assert e == power
+                power = oracles.field_mul(ctx, power, gen)
+            assert power == 1
+
+
+def test_prime_field_generators_are_smallest_primitive_roots():
+    for p in range(3, 2000):
+        if is_prime(p):
+            assert make_field(p).generator == oracles.smallest_primitive_root(p)
+
+
 def test_frozen_trace_and_character_values():
     # F_9 = F_3[x]/(x^2+1): trace(x) = x + x^3 = x - x = 0, trace(1) = 2
     assert F9.trace(3) == 0

@@ -1,15 +1,19 @@
 """The battery's array enumerations and the character-sum count tables
 against the scalar oracles."""
 
+import time
+import tracemalloc
+
 import numpy as np
 import oracles
 import pytest
 
-from quasilee.fields import (CharacterSumValue, QuadExt, VerificationError,
-                             gauss_counts, gauss_quadratic_sum, kloosterman,
+from quasilee.fields import (CharacterSumValue, QuadExt, SizeCapError,
+                             VerificationError, gauss_counts,
+                             gauss_quadratic_sum, kloosterman,
                              kloosterman_counts, make_field)
-from quasilee.lemmas import (SHIFT_CHUNK, abscissa_grid, cubic_counts,
-                             lemma_battery, shifted_sum_masks)
+from quasilee.lemmas import (MAX_LEMMA_VERTICES, SHIFT_CHUNK, abscissa_grid,
+                             cubic_counts, lemma_battery, shifted_sum_masks)
 
 
 # every shift w is compared; the oracle circle is found once
@@ -99,3 +103,20 @@ def test_failing_spectrum_fails_both_spectral_checks(monkeypatch):
     assert failed == ["circle_eigenvalue_identity", "spectral_bounds"]
     for name in failed:
         assert checks[name].detail == "VerificationError: spectrum not real"
+
+
+@pytest.mark.parametrize("p", [359, 1021])
+def test_battery_gates_itself_before_allocating(p):
+    # both pass the ambient gate; the battery's q^3 arrays would not fit.
+    # The library refuses with the message the CLI prints.
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError,
+                           match=rf"^q\^2 = {p * p} exceeds cap {MAX_LEMMA_VERTICES}$"):
+            lemma_battery(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 2.0
+    assert peak < 1 << 20
