@@ -20,15 +20,14 @@ import sys
 
 import numpy as np
 
-from .codes import (MAX_TABLE_VERTICES, VerificationError, code_parameters,
-                    coset_leader_table, decode_words, matrix_from_json_dict,
-                    matrix_from_text, parity_check_matrix, round_trip_check,
-                    verify_quasi_perfect)
+from .codes import (VerificationError, code_parameters, coset_leader_table,
+                    decode_words, matrix_from_json_dict, matrix_from_text,
+                    parity_check_matrix, round_trip_check, verify_quasi_perfect)
 from .curves import admissibility, generator_set
-from .fields import AMBIENT_CAP, SizeCapError, check_ambient, make_field
+from .fields import AMBIENT_CAP, VERTEX_CAP, check_ambient, make_field
 from .lemmas import MAX_LEMMA_VERTICES, lemma_battery
-from .spectra import DEFAULT_SPECTRUM_BUDGET, full_spectrum
-from .sumsets import CoverageError, classify
+from .spectra import full_spectrum
+from .sumsets import classify
 
 _YESNO = {True: "yes", False: "no"}
 # non-comment stdin lines that `decode` parses and decodes per batch call;
@@ -53,14 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="quasilee", description=__doc__.split("\n")[0])
     sp = ap.add_subparsers(dest="command", required=True)
 
-    for name, helptext in (
-            ("admissible", "check whether the family applies at (p, k)"),
-            ("subset", "cumulative sumset layers and verdict"),
-            ("spectrum", "Cayley graph spectrum and bounds"),
-            ("code-gen", "parity-check matrix and code parameters"),
-            ("code-verify", "verify decoder table against sumset layers"),
-            ("decode", "decode words from stdin"),
-            ("lemma-suite", "run the brute-force lemma battery")):
+    for name, (_, helptext, _) in _COMMANDS.items():
         sub = sp.add_parser(name, help=helptext)
         _add_common(sub)
         if name == "spectrum":
@@ -84,13 +76,10 @@ def _require(args, *names):
 
 
 def _check_cap(args, p, k):
-    """Refuse q^2 = p^(2k) above --cap, AMBIENT_CAP or the subcommand's own
-    stage limit, before anything of size q^2 is built.  Every subcommand
-    and the --matrix path go through here."""
-    stage = {"code-verify": MAX_TABLE_VERTICES, "decode": MAX_TABLE_VERTICES,
-             "lemma-suite": MAX_LEMMA_VERTICES,
-             "spectrum": DEFAULT_SPECTRUM_BUDGET}.get(args.command, AMBIENT_CAP)
-    check_ambient(p, k, min(args.cap, AMBIENT_CAP, stage))
+    """Refuse q^2 = p^(2k) above --cap or the subcommand's cap in _COMMANDS
+    (AMBIENT_CAP or its stage's lower one), before anything of size q^2 is
+    built.  Every subcommand and the --matrix path go through here."""
+    check_ambient(p, k, min(args.cap, _COMMANDS[args.command][2]))
 
 
 def _generator(args):
@@ -331,14 +320,19 @@ class _LemmaFailure(Exception):
     """Carries the battery report for a failing suite."""
 
 
-_DISPATCH = {
-    "admissible": cmd_admissible,
-    "subset": cmd_subset,
-    "spectrum": cmd_spectrum,
-    "code-gen": cmd_code_gen,
-    "code-verify": cmd_code_verify,
-    "decode": cmd_decode,
-    "lemma-suite": cmd_lemma_suite,
+# each subcommand: its handler, its help line and its cap on q^2
+_COMMANDS = {
+    "admissible": (cmd_admissible, "check whether the family applies at (p, k)",
+                   AMBIENT_CAP),
+    "subset": (cmd_subset, "cumulative sumset layers and verdict", AMBIENT_CAP),
+    "spectrum": (cmd_spectrum, "Cayley graph spectrum and bounds", VERTEX_CAP),
+    "code-gen": (cmd_code_gen, "parity-check matrix and code parameters",
+                 AMBIENT_CAP),
+    "code-verify": (cmd_code_verify, "verify decoder table against sumset layers",
+                    VERTEX_CAP),
+    "decode": (cmd_decode, "decode words from stdin", VERTEX_CAP),
+    "lemma-suite": (cmd_lemma_suite, "run the brute-force lemma battery",
+                    MAX_LEMMA_VERTICES),
 }
 
 
@@ -358,12 +352,11 @@ def main(argv=None) -> int:
         # verification mismatches, so usage problems map to 1
         return 0 if exc.code in (0, None) else 1
     try:
-        text = _DISPATCH[args.command](args)
-    except (ValueError, ZeroDivisionError, SizeCapError, OSError,
-            json.JSONDecodeError) as exc:
+        text = _COMMANDS[args.command][0](args)
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: precondition: {exc}", file=sys.stderr)
         return 1
-    except (VerificationError, CoverageError, AssertionError) as exc:
+    except (VerificationError, AssertionError) as exc:
         print(f"error: verification: {exc}", file=sys.stderr)
         return 2
     except _LemmaFailure as exc:

@@ -32,12 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import GeneratorSet, from_representatives, generator_set
-from .fields import (SizeCapError, VerificationError, index_mask, index_pack,
-                     make_field, pair_add, pair_neg)
+from .fields import (VERTEX_CAP, VerificationError, check_ambient, index_mask,
+                     index_pack, make_field, pair_add, pair_neg)
 from .sumsets import (MAX_LAYERS, Classification, CoverageError, classify,
                       lee_ball_size)
 
-MAX_TABLE_VERTICES = 1 << 20
 # frontier syndromes expanded per array operation in the table BFS
 _BFS_CHUNK = 1024
 # round-trip trials drawn and decoded per batch
@@ -260,13 +259,12 @@ def coset_leader_table(matrix: ParityCheckMatrix) -> CosetLeaderTable:
     first step that reaches it, with candidates ordered by (parent,
     position, +1 before -1).  Each level is expanded as array operations
     over frontier chunks x n x {+1, -1}, up to the chunk that fills the
-    last syndrome.  Raises CoverageError if the search stalls or exceeds
+    last syndrome.  Refuses q^2 above VERTEX_CAP (SizeCapError) before
+    allocating; raises CoverageError if the search stalls or exceeds
     MAX_LAYERS levels before assigning every syndrome.
     """
-    size = matrix.generator.ambient_size
-    if size > MAX_TABLE_VERTICES:
-        raise SizeCapError(f"{size} syndromes exceed table cap {MAX_TABLE_VERTICES}")
-    ctx = matrix.generator.base
+    ctx, size = matrix.generator.base, matrix.generator.ambient_size
+    check_ambient(ctx.p, ctx.k, VERTEX_CAP)
     # the syndrome shift of step 2*j + b: +beta_j, then -beta_j
     beta = np.array(matrix.generator.reps, dtype=np.int64)
     shifts = np.stack([beta, pair_neg(ctx, beta)], axis=1).ravel()

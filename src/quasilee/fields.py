@@ -16,8 +16,8 @@ broadcasting and marked at the rank of its coefficients, and the first
 unmarked rank wins (for k = 1 nothing is marked and the modulus is x).
 Multiplication by x on all q indices shifts the digits up and adds the
 top digit times -modulus; multiplication by g contracts g's digits with
-the k shifted copies x**i * a.  The generator is the first g >= 2 whose
-orbit of 1 holds all q - 1 units, and that orbit is the exp table.
+the k shifted copies x**i * a.  The generator is the first g >= 2 (for
+k >= 2, g >= p) whose orbit of 1 holds all q - 1 units: the exp table.
 
 Each additive group here is Z_p^m held as packed base-p indices: F_q
 (m = k) and the pair group F_q x F_q (m = 2k, (x, y) packed as x + q*y).
@@ -29,10 +29,11 @@ operation (``add``, ``neg``, ``mul``, ``inv``, ``quad_character``, and
 broadcast int64 arrays; an int in gives an int out.  The independent
 routes they are checked with live in ``tests/oracles.py``.
 
-``AMBIENT_CAP`` bounds q^2.  ``check_ambient`` applies it before any
-trial division, multiplying by p only until the product passes the cap,
-so a huge p or k is refused at once (and |p| < 2 goes on to the
-primality test at once).
+``AMBIENT_CAP`` bounds q^2, ``VERTEX_CAP`` the q^2 of the coset table and
+the spectrum.  ``check_ambient`` is the one size gate of every stage: it
+applies a cap before any trial division, multiplying by p only until the
+product passes it, so a huge p or k is refused at once (and |p| < 2 goes
+on to the primality test at once).
 
 On top of the ground field sit:
 
@@ -60,6 +61,7 @@ import numpy as np
 
 # Ambient size cap q**2 <= 2**26; construction refuses anything larger.
 AMBIENT_CAP = 1 << 26
+VERTEX_CAP = 1 << 20  # the cap of the stages that build q**2-sized arrays
 
 SUM_TOL = 1e-9
 
@@ -201,8 +203,9 @@ class FieldCtx:
             up = np.concatenate([np.zeros_like(a[:1]), a[:-1]])
             shifted.append((up - a[-1] * np.array(self.modulus[:k])[:, None]) % p)
         # the generator is the first g >= 2 whose orbit of 1 holds all q - 1
-        # units: the exp table, grown by doubling (next n steps = g**n * first n)
-        for gen in range(2, q):
+        # units: the exp table, grown by doubling (next n steps = g**n * first n);
+        # for k >= 2 the units below p have order dividing p - 1 < q - 1
+        for gen in range(2 if k == 1 else p, q):
             step = index_pack(np.tensordot(index_digits(gen, p, k), shifted, 1) % p, p)
             exp = np.ones(1, dtype=np.int64)
             while len(exp) < q - 1:

@@ -34,14 +34,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import norm_circle, unit_hyperbola
-from .fields import (CharacterSumValue, QuadExt, VerificationError,
+from .fields import (SUM_TOL, CharacterSumValue, QuadExt, VerificationError,
                      check_ambient, gauss_closed_form, gauss_counts,
                      index_mask, kloosterman_counts, make_field,
                      minus3_character, pair_add, residue_class_mod12,
                      unity_cos_sin)
-from .spectra import BOUND_TOL, full_spectrum
+from .spectra import full_spectrum
 
-IDENTITY_TOL = 1e-9
 # lemma-suite's stage limit on q^2.  The battery's largest arrays hold about
 # q^3 int64 entries: the arguments of kloosterman_counts, (q - 1)^3, and the
 # triple sums C_2 + H of _sum_mask, (q + 1)^3 / 2, with their temporaries.
@@ -174,21 +173,21 @@ def lemma_battery(p: int, k: int = 1) -> list:
         counts = gauss_counts(ctx, x[1:, None], x)
         re, im = counts @ cos, counts @ sin
         closed = gauss_closed_form(ctx, x[1:, None], x)
-        bad = _first(~((np.abs(re - closed.real) <= IDENTITY_TOL)
-                       & (np.abs(im - closed.imag) <= IDENTITY_TOL)))
+        bad = _first(~((np.abs(re - closed.real) <= SUM_TOL)
+                       & (np.abs(im - closed.imag) <= SUM_TOL)))
         if bad is not None:
             raise VerificationError(
                 f"Gauss sum at (c, a) = ({bad[0] + 1}, {bad[1]}) disagrees with "
                 f"the closed form: {complex(re[bad], im[bad])} vs {closed[bad]}")
-        return f"{(q - 1) * q} sums match the closed form within {IDENTITY_TOL}"
+        return f"{(q - 1) * q} sums match the closed form within {SUM_TOL}"
     _run(results, "gauss_closed_form", gauss)
 
     def kloost():
         bound = 2.0 * math.sqrt(q)
         for b, v in enumerate(k1, start=1):
-            if not abs(v.im) <= IDENTITY_TOL:
+            if not abs(v.im) <= SUM_TOL:
                 raise VerificationError(f"K(1, {b}) is not real: im={v.im}")
-            if not abs(v.re) <= bound + IDENTITY_TOL:
+            if not abs(v.re) <= bound + SUM_TOL:
                 raise VerificationError(f"|K(1, {b})| = {abs(v.re)} > 2*sqrt(q)")
         # substitution x -> x/a shows the sum depends only on a*b: the
         # exponent counts of K(a, b) are those of K(1, ab)
@@ -371,7 +370,7 @@ def lemma_battery(p: int, k: int = 1) -> list:
         rep = circle_spectrum()
         kl = np.array([0.0] + [v.re for v in k1])
         worst = float(np.max(np.abs(rep.eigenvalues[1:] + kl[norms[1:]])))
-        if not worst <= IDENTITY_TOL:
+        if not worst <= SUM_TOL:
             raise VerificationError(f"worst deviation {worst}")
         return f"eigenvalue(alpha) = -K(1, norm(alpha)); worst deviation {worst:.2e}"
     _run(results, "circle_eigenvalue_identity", eig_identity)
@@ -379,11 +378,11 @@ def lemma_battery(p: int, k: int = 1) -> list:
     def spectral():
         plus = circle_spectrum()
         minus = full_spectrum(hyper)
-        if not plus.max_nontrivial_abs <= 2 * math.sqrt(q) + BOUND_TOL:
+        if not plus.max_nontrivial_abs <= 2 * math.sqrt(q) + SUM_TOL:
             raise VerificationError("norm-one circle graph must meet the Ramanujan bound")
         if not plus.connected:
             raise VerificationError("norm-one circle graph must be connected")
-        if not minus.max_nontrivial_abs <= 2 * math.sqrt(q) + BOUND_TOL:
+        if not minus.max_nontrivial_abs <= 2 * math.sqrt(q) + SUM_TOL:
             raise VerificationError("hyperbola graph must stay within 2*sqrt(q)")
         if minus.connected != (q > 3):
             raise VerificationError("hyperbola connectivity by field size")

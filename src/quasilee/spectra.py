@@ -41,11 +41,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import PLUS, GeneratorSet, curve_classes
-from .fields import (SizeCapError, VerificationError, index_pack,
-                     trace_counts, unity_cos_sin)
+from .fields import (SUM_TOL, VERTEX_CAP, VerificationError, check_ambient,
+                     index_pack, trace_counts, unity_cos_sin)
 
-DEFAULT_SPECTRUM_BUDGET = 1 << 20
-BOUND_TOL = 1e-9
 # largest allowed distance between a class eigenvalue and the FFT of 1_H
 FFT_TOL = 1e-6
 # count rows are folded through cos in blocks of this many rows (see _fold)
@@ -149,27 +147,24 @@ def full_spectrum(gen: GeneratorSet) -> SpectrumReport:
 
     Counts exponents once per class representative, in one (classes x |H|)
     array operation, then checks every eigenvalue against the FFT of 1_H
-    and raises VerificationError on a mismatch.  Refuses vertex counts
-    above DEFAULT_SPECTRUM_BUDGET (SizeCapError) and generator sets that
-    are not their family's curve (ValueError), before allocating.
+    and raises VerificationError on a mismatch.  Refuses q^2 above
+    VERTEX_CAP (SizeCapError) and generator sets that are not their
+    family's curve (ValueError), before allocating.
     """
-    size = gen.ambient_size
-    if size > DEFAULT_SPECTRUM_BUDGET:
-        raise SizeCapError(
-            f"{size} vertices exceed spectrum budget {DEFAULT_SPECTRUM_BUDGET}")
+    check_ambient(gen.p, gen.k, VERTEX_CAP)
     classes = curve_classes(gen)
     if classes is None:
         raise ValueError(f"the generator set is not the {gen.family} curve over "
                          f"F_{gen.q}; the class spectrum is exact only there")
 
-    class_index = classes.of(np.arange(size)).astype(np.int32)
+    class_index = classes.of(np.arange(gen.ambient_size)).astype(np.int32)
     class_counts = trace_counts(gen.base, _pairing_arguments(gen, classes.reps))
 
     cos, sin = unity_cos_sin(gen.p)
-    if np.abs(class_counts @ sin).max() > BOUND_TOL:
+    if np.abs(class_counts @ sin).max() > SUM_TOL:
         raise VerificationError("spectrum not real")
     eigs = _fold(class_counts, cos)[class_index]
-    if abs(eigs[0] - gen.degree) > BOUND_TOL:
+    if abs(eigs[0] - gen.degree) > SUM_TOL:
         raise VerificationError("trivial eigenvalue wrong")
     fourier = gen.indicator_fft().ravel()[_character_index(gen)]
     worst = float(np.abs(fourier - eigs).max())
@@ -180,13 +175,13 @@ def full_spectrum(gen: GeneratorSet) -> SpectrumReport:
     max_nt = float(np.abs(eigs[1:]).max())
     ram = 2.0 * math.sqrt(gen.degree - 1)
     almost = 2.0 * math.sqrt(gen.degree + 1)
-    if max_nt <= ram + BOUND_TOL:
+    if max_nt <= ram + SUM_TOL:
         cls = RAMANUJAN
-    elif max_nt <= almost + BOUND_TOL:
+    elif max_nt <= almost + SUM_TOL:
         cls = ALMOST_RAMANUJAN
     else:
         cls = NEITHER_BOUND
-    connected = not np.any(np.abs(eigs[1:] - gen.degree) <= BOUND_TOL)
+    connected = not np.any(np.abs(eigs[1:] - gen.degree) <= SUM_TOL)
     return SpectrumReport(gen, eigs, class_counts, class_index, max_nt, ram,
                           almost, cls, connected)
 

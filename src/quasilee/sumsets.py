@@ -45,8 +45,8 @@ PERFECT_2 = "Perfect2"
 NEITHER = "Neither"
 
 
-class CoverageError(RuntimeError):
-    """Sumset layers stabilized (or hit MAX_LAYERS) without covering the group."""
+class CoverageError(VerificationError):
+    """The coset table's search stopped (stalled or at MAX_LAYERS) short of q^2."""
 
 
 def sumset(a, b, ctx: FieldCtx) -> set:

@@ -14,8 +14,11 @@ import pytest
 
 from quasilee import cli
 from quasilee.cli import main
-from quasilee.fields import is_prime
-from quasilee.lemmas import MAX_LEMMA_VERTICES
+from quasilee.codes import coset_leader_table, parity_check_matrix
+from quasilee.curves import generator_set
+from quasilee.fields import VERTEX_CAP, SizeCapError, is_prime, make_field
+from quasilee.lemmas import MAX_LEMMA_VERTICES, lemma_battery
+from quasilee.spectra import full_spectrum
 
 
 def run(capsys, *argv):
@@ -149,9 +152,12 @@ def test_stage_gate_refuses_before_building(capsys, monkeypatch, command):
     assert f"exceeds cap {1 << 20}" in err
 
 
+def _first_refused_prime(cap):
+    return min(p for p in range(3, 10 ** 4) if is_prime(p) and p * p > cap)
+
+
 # the first prime whose q^2 the lemma battery's stage limit refuses
-FIRST_REFUSED_LEMMA_PRIME = min(p for p in range(3, 1000)
-                                if is_prime(p) and p * p > MAX_LEMMA_VERTICES)
+FIRST_REFUSED_LEMMA_PRIME = _first_refused_prime(MAX_LEMMA_VERTICES)
 
 
 @pytest.mark.parametrize("p", [FIRST_REFUSED_LEMMA_PRIME, 1021])
@@ -163,6 +169,37 @@ def test_lemma_suite_stage_gate_refuses_before_allocating(capsys, p):
     assert code == 1 and out == ""
     assert err.startswith("error: precondition:")
     assert f"exceeds cap {MAX_LEMMA_VERTICES}" in err
+
+
+def _plus_curve(p):
+    return generator_set(make_field(p), "plus")
+
+
+def _coset_table(p):
+    return coset_leader_table(parity_check_matrix(_plus_curve(p)))
+
+
+# each subcommand's library stage, called at p, and the cap it applies
+LIBRARY_STAGES = {
+    "spectrum": (lambda p: full_spectrum(_plus_curve(p)), VERTEX_CAP),
+    "code-verify": (_coset_table, VERTEX_CAP),
+    "decode": (_coset_table, VERTEX_CAP),
+    "lemma-suite": (lemma_battery, MAX_LEMMA_VERTICES),
+}
+
+
+@pytest.mark.parametrize("command", sorted(LIBRARY_STAGES))
+def test_stage_refusal_reads_as_the_library_one(capsys, monkeypatch, command):
+    # the CLI refuses through the same gate as the library stage it runs, so
+    # at the first refused prime the two refusals say the same thing
+    stage, cap = LIBRARY_STAGES[command]
+    p = _first_refused_prime(cap)
+    with pytest.raises(SizeCapError) as refused:
+        stage(p)
+    monkeypatch.setattr("sys.stdin", io.StringIO("0\n"))
+    code, out, err = run(capsys, command, "--p", str(p), "--family", "plus")
+    assert code == 1 and out == ""
+    assert err == f"error: precondition: {refused.value}\n"
 
 
 def test_uncoverable_decode_is_verification_error(capsys, monkeypatch):

@@ -1,7 +1,7 @@
-"""Repository hygiene: no assert-based verification in the library, every
-demo runs to completion with its pinned stdout, every library name the
-benchmark reaches exists, and no library function or class is there for
-the tests alone."""
+"""Repository hygiene: no assert-based verification in the library, one
+size gate, every demo runs to completion with its pinned stdout, every
+library name the benchmark reaches exists, and no library function or
+class is there for the tests alone."""
 
 import ast
 import hashlib
@@ -33,6 +33,27 @@ def test_library_has_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name} has assert statements at lines {lines}"
+
+
+def _raises_size_cap(node) -> bool:
+    """Is ``node`` a ``raise SizeCapError(...)``, by bare or dotted name?"""
+    if not isinstance(node, ast.Raise):
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return getattr(exc, "id", getattr(exc, "attr", None)) == "SizeCapError"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_check_ambient_raises_size_cap_error(path):
+    # every stage refuses a size through fields.check_ambient, so that one
+    # gate and one message serve the library and the CLI alike
+    tree = ast.parse(path.read_text(), filename=str(path))
+    gate = {id(node) for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == "check_ambient"
+            for node in ast.walk(fn)}
+    lines = [node.lineno for node in ast.walk(tree)
+             if _raises_size_cap(node) and id(node) not in gate]
+    assert lines == [], f"{path.name} raises SizeCapError at lines {lines}"
 
 
 # sha256 of each demo's stdout; the demos are deterministic, and 01 and 03

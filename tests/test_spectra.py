@@ -6,6 +6,7 @@ import numpy as np
 import oracles
 import pytest
 
+from quasilee.codes import coset_leader_table, parity_check_matrix
 from quasilee.curves import from_representatives, generator_set
 from quasilee.fields import (QuadExt, SizeCapError, kloosterman, make_field,
                              pair_neg, unity_cos_sin)
@@ -150,16 +151,20 @@ def test_histogram_accounts_for_every_vertex():
 
 
 def test_budget_cap():
-    # q^2 = 1 062 961 > 2^20: refused before any q^2-sized array exists
+    # q^2 = 1 062 961 > 2^20: the spectrum and the coset table refuse before
+    # any q^2-sized array exists, with the message of the CLI's gate
     gen = generator_set(make_field(1031), "minus")
-    tracemalloc.start()
-    try:
-        with pytest.raises(SizeCapError, match="exceed spectrum budget"):
-            full_spectrum(gen)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    mat = parity_check_matrix(gen)
+    for stage, arg in ((full_spectrum, gen), (coset_leader_table, mat)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeCapError,
+                               match=r"^q\^2 = 1062961 exceeds cap 1048576$"):
+                stage(arg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, stage.__name__
 
 
 def test_report_json_shape():
