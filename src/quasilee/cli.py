@@ -15,6 +15,7 @@ Identical configurations produce byte-identical output.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -48,7 +49,10 @@ def _add_common(sub):
                      help="ambient size cap on q^2")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: ``parse_args`` keeps no
+    state between calls, and ``main`` may run many times in one process."""
     ap = argparse.ArgumentParser(prog="quasilee", description=__doc__.split("\n")[0])
     sp = ap.add_subparsers(dest="command", required=True)
 
@@ -216,15 +220,22 @@ def _blocks(stream):
 def _plain_words(lines, n):
     """The lines as an m x n int64 array when each is n ASCII digit strings
     joined by single spaces, every one below 10^18; otherwise None."""
-    text = " ".join(lines)
-    if not (text.isascii() and text.replace(" ", "").isdigit()
-            and "  " not in text and all(ln.count(" ") == n - 1 for ln in lines)):
+    m, text = len(lines), " ".join(lines)
+    if not text.isascii():
         return None
-    words = np.fromstring(text, dtype=np.int64, sep=" ")
+    raw = text.encode()
+    if raw.translate(None, b"0123456789 ") or b"  " in raw:
+        return None
+    # a -1 after each line: no plain token is negative, so the markers fill
+    # column n of an m x (n + 1) reshape exactly when each line holds n tokens
+    words = np.fromstring(" -1 ".join(lines) + " -1", dtype=np.int64, sep=" ")
+    if words.size != m * (n + 1):
+        return None
+    words = words.reshape(m, n + 1)
     # numpy clamps a value beyond int64 to 2^63 - 1 without a warning
-    if words.size != len(lines) * n or (words >= 10 ** 18).any():
+    if (words[:, n] != -1).any() or (words[:, :n] >= 10 ** 18).any():
         return None
-    return words.reshape(len(lines), n)
+    return words[:, :n]
 
 
 def _int_words(block, n) -> list:
@@ -351,21 +362,25 @@ def main(argv=None) -> int:
         # argparse uses status 2 for usage errors; here 2 is reserved for
         # verification mismatches, so usage problems map to 1
         return 0 if exc.code in (0, None) else 1
+    status = 0
     try:
-        text = _COMMANDS[args.command][0](args)
+        try:
+            text = _COMMANDS[args.command][0](args)
+        except _LemmaFailure as exc:
+            text, status = str(exc), 2
+        # inside the try, so that an --out that cannot be opened is a
+        # precondition error like any other OSError
+        _emit(text, args.out)
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: precondition: {exc}", file=sys.stderr)
         return 1
     except (VerificationError, AssertionError) as exc:
         print(f"error: verification: {exc}", file=sys.stderr)
         return 2
-    except _LemmaFailure as exc:
-        _emit(str(exc), args.out)
+    if status:
         print("error: verification: lemma battery has failing checks",
               file=sys.stderr)
-        return 2
-    _emit(text, args.out)
-    return 0
+    return status
 
 
 if __name__ == "__main__":

@@ -240,12 +240,24 @@ class CosetLeaderTable:
         return out % self.matrix.p
 
     def histogram(self) -> dict:
-        vals, cnts = np.unique(self.weights, return_counts=True)
-        return {int(v): int(c) for v, c in zip(vals, cnts)}
+        cnts = np.bincount(self.weights)
+        return {int(v): int(cnts[v]) for v in np.flatnonzero(cnts)}
 
     def census(self, w: int) -> int:
         """Number of syndromes whose coset leader weight is <= w."""
         return int((self.weights <= w).sum())
+
+
+def _first_hits(hits, scratch) -> np.ndarray:
+    """Ascending positions of the first occurrence of each distinct value
+    in ``hits``, without a sort: a scatter-min of the positions into the
+    int32 array ``scratch``, whose entries at ``hits`` it overwrites.  Its
+    own function so that the positions array is freed before the BFS
+    expands the next chunk."""
+    order = np.arange(hits.size, dtype=np.int32)
+    scratch[hits] = hits.size
+    np.minimum.at(scratch, hits, order)
+    return np.flatnonzero(scratch[hits] == order)
 
 
 def coset_leader_table(matrix: ParityCheckMatrix) -> CosetLeaderTable:
@@ -257,7 +269,8 @@ def coset_leader_table(matrix: ParityCheckMatrix) -> CosetLeaderTable:
     the path that first reaches the syndrome spells a leader.  Level w + 1
     is every unfilled syndrome one step from level w; a syndrome keeps the
     first step that reaches it, with candidates ordered by (parent,
-    position, +1 before -1).  Each level is expanded as array operations
+    position, +1 before -1): the least candidate order within the chunk,
+    no sort.  Each level is expanded as array operations
     over frontier chunks x n x {+1, -1}, up to the chunk that fills the
     last syndrome.  Refuses q^2 above VERTEX_CAP (SizeCapError) before
     allocating; raises CoverageError if the search stalls or exceeds
@@ -288,7 +301,8 @@ def coset_leader_table(matrix: ParityCheckMatrix) -> CosetLeaderTable:
             cand = pair_add(ctx, rows[:, None], shifts)
             pos = np.flatnonzero(weights[cand] < 0)
             hits = cand.ravel()[pos]
-            first = np.sort(np.unique(hits, return_index=True)[1])
+            # step is free as scratch: every distinct hit is assigned below
+            first = _first_hits(hits, step)
             new, pos = hits[first], pos[first]
             parent[new] = rows[pos // shifts.size]
             step[new] = pos % shifts.size

@@ -728,6 +728,47 @@ def test_injected_lemma_fault_exits_2_under_optimize():
     assert res.stdout.endswith("15/16 checks passed\n")
 
 
+# one run of each subcommand that succeeds when its output can be written
+SUCCEEDING = {
+    "admissible": ["--p", "13", "--family", "plus"],
+    "subset": ["--p", "13", "--family", "plus"],
+    "spectrum": ["--p", "13", "--family", "plus"],
+    "code-gen": ["--p", "13", "--family", "plus"],
+    "code-verify": ["--p", "13", "--family", "plus"],
+    "decode": ["--p", "13", "--family", "plus"],
+    "lemma-suite": ["--p", "5"],
+}
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_unopenable_out_is_precondition_error(capsys, monkeypatch, tmp_path, command):
+    monkeypatch.setattr("sys.stdin", io.StringIO("0 0 0 0 0 0 0\n"))
+    target = tmp_path / "missing" / "report.txt"
+    code, out, err = run(capsys, command, *SUCCEEDING[command], "--out", str(target))
+    assert code == 1 and out == ""
+    assert err.startswith("error: precondition:")
+    assert "No such file or directory" in err
+    assert not target.parent.exists()
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_parser_reuse_matches_fresh_parsers(capsys):
+    # a run on the shared parser prints what it prints on a parser of its own
+    argvs = [["subset", "--p", "13", "--family", "plus"],
+             ["spectrum", "--p", "13", "--family", "plus", "--format", "json"],
+             ["code-verify", "--p", "13", "--family", "plus"]]
+    fresh = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    shared = [run(capsys, *argv) for argv in argvs]
+    assert shared == fresh
+    assert all(code == 0 and out and err == "" for code, out, err in shared)
+
+
 def test_out_writes_file_and_silences_stdout(capsys, tmp_path):
     target = tmp_path / "report.json"
     code, out, _ = run(capsys, "admissible", "--p", "13", "--family", "plus",

@@ -1,6 +1,8 @@
 """Parity-check matrices, coset-leader decoding and the cross-checked verdict."""
 
+import collections
 import functools
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -331,6 +333,40 @@ def test_table_is_deterministic():
     t1 = table_for(13, 1, "plus")
     t2 = table_for(13, 1, "plus")
     assert all_leaders(t1) == all_leaders(t2)
+
+
+# sha256 of parent.tobytes() + step.tobytes() + weights.tobytes(), taken
+# from the sort-based BFS that kept each syndrome's first hit by np.unique
+TREE_SHA256 = {
+    (97, 1, "plus"): "f18027b33d0e5e3791dec82c7639cc7fa4a18794e3c952a0093b4d3af5e4f5f8",
+    (5, 3, "minus"): "f6de1c36b1308a477daa8e3d8277b186bba1132afc6132b0318e5a1472d3b2df",
+    (7, 2, "minus"): "b91d3ad913c4436084ce88e18c1e40bb7041fc88798fa0d3dd5c9ce6b95415b7",
+    (13, 2, "plus"): "d68ed9b8ecc6cf143194c8bd52cf52b2df03fb173352a30b6078882997289e38",
+    (307, 1, "plus"): "10f2d8cd3ccd6a7614e7931407627e4e94de5a0d15bbd1c5c95257865187d9af",
+}
+
+
+@pytest.mark.parametrize("config", sorted(TREE_SHA256))
+def test_bfs_tree_is_pinned(config):
+    table = coset_leader_table(matrix_for(*config))
+    raw = table.parent.tobytes() + table.step.tobytes() + table.weights.tobytes()
+    assert hashlib.sha256(raw).hexdigest() == TREE_SHA256[config]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 40), max_size=200))
+def test_first_hits_match_sorted_unique(values):
+    hits = np.array(values, dtype=np.int64)
+    scratch = np.full(41, -1, dtype=np.int32)
+    want = np.sort(np.unique(hits, return_index=True)[1])
+    assert codes._first_hits(hits, scratch).tolist() == want.tolist()
+
+
+def test_histogram_counts_every_weight():
+    table = table_for(5, 1, "minus")  # radius 4
+    want = collections.Counter(table.weights.tolist())
+    assert table.histogram() == dict(sorted(want.items()))
+    assert list(table.histogram()) == sorted(want)
 
 
 def test_uncoverable_generator_raises():
