@@ -25,16 +25,13 @@ from .codes import (VerificationError, code_parameters, coset_leader_table,
                     decode_words, matrix_from_json_dict, matrix_from_text,
                     parity_check_matrix, round_trip_check, verify_quasi_perfect)
 from .curves import admissibility, generator_set
-from .fields import AMBIENT_CAP, VERTEX_CAP, check_ambient, make_field
+from .fields import (AMBIENT_CAP, VERTEX_CAP, check_ambient, chunk_rows,
+                     make_field)
 from .lemmas import MAX_LEMMA_VERTICES, lemma_battery
 from .spectra import full_spectrum
 from .sumsets import classify
 
 _YESNO = {True: "yes", False: "no"}
-# non-comment stdin lines that `decode` parses and decodes per batch call;
-# a block, not all of stdin, so that the parsed words do not grow with the
-# input (the output is held to the end, so that a bad line leaves it empty)
-_DECODE_BLOCK = 256
 
 
 def _add_common(sub):
@@ -160,14 +157,21 @@ def cmd_spectrum(args) -> str:
 
 def cmd_code_gen(args) -> str:
     code = code_parameters(_generator(args))
-    if args.fmt == "json":
-        return _json(code.to_json_dict())
-    radius = "none" if code.covering_radius is None else code.covering_radius
-    return (code.matrix.to_text()
-            + f"# n={code.n} dimension={code.dimension} "
-              f"codewords={code.codeword_count} density={code.density!r}\n"
-            + f"# error_correction={code.error_correction} "
-              f"covering_radius={radius} verdict={code.verdict}\n")
+    # p^dimension passes str()'s 4300-digit limit from p = 2531 (plus); it is
+    # printed exactly, with the limit lifted only while the output is built
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        if args.fmt == "json":
+            return _json(code.to_json_dict())
+        radius = "none" if code.covering_radius is None else code.covering_radius
+        return (code.matrix.to_text()
+                + f"# n={code.n} dimension={code.dimension} "
+                  f"codewords={code.codeword_count} density={code.density!r}\n"
+                + f"# error_correction={code.error_correction} "
+                  f"covering_radius={radius} verdict={code.verdict}\n")
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _code_and_table(args):
@@ -202,15 +206,15 @@ def cmd_code_verify(args) -> str:
             f"round_trip: {ok}/{total} seed={args.seed}\n")
 
 
-def _blocks(stream):
+def _blocks(stream, size):
     """The (line number, stripped line) pairs of the non-comment lines of
-    ``stream``, in lists of ``_DECODE_BLOCK``."""
+    ``stream``, in lists of ``size``."""
     block = []
     for lineno, line in enumerate(stream, start=1):
         line = line.strip()
         if line and not line.startswith("#"):
             block.append((lineno, line))
-            if len(block) == _DECODE_BLOCK:
+            if len(block) == size:
                 yield block
                 block = []
     if block:
@@ -282,8 +286,10 @@ def _format_lines(cws, errs, weights, digits, wdigits, pieces) -> bytes:
 
 
 def cmd_decode(args) -> str:
-    """Decode stdin in blocks of ``_DECODE_BLOCK`` non-comment lines, each
-    parsed, decoded and formatted as arrays.  A block whose lines are all
+    """Decode stdin in blocks of ``chunk_rows(n)`` non-comment lines, each
+    parsed, decoded and formatted as arrays: blocks, not all of stdin, so
+    the parsed words do not grow with the input (the output is held to the
+    end, so that a bad line leaves it empty).  A block whose lines are all
     plain (n ASCII digit strings joined by single spaces, each below 10^18)
     goes through numpy's text parser; any other block goes token by token
     through ``int``, so every token is read or refused as ``int`` does, and
@@ -299,7 +305,7 @@ def cmd_decode(args) -> str:
     # one growing buffer rather than a list of blocks joined at the end,
     # so the output is held once, not twice
     out = bytearray()
-    for block in _blocks(sys.stdin):
+    for block in _blocks(sys.stdin, chunk_rows(n)):
         words = _plain_words([line for _, line in block], n)
         if words is None:
             words = _int_words(block, n)

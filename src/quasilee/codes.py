@@ -32,15 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import GeneratorSet, from_representatives, generator_set
-from .fields import (VERTEX_CAP, VerificationError, check_ambient, index_mask,
-                     index_pack, make_field, pair_add, pair_neg)
+from .fields import (VERTEX_CAP, VerificationError, check_ambient, chunk_rows,
+                     index_mask, index_pack, make_field, pair_add, pair_neg)
 from .sumsets import (MAX_LAYERS, Classification, CoverageError, classify,
                       lee_ball_size)
-
-# frontier syndromes expanded per array operation in the table BFS
-_BFS_CHUNK = 1024
-# round-trip trials drawn and decoded per batch
-_ROUND_TRIP_BLOCK = 4096
 
 
 def lee_weight(word, p: int) -> int:
@@ -221,10 +216,6 @@ class CosetLeaderTable:
     weights: np.ndarray  # int32
     max_weight: int
 
-    @property
-    def size(self) -> int:
-        return len(self.weights)
-
     def leader_words(self, syns) -> np.ndarray:
         """Leaders of a batch of syndromes, one row each, entries in [0, p):
         the steps summed over at most ``max_weight`` hops to the root."""
@@ -287,14 +278,15 @@ def coset_leader_table(matrix: ParityCheckMatrix) -> CosetLeaderTable:
     weights = np.full(size, -1, dtype=np.int32)
     parent[0] = weights[0] = 0
     frontier = np.zeros(1, dtype=np.int64)
+    chunk = chunk_rows(shifts.size)
     filled = 1
     w = 0
     while filled < size and frontier.size and w < MAX_LAYERS:
         found = []
-        for lo in range(0, frontier.size, _BFS_CHUNK):
+        for lo in range(0, frontier.size, chunk):
             if filled == size:
                 break  # a later chunk could only reach filled syndromes
-            rows = frontier[lo:lo + _BFS_CHUNK]
+            rows = frontier[lo:lo + chunk]
             # a step that does not raise the weight of a level-w leader lands
             # at distance <= w, all filled before level w is expanded: so the
             # unfilled test alone keeps exactly the weight-raising steps
@@ -497,18 +489,18 @@ def round_trip_check(table: CosetLeaderTable, trials: int, seed: int,
     A codeword is sampled by decoding a uniform random word (uniform over
     the code), a random error of Lee weight <= max_weight is added, and
     the decoder must return exactly the original pair.  Trials are drawn
-    one after another and decoded in batches of a fixed size, so memory
-    does not grow with ``trials``.  ValueError if ``trials`` < 0.
+    one after another and decoded in batches of ``chunk_rows(n)``, so
+    memory does not grow with ``trials``.  ValueError if ``trials`` < 0.
     """
     if trials < 0:
         raise ValueError(f"trial count must be nonnegative, got {trials}")
     p, n = table.matrix.p, table.matrix.n
     rng = random.Random(seed)
     pos, val = lee_ball_support(n, p, max_weight)
-    ok = 0
-    for lo in range(0, trials, _ROUND_TRIP_BLOCK):
+    ok, block = 0, chunk_rows(n)
+    for lo in range(0, trials, block):
         words, picked = [], []
-        for _ in range(min(_ROUND_TRIP_BLOCK, trials - lo)):
+        for _ in range(min(block, trials - lo)):
             words.append([rng.randrange(p) for _ in range(n)])
             picked.append(rng.randrange(len(pos)))
         # dense rows for the picked errors only

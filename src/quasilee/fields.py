@@ -62,8 +62,21 @@ import numpy as np
 # Ambient size cap q**2 <= 2**26; construction refuses anything larger.
 AMBIENT_CAP = 1 << 26
 VERTEX_CAP = 1 << 20  # the cap of the stages that build q**2-sized arrays
+# int64 entries per array operation of every chunked loop, each taking
+# chunk_rows(width) rows: 2n steps a BFS frontier row, |H| sums a class,
+# (q+1)^2 sums a battery shift, n entries a round-trip trial or decode line.
+# CPU on a 2-core VM, old chunk -> 2^13: BFS p=1021 0.8 -> 0.6 s; class route
+# p=8191 plus 2.9 s (2^20: 5 s); battery p=97 1.9 -> 2.8 s (1 shift a chunk).
+# At 2^14 (128 KiB arrays, glibc's trim threshold) some heap layouts returned
+# and refaulted the heap top every chunk (lemma-suite 5^2: 24 -> 34 ms).
+CHUNK_ENTRIES = 1 << 13
 
 SUM_TOL = 1e-9
+
+
+def chunk_rows(width: int) -> int:
+    """Rows of ``width`` entries in one chunk, at least one."""
+    return max(1, CHUNK_ENTRIES // width)
 
 
 class SizeCapError(ValueError):
@@ -275,11 +288,6 @@ class FieldCtx:
     def coeffs(self, a: int) -> list:
         """Coefficient vector (a_0, ..., a_{k-1}) of the element with index a."""
         return index_digits(a, self.p, self.k)
-
-    def from_coeffs(self, coeffs) -> int:
-        if len(coeffs) != self.k:
-            raise ValueError(f"expected {self.k} coefficients, got {len(coeffs)}")
-        return index_pack(coeffs, self.p)
 
     # -----------------------------------------------------------------------
 

@@ -11,7 +11,7 @@ the norm-one circle, mod-12 residue rules, and the spectral bounds.
 
 Each enumeration is a numpy computation over index arrays that still
 visits every term: the (q+1)^2 sums z1 + z2*w for every shift w != 0
-(SHIFT_CHUNK shifts at a time), all q^3 terms of the Gauss and
+(``chunk_rows((q+1)**2)`` shifts at a time), all q^3 terms of the Gauss and
 Kloosterman sums, and the q x q grid for the abscissa and hyperbola
 predicates and the cubic counts.  The double and triple sums are
 broadcast additions, not the FFT layers of ``sumsets``, so the battery
@@ -35,8 +35,8 @@ import numpy as np
 
 from .curves import norm_circle, unit_hyperbola
 from .fields import (SUM_TOL, CharacterSumValue, QuadExt, VerificationError,
-                     check_ambient, gauss_closed_form, gauss_counts,
-                     index_mask, kloosterman_counts, make_field,
+                     check_ambient, chunk_rows, gauss_closed_form,
+                     gauss_counts, index_mask, kloosterman_counts, make_field,
                      minus3_character, pair_add, residue_class_mod12,
                      unity_cos_sin)
 from .spectra import full_spectrum
@@ -47,8 +47,6 @@ from .spectra import full_spectrum
 # Its traced peak is 5.0 to 5.4 such arrays (p = 23 to 131), so 48 q^3 bytes
 # bounds it; q^2 is admitted while that stays within 2 GiB (q <= 355).
 MAX_LEMMA_VERTICES = int((2 ** 31 / 48) ** (2 / 3))
-# shifts per shifted_sum_masks call; larger chunks raise peak memory
-SHIFT_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -230,8 +228,9 @@ def lemma_battery(p: int, k: int = 1) -> list:
     def shifted_sums():
         # one pass over all w != 0 serves both the norm-image counts and,
         # for w outside the circle, the double-sum sizes
-        for start in range(1, q * q, SHIFT_CHUNK):
-            ws = np.arange(start, min(start + SHIFT_CHUNK, q * q))
+        chunk = chunk_rows((q + 1) ** 2)
+        for start in range(1, q * q, chunk):
+            ws = np.arange(start, min(start + chunk, q * q))
             seen, image = shifted_sum_masks(ext, ones, ws, norms)
             n_sums, n_norms = seen.sum(axis=1), image.sum(axis=1)
             square = ctx.quad_character(norms[ws]) == 1

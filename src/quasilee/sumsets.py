@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import GeneratorSet, curve_classes
-from .fields import FieldCtx, VerificationError, pair_add
+from .fields import FieldCtx, VerificationError, chunk_rows, pair_add
 
 # Lee ball size evaluation is supported for r <= 3 only.
 MAX_BALL_RADIUS = 3
@@ -35,10 +35,6 @@ MAX_BALL_RADIUS = 3
 MAX_LAYERS = 8
 # largest allowed distance of a convolution value from an integer
 INTEGRALITY_TOL = 0.25
-# sums rep_c + h per array operation on the class route; smaller chunks keep
-# their temporaries in cache (p=8191 plus, in-process CPU time on a 2-core
-# VM: 2.1 s at 2^14, 4.5 s at 2^20)
-_CLASS_CHUNK = 1 << 14
 
 QUASI_PERFECT_2 = "QuasiPerfect2"
 PERFECT_2 = "Perfect2"
@@ -95,7 +91,6 @@ class SumsetLayers:
     critical_index: int
     limit_index: int
     covered: bool
-    stabilized: bool
     class_sets: tuple
 
     @property
@@ -150,12 +145,13 @@ def _class_layers(gen: GeneratorSet, classes) -> tuple:
     members = np.asarray(gen.members, dtype=np.int64)
     reps, sizes = classes.reps, classes.sizes
     weighted = np.zeros(len(reps))  # exact: every value is below 2^53
+    chunk = chunk_rows(len(members))
 
     def step(new):
         reached = np.zeros(len(reps), dtype=bool)
         rows = np.flatnonzero(new)
-        parts = max(1, -(-len(rows) * len(members) // _CLASS_CHUNK))
-        for cs in np.array_split(rows, parts):
+        for lo in range(0, len(rows), chunk):
+            cs = rows[lo:lo + chunk]
             keys = classes.of(pair_add(gen.base, reps[cs, None], members)).ravel()
             reached[keys] = True
             weighted[:] += np.bincount(keys, np.repeat(sizes[cs], len(members)),
@@ -194,7 +190,6 @@ def cumulative_layers(gen: GeneratorSet) -> SumsetLayers:
     critical = max(t for t in range(min(len(sizes) - 1, MAX_BALL_RADIUS) + 1)
                    if sizes[t] == lee_ball_size(gen.n, t))
     return SumsetLayers(gen, tuple(sizes), critical, limit, covered,
-                        sizes[-1] == sizes[-2],
                         None if classes is None else tuple(sets))
 
 

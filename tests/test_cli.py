@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from quasilee import cli
+from quasilee import cli, fields
 from quasilee.cli import main
 from quasilee.codes import coset_leader_table, parity_check_matrix
 from quasilee.curves import generator_set
@@ -341,6 +341,26 @@ def test_code_gen_json(capsys):
     assert d["matrix"]["family"] == "minus"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_code_gen_prints_a_count_past_the_str_digit_limit(capsys, fmt):
+    # 2609^1303 has 4 452 digits, past str()'s default limit of 4 300, which
+    # the CLI lifts while it formats and then restores
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "code-gen", "--p", "2609", "--family", "plus",
+                         "--format", fmt)
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        if fmt == "json":
+            d = json.loads(out)
+            assert d["codeword_count"] == 2609 ** d["dimension"] == 2609 ** 1303
+        else:
+            assert f"dimension=1303 codewords={2609 ** 1303} " in out
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_code_verify_direct(capsys):
     code, out, _ = run(capsys, "code-verify", "--p", "13", "--family", "plus")
     assert code == 0
@@ -484,7 +504,7 @@ def test_decode_reduces_huge_and_negative_tokens(capsys, monkeypatch):
     reduced = [" ".join(str(int(t) % 13) for t in line.split(" ")) for line in lines]
     for block in (None, 1):
         if block is not None:
-            monkeypatch.setattr(cli, "_DECODE_BLOCK", block)
+            monkeypatch.setattr(fields, "CHUNK_ENTRIES", block * 7)  # n = 7
         outs = []
         for text in (lines, reduced):
             monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(text) + "\n"))
@@ -506,7 +526,7 @@ def test_decode_reduces_huge_and_negative_tokens(capsys, monkeypatch):
 def test_decode_reports_first_bad_line(capsys, monkeypatch, block, lines, message):
     # lines 2 and 3 share a block by default; blocks of 1 or 2 split them
     if block is not None:
-        monkeypatch.setattr(cli, "_DECODE_BLOCK", block)
+        monkeypatch.setattr(fields, "CHUNK_ENTRIES", block * 7)  # n = 7
     monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
     for fmt in ("text", "json"):
         code, out, err = run(capsys, "decode", "--p", "13", "--family", "plus",
@@ -631,7 +651,8 @@ STREAMS = {"mixed": decode_stream, "plain": plain_stream,
 def test_decode_stream_pinned(capsys, monkeypatch, tmp_path, stream, p, k,
                               family, fmt, block):
     if block is not None:
-        monkeypatch.setattr(cli, "_DECODE_BLOCK", block)
+        monkeypatch.setattr(fields, "CHUNK_ENTRIES",
+                            block * DECODE_CONFIGS[(p, k, family)])
     mat = tmp_path / "m.txt"
     assert main(["code-gen", "--p", str(p), "--k", str(k), "--family", family,
                  "--out", str(mat)]) == 0
@@ -651,7 +672,7 @@ def test_decode_plain_blocks_skip_int(capsys, monkeypatch, tmp_path):
     int_words = cli._int_words
     monkeypatch.setattr(cli, "_int_words",
                         lambda block, n: calls.append(block) or int_words(block, n))
-    monkeypatch.setattr(cli, "_DECODE_BLOCK", 3)
+    monkeypatch.setattr(fields, "CHUNK_ENTRIES", 3 * 7)  # blocks of 3, n = 7
     for stream, fallbacks in (("plain", 0), ("alternating", 333)):
         monkeypatch.setattr("sys.stdin", io.StringIO(STREAMS[stream](13, 7)))
         code, out, err = run(capsys, "decode", "--p", "13", "--family", "plus")
@@ -660,6 +681,36 @@ def test_decode_plain_blocks_skip_int(capsys, monkeypatch, tmp_path):
         assert digest == DECODE_SHA256[(stream, 13, 1, "plus", "text")]
         assert len(calls) == fallbacks
         calls.clear()
+
+
+# -- one chunk budget ------------------------------------------------------------------
+
+# a call of each chunked loop: the class route (subset), the BFS and the
+# round trip (code-verify), the stdin blocks (decode of the mixed stream)
+# and the battery's shifts (lemma-suite)
+BUDGET_CALLS = {
+    "subset-13-plus": ["subset", "--p", "13", "--family", "plus"],
+    "subset-5k2-minus": ["subset", "--p", "5", "--k", "2", "--family", "minus"],
+    "code-verify-13-plus": ["code-verify", "--p", "13", "--family", "plus"],
+    "code-verify-5k3-minus": ["code-verify", "--p", "5", "--k", "3",
+                              "--family", "minus"],
+    "decode-13-plus": ["decode", "--p", "13", "--family", "plus"],
+    "lemma-suite-23": ["lemma-suite", "--p", "23"],
+    "lemma-suite-5k2": ["lemma-suite", "--p", "5", "--k", "2"],
+}
+
+
+@pytest.mark.parametrize("argv", BUDGET_CALLS.values(), ids=BUDGET_CALLS.keys())
+def test_one_row_chunks_print_the_same(capsys, monkeypatch, argv):
+    # CHUNK_ENTRIES = 1 makes every chunk of every loop one row
+    outs = []
+    for entries in (None, 1):
+        if entries is not None:
+            monkeypatch.setattr(fields, "CHUNK_ENTRIES", entries)
+        monkeypatch.setattr("sys.stdin", io.StringIO(decode_stream(13, 7)))
+        outs.append(run(capsys, *argv))
+    assert outs[0] == outs[1]
+    assert outs[0][1] and not outs[0][2]
 
 
 # -- lemma suite -----------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasilee import codes
+from quasilee import codes, fields
 from quasilee.codes import (CosetLeaderTable, DecodeResult, VerificationError,
                             build_code, code_parameters, coset_leader_table,
                             decode, decode_words, lee_ball_support, lee_weight,
@@ -39,7 +39,7 @@ def matrix_for(p, k, family):
 
 def all_leaders(table) -> list:
     """Every leader as a list, index = syndrome."""
-    return table.leader_words(np.arange(table.size)).tolist()
+    return table.leader_words(np.arange(len(table.weights))).tolist()
 
 
 def ball_words(n, p, radius) -> list:
@@ -269,7 +269,7 @@ def test_leaders_attain_minimal_weight(p, k, family):
         s = syndrome(mat, v)
         w = lee_weight(v, p)
         best[s] = min(best.get(s, n * p), w)
-    assert len(best) == table.size
+    assert len(best) == len(table.weights)
     for s, w in best.items():
         assert table.weights[s] == w
 
@@ -289,7 +289,7 @@ def test_table_matches_scalar_bfs_oracle(p, k, family):
 def test_table_does_not_depend_on_chunk_size(monkeypatch):
     default = {c: coset_leader_table(matrix_for(*c))
                for c in [(97, 1, "plus"), (5, 3, "minus")]}
-    monkeypatch.setattr(codes, "_BFS_CHUNK", 7)
+    monkeypatch.setattr(fields, "CHUNK_ENTRIES", 1)  # one frontier row a chunk
     for config, want in default.items():
         got = coset_leader_table(matrix_for(*config))
         for name in ("parent", "step", "weights"):
@@ -303,8 +303,10 @@ def test_table_does_not_depend_on_chunk_size(monkeypatch):
 
 
 def test_bfs_stops_at_the_chunk_that_fills_the_table(monkeypatch):
-    # p = 307 plus: 94 249 syndromes, 49 frontier chunks up to level 3, of
-    # which the sixth fills the table; every chunk makes one pair_add call
+    # p = 307 plus: 94 249 syndromes, 49 frontier chunks of 1024 rows (2n =
+    # 308 entries each) up to level 3, of which the sixth fills the table;
+    # every chunk makes one pair_add call
+    monkeypatch.setattr(fields, "CHUNK_ENTRIES", 1024 * 308)
     mat = matrix_for(307, 1, "plus")
     calls = []
 
@@ -322,7 +324,7 @@ def test_table_is_a_bfs_tree():
     table = table_for(5, 1, "minus")  # radius 4
     assert table.max_weight == 4
     assert (table.parent[0], table.step[0], table.weights[0]) == (0, -1, 0)
-    rest = np.arange(1, table.size)
+    rest = np.arange(1, len(table.weights))
     # every edge goes one level down and is a +-1 step at a valid position
     assert (table.weights[table.parent[rest]] == table.weights[rest] - 1).all()
     assert ((table.step[rest] >= 0) & (table.step[rest] < 2 * table.matrix.n)).all()
@@ -461,12 +463,13 @@ def test_round_trips_both_example_codes():
         assert (ok, trials) == (1000, 1000)
 
 
-@pytest.mark.parametrize("block", [codes._ROUND_TRIP_BLOCK, 7])
+@pytest.mark.parametrize("block", [None, 7])
 def test_round_trip_rng_stream_is_pinned(monkeypatch, block):
     # the value of the one-word-at-a-time decoder, which drew a random word
-    # and then an error index per trial; batches of any size, the last one
-    # short, keep that order
-    monkeypatch.setattr(codes, "_ROUND_TRIP_BLOCK", block)
+    # and then an error index per trial; batches of any size (the default
+    # budget's or 7 trials, the last one short) keep that order
+    if block is not None:
+        monkeypatch.setattr(fields, "CHUNK_ENTRIES", block * 7)  # n = 7
     table = table_for(13, 1, "plus")
     assert round_trip_check(table, trials=300, seed=1, max_weight=3) == (99, 300)
     assert round_trip_check(table, trials=0, seed=1) == (0, 0)

@@ -9,11 +9,11 @@ import oracles
 import pytest
 
 from quasilee.fields import (CharacterSumValue, QuadExt, SizeCapError,
-                             VerificationError, gauss_counts,
+                             VerificationError, chunk_rows, gauss_counts,
                              gauss_quadratic_sum, kloosterman,
                              kloosterman_counts, make_field)
-from quasilee.lemmas import (MAX_LEMMA_VERTICES, SHIFT_CHUNK, abscissa_grid,
-                             cubic_counts, lemma_battery, shifted_sum_masks)
+from quasilee.lemmas import (MAX_LEMMA_VERTICES, abscissa_grid, cubic_counts,
+                             lemma_battery, shifted_sum_masks)
 
 
 # every shift w is compared; the oracle circle is found once
@@ -25,8 +25,9 @@ def test_shifted_sum_masks_match_scalar(p, k, stride):
     members = np.array(circle)
     norms = ext.norm(np.arange(ext.size))
     shifts = list(range(1, ext.size, stride))
-    for start in range(0, len(shifts), SHIFT_CHUNK):
-        ws = shifts[start:start + SHIFT_CHUNK]
+    chunk = chunk_rows((ext.q + 1) ** 2)
+    for start in range(0, len(shifts), chunk):
+        ws = shifts[start:start + chunk]
         seen, image = shifted_sum_masks(ext, members, ws, norms)
         for i, w in enumerate(ws):
             assert np.flatnonzero(seen[i]).tolist() == \
