@@ -27,7 +27,7 @@ from .codes import (VerificationError, code_parameters, coset_leader_table,
 from .curves import admissibility, generator_set
 from .fields import (AMBIENT_CAP, VERTEX_CAP, check_ambient, chunk_rows,
                      make_field)
-from .lemmas import MAX_LEMMA_VERTICES, lemma_battery
+from .lemmas import lemma_battery
 from .spectra import full_spectrum
 from .sumsets import classify
 
@@ -348,8 +348,7 @@ _COMMANDS = {
     "code-verify": (cmd_code_verify, "verify decoder table against sumset layers",
                     VERTEX_CAP),
     "decode": (cmd_decode, "decode words from stdin", VERTEX_CAP),
-    "lemma-suite": (cmd_lemma_suite, "run the brute-force lemma battery",
-                    MAX_LEMMA_VERTICES),
+    "lemma-suite": (cmd_lemma_suite, "run the brute-force lemma battery", VERTEX_CAP),
 }
 
 

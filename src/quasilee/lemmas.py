@@ -9,17 +9,18 @@ point counts of the certifying projective cubic, the quadratic Gauss sum
 closed form, Kloosterman bounds, the eigenvalue-Kloosterman identity for
 the norm-one circle, mod-12 residue rules, and the spectral bounds.
 
-Each enumeration is a numpy computation over index arrays that still
-visits every term: the (q+1)^2 sums z1 + z2*w for every shift w != 0
-(``chunk_rows((q+1)**2)`` shifts at a time), all q^3 terms of the Gauss and
-Kloosterman sums, and the q x q grid for the abscissa and hyperbola
-predicates and the cubic counts.  The double and triple sums are
-broadcast additions, not the FFT layers of ``sumsets``, so the battery
-stays independent of the code it certifies.  The Gauss and Kloosterman
-tables come from ``fields.gauss_counts``/``kloosterman_counts``.  The
-tests compare these enumerations with the scalar oracles of the same
-names and ``shifted_circle_sum``, ``shifted_norm_image``,
-``circle_abscissas`` and ``projective_cubic_count`` of ``tests/oracles.py``.
+Each enumeration is a numpy computation that still visits every term, in
+chunks of ``chunk_rows(width)`` rows of about q entries, so no q^3 array
+is held: the Gauss table by (c, a), the Kloosterman table by (a, b), the
+triple sums C_2 + H by member of C_2 and the cubic counts by (t, x).  The
+shifted double sums H + H*w are taken once per norm class: once H is
+certified, by brute force, as the whole norm-one fiber (q + 1 points)
+closed under its (q + 1)^2 products, H*(u*w) = H*w for u in H, so the
+least w of each norm stands for its fiber w*H.  The sums are broadcast
+additions, not the FFT layers of ``sumsets``, so the battery stays
+independent of the code it certifies.  The tests compare each enumeration
+with the scalar oracles of ``tests/oracles.py``, and every shift with the
+least shift of its norm.
 
 ``lemma_battery(p, k)`` returns one ``LemmaCheck`` per fact; a check never
 raises, it reports failure with the offending detail instead.  Inside a
@@ -34,19 +35,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import norm_circle, unit_hyperbola
-from .fields import (SUM_TOL, CharacterSumValue, QuadExt, VerificationError,
-                     check_ambient, chunk_rows, gauss_closed_form,
-                     gauss_counts, index_mask, kloosterman_counts, make_field,
-                     minus3_character, pair_add, residue_class_mod12,
-                     unity_cos_sin)
+from .fields import (SUM_TOL, VERTEX_CAP, CharacterSumValue, QuadExt,
+                     VerificationError, check_ambient, chunk_rows,
+                     gauss_closed_form, gauss_counts, index_mask,
+                     kloosterman_counts, make_field, minus3_character,
+                     pair_add, residue_class_mod12, unity_cos_sin)
 from .spectra import full_spectrum
-
-# lemma-suite's stage limit on q^2.  The battery's largest arrays hold about
-# q^3 int64 entries: the arguments of kloosterman_counts, (q - 1)^3, and the
-# triple sums C_2 + H of _sum_mask, (q + 1)^3 / 2, with their temporaries.
-# Its traced peak is 5.0 to 5.4 such arrays (p = 23 to 131), so 48 q^3 bytes
-# bounds it; q^2 is admitted while that stays within 2 GiB (q <= 355).
-MAX_LEMMA_VERTICES = int((2 ** 31 / 48) ** (2 / 3))
 
 
 @dataclass(frozen=True)
@@ -73,13 +67,20 @@ def _first(bad):
     return tuple(int(i) for i in hits[0]) if len(hits) else None
 
 
-def _sum_mask(ext: QuadExt, a, b):
-    """Mask over the q^2 indices of the sumset a + b of two index arrays.
+def _chunks(items, width):
+    """Consecutive slices of ``items``, ``chunk_rows(width)`` rows each."""
+    step = chunk_rows(width)
+    return (items[lo:lo + step] for lo in range(0, len(items), step))
 
-    The addition is that of F_q x F_q, which is also the addition of
-    F_{q^2}, so it serves both families.
-    """
-    return index_mask(ext.size, pair_add(ext.base, a[:, None], b[None, :]))
+
+def _sum_mask(ext: QuadExt, a, b):
+    """Mask over the q^2 indices of the sumset a + b of two index arrays, a
+    chunk of ``a`` at a time.  The addition is that of F_q x F_q, which is
+    also the addition of F_{q^2}, so it serves both families."""
+    mask = np.zeros(ext.size, dtype=bool)
+    for rows in _chunks(a, len(b)):
+        mask[pair_add(ext.base, rows[:, None], b)] = True
+    return mask
 
 
 def shifted_sum_masks(ext: QuadExt, members, ws, norms):
@@ -91,10 +92,9 @@ def shifted_sum_masks(ext: QuadExt, members, ws, norms):
     H x H, and (len(ws), q), row i marking their norms.
     """
     ws = np.asarray(ws)
-    rows = np.arange(len(ws))[:, None]
+    rows = np.arange(len(ws))[:, None, None]
     scaled = ext.mul(ws[:, None], members[None, :])
     sums = pair_add(ext.base, members[None, :, None], scaled[:, None, :])
-    sums = sums.reshape(len(ws), -1)
     seen = np.zeros((len(ws), ext.size), dtype=bool)
     seen[rows, sums] = True
     image = np.zeros((len(ws), ext.q), dtype=bool)
@@ -118,20 +118,25 @@ def cubic_counts(ctx):
 
     Entry t is ``projective_cubic_count(ctx, t)`` for t != -1: the three
     points at infinity plus the (x, y) of the q x q grid with
-    (x + y + t) * (x*y - x - y) + x*y = 0.
+    (x + y + t) * (x*y - x - y) + x*y = 0, counted a chunk of rows
+    t*q + x at a time.
     """
-    x = np.arange(ctx.q)
-    xy = ctx.mul(x[:, None], x)
-    s = ctx.add(x[:, None], x)
-    rest = ctx.add(xy, ctx.neg(s))
-    val = ctx.add(ctx.mul(ctx.add(s, x[:, None, None]), rest), xy)
-    return 3 + (val == 0).sum(axis=(1, 2))
+    q, y = ctx.q, np.arange(ctx.q)
+    counts = np.full(q, 3)
+    for rows in _chunks(np.arange(q * q), q):
+        t, x = rows // q, rows[:, None] % q
+        xy = ctx.mul(x, y)
+        s = ctx.add(x, y)
+        val = ctx.add(ctx.mul(ctx.add(s, t[:, None]), ctx.add(xy, ctx.neg(s))), xy)
+        counts += np.bincount(t[np.nonzero(val == 0)[0]], minlength=q)
+    return counts
 
 
 def lemma_battery(p: int, k: int = 1) -> list:
     """Run every check over F_{p^k}; returns a list of LemmaCheck.  Refuses
-    q^2 above MAX_LEMMA_VERTICES (SizeCapError) before building anything."""
-    check_ambient(p, k, MAX_LEMMA_VERTICES)
+    q^2 above VERTEX_CAP (SizeCapError), a cap on its q^3 work, before
+    building anything."""
+    check_ambient(p, k, VERTEX_CAP)
     ctx = make_field(p, k)
     q = ctx.q
     ext = QuadExt(ctx)
@@ -148,10 +153,9 @@ def lemma_battery(p: int, k: int = 1) -> list:
     c3 = _sum_mask(ext, np.flatnonzero(c2), ones)
     h2 = _sum_mask(ext, units, units)
     h3 = _sum_mask(ext, np.flatnonzero(h2), units)
-    # entry [a-1, b-1] counts K(a, b); K(1, c) is folded one row at a time
-    # exactly as ``kloosterman`` does
-    k_counts = kloosterman_counts(ctx, x[1:, None], x[1:])
-    k1 = [CharacterSumValue.from_counts(p, row) for row in k_counts[0]]
+    # row b-1 counts K(1, b), folded exactly as ``kloosterman`` does
+    k1_counts = kloosterman_counts(ctx, 1, x[1:])
+    k1 = [CharacterSumValue.from_counts(p, row) for row in k1_counts]
 
     # built once, at its first use; a raise fails each check that uses it
     circle_spectrum = functools.cache(lambda: full_spectrum(circle))
@@ -167,16 +171,17 @@ def lemma_battery(p: int, k: int = 1) -> list:
 
     def gauss():
         cos, sin = unity_cos_sin(p)
-        # entry [c-1, a] is the sum at (c, a)
-        counts = gauss_counts(ctx, x[1:, None], x)
-        re, im = counts @ cos, counts @ sin
-        closed = gauss_closed_form(ctx, x[1:, None], x)
-        bad = _first(~((np.abs(re - closed.real) <= SUM_TOL)
-                       & (np.abs(im - closed.imag) <= SUM_TOL)))
-        if bad is not None:
-            raise VerificationError(
-                f"Gauss sum at (c, a) = ({bad[0] + 1}, {bad[1]}) disagrees with "
-                f"the closed form: {complex(re[bad], im[bad])} vs {closed[bad]}")
+        for rows in _chunks(np.arange(q, q * q), q):
+            c, a = rows // q, rows % q
+            counts = gauss_counts(ctx, c, a)
+            re, im = counts @ cos, counts @ sin
+            closed = gauss_closed_form(ctx, c, a)
+            bad = _first(~((np.abs(re - closed.real) <= SUM_TOL)
+                           & (np.abs(im - closed.imag) <= SUM_TOL)))
+            if bad is not None:
+                raise VerificationError(
+                    f"Gauss sum at (c, a) = ({c[bad]}, {a[bad]}) disagrees with "
+                    f"the closed form: {complex(re[bad], im[bad])} vs {closed[bad]}")
         return f"{(q - 1) * q} sums match the closed form within {SUM_TOL}"
     _run(results, "gauss_closed_form", gauss)
 
@@ -189,11 +194,13 @@ def lemma_battery(p: int, k: int = 1) -> list:
                 raise VerificationError(f"|K(1, {b})| = {abs(v.re)} > 2*sqrt(q)")
         # substitution x -> x/a shows the sum depends only on a*b: the
         # exponent counts of K(a, b) are those of K(1, ab)
-        ab = ctx.mul(x[1:, None], x[1:])
-        bad = _first((k_counts != k_counts[0][ab - 1]).any(axis=2))
-        if bad is not None:
-            a, b = bad[0] + 1, bad[1] + 1
-            raise VerificationError(f"K({a}, {b}) counts differ from K(1, {ab[bad]})")
+        for rows in _chunks(np.arange((q - 1) ** 2), q - 1):
+            a, b = 1 + rows // (q - 1), 1 + rows % (q - 1)
+            ab = ctx.mul(a, b)
+            bad = _first((kloosterman_counts(ctx, a, b) != k1_counts[ab - 1]).any(1))
+            if bad is not None:
+                raise VerificationError(
+                    f"K({a[bad]}, {b[bad]}) counts differ from K(1, {ab[bad]})")
         worst = max(abs(v.re) for v in k1)
         return f"max |K| = {worst:.6f} <= 2*sqrt(q) = {bound:.6f}"
     _run(results, "kloosterman_bound", kloost)
@@ -213,8 +220,7 @@ def lemma_battery(p: int, k: int = 1) -> list:
         proj[norms, np.arange(q * q) % q] = True
         differs = (got != proj).any(axis=1)
         sizes = got.sum(axis=1)
-        want = np.where(ctx.quad_character(np.arange(q)) == 1,
-                        (q + 3) // 2, (q + 1) // 2)
+        want = np.where(ctx.quad_character(x) == 1, (q + 3) // 2, (q + 1) // 2)
         bad = _first((differs | (sizes != want))[1:])
         if bad is not None:
             c = bad[0] + 1
@@ -226,29 +232,25 @@ def lemma_battery(p: int, k: int = 1) -> list:
     _run(results, "circle_abscissas", abscissas)
 
     def shifted_sums():
-        # one pass over all w != 0 serves both the norm-image counts and,
-        # for w outside the circle, the double-sum sizes
-        chunk = chunk_rows((q + 1) ** 2)
-        for start in range(1, q * q, chunk):
-            ws = np.arange(start, min(start + chunk, q * q))
+        # the least w of each norm stands for its fiber w*H once H is
+        # certified; off the circle its double-sum size is checked too
+        if not (np.array_equal(on_circle, norms == 1) and on_circle.sum() == q + 1
+                and on_circle[ext.mul(ones[:, None], ones)].all()):
+            raise VerificationError("H is not the norm-one fiber, closed under products")
+        for ws in _chunks(1 + np.unique(norms[1:], return_index=True)[1],
+                          (q + 1) ** 2):
             seen, image = shifted_sum_masks(ext, ones, ws, norms)
             n_sums, n_norms = seen.sum(axis=1), image.sum(axis=1)
             square = ctx.quad_character(norms[ws]) == 1
-            bad_norms = n_norms != np.where(square, (q + 3) // 2, (q + 1) // 2)
             want = np.where(square, (q + 1) * (q + 3) // 2, (q + 1) ** 2 // 2)
-            bad_sums = ~on_circle[ws] & (n_sums != want)
-            for i in np.flatnonzero(bad_norms | bad_sums | (ws == 1)):
-                w = int(ws[i])
-                if bad_norms[i]:
-                    raise VerificationError(f"w={w}: {n_norms[i]} norms")
-                if w == 1:
-                    has_one = bool(image[i, 1])
-                    expect = eta_m3 == -1 or p == 3
-                    if has_one != expect:
-                        raise VerificationError(
-                            f"1 in I_1 is {has_one}, expected {expect}")
-                if bad_sums[i]:
-                    raise VerificationError(f"w={w}: double sum size {n_sums[i]}")
+            bad = _first((n_norms != np.where(square, (q + 3) // 2, (q + 1) // 2))
+                         | (~on_circle[ws] & (n_sums != want)))
+            if bad is not None:
+                raise VerificationError(f"w={ws[bad]}: {n_norms[bad]} norms, "
+                                        f"double sum size {n_sums[bad]}")
+            expect = eta_m3 == -1 or p == 3
+            if ws[0] == 1 and image[0, 1] != expect:
+                raise VerificationError(f"1 in I_1 is {image[0, 1]}, expected {expect}")
         return "norm-image and double-sum cardinalities match for every shift"
     _run(results, "shifted_double_sums", shifted_sums)
 
@@ -265,8 +267,7 @@ def lemma_battery(p: int, k: int = 1) -> list:
             want = (q - 1) * (q + 1) // 2
         if rest != want:
             raise VerificationError(f"double sum minus generators: {rest} vs {want}")
-        return (f"#(H+H) = {size}, off-generator part {rest} "
-                f"(-3 character {eta_m3})")
+        return f"#(H+H) = {size}, off-generator part {rest} (-3 character {eta_m3})"
     _run(results, "circle_double_sum_size", circle_square)
 
     def circle_triple():
@@ -292,8 +293,7 @@ def lemma_battery(p: int, k: int = 1) -> list:
 
     if p > 3:
         def hyper_products():
-            z = np.flatnonzero(h2)
-            z = z[z != 0]
+            z = np.flatnonzero(h2[1:]) + 1
             found = int(np.count_nonzero(np.bincount(ctx.mul(z % q, z // q))))
             if found != (q - 1) // 2:
                 raise VerificationError(f"{found} products")
@@ -331,8 +331,7 @@ def lemma_battery(p: int, k: int = 1) -> list:
             return f"H+H+H with 0 covers all {q * q} points (q = {q} >= 13)"
         if covered == q * q:
             raise VerificationError("triple sum plus zero must be proper for q <= 11")
-        return (f"H+H+H with 0 misses {q * q - covered} points "
-                f"(q = {q} <= 11)")
+        return f"H+H+H with 0 misses {q * q - covered} points (q = {q} <= 11)"
     _run(results, "hyperbola_triple_coverage", hyper_triple)
 
     def hyper_scaling():

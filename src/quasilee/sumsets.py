@@ -19,7 +19,7 @@ Any other H (a parity-check matrix read from a file) takes the FFT: G is
 Z_p^{2k} (see ``GeneratorSet.indicator_fft``), and C + H is the support
 of ifftn(fftn(1_C) * fftn(1_H)), whose values count the ways to write a
 point as c + h; one more than 0.25 from an integer raises
-VerificationError.
+VerificationError.  The FFT route refuses q^2 above ``VERTEX_CAP``.
 """
 
 from dataclasses import dataclass
@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import GeneratorSet, curve_classes
-from .fields import FieldCtx, VerificationError, chunk_rows, pair_add
+from .fields import (VERTEX_CAP, FieldCtx, VerificationError, check_ambient,
+                     chunk_rows, pair_add)
 
 # Lee ball size evaluation is supported for r <= 3 only.
 MAX_BALL_RADIUS = 3
@@ -176,6 +177,7 @@ def cumulative_layers(gen: GeneratorSet) -> SumsetLayers:
     size = gen.ambient_size
     classes = curve_classes(gen)
     if classes is None:
+        check_ambient(gen.p, gen.k, VERTEX_CAP)  # the FFT holds q^2 complex
         h_hat = gen.indicator_fft()
         sets, sizes = _grow(np.arange(size) == 0,
                             lambda new: _sumset_support(new, h_hat),

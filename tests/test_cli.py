@@ -17,7 +17,7 @@ from quasilee.cli import main
 from quasilee.codes import coset_leader_table, parity_check_matrix
 from quasilee.curves import generator_set
 from quasilee.fields import VERTEX_CAP, SizeCapError, is_prime, make_field
-from quasilee.lemmas import MAX_LEMMA_VERTICES, lemma_battery
+from quasilee.lemmas import lemma_battery
 from quasilee.spectra import full_spectrum
 
 
@@ -119,7 +119,7 @@ def test_ambient_gate_refuses_at_once(capsys, monkeypatch, command, gate_args):
     # the coset table, the spectrum and the lemma battery apply their own,
     # lower stage limit
     cap = {"spectrum": 1 << 20, "code-verify": 1 << 20, "decode": 1 << 20,
-           "lemma-suite": MAX_LEMMA_VERTICES}.get(command, 1 << 26)
+           "lemma-suite": 1 << 20}.get(command, 1 << 26)
     assert f"exceeds cap {cap}" in err
     assert len(err) < 200
 
@@ -157,18 +157,18 @@ def _first_refused_prime(cap):
 
 
 # the first prime whose q^2 the lemma battery's stage limit refuses
-FIRST_REFUSED_LEMMA_PRIME = _first_refused_prime(MAX_LEMMA_VERTICES)
+FIRST_REFUSED_LEMMA_PRIME = _first_refused_prime(VERTEX_CAP)
 
 
-@pytest.mark.parametrize("p", [FIRST_REFUSED_LEMMA_PRIME, 1021])
+@pytest.mark.parametrize("p", [FIRST_REFUSED_LEMMA_PRIME, 8191])
 def test_lemma_suite_stage_gate_refuses_before_allocating(capsys, p):
-    # p = 1021 passes the ambient gate; the battery's q^3 arrays would not fit
+    # both pass the ambient gate; VERTEX_CAP bounds the battery's q^3 work
     start = time.perf_counter()
     code, out, err = run(capsys, "lemma-suite", "--p", str(p))
     assert time.perf_counter() - start < 2.0
     assert code == 1 and out == ""
     assert err.startswith("error: precondition:")
-    assert f"exceeds cap {MAX_LEMMA_VERTICES}" in err
+    assert f"exceeds cap {VERTEX_CAP}" in err
 
 
 def _plus_curve(p):
@@ -184,7 +184,7 @@ LIBRARY_STAGES = {
     "spectrum": (lambda p: full_spectrum(_plus_curve(p)), VERTEX_CAP),
     "code-verify": (_coset_table, VERTEX_CAP),
     "decode": (_coset_table, VERTEX_CAP),
-    "lemma-suite": (lemma_battery, MAX_LEMMA_VERTICES),
+    "lemma-suite": (lemma_battery, 1 << 20),
 }
 
 

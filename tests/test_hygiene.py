@@ -56,6 +56,19 @@ def test_only_check_ambient_raises_size_cap_error(path):
     assert lines == [], f"{path.name} raises SizeCapError at lines {lines}"
 
 
+def test_two_size_caps():
+    # every stage's memory is bounded by the chunk budget, so a cap bounds
+    # only work: the ambient one and the cap of the q^2-array routes
+    caps = {target.id for path in SOURCES
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+            if isinstance(target, ast.Name)
+            and re.fullmatch(r"\w*_CAP|MAX_\w*_VERTICES", target.id)}
+    assert caps == {"AMBIENT_CAP", "VERTEX_CAP"}
+
+
 # sha256 of each demo's stdout; the demos are deterministic, and 01 and 03
 # print Gauss and Kloosterman values
 DEMO_STDOUT_SHA256 = {

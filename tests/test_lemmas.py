@@ -4,16 +4,19 @@ against the scalar oracles."""
 import time
 import tracemalloc
 
+import dataclasses
+
 import numpy as np
 import oracles
 import pytest
 
-from quasilee.fields import (CharacterSumValue, QuadExt, SizeCapError,
-                             VerificationError, chunk_rows, gauss_counts,
-                             gauss_quadratic_sum, kloosterman,
+from quasilee import curves, fields, lemmas
+from quasilee.fields import (VERTEX_CAP, CharacterSumValue, QuadExt,
+                             SizeCapError, VerificationError, chunk_rows,
+                             gauss_counts, gauss_quadratic_sum, kloosterman,
                              kloosterman_counts, make_field)
-from quasilee.lemmas import (MAX_LEMMA_VERTICES, abscissa_grid, cubic_counts,
-                             lemma_battery, shifted_sum_masks)
+from quasilee.lemmas import (abscissa_grid, cubic_counts, lemma_battery,
+                             shifted_sum_masks)
 
 
 # every shift w is compared; the oracle circle is found once
@@ -34,6 +37,36 @@ def test_shifted_sum_masks_match_scalar(p, k, stride):
                 sorted(oracles.shifted_circle_sum(ext, circle, w))
             assert np.flatnonzero(image[i]).tolist() == \
                 sorted(oracles.shifted_norm_image(ext, circle, w))
+
+
+# the reference route of shifted_double_sums: every shift w != 0, not one
+# per norm class, and each must give what the least shift of its norm gives
+@pytest.mark.parametrize("p,k", [(5, 1), (7, 1), (13, 1), (3, 2), (5, 2)])
+def test_every_shift_matches_the_least_shift_of_its_norm(p, k):
+    ext = QuadExt(make_field(p, k))
+    members = np.array(curves.norm_circle(ext).members)
+    norms = ext.norm(np.arange(ext.size))
+    ws = np.arange(1, ext.size)
+    seen, image = shifted_sum_masks(ext, members, ws, norms)
+    values, first = np.unique(norms[1:], return_index=True)
+    assert values.tolist() == list(range(1, ext.q)) and first[0] == 0  # w = 1
+    least = first[norms[ws] - 1]
+    for got in (seen.sum(axis=1), image.sum(axis=1), image[:, 1]):
+        assert np.array_equal(got, got[least])
+
+
+def test_unclosed_circle_fails_the_class_route(monkeypatch):
+    # the norm-2 fiber has q + 1 points and is symmetric, but its products
+    # have norm 4, so one shift per norm class may not stand for the rest
+    def fiber(ext):
+        gen = curves.norm_circle(ext)
+        two = np.flatnonzero(ext.norm(np.arange(ext.size)) == 2)
+        return dataclasses.replace(gen, members=tuple(two.tolist()))
+    monkeypatch.setattr(lemmas, "norm_circle", fiber)
+    checks = {c.name: c for c in lemma_battery(13)}
+    assert not checks["shifted_double_sums"].passed
+    assert checks["shifted_double_sums"].detail == (
+        "VerificationError: H is not the norm-one fiber, closed under products")
 
 
 # the broadcast tables are the battery's calls; each row is compared with
@@ -106,18 +139,107 @@ def test_failing_spectrum_fails_both_spectral_checks(monkeypatch):
         assert checks[name].detail == "VerificationError: spectrum not real"
 
 
-@pytest.mark.parametrize("p", [359, 1021])
+@pytest.mark.parametrize("p", [1031, 8191])
 def test_battery_gates_itself_before_allocating(p):
-    # both pass the ambient gate; the battery's q^3 arrays would not fit.
+    # both pass the ambient gate; VERTEX_CAP bounds the battery's q^3 work.
     # The library refuses with the message the CLI prints.
     start = time.perf_counter()
     tracemalloc.start()
     try:
         with pytest.raises(SizeCapError,
-                           match=rf"^q\^2 = {p * p} exceeds cap {MAX_LEMMA_VERTICES}$"):
+                           match=rf"^q\^2 = {p * p} exceeds cap {VERTEX_CAP}$"):
             lemma_battery(p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert time.perf_counter() - start < 2.0
     assert peak < 1 << 20
+
+
+def test_battery_memory_is_bounded_by_the_chunks():
+    # every q^3 enumeration is chunked, so at p = 97 (q^3 = 912 673) the
+    # battery holds q^2-sized arrays and chunks, never a q^3 one
+    tracemalloc.start()
+    try:
+        checks = lemma_battery(97)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(c.passed for c in checks)
+    assert peak < 8 << 20
+
+
+def _counted(monkeypatch, name, rows_of, seen):
+    """Wrap lemmas.<name> so that every call adds the rows it sees to
+    ``seen[name]``, as a list of tuples."""
+    kernel = getattr(lemmas, name)
+
+    def counting(*args):
+        rows = rows_of(*args)
+        if rows is not None:
+            seen.setdefault(name, []).extend(map(tuple, rows.tolist()))
+        return kernel(*args)
+    monkeypatch.setattr(lemmas, name, counting)
+
+
+@pytest.mark.parametrize("entries", [None, 1])
+def test_battery_chunks_see_every_row_once(monkeypatch, entries):
+    # the battery prints only failures, so a skipped or repeated row could
+    # leave stdout alone; count the rows that each chunked loop's kernel
+    # sees, and the rows of every chunk loop, at one row a chunk and at the
+    # default budget
+    if entries is not None:
+        monkeypatch.setattr(fields, "CHUNK_ENTRIES", entries)
+    p = q = 13
+    ext = QuadExt(make_field(p))
+    norms = ext.norm(np.arange(ext.size))
+    circle = np.array(curves.norm_circle(ext).members)
+    hyper = np.array(curves.unit_hyperbola(ext.base).members)
+    c2, h2 = lemmas._sum_mask(ext, circle, circle), lemmas._sum_mask(ext, hyper, hyper)
+    seen = {}
+
+    def pairs(a, b):
+        return np.stack(np.broadcast_arrays(a, b), axis=-1).reshape(-1, 2)
+    _counted(monkeypatch, "gauss_counts", lambda ctx, c, a: pairs(c, a), seen)
+    _counted(monkeypatch, "kloosterman_counts", lambda ctx, a, b: pairs(a, b), seen)
+    _counted(monkeypatch, "shifted_sum_masks",
+             lambda ext, members, ws, norms: np.asarray(ws)[:, None], seen)
+    # _sum_mask adds a chunk of its left operand as a column
+    _counted(monkeypatch, "pair_add",
+             lambda ctx, a, b: a if np.ndim(a) == 2 and a.shape[1] == 1 else None,
+             seen)
+    loops = []
+    chunks = lemmas._chunks
+
+    def recording(items, width):
+        got = []
+        loops.append((np.array(items), got))
+        for rows in chunks(items, width):
+            assert len(rows) <= fields.chunk_rows(width)
+            got.append(np.array(rows))
+            yield rows
+        got.append(None)  # the loop ran to its end
+    monkeypatch.setattr(lemmas, "_chunks", recording)
+
+    checks = lemma_battery(p)
+    assert all(c.passed for c in checks)
+    for items, got in loops:
+        assert got[-1] is None
+        assert np.array_equal(np.concatenate(got[:-1]), items)
+    # Gauss (c, a) and Kloosterman (a, b) rows, the table's once and the
+    # K(1, b) fold once more; one shift per nonzero norm
+    grid = [(u, v) for u in range(q) for v in range(q)]
+    assert sorted(seen["gauss_counts"]) == [(c, a) for c, a in grid if c]
+    units = [(a, b) for a, b in grid if a and b]
+    assert sorted(seen["kloosterman_counts"]) == sorted(units + [(1, b) for b in range(1, q)])
+    assert sorted(norms[[w for (w,) in seen["shifted_sum_masks"]]].tolist()) == \
+        list(range(1, q))
+    # the sum masks: H + H and C_2 + H of both families, each member of
+    # the left operand once
+    sums = sorted(w for (w,) in seen["pair_add"])
+    assert sums == sorted(circle.tolist() + np.flatnonzero(c2).tolist()
+                          + hyper.tolist() + np.flatnonzero(h2).tolist())
+    # and every chunk loop: the five above and the cubic's (t, x) rows
+    assert sorted(len(items) for items, _ in loops) == sorted(
+        [len(circle), int(c2.sum()), len(hyper), int(h2.sum()), q - 1,
+         (q - 1) * q, (q - 1) ** 2, q * q])

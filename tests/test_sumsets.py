@@ -1,5 +1,7 @@
 """Layer growth, Lee ball sizes and the code-theoretic verdict."""
 
+import tracemalloc
+
 import numpy as np
 import oracles
 import pytest
@@ -10,7 +12,7 @@ from quasilee import sumsets
 from quasilee.cli import main
 from quasilee.curves import (admissibility, curve_classes, from_representatives,
                              generator_set)
-from quasilee.fields import is_prime, make_field, pair_neg
+from quasilee.fields import SizeCapError, is_prime, make_field, pair_neg
 from quasilee.sumsets import (NEITHER, QUASI_PERFECT_2, classify,
                               cumulative_layers, lee_ball_size, sumset)
 
@@ -127,6 +129,25 @@ def test_off_curve_set_takes_the_fft_route(p, k, family):
     assert lay.class_sets is None
     want = oracle_layers(odd, len(lay.sizes))
     assert lay.sizes == tuple(len(c) for c in want)
+
+
+def test_fft_route_gates_itself_before_allocating():
+    # an off-curve set takes the FFT, which holds q^2 complex entries, so
+    # the layers refuse q^2 = 1031^2 > 2^20 themselves, with the library's
+    # one size message, not only behind the CLI's pre-check
+    tracemalloc.start()
+    try:
+        base = make_field(1031)
+        gen = generator_set(base, "plus")
+        off = next(z for z in range(1, gen.ambient_size) if z not in gen.members)
+        odd = from_representatives(base, "plus", list(gen.reps[:-1]) + [off])
+        with pytest.raises(SizeCapError,
+                           match=r"^q\^2 = 1062961 exceeds cap 1048576$"):
+            classify(odd)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("p,k,family", [(13, 1, "plus"), (23, 1, "minus"),
