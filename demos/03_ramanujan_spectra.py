@@ -23,8 +23,9 @@ for p, k, family in [(5, 1, "plus"), (7, 1, "plus"), (3, 2, "plus"),
           f"  {rep.ramanujan_bound:13.6f}  {rep.classification}")
 
 # each eigenvalue of the circle graph is minus a Kloosterman sum
-# evaluated at the vertex's norm, so eigenvalues are constant along
-# norm classes
+# evaluated at the character's norm, so eigenvalues are constant along
+# norm classes: the report keeps one per class, and a character's class
+# is its norm
 base = make_field(13)
 ext = QuadExt(base)
 gen = generator_set(base, "plus")
@@ -36,7 +37,7 @@ for alpha in range(1, 169):
     if nrm in shown:
         continue
     shown.add(nrm)
-    lam = float(rep.eigenvalues[alpha])
+    lam = float(rep.class_eigenvalues[nrm])
     print(f"  norm {nrm:2d}: lambda = {lam:10.6f}   -K = {-kloosterman(base, 1, nrm):10.6f}")
 
 # the spectrum is highly degenerate: only a handful of distinct values

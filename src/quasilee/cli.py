@@ -28,7 +28,7 @@ from .curves import admissibility, generator_set
 from .fields import (AMBIENT_CAP, VERTEX_CAP, check_ambient, chunk_rows,
                      make_field)
 from .lemmas import lemma_battery
-from .spectra import full_spectrum
+from .spectra import class_counts, full_spectrum
 from .sumsets import classify
 
 _YESNO = {True: "yes", False: "no"}
@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="quasilee", description=__doc__.split("\n")[0])
     sp = ap.add_subparsers(dest="command", required=True)
 
-    for name, (_, helptext, _) in _COMMANDS.items():
+    for name, (_, helptext) in _COMMANDS.items():
         sub = sp.add_parser(name, help=helptext)
         _add_common(sub)
         if name == "spectrum":
@@ -77,10 +77,9 @@ def _require(args, *names):
 
 
 def _check_cap(args, p, k):
-    """Refuse q^2 = p^(2k) above --cap or the subcommand's cap in _COMMANDS
-    (AMBIENT_CAP or its stage's lower one), before anything of size q^2 is
-    built.  Every subcommand and the --matrix path go through here."""
-    check_ambient(p, k, min(args.cap, _COMMANDS[args.command][2]))
+    """Refuse q^2 = p^(2k) above --cap or AMBIENT_CAP before anything is
+    built, in every subcommand and for --matrix; lower caps are the routes'."""
+    check_ambient(p, k, min(args.cap, AMBIENT_CAP))
 
 
 def _generator(args):
@@ -89,17 +88,18 @@ def _generator(args):
     return generator_set(make_field(args.p, args.k), args.family)
 
 
-def _load_matrix(args):
-    if getattr(args, "matrix", None):
-        with open(args.matrix) as fh:
-            text = fh.read()
-        if text.lstrip().startswith("{"):
-            mat = matrix_from_json_dict(json.loads(text))
-        else:
-            mat = matrix_from_text(text)
-        _check_cap(args, mat.p, mat.generator.k)
-        return mat
-    return None
+def _matrix(args):
+    """The parity-check matrix of the --matrix file, else of --p/--k/--family."""
+    if not args.matrix:
+        return parity_check_matrix(_generator(args))
+    with open(args.matrix) as fh:
+        text = fh.read()
+    if text.lstrip().startswith("{"):
+        mat = matrix_from_json_dict(json.loads(text))
+    else:
+        mat = matrix_from_text(text)
+    _check_cap(args, mat.p, mat.generator.k)
+    return mat
 
 
 def _json(obj) -> str:
@@ -135,15 +135,19 @@ def cmd_subset(args) -> str:
 
 def cmd_spectrum(args) -> str:
     gen = _generator(args)
+    if args.dump_csv:
+        check_ambient(gen.p, gen.k, VERTEX_CAP)  # the dump has q^2 lines
     rep = full_spectrum(gen)
     if args.dump_csv:
         with open(args.dump_csv, "w") as fh:
             heads = ",".join(f"count_{j}" for j in range(gen.p))
             fh.write(f"alpha,eigenvalue,{heads}\n")
-            rows = [",".join(map(str, r)) for r in rep.class_counts.tolist()]
-            for alpha, (eig, cls) in enumerate(zip(rep.eigenvalues.tolist(),
-                                                   rep.class_index.tolist())):
-                fh.write(f"{alpha},{eig!r},{rows[cls]}\n")
+            counts = np.concatenate(list(class_counts(gen, rep.classes))).tolist()
+            rows = [f"{eig!r}," + ",".join(map(str, r))
+                    for eig, r in zip(rep.class_eigenvalues.tolist(), counts)]
+            keys = rep.classes.of(np.arange(gen.ambient_size))
+            for alpha, c in enumerate(keys.tolist()):
+                fh.write(f"{alpha},{rows[c]}\n")
     if args.fmt == "json":
         return _json(rep.to_json_dict())
     return (f"family={gen.family} p={gen.p} k={gen.k} "
@@ -174,18 +178,12 @@ def cmd_code_gen(args) -> str:
         sys.set_int_max_str_digits(limit)
 
 
-def _code_and_table(args):
-    mat = _load_matrix(args)
-    if mat is None:
-        code = code_parameters(_generator(args))
-    else:
-        code = code_parameters(mat.generator)
-    table = coset_leader_table(code.matrix)
-    return code, table
-
-
 def cmd_code_verify(args) -> str:
-    code, table = _code_and_table(args)
+    mat = _matrix(args)
+    if mat.p < 5:
+        classify(mat.generator)  # its p >= 5 precondition comes before the BFS
+    table = coset_leader_table(mat)  # before any layer: its BFS refuses q^2 > 2^20
+    code = code_parameters(mat.generator)
     rep = verify_quasi_perfect(code, table)
     ok, total = round_trip_check(table, args.trials, args.seed,
                                  max_weight=min(2, rep.error_correction))
@@ -295,9 +293,7 @@ def cmd_decode(args) -> str:
     through ``int``, so every token is read or refused as ``int`` does, and
     the first bad line of stdin is the one named, since earlier blocks
     parsed cleanly."""
-    mat = _load_matrix(args)
-    if mat is None:
-        mat = parity_check_matrix(_generator(args))
+    mat = _matrix(args)
     table = coset_leader_table(mat)
     n, pieces = mat.n, _LINE_PIECES[args.fmt]
     digits = _byte_table([pieces[0] + str(v) for v in range(mat.p)])
@@ -337,18 +333,15 @@ class _LemmaFailure(Exception):
     """Carries the battery report for a failing suite."""
 
 
-# each subcommand: its handler, its help line and its cap on q^2
+# each subcommand: its handler and its help line
 _COMMANDS = {
-    "admissible": (cmd_admissible, "check whether the family applies at (p, k)",
-                   AMBIENT_CAP),
-    "subset": (cmd_subset, "cumulative sumset layers and verdict", AMBIENT_CAP),
-    "spectrum": (cmd_spectrum, "Cayley graph spectrum and bounds", VERTEX_CAP),
-    "code-gen": (cmd_code_gen, "parity-check matrix and code parameters",
-                 AMBIENT_CAP),
-    "code-verify": (cmd_code_verify, "verify decoder table against sumset layers",
-                    VERTEX_CAP),
-    "decode": (cmd_decode, "decode words from stdin", VERTEX_CAP),
-    "lemma-suite": (cmd_lemma_suite, "run the brute-force lemma battery", VERTEX_CAP),
+    "admissible": (cmd_admissible, "check whether the family applies at (p, k)"),
+    "subset": (cmd_subset, "cumulative sumset layers and verdict"),
+    "spectrum": (cmd_spectrum, "Cayley graph spectrum and bounds"),
+    "code-gen": (cmd_code_gen, "parity-check matrix and code parameters"),
+    "code-verify": (cmd_code_verify, "verify decoder table against sumset layers"),
+    "decode": (cmd_decode, "decode words from stdin"),
+    "lemma-suite": (cmd_lemma_suite, "run the brute-force lemma battery"),
 }
 
 

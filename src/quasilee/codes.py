@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import GeneratorSet, from_representatives, generator_set
-from .fields import (VERTEX_CAP, VerificationError, check_ambient, chunk_rows,
+from .fields import (VERTEX_CAP, VerificationError, check_ambient, chunks,
                      index_mask, index_pack, make_field, pair_add, pair_neg)
 from .sumsets import (MAX_LAYERS, Classification, CoverageError, classify,
                       lee_ball_size)
@@ -278,15 +278,13 @@ def coset_leader_table(matrix: ParityCheckMatrix) -> CosetLeaderTable:
     weights = np.full(size, -1, dtype=np.int32)
     parent[0] = weights[0] = 0
     frontier = np.zeros(1, dtype=np.int64)
-    chunk = chunk_rows(shifts.size)
     filled = 1
     w = 0
     while filled < size and frontier.size and w < MAX_LAYERS:
         found = []
-        for lo in range(0, frontier.size, chunk):
+        for rows in chunks(frontier, shifts.size):
             if filled == size:
                 break  # a later chunk could only reach filled syndromes
-            rows = frontier[lo:lo + chunk]
             # a step that does not raise the weight of a level-w leader lands
             # at distance <= w, all filled before level w is expanded: so the
             # unfilled test alone keeps exactly the weight-raising steps
@@ -489,7 +487,7 @@ def round_trip_check(table: CosetLeaderTable, trials: int, seed: int,
     A codeword is sampled by decoding a uniform random word (uniform over
     the code), a random error of Lee weight <= max_weight is added, and
     the decoder must return exactly the original pair.  Trials are drawn
-    one after another and decoded in batches of ``chunk_rows(n)``, so
+    one after another and decoded in ``chunks`` of n-entry rows, so
     memory does not grow with ``trials``.  ValueError if ``trials`` < 0.
     """
     if trials < 0:
@@ -497,10 +495,10 @@ def round_trip_check(table: CosetLeaderTable, trials: int, seed: int,
     p, n = table.matrix.p, table.matrix.n
     rng = random.Random(seed)
     pos, val = lee_ball_support(n, p, max_weight)
-    ok, block = 0, chunk_rows(n)
-    for lo in range(0, trials, block):
+    ok = 0
+    for block in chunks(range(trials), n):
         words, picked = [], []
-        for _ in range(min(block, trials - lo)):
+        for _ in block:
             words.append([rng.randrange(p) for _ in range(n)])
             picked.append(rng.randrange(len(pos)))
         # dense rows for the picked errors only

@@ -29,8 +29,8 @@ operation (``add``, ``neg``, ``mul``, ``inv``, ``quad_character``, and
 broadcast int64 arrays; an int in gives an int out.  The independent
 routes they are checked with live in ``tests/oracles.py``.
 
-``AMBIENT_CAP`` bounds q^2, ``VERTEX_CAP`` the q^2 of the coset table,
-the spectrum, the FFT layers and the lemma battery.  ``check_ambient`` is
+``AMBIENT_CAP`` bounds q^2, ``VERTEX_CAP`` the q^2 of the coset BFS, the
+FFT layers, ``--dump-csv`` and the lemma battery.  ``check_ambient`` is
 the one size gate of every stage: it applies a cap before any trial
 division, multiplying by p only until the product passes it, so a huge p
 or k is refused at once (and |p| < 2 goes on to the primality test at once).
@@ -61,11 +61,11 @@ import numpy as np
 
 # Ambient size cap q**2 <= 2**26; construction refuses anything larger.
 AMBIENT_CAP = 1 << 26
-VERTEX_CAP = 1 << 20  # the cap of q**2-array stages and the battery's q**3 work
-# int64 entries per array operation of every chunked loop, each taking
-# chunk_rows(width) rows: 2n steps a BFS frontier row, |H| sums a class,
-# (q+1)^2 sums a battery shift, q terms a battery table row, n entries a
-# round-trip trial or decode line.  CPU on a 2-core VM, old chunk -> 2^13:
+VERTEX_CAP = 1 << 20  # the cap of q**2-array routes and the battery's q**3 work
+# int64 entries per array operation of every loop over ``chunks``: 2n steps
+# a BFS frontier row, |H| sums a class, (q+1)^2 sums a battery shift, q terms
+# a battery table row, n entries a round-trip trial or decode line, 1 a
+# character of the FFT check.  CPU on a 2-core VM, old chunk -> 2^13:
 # BFS p=1021 0.8 -> 0.6 s; class route p=8191 plus 2.9 s (2^20: 5 s).
 # At 2^14 (128 KiB arrays, glibc's trim threshold) some heap layouts returned
 # and refaulted the heap top every chunk (lemma-suite 5^2: 24 -> 34 ms).
@@ -77,6 +77,13 @@ SUM_TOL = 1e-9
 def chunk_rows(width: int) -> int:
     """Rows of ``width`` entries in one chunk, at least one."""
     return max(1, CHUNK_ENTRIES // width)
+
+
+def chunks(items, width: int):
+    """Consecutive slices of ``chunk_rows(width)`` rows of ``items``, an
+    array or a range: a range yields ranges and allocates nothing."""
+    step = chunk_rows(width)
+    return (items[lo:lo + step] for lo in range(0, len(items), step))
 
 
 class SizeCapError(ValueError):

@@ -10,9 +10,9 @@ closed form, Kloosterman bounds, the eigenvalue-Kloosterman identity for
 the norm-one circle, mod-12 residue rules, and the spectral bounds.
 
 Each enumeration is a numpy computation that still visits every term, in
-chunks of ``chunk_rows(width)`` rows of about q entries, so no q^3 array
-is held: the Gauss table by (c, a), the Kloosterman table by (a, b), the
-triple sums C_2 + H by member of C_2 and the cubic counts by (t, x).  The
+``fields.chunks`` of rows of about q entries, so no q^3 array is held:
+the Gauss table by (c, a), the Kloosterman table by (a, b), the triple
+sums C_2 + H by member of C_2 and the cubic counts by (t, x).  The
 shifted double sums H + H*w are taken once per norm class: once H is
 certified, by brute force, as the whole norm-one fiber (q + 1 points)
 closed under its (q + 1)^2 products, H*(u*w) = H*w for u in H, so the
@@ -36,7 +36,7 @@ import numpy as np
 
 from .curves import norm_circle, unit_hyperbola
 from .fields import (SUM_TOL, VERTEX_CAP, CharacterSumValue, QuadExt,
-                     VerificationError, check_ambient, chunk_rows,
+                     VerificationError, check_ambient, chunks,
                      gauss_closed_form, gauss_counts, index_mask,
                      kloosterman_counts, make_field, minus3_character,
                      pair_add, residue_class_mod12, unity_cos_sin)
@@ -67,18 +67,12 @@ def _first(bad):
     return tuple(int(i) for i in hits[0]) if len(hits) else None
 
 
-def _chunks(items, width):
-    """Consecutive slices of ``items``, ``chunk_rows(width)`` rows each."""
-    step = chunk_rows(width)
-    return (items[lo:lo + step] for lo in range(0, len(items), step))
-
-
 def _sum_mask(ext: QuadExt, a, b):
     """Mask over the q^2 indices of the sumset a + b of two index arrays, a
     chunk of ``a`` at a time.  The addition is that of F_q x F_q, which is
     also the addition of F_{q^2}, so it serves both families."""
     mask = np.zeros(ext.size, dtype=bool)
-    for rows in _chunks(a, len(b)):
+    for rows in chunks(a, len(b)):
         mask[pair_add(ext.base, rows[:, None], b)] = True
     return mask
 
@@ -123,7 +117,7 @@ def cubic_counts(ctx):
     """
     q, y = ctx.q, np.arange(ctx.q)
     counts = np.full(q, 3)
-    for rows in _chunks(np.arange(q * q), q):
+    for rows in chunks(np.arange(q * q), q):
         t, x = rows // q, rows[:, None] % q
         xy = ctx.mul(x, y)
         s = ctx.add(x, y)
@@ -171,7 +165,7 @@ def lemma_battery(p: int, k: int = 1) -> list:
 
     def gauss():
         cos, sin = unity_cos_sin(p)
-        for rows in _chunks(np.arange(q, q * q), q):
+        for rows in chunks(np.arange(q, q * q), q):
             c, a = rows // q, rows % q
             counts = gauss_counts(ctx, c, a)
             re, im = counts @ cos, counts @ sin
@@ -194,7 +188,7 @@ def lemma_battery(p: int, k: int = 1) -> list:
                 raise VerificationError(f"|K(1, {b})| = {abs(v.re)} > 2*sqrt(q)")
         # substitution x -> x/a shows the sum depends only on a*b: the
         # exponent counts of K(a, b) are those of K(1, ab)
-        for rows in _chunks(np.arange((q - 1) ** 2), q - 1):
+        for rows in chunks(np.arange((q - 1) ** 2), q - 1):
             a, b = 1 + rows // (q - 1), 1 + rows % (q - 1)
             ab = ctx.mul(a, b)
             bad = _first((kloosterman_counts(ctx, a, b) != k1_counts[ab - 1]).any(1))
@@ -237,8 +231,8 @@ def lemma_battery(p: int, k: int = 1) -> list:
         if not (np.array_equal(on_circle, norms == 1) and on_circle.sum() == q + 1
                 and on_circle[ext.mul(ones[:, None], ones)].all()):
             raise VerificationError("H is not the norm-one fiber, closed under products")
-        for ws in _chunks(1 + np.unique(norms[1:], return_index=True)[1],
-                          (q + 1) ** 2):
+        for ws in chunks(1 + np.unique(norms[1:], return_index=True)[1],
+                         (q + 1) ** 2):
             seen, image = shifted_sum_masks(ext, ones, ws, norms)
             n_sums, n_norms = seen.sum(axis=1), image.sum(axis=1)
             square = ctx.quad_character(norms[ws]) == 1
@@ -366,8 +360,8 @@ def lemma_battery(p: int, k: int = 1) -> list:
 
     def eig_identity():
         rep = circle_spectrum()
-        kl = np.array([0.0] + [v.re for v in k1])
-        worst = float(np.max(np.abs(rep.eigenvalues[1:] + kl[norms[1:]])))
+        # the class of a character is its norm
+        worst = float(np.max(np.abs(rep.class_eigenvalues[1:] + [v.re for v in k1])))
         if not worst <= SUM_TOL:
             raise VerificationError(f"worst deviation {worst}")
         return f"eigenvalue(alpha) = -K(1, norm(alpha)); worst deviation {worst:.2e}"

@@ -11,24 +11,27 @@ pairing depends on the family:
   z + conj(z) = 2 * xpart(z) down to F_q);
 * minus: <(a, b), (x, y)> = trace(a*x + b*y) componentwise.
 
-``full_spectrum`` computes the spectrum by two routes and checks one
-against the other.  The tests also check it against a pairing summed one
-member at a time and a dense eigensolver, both in ``tests/oracles.py``.
+The exponent counts of alpha depend only on its class under
+``curves.curve_classes``, so the spectrum is one eigenvalue per class
+(q classes for plus, q + 2 for minus): -K(1, norm(alpha)) for plus and
+K(1, a*b) off the axes for minus.  ``class_counts`` counts them a chunk
+of class representatives at a time by ``fields.trace_counts``, the kernel
+that counts every character sum, and the float eigenvalue is their fold
+through cos(2*pi*j/p), so the real-ness and bound checks run on exactly
+counted data.  Only a generator set that is exactly its curve has these
+classes; any other is refused.
 
-* Exact counts by classes.  The exponent counts of alpha depend only on
-  its class under ``curves.curve_classes``, giving the eigenvalues
-  -K(1, norm(alpha)) for plus and K(1, a*b) off the axes for minus.  They
-  are counted once per class representative by ``fields.trace_counts``,
-  the kernel that counts every character sum, and the float eigenvalue is
-  their fold through cos(2*pi*j/p), so the real-ness and bound checks run
-  on exactly counted data.  Only a generator set that is exactly its
-  curve has these classes; any other is refused.
-* The Fourier transform.  G is Z_p^{2k} and both pairings are linear in
-  the digits of beta, so the eigenvalue at alpha is fftn(1_H) read at a
-  linearly reindexed character: its digits are trace(c * e_i) over the
-  power basis e_i, with c = 2*a_x and 2*delta*a_y for plus and c = a, b
-  for minus.  ``_pairing_coefficients`` gives the factors 2 and 2*delta
-  (1 and 1 for minus) to both routes.
+``full_spectrum`` checks the classes by two identities over all q^2
+characters, summed over the classes weighted by their sizes #c: exactly,
+sum_c #c * counts[c, j] = |H| * q^2 / p for every j (a nonzero beta pairs
+to j with q^2 / p characters), and sum_c #c * lambda_c^2 = q^2 * |H|, the
+trace of A^2.  Where q^2 <= VERTEX_CAP it also reads each eigenvalue off
+the Fourier transform: G is Z_p^{2k} and both pairings are linear in the
+digits of beta, so the eigenvalue at alpha is fftn(1_H) at a linearly
+reindexed character, whose digits are trace(c * e_i) over the power basis
+e_i, with c = 2*a_x and 2*delta*a_y for plus and c = a, b for minus.  The
+tests also check it against a pairing summed one member at a time and a
+dense eigensolver, both in ``tests/oracles.py``.
 
 For the plus family every nontrivial eigenvalue obeys the Ramanujan bound
 2*sqrt(q) = 2*sqrt(degree - 1); the minus family obeys the slightly
@@ -40,13 +43,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import PLUS, GeneratorSet, curve_classes
-from .fields import (SUM_TOL, VERTEX_CAP, VerificationError, check_ambient,
+from .curves import PLUS, CurveClasses, GeneratorSet, curve_classes
+from .fields import (SUM_TOL, VERTEX_CAP, VerificationError, chunks,
                      index_pack, trace_counts, unity_cos_sin)
 
 # largest allowed distance between a class eigenvalue and the FFT of 1_H
 FFT_TOL = 1e-6
-# count rows are folded through cos in blocks of this many rows (see _fold)
+# count rows per fold through cos (see full_spectrum)
 _FOLD_ROWS = 16
 
 RAMANUJAN = "Ramanujan"
@@ -57,9 +60,8 @@ NEITHER_BOUND = "Neither"
 @dataclass(frozen=True)
 class SpectrumReport:
     generator: GeneratorSet
-    eigenvalues: np.ndarray   # float64, index = character alpha
-    class_counts: np.ndarray  # int64, shape (classes, p): exact counts per class
-    class_index: np.ndarray   # int32, index = character alpha: its class
+    classes: CurveClasses
+    class_eigenvalues: np.ndarray  # float64, index = class of ``classes``
     max_nontrivial_abs: float
     ramanujan_bound: float
     almost_bound: float
@@ -71,8 +73,11 @@ class SpectrumReport:
         return self.generator.degree
 
     def histogram(self) -> dict:
-        """Multiplicities of the eigenvalues rounded to nearest 1e-6."""
-        vals, cnts = np.unique(np.round(self.eigenvalues, 6), return_counts=True)
+        """Multiplicities of the eigenvalues rounded to nearest 1e-6: the
+        class sizes summed per rounded value."""
+        vals, where = np.unique(np.round(self.class_eigenvalues, 6),
+                                return_inverse=True)
+        cnts = np.bincount(where, self.classes.sizes)
         return {float(v): int(c) for v, c in zip(vals, cnts)}
 
     def to_json_dict(self) -> dict:
@@ -98,79 +103,87 @@ def _pairing_coefficients(gen: GeneratorSet) -> tuple:
     return 1, 1
 
 
-def _pairing_arguments(gen: GeneratorSet, alphas: np.ndarray) -> np.ndarray:
-    """arg[i, j] in F_q with trace(arg[i, j]) = <alphas[i], members[j]>, as
-    one (len(alphas), |H|) array."""
+def class_counts(gen: GeneratorSet, classes: CurveClasses):
+    """The exponent counts of the classes, one (rows, p) array per chunk of
+    classes: entry [c, j] counts the members beta with <rep_c, beta> = j,
+    each pairing read as the trace of an element of F_q."""
     ctx, q = gen.base, gen.q
     cx, cy = _pairing_coefficients(gen)
     beta = np.asarray(gen.members, dtype=np.int64)
-    ax, ay = (alphas % q)[:, None], (alphas // q)[:, None]
-    return ctx.add(ctx.mul(ax, ctx.mul(cx, beta % q)),
-                   ctx.mul(ay, ctx.mul(cy, beta // q)))
+    bx, by = ctx.mul(cx, beta % q), ctx.mul(cy, beta // q)
+    for reps in chunks(classes.reps, len(beta)):
+        yield trace_counts(ctx, ctx.add(ctx.mul(reps[:, None] % q, bx),
+                                        ctx.mul(reps[:, None] // q, by)))
 
 
-def _character_index(gen: GeneratorSet) -> np.ndarray:
-    """For every alpha, the flat index into ``gen.indicator_fft()`` of the
-    character alpha pairs by: digit i of a coordinate a is trace(c*a*e_i),
-    e_i = p**i the power basis, c the coordinate's coefficient in the
-    pairing."""
+def _fourier_distance(gen: GeneratorSet, classes: CurveClasses,
+                      eigs: np.ndarray) -> float:
+    """The largest distance of a class eigenvalue from fftn(1_H) at its
+    characters, a chunk of alphas at a time.  alpha = (ax, ay) is at flat
+    index dx[ax] + q*dy[ay], digit i of dx[a] being trace(cx*a*e_i) over
+    the power basis e_i = p**i, and dy likewise with cy."""
     ctx = gen.base
     q, p, k = ctx.q, ctx.p, ctx.k
-    cx, cy = _pairing_coefficients(gen)
     elems = np.arange(q)
-
-    def digits(c):
-        return index_pack([ctx.trace_table[ctx.mul(elems, ctx.mul(c, p ** i))]
-                           for i in range(k)], p)
-
-    alpha = np.arange(q * q)
-    return digits(cx)[alpha % q] + q * digits(cy)[alpha // q]
-
-
-def _fold(counts: np.ndarray, cos: np.ndarray) -> np.ndarray:
-    """counts @ cos, with zero rows padded on to a multiple of _FOLD_ROWS.
-
-    The BLAS matrix-vector kernel works on blocks of rows and sums a
-    leftover partial block in another order, which moves a few
-    eigenvalues by some ulp.  With the padding every class row is summed
-    the way the rows of the full (q^2, p) count matrix are, so each
-    eigenvalue has the same bits as ``counts @ cos`` over all characters.
-    """
-    rows = -(-len(counts) // _FOLD_ROWS) * _FOLD_ROWS
-    padded = np.zeros((rows, counts.shape[1]), dtype=counts.dtype)
-    padded[:len(counts)] = counts
-    return (padded @ cos)[:len(counts)]
+    dx, dy = (index_pack([ctx.trace_table[ctx.mul(elems, ctx.mul(c, p ** i))]
+                          for i in range(k)], p)
+              for c in _pairing_coefficients(gen))
+    fourier = gen.indicator_fft().ravel()
+    worst = 0.0
+    for alpha in chunks(range(q * q), 1):
+        alpha = np.arange(alpha.start, alpha.stop)
+        got = fourier[dx[alpha % q] + q * dy[alpha // q]]
+        worst = max(worst, float(np.abs(got - eigs[classes.of(alpha)]).max()))
+    return worst
 
 
 def full_spectrum(gen: GeneratorSet) -> SpectrumReport:
-    """All q^2 eigenvalues with exact counts, plus bound classification.
-
-    Counts exponents once per class representative, in one (classes x |H|)
-    array operation, then checks every eigenvalue against the FFT of 1_H
-    and raises VerificationError on a mismatch.  Refuses q^2 above
-    VERTEX_CAP (SizeCapError) and generator sets that are not their
-    family's curve (ValueError), before allocating.
-    """
-    check_ambient(gen.p, gen.k, VERTEX_CAP)
+    """The eigenvalue of every class, from exact counts, with its bound
+    classification.  Raises VerificationError when a check fails; refuses
+    a generator set that is not its family's curve (ValueError), and no
+    size: above VERTEX_CAP it holds no array of q^2 entries."""
     classes = curve_classes(gen)
     if classes is None:
         raise ValueError(f"the generator set is not the {gen.family} curve over "
                          f"F_{gen.q}; the class spectrum is exact only there")
 
-    class_index = classes.of(np.arange(gen.ambient_size)).astype(np.int32)
-    class_counts = trace_counts(gen.base, _pairing_arguments(gen, classes.reps))
-
+    # count rows are folded through cos in whole blocks of _FOLD_ROWS, the
+    # last one padded with zero rows: the BLAS matrix-vector kernel sums a
+    # leftover partial block in another order, which would move a few
+    # eigenvalues by some ulp.  So each row is summed as in the full (q^2, p)
+    # count matrix, and every eigenvalue keeps its bits.
     cos, sin = unity_cos_sin(gen.p)
-    if np.abs(class_counts @ sin).max() > SUM_TOL:
-        raise VerificationError("spectrum not real")
-    eigs = _fold(class_counts, cos)[class_index]
+    sizes, weighted = classes.sizes, np.zeros(gen.p, dtype=np.int64)
+    folded, held, done = [], [], 0
+    for counts in class_counts(gen, classes):
+        if np.abs(counts @ sin).max() > SUM_TOL:
+            raise VerificationError("spectrum not real")
+        weighted += sizes[done:done + len(counts)] @ counts
+        done += len(counts)
+        held.append(counts)
+        if done - len(folded) >= _FOLD_ROWS:
+            block = np.concatenate(held)
+            whole = len(block) - len(block) % _FOLD_ROWS
+            folded.extend(block[:whole] @ cos)
+            held = [block[whole:]]
+    last = np.concatenate(held + [np.zeros((_FOLD_ROWS, gen.p), dtype=np.int64)])
+    eigs = np.array(folded + list(last[:_FOLD_ROWS] @ cos))[:done]
+
+    total = gen.degree * gen.ambient_size
+    if (weighted != total // gen.p).any():
+        raise VerificationError("class counts fail the identity "
+                                "sum_c #c * counts[c, j] = |H| * q^2 / p")
     if abs(eigs[0] - gen.degree) > SUM_TOL:
         raise VerificationError("trivial eigenvalue wrong")
-    fourier = gen.indicator_fft().ravel()[_character_index(gen)]
-    worst = float(np.abs(fourier - eigs).max())
-    if worst > FFT_TOL:
-        raise VerificationError(
-            f"class eigenvalues differ from the FFT of 1_H by up to {worst:.3g}")
+    square_sum = float(sizes @ eigs ** 2)
+    if abs(square_sum - total) > SUM_TOL * total:
+        raise VerificationError(f"class eigenvalues fail the identity "
+                                f"tr A^2 = q^2 * |H| = {total}: {square_sum!r}")
+    if gen.ambient_size <= VERTEX_CAP:
+        worst = _fourier_distance(gen, classes, eigs)
+        if worst > FFT_TOL:
+            raise VerificationError(
+                f"class eigenvalues differ from the FFT of 1_H by up to {worst:.3g}")
 
     max_nt = float(np.abs(eigs[1:]).max())
     ram = 2.0 * math.sqrt(gen.degree - 1)
@@ -182,6 +195,4 @@ def full_spectrum(gen: GeneratorSet) -> SpectrumReport:
     else:
         cls = NEITHER_BOUND
     connected = not np.any(np.abs(eigs[1:] - gen.degree) <= SUM_TOL)
-    return SpectrumReport(gen, eigs, class_counts, class_index, max_nt, ram,
-                          almost, cls, connected)
-
+    return SpectrumReport(gen, classes, eigs, max_nt, ram, almost, cls, connected)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .curves import GeneratorSet, curve_classes
 from .fields import (VERTEX_CAP, FieldCtx, VerificationError, check_ambient,
-                     chunk_rows, pair_add)
+                     chunks, pair_add)
 
 # Lee ball size evaluation is supported for r <= 3 only.
 MAX_BALL_RADIUS = 3
@@ -146,13 +146,10 @@ def _class_layers(gen: GeneratorSet, classes) -> tuple:
     members = np.asarray(gen.members, dtype=np.int64)
     reps, sizes = classes.reps, classes.sizes
     weighted = np.zeros(len(reps))  # exact: every value is below 2^53
-    chunk = chunk_rows(len(members))
 
     def step(new):
         reached = np.zeros(len(reps), dtype=bool)
-        rows = np.flatnonzero(new)
-        for lo in range(0, len(rows), chunk):
-            cs = rows[lo:lo + chunk]
+        for cs in chunks(np.flatnonzero(new), len(members)):
             keys = classes.of(pair_add(gen.base, reps[cs, None], members)).ravel()
             reached[keys] = True
             weighted[:] += np.bincount(keys, np.repeat(sizes[cs], len(members)),

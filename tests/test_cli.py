@@ -18,7 +18,6 @@ from quasilee.codes import coset_leader_table, parity_check_matrix
 from quasilee.curves import generator_set
 from quasilee.fields import VERTEX_CAP, SizeCapError, is_prime, make_field
 from quasilee.lemmas import lemma_battery
-from quasilee.spectra import full_spectrum
 
 
 def run(capsys, *argv):
@@ -116,11 +115,9 @@ def test_ambient_gate_refuses_at_once(capsys, monkeypatch, command, gate_args):
     assert time.perf_counter() - start < 2.0
     assert code == 1 and out == ""
     assert err.startswith("error: precondition:")
-    # the coset table, the spectrum and the lemma battery apply their own,
-    # lower stage limit
-    cap = {"spectrum": 1 << 20, "code-verify": 1 << 20, "decode": 1 << 20,
-           "lemma-suite": 1 << 20}.get(command, 1 << 26)
-    assert f"exceeds cap {cap}" in err
+    # every subcommand applies the ambient cap first; the routes with a
+    # lower cap are not reached
+    assert f"exceeds cap {1 << 26}" in err
     assert len(err) < 200
 
 
@@ -140,16 +137,20 @@ def test_ambient_gate_passes_small_p_to_primality_at_once(capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("command", ["code-verify", "decode", "spectrum"])
-def test_stage_gate_refuses_before_building(capsys, monkeypatch, command):
+def test_stage_gate_refuses_before_building(capsys, monkeypatch, tmp_path, command):
     # q^2 = 4093^2 passes the ambient gate but not the 2^20 limit of the
-    # coset table or of the spectrum, which refuse before H is built
+    # coset table's BFS or of the spectrum's q^2-line dump, which refuse
+    # before any q^2-sized array is built
     monkeypatch.setattr("sys.stdin", io.StringIO("0\n"))
+    dump = tmp_path / "spectrum.csv"
+    extra = ["--dump-csv", str(dump)] if command == "spectrum" else []
     start = time.perf_counter()
-    code, out, err = run(capsys, command, "--p", "4093", "--family", "plus")
+    code, out, err = run(capsys, command, "--p", "4093", "--family", "plus", *extra)
     assert time.perf_counter() - start < 2.0
     assert code == 1 and out == ""
     assert err.startswith("error: precondition:")
     assert f"exceeds cap {1 << 20}" in err
+    assert not dump.exists()
 
 
 def _first_refused_prime(cap):
@@ -171,17 +172,12 @@ def test_lemma_suite_stage_gate_refuses_before_allocating(capsys, p):
     assert f"exceeds cap {VERTEX_CAP}" in err
 
 
-def _plus_curve(p):
-    return generator_set(make_field(p), "plus")
-
-
 def _coset_table(p):
-    return coset_leader_table(parity_check_matrix(_plus_curve(p)))
+    return coset_leader_table(parity_check_matrix(generator_set(make_field(p), "plus")))
 
 
 # each subcommand's library stage, called at p, and the cap it applies
 LIBRARY_STAGES = {
-    "spectrum": (lambda p: full_spectrum(_plus_curve(p)), VERTEX_CAP),
     "code-verify": (_coset_table, VERTEX_CAP),
     "decode": (_coset_table, VERTEX_CAP),
     "lemma-suite": (lemma_battery, 1 << 20),
@@ -287,6 +283,26 @@ INJECTED = {
                  "of = c.CurveClasses.of\n"
                  "c.CurveClasses.of = lambda self, z: np.roll(of(self, z), 1)\n",
                  ["spectrum", "--p", "13", "--family", "plus"], "eigenvalue"),
+    # one class size one too large at q^2 > 2^20, where only the two
+    # identities check the classes: the exact count identity fails
+    "spectrum-1031": ("import quasilee.spectra as s\n"
+                      "classes = s.curve_classes\n"
+                      "def grown(gen):\n"
+                      "    cls = classes(gen)\n"
+                      "    cls.sizes[1] += 1\n"
+                      "    return cls\n"
+                      "s.curve_classes = grown\n",
+                      ["spectrum", "--p", "1031", "--family", "minus"],
+                      "sum_c #c * counts[c, j]"),
+    # the fold of the exact counts skewed off the trivial character: the
+    # identity tr A^2 = q^2 * |H| fails
+    "spectrum-1031-fold": ("import quasilee.spectra as s\n"
+                           "unity = s.unity_cos_sin\n"
+                           "def skewed(p):\n"
+                           "    cos, sin = unity(p)\n"
+                           "    return np.append(cos[:1], cos[1:] * 1.01), sin\n"
+                           "s.unity_cos_sin = skewed\n",
+                           ["spectrum", "--p", "1031", "--family", "plus"], "tr A^2"),
     # every class key one higher: the layers' double-counting identity fails
     "subset": ("import quasilee.curves as c\n"
                "of = c.CurveClasses.of\n"
@@ -686,8 +702,9 @@ def test_decode_plain_blocks_skip_int(capsys, monkeypatch, tmp_path):
 # -- one chunk budget ------------------------------------------------------------------
 
 # a call of each chunked loop: the class route (subset), the BFS and the
-# round trip (code-verify), the stdin blocks (decode of the mixed stream)
-# and the battery's shifts (lemma-suite)
+# round trip (code-verify), the stdin blocks (decode of the mixed stream),
+# the class counts and the FFT check (spectrum) and the battery's shifts
+# (lemma-suite)
 BUDGET_CALLS = {
     "subset-13-plus": ["subset", "--p", "13", "--family", "plus"],
     "subset-5k2-minus": ["subset", "--p", "5", "--k", "2", "--family", "minus"],
@@ -695,6 +712,10 @@ BUDGET_CALLS = {
     "code-verify-5k3-minus": ["code-verify", "--p", "5", "--k", "3",
                               "--family", "minus"],
     "decode-13-plus": ["decode", "--p", "13", "--family", "plus"],
+    "spectrum-13-plus": ["spectrum", "--p", "13", "--family", "plus",
+                         "--format", "json"],
+    "spectrum-7k2-minus": ["spectrum", "--p", "7", "--k", "2", "--family", "minus",
+                           "--format", "json"],
     "lemma-suite-23": ["lemma-suite", "--p", "23"],
     "lemma-suite-5k2": ["lemma-suite", "--p", "5", "--k", "2"],
 }

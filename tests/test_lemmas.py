@@ -209,7 +209,7 @@ def test_battery_chunks_see_every_row_once(monkeypatch, entries):
              lambda ctx, a, b: a if np.ndim(a) == 2 and a.shape[1] == 1 else None,
              seen)
     loops = []
-    chunks = lemmas._chunks
+    chunks = fields.chunks
 
     def recording(items, width):
         got = []
@@ -219,7 +219,7 @@ def test_battery_chunks_see_every_row_once(monkeypatch, entries):
             got.append(np.array(rows))
             yield rows
         got.append(None)  # the loop ran to its end
-    monkeypatch.setattr(lemmas, "_chunks", recording)
+    monkeypatch.setattr(lemmas, "chunks", recording)
 
     checks = lemma_battery(p)
     assert all(c.passed for c in checks)

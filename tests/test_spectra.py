@@ -10,11 +10,28 @@ from quasilee.codes import coset_leader_table, parity_check_matrix
 from quasilee.curves import from_representatives, generator_set
 from quasilee.fields import (QuadExt, SizeCapError, kloosterman, make_field,
                              pair_neg, unity_cos_sin)
-from quasilee.spectra import RAMANUJAN, SpectrumReport, full_spectrum
+from quasilee.spectra import (RAMANUJAN, SpectrumReport, class_counts,
+                              full_spectrum)
 
 
 def spectrum(p, k, family) -> SpectrumReport:
     return full_spectrum(generator_set(make_field(p, k), family))
+
+
+def vertex_classes(rep) -> np.ndarray:
+    """The class of every character alpha."""
+    return rep.classes.of(np.arange(rep.generator.ambient_size))
+
+
+def vertex_eigenvalues(rep) -> np.ndarray:
+    """The eigenvalue of every character alpha, read off its class."""
+    return rep.class_eigenvalues[vertex_classes(rep)]
+
+
+def vertex_counts(rep) -> np.ndarray:
+    """The exponent counts of every character alpha, read off its class."""
+    counts = np.concatenate(list(class_counts(rep.generator, rep.classes)))
+    return counts[vertex_classes(rep)]
 
 
 @pytest.mark.parametrize("p,k,family", [
@@ -25,7 +42,7 @@ def test_matches_dense_eigensolver(p, k, family):
     gen = generator_set(make_field(p, k), family)
     rep = full_spectrum(gen)
     dense = np.linalg.eigvalsh(oracles.adjacency_matrix(gen))
-    assert np.allclose(np.sort(rep.eigenvalues), dense, atol=1e-6)
+    assert np.allclose(np.sort(vertex_eigenvalues(rep)), dense, atol=1e-6)
 
 
 FROZEN_MAX = {
@@ -66,14 +83,15 @@ def test_hyperbola_bound_and_connectivity():
 
 def test_trivial_eigenvalue_is_degree():
     rep = spectrum(7, 1, "plus")
-    assert rep.eigenvalues[0] == pytest.approx(rep.generator.degree, abs=1e-9)
-    assert np.sum(np.isclose(rep.eigenvalues, rep.generator.degree, atol=1e-9)) == 1
+    eigs = vertex_eigenvalues(rep)
+    assert eigs[0] == pytest.approx(rep.generator.degree, abs=1e-9)
+    assert np.sum(np.isclose(eigs, rep.generator.degree, atol=1e-9)) == 1
 
 
 def test_counts_rows_sum_to_degree():
     gen = generator_set(make_field(11), "minus")
     rep = full_spectrum(gen)
-    counts = rep.class_counts[rep.class_index]
+    counts = vertex_counts(rep)
     assert counts.shape == (gen.ambient_size, gen.p)
     assert np.all(counts.sum(axis=1) == gen.degree)
     # row 0 pairs every member with exponent zero
@@ -85,10 +103,10 @@ def test_scalar_eigenvalue_agrees_with_table():
     rep = full_spectrum(gen)
     for alpha in (0, 1, 17, 100):
         assert oracles.eigenvalue(gen, alpha) == \
-            pytest.approx(rep.eigenvalues[alpha], abs=1e-9)
+            pytest.approx(vertex_eigenvalues(rep)[alpha], abs=1e-9)
     counts = oracles.character_counts(gen, 17)
     assert sum(counts) == gen.degree
-    assert list(rep.class_counts[rep.class_index[17]]) == list(counts)
+    assert list(vertex_counts(rep)[17]) == list(counts)
 
 
 def test_norm_circle_eigenvalues_are_kloosterman_values():
@@ -112,9 +130,9 @@ def test_class_counts_match_scalar_oracle(p, k, family):
     gen = generator_set(make_field(p, k), family)
     rep = full_spectrum(gen)
     want = np.array([oracles.character_counts(gen, a) for a in range(gen.ambient_size)])
-    assert np.array_equal(rep.class_counts[rep.class_index], want)
-    assert len(rep.class_counts) == gen.q + (0 if family == "plus" else 2)
-    assert rep.class_index.dtype == np.int32
+    assert np.array_equal(vertex_counts(rep), want)
+    assert len(rep.class_eigenvalues) == gen.q + (0 if family == "plus" else 2)
+    assert rep.class_eigenvalues.shape == rep.classes.sizes.shape
 
 
 @pytest.mark.parametrize("p,k,family", [(11, 1, "plus"), (17, 1, "minus"),
@@ -124,7 +142,7 @@ def test_class_fold_is_bitwise_the_per_vertex_fold(p, k, family):
     # eigenvalues differently in the last bits
     rep = spectrum(p, k, family)
     cos, _ = unity_cos_sin(p)
-    assert np.array_equal(rep.eigenvalues, rep.class_counts[rep.class_index] @ cos)
+    assert np.array_equal(vertex_eigenvalues(rep), vertex_counts(rep) @ cos)
 
 
 @pytest.mark.parametrize("family", ["plus", "minus"])
@@ -151,20 +169,36 @@ def test_histogram_accounts_for_every_vertex():
 
 
 def test_budget_cap():
-    # q^2 = 1 062 961 > 2^20: the spectrum and the coset table refuse before
-    # any q^2-sized array exists, with the message of the CLI's gate
-    gen = generator_set(make_field(1031), "minus")
-    mat = parity_check_matrix(gen)
-    for stage, arg in ((full_spectrum, gen), (coset_leader_table, mat)):
-        tracemalloc.start()
-        try:
-            with pytest.raises(SizeCapError,
-                               match=r"^q\^2 = 1062961 exceeds cap 1048576$"):
-                stage(arg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20, stage.__name__
+    # q^2 = 1 062 961 > 2^20: the coset table refuses before any q^2-sized
+    # array exists, with the message of the CLI's gate
+    mat = parity_check_matrix(generator_set(make_field(1031), "minus"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError,
+                           match=r"^q\^2 = 1062961 exceeds cap 1048576$"):
+            coset_leader_table(mat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("family", ["plus", "minus"])
+def test_spectrum_above_the_vertex_cap_holds_no_q2_array(family):
+    # q^2 = 1 062 961 > 2^20: no FFT check, only the two identities; the
+    # classes are counted in chunks, so the peak stays far below one
+    # float64 per character (8.1 MiB)
+    gen = generator_set(make_field(1031), family)
+    tracemalloc.start()
+    try:
+        rep = full_spectrum(gen)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+    assert rep.classification == RAMANUJAN and rep.connected
+    assert rep.max_nontrivial_abs <= 2 * np.sqrt(1031)
+    assert sum(rep.histogram().values()) == gen.ambient_size
 
 
 def test_report_json_shape():

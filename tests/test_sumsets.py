@@ -13,6 +13,7 @@ from quasilee.cli import main
 from quasilee.curves import (admissibility, curve_classes, from_representatives,
                              generator_set)
 from quasilee.fields import SizeCapError, is_prime, make_field, pair_neg
+from quasilee.spectra import ALMOST_RAMANUJAN, RAMANUJAN, full_spectrum
 from quasilee.sumsets import (NEITHER, QUASI_PERFECT_2, classify,
                               cumulative_layers, lee_ball_size, sumset)
 
@@ -255,6 +256,34 @@ SWEEP = """
 """
 VERDICTS = {"Q": QUASI_PERFECT_2, "N": NEITHER}
 
+# field: the spectrum's classification for plus, then minus (R Ramanujan,
+# A AlmostRamanujan), and max_nontrivial_abs to 10 decimals, which the two
+# families share at every field
+SPECTRA = """
+5:RR3.2360679775 5^2:RA9.8541019662 5^3:RR21.3262379212 7:RA4.4939592074
+7^2:RR13.3055856223 7^3:RA37.0234262066 11:RR5.7169527154 11^2:RA21.9689141342
+13:RR6.2962298106 13^2:RA25.9425739718 17:RA7.9603460641 17^2:RR33.1248033365
+19:RR7.6097286321 19^2:RR37.5480058325 23:RR7.9606871866 29:RR9.5002808613
+31:RR10.6665104938 37:RR11.4725832074 41:RR11.3363952163 43:RR11.9622301226
+47:RR13.2467640222 53:RA14.3082506056 59:RR14.9175770018 61:RR15.3417528102
+67:RR15.0943776187 71:RR15.8699444378 73:RR15.9412475639 79:RR17.1019248013
+83:RR17.7087277420 89:RR18.1347973593 97:RR18.6108195846 101:RR19.2873132011
+103:RR20.0321887539 107:RR20.2105871938 109:RR20.1781269318 113:RR20.9713417563
+127:RR21.9701613816 131:RR22.1822267821 137:RR23.0627759966 139:RA23.5130839307
+149:RR23.8505011078 151:RR23.6680072810 157:RR24.6230853452 163:RA25.3789726544
+167:RR25.4682817529 173:RR24.9882984196 179:RR26.1254213946 181:RR25.9591709475
+191:RR27.2062100130 193:RR27.2997352838 197:RR27.3651379605 199:RR27.5726697150
+211:RA28.9768532377 223:RR29.2309298290 227:RR29.5922929695 229:RR30.0001201058
+233:RR29.7013127594 239:RR30.6833110627 241:RR30.3461466127 251:RR31.2425568855
+257:RR31.8811671863 263:RR31.7838404910 269:RR32.6111517046 271:RR32.4924521746
+277:RR32.6191438153 281:RR32.7707576457 283:RR33.4841231800 293:RR33.3604718679
+307:RR34.7854080601 311:RR34.3997059100 313:RR34.4656768918 317:RR35.4927128580
+331:RR35.8787039015 337:RR36.5149632223 347:RR35.9893906787 349:RR36.4229159723
+353:RR37.3652059844 359:RR37.4342513408 367:RR37.8419992354 373:RR38.2826749006
+379:RR38.2481319930 383:RR38.7150683004 389:RR38.9781331849 397:RR39.3785958990
+"""
+CLASSIFICATIONS = {"R": RAMANUJAN, "A": ALMOST_RAMANUJAN}
+
 
 def sweep_table() -> dict:
     table = {}
@@ -266,16 +295,32 @@ def sweep_table() -> dict:
     return table
 
 
+def spectra_table() -> dict:
+    table = {}
+    for entry in SPECTRA.split():
+        field, value = entry.split(":")
+        p, _, k = field.partition("^")
+        for family, c in zip(("plus", "minus"), value[:2]):
+            table[int(p), int(k or 1), family] = (CLASSIFICATIONS[c], float(value[2:]))
+    return table
+
+
 def test_theorem_sweep_is_frozen_and_q11_minus_is_the_only_exception():
-    table = sweep_table()
+    table, spectra = sweep_table(), spectra_table()
     fields = {(p, k) for p in range(5, 400) if is_prime(p)
               for k in range(1, 5) if p ** k < 400}
     assert {(p, k) for p, k, _ in table} == fields
+    assert spectra.keys() == table.keys()
     exceptions = []
     for (p, k, family), want in sorted(table.items()):
-        cls = classify(generator_set(make_field(p, k), family))
+        gen = generator_set(make_field(p, k), family)
+        cls = classify(gen)
         lay = cls.layers
         assert (cls.verdict, lay.critical_index, lay.limit_index) == want, (p, k, family)
+        rep = full_spectrum(gen)
+        label, max_abs = spectra[p, k, family]
+        assert rep.classification == label, (p, k, family)
+        assert abs(rep.max_nontrivial_abs - max_abs) <= 1e-9, (p, k, family)
         if (cls.verdict == QUASI_PERFECT_2) != admissibility(p, k, family).admissible:
             exceptions.append((p, k, family))
     # the paper's q > 12 is sufficient for the minus family, not necessary
