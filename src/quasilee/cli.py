@@ -263,41 +263,52 @@ _LINE_PIECES = {"text": (" ", "", " | ", " | ", "\n"),
                          "}\n")}
 
 
-def _byte_table(strings) -> np.ndarray:
-    """One uint8 row per ASCII string, padded with NUL bytes to one width."""
-    width = max(map(len, strings))
-    return np.frombuffer(b"".join(s.encode().ljust(width, b"\0") for s in strings),
-                         dtype=np.uint8).reshape(len(strings), width)
+def _word_table(strings) -> np.ndarray:
+    """One machine word per ASCII string, NUL-padded: uint32 when every
+    string fits 4 bytes, else uint64, so that a gather of table entries is
+    a take of words, not of byte rows.  Entries are below p <= 8191 under
+    AMBIENT_CAP, so 8 bytes always suffice (", 8190" is 6)."""
+    size = 4 if max(map(len, strings)) <= 4 else 8
+    return np.frombuffer(b"".join(s.encode().ljust(size, b"\0") for s in strings),
+                         dtype=np.uint32 if size == 4 else np.uint64)
 
 
 def _format_lines(cws, errs, weights, digits, wdigits, pieces) -> bytes:
     """The output lines of a decoded block, built as one byte array.
     ``digits[v]`` holds the separator and ``str(v)``, ``wdigits[w]`` holds
-    ``str(w)``, both NUL-padded; the NULs and the separator before the first
-    entry of each word are dropped."""
+    ``str(w)``, both NUL-padded words; each piece is written into one
+    preallocated m-row buffer, then the NULs and the separator before the
+    first entry of each word are dropped."""
     m, cut = len(weights), len(pieces[0])
-    head, mid, tail, end = (np.broadcast_to(np.frombuffer(s.encode(), dtype=np.uint8),
-                                            (m, len(s))) for s in pieces[1:])
-    cols = [head, digits[cws].reshape(m, -1)[:, cut:], mid,
-            digits[errs].reshape(m, -1)[:, cut:], tail, wdigits[weights], end]
-    return np.concatenate(cols, axis=1).tobytes().translate(None, b"\0")
+    head, mid, tail, end = (np.frombuffer(s.encode(), dtype=np.uint8)
+                            for s in pieces[1:])
+    cols = [head, digits[cws].view(np.uint8).reshape(m, -1)[:, cut:], mid,
+            digits[errs].view(np.uint8).reshape(m, -1)[:, cut:], tail,
+            wdigits[weights].view(np.uint8).reshape(m, -1), end]
+    buf = np.empty((m, sum(c.shape[-1] for c in cols)), dtype=np.uint8)
+    at = 0
+    for col in cols:
+        buf[:, at:at + col.shape[-1]] = col
+        at += col.shape[-1]
+    return buf.tobytes().translate(None, b"\0")
 
 
-def cmd_decode(args) -> str:
+def cmd_decode(args) -> bytearray:
     """Decode stdin in blocks of ``chunk_rows(n)`` non-comment lines, each
     parsed, decoded and formatted as arrays: blocks, not all of stdin, so
-    the parsed words do not grow with the input (the output is held to the
-    end, so that a bad line leaves it empty).  A block whose lines are all
-    plain (n ASCII digit strings joined by single spaces, each below 10^18)
-    goes through numpy's text parser; any other block goes token by token
-    through ``int``, so every token is read or refused as ``int`` does, and
-    the first bad line of stdin is the one named, since earlier blocks
-    parsed cleanly."""
+    the parsed words do not grow with the input.  The output is held to
+    the end, so that a bad line leaves it empty, and held once: as the
+    returned bytearray, which ``_emit`` writes as it is.  A block whose
+    lines are all plain (n ASCII digit strings joined by single spaces,
+    each below 10^18) goes through numpy's text parser; any other block
+    goes token by token through ``int``, so every token is read or refused
+    as ``int`` does, and the first bad line of stdin is the one named,
+    since earlier blocks parsed cleanly."""
     mat = _matrix(args)
     table = coset_leader_table(mat)
     n, pieces = mat.n, _LINE_PIECES[args.fmt]
-    digits = _byte_table([pieces[0] + str(v) for v in range(mat.p)])
-    wdigits = _byte_table([str(w) for w in range(table.max_weight + 1)])
+    digits = _word_table([pieces[0] + str(v) for v in range(mat.p)])
+    wdigits = _word_table([str(w) for w in range(table.max_weight + 1)])
     # one growing buffer rather than a list of blocks joined at the end,
     # so the output is held once, not twice
     out = bytearray()
@@ -307,7 +318,7 @@ def cmd_decode(args) -> str:
             words = _int_words(block, n)
         cws, errs, weights, _ = decode_words(table, words)
         out += _format_lines(cws, errs, weights, digits, wdigits, pieces)
-    return out.decode()
+    return out
 
 
 def cmd_lemma_suite(args) -> str:
@@ -345,12 +356,16 @@ _COMMANDS = {
 }
 
 
-def _emit(text: str, out_path) -> None:
+def _emit(text, out_path) -> None:
+    """Write a command's output to the ``out_path`` file, else to stdout.
+    A bytearray (``decode``'s output) goes to the file as it is, in binary
+    mode, and is decoded to text only for stdout; a str is written as text."""
+    binary = isinstance(text, bytearray)
     if out_path:
-        with open(out_path, "w") as fh:
+        with open(out_path, "wb" if binary else "w") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(text.decode() if binary else text)
 
 
 def main(argv=None) -> int:

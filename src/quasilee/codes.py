@@ -179,12 +179,11 @@ def syndromes(matrix: ParityCheckMatrix, words) -> np.ndarray:
 
     Entries may be any integers; they are reduced mod p first.
     """
-    arr = np.asarray(words)
+    arr = _residues(words, matrix.p)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D array of words, got shape {arr.shape}")
     if arr.shape[1] != matrix.n:
         raise ValueError(f"length mismatch: expected {matrix.n}, got {arr.shape[1]}")
-    arr = (arr % matrix.p).astype(np.int64)
     return index_pack(matrix.entries @ arr.T % matrix.p, matrix.p)
 
 
@@ -218,17 +217,32 @@ class CosetLeaderTable:
 
     def leader_words(self, syns) -> np.ndarray:
         """Leaders of a batch of syndromes, one row each, entries in [0, p):
-        the steps summed over at most ``max_weight`` hops to the root."""
-        cur = np.array(syns, dtype=np.int64).ravel()
-        out = np.zeros((cur.size, self.matrix.n), dtype=np.int64)
+        the steps summed over at most ``max_weight`` hops to the root.
+
+        A leader has at most ``max_weight`` nonzero entries, so the steps
+        are added at flat indices ``row * n + j``, one per row and hop
+        (distinct, so a plain ``+=`` is exact), and only the entries they
+        touched are reduced mod p."""
+        n = self.matrix.n
+        cur = np.asarray(syns, dtype=np.int64).ravel()
+        out = np.zeros((cur.size, n), dtype=np.int64)
+        flat, touched = out.reshape(-1), []
+        rows = np.flatnonzero(cur)
+        cur = cur[rows]  # the syndrome each row in ``rows`` is at
         for _ in range(self.max_weight):
-            rows = np.flatnonzero(cur)
             if not rows.size:
                 break
-            st = self.step[cur[rows]]
-            out[rows, st >> 1] += 1 - 2 * (st & 1)
-            cur[rows] = self.parent[cur[rows]]
-        return out % self.matrix.p
+            st = self.step[cur]
+            at = rows * n + (st >> 1)
+            flat[at] += 1 - 2 * (st & 1)
+            touched.append(at)
+            cur = self.parent[cur]
+            keep = cur != 0
+            rows, cur = rows[keep], cur[keep]
+        if touched:
+            at = np.concatenate(touched)
+            flat[at] %= self.matrix.p
+        return out
 
     def histogram(self) -> dict:
         cnts = np.bincount(self.weights)
@@ -317,13 +331,17 @@ class DecodeResult:
 
 
 def _residues(words, p: int) -> np.ndarray:
-    """Words as an int64 array with entries reduced mod p.  Entries beyond
-    the int64 range are reduced as Python ints first."""
+    """Words as an int64 array with entries in [0, p).  Entries beyond the
+    int64 range are reduced as Python ints first; an array reduced only
+    when one of its entries lies outside [0, p), so an int64 array already
+    in range comes back as itself, not as a copy."""
     try:
         arr = np.asarray(words, dtype=np.int64)
     except OverflowError:
-        arr = np.array([[int(c) % p for c in w] for w in words], dtype=np.int64)
-    return arr % p
+        arr = np.asarray(np.asarray(words, dtype=object) % p, dtype=np.int64)
+    if arr.size and (arr.min() < 0 or arr.max() >= p):
+        arr = arr % p
+    return arr
 
 
 def decode_words(table: CosetLeaderTable, words) -> tuple:
@@ -338,7 +356,10 @@ def decode_words(table: CosetLeaderTable, words) -> tuple:
     arr = _residues(words, p)
     syns = syndromes(table.matrix, arr)
     errors = table.leader_words(syns)
-    return (arr - errors) % p, errors, table.weights[syns], syns
+    # both in [0, p), so the difference needs p added where negative only
+    cws = arr - errors
+    np.add(cws, p, out=cws, where=cws < 0)
+    return cws, errors, table.weights[syns], syns
 
 
 def decode(table: CosetLeaderTable, word) -> DecodeResult:

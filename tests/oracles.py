@@ -326,3 +326,23 @@ def scalar_decode(table, word) -> DecodeResult:
     err = tuple(table.leader_words([syn])[0].tolist())
     cw = tuple((c - e) % p for c, e in zip(word, err))
     return DecodeResult(cw, err, int(table.weights[syn]), syn)
+
+
+def decoded_lines(table, stdin: str, fmt: str) -> list:
+    """The lines ``decode`` prints for ``stdin``, one word at a time: each
+    non-comment line parsed with ``int``, decoded by ``scalar_decode`` and
+    written out with ``str``."""
+    lines = []
+    for line in stdin.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        res = scalar_decode(table, [int(t) for t in line.split()])
+        sep = ", " if fmt == "json" else " "
+        cw, err = sep.join(map(str, res.codeword)), sep.join(map(str, res.error))
+        if fmt == "json":
+            lines.append(f'{{"codeword": [{cw}], "error": [{err}], '
+                         f'"weight": {res.weight}}}')
+        else:
+            lines.append(f"{cw} | {err} | {res.weight}")
+    return lines

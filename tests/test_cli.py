@@ -10,6 +10,7 @@ import sys
 import time
 from pathlib import Path
 
+import oracles
 import pytest
 
 from quasilee import cli, fields
@@ -699,6 +700,24 @@ def test_decode_plain_blocks_skip_int(capsys, monkeypatch, tmp_path):
         calls.clear()
 
 
+# the digit table holds 8-byte words once sep + str(p - 1) passes 4 bytes:
+# ", 100" in JSON at p = 101, " 1008" in text at p = 1009
+@pytest.mark.parametrize("stream", ["plain", "mixed"])
+@pytest.mark.parametrize("p,family,fmt", [(101, "minus", "json"),
+                                          (1009, "plus", "text")])
+def test_decode_wide_entries_match_scalar_lines(capsys, monkeypatch, stream, p,
+                                                family, fmt):
+    table = coset_leader_table(parity_check_matrix(
+        generator_set(make_field(p), family)))
+    stdin = STREAMS[stream](p, table.matrix.n, words=150)
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code, out, err = run(capsys, "decode", "--p", str(p), "--family", family,
+                         "--format", fmt)
+    assert code == 0 and err == ""
+    assert out.splitlines() == oracles.decoded_lines(table, stdin, fmt)
+    assert out.endswith("\n") and len(out.splitlines()) == 150
+
+
 # -- one chunk budget ------------------------------------------------------------------
 
 # a call of each chunked loop: the class route (subset), the BFS and the
@@ -847,3 +866,22 @@ def test_out_writes_file_and_silences_stdout(capsys, tmp_path):
                        "--format", "json", "--out", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["admissible"] is True
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("stdin", ["mixed", "empty"])
+def test_decode_out_writes_the_bytes_of_stdout(capsys, monkeypatch, tmp_path,
+                                               fmt, stdin):
+    text = decode_stream(13, 7, words=300) if stdin == "mixed" else ""
+    argv = ["decode", "--p", "13", "--family", "plus", "--format", fmt]
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, shown, err = run(capsys, *argv)
+    assert code == 0 and err == "" and bool(shown) == bool(text)
+    target = tmp_path / "decoded.txt"
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+    assert target.read_bytes() == shown.encode()
+    # an --out that cannot be opened is still a precondition error
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "no" / "x.txt"))
+    assert (code, out) == (1, "") and err.startswith("error: precondition:")

@@ -448,6 +448,32 @@ def test_decode_reduces_huge_and_negative_entries():
     assert tuple(errs[0].tolist()) == want.error
 
 
+def test_decode_words_leave_in_range_input_alone_and_reduce_any_entry():
+    # an int64 array already in [0, p) is used as it is, never written to
+    table = table_for(13, 1, "plus")
+    p, n = 13, table.matrix.n
+    rng = np.random.default_rng(5)
+    words = rng.integers(0, p, size=(40, n))
+    kept = words.copy()
+    assert codes._residues(words, p) is words
+    syns = syndromes(table.matrix, words)
+    cws, errs, _, got_syns = decode_words(table, words)
+    assert (words == kept).all()
+    assert (got_syns == syns).all() and ((cws + errs) % p == words).all()
+    # each entry decodes as its residue, alone and beside a huge Python int
+    values = [p - 1, p, -1, 2 ** 63 - 1, 10 ** 30]
+    rows = [[int(c) for c in rng.integers(0, p, size=n)] for _ in values]
+    for row, v in zip(rows, values):
+        row[v % n] = v
+    reduced = [[c % p for c in row] for row in rows]
+    want = decode_words(table, reduced)
+    for batch in (rows, rows[:-1]):
+        got = decode_words(table, batch)
+        assert all((g == w[:len(batch)]).all() for g, w in zip(got, want))
+    for row, res in zip(rows, reduced):
+        assert decode(table, row) == decode(table, res) == oracles.scalar_decode(table, row)
+
+
 def test_decode_words_rejects_wrong_length():
     table = table_for(13, 1, "plus")
     with pytest.raises(ValueError, match="expected 7, got 3"):
