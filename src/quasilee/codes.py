@@ -389,7 +389,7 @@ class LeeCode:
         g = self.generator
         return {
             "family": g.family,
-            "context": (g.ext or g.base).to_json_dict(),
+            "context": g.context_json,
             "n": self.n,
             "dimension": self.dimension,
             "codeword_count": self.codeword_count,
@@ -509,11 +509,16 @@ def round_trip_check(table: CosetLeaderTable, trials: int, seed: int,
     the code), a random error of Lee weight <= max_weight is added, and
     the decoder must return exactly the original pair.  Trials are drawn
     one after another and decoded in ``chunks`` of n-entry rows, so
-    memory does not grow with ``trials``.  ValueError if ``trials`` < 0.
+    memory does not grow with ``trials``.  ValueError if ``trials`` < 0, or
+    before enumerating a Lee ball of more than ``VERTEX_CAP`` words.
     """
     if trials < 0:
         raise ValueError(f"trial count must be nonnegative, got {trials}")
     p, n = table.matrix.p, table.matrix.n
+    ball = lee_ball_size(n, max_weight)
+    if ball > VERTEX_CAP:
+        raise ValueError(f"the radius-{max_weight} Lee ball at n = {n} holds "
+                         f"{ball} words, more than {VERTEX_CAP}")
     rng = random.Random(seed)
     pos, val = lee_ball_support(n, p, max_weight)
     ok = 0

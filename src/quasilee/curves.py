@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import (FieldCtx, QuadExt, VerificationError, index_digits,
-                     make_field, minus3_character, pair_index, pair_neg)
+                     make_field, minus3_character, pair_index, pair_neg,
+                     residue_class_mod12)
 
 PLUS = "plus"
 MINUS = "minus"
@@ -32,7 +33,7 @@ FAMILIES = (PLUS, MINUS)
 class GeneratorSet:
     """A symmetric, zero-free subset of F_q x F_q given by representatives.
 
-    ``reps`` holds one index per {h, -h} pair, in ascending index order;
+    ``reps`` holds one index per {h, -h} pair, ascending on the curves;
     ``members`` is the full set, ascending.  ``ext`` carries the quadratic
     extension for the plus family (None for minus).
     """
@@ -85,28 +86,31 @@ class GeneratorSet:
         reps = np.array(self.reps, dtype=np.int64)
         return np.array(index_digits(reps, self.p, 2 * self.k), dtype=np.int64)
 
-    def to_json_dict(self) -> dict:
-        ctx_json = (self.ext.to_json_dict() if self.ext is not None
-                    else self.base.to_json_dict())
-        return {
-            "family": self.family,
-            "context": ctx_json,
-            "n": self.n,
-            "degree": self.degree,
-            "representatives": self.coordinate_matrix().T.tolist(),
-        }
+    @property
+    def context_json(self) -> dict:
+        """The field context as JSON: the extension's for plus, else the
+        ground field's."""
+        return (self.ext or self.base).to_json_dict()
 
     def __repr__(self):
         return (f"GeneratorSet(family={self.family!r}, p={self.p}, k={self.k}, "
                 f"n={self.n})")
 
 
-def _finish(family, base, members, ext=None) -> GeneratorSet:
-    # the representative of each {z, -z} is the smaller index
-    members = np.sort(np.asarray(members, dtype=np.int64))
-    reps = members[members < pair_neg(base, members)]
-    return GeneratorSet(family, base, tuple(reps.tolist()),
-                        tuple(members.tolist()), ext)
+def _curve_set(family, base, points) -> GeneratorSet:
+    """The generator set of a curve's ``points``: ``from_representatives``
+    of the smaller index of each {z, -z}.  VerificationError unless the set
+    built is exactly the points made, none twice, and ``curve_classes``
+    accepts it as the whole curve."""
+    points = np.sort(points)
+    reps = points[points < pair_neg(base, points)]
+    # a repeated point is passed once, and the set built comes out short
+    gen = from_representatives(base, family, reps[np.diff(reps, prepend=0) > 0])
+    if gen.members != tuple(points.tolist()) or curve_classes(gen) is None:
+        curve = "norm-one circle" if family == PLUS else "unit hyperbola"
+        raise VerificationError(
+            f"the {len(points)} points made are not exactly the {curve}")
+    return gen
 
 
 def norm_circle(ext: QuadExt) -> GeneratorSet:
@@ -123,12 +127,7 @@ def norm_circle(ext: QuadExt) -> GeneratorSet:
     t2 = b.mul(t, t)
     den = b.inv(b.add(t2, b.neg(ext.delta)))
     x = b.mul(b.add(t2, ext.delta), den)
-    members = np.append(pair_index(b, x, b.mul(b.add(t, t), den)), 1)
-    gen = _finish(PLUS, b, members, ext)
-    if curve_classes(gen) is None:
-        raise VerificationError(
-            f"the {ext.q + 1} points made are not all of the norm-one circle")
-    return gen
+    return _curve_set(PLUS, b, np.append(pair_index(b, x, b.mul(b.add(t, t), den)), 1))
 
 
 def unit_hyperbola(ctx: FieldCtx) -> GeneratorSet:
@@ -137,12 +136,7 @@ def unit_hyperbola(ctx: FieldCtx) -> GeneratorSet:
     Has q - 1 elements; -(x, 1/x) = (-x, 1/(-x)) keeps it symmetric.
     """
     x = np.arange(1, ctx.q)
-    members = pair_index(ctx, x, ctx.inv(x))
-    gen = _finish(MINUS, ctx, members)
-    if gen.degree != ctx.q - 1:
-        raise VerificationError(
-            f"unit hyperbola has {gen.degree} points, expected {ctx.q - 1}")
-    return gen
+    return _curve_set(MINUS, ctx, pair_index(ctx, x, ctx.inv(x)))
 
 
 def generator_set(base: FieldCtx, family: str) -> GeneratorSet:
@@ -156,24 +150,28 @@ def generator_set(base: FieldCtx, family: str) -> GeneratorSet:
 
 def from_representatives(base: FieldCtx, family: str, reps) -> GeneratorSet:
     """Rebuild a generator set from representative pair indices (e.g. parsed
-    from a parity-check matrix).  Validates symmetry-freeness only; the
-    curve membership of arbitrary input is not assumed."""
+    from a parity-check matrix), the one constructor of ``GeneratorSet``.
+    Validates symmetry-freeness only, naming the first representative that
+    is zero or meets an earlier one's {z, -z}; the curve membership of
+    arbitrary input is not assumed."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    reps = [int(z) for z in reps]
-    members = set()
-    for z in reps:
-        if z == 0:
-            raise ValueError("generator set must not contain zero")
-        m = pair_neg(base, z)
-        if z in members or m in members:
-            raise ValueError("representatives collide under negation")
-        members.add(z)
-        members.add(m)
+    reps = np.asarray(reps, dtype=np.int64)
+    neg = pair_neg(base, reps)
+    # {z, -z} is keyed by its smaller index, 0 only for z = 0; a stable sort
+    # puts the first representative of each key first
+    keys = np.minimum(reps, neg)
+    order = np.argsort(keys, kind="stable")
+    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    bad = np.concatenate((np.flatnonzero(keys == 0), repeats)).min(initial=len(reps))
+    if bad < len(reps):
+        raise ValueError("generator set must not contain zero" if keys[bad] == 0
+                         else "representatives collide under negation")
     ext = QuadExt(base) if family == PLUS else None
     # keep the representative order as given: it fixes the column order of
     # a parity-check matrix parsed from a file
-    return GeneratorSet(family, base, tuple(reps), tuple(sorted(members)), ext)
+    return GeneratorSet(family, base, tuple(reps.tolist()),
+                        tuple(np.sort(np.concatenate((reps, neg))).tolist()), ext)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,8 +212,7 @@ def curve_classes(gen: GeneratorSet):
     else:
         on_curve = ctx.mul(members % q, members // q) == 1
         reps = np.concatenate(([0], x[1:] + q, [1, q]))  # (c, 1), (1, 0), (0, 1)
-    if len(set(gen.members)) != q + (1 if gen.family == PLUS else -1) \
-            or not on_curve.all():
+    if gen.degree != q + (1 if gen.family == PLUS else -1) or not on_curve.all():
         return None
     sizes = np.full(len(reps), gen.degree)
     sizes[0] = 1
@@ -262,8 +259,7 @@ def admissibility(p: int, k: int, family: str) -> AdmissibilityReport:
     eta = minus3_character(ctx)
     cls = {1: "square", -1: "nonsquare"}[eta]
 
-    rule = residue_rule_minus3(p, k)
-    if (rule == 1) != (eta == 1):
+    if (residue_class_mod12(p).minus3_square or k % 2 == 0) != (eta == 1):
         raise VerificationError("mod-12 rule disagrees with character")
 
     if family == PLUS:
@@ -282,10 +278,3 @@ def admissibility(p: int, k: int, family: str) -> AdmissibilityReport:
     return AdmissibilityReport(family, p, k, ctx.q, cls, True,
                                f"-3 is a nonsquare in F_{ctx.q} and q > 12")
 
-
-def residue_rule_minus3(p: int, k: int) -> int:
-    """Character of -3 in F_{p^k} by congruence rule alone: +1 iff
-    p mod 12 in {1, 7} or k is even (p > 3)."""
-    if p % 12 in (1, 7) or k % 2 == 0:
-        return 1
-    return -1

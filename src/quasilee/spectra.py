@@ -83,7 +83,7 @@ class SpectrumReport:
     def to_json_dict(self) -> dict:
         return {
             "family": self.generator.family,
-            "context": (self.generator.ext or self.generator.base).to_json_dict(),
+            "context": self.generator.context_json,
             "degree": self.degree,
             "vertices": self.generator.ambient_size,
             "max_nontrivial_abs": self.max_nontrivial_abs,

@@ -101,7 +101,7 @@ class SumsetLayers:
     def to_json_dict(self) -> dict:
         return {
             "family": self.generator.family,
-            "context": (self.generator.ext or self.generator.base).to_json_dict(),
+            "context": self.generator.context_json,
             "n": self.n,
             "layer_sizes": list(self.sizes),
             "critical_index": self.critical_index,
@@ -178,7 +178,7 @@ def cumulative_layers(gen: GeneratorSet) -> SumsetLayers:
         h_hat = gen.indicator_fft()
         sets, sizes = _grow(np.arange(size) == 0,
                             lambda new: _sumset_support(new, h_hat),
-                            np.count_nonzero, size)
+                            lambda mask: int(np.count_nonzero(mask)), size)
     else:
         sets, sizes = _class_layers(gen, classes)
 

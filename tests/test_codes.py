@@ -507,6 +507,19 @@ def test_round_trip_rejects_negative_trials():
         round_trip_check(table, trials=-5, seed=0)
 
 
+def test_round_trip_refuses_a_ball_above_the_cap_before_enumerating(monkeypatch):
+    # #B_3 = 1 235 975 words at n = 97 exceeds VERTEX_CAP = 2^20; a
+    # radius above 3 is refused by lee_ball_size itself
+    def refuse(*args):
+        raise AssertionError("the Lee ball was enumerated")
+    table = table_for(193, 1, "plus")
+    monkeypatch.setattr(codes, "lee_ball_support", refuse)
+    with pytest.raises(ValueError, match="1235975 words, more than 1048576"):
+        round_trip_check(table, trials=10, seed=0, max_weight=3)
+    with pytest.raises(ValueError, match="radius 3"):
+        round_trip_check(table, trials=10, seed=0, max_weight=4)
+
+
 def test_round_trip_at_weight_three_can_fail():
     # beyond the guarantee: radius-3 errors are corrected only when the
     # planted error happens to be its coset's chosen leader

@@ -4,11 +4,13 @@ import numpy as np
 import oracles
 import pytest
 
+from quasilee import curves
 from quasilee.codes import rank_mod_p
 from quasilee.curves import (GeneratorSet, admissibility, curve_classes,
                              from_representatives, generator_set, norm_circle,
                              unit_hyperbola)
-from quasilee.fields import QuadExt, make_field, pair_index, pair_neg
+from quasilee.fields import (QuadExt, VerificationError, make_field, pair_index,
+                             pair_neg)
 
 
 @pytest.mark.parametrize("p,k", [(5, 1), (7, 1), (13, 1), (3, 2), (11, 1),
@@ -133,6 +135,68 @@ def test_from_representatives_validation():
     with pytest.raises(ValueError, match="collide"):
         from_representatives(ctx, "minus",
                              [pair_index(ctx, 2, 3), pair_index(ctx, 11, 10)])
+
+
+def test_from_representatives_names_the_earliest_fault():
+    # an input with both faults: the first faulty representative decides
+    ctx = make_field(13)
+    z = pair_index(ctx, 2, 3)
+    with pytest.raises(ValueError, match="zero"):
+        from_representatives(ctx, "plus", [z, 0, pair_neg(ctx, z)])
+    with pytest.raises(ValueError, match="collide"):
+        from_representatives(ctx, "plus", [z, pair_neg(ctx, z), 0])
+    with pytest.raises(ValueError, match="collide"):
+        from_representatives(ctx, "minus", [z, 7, z, 0])
+
+
+def test_hyperbola_with_a_corrupted_inverse_is_refused(monkeypatch):
+    # 1/4 = 10 mod 13, read as 8 = 1/5: the twelve points stay distinct,
+    # but (4, 8) is off the curve and its negation (9, 5) is missing
+    ctx = make_field(13)
+    real = ctx.inv
+    monkeypatch.setattr(ctx, "inv", lambda a: np.where(a == 4, 8, real(a)))
+    with pytest.raises(VerificationError, match="unit hyperbola"):
+        unit_hyperbola(ctx)
+
+
+def _made_points(monkeypatch, edit):
+    """Let the builders' points pass through ``edit(ctx, points)``."""
+    real = curves.pair_index
+    monkeypatch.setattr(curves, "pair_index",
+                        lambda ctx, x, y: edit(ctx, real(ctx, x, y).copy()))
+
+
+def _move_pair(ctx, points):
+    # {z, -z} moved to an off-curve {w, -w}: the set stays symmetric, of
+    # the right size, so only the curve check can see it
+    z = points[1]
+    w = next(w for w in range(1, ctx.q ** 2) if w not in points
+             and pair_neg(ctx, w) not in points)
+    points[points == pair_neg(ctx, z)] = pair_neg(ctx, w)
+    points[1] = w
+    return points
+
+
+@pytest.mark.parametrize("edit", [
+    lambda ctx, points: np.where(points == points[1], 2, points),  # one point
+    _move_pair,
+], ids=["point", "pair"])
+def test_circle_with_a_moved_point_is_refused(monkeypatch, edit):
+    _made_points(monkeypatch, edit)
+    with pytest.raises(VerificationError, match="norm-one circle"):
+        norm_circle(QuadExt(make_field(13)))
+
+
+@pytest.mark.parametrize("family", ["plus", "minus"])
+def test_built_set_with_a_duplicate_point_is_refused(monkeypatch, family):
+    # a fault of the builder, not of its input: VerificationError, and not
+    # the ValueError of from_representatives
+    def duplicate(ctx, points):
+        points[1] = points[0]
+        return points
+    _made_points(monkeypatch, duplicate)
+    with pytest.raises(VerificationError, match="points made"):
+        generator_set(make_field(13), family)
 
 
 # -- point counts: the scalar oracles of the lemma battery --------------------

@@ -56,6 +56,22 @@ def test_only_check_ambient_raises_size_cap_error(path):
     assert lines == [], f"{path.name} raises SizeCapError at lines {lines}"
 
 
+def test_only_from_representatives_constructs_a_generator_set():
+    # one constructor builds reps and -reps and refuses zero or a collision,
+    # so every GeneratorSet's members are distinct, as curve_classes assumes
+    lines = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        home = {id(node) for fn in ast.walk(tree)
+                if isinstance(fn, ast.FunctionDef) and fn.name == "from_representatives"
+                for node in ast.walk(fn)}
+        lines += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in home
+                  and getattr(node.func, "id", getattr(node.func, "attr", None))
+                  == "GeneratorSet"]
+    assert lines == [], f"GeneratorSet(...) called outside from_representatives: {lines}"
+
+
 def test_two_size_caps():
     # every stage's memory is bounded by the chunk budget, so a cap bounds
     # only work: the ambient one and the cap of the q^2-array routes

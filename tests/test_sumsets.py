@@ -1,5 +1,6 @@
 """Layer growth, Lee ball sizes and the code-theoretic verdict."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -235,6 +236,21 @@ def test_layers_json_shape():
     assert d["verdict"] == QUASI_PERFECT_2
     assert d["layer_sizes"] == [1, 15, 113, 169]
     assert d["context"]["delta"] == 2
+
+
+def test_off_curve_layers_json_holds_python_ints():
+    # the FFT route counts with numpy; its sizes must still be JSON ints
+    base = make_field(13)
+    gen = generator_set(base, "plus")
+    off = next(z for z in range(1, gen.ambient_size)
+               if z not in gen.members and pair_neg(base, z) not in gen.members)
+    odd = classify(from_representatives(base, "plus", list(gen.reps[:-1]) + [off]))
+    d = json.loads(json.dumps(odd.to_json_dict()))
+    assert odd.layers.class_sets is None
+    assert all(type(s) is int for s in odd.layers.sizes)
+    assert odd.layers.covered is True
+    assert d["layer_sizes"] == [1, 15, 101, 169] and d["verdict"] == NEITHER
+    assert d["detail"] == "layer sizes [1, 15, 101, 169] vs balls [1, 15, 113, 575]"
 
 
 # -- the paper's theorem across every field with 5 <= p and q < 400 ------------
