@@ -25,15 +25,15 @@ computations of the same quantities (reachable syndromes per weight), so
 ``VerificationError`` on any disagreement.
 """
 
-import itertools
+import functools
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from .curves import GeneratorSet, from_representatives, generator_set
-from .fields import (VERTEX_CAP, VerificationError, check_ambient, chunks,
-                     index_mask, index_pack, make_field, pair_add, pair_neg)
+from .fields import (VERTEX_CAP, VerificationError, check_ambient, chunk_rows,
+                     chunks, index_pack, make_field, pair_add, pair_neg)
 from .sumsets import (MAX_LAYERS, Classification, CoverageError, classify,
                       lee_ball_size)
 
@@ -43,39 +43,70 @@ def lee_weight(word, p: int) -> int:
     return sum(min(c % p, p - c % p) for c in word)
 
 
+@functools.lru_cache(maxsize=1)
 def lee_ball_support(n: int, p: int, radius: int) -> tuple:
     """All words of Z_p^n with Lee weight <= radius, as their supports.
 
-    Returns int64 arrays ``pos`` and ``val`` of shape rows x min(radius, n):
-    row i is the word with entry val[i, t] at position pos[i, t], and the
-    pairs past its support are (0, 0).  Exact for any p; the row count
-    agrees with ``lee_ball_size`` whenever the radius is at most (p-1)/2.
-    Rows come in depth-first order: a word is followed by its extensions at
-    later positions, and siblings go by position, then weight w, then value
-    w before p - w.  That is the order of the key (j_1, r_1, j_2, r_2, ...)
-    over the nonzero positions j_i, with r = 2(w - 1) for the value w and
-    r = 2(w - 1) + 1 for p - w, padded with -1 so that a key sorts before
-    its extensions.
+    Returns read-only int64 arrays ``pos`` and ``val`` of shape
+    rows x min(radius, n): row i is the word with entry val[i, t] at
+    position pos[i, t], and the pairs past its support are (0, 0).  Exact
+    for any p; the row count agrees with ``lee_ball_size`` whenever the
+    radius is at most (p-1)/2.  Rows come in depth-first order: a word is
+    followed by its extensions at later positions, and siblings go by
+    position, then weight w, then value w before p - w.  The last ball
+    built is kept, so that ``verify_quasi_perfect`` and
+    ``round_trip_check`` share it.
     """
+    ball = _lee_ball(n, p, radius)
+    ball.flags.writeable = False
+    return ball[0], ball[1]
+
+
+def _lee_ball(n: int, p: int, radius: int) -> np.ndarray:
+    """``lee_ball_support``'s rows as one array of shape 2 x rows x width,
+    positions then values, built one radius at a time without a sort.
+
+    The ball of radius b is the zero word and then, for each position j,
+    weight w and value w, then p - w, a block: the word with that value at
+    j, followed by its extensions past j.  Those are the rows of the
+    radius-(b - w) ball whose support starts after j, a tail of that ball,
+    and its zero word first.  Every block is gathered from the smaller
+    balls through one index array."""
     half, width = (p - 1) // 2, min(radius, n)
-    keys = [np.full((1, 2 * width), -1, dtype=np.int64)]  # the zero word
-    for m in range(1, width + 1):
-        pos = np.array(list(itertools.combinations(range(n), m)),
-                       dtype=np.int64).reshape(-1, m)
-        for ws in itertools.product(range(1, min(half, radius) + 1), repeat=m):
-            if sum(ws) > radius:
-                continue
-            for signs in itertools.product((0, 1), repeat=m):
-                key = np.full((len(pos), 2 * width), -1, dtype=np.int64)
-                key[:, 0:2 * m:2] = pos
-                key[:, 1:2 * m:2] = [2 * (w - 1) + s for w, s in zip(ws, signs)]
-                keys.append(key)
-    keys = np.concatenate(keys)
-    keys = keys[np.lexsort(keys.T[::-1])] if width else keys
-    pos, rank = keys[:, 0::2], keys[:, 1::2]
-    w = (rank >> 1) + 1
-    # the padding rank -1 gives w = 0 and the value p - 0 = 0 mod p
-    return np.maximum(pos, 0), np.where(rank & 1, p - w, w) % p
+    if not width or not half:
+        return np.zeros((2, 1, width), dtype=np.int64)  # the zero word alone
+    balls = [np.zeros((2, 1, 1), dtype=np.int64)]  # radius 0, as one (0, 0) pair
+    for b in range(1, radius + 1):
+        width = min(b, n)
+        ws = range(1, min(b, half) + 1)
+        # the radius-(b - w) balls stacked, cut or padded to the width - 1
+        # columns that an extension fills
+        subs = [balls[b - w] for w in ws]
+        base = np.cumsum([0] + [s.shape[1] for s in subs])
+        tab = np.zeros((2, base[-1], width - 1), dtype=np.int64)
+        for s, lo, hi in zip(subs, base, base[1:]):
+            cols = min(width - 1, s.shape[2])
+            tab[:, lo:hi, :cols] = s[:, :, :cols]
+        # tail[j, w - 1]: the first row of the radius-(b - w) ball whose
+        # support starts after j
+        tail = np.stack([1 + np.searchsorted(s[0, 1:, 0], np.arange(1, n + 1))
+                         for s in subs], axis=1)
+        # the blocks in (j, w, value) order, each holding the zero word and a tail
+        lens = np.repeat(np.diff(base) + 1 - tail, 2, axis=1).ravel()
+        starts = np.cumsum(lens) - lens
+        src = np.repeat(np.repeat(base[:-1] + tail - 1, 2, axis=1).ravel() - starts,
+                        lens)
+        src += np.arange(src.size)
+        src[starts] = np.repeat(np.tile(base[:-1], n), 2)
+        ball = np.empty((2, src.size + 1, width), dtype=np.int64)
+        ball[:, 0] = 0
+        ball[0, 1:, 0] = np.repeat(np.arange(n), lens.reshape(n, -1).sum(axis=1))
+        values = [v for w in ws for v in (w, p - w)]
+        ball[1, 1:, 0] = np.repeat(np.tile(values, n), lens)
+        for part in (0, 1):  # one half at a time keeps the gathered copy small
+            ball[part, 1:, 1:] = tab[part][src]
+        balls.append(ball)
+    return balls[radius]
 
 
 # ---------------------------------------------------------------------------
@@ -482,10 +513,14 @@ def verify_quasi_perfect(code: LeeCode,
         pos, val = lee_ball_support(gen.n, gen.p, w)
         if len(pos) != ball_size:
             break  # wraparound regime (p < 2w + 1): formula no longer counts
-        # the parity-check map on the supports: M[:, pos] . val mod p
-        syns = index_pack((code.matrix.entries[:, pos] * val).sum(axis=2) % gen.p,
-                          gen.p)
-        if np.count_nonzero(index_mask(gen.ambient_size, syns)) == ball_size:
+        # the parity-check map on the supports, M[:, pos] . val mod p, a
+        # chunk of rows at a time into one mask of the syndromes hit
+        mat = code.matrix.entries
+        hit = np.zeros(gen.ambient_size, dtype=bool)
+        width = len(mat) * pos.shape[1]  # products per word
+        for ps, vs in zip(chunks(pos, width), chunks(val, width)):
+            hit[index_pack((mat[:, ps] * vs).sum(axis=2) % gen.p, gen.p)] = True
+        if np.count_nonzero(hit) == ball_size:
             t_table = w
         else:
             break
@@ -501,16 +536,61 @@ def verify_quasi_perfect(code: LeeCode,
         quasi_perfect=(t_table == 2 and r_table == 3))
 
 
+def _trial_draws(rng, trials: int, n: int, p: int, size: int):
+    """The random draws of ``trials`` round trips, in chunks of trials:
+    arrays (words, picks) holding what ``[rng.randrange(p) for _ in
+    range(n)]`` and then ``rng.randrange(size)`` would return per trial.
+
+    For 0 < m < 2^32, ``randrange(m)`` takes the top m.bit_length() bits
+    of the next 32-bit Mersenne Twister output, drawing again while they
+    are >= m, and ``getrandbits(32 * N)`` returns the next N outputs, the
+    first least significant.  So the outputs are drawn in bulk, those
+    accepted under each bound are found at once, and each trial takes the
+    next n accepted under p and then the next accepted under ``size``.
+    Outputs left over carry into the next chunk.  Here p <= 1021 (the
+    coset table's gate) and ``size`` <= ``VERTEX_CAP``, both below 2^32."""
+    shift_p, shift_s = 32 - p.bit_length(), 32 - size.bit_length()
+    # mean outputs per trial, from each bound's acceptance rate
+    per_trial = n * (1 << p.bit_length()) / p + (1 << size.bit_length()) / size
+    buf = np.empty(0, dtype=np.uint32)
+    done = 0
+    while done < trials:
+        rows = min(chunk_rows(n), trials - done)
+        more = int(rows * per_trial * 1.02) + 64
+        buf = np.concatenate([buf, np.frombuffer(
+            rng.getrandbits(32 * more).to_bytes(4 * more, "little"), dtype="<u4")])
+        at_p = np.flatnonzero(buf >> shift_p < p)
+        at_s = np.flatnonzero(buf >> shift_s < size)
+        # a trial whose words start at at_p[i] picks at_s[pick[i]], and the
+        # next trial starts at at_p[after[i]]; only i < whole fit in buf
+        pick = np.searchsorted(at_s, at_p[n - 1:], side="right")
+        whole = np.searchsorted(pick, at_s.size)
+        after = np.searchsorted(at_p, at_s[pick[:whole]], side="right")
+        starts, i = [], 0
+        while len(starts) < rows and i < whole:
+            starts.append(i)
+            i = int(after[i])
+        if starts:  # else the buffer was short: the next pass draws more
+            words = buf[at_p[np.add.outer(starts, np.arange(n))]] >> shift_p
+            picked = at_s[pick[starts]]
+            yield words.astype(np.int64), (buf[picked] >> shift_s).astype(np.int64)
+            buf = buf[picked[-1] + 1:]
+            done += len(starts)
+
+
 def round_trip_check(table: CosetLeaderTable, trials: int, seed: int,
                      max_weight: int = 2) -> tuple:
     """Seeded random decode round trips: (successes, trials).
 
     A codeword is sampled by decoding a uniform random word (uniform over
     the code), a random error of Lee weight <= max_weight is added, and
-    the decoder must return exactly the original pair.  Trials are drawn
-    one after another and decoded in ``chunks`` of n-entry rows, so
-    memory does not grow with ``trials``.  ValueError if ``trials`` < 0, or
-    before enumerating a Lee ball of more than ``VERTEX_CAP`` words.
+    the decoder must return exactly the original pair.  Per trial the
+    draws are those of ``random.Random(seed)``'s ``randrange(p)`` for each
+    of the n entries and then ``randrange`` over the Lee ball, in that
+    order, but taken from the generator in bulk a chunk of trials at a
+    time (``_trial_draws``); each chunk is decoded as n-entry rows, so
+    memory does not grow with ``trials``.  ValueError if ``trials`` < 0,
+    or before enumerating a Lee ball of more than ``VERTEX_CAP`` words.
     """
     if trials < 0:
         raise ValueError(f"trial count must be nonnegative, got {trials}")
@@ -519,14 +599,9 @@ def round_trip_check(table: CosetLeaderTable, trials: int, seed: int,
     if ball > VERTEX_CAP:
         raise ValueError(f"the radius-{max_weight} Lee ball at n = {n} holds "
                          f"{ball} words, more than {VERTEX_CAP}")
-    rng = random.Random(seed)
     pos, val = lee_ball_support(n, p, max_weight)
     ok = 0
-    for block in chunks(range(trials), n):
-        words, picked = [], []
-        for _ in block:
-            words.append([rng.randrange(p) for _ in range(n)])
-            picked.append(rng.randrange(len(pos)))
+    for words, picked in _trial_draws(random.Random(seed), trials, n, p, len(pos)):
         # dense rows for the picked errors only
         err = np.zeros((len(picked), n), dtype=np.int64)
         np.add.at(err, (np.arange(len(picked))[:, None], pos[picked]), val[picked])

@@ -281,6 +281,16 @@ def scalar_lee_ball(n, p, radius) -> list:
     return out
 
 
+def scalar_trial_draws(rng, trials, n, p, size) -> tuple:
+    """The round trip's draws one ``randrange`` call at a time: per trial,
+    a word of n entries below p, then an index below ``size``."""
+    words, picks = [], []
+    for _ in range(trials):
+        words.append([rng.randrange(p) for _ in range(n)])
+        picks.append(rng.randrange(size))
+    return words, picks
+
+
 def scalar_bfs_leaders(mat) -> tuple:
     """Coset leaders and their weights by a scalar breadth-first search
     over error vectors.

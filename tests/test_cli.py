@@ -13,7 +13,7 @@ from pathlib import Path
 import oracles
 import pytest
 
-from quasilee import cli, fields
+from quasilee import cli, codes, fields
 from quasilee.cli import main
 from quasilee.codes import coset_leader_table, parity_check_matrix
 from quasilee.curves import generator_set
@@ -383,6 +383,23 @@ def test_code_verify_direct(capsys):
     assert code == 0
     assert "quasi_perfect=yes" in out
     assert "round_trip: 200/200 seed=0" in out
+
+
+@pytest.mark.parametrize("p,n", [(13, 7), (97, 49)])
+def test_code_verify_enumerates_each_ball_once(capsys, monkeypatch, p, n):
+    # verify_quasi_perfect's radius-2 ball is the round trip's
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    real = codes._lee_ball
+    monkeypatch.setattr(codes, "_lee_ball", counted)
+    codes.lee_ball_support.cache_clear()
+    code, out, _ = run(capsys, "code-verify", "--p", str(p), "--family", "plus")
+    assert code == 0 and "round_trip: 200/200 seed=0" in out
+    assert built == [(n, p, 1), (n, p, 2)]
 
 
 def test_code_verify_roundtrip_through_text_file(capsys, tmp_path):

@@ -3,6 +3,7 @@
 import collections
 import functools
 import hashlib
+import random
 import tracemalloc
 
 import numpy as np
@@ -104,6 +105,28 @@ def test_ball_vectors_are_distinct_and_light():
     assert all(0 <= c < 7 for v in ball for c in v)
     # wraparound regime: radius 2 over Z_3 in two coordinates gives all words
     assert len(ball_words(2, 3, 2)) == 9
+
+
+def test_ball_arrays_are_read_only():
+    # the last ball built is shared between callers
+    pos, val = lee_ball_support(7, 13, 2)
+    for arr in (pos, val):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 1
+    assert lee_ball_support(7, 13, 2)[0] is pos
+
+
+def test_ball_enumeration_holds_little_beyond_its_result():
+    # the radius-2 ball at p = 1021 plus: 523 265 rows, 16.7 MB of
+    # positions and values; an int64 key matrix and its sort took 60 MiB
+    tracemalloc.start()
+    try:
+        ball = codes._lee_ball(511, 1021, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ball.shape == (2, lee_ball_size(511, 2), 2)
+    assert peak < 1.6 * ball.nbytes
 
 
 # -- matrices and syndromes ------------------------------------------------------
@@ -499,6 +522,25 @@ def test_round_trip_rng_stream_is_pinned(monkeypatch, block):
     table = table_for(13, 1, "plus")
     assert round_trip_check(table, trials=300, seed=1, max_weight=3) == (99, 300)
     assert round_trip_check(table, trials=0, seed=1) == (0, 0)
+
+
+@pytest.mark.parametrize("block", [None, 1, 7])
+@pytest.mark.parametrize("n,p,size", [
+    (49, 97, 4901),   # p = 97 plus, the radius-2 ball
+    (62, 5, 7813),    # p = 5, k = 3 minus, the radius-2 ball
+    (64, 127, 129),   # p = 127 plus, the radius-1 ball: 2^7 + 1 words
+    (7, 13, 1),       # the radius-0 ball: randrange(1) still draws
+], ids=["97plus", "5k3minus", "127plus-r1", "13plus-r0"])
+def test_bulk_draws_match_the_randrange_stream(monkeypatch, n, p, size, block):
+    if block is not None:
+        monkeypatch.setattr(fields, "CHUNK_ENTRIES", block * n)
+    for seed in (0, 1, 2 ** 31 - 1):
+        chunks = list(codes._trial_draws(random.Random(seed), 300, n, p, size))
+        words = np.concatenate([w for w, _ in chunks]).tolist()
+        picks = np.concatenate([k for _, k in chunks]).tolist()
+        assert (words, picks) == oracles.scalar_trial_draws(
+            random.Random(seed), 300, n, p, size)
+        assert block is None or max(len(k) for _, k in chunks) == block
 
 
 def test_round_trip_rejects_negative_trials():
