@@ -21,6 +21,7 @@ import sys
 
 import numpy as np
 
+from . import fields
 from .codes import (VerificationError, code_parameters, coset_leader_table,
                     decode_words, matrix_from_json_dict, matrix_from_text,
                     parity_check_matrix, round_trip_check, verify_quasi_perfect)
@@ -204,38 +205,50 @@ def cmd_code_verify(args) -> str:
             f"round_trip: {ok}/{total} seed={args.seed}\n")
 
 
-def _blocks(stream, size):
-    """The (line number, stripped line) pairs of the non-comment lines of
-    ``stream``, in lists of ``size``."""
-    block = []
-    for lineno, line in enumerate(stream, start=1):
-        line = line.strip()
-        if line and not line.startswith("#"):
-            block.append((lineno, line))
-            if len(block) == size:
-                yield block
-                block = []
-    if block:
-        yield block
+def _pieces(stream, size):
+    """The text of ``stream`` in pieces of whole lines, each ended by a
+    newline: every ``read(size)`` is cut after its last newline, and the
+    partial line after the cut is carried as a list of parts, so that a
+    line longer than many reads is joined once.  Lines are split as line
+    iteration splits them, on the newlines the text layer hands out.  A
+    last line without a newline gets one."""
+    parts = []
+    while chunk := stream.read(size):
+        cut = chunk.rfind("\n") + 1
+        if cut:
+            parts.append(chunk[:cut])
+            # the read and its parts go before the piece is used (cmd_decode)
+            piece, parts = "".join(parts), [chunk[cut:]]
+            del chunk
+            yield piece
+        else:
+            parts.append(chunk)
+    rest = "".join(parts)
+    if rest:
+        yield rest + "\n"
 
 
-def _plain_words(lines, n):
-    """The lines as an m x n int64 array when each is n ASCII digit strings
-    joined by single spaces, every one below 10^18; otherwise None."""
-    m, text = len(lines), " ".join(lines)
+def _plain_words(text, n):
+    """The lines of ``text``, one or more, each ended by a newline, as an
+    m x n int64 array when each is n ASCII digit strings joined by single
+    spaces, every one below 10^18; otherwise None."""
     if not text.isascii():
         return None
     raw = text.encode()
-    if raw.translate(None, b"0123456789 ") or b"  " in raw:
+    if raw.translate(None, b"0123456789 \n"):
+        return None
+    # a digit string begins the text and follows every separator
+    sep = np.frombuffer(raw, dtype=np.uint8) <= 32
+    if sep[0] or (sep[1:] & sep[:-1]).any():
         return None
     # a -1 after each line: no plain token is negative, so the markers fill
     # column n of an m x (n + 1) reshape exactly when each line holds n tokens
-    words = np.fromstring(" -1 ".join(lines) + " -1", dtype=np.int64, sep=" ")
-    if words.size != m * (n + 1):
+    words = np.fromstring(raw.replace(b"\n", b" -1 "), dtype=np.int64, sep=" ")
+    if words.size % (n + 1):
         return None
-    words = words.reshape(m, n + 1)
+    words = words.reshape(-1, n + 1)
     # numpy clamps a value beyond int64 to 2^63 - 1 without a warning
-    if (words[:, n] != -1).any() or (words[:, :n] >= 10 ** 18).any():
+    if (words[:, n] != -1).any() or words.max() >= 10 ** 18:
         return None
     return words[:, :n]
 
@@ -256,6 +269,45 @@ def _int_words(block, n) -> list:
     return rows
 
 
+def _block_words(block, n):
+    """The words of a block of (line number, stripped line) pairs: the
+    plain parse, else ``int``."""
+    words = _plain_words("".join(line + "\n" for _, line in block), n)
+    return _int_words(block, n) if words is None else words
+
+
+def _stdin_words(stream, n):
+    """The words of the non-comment lines of ``stream``, in order, as
+    arrays or lists of rows.  Stdin is read in pieces of whole lines of
+    about 2 * CHUNK_ENTRIES characters; a plain entry takes at least two
+    (a digit and a separator), so a plain piece holds at most
+    CHUNK_ENTRIES entries, and is parsed whole, with no Python loop over
+    its lines.  The lines of any other piece are stripped, blanks and
+    ``#`` comments dropped, and the rest parsed in blocks of
+    ``chunk_rows(n)`` lines; a block also ends where a plain piece
+    begins."""
+    size, block, lineno = chunk_rows(n), [], 0
+    for piece in _pieces(stream, 2 * fields.CHUNK_ENTRIES):
+        words = _plain_words(piece, n)
+        if words is not None:
+            del piece  # its words are all that is kept (cmd_decode)
+            if block:
+                yield _block_words(block, n)
+                block = []
+            yield words
+            lineno += len(words)
+            continue
+        for lineno, line in enumerate(piece[:-1].split("\n"), start=lineno + 1):
+            line = line.strip()
+            if line and not line.startswith("#"):
+                block.append((lineno, line))
+                if len(block) == size:
+                    yield _block_words(block, n)
+                    block = []
+    if block:
+        yield _block_words(block, n)
+
+
 # the literal pieces of one output line: the separator of two entries, then
 # the text before the codeword, before the error, before the weight and after it
 _LINE_PIECES = {"text": (" ", "", " | ", " | ", "\n"),
@@ -273,51 +325,57 @@ def _word_table(strings) -> np.ndarray:
                          dtype=np.uint32 if size == 4 else np.uint64)
 
 
-def _format_lines(cws, errs, weights, digits, wdigits, pieces) -> bytes:
-    """The output lines of a decoded block, built as one byte array.
-    ``digits[v]`` holds the separator and ``str(v)``, ``wdigits[w]`` holds
-    ``str(w)``, both NUL-padded words; each piece is written into one
-    preallocated m-row buffer, then the NULs and the separator before the
-    first entry of each word are dropped."""
-    m, cut = len(weights), len(pieces[0])
-    head, mid, tail, end = (np.frombuffer(s.encode(), dtype=np.uint8)
-                            for s in pieces[1:])
-    cols = [head, digits[cws].view(np.uint8).reshape(m, -1)[:, cut:], mid,
-            digits[errs].view(np.uint8).reshape(m, -1)[:, cut:], tail,
-            wdigits[weights].view(np.uint8).reshape(m, -1), end]
-    buf = np.empty((m, sum(c.shape[-1] for c in cols)), dtype=np.uint8)
-    at = 0
-    for col in cols:
-        buf[:, at:at + col.shape[-1]] = col
-        at += col.shape[-1]
-    return buf.tobytes().translate(None, b"\0")
+def _line_formatter(p, max_weight, fmt):
+    """The formatter of decoded words in ``fmt``: a function of the arrays
+    (codewords, errors, weights) that returns their output lines, built as
+    one byte array.  Its tables are built once: ``digits[v]`` holds the
+    separator and ``str(v)``, ``wdigits[w]`` holds ``str(w)``, both
+    NUL-padded words, and the literal pieces of a line are byte arrays.
+    Each column of the lines is written into one preallocated m-row
+    buffer, then the NULs and the separator before the first entry of
+    each word are dropped."""
+    sep, *texts = _LINE_PIECES[fmt]
+    digits = _word_table([sep + str(v) for v in range(p)])
+    wdigits = _word_table([str(w) for w in range(max_weight + 1)])
+    head, mid, tail, end = (np.frombuffer(s.encode(), dtype=np.uint8) for s in texts)
+    cut = len(sep)
+
+    def format_lines(cws, errs, weights) -> bytes:
+        m = len(weights)
+        cols = [head, digits[cws].view(np.uint8).reshape(m, -1)[:, cut:], mid,
+                digits[errs].view(np.uint8).reshape(m, -1)[:, cut:], tail,
+                wdigits[weights].view(np.uint8).reshape(m, -1), end]
+        buf = np.empty((m, sum(c.shape[-1] for c in cols)), dtype=np.uint8)
+        at = 0
+        for col in cols:
+            buf[:, at:at + col.shape[-1]] = col
+            at += col.shape[-1]
+        return buf.tobytes().translate(None, b"\0")
+    return format_lines
 
 
 def cmd_decode(args) -> bytearray:
-    """Decode stdin in blocks of ``chunk_rows(n)`` non-comment lines, each
-    parsed, decoded and formatted as arrays: blocks, not all of stdin, so
-    the parsed words do not grow with the input.  The output is held to
-    the end, so that a bad line leaves it empty, and held once: as the
-    returned bytearray, which ``_emit`` writes as it is.  A block whose
-    lines are all plain (n ASCII digit strings joined by single spaces,
-    each below 10^18) goes through numpy's text parser; any other block
-    goes token by token through ``int``, so every token is read or refused
-    as ``int`` does, and the first bad line of stdin is the one named,
-    since earlier blocks parsed cleanly."""
+    """Decode the words of stdin (``_stdin_words``) a piece or block at a
+    time, each parsed, decoded and formatted as arrays: pieces, not all of
+    stdin, so the parsed words do not grow with the input.  The output is
+    held to the end, so that a bad line leaves it empty, and held once: as
+    the returned bytearray, which ``_emit`` writes as it is.  A plain piece
+    or block goes through numpy's text parser; any other block goes token
+    by token through ``int``, so every token is read or refused as ``int``
+    does, and the first bad line of stdin is the one named, since the
+    earlier lines parsed cleanly."""
     mat = _matrix(args)
     table = coset_leader_table(mat)
-    n, pieces = mat.n, _LINE_PIECES[args.fmt]
-    digits = _word_table([pieces[0] + str(v) for v in range(mat.p)])
-    wdigits = _word_table([str(w) for w in range(table.max_weight + 1)])
+    format_lines = _line_formatter(mat.p, table.max_weight, args.fmt)
     # one growing buffer rather than a list of blocks joined at the end,
-    # so the output is held once, not twice
+    # so the output is held once, not twice.  It grows in the heap, so a
+    # piece's text, words and decoded arrays are each dropped once the next
+    # stage has what it needs: with them alive longer, repeated decodes in
+    # one process fragment the heap and peak up to 4 MiB higher
     out = bytearray()
-    for block in _blocks(sys.stdin, chunk_rows(n)):
-        words = _plain_words([line for _, line in block], n)
-        if words is None:
-            words = _int_words(block, n)
-        cws, errs, weights, _ = decode_words(table, words)
-        out += _format_lines(cws, errs, weights, digits, wdigits, pieces)
+    for words in _stdin_words(sys.stdin, mat.n):
+        out += format_lines(*decode_words(table, words)[:3])
+        del words
     return out
 
 

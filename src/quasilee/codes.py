@@ -210,7 +210,11 @@ def syndromes(matrix: ParityCheckMatrix, words) -> np.ndarray:
 
     Entries may be any integers; they are reduced mod p first.
     """
-    arr = _residues(words, matrix.p)
+    return _residue_syndromes(matrix, _residues(words, matrix.p))
+
+
+def _residue_syndromes(matrix: ParityCheckMatrix, arr: np.ndarray) -> np.ndarray:
+    """``syndromes`` of an array already reduced by ``_residues``."""
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D array of words, got shape {arr.shape}")
     if arr.shape[1] != matrix.n:
@@ -233,7 +237,7 @@ class CosetLeaderTable:
     from and the ``step[s]`` = 2*j + b taken there: +1 (b = 0) or -1
     (b = 1) at position j.  Its leader is the sum of the steps on the path
     to the root 0, so leaders are not stored: ``leader_words`` rebuilds a
-    batch of them in at most ``max_weight`` parent hops.
+    batch of them in ``max_weight`` parent hops.
 
     Built contiguously by weight, so the leader of s attains the true
     minimal Lee weight ``weights[s]`` of the coset.  Ties resolve
@@ -248,32 +252,40 @@ class CosetLeaderTable:
 
     def leader_words(self, syns) -> np.ndarray:
         """Leaders of a batch of syndromes, one row each, entries in [0, p):
-        the steps summed over at most ``max_weight`` hops to the root.
+        the steps summed over ``max_weight`` hops to the root."""
+        return self._leaders(syns)[0]
 
-        A leader has at most ``max_weight`` nonzero entries, so the steps
-        are added at flat indices ``row * n + j``, one per row and hop
-        (distinct, so a plain ``+=`` is exact), and only the entries they
-        touched are reduced mod p."""
+    @functools.cached_property
+    def _moves(self) -> tuple:
+        """The position j and the sign +-1 of each step 2j + b, indexed by
+        step, and a last entry, read for the root's step -1, that adds 0 at
+        position 0: a walk that has reached the root stays there harmlessly."""
+        steps = np.arange(2 * self.matrix.n + 1)
+        pos, sign = steps >> 1, 1 - 2 * (steps & 1)
+        pos[-1] = sign[-1] = 0
+        return pos, sign
+
+    def _leaders(self, syns) -> tuple:
+        """``leader_words``, and the flat indices of the entries the steps
+        touched.  Every row takes ``max_weight`` hops, so no row is dropped
+        on the way.  A hop adds one step per row, at flat index
+        ``row * n + j``: distinct, so a plain ``+=`` is exact.  Only the
+        touched entries are reduced mod p."""
         n = self.matrix.n
         cur = np.asarray(syns, dtype=np.int64).ravel()
         out = np.zeros((cur.size, n), dtype=np.int64)
-        flat, touched = out.reshape(-1), []
-        rows = np.flatnonzero(cur)
-        cur = cur[rows]  # the syndrome each row in ``rows`` is at
+        flat, rows = out.reshape(-1), np.arange(0, cur.size * n, n)
+        pos, sign = self._moves
+        touched = []
         for _ in range(self.max_weight):
-            if not rows.size:
-                break
             st = self.step[cur]
-            at = rows * n + (st >> 1)
-            flat[at] += 1 - 2 * (st & 1)
+            at = rows + pos[st]
+            flat[at] += sign[st]
             touched.append(at)
             cur = self.parent[cur]
-            keep = cur != 0
-            rows, cur = rows[keep], cur[keep]
-        if touched:
-            at = np.concatenate(touched)
-            flat[at] %= self.matrix.p
-        return out
+        touched = np.concatenate(touched)
+        flat[touched] %= self.matrix.p
+        return out, touched
 
     def histogram(self) -> dict:
         cnts = np.bincount(self.weights)
@@ -370,7 +382,8 @@ def _residues(words, p: int) -> np.ndarray:
         arr = np.asarray(words, dtype=np.int64)
     except OverflowError:
         arr = np.asarray(np.asarray(words, dtype=object) % p, dtype=np.int64)
-    if arr.size and (arr.min() < 0 or arr.max() >= p):
+    # one pass: a negative entry read as uint64 is beyond any p
+    if arr.size and arr.view(np.uint64).max() >= p:
         arr = arr % p
     return arr
 
@@ -385,11 +398,12 @@ def decode_words(table: CosetLeaderTable, words) -> tuple:
     """
     p = table.matrix.p
     arr = _residues(words, p)
-    syns = syndromes(table.matrix, arr)
-    errors = table.leader_words(syns)
-    # both in [0, p), so the difference needs p added where negative only
-    cws = arr - errors
-    np.add(cws, p, out=cws, where=cws < 0)
+    syns = _residue_syndromes(table.matrix, arr)
+    errors, touched = table._leaders(syns)
+    # the difference leaves [0, p) only where a step touched the error; it
+    # goes to a C-ordered array, so that its flat view writes through
+    cws = np.subtract(arr, errors, out=np.empty_like(errors))
+    cws.reshape(-1)[touched] %= p
     return cws, errors, table.weights[syns], syns
 
 

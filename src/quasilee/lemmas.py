@@ -11,14 +11,15 @@ the norm-one circle, mod-12 residue rules, and the spectral bounds.
 
 Each enumeration is a numpy computation that still visits every term, in
 ``fields.chunks`` of rows of about q entries, so no q^3 array is held:
-the Gauss table by (c, a), the Kloosterman table by (a, b), the triple
-sums C_2 + H by member of C_2 and the cubic counts by (t, x).  The
-shifted double sums H + H*w are taken once per norm class: once H is
-certified, by brute force, as the whole norm-one fiber (q + 1 points)
-closed under its (q + 1)^2 products, H*(u*w) = H*w for u in H, so the
-least w of each norm stands for its fiber w*H.  The sums are broadcast
-additions, not the FFT layers of ``sumsets``, so the battery stays
-independent of the code it certifies.  The tests compare each enumeration
+the Gauss table by (c, a), the Kloosterman table by (a, b) and the
+triple sums C_2 + H by member of C_2.  The cubic counts solve the cubic
+for t at each point (x, y), so they take q^2 work, a chunk of points at
+a time.  The shifted double sums H + H*w are taken once per norm
+class: once H is certified, by brute force, as the whole norm-one fiber
+(q + 1 points) closed under its (q + 1)^2 products, H*(u*w) = H*w for u
+in H, so the least w of each norm stands for its fiber w*H.  The sums
+are broadcast additions, not the FFT layers of ``sumsets``, so the
+battery stays independent of the code it certifies.  The tests compare each enumeration
 with the scalar oracles of ``tests/oracles.py``, and every shift with the
 least shift of its norm.
 
@@ -112,17 +113,21 @@ def cubic_counts(ctx):
 
     Entry t is ``projective_cubic_count(ctx, t)`` for t != -1: the three
     points at infinity plus the (x, y) of the q x q grid with
-    (x + y + t) * (x*y - x - y) + x*y = 0, counted a chunk of rows
-    t*q + x at a time.
+    (x + y + t) * (x*y - x - y) + x*y = 0.  t enters linearly, so a point
+    with D = x*y - x - y != 0 lies on the one curve t = -(x + y) - x*y/D;
+    a point with D = 0 lies on a curve only if x*y = 0 too, that is at
+    (0, 0), which lies on all of them.  So the counts are 4 plus one
+    bincount of that t over the points, a chunk of points at a time.
     """
-    q, y = ctx.q, np.arange(ctx.q)
-    counts = np.full(q, 3)
-    for rows in chunks(np.arange(q * q), q):
-        t, x = rows // q, rows[:, None] % q
-        xy = ctx.mul(x, y)
-        s = ctx.add(x, y)
-        val = ctx.add(ctx.mul(ctx.add(s, t[:, None]), ctx.add(xy, ctx.neg(s))), xy)
-        counts += np.bincount(t[np.nonzero(val == 0)[0]], minlength=q)
+    q = ctx.q
+    counts = np.full(q, 4)
+    for pts in chunks(np.arange(q * q), 1):
+        x, y = pts // q, pts % q
+        xy, s = ctx.mul(x, y), ctx.add(x, y)
+        d = ctx.add(xy, ctx.neg(s))
+        on = d != 0
+        t = ctx.neg(ctx.add(s[on], ctx.mul(xy[on], ctx.inv(d[on]))))
+        counts += np.bincount(t, minlength=q)
     return counts
 
 

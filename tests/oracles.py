@@ -17,6 +17,11 @@ at a time; they multiply with the scalar ``FieldCtx.mul``, which
 same way: the syndrome of one word, the Lee ball by recursion, and a
 breadth-first search over error vectors that keeps only the steps
 raising the Lee weight.
+
+One oracle works on arrays: ``cubic_counts_by_t``, the q^3 enumeration
+that ``quasilee.lemmas.cubic_counts`` replaced.  It tests the cubic's
+equation at every (t, x, y), where the program solves it for t, so it
+checks the program at fields too large for ``projective_cubic_count``.
 """
 
 import functools
@@ -24,6 +29,7 @@ import functools
 import numpy as np
 
 from quasilee.codes import DecodeResult, syndrome
+from quasilee.fields import chunks
 from quasilee.sumsets import MAX_LAYERS
 
 
@@ -210,6 +216,22 @@ def projective_cubic_count(ctx, t: int) -> int:
     return count
 
 
+def cubic_counts_by_t(ctx) -> np.ndarray:
+    """``cubic_counts`` by the q^3 enumeration it replaced: for each t, the
+    three points at infinity plus the (x, y) of the q x q grid on the
+    affine curve, tested as the curve's equation over the whole (t, x, y)
+    grid, a chunk of (t, x) rows at a time."""
+    q, y = ctx.q, np.arange(ctx.q)
+    counts = np.full(q, 3)
+    for rows in chunks(np.arange(q * q), q):
+        t, x = rows // q, rows[:, None] % q
+        xy = ctx.mul(x, y)
+        s = ctx.add(x, y)
+        val = ctx.add(ctx.mul(ctx.add(s, t[:, None]), ctx.add(xy, ctx.neg(s))), xy)
+        counts += np.bincount(t[np.nonzero(val == 0)[0]], minlength=q)
+    return counts
+
+
 # -- Cayley spectra ----------------------------------------------------------------
 
 def pairing_exponent(gen, alpha: int, beta: int) -> int:
@@ -341,9 +363,10 @@ def scalar_decode(table, word) -> DecodeResult:
 def decoded_lines(table, stdin: str, fmt: str) -> list:
     """The lines ``decode`` prints for ``stdin``, one word at a time: each
     non-comment line parsed with ``int``, decoded by ``scalar_decode`` and
-    written out with ``str``."""
+    written out with ``str``.  Lines end at \n only, as line iteration
+    ends them, not at the other line boundaries of ``str.splitlines``."""
     lines = []
-    for line in stdin.splitlines():
+    for line in stdin.split("\n"):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -699,6 +699,17 @@ def test_decode_stream_pinned(capsys, monkeypatch, tmp_path, stream, p, k,
     assert digest == DECODE_SHA256[(stream, p, k, family, fmt)]
 
 
+@pytest.mark.parametrize(
+    "stream,p,k,family,fmt", sorted(DECODE_SHA256),
+    ids=["-".join(map(str, key)) for key in sorted(DECODE_SHA256)])
+def test_decode_stream_pinned_in_one_entry_pieces(capsys, monkeypatch, tmp_path,
+                                                  stream, p, k, family, fmt):
+    # CHUNK_ENTRIES = 1: every read is shorter than a line, every block one line
+    monkeypatch.setattr(fields, "CHUNK_ENTRIES", 1)
+    test_decode_stream_pinned(capsys, monkeypatch, tmp_path, stream, p, k,
+                              family, fmt, None)
+
+
 def test_decode_plain_blocks_skip_int(capsys, monkeypatch, tmp_path):
     # plain blocks take the array parse and every other block the int loop,
     # so the alternating stream falls back in exactly its 333 odd groups
@@ -733,6 +744,99 @@ def test_decode_wide_entries_match_scalar_lines(capsys, monkeypatch, stream, p,
     assert code == 0 and err == ""
     assert out.splitlines() == oracles.decoded_lines(table, stdin, fmt)
     assert out.endswith("\n") and len(out.splitlines()) == 150
+
+
+# -- decode: lines and pieces of stdin --------------------------------------------------
+
+def decode_13(capsys, monkeypatch, stdin, *argv):
+    """``decode --p 13 --family plus`` of ``stdin``: a str read through a
+    StringIO, or bytes through a TextIOWrapper, which translates \\r\\n and
+    \\r to \\n as the real stdin does."""
+    stream = (io.TextIOWrapper(io.BytesIO(stdin)) if isinstance(stdin, bytes)
+              else io.StringIO(stdin))
+    monkeypatch.setattr("sys.stdin", stream)
+    return run(capsys, "decode", "--p", "13", "--family", "plus", *argv)
+
+
+ZERO_LINE = "0 0 0 0 0 0 0 | 0 0 0 0 0 0 0 | 0\n"
+ONE_LINE = "0 0 0 0 0 0 0 | 1 0 0 0 0 0 0 | 1\n"
+TWO_LINE = "0 0 0 0 0 0 0 | 0 0 0 0 0 0 2 | 2\n"
+X_LITERAL = "invalid literal for int() with base 10: 'x'"
+
+# stdin is split into lines on \n only, as line iteration splits it, never
+# at the other characters str.splitlines splits at (\x0b, \x0c, \x1c-\x1e,
+# \x85, \u2028, \u2029); those strip as whitespace at the ends of a line
+# and separate tokens inside it.  Each (stdin, exit code, stdout, message)
+# is what the line-by-line reader printed.
+LINE_SPLITS = {
+    "form-feed": ("0 0 0 0 0 0 0\x0c\n1 2\n", 1, "",
+                  "line 2: length mismatch: expected 7, got 2"),
+    "long-line": ("0 0 0 0 0 0 0 1\nx\n", 1, "",
+                  "line 1: length mismatch: expected 7, got 8"),
+    "group-separator-inside": ("0 0 0 0 0 0 0\x1c1 2\n", 1, "",
+                               "line 1: length mismatch: expected 7, got 9"),
+    "line-separator": ("0 0 0\u2028 0 0 0 1\nx\n", 1, "", f"line 2: {X_LITERAL}"),
+    "next-line": ("1 0 0 0 0 0 0\u2028\n\x85\n0 0 0 0 0 0 2\n", 0,
+                  ONE_LINE + TWO_LINE, ""),
+    "vertical-tab-and-separators": ("0 0 0 0 0 0 0\x0b\n\x1d1 0 0 0 0 0 0\x1e\n", 0,
+                                    ZERO_LINE + ONE_LINE, ""),
+    "cr": (b"0 0 0 0 0 0 0\r1 0 0 0 0 0 0\rx\r", 1, "", f"line 3: {X_LITERAL}"),
+    "crlf": (b"0 0 0 0 0 0 0\r\n1 0 0 0 0 0 0\r\n0 0 0 0 0 0 2\r\n", 0,
+             ZERO_LINE + ONE_LINE + TWO_LINE, ""),
+    "crlf-blank-and-comment": (b"0 0 0 0 0 0 1\r\n\r\n# c\r\nx 1\r\n", 1, "",
+                               f"line 4: {X_LITERAL}"),
+    "cr-no-final-newline": (b"1 0 0 0 0 0 0\r0 0 0 0 0 0 2", 0,
+                            ONE_LINE + TWO_LINE, ""),
+    "no-final-newline": ("# c\n1 0 0 0 0 0 0\n0 0 0 0 0 0 2", 0,
+                         ONE_LINE + TWO_LINE, ""),
+    "comments-only": ("# only a comment\n   # another\n", 0, "", ""),
+    "blanks-only": ("   \n\t\n\n", 0, "", ""),
+    "empty": ("", 0, "", ""),
+}
+
+
+@pytest.mark.parametrize("entries", [None, 1])
+@pytest.mark.parametrize("stdin,code,out,message", LINE_SPLITS.values(),
+                         ids=LINE_SPLITS.keys())
+def test_decode_splits_lines_as_line_iteration(capsys, monkeypatch, stdin, code,
+                                               out, message, entries):
+    if entries is not None:
+        monkeypatch.setattr(fields, "CHUNK_ENTRIES", entries)
+    err = f"error: precondition: {message}\n" if message else ""
+    assert decode_13(capsys, monkeypatch, stdin) == (code, out, err)
+
+
+@pytest.mark.parametrize("entries", [None, 1])
+@pytest.mark.parametrize("bad,message", [
+    ("0 x 0 0 0 0 0", X_LITERAL),
+    ("0 0 0 0 0 0", "length mismatch: expected 7, got 6"),
+    ("0 0 0 0 0 0 0 0", "length mismatch: expected 7, got 8"),
+], ids=["unparsable", "short", "long"])
+def test_decode_names_first_bad_line_of_a_late_piece(capsys, monkeypatch, entries,
+                                                     bad, message):
+    # 4000 plain lines of about 16 characters span four pieces of the default
+    # 2 * CHUNK_ENTRIES characters; the bad lines sit in the last
+    lines = plain_stream(13, 7, words=4000).splitlines()
+    lines[3499], lines[3700] = bad, "x"
+    if entries is not None:
+        monkeypatch.setattr(fields, "CHUNK_ENTRIES", entries)
+    for fmt in ("text", "json"):
+        got = decode_13(capsys, monkeypatch, "\n".join(lines) + "\n", "--format", fmt)
+        assert got == (1, "", f"error: precondition: line 3500: {message}\n")
+
+
+@pytest.mark.parametrize("entries", [None, 1])
+def test_decode_line_longer_than_many_pieces(capsys, monkeypatch, entries):
+    # tokens with 30 000 leading zeros, which int refuses (4300 digits at
+    # most) and the plain parse reads, on a line of 210 000 characters
+    words = ["1 0 0 0 0 0 0", "0 12 0 3 0 0 5", "0 0 0 0 0 1 12"]
+    padded = " ".join("0" * 30000 + t for t in words[1].split())
+    if entries is not None:
+        monkeypatch.setattr(fields, "CHUNK_ENTRIES", entries)
+    want = decode_13(capsys, monkeypatch, "\n".join(words) + "\n")
+    assert want[0] == 0 and len(want[1].splitlines()) == 3
+    for stdin in ([words[0], padded, words[2]], ["# c", words[0], padded, words[2]]):
+        assert decode_13(capsys, monkeypatch, "\n".join(stdin) + "\n") == want
 
 
 # -- one chunk budget ------------------------------------------------------------------

@@ -117,6 +117,13 @@ def test_cubic_counts_match_scalar(p, k):
             assert counts[t] == oracles.projective_cubic_count(ctx, t)
 
 
+@pytest.mark.parametrize("p,k", [(13, 1), (23, 1), (5, 2), (3, 3), (7, 2), (101, 1)])
+def test_cubic_counts_match_the_cubic_enumeration(p, k):
+    # solved for t per point against the equation tested at every (t, x, y)
+    ctx = make_field(p, k)
+    assert np.array_equal(cubic_counts(ctx), oracles.cubic_counts_by_t(ctx))
+
+
 def test_failing_fact_is_reported_not_raised(monkeypatch):
     # a wrong cubic count fails its own check and leaves the rest passing
     monkeypatch.setattr("quasilee.lemmas.cubic_counts",
