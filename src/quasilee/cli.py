@@ -241,12 +241,16 @@ def _plain_words(text, n):
     sep = np.frombuffer(raw, dtype=np.uint8) <= 32
     if sep[0] or (sep[1:] & sep[:-1]).any():
         return None
-    # a -1 after each line: no plain token is negative, so the markers fill
-    # column n of an m x (n + 1) reshape exactly when each line holds n tokens
-    words = np.fromstring(raw.replace(b"\n", b" -1 "), dtype=np.int64, sep=" ")
-    if words.size % (n + 1):
+    # a -1 after each of the m lines: no plain token is negative, so with
+    # m * (n + 1) tokens in all, the m markers fill column n of the m x (n + 1)
+    # reshape exactly when each line holds n tokens.  Each marker adds 3
+    # bytes, which counts the lines without another pass
+    marked = raw.replace(b"\n", b" -1 ")
+    m = (len(marked) - len(raw)) // 3
+    words = np.fromstring(marked, dtype=np.int64, sep=" ")
+    if words.size != m * (n + 1):
         return None
-    words = words.reshape(-1, n + 1)
+    words = words.reshape(m, n + 1)
     # numpy clamps a value beyond int64 to 2^63 - 1 without a warning
     if (words[:, n] != -1).any() or words.max() >= 10 ** 18:
         return None

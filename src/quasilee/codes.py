@@ -255,16 +255,6 @@ class CosetLeaderTable:
         the steps summed over ``max_weight`` hops to the root."""
         return self._leaders(syns)[0]
 
-    @functools.cached_property
-    def _moves(self) -> tuple:
-        """The position j and the sign +-1 of each step 2j + b, indexed by
-        step, and a last entry, read for the root's step -1, that adds 0 at
-        position 0: a walk that has reached the root stays there harmlessly."""
-        steps = np.arange(2 * self.matrix.n + 1)
-        pos, sign = steps >> 1, 1 - 2 * (steps & 1)
-        pos[-1] = sign[-1] = 0
-        return pos, sign
-
     def _leaders(self, syns) -> tuple:
         """``leader_words``, and the flat indices of the entries the steps
         touched.  Every row takes ``max_weight`` hops, so no row is dropped
@@ -272,10 +262,15 @@ class CosetLeaderTable:
         ``row * n + j``: distinct, so a plain ``+=`` is exact.  Only the
         touched entries are reduced mod p."""
         n = self.matrix.n
+        # the position j and the sign +-1 of each step 2j + b, indexed by
+        # step, and a last entry, read for the root's step -1, that adds 0
+        # at position 0: a walk that has reached the root stays there
+        steps = np.arange(2 * n + 1)
+        pos, sign = steps >> 1, 1 - 2 * (steps & 1)
+        pos[-1] = sign[-1] = 0
         cur = np.asarray(syns, dtype=np.int64).ravel()
         out = np.zeros((cur.size, n), dtype=np.int64)
         flat, rows = out.reshape(-1), np.arange(0, cur.size * n, n)
-        pos, sign = self._moves
         touched = []
         for _ in range(self.max_weight):
             st = self.step[cur]

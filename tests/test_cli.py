@@ -556,7 +556,14 @@ def test_decode_reduces_huge_and_negative_tokens(capsys, monkeypatch):
     # 6 + 8 tokens: the block still holds 7 per line on average
     (["0 0 0 0 0 0 0", "1 2 3 4 5 6", "1 2 3 4 5 6 7 8"],
      "line 2: length mismatch: expected 7, got 6"),
-], ids=["short-then-unparsable", "unparsable-then-short", "short-then-long"])
+    # short lines whose ends fall where lines of 7 tokens would end: 3 + 1 + 3
+    # + 1 = 8 tokens with their line-end markers, 16 with a line of 7 after
+    (["0 0 0", "0 0 0"], "line 1: length mismatch: expected 7, got 3"),
+    (["0 0 0", "0 0 0", "0 0 0 0 0 0 0"], "line 1: length mismatch: expected 7, got 3"),
+    # the same after a comment, which sends the piece to the line blocks
+    (["# c", "0 0 0", "0 0 0"], "line 2: length mismatch: expected 7, got 3"),
+], ids=["short-then-unparsable", "unparsable-then-short", "short-then-long",
+        "short-lines-aligned", "short-lines-aligned-then-full", "comment-then-short-lines"])
 def test_decode_reports_first_bad_line(capsys, monkeypatch, block, lines, message):
     # lines 2 and 3 share a block by default; blocks of 1 or 2 split them
     if block is not None:
