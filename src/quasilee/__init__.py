@@ -12,7 +12,7 @@ via ``quasilee lemma-suite``.
 from .codes import (CosetLeaderTable, DecodeResult, LeeCode, ParityCheckMatrix,
                     QuasiPerfectReport, VerificationError, build_code,
                     code_parameters, coset_leader_table, decode, decode_words,
-                    lee_ball_support, lee_weight,
+                    lee_ball, lee_weight,
                     matrix_from_json_dict, matrix_from_text,
                     parity_check_matrix, rank_mod_p, round_trip_check,
                     syndrome, syndromes, verify_quasi_perfect)

@@ -16,8 +16,9 @@ producing it.  The syndrome of a weight-w error is a sum of w steps
 +-beta_j, so that weight is a distance in the Cayley graph of F_q x F_q
 with these steps, and the table is a breadth-first search on that graph,
 stored as the BFS tree (a parent syndrome and a step per syndrome).  Lee
-balls are held as the supports of their words, (position, value) pairs,
-to which the parity-check map is applied.
+balls are never held whole: ``lee_ball`` turns an array of ranks into the
+supports of those words, (position, value) pairs, to which the
+parity-check map is applied a chunk of ranks at a time.
 
 The table construction and the sumset layer growth are independent
 computations of the same quantities (reachable syndromes per weight), so
@@ -25,7 +26,6 @@ computations of the same quantities (reachable syndromes per weight), so
 ``VerificationError`` on any disagreement.
 """
 
-import functools
 import random
 from dataclasses import dataclass
 
@@ -43,70 +43,58 @@ def lee_weight(word, p: int) -> int:
     return sum(min(c % p, p - c % p) for c in word)
 
 
-@functools.lru_cache(maxsize=1)
-def lee_ball_support(n: int, p: int, radius: int) -> tuple:
-    """All words of Z_p^n with Lee weight <= radius, as their supports.
+def lee_ball(n: int, p: int, radius: int) -> tuple:
+    """The words of Z_p^n with Lee weight <= radius, by rank: the exact
+    word count ``rows`` and a function ``support`` from an array of ranks
+    in [0, rows) to int64 arrays ``pos`` and ``val`` of shape
+    min(radius, n) x len(ranks).  The word of rank ranks[i] has entry
+    val[t, i] at position pos[t, i], positions ascending, and (0, 0) pairs
+    past its support.  Exact for any odd p; ``rows`` agrees with
+    ``lee_ball_size`` whenever the radius is at most (p-1)/2.
 
-    Returns read-only int64 arrays ``pos`` and ``val`` of shape
-    rows x min(radius, n): row i is the word with entry val[i, t] at
-    position pos[i, t], and the pairs past its support are (0, 0).  Exact
-    for any p; the row count agrees with ``lee_ball_size`` whenever the
-    radius is at most (p-1)/2.  Rows come in depth-first order: a word is
-    followed by its extensions at later positions, and siblings go by
-    position, then weight w, then value w before p - w.  The last ball
-    built is kept, so that ``verify_quasi_perfect`` and
-    ``round_trip_check`` share it.
-    """
-    ball = _lee_ball(n, p, radius)
-    ball.flags.writeable = False
-    return ball[0], ball[1]
-
-
-def _lee_ball(n: int, p: int, radius: int) -> np.ndarray:
-    """``lee_ball_support``'s rows as one array of shape 2 x rows x width,
-    positions then values, built one radius at a time without a sort.
-
-    The ball of radius b is the zero word and then, for each position j,
-    weight w and value w, then p - w, a block: the word with that value at
-    j, followed by its extensions past j.  Those are the rows of the
-    radius-(b - w) ball whose support starts after j, a tail of that ball,
-    and its zero word first.  Every block is gathered from the smaller
-    balls through one index array."""
+    Ranks go depth-first: the ball of radius b over positions s .. n-1 is
+    the zero word and then, for each position j >= s, weight w and value
+    w, then p - w, a block: the ball of radius b - w over the positions
+    past j, whose zero word is the word with that value at j.  The blocks
+    of every radius b <= radius make one flat table in (b, j, w, value)
+    order; each pair of a support is one ``searchsorted`` of the ranks'
+    keys in it, which leaves each rank within its block's ball."""
     half, width = (p - 1) // 2, min(radius, n)
-    if not width or not half:
-        return np.zeros((2, 1, width), dtype=np.int64)  # the zero word alone
-    balls = [np.zeros((2, 1, 1), dtype=np.int64)]  # radius 0, as one (0, 0) pair
+    # size[b, m]: rows of the radius-b ball over m positions
+    size = np.ones((radius + 1, n + 1), dtype=np.int64)
     for b in range(1, radius + 1):
-        width = min(b, n)
-        ws = range(1, min(b, half) + 1)
-        # the radius-(b - w) balls stacked, cut or padded to the width - 1
-        # columns that an extension fills
-        subs = [balls[b - w] for w in ws]
-        base = np.cumsum([0] + [s.shape[1] for s in subs])
-        tab = np.zeros((2, base[-1], width - 1), dtype=np.int64)
-        for s, lo, hi in zip(subs, base, base[1:]):
-            cols = min(width - 1, s.shape[2])
-            tab[:, lo:hi, :cols] = s[:, :, :cols]
-        # tail[j, w - 1]: the first row of the radius-(b - w) ball whose
-        # support starts after j
-        tail = np.stack([1 + np.searchsorted(s[0, 1:, 0], np.arange(1, n + 1))
-                         for s in subs], axis=1)
-        # the blocks in (j, w, value) order, each holding the zero word and a tail
-        lens = np.repeat(np.diff(base) + 1 - tail, 2, axis=1).ravel()
-        starts = np.cumsum(lens) - lens
-        src = np.repeat(np.repeat(base[:-1] + tail - 1, 2, axis=1).ravel() - starts,
-                        lens)
-        src += np.arange(src.size)
-        src[starts] = np.repeat(np.tile(base[:-1], n), 2)
-        ball = np.empty((2, src.size + 1, width), dtype=np.int64)
-        ball[:, 0] = 0
-        ball[0, 1:, 0] = np.repeat(np.arange(n), lens.reshape(n, -1).sum(axis=1))
-        values = [v for w in ws for v in (w, p - w)]
-        ball[1, 1:, 0] = np.repeat(np.tile(values, n), lens)
-        for part in (0, 1):  # one half at a time keeps the gathered copy small
-            ball[part, 1:, 1:] = tab[part][src]
-        balls.append(ball)
-    return balls[radius]
+        size[b, 1:] += 2 * np.cumsum(size[b - min(b, half):b, :-1].sum(axis=0))
+    # block i = ((b * n + j) * W + w - 1) * 2 + v holds value w (v = 0) or
+    # p - w; those with w > b are empty, block 0 among them: the key -1 of
+    # a finished row lands there, at the pair (0, 0)
+    W = min(radius, half)
+    i = np.arange((radius + 1) * n * 2 * W)
+    j, b, w = i // (2 * W) % n, i // (2 * W * n), (i >> 1) % W + 1
+    sub = b - w  # the radius of the block's ball
+    sizes = np.where(sub >= 0, size[sub, n - 1 - j], 0)
+    val = np.where(i & 1, p - w, w)
+    val[:1] = 0
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    # a rank r > 0 of the ball (b, s) over positions s .. n-1 is the key
+    # base[b, s] + r; past the last position a ball is its zero word alone
+    first = 2 * W * (n * np.arange(radius + 1)[:, None] + np.arange(n + 1))
+    base = np.append(starts, 0)[first] - 1
+    child = base[sub, j + 1]
+
+    def support(ranks) -> tuple:
+        ranks = np.asarray(ranks, dtype=np.int64)
+        out = np.empty((2, width, ranks.size), dtype=np.int64)
+        key = np.where(ranks > 0, base[radius, 0] + ranks, -1)
+        for t in range(width):
+            blk = np.searchsorted(ends, key, side="right")
+            out[0, t], out[1, t] = j[blk], val[blk]
+            if t + 1 < width:
+                r = key - starts[blk]  # the rank in the block's ball
+                key = np.where(r > 0, child[blk] + r, -1)
+        return out[0], out[1]
+
+    return int(size[radius, n]), support
 
 
 # ---------------------------------------------------------------------------
@@ -493,9 +481,9 @@ def verify_quasi_perfect(code: LeeCode,
     Three routes must agree: the layer census (by orbit classes, or by the
     FFT off the curves), the leader-weight histogram (coset BFS), and the
     injectivity of the syndrome map on Lee balls.  Injectivity is checked
-    on the syndromes of the ball's supports, unless #B_w > q^2, where the
-    pigeonhole principle already rules it out.  Raises VerificationError on
-    any mismatch.
+    on the syndromes of the ball's words, unranked a chunk of ranks at a
+    time, unless #B_w > q^2, where the pigeonhole principle already rules
+    it out.  Raises VerificationError on any mismatch.
     """
     gen = code.generator
     if table is None:
@@ -519,16 +507,18 @@ def verify_quasi_perfect(code: LeeCode,
         ball_size = lee_ball_size(gen.n, w)
         if ball_size > gen.ambient_size:
             break  # more light errors than syndromes: cannot be injective
-        pos, val = lee_ball_support(gen.n, gen.p, w)
-        if len(pos) != ball_size:
+        rows, support = lee_ball(gen.n, gen.p, w)
+        if rows != ball_size:
             break  # wraparound regime (p < 2w + 1): formula no longer counts
-        # the parity-check map on the supports, M[:, pos] . val mod p, a
-        # chunk of rows at a time into one mask of the syndromes hit
+        # the parity-check map on the supports, M[:, pos] . val mod p summed
+        # over the support's pairs, a chunk of ranks at a time into one
+        # mask of the syndromes hit
         mat = code.matrix.entries
         hit = np.zeros(gen.ambient_size, dtype=bool)
-        width = len(mat) * pos.shape[1]  # products per word
-        for ps, vs in zip(chunks(pos, width), chunks(val, width)):
-            hit[index_pack((mat[:, ps] * vs).sum(axis=2) % gen.p, gen.p)] = True
+        for ranks in chunks(range(rows), len(mat) * min(w, gen.n)):
+            pos, val = support(np.arange(ranks.start, ranks.stop))
+            syn = sum(mat[:, ps] * vs for ps, vs in zip(pos, val))
+            hit[index_pack(syn % gen.p, gen.p)] = True
         if np.count_nonzero(hit) == ball_size:
             t_table = w
         else:
@@ -556,8 +546,9 @@ def _trial_draws(rng, trials: int, n: int, p: int, size: int):
     first least significant.  So the outputs are drawn in bulk, those
     accepted under each bound are found at once, and each trial takes the
     next n accepted under p and then the next accepted under ``size``.
-    Outputs left over carry into the next chunk.  Here p <= 1021 (the
-    coset table's gate) and ``size`` <= ``VERTEX_CAP``, both below 2^32."""
+    Outputs left over carry into the next chunk.  Exact only for bounds
+    below 2^32, where ``shift_p`` and ``shift_s`` are nonnegative: here
+    p <= 1021 (the coset table's gate) and ``size`` <= ``VERTEX_CAP``."""
     shift_p, shift_s = 32 - p.bit_length(), 32 - size.bit_length()
     # mean outputs per trial, from each bound's acceptance rate
     per_trial = n * (1 << p.bit_length()) / p + (1 << size.bit_length()) / size
@@ -597,9 +588,11 @@ def round_trip_check(table: CosetLeaderTable, trials: int, seed: int,
     draws are those of ``random.Random(seed)``'s ``randrange(p)`` for each
     of the n entries and then ``randrange`` over the Lee ball, in that
     order, but taken from the generator in bulk a chunk of trials at a
-    time (``_trial_draws``); each chunk is decoded as n-entry rows, so
-    memory does not grow with ``trials``.  ValueError if ``trials`` < 0,
-    or before enumerating a Lee ball of more than ``VERTEX_CAP`` words.
+    time (``_trial_draws``); each chunk unranks only its picked errors and
+    is decoded as n-entry rows, so memory grows neither with ``trials``
+    nor with the ball.  ValueError if ``trials`` < 0, or for a Lee ball of
+    more than ``VERTEX_CAP`` words: the ball is not held, but the bulk
+    draws are exact only for a ball below 2^32 words.
     """
     if trials < 0:
         raise ValueError(f"trial count must be nonnegative, got {trials}")
@@ -608,12 +601,13 @@ def round_trip_check(table: CosetLeaderTable, trials: int, seed: int,
     if ball > VERTEX_CAP:
         raise ValueError(f"the radius-{max_weight} Lee ball at n = {n} holds "
                          f"{ball} words, more than {VERTEX_CAP}")
-    pos, val = lee_ball_support(n, p, max_weight)
+    rows, support = lee_ball(n, p, max_weight)
     ok = 0
-    for words, picked in _trial_draws(random.Random(seed), trials, n, p, len(pos)):
-        # dense rows for the picked errors only
+    for words, picked in _trial_draws(random.Random(seed), trials, n, p, rows):
+        # dense rows for the picked errors only; a padding pair adds 0
+        pos, val = support(picked)
         err = np.zeros((len(picked), n), dtype=np.int64)
-        np.add.at(err, (np.arange(len(picked))[:, None], pos[picked]), val[picked])
+        np.add.at(err, (np.arange(len(picked)), pos), val)
         cw = decode_words(table, words)[0]
         got = decode_words(table, cw + err)[1]
         # the decoded codeword is cw exactly when the returned error is err

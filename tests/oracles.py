@@ -18,10 +18,14 @@ same way: the syndrome of one word, the Lee ball by recursion, and a
 breadth-first search over error vectors that keeps only the steps
 raising the Lee weight.
 
-One oracle works on arrays: ``cubic_counts_by_t``, the q^3 enumeration
-that ``quasilee.lemmas.cubic_counts`` replaced.  It tests the cubic's
-equation at every (t, x, y), where the program solves it for t, so it
-checks the program at fields too large for ``projective_cubic_count``.
+Two oracles work on arrays.  ``cubic_counts_by_t`` is the q^3
+enumeration that ``quasilee.lemmas.cubic_counts`` replaced.  It tests the
+cubic's equation at every (t, x, y), where the program solves it for t,
+so it checks the program at fields too large for
+``projective_cubic_count``.  ``gathered_lee_ball`` builds the whole Lee
+ball from tails of the smaller balls, as the program did before it
+enumerated the ball by rank, so it checks the ranked rows at balls too
+large for ``scalar_lee_ball``.
 """
 
 import functools
@@ -301,6 +305,55 @@ def scalar_lee_ball(n, p, radius) -> list:
 
     extend(0, radius)
     return out
+
+
+def gathered_lee_ball(n, p, radius) -> tuple:
+    """The Lee ball's supports as whole arrays ``pos`` and ``val`` of shape
+    rows x min(radius, n), in ``scalar_lee_ball``'s row order, built one
+    radius at a time by gathering tails of the smaller balls: the builder
+    that ``quasilee.codes.lee_ball`` replaced, kept as the reference that
+    its ranked rows must match.
+
+    The ball of radius b is the zero word and then, for each position j,
+    weight w and value w, then p - w, a block: the word with that value at
+    j, followed by its extensions past j.  Those are the rows of the
+    radius-(b - w) ball whose support starts after j, a tail of that ball,
+    and its zero word first.  Every block is gathered from the smaller
+    balls through one index array."""
+    half, width = (p - 1) // 2, min(radius, n)
+    if not width or not half:
+        return tuple(np.zeros((2, 1, width), dtype=np.int64))  # the zero word alone
+    balls = [np.zeros((2, 1, 1), dtype=np.int64)]  # radius 0, as one (0, 0) pair
+    for b in range(1, radius + 1):
+        width = min(b, n)
+        ws = range(1, min(b, half) + 1)
+        # the radius-(b - w) balls stacked, cut or padded to the width - 1
+        # columns that an extension fills
+        subs = [balls[b - w] for w in ws]
+        base = np.cumsum([0] + [s.shape[1] for s in subs])
+        tab = np.zeros((2, base[-1], width - 1), dtype=np.int64)
+        for s, lo, hi in zip(subs, base, base[1:]):
+            cols = min(width - 1, s.shape[2])
+            tab[:, lo:hi, :cols] = s[:, :, :cols]
+        # tail[j, w - 1]: the first row of the radius-(b - w) ball whose
+        # support starts after j
+        tail = np.stack([1 + np.searchsorted(s[0, 1:, 0], np.arange(1, n + 1))
+                         for s in subs], axis=1)
+        # the blocks in (j, w, value) order, each holding the zero word and a tail
+        lens = np.repeat(np.diff(base) + 1 - tail, 2, axis=1).ravel()
+        starts = np.cumsum(lens) - lens
+        src = np.repeat(np.repeat(base[:-1] + tail - 1, 2, axis=1).ravel() - starts,
+                        lens)
+        src += np.arange(src.size)
+        src[starts] = np.repeat(np.tile(base[:-1], n), 2)
+        ball = np.empty((2, src.size + 1, width), dtype=np.int64)
+        ball[:, 0] = 0
+        ball[0, 1:, 0] = np.repeat(np.arange(n), lens.reshape(n, -1).sum(axis=1))
+        values = [v for w in ws for v in (w, p - w)]
+        ball[1, 1:, 0] = np.repeat(np.tile(values, n), lens)
+        ball[:, 1:, 1:] = tab[:, src]
+        balls.append(ball)
+    return tuple(balls[radius])
 
 
 def scalar_trial_draws(rng, trials, n, p, size) -> tuple:

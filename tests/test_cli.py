@@ -10,6 +10,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import oracles
 import pytest
 
@@ -386,20 +387,76 @@ def test_code_verify_direct(capsys):
 
 
 @pytest.mark.parametrize("p,n", [(13, 7), (97, 49)])
-def test_code_verify_enumerates_each_ball_once(capsys, monkeypatch, p, n):
-    # verify_quasi_perfect's radius-2 ball is the round trip's
-    built = []
+def test_code_verify_unranks_each_rank_once(capsys, monkeypatch, p, n):
+    # the injectivity walk unranks every rank of the radius-1 and radius-2
+    # balls once, in order, and the round trip one rank per trial
+    balls, ranks = [], []
 
     def counted(*args):
-        built.append(args)
-        return real(*args)
+        rows, support = real(*args)
+        balls.append((args, rows))
+        ranks.append([])
 
-    real = codes._lee_ball
-    monkeypatch.setattr(codes, "_lee_ball", counted)
-    codes.lee_ball_support.cache_clear()
+        def unrank(r):
+            ranks[-1].extend(np.asarray(r).tolist())
+            return support(r)
+        return rows, unrank
+
+    real = codes.lee_ball
+    monkeypatch.setattr(codes, "lee_ball", counted)
     code, out, _ = run(capsys, "code-verify", "--p", str(p), "--family", "plus")
     assert code == 0 and "round_trip: 200/200 seed=0" in out
-    assert built == [(n, p, 1), (n, p, 2)]
+    b1, b2 = 2 * n + 1, 2 * n * n + 2 * n + 1
+    assert balls == [((n, p, 1), b1), ((n, p, 2), b2), ((n, p, 2), b2)]
+    assert ranks[:2] == [list(range(b1)), list(range(b2))]
+    assert len(ranks[2]) == 200 and all(0 <= r < b2 for r in ranks[2])
+    assert sum(map(len, ranks)) == b1 + b2 + 200
+
+
+# sha256 of code-verify's stdout before the Lee ball was enumerated by
+# rank, when it was built whole: the ranked walk and the round trip's
+# unranked picks must print the same bytes
+CODE_VERIFY_ARGS = {
+    "p13_plus": ["--p", "13", "--family", "plus"],
+    "p13_plus_t20": ["--p", "13", "--family", "plus", "--trials", "20"],
+    "p97_plus_s12345": ["--p", "97", "--family", "plus", "--seed", "12345"],
+    "p5k3_minus_s12345": ["--p", "5", "--k", "3", "--family", "minus",
+                          "--seed", "12345"],
+    "p23_minus_t500_s7": ["--p", "23", "--family", "minus", "--trials", "500",
+                          "--seed", "7"],
+    "p7_minus": ["--p", "7", "--family", "minus"],  # R = 4, t = 1
+    "p11_minus": ["--p", "11", "--family", "minus"],
+    "matrix_p23_minus": ["--matrix", "{matrix}"],  # code-gen's text file
+}
+CODE_VERIFY_SHA256 = {
+    ("p13_plus", "text"): "06dfcbad7bbdad2df03c1bd894fad6ce3f9c838b46bea5d57a3b91933e423e00",
+    ("p13_plus", "json"): "d4f0f5c0bc2364514a1ec0b74a0662fce8d8ebd4ce693a58b1bd5be8b8022156",
+    ("p13_plus_t20", "text"): "25b1388a406812805db6a980b87fc433b22a2f5ca595a5ecdd34baf65a65d896",
+    ("p13_plus_t20", "json"): "e87132bace9d64d802858b26ad226a36fffe2046e941f32e6977691efb2f4779",
+    ("p97_plus_s12345", "text"): "d6c3f15e317e94fb5844b6df1e518553351e63c8a02ea589e75393335abf739a",
+    ("p97_plus_s12345", "json"): "f7d12bf8195e07f0db36990a7a478461354060dc77499593b5b6d809133ec6ed",
+    ("p5k3_minus_s12345", "text"): "82c3ef0ac6c377aad766a27b826cb3130a0f6dec167e2de5a7dfd6bab4b3368b",
+    ("p5k3_minus_s12345", "json"): "61da5636a30235f706822336482dd602ee5e8061ec6df8eb90dadbbeb220d451",
+    ("p23_minus_t500_s7", "text"): "beb0938f7fcb6ff8b064c46c16102e276b774916c14756ff052922fa58852059",
+    ("p23_minus_t500_s7", "json"): "7a57250dfc3cf22b95ee350c475d848ab7efd3c5639b8d2f636cfe7da7084a87",
+    ("p7_minus", "text"): "d176013e1e75e0ddb11bbb7e029b1d51de24e27e5130fe1cb66d5cdd9a0655c8",
+    ("p7_minus", "json"): "975b3bf23d10d83c9455d3e9236a52a7c81bf39f99b8d2a5ce6a86a9c79de9bb",
+    ("p11_minus", "text"): "94e9c5a21ab8732e76554e29ddbcebc08ee783e714f91ac64aa4deca1db53d77",
+    ("p11_minus", "json"): "02cb3c66cbb97541bbb80f46151e6859071799c2142e0f106716cefcbf8e5420",
+    ("matrix_p23_minus", "text"): "d832b6365620acc21561d7c5455ab264e48a35b0de7772663830612b2c224d1b",
+    ("matrix_p23_minus", "json"): "5e08f9977cd2391006a4f7264af112dc9f192dbbdbcafd57ac905fbd31b78b9e",
+}
+
+
+@pytest.mark.parametrize("name,fmt", sorted(CODE_VERIFY_SHA256))
+def test_code_verify_pinned(capsys, tmp_path, name, fmt):
+    matrix = tmp_path / "m.txt"
+    assert run(capsys, "code-gen", "--p", "23", "--family", "minus",
+               "--out", str(matrix))[0] == 0
+    argv = [a.format(matrix=matrix) for a in CODE_VERIFY_ARGS[name]]
+    code, out, err = run(capsys, "code-verify", *argv, "--format", fmt)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == CODE_VERIFY_SHA256[(name, fmt)]
 
 
 def test_code_verify_roundtrip_through_text_file(capsys, tmp_path):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from quasilee import codes, fields
 from quasilee.codes import (CosetLeaderTable, DecodeResult, VerificationError,
                             build_code, code_parameters, coset_leader_table,
-                            decode, decode_words, lee_ball_support, lee_weight,
+                            decode, decode_words, lee_ball, lee_weight,
                             matrix_from_json_dict, matrix_from_text,
                             parity_check_matrix, rank_mod_p, round_trip_check,
                             syndrome, syndromes, verify_quasi_perfect)
@@ -44,15 +44,16 @@ def all_leaders(table) -> list:
 
 
 def ball_words(n, p, radius) -> list:
-    """The words of ``lee_ball_support``, in its row order.  Each row must
-    list its support first, positions ascending and values nonzero, and
-    then only (0, 0) pairs."""
-    pos, val = lee_ball_support(n, p, radius)
+    """The words of ``lee_ball``, every rank in order.  Each word's
+    support must list its pairs first, positions ascending and values
+    nonzero, and then only (0, 0) pairs."""
+    rows, support = lee_ball(n, p, radius)
+    pos, val = support(np.arange(rows))
     assert pos.dtype == val.dtype == np.int64
     width = min(radius, n)
-    assert pos.shape == val.shape == (len(pos), width)
+    assert pos.shape == val.shape == (width, rows)
     words = []
-    for ps, vs in zip(pos.tolist(), val.tolist()):
+    for ps, vs in zip(pos.T.tolist(), val.T.tolist()):
         m = sum(v != 0 for v in vs)
         assert all(0 < v < p for v in vs[:m]) and ps[:m] == sorted(set(ps[:m]))
         assert ps[m:] == vs[m:] == [0] * (width - m)
@@ -91,11 +92,29 @@ def test_lee_distance_is_a_metric(p, a, b):
     assert lee_weight(a, p) <= m * (p - 1) // 2
 
 
-@pytest.mark.parametrize("n,p,radius", [
-    (0, 5, 2), (1, 3, 1), (2, 3, 2), (3, 7, 2), (5, 5, 3), (7, 13, 4),
-    (12, 3, 3), (20, 7, 3), (62, 5, 2), (4, 7, 0)])
+# n = 0, radius 0, the wraparound regime p < 2 * radius + 1 at p = 3 and 5
+BALL_SWEEP = [(0, 5, 2), (1, 3, 1), (2, 3, 2), (3, 7, 2), (5, 5, 3), (7, 13, 4),
+              (12, 3, 3), (20, 7, 3), (62, 5, 2), (4, 7, 0)]
+
+
+@pytest.mark.parametrize("n,p,radius", BALL_SWEEP)
 def test_ball_array_matches_scalar_oracle(n, p, radius):
     assert ball_words(n, p, radius) == oracles.scalar_lee_ball(n, p, radius)
+
+
+@pytest.mark.parametrize("n,p,radius", BALL_SWEEP)
+def test_any_ranks_unrank_to_the_gathered_rows(n, p, radius):
+    # ranks shuffled, repeated, the first and the last, and none at all
+    ref_pos, ref_val = oracles.gathered_lee_ball(n, p, radius)
+    rows, support = lee_ball(n, p, radius)
+    assert rows == len(ref_pos)
+    rng = np.random.default_rng(rows)
+    ranks = np.concatenate([[rows - 1, 0], rng.permutation(rows),
+                            rng.integers(0, rows, 40), [0, rows - 1, rows - 1]])
+    for r in (ranks, ranks[:0]):
+        pos, val = support(r)
+        assert pos.shape == val.shape == (min(radius, n), len(r))
+        assert (pos.T == ref_pos[r]).all() and (val.T == ref_val[r]).all()
 
 
 def test_ball_vectors_are_distinct_and_light():
@@ -107,26 +126,20 @@ def test_ball_vectors_are_distinct_and_light():
     assert len(ball_words(2, 3, 2)) == 9
 
 
-def test_ball_arrays_are_read_only():
-    # the last ball built is shared between callers
-    pos, val = lee_ball_support(7, 13, 2)
-    for arr in (pos, val):
-        with pytest.raises(ValueError, match="read-only"):
-            arr[0, 0] = 1
-    assert lee_ball_support(7, 13, 2)[0] is pos
-
-
-def test_ball_enumeration_holds_little_beyond_its_result():
-    # the radius-2 ball at p = 1021 plus: 523 265 rows, 16.7 MB of
-    # positions and values; an int64 key matrix and its sort took 60 MiB
-    tracemalloc.start()
-    try:
-        ball = codes._lee_ball(511, 1021, 2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert ball.shape == (2, lee_ball_size(511, 2), 2)
-    assert peak < 1.6 * ball.nbytes
+def test_verify_and_round_trip_hold_no_ball():
+    # p = 1021 plus: the radius-2 ball has 523 265 words, whose supports
+    # alone take 16.7 MB; held whole, they took a 25 MiB peak in each call
+    code = build_code(1021, 1, "plus")
+    table = coset_leader_table(code.matrix)
+    for call in (lambda: verify_quasi_perfect(code, table).quasi_perfect,
+                 lambda: round_trip_check(table, trials=200, seed=0) == (200, 200)):
+        tracemalloc.start()
+        try:
+            assert call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
 
 # -- matrices and syndromes ------------------------------------------------------
@@ -551,11 +564,14 @@ def test_round_trip_rejects_negative_trials():
 
 def test_round_trip_refuses_a_ball_above_the_cap_before_enumerating(monkeypatch):
     # #B_3 = 1 235 975 words at n = 97 exceeds VERTEX_CAP = 2^20; a
-    # radius above 3 is refused by lee_ball_size itself
+    # radius above 3 is refused by lee_ball_size itself.  The ball is not
+    # held, but the cap keeps the picks' bulk 32-bit draws exact
+    assert fields.VERTEX_CAP < 2 ** 32
+
     def refuse(*args):
         raise AssertionError("the Lee ball was enumerated")
     table = table_for(193, 1, "plus")
-    monkeypatch.setattr(codes, "lee_ball_support", refuse)
+    monkeypatch.setattr(codes, "lee_ball", refuse)
     with pytest.raises(ValueError, match="1235975 words, more than 1048576"):
         round_trip_check(table, trials=10, seed=0, max_weight=3)
     with pytest.raises(ValueError, match="radius 3"):
@@ -601,14 +617,14 @@ def test_verify_quasi_perfect_p13():
 def test_verify_skips_radius_three_ball_by_pigeonhole(monkeypatch):
     code = build_code(97, 1, "plus")
     assert lee_ball_size(code.n, 3) > 97 ** 2
-    real = codes.lee_ball_support
+    real = codes.lee_ball
 
     def no_radius_three(n, p, radius):
         if radius >= 3:
             raise AssertionError("radius-3 ball must not be enumerated")
         return real(n, p, radius)
 
-    monkeypatch.setattr(codes, "lee_ball_support", no_radius_three)
+    monkeypatch.setattr(codes, "lee_ball", no_radius_three)
     rep = verify_quasi_perfect(code)
     assert (rep.error_correction, rep.covering_radius) == (2, 3)
     assert rep.quasi_perfect

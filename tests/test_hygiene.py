@@ -1,11 +1,13 @@
 """Repository hygiene: no assert-based verification in the library, one
 size gate, every demo runs to completion with its pinned stdout, every
-library name the benchmark reaches exists, and no library function or
-class is there for the tests alone."""
+library name the benchmark reaches exists, every call of the benchmark's
+plan exits 0 and passes its checks, and no library function or class is
+there for the tests alone."""
 
 import ast
 import hashlib
 import importlib
+import json
 import os
 import re
 import subprocess
@@ -136,6 +138,58 @@ def test_benchmark_names_resolve():
     assert {"sumset", "code_parameters", "round_trip_check"} <= reached
     missing = sorted(name for name in reached if not hasattr(quasilee, name))
     assert missing == []
+
+
+# Runs every workload of perfbench/workloads.py once, as its child process
+# does: prepare the inputs, call quasilee.cli.main for each warm-up and
+# round op with --out, then check the outputs with perfbench's own oracles
+BENCH_PLAN = """
+import json, sys
+from pathlib import Path
+root, work = Path(sys.argv[1]), Path(sys.argv[2])
+sys.path[:0] = [str(root / "perfbench"), str(root / "src")]
+import oracles, workloads
+from quasilee import cli
+report = {"oracles": oracles.__file__, "exits": [], "faults": {}}
+for name, make in workloads.WORKLOADS.items():
+    wl, home = make(), work / name
+    home.mkdir()
+    plan = wl.prepare(1, home)
+    for op in plan["warmup"] + plan["round"]:
+        saved = sys.stdin
+        sys.stdin = open(op["stdin"]) if op["stdin"] else saved
+        try:
+            rc = cli.main(op["argv"] + ["--out", op["out"]])
+        finally:
+            if sys.stdin is not saved:
+                sys.stdin.close()
+            sys.stdin = saved
+        report["exits"].append([op["argv"], rc])
+    report["faults"][name] = wl.check(plan, home)
+print(json.dumps(report))
+"""
+
+
+def _tree_state(top: Path) -> dict:
+    return {str(path): (path.stat().st_size, path.stat().st_mtime_ns)
+            for path in sorted(top.rglob("*"))}
+
+
+def test_benchmark_plan_runs_clean(tmp_path):
+    # each warm-up and round op of every workload exits 0 and passes the
+    # workload's checks; the benchmark refuses a run whose op exits 1
+    before = _tree_state(ROOT / "perfbench")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH="")
+    res = subprocess.run([sys.executable, "-c", BENCH_PLAN, str(ROOT), str(tmp_path)],
+                         env=env, cwd=tmp_path, capture_output=True, text=True,
+                         timeout=300)
+    assert res.returncode == 0, res.stderr
+    report = json.loads(res.stdout.splitlines()[-1])
+    assert Path(report["oracles"]).parent == ROOT / "perfbench"
+    assert len(report["exits"]) > 10
+    assert [argv for argv, rc in report["exits"] if rc != 0] == []
+    assert report["faults"] == {name: [] for name in ("verify", "decode", "cayley", "lemmas")}
+    assert _tree_state(ROOT / "perfbench") == before
 
 
 def _names_used_outside_tests() -> set:
