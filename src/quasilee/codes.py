@@ -49,8 +49,9 @@ def lee_ball(n: int, p: int, radius: int) -> tuple:
     in [0, rows) to int64 arrays ``pos`` and ``val`` of shape
     min(radius, n) x len(ranks).  The word of rank ranks[i] has entry
     val[t, i] at position pos[t, i], positions ascending, and (0, 0) pairs
-    past its support.  Exact for any odd p; ``rows`` agrees with
-    ``lee_ball_size`` whenever the radius is at most (p-1)/2.
+    past its support; a rank outside [0, rows) raises ValueError.  Exact
+    for any odd p; ``rows`` agrees with ``lee_ball_size`` whenever the
+    radius is at most (p-1)/2.
 
     Ranks go depth-first: the ball of radius b over positions s .. n-1 is
     the zero word and then, for each position j >= s, weight w and value
@@ -82,19 +83,31 @@ def lee_ball(n: int, p: int, radius: int) -> tuple:
     base = np.append(starts, 0)[first] - 1
     child = base[sub, j + 1]
 
+    rows = int(size[radius, n])
+
     def support(ranks) -> tuple:
         ranks = np.asarray(ranks, dtype=np.int64)
-        out = np.empty((2, width, ranks.size), dtype=np.int64)
+        if ranks.size and not 0 <= ranks.min() <= ranks.max() < rows:
+            raise ValueError(f"ranks must lie in [0, {rows})")
         key = np.where(ranks > 0, base[radius, 0] + ranks, -1)
+        out = np.empty((2, width, ranks.size), dtype=np.int64)
         for t in range(width):
             blk = np.searchsorted(ends, key, side="right")
-            out[0, t], out[1, t] = j[blk], val[blk]
             if t + 1 < width:
-                r = key - starts[blk]  # the rank in the block's ball
-                key = np.where(r > 0, child[blk] + r, -1)
+                # the pair t + 1 is scratch until it is filled: beyond
+                # the output only key and blk are held (every blk is in
+                # range, and take with mode="raise" would copy its out)
+                r, c = out[0, t + 1], out[1, t + 1]
+                np.subtract(key, starts.take(blk, out=r, mode="clip"), out=r)
+                np.add(child.take(blk, out=c, mode="clip"), r, out=c)
+                key.fill(-1)
+                np.copyto(key, c, where=r > 0)
+            j.take(blk, out=out[0, t], mode="clip")
+            val.take(blk, out=out[1, t], mode="clip")
+            del blk  # before the next searchsorted allocates its own
         return out[0], out[1]
 
-    return int(size[radius, n]), support
+    return rows, support
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,45 @@ def test_verify_and_round_trip_hold_no_ball():
         assert peak < 4 << 20
 
 
+def test_ball_arrays_are_read_only():
+    # to its callers: no ball is shared, each call returns arrays of its
+    # own, and writing into them changes neither the ranks nor later rows
+    ref_pos, ref_val = oracles.gathered_lee_ball(7, 13, 2)
+    rows, support = lee_ball(7, 13, 2)
+    ranks = np.arange(rows)
+    pos, val = support(ranks)
+    pos[...] = val[...] = -1
+    for again in (support, lee_ball(7, 13, 2)[1]):
+        pos, val = again(ranks)
+        assert (pos.T == ref_pos).all() and (val.T == ref_val).all()
+    assert (ranks == np.arange(rows)).all()
+
+
+def test_ball_enumeration_holds_little_beyond_its_result():
+    # the radius-2 ball at p = 1021 plus: 523 265 ranks unrank to 16.7 MB
+    # of positions and values; beyond them only a rank key and a block
+    # index are held (an int64 key matrix and its sort took 60 MiB when
+    # the ball was built whole)
+    ranks = np.arange(lee_ball_size(511, 2))
+    tracemalloc.start()
+    try:
+        rows, support = lee_ball(511, 1021, 2)
+        pos, val = support(ranks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == len(ranks) and pos.shape == val.shape == (2, rows)
+    assert peak < 1.6 * (pos.nbytes + val.nbytes)
+
+
+@pytest.mark.parametrize("bad", [[-1], [0, 25], [25]])
+def test_ranks_outside_the_ball_are_refused(bad):
+    rows, support = lee_ball(3, 7, 2)
+    assert rows == 25
+    with pytest.raises(ValueError, match=r"\[0, 25\)"):
+        support(np.array(bad))
+
+
 # -- matrices and syndromes ------------------------------------------------------
 
 def test_frozen_p13_matrix():
