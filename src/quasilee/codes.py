@@ -496,7 +496,9 @@ def verify_quasi_perfect(code: LeeCode,
     injectivity of the syndrome map on Lee balls.  Injectivity is checked
     on the syndromes of the ball's words, unranked a chunk of ranks at a
     time, unless #B_w > q^2, where the pigeonhole principle already rules
-    it out.  Raises VerificationError on any mismatch.
+    it out, or the ball wraps around.  Only the largest such ball with
+    w <= 3 is walked, and the smaller ones in turn only if it fails.
+    Raises VerificationError on any mismatch.
     """
     gen = code.generator
     if table is None:
@@ -514,15 +516,17 @@ def verify_quasi_perfect(code: LeeCode,
     if not census_ok:
         raise VerificationError("leader census disagrees with layer sizes")
 
-    # injectivity of the syndrome map on Lee balls
+    # injectivity of the syndrome map on the light Lee balls, those that
+    # pass the pigeonhole and wraparound tests; B_{w-1} lies in B_w, so the
+    # largest is walked first and a smaller one only when it fails
     t_table = 0
-    for w in range(1, min(3, r_table) + 1):
+    for w in range(min(3, r_table), 0, -1):
         ball_size = lee_ball_size(gen.n, w)
         if ball_size > gen.ambient_size:
-            break  # more light errors than syndromes: cannot be injective
+            continue  # more light errors than syndromes: cannot be injective
         rows, support = lee_ball(gen.n, gen.p, w)
         if rows != ball_size:
-            break  # wraparound regime (p < 2w + 1): formula no longer counts
+            continue  # wraparound regime (p < 2w + 1): formula no longer counts
         # the parity-check map on the supports, M[:, pos] . val mod p summed
         # over the support's pairs, a chunk of ranks at a time into one
         # mask of the syndromes hit
@@ -534,7 +538,6 @@ def verify_quasi_perfect(code: LeeCode,
             hit[index_pack(syn % gen.p, gen.p)] = True
         if np.count_nonzero(hit) == ball_size:
             t_table = w
-        else:
             break
     if t_table != code.error_correction:
         raise VerificationError(

@@ -13,16 +13,18 @@ parity-check matrix with n columns over F_p.  Each set is built by O(q)
 array operations over its field, the circle by its Cayley
 parametrization.  ``curve_classes`` gives the orbits of each curve's
 symmetry group on F_q x F_q: the sumset layers and the eigenvalues are
-constant on them.
+constant on them.  The class of a point is table lookups over F_q: the
+norm x^2 - delta*y^2 as the sum of two looked-up terms (plus), the key
+x*y or an axis class in one gather (minus).
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import (FieldCtx, QuadExt, VerificationError, index_digits,
-                     make_field, minus3_character, pair_index, pair_neg,
-                     residue_class_mod12)
+from .fields import (FieldCtx, QuadExt, VerificationError, _gathered,
+                     index_digits, make_field, minus3_character, pair_index,
+                     pair_neg, residue_class_mod12)
 
 PLUS = "plus"
 MINUS = "minus"
@@ -69,16 +71,19 @@ class GeneratorSet:
         return self.base.q ** 2
 
     def indicator_fft(self) -> np.ndarray:
-        """fftn of the indicator 1_H over F_q x F_q read as Z_p^{2k}.
+        """rfftn of the indicator 1_H over F_q x F_q read as Z_p^{2k}.
 
         An index is the base-p number whose 2k digits are the coefficient
         vectors of (x, y), so a flat array over the q^2 indices, reshaped
-        to (p,) * 2k, has one axis per digit; the result has that shape.
-        It is real, because H = -H.
+        to (p,) * 2k, has one axis per digit, the last one digit 0 (of x).
+        The result holds the transform at digit 0 <= p // 2 only, shape
+        (p,) * (2k - 1) + ((p + 1) // 2,): the input is real, so the value
+        at a Fourier index f is the conjugate of the value at -f, taken
+        digitwise.  It is real, up to rounding, because H = -H.
         """
         ind = np.zeros(self.ambient_size)
         ind[list(self.members)] = 1.0
-        return np.fft.fftn(ind.reshape((self.p,) * (2 * self.k)))
+        return np.fft.rfftn(ind.reshape((self.p,) * (2 * self.k)))
 
     def coordinate_matrix(self) -> np.ndarray:
         """2k x n matrix over F_p whose j-th column stacks the coefficient
@@ -180,19 +185,36 @@ class CurveClasses:
     additive automorphisms and permutes H: the circle by multiplication
     (plus), (a, b) -> (a*t, b/t) (minus).  So the layers C_t and the
     eigenvalues are constant on each orbit.  Class 0 is the origin alone,
-    every other class has |H| points; ``reps`` holds one index per class."""
+    every other class has |H| points; ``reps`` holds one index per class.
+    ``keys`` holds the minus family's lookup tables (see ``of``)."""
     gen: GeneratorSet
     reps: np.ndarray
     sizes: np.ndarray
+    keys: tuple
 
     def of(self, z):
-        """Class of each index of an int64 array: the norm for plus (q
-        classes); for minus a*b off the axes, q on b = 0, q + 1 on a = 0."""
+        """Class of each index, an int or an int64 array: the norm for plus
+        (q classes); for minus a*b off the axes, q on b = 0, q + 1 on a = 0,
+        one gather from the sum of the two coordinates' keys."""
         q = self.gen.q
         if self.gen.family == PLUS:
             return self.gen.ext.norm(z)
-        keys = self.gen.base.mul(z % q, z // q)  # 0 on both axes
-        return keys + (keys == 0) * ((z % q != 0) * q + (z >= q) * (q + 1))
+        x_keys, y_keys, classes = self.keys
+        return _gathered(classes[x_keys[z % q] + y_keys[z // q]])
+
+
+def _minus_keys(ctx: FieldCtx) -> tuple:
+    """(x_keys, y_keys, classes) with classes[x_keys[a] + y_keys[b]] the
+    minus class of (a, b).  The keys are discrete logs, whose sums below
+    2(q - 1) index the products; log 0 is 2(q - 1) as x and 3(q - 1) as y,
+    past them, so a zero coordinate lands in its axis's range (q + 1 for
+    a = 0, then q for b = 0) and the origin at 5(q - 1)."""
+    q1 = ctx.q - 1
+    y_keys = ctx._log.copy()
+    y_keys[0] = 3 * q1
+    classes = np.concatenate((ctx._exp[:2 * q1],
+                              np.repeat([ctx.q + 1, ctx.q, 0], q1), [0]))
+    return ctx._log, y_keys, classes
 
 
 def curve_classes(gen: GeneratorSet):
@@ -216,7 +238,8 @@ def curve_classes(gen: GeneratorSet):
         return None
     sizes = np.full(len(reps), gen.degree)
     sizes[0] = 1
-    return CurveClasses(gen, reps, sizes)
+    return CurveClasses(gen, reps, sizes,
+                        None if gen.family == PLUS else _minus_keys(ctx))
 
 
 # ---------------------------------------------------------------------------

@@ -64,8 +64,8 @@ AMBIENT_CAP = 1 << 26
 VERTEX_CAP = 1 << 20  # the cap of q**2-array routes and the battery's q**3 work
 # int64 entries per array operation of every loop over ``chunks``: 2n steps
 # a BFS frontier row, |H| sums a class, (q+1)^2 sums a battery shift, q terms
-# a battery table row, n entries a round-trip trial or decode line, 1 a
-# character of the FFT check.  CPU on a 2-core VM, old chunk -> 2^13:
+# a battery table row, n entries a round-trip trial or decode line, q a
+# row of characters of the FFT check.  CPU on a 2-core VM, old chunk -> 2^13:
 # BFS p=1021 0.8 -> 0.6 s; class route p=8191 plus 2.9 s (2^20: 5 s).
 # At 2^14 (128 KiB arrays, glibc's trim threshold) some heap layouts returned
 # and refaulted the heap top every chunk (lemma-suite 5^2: 24 -> 34 ms).
@@ -338,6 +338,10 @@ class QuadExt:
         self.base = base
         self.delta = base.nonsquare
         self.size = base.q ** 2
+        # the norm's two terms x**2 and -delta*y**2 for every x, y in F_q
+        elems = np.arange(base.q)
+        self._squares = base.mul(elems, elems)
+        self._neg_delta_squares = base.mul(self._squares, base.neg(self.delta))
 
     @property
     def q(self) -> int:
@@ -354,11 +358,11 @@ class QuadExt:
         return x + q * y
 
     def norm(self, z):
-        """x**2 - delta*y**2, the multiplicative norm down to F_q; an int or
-        an int64 array."""
-        b, q = self.base, self.base.q
-        x, y = z % q, z // q
-        return b.add(b.mul(x, x), b.mul(b.mul(y, y), b.neg(self.delta)))
+        """x**2 - delta*y**2, the multiplicative norm down to F_q, as the sum
+        of two table lookups; an int or an int64 array."""
+        q = self.base.q
+        return _gathered(self.base.add(self._squares[z % q],
+                                       self._neg_delta_squares[z // q]))
 
     def to_json_dict(self) -> dict:
         d = self.base.to_json_dict()

@@ -29,9 +29,12 @@ trace of A^2.  Where q^2 <= VERTEX_CAP it also reads each eigenvalue off
 the Fourier transform: G is Z_p^{2k} and both pairings are linear in the
 digits of beta, so the eigenvalue at alpha is fftn(1_H) at a linearly
 reindexed character, whose digits are trace(c * e_i) over the power basis
-e_i, with c = 2*a_x and 2*delta*a_y for plus and c = a, b for minus.  The
-tests also check it against a pairing summed one member at a time and a
-dense eigensolver, both in ``tests/oracles.py``.
+e_i, with c = 2*a_x and 2*delta*a_y for plus and c = a, b for minus.  1_H
+is real, so rfftn, half the transform, holds it: a character whose index
+has digit 0 above p // 2 is read, conjugated, at the negated index, and
+every one of the q^2 characters is compared.  The tests also check it
+against the full fftn, a pairing summed one member at a time and a dense
+eigensolver, all in ``tests/oracles.py``.
 
 For the plus family every nontrivial eigenvalue obeys the Ramanujan bound
 2*sqrt(q) = 2*sqrt(degree - 1); the minus family obeys the slightly
@@ -45,7 +48,7 @@ import numpy as np
 
 from .curves import PLUS, CurveClasses, GeneratorSet, curve_classes
 from .fields import (SUM_TOL, VERTEX_CAP, VerificationError, chunks,
-                     index_pack, trace_counts, unity_cos_sin)
+                     index_neg, index_pack, trace_counts, unity_cos_sin)
 
 # largest allowed distance between a class eigenvalue and the FFT of 1_H
 FFT_TOL = 1e-6
@@ -118,22 +121,34 @@ def class_counts(gen: GeneratorSet, classes: CurveClasses):
 
 def _fourier_distance(gen: GeneratorSet, classes: CurveClasses,
                       eigs: np.ndarray) -> float:
-    """The largest distance of a class eigenvalue from fftn(1_H) at its
-    characters, a chunk of alphas at a time.  alpha = (ax, ay) is at flat
-    index dx[ax] + q*dy[ay], digit i of dx[a] being trace(cx*a*e_i) over
-    the power basis e_i = p**i, and dy likewise with cy."""
+    """The largest distance of a class eigenvalue from the transform of 1_H
+    at its characters, a chunk of rows ay at a time.  alpha = (ax, ay) has
+    Fourier index dx[ax] + q*dy[ay], digit i of dx[a] being trace(cx*a*e_i)
+    over the power basis e_i = p**i, and dy likewise with cy.
+    ``indicator_fft`` holds the indices whose digit 0, that of dx[ax], is
+    at most p // 2; any other is read at its digitwise negation, which
+    holds the conjugate, as far from a real eigenvalue.  So the flip and
+    each coordinate's offset into the half array are tables over F_q."""
     ctx = gen.base
     q, p, k = ctx.q, ctx.p, ctx.k
     elems = np.arange(q)
     dx, dy = (index_pack([ctx.trace_table[ctx.mul(elems, ctx.mul(c, p ** i))]
                           for i in range(k)], p)
               for c in _pairing_coefficients(gen))
+    flip = dx % p > p // 2
+    dx = np.where(flip, index_neg(dx, p, k), dx)
+    # flat index into the half array: digit 0, then the others in steps
+    # of (p + 1) // 2; y's offsets plain, then negated where x flipped
+    half = (p + 1) // 2
+    x_at = dx % p + half * (dx // p)
+    y_at = half * (q // p) * np.concatenate((dy, index_neg(dy, p, k)))
+    y_row = flip * q
     fourier = gen.indicator_fft().ravel()
     worst = 0.0
-    for alpha in chunks(range(q * q), 1):
-        alpha = np.arange(alpha.start, alpha.stop)
-        got = fourier[dx[alpha % q] + q * dy[alpha // q]]
-        worst = max(worst, float(np.abs(got - eigs[classes.of(alpha)]).max()))
+    for ay in chunks(range(q), q):
+        ay = np.arange(ay.start, ay.stop)[:, None]
+        got = fourier[x_at + y_at[y_row + ay]]
+        worst = max(worst, float(np.abs(got - eigs[classes.of(ay * q + elems)]).max()))
     return worst
 
 

@@ -17,9 +17,11 @@ class c' is in C + H when class(rep_c + h) = c' for some class c of C and
 h in H, so the growth looks up (classes x |H|) classes, no q^2 array.
 Any other H (a parity-check matrix read from a file) takes the FFT: G is
 Z_p^{2k} (see ``GeneratorSet.indicator_fft``), and C + H is the support
-of ifftn(fftn(1_C) * fftn(1_H)), whose values count the ways to write a
-point as c + h; one more than 0.25 from an integer raises
-VerificationError.  The FFT route refuses q^2 above ``VERTEX_CAP``.
+of irfftn(rfftn(1_C) * rfftn(1_H)), whose values count the ways to write
+a point as c + h; one more than 0.25 from an integer raises
+VerificationError.  Both indicators are real, so the half transforms over
+the last axis determine the convolution.  The FFT route refuses q^2 above
+``VERTEX_CAP``.
 """
 
 from dataclasses import dataclass
@@ -126,8 +128,11 @@ def _grow(start, step, size_of, total) -> tuple:
 
 
 def _sumset_support(mask: np.ndarray, h_hat: np.ndarray) -> np.ndarray:
-    """The mask of C + H, from the mask of C and h_hat = fftn(1_H)."""
-    conv = np.fft.ifftn(np.fft.fftn(mask.reshape(h_hat.shape)) * h_hat).real.ravel()
+    """The mask of C + H, from the mask of C and h_hat = rfftn(1_H), whose
+    last axis holds (p + 1) // 2 of the p entries."""
+    shape = h_hat.shape[:-1] + (2 * h_hat.shape[-1] - 1,)
+    conv = np.fft.irfftn(np.fft.rfftn(mask.reshape(shape)) * h_hat,
+                         s=shape, axes=range(len(shape))).ravel()
     counts = np.rint(conv)
     worst = float(np.abs(conv - counts).max())
     if worst > INTEGRALITY_TOL:

@@ -18,14 +18,18 @@ same way: the syndrome of one word, the Lee ball by recursion, and a
 breadth-first search over error vectors that keeps only the steps
 raising the Lee weight.
 
-Two oracles work on arrays.  ``cubic_counts_by_t`` is the q^3
+Some oracles work on arrays.  ``cubic_counts_by_t`` is the q^3
 enumeration that ``quasilee.lemmas.cubic_counts`` replaced.  It tests the
 cubic's equation at every (t, x, y), where the program solves it for t,
 so it checks the program at fields too large for
 ``projective_cubic_count``.  ``gathered_lee_ball`` builds the whole Lee
 ball from tails of the smaller balls, as the program did before it
 enumerated the ball by rank, so it checks the ranked rows at balls too
-large for ``scalar_lee_ball``.
+large for ``scalar_lee_ball``.  ``norm_by_mul`` and ``minus_class_by_mul``
+are the class maps by field products that the lookup tables of
+``QuadExt.norm`` and ``CurveClasses.of`` replaced, and
+``fourier_distance`` is the spectrum's FFT check on the full fftn, which
+``quasilee.spectra`` reads from half the transform.
 """
 
 import functools
@@ -34,6 +38,7 @@ import numpy as np
 
 from quasilee.codes import DecodeResult, syndrome
 from quasilee.fields import chunks
+from quasilee.spectra import _pairing_coefficients
 from quasilee.sumsets import MAX_LAYERS
 
 
@@ -264,6 +269,41 @@ def eigenvalue(gen, alpha: int) -> float:
     counts = character_counts(gen, alpha)
     assert abs(counts @ np.sin(ang)) <= 1e-9, f"eigenvalue not real at {alpha}"
     return float(counts @ np.cos(ang))
+
+
+def norm_by_mul(ext, z):
+    """x**2 - delta*y**2 by field products, ints or int64 arrays: the
+    formula ``QuadExt.norm`` reads from tables."""
+    b, q = ext.base, ext.q
+    x, y = z % q, z // q
+    return b.add(b.mul(x, x), b.mul(b.mul(y, y), b.neg(ext.delta)))
+
+
+def minus_class_by_mul(ctx, z):
+    """The minus class of (a, b) by a field product: a*b off the axes, q on
+    b = 0, q + 1 on a = 0, 0 at the origin; ints or int64 arrays."""
+    q = ctx.q
+    keys = ctx.mul(z % q, z // q)  # 0 on both axes
+    return keys + (keys == 0) * ((z % q != 0) * q + (z >= q) * (q + 1))
+
+
+def fourier_distance(gen, classes, eigs) -> float:
+    """The largest distance of a class eigenvalue from the full fftn(1_H)
+    over Z_p^{2k} at every character alpha = (ax, ay), read at the index
+    dx[ax] + q*dy[ay] with digit i of dx[a] = trace(cx*a*p**i): the
+    reference for ``spectra._fourier_distance``, which reads half of it."""
+    ctx = gen.base
+    q, p, k = ctx.q, ctx.p, ctx.k
+    ind = np.zeros(q * q)
+    ind[list(gen.members)] = 1.0
+    fourier = np.fft.fftn(ind.reshape((p,) * (2 * k))).ravel()
+    elems = np.arange(q)
+    dx, dy = (sum(ctx.trace_table[ctx.mul(elems, ctx.mul(c, p ** i))] * p ** i
+                  for i in range(k))
+              for c in _pairing_coefficients(gen))
+    alpha = np.arange(q * q)
+    got = fourier[dx[alpha % q] + q * dy[alpha // q]]
+    return float(np.abs(got - eigs[classes.of(alpha)]).max())
 
 
 def adjacency_matrix(gen) -> np.ndarray:

@@ -79,6 +79,27 @@ def test_curve_classes_are_the_orbits(p, k, family):
 
 
 @pytest.mark.parametrize("family", ["plus", "minus"])
+@pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (7, 1), (13, 1), (3, 2),
+                                 (5, 2), (3, 3)])
+def test_class_maps_by_lookup_match_the_product_formulas(p, k, family):
+    # the norm by two looked-up terms and the minus class by one gather
+    # equal the formulas by field products at every index, ints and arrays
+    gen = generator_set(make_field(p, k), family)
+    classes = curve_classes(gen)
+    z = np.arange(gen.ambient_size)
+    if family == "plus":
+        want = oracles.norm_by_mul(gen.ext, z)
+        assert np.array_equal(gen.ext.norm(z), want)
+        ints = [gen.ext.norm(int(a)) for a in z]
+        assert ints == want.tolist() and {type(v) for v in ints} == {int}
+    else:
+        want = oracles.minus_class_by_mul(gen.base, z)
+    assert np.array_equal(classes.of(z), want)
+    ints = [classes.of(int(a)) for a in z]
+    assert ints == want.tolist() and {type(v) for v in ints} == {int}
+
+
+@pytest.mark.parametrize("family", ["plus", "minus"])
 def test_curve_classes_only_on_the_curve(family):
     base = make_field(13)
     gen = generator_set(base, family)

@@ -7,10 +7,11 @@ import oracles
 import pytest
 
 from quasilee.codes import coset_leader_table, parity_check_matrix
-from quasilee.curves import from_representatives, generator_set
-from quasilee.fields import (QuadExt, SizeCapError, kloosterman, make_field,
-                             pair_neg, unity_cos_sin)
-from quasilee.spectra import (RAMANUJAN, SpectrumReport, class_counts,
+from quasilee.curves import CurveClasses, from_representatives, generator_set
+from quasilee.fields import (QuadExt, SizeCapError, VerificationError,
+                             kloosterman, make_field, pair_neg, unity_cos_sin)
+from quasilee.spectra import (RAMANUJAN, SpectrumReport, _fourier_distance,
+                              _pairing_coefficients, class_counts,
                               full_spectrum)
 
 
@@ -159,6 +160,55 @@ def test_refuses_generator_set_off_the_curve(family):
     for reps in ([1, 2, 3], list(gen.reps[:-1]) + [off]):
         with pytest.raises(ValueError, match="not the .* curve"):
             full_spectrum(from_representatives(base, family, reps))
+
+
+@pytest.mark.parametrize("p,k,family", [
+    (5, 1, "plus"), (5, 1, "minus"), (7, 1, "plus"), (7, 1, "minus"),
+    (13, 1, "plus"), (13, 1, "minus"), (3, 2, "plus"), (5, 2, "plus"),
+    (7, 2, "minus"), (5, 3, "minus"),
+])
+def test_half_transform_check_matches_the_full_fftn(p, k, family):
+    rep = spectrum(p, k, family)
+    args = rep.generator, rep.classes, rep.class_eigenvalues
+    assert abs(_fourier_distance(*args) - oracles.fourier_distance(*args)) <= 1e-12
+
+
+@pytest.mark.parametrize("half", ["mirrored", "held"])
+@pytest.mark.parametrize("p,k,family", [(13, 1, "plus"), (13, 1, "minus"),
+                                        (5, 2, "plus"), (7, 2, "minus")])
+def test_fft_check_compares_each_half(monkeypatch, p, k, family, half):
+    # the class shifted on the characters whose Fourier index has digit 0,
+    # trace(cx * ax), above p // 2 (read off the mirror) or not (held): the
+    # two count identities never read the class map, so only the FFT check
+    # can see it
+    gen = generator_set(make_field(p, k), family)
+    ctx, cx = gen.base, _pairing_coefficients(gen)[0]
+    of = CurveClasses.of
+
+    def shifted(self, z):
+        keys = of(self, z)
+        mirrored = ctx.trace_table[ctx.mul(cx, z % gen.q)] > p // 2
+        return np.where(mirrored == (half == "mirrored"),
+                        (keys + 1) % len(self.sizes), keys)
+    monkeypatch.setattr(CurveClasses, "of", shifted)
+    with pytest.raises(VerificationError, match="differ from the FFT"):
+        full_spectrum(gen)
+
+
+@pytest.mark.parametrize("family", ["plus", "minus"])
+def test_spectrum_at_the_vertex_cap_holds_half_a_transform(family):
+    # p = 1021, q^2 = 1 042 441 <= 2^20, so the FFT check runs: the float64
+    # indicator and rfftn's two half arrays (q(p + 1)/2 complex128 each)
+    # fit under 26 MiB, where the full fftn took 40.3 MiB
+    gen = generator_set(make_field(1021), family)
+    tracemalloc.start()
+    try:
+        rep = full_spectrum(gen)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 26 << 20
+    assert rep.classification == RAMANUJAN and rep.connected
 
 
 def test_histogram_accounts_for_every_vertex():

@@ -157,8 +157,8 @@ def test_fft_route_gates_itself_before_allocating():
 def test_subset_on_a_curve_never_calls_the_fft(capsys, monkeypatch, p, k, family):
     def refuse(*args, **kwargs):
         raise AssertionError("np.fft called on the class route")
-    monkeypatch.setattr(np.fft, "fftn", refuse)
-    monkeypatch.setattr(np.fft, "ifftn", refuse)
+    for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+        monkeypatch.setattr(np.fft, name, refuse)
     assert main(["subset", "--p", str(p), "--k", str(k), "--family", family]) == 0
     assert "layers: " in capsys.readouterr().out
 
