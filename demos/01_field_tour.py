@@ -7,20 +7,22 @@ two exponential sums (quadratic Gauss sums and Kloosterman sums) that
 later control the Cayley spectra.
 """
 
-from quasilee import (QuadExt, gauss_quadratic_sum, kloosterman, make_field,
+from quasilee import (CharacterSumValue, QuadExt, kloosterman, make_field,
                       residue_class_mod12)
+from quasilee.fields import gauss_counts, index_digits
 
 # a prime field: elements are just 0..12
 f13 = make_field(13)
 print("F_13:", f13.q, "elements, nonsquare =", f13.nonsquare)
 print("squares mod 13:", sorted({f13.mul(a, a) for a in range(1, 13)}))
 
-# an extension field: elements are indices a0 + 3*a1 over the modulus
+# an extension field: elements are indices a0 + 3*a1 over the modulus,
+# with the coefficients (a0, a1) as their base-3 digits
 f9 = make_field(3, 2)
 print("\nF_9 modulus coefficients:", f9.modulus)
 for a in range(9):
-    print(f"  element {a} = {f9.coeffs(a)}  trace {f9.trace(a)}  "
-          f"eta {f9.quad_character(a):+d}")
+    print(f"  element {a} = {index_digits(a, 3, 2)}  "
+          f"trace {int(f9.trace_table[a])}  eta {f9.quad_character(a):+d}")
 
 # the degree-2 extension on top of a base field carries the norm map;
 # every nonzero norm value is hit exactly q+1 times
@@ -30,9 +32,9 @@ for z in range(1, 169):
     fibers.setdefault(ext.norm(z), []).append(z)
 print("\nnorm fiber sizes over F_13:", sorted({len(v) for v in fibers.values()}))
 
-# quadratic Gauss sums have an exact closed form; the library checks it
-# on every call and raises VerificationError on a mismatch
-g = gauss_quadratic_sum(f13, 1, 0)
+# a quadratic Gauss sum is folded from the exact counts of its exponents;
+# the lemma battery checks every one against its closed form
+g = CharacterSumValue.from_counts(13, gauss_counts(f13, 1, 0))
 print("\nGauss sum sum_x zeta^(x^2) over F_13 =", complex(round(g.re, 12), round(g.im, 12)))
 
 # Kloosterman sums are real and Hasse-Weil bounded: |K(a,b)| <= 2*sqrt(q)

@@ -10,7 +10,7 @@ the decoder against the sumset layers.
 import random
 
 from quasilee import (build_code, coset_leader_table, cumulative_layers,
-                      decode, lee_weight, verify_quasi_perfect)
+                      decode, verify_quasi_perfect)
 
 code = build_code(13, 1, "plus")
 print("parity-check matrix over F_13:")
@@ -32,7 +32,8 @@ error[2], error[5] = 1, 12                      # +1 and -1: Lee weight 2
 received = [(c + e) % 13 for c, e in zip(codeword, error)]
 result = decode(table, received)
 print("\ncodeword: ", list(codeword))
-print("received: ", received, " (Lee weight of error:", lee_weight(error, 13), ")")
+print("received: ", received, " (Lee weight of error:",
+      sum(min(e, 13 - e) for e in error), ")")
 print("decoded:  ", list(result.codeword), " error:", list(result.error))
 assert result.codeword == codeword
 

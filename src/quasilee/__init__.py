@@ -12,17 +12,16 @@ via ``quasilee lemma-suite``.
 from .codes import (CosetLeaderTable, DecodeResult, LeeCode, ParityCheckMatrix,
                     QuasiPerfectReport, VerificationError, build_code,
                     code_parameters, coset_leader_table, decode, decode_words,
-                    lee_ball, lee_weight,
-                    matrix_from_json_dict, matrix_from_text,
+                    lee_ball, matrix_from_json_dict, matrix_from_text,
                     parity_check_matrix, rank_mod_p, round_trip_check,
                     syndrome, syndromes, verify_quasi_perfect)
 from .curves import (AdmissibilityReport, GeneratorSet, admissibility,
                      from_representatives, generator_set, norm_circle,
                      unit_hyperbola)
 from .fields import (CharacterSumValue, FieldCtx, QuadExt, ResidueClassReport,
-                     SizeCapError, gauss_quadratic_sum, is_prime,
-                     kloosterman, make_field, minus3_character, pair_add,
-                     pair_index, pair_neg, residue_class_mod12)
+                     SizeCapError, is_prime, kloosterman, make_field,
+                     minus3_character, pair_add, pair_index, pair_neg,
+                     residue_class_mod12)
 from .lemmas import LemmaCheck, lemma_battery
 from .spectra import SpectrumReport, full_spectrum
 from .sumsets import (Classification, CoverageError, SumsetLayers, classify,

@@ -15,6 +15,7 @@ Identical configurations produce byte-identical output.
 """
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -90,21 +91,40 @@ def _generator(args):
 
 
 def _matrix(args):
-    """The parity-check matrix of the --matrix file, else of --p/--k/--family."""
+    """The parity-check matrix of the --matrix file, else of --p/--k/--family.
+    The cap applies to the p and k of the file's JSON fields or header line
+    before the parse builds anything; a malformed header is the parser's."""
     if not args.matrix:
         return parity_check_matrix(_generator(args))
     with open(args.matrix) as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):
-        mat = matrix_from_json_dict(json.loads(text))
-    else:
-        mat = matrix_from_text(text)
-    _check_cap(args, mat.p, mat.generator.k)
-    return mat
+        d = json.loads(text)
+        if type(d.get("p")) is int and type(d.get("k")) is int:
+            _check_cap(args, d["p"], d["k"])
+        return matrix_from_json_dict(d)
+    head = next((ln.split() for ln in text.splitlines()
+                 if ln.strip() and not ln.lstrip().startswith("#")), [])
+    if len(head) == 4:
+        _check_cap(args, int(head[0]), int(head[1]))
+    return matrix_from_text(text)
 
 
 def _json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    with _exact_ints():
+        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+@contextlib.contextmanager
+def _exact_ints():
+    """No str() digit limit while output is formatted: p^dimension passes
+    4300 digits from p = 2531 (plus).  Input keeps the limit."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # ---------------------------------------------------------------------------
@@ -162,21 +182,15 @@ def cmd_spectrum(args) -> str:
 
 def cmd_code_gen(args) -> str:
     code = code_parameters(_generator(args))
-    # p^dimension passes str()'s 4300-digit limit from p = 2531 (plus); it is
-    # printed exactly, with the limit lifted only while the output is built
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        if args.fmt == "json":
-            return _json(code.to_json_dict())
-        radius = "none" if code.covering_radius is None else code.covering_radius
+    if args.fmt == "json":
+        return _json(code.to_json_dict())
+    radius = "none" if code.covering_radius is None else code.covering_radius
+    with _exact_ints():
         return (code.matrix.to_text()
                 + f"# n={code.n} dimension={code.dimension} "
                   f"codewords={code.codeword_count} density={code.density!r}\n"
                 + f"# error_correction={code.error_correction} "
                   f"covering_radius={radius} verdict={code.verdict}\n")
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 def cmd_code_verify(args) -> str:

@@ -38,11 +38,6 @@ from .sumsets import (MAX_LAYERS, Classification, CoverageError, classify,
                       lee_ball_size)
 
 
-def lee_weight(word, p: int) -> int:
-    """Sum of min(c, p - c) over the entries, entries taken mod p."""
-    return sum(min(c % p, p - c % p) for c in word)
-
-
 def lee_ball(n: int, p: int, radius: int) -> tuple:
     """The words of Z_p^n with Lee weight <= radius, by rank: the exact
     word count ``rows`` and a function ``support`` from an array of ranks
@@ -237,7 +232,7 @@ class CosetLeaderTable:
     Each syndrome s != 0 stores the syndrome ``parent[s]`` it was reached
     from and the ``step[s]`` = 2*j + b taken there: +1 (b = 0) or -1
     (b = 1) at position j.  Its leader is the sum of the steps on the path
-    to the root 0, so leaders are not stored: ``leader_words`` rebuilds a
+    to the root 0, so leaders are not stored: ``_leaders`` rebuilds a
     batch of them in ``max_weight`` parent hops.
 
     Built contiguously by weight, so the leader of s attains the true
@@ -251,17 +246,13 @@ class CosetLeaderTable:
     weights: np.ndarray  # int32
     max_weight: int
 
-    def leader_words(self, syns) -> np.ndarray:
-        """Leaders of a batch of syndromes, one row each, entries in [0, p):
-        the steps summed over ``max_weight`` hops to the root."""
-        return self._leaders(syns)[0]
-
     def _leaders(self, syns) -> tuple:
-        """``leader_words``, and the flat indices of the entries the steps
-        touched.  Every row takes ``max_weight`` hops, so no row is dropped
-        on the way.  A hop adds one step per row, at flat index
-        ``row * n + j``: distinct, so a plain ``+=`` is exact.  Only the
-        touched entries are reduced mod p."""
+        """Leaders of a batch of syndromes, one row each, entries in [0, p),
+        and the flat indices of the entries the steps touched.  Every row
+        takes ``max_weight`` hops to the root, so no row is dropped on the
+        way.  A hop adds one step per row, at flat index ``row * n + j``:
+        distinct, so a plain ``+=`` is exact.  Only the touched entries are
+        reduced mod p."""
         n = self.matrix.n
         # the position j and the sign +-1 of each step 2j + b, indexed by
         # step, and a last entry, read for the root's step -1, that adds 0
@@ -488,7 +479,7 @@ class QuasiPerfectReport:
 
 
 def verify_quasi_perfect(code: LeeCode,
-                         table: CosetLeaderTable = None) -> QuasiPerfectReport:
+                         table: CosetLeaderTable) -> QuasiPerfectReport:
     """Cross-check decoder-table parameters against the sumset layers.
 
     Three routes must agree: the layer census (by orbit classes, or by the
@@ -501,8 +492,6 @@ def verify_quasi_perfect(code: LeeCode,
     Raises VerificationError on any mismatch.
     """
     gen = code.generator
-    if table is None:
-        table = coset_leader_table(code.matrix)
     layers = code.classification.layers
 
     r_table = table.max_weight

@@ -30,27 +30,29 @@ broadcast int64 arrays; an int in gives an int out.  The independent
 routes they are checked with live in ``tests/oracles.py``.
 
 ``AMBIENT_CAP`` bounds q^2, ``VERTEX_CAP`` the q^2 of the coset BFS, the
-FFT layers, ``--dump-csv`` and the lemma battery.  ``check_ambient`` is
-the one size gate of every stage: it applies a cap before any trial
-division, multiplying by p only until the product passes it, so a huge p
-or k is refused at once (and |p| < 2 goes on to the primality test at once).
+FFT layers, ``--dump-csv`` and the lemma battery; above it the spectrum
+skips its FFT check, and the round trip refuses a Lee ball of more than
+``VERTEX_CAP`` words.  ``check_ambient`` is the one size gate of every
+stage: it applies a cap before any trial division, multiplying by p only
+until the product passes it, so a huge p or k is refused at once (and
+|p| < 2 goes on to the primality test at once).
 
 On top of the ground field sit:
 
 * ``QuadExt`` -- the quadratic extension F_q[sqrt(delta)] for the
   canonical (smallest-index) nonsquare delta.  Elements are pairs
   (x, y) = x + sqrt(delta)*y packed into the single index x + q*y.
-* quadratic Gauss sums, checked on the fly against their classical
-  closed form, and Kloosterman sums with the Hasse-Weil bound, each one
-  row of ``gauss_counts``/``kloosterman_counts``, which count every
-  character sum by the one kernel ``trace_counts``;
+* the exponent counts of quadratic Gauss sums (``gauss_counts``, with
+  their classical closed form ``gauss_closed_form``) and of Kloosterman
+  sums (``kloosterman_counts``, and ``kloosterman`` with the Hasse-Weil
+  bound), every character sum counted by the one kernel ``trace_counts``;
 * quadratic-residue predicates for -1, 3 and -3 modulo a prime,
   evaluated both by congruence rule and by direct character computation.
 
 All arithmetic is exact.  Floating point enters only when a character sum
-is folded through cos/sin, and each sum keeps its exact integer exponent
-counts next to the float value, so the rounding error is bounded by the
-number of distinct exponents rather than the number of terms.
+is folded through cos/sin, and each sum is folded from its exact integer
+exponent counts, so the rounding error is bounded by the number of
+distinct exponents rather than the number of terms.
 """
 
 import functools
@@ -279,10 +281,6 @@ class FieldCtx:
         """0 for zero, +1 for nonzero squares, -1 for nonsquares."""
         return _gathered(self._chi[a])
 
-    def trace(self, a: int) -> int:
-        """Absolute trace to F_p: sum of the k Frobenius conjugates."""
-        return int(self.trace_table[a])
-
     @functools.cached_property
     def nonsquare(self) -> int:
         """The canonical nonsquare: smallest index with character -1."""
@@ -291,10 +289,6 @@ class FieldCtx:
     def embed(self, c: int) -> int:
         """Embed an integer into the prime subfield (index c mod p)."""
         return c % self.p
-
-    def coeffs(self, a: int) -> list:
-        """Coefficient vector (a_0, ..., a_{k-1}) of the element with index a."""
-        return index_digits(a, self.p, self.k)
 
     # -----------------------------------------------------------------------
 
@@ -385,22 +379,19 @@ def unity_cos_sin(p: int):
 
 @dataclass(frozen=True)
 class CharacterSumValue:
-    """A root-of-unity sum kept with its exact exponent counts.
-
-    counts[j] is the number of summation terms whose exponent is j mod p;
+    """A root-of-unity sum folded from its exact exponent counts: with
+    counts[j] the number of summation terms whose exponent is j mod p,
     re + i*im is sum(counts[j] * exp(2*pi*i*j/p)) up to float rounding.
     """
     p: int
-    counts: tuple
     re: float
     im: float
 
     @classmethod
     def from_counts(cls, p: int, counts) -> "CharacterSumValue":
-        counts = tuple(int(c) for c in counts)
         cos, sin = unity_cos_sin(p)
         vec = np.array(counts, dtype=np.float64)
-        return cls(p, counts, float(vec @ cos), float(vec @ sin))
+        return cls(p, float(vec @ cos), float(vec @ sin))
 
 
 def trace_counts(ctx: FieldCtx, args: np.ndarray) -> np.ndarray:
@@ -456,22 +447,6 @@ def kloosterman(ctx: FieldCtx, a: int, b: int) -> float:
         raise VerificationError(
             f"Hasse-Weil bound violated: |{v.re}| > 2*sqrt({ctx.q})")
     return v.re
-
-
-def gauss_quadratic_sum(ctx: FieldCtx, c: int, a: int) -> CharacterSumValue:
-    """sum over x in F_q of zeta_p**trace(c*x**2 + a*x), c nonzero.
-
-    The result is checked against ``gauss_closed_form`` to 1e-9 per
-    component; VerificationError if they differ.
-    """
-    if c == 0:
-        raise ValueError("quadratic coefficient must be nonzero")
-    v = CharacterSumValue.from_counts(ctx.p, gauss_counts(ctx, c, a))
-    closed = gauss_closed_form(ctx, c, a)
-    if not (abs(v.re - closed.real) <= SUM_TOL and abs(v.im - closed.imag) <= SUM_TOL):
-        raise VerificationError(
-            f"Gauss sum disagrees with closed form: {complex(v.re, v.im)} vs {closed}")
-    return v
 
 
 # ---------------------------------------------------------------------------

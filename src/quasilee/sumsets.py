@@ -86,15 +86,13 @@ class SumsetLayers:
     ``covered`` is True when the last layer is all of F_q x F_q;
     ``limit_index`` is then its index t (None otherwise).  The critical
     index compares layer sizes against Z^n Lee ball sizes, so it is
-    meaningful for p >= 2t + 1.  ``class_sets`` holds each layer as a
-    boolean array over the curve's classes, or None on the FFT route.
+    meaningful for p >= 2t + 1.
     """
     generator: GeneratorSet
     sizes: tuple
     critical_index: int
     limit_index: int
     covered: bool
-    class_sets: tuple
 
     @property
     def n(self) -> int:
@@ -181,11 +179,11 @@ def cumulative_layers(gen: GeneratorSet) -> SumsetLayers:
     if classes is None:
         check_ambient(gen.p, gen.k, VERTEX_CAP)  # the FFT holds q^2 complex
         h_hat = gen.indicator_fft()
-        sets, sizes = _grow(np.arange(size) == 0,
-                            lambda new: _sumset_support(new, h_hat),
-                            lambda mask: int(np.count_nonzero(mask)), size)
+        sizes = _grow(np.arange(size) == 0,
+                      lambda new: _sumset_support(new, h_hat),
+                      lambda mask: int(np.count_nonzero(mask)), size)[1]
     else:
-        sets, sizes = _class_layers(gen, classes)
+        sizes = _class_layers(gen, classes)[1]
 
     covered = sizes[-1] == size
     limit = None
@@ -193,8 +191,7 @@ def cumulative_layers(gen: GeneratorSet) -> SumsetLayers:
         limit = next(i for i, s in enumerate(sizes) if s == size)
     critical = max(t for t in range(min(len(sizes) - 1, MAX_BALL_RADIUS) + 1)
                    if sizes[t] == lee_ball_size(gen.n, t))
-    return SumsetLayers(gen, tuple(sizes), critical, limit, covered,
-                        None if classes is None else tuple(sets))
+    return SumsetLayers(gen, tuple(sizes), critical, limit, covered)
 
 
 @dataclass(frozen=True)

@@ -4,19 +4,22 @@ Each oracle does one element at a time what the program does over whole
 arrays.  Addition in the packed-index groups takes each index apart one
 base-p digit at a time, adds or negates the digits mod p and puts the
 result together again.  ``field_mul`` multiplies the lists of digits as
-polynomials mod the field's modulus, and ``smallest_primitive_root`` finds
-a prime field's generator by ``pow`` over the prime factors of p - 1.  None
-of this shares code with ``quasilee.fields.index_add``/``index_neg`` or with
-the log tables of ``FieldCtx.mul``, so a test that compares the two does
-not check a kernel against itself.
+polynomials mod the field's modulus, ``field_trace`` sums the Frobenius
+conjugates, each a power by ``field_mul``, and ``smallest_primitive_root``
+finds a prime field's generator by ``pow`` over the prime factors of
+p - 1.  None of this shares code with ``quasilee.fields.index_add``/
+``index_neg`` or with the log tables of ``FieldCtx.mul``, so a test that
+compares the two does not check a kernel against itself.
 
 The character sums, the point counts, the shifted double sums and the
 spectrum oracles below add only with ``field_add``/``pair_add``, one term
-at a time; they multiply with the scalar ``FieldCtx.mul``, which
-``tests/test_fields.py`` checks against ``field_mul``.  The decoder-stack oracles at the end walk F_q x F_q the
-same way: the syndrome of one word, the Lee ball by recursion, and a
-breadth-first search over error vectors that keeps only the steps
-raising the Lee weight.
+at a time; they multiply with the scalar ``FieldCtx.mul`` and read traces
+from ``FieldCtx.trace_table``, which ``tests/test_fields.py`` checks
+against ``field_mul`` and ``field_trace``.  The decoder-stack oracles at
+the end walk F_q x F_q the same way: the Lee weight and the syndrome of
+one word, the Lee ball by recursion, a breadth-first search over error
+vectors that keeps only the steps raising the Lee weight, and a decoder
+that follows the coset table's tree one parent hop at a time.
 
 Some oracles work on arrays.  ``cubic_counts_by_t`` is the q^3
 enumeration that ``quasilee.lemmas.cubic_counts`` replaced.  It tests the
@@ -36,7 +39,7 @@ import functools
 
 import numpy as np
 
-from quasilee.codes import DecodeResult, syndrome
+from quasilee.codes import DecodeResult
 from quasilee.fields import chunks
 from quasilee.spectra import _pairing_coefficients
 from quasilee.sumsets import MAX_LAYERS
@@ -88,6 +91,19 @@ def field_mul(ctx, a: int, b: int) -> int:
         for i in range(k):
             prod[d - k + i] -= c * mod[i]
     return _packed([c % p for c in prod], p)
+
+
+def field_trace(ctx, a: int) -> int:
+    """a + a**p + ... + a**(p**(k-1)): each Frobenius conjugate the p-th
+    power of the one before by ``field_mul``, summed by ``field_add``."""
+    total = 0
+    for _ in range(ctx.k):
+        total = field_add(ctx, total, a)
+        power = 1
+        for _ in range(ctx.p):
+            power = field_mul(ctx, power, a)
+        a = power
+    return total
 
 
 def smallest_primitive_root(p: int) -> int:
@@ -154,7 +170,8 @@ def kloosterman_counts(ctx, a: int, b: int) -> list:
     """counts[j] = #{x != 0 : trace(a*x + b/x) = j}, one x at a time."""
     counts = [0] * ctx.p
     for x in range(1, ctx.q):
-        counts[ctx.trace(field_add(ctx, ctx.mul(a, x), ctx.mul(b, ctx.inv(x))))] += 1
+        arg = field_add(ctx, ctx.mul(a, x), ctx.mul(b, ctx.inv(x)))
+        counts[ctx.trace_table[arg]] += 1
     return counts
 
 
@@ -162,7 +179,8 @@ def gauss_counts(ctx, c: int, a: int) -> list:
     """counts[j] = #{x in F_q : trace(c*x**2 + a*x) = j}, one x at a time."""
     counts = [0] * ctx.p
     for x in range(ctx.q):
-        counts[ctx.trace(field_add(ctx, ctx.mul(c, ctx.mul(x, x)), ctx.mul(a, x)))] += 1
+        arg = field_add(ctx, ctx.mul(c, ctx.mul(x, x)), ctx.mul(a, x))
+        counts[ctx.trace_table[arg]] += 1
     return counts
 
 
@@ -250,8 +268,8 @@ def pairing_exponent(gen, alpha: int, beta: int) -> int:
     a, b, x, y = alpha % q, alpha // q, beta % q, beta // q
     if gen.family == "plus":
         xp = ext_mul(gen.ext, alpha, beta) % q
-        return ctx.trace(field_add(ctx, xp, xp))
-    return ctx.trace(field_add(ctx, ctx.mul(a, x), ctx.mul(b, y)))
+        return int(ctx.trace_table[field_add(ctx, xp, xp)])
+    return int(ctx.trace_table[field_add(ctx, ctx.mul(a, x), ctx.mul(b, y))])
 
 
 def character_counts(gen, alpha: int) -> np.ndarray:
@@ -317,6 +335,11 @@ def adjacency_matrix(gen) -> np.ndarray:
 
 
 # -- the decoder stack -------------------------------------------------------------
+
+def lee_weight(word, p: int) -> int:
+    """Sum of min(c, p - c) over the entries, entries taken mod p."""
+    return sum(min(c % p, p - c % p) for c in word)
+
 
 def scalar_syndrome(mat, word) -> int:
     """sum_j word_j * beta_j by scalar pair arithmetic."""
@@ -444,11 +467,19 @@ def scalar_bfs_leaders(mat) -> tuple:
 
 def scalar_decode(table, word) -> DecodeResult:
     """The one-word-at-a-time decoder that ``decode_words`` replaced: reduce
-    the word as Python ints, then subtract the leader of its syndrome."""
+    the word as Python ints, take its ``scalar_syndrome``, then subtract
+    the leader that the table's tree spells, walked one parent hop at a
+    time from the syndrome to the root, each step 2j + b adding +1 (b = 0)
+    or -1 at position j."""
     p = table.matrix.p
     word = [int(c) % p for c in word]
-    syn = syndrome(table.matrix, word)
-    err = tuple(table.leader_words([syn])[0].tolist())
+    syn = node = scalar_syndrome(table.matrix, word)
+    err = [0] * len(word)
+    while node:
+        st = int(table.step[node])
+        err[st // 2] += 1 - 2 * (st % 2)
+        node = int(table.parent[node])
+    err = tuple(e % p for e in err)
     cw = tuple((c - e) % p for c, e in zip(word, err))
     return DecodeResult(cw, err, int(table.weights[syn]), syn)
 

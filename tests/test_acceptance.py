@@ -227,7 +227,8 @@ def test_c10_cross_route_equivalence():
         for p, family in [(13, "plus"), (23, "minus"), (5, "plus"),
                           (5, "minus"), (7, "minus"), (11, "minus")]:
             code = build_code(p, 1, family)
-            rep = verify_quasi_perfect(code)    # raises on any route mismatch
+            # raises on any route mismatch
+            rep = verify_quasi_perfect(code, coset_leader_table(code.matrix))
             lay = code.classification.layers
             assert rep.error_correction == lay.critical_index
             assert rep.covering_radius == lay.limit_index

@@ -18,7 +18,8 @@ from quasilee import cli, codes, fields
 from quasilee.cli import main
 from quasilee.codes import coset_leader_table, parity_check_matrix
 from quasilee.curves import generator_set
-from quasilee.fields import VERTEX_CAP, SizeCapError, is_prime, make_field
+from quasilee.fields import (VERTEX_CAP, SizeCapError, index_digits, is_prime,
+                             make_field, pair_neg)
 from quasilee.lemmas import lemma_battery
 
 
@@ -96,6 +97,27 @@ def test_ambient_cap_applies_to_every_subcommand(capsys, monkeypatch,
     assert code == 1 and out == ""
     assert err.startswith("error: precondition:")
     assert "exceeds cap 100" in err
+
+
+@pytest.mark.parametrize("command", ["code-verify", "decode"])
+@pytest.mark.parametrize("text", [
+    "# comment\n\n13 1 2 plus\n1 12\n0 0\n",
+    '{"p": 13, "k": 1, "n": 2, "family": "plus", "rows": [[1, 12], [0, 0]]}',
+], ids=["text", "json"])
+def test_matrix_meets_the_cap_before_the_parse(capsys, monkeypatch, tmp_path,
+                                               command, text):
+    # representatives that collide under negation, at q^2 = 169 > --cap 100:
+    # the cap is the refusal named, before any field is built
+    def no_field(*args):
+        raise AssertionError("a field was built before the cap")
+
+    monkeypatch.setattr(codes, "make_field", no_field)
+    monkeypatch.setattr("sys.stdin", io.StringIO("0 0\n"))
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, command, "--matrix", str(path), "--cap", "100")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: precondition:") and "exceeds cap 100" in err
 
 
 SUBCOMMANDS = ["admissible", "subset", "spectrum", "code-gen", "code-verify",
@@ -377,6 +399,31 @@ def test_code_gen_prints_a_count_past_the_str_digit_limit(capsys, fmt):
             assert f"dimension=1303 codewords={2609 ** 1303} " in out
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_code_verify_json_prints_a_count_past_the_str_digit_limit(capsys, tmp_path):
+    # an off-curve matrix over F_125 with 1 000 random columns: 5^994 has
+    # 695 digits, past str()'s limit lowered to 640, the least it takes
+    ctx = make_field(5, 3)
+    half = [z for z in range(1, ctx.q ** 2) if z < pair_neg(ctx, z)]
+    reps = random.Random(0).sample(half, 1000)
+    path = tmp_path / "m.txt"
+    path.write_text("5 3 1000 plus\n" + "".join(
+        " ".join(map(str, row.tolist())) + "\n"
+        for row in index_digits(np.array(reps), 5, 6)))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, "code-verify", "--matrix", str(path),
+                             "--format", "json")
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == 640
+        sys.set_int_max_str_digits(0)
+        d = json.loads(out)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert d["dimension"] == 994
+    assert d["codeword_count"] == 5 ** d["dimension"]
 
 
 def test_code_verify_direct(capsys):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from quasilee import codes, fields
 from quasilee.codes import (CosetLeaderTable, DecodeResult, VerificationError,
                             build_code, code_parameters, coset_leader_table,
-                            decode, decode_words, lee_ball, lee_weight,
+                            decode, decode_words, lee_ball,
                             matrix_from_json_dict, matrix_from_text,
                             parity_check_matrix, rank_mod_p, round_trip_check,
                             syndrome, syndromes, verify_quasi_perfect)
@@ -38,9 +38,13 @@ def matrix_for(p, k, family):
     return parity_check_matrix(gen_for(p, k, family))
 
 
+def verified(code):
+    return verify_quasi_perfect(code, coset_leader_table(code.matrix))
+
+
 def all_leaders(table) -> list:
     """Every leader as a list, index = syndrome."""
-    return table.leader_words(np.arange(len(table.weights))).tolist()
+    return table._leaders(np.arange(len(table.weights)))[0].tolist()
 
 
 def ball_words(n, p, radius) -> list:
@@ -67,10 +71,10 @@ def ball_words(n, p, radius) -> list:
 # -- Lee metric ----------------------------------------------------------------
 
 def test_lee_weight_frozen():
-    assert lee_weight([0, 1, 6, 7], 13) == 0 + 1 + 6 + 6
-    assert lee_weight([0, 0, 0], 5) == 0
-    assert lee_weight([4], 7) == 3
-    assert lee_weight([-1], 7) == 1
+    assert oracles.lee_weight([0, 1, 6, 7], 13) == 0 + 1 + 6 + 6
+    assert oracles.lee_weight([0, 0, 0], 5) == 0
+    assert oracles.lee_weight([4], 7) == 3
+    assert oracles.lee_weight([-1], 7) == 1
 
 
 @settings(max_examples=100, deadline=None)
@@ -83,13 +87,13 @@ def test_lee_distance_is_a_metric(p, a, b):
     a, b = a[:m], b[:m]
 
     def dist(u, v):
-        return lee_weight([x - y for x, y in zip(u, v)], p)
+        return oracles.lee_weight([x - y for x, y in zip(u, v)], p)
 
     assert dist(a, b) == dist(b, a)
     assert (dist(a, b) == 0) == all((x - y) % p == 0 for x, y in zip(a, b))
-    assert dist(a, [0] * m) == lee_weight(a, p)
-    assert dist(a, b) <= lee_weight(a, p) + lee_weight(b, p)
-    assert lee_weight(a, p) <= m * (p - 1) // 2
+    assert dist(a, [0] * m) == oracles.lee_weight(a, p)
+    assert dist(a, b) <= oracles.lee_weight(a, p) + oracles.lee_weight(b, p)
+    assert oracles.lee_weight(a, p) <= m * (p - 1) // 2
 
 
 # n = 0, radius 0, the wraparound regime p < 2 * radius + 1 at p = 3 and 5
@@ -120,7 +124,7 @@ def test_any_ranks_unrank_to_the_gathered_rows(n, p, radius):
 def test_ball_vectors_are_distinct_and_light():
     ball = ball_words(3, 7, 2)
     assert len(ball) == len(set(ball)) == 25
-    assert all(lee_weight(v, 7) <= 2 for v in ball)
+    assert all(oracles.lee_weight(v, 7) <= 2 for v in ball)
     assert all(0 <= c < 7 for v in ball for c in v)
     # wraparound regime: radius 2 over Z_3 in two coordinates gives all words
     assert len(ball_words(2, 3, 2)) == 9
@@ -318,7 +322,7 @@ def test_table_weights_and_syndromes_agree():
     mat = table.matrix
     for syn, err in enumerate(all_leaders(table)):
         assert syndrome(mat, err) == syn
-        assert lee_weight(err, 13) == table.weights[syn]
+        assert oracles.lee_weight(err, 13) == table.weights[syn]
     assert table.max_weight == 3
     assert table.histogram() == {0: 1, 1: 14, 2: 98, 3: 56}
 
@@ -342,7 +346,7 @@ def test_leaders_attain_minimal_weight(p, k, family):
     best = {}
     for v in oracles.scalar_lee_ball(n, p, table.max_weight):
         s = syndrome(mat, v)
-        w = lee_weight(v, p)
+        w = oracles.lee_weight(v, p)
         best[s] = min(best.get(s, n * p), w)
     assert len(best) == len(table.weights)
     for s, w in best.items():
@@ -470,7 +474,7 @@ def test_decode_identifies_planted_errors():
         got = decode(table, err)
         assert got.codeword == cw
         assert got.error == tuple(err)
-        assert got.weight == lee_weight(err, 13)
+        assert got.weight == oracles.lee_weight(err, 13)
 
 
 def test_decode_result_holds_python_ints():
@@ -478,7 +482,7 @@ def test_decode_result_holds_python_ints():
     res = decode(table, [25, -1, 0, 3, 0, 0, 40])
     assert all(type(v) is int for v in res.codeword + res.error)
     assert type(res.weight) is int and type(res.syndrome) is int
-    assert list(res.error) == table.leader_words([res.syndrome])[0].tolist()
+    assert list(res.error) == table._leaders([res.syndrome])[0][0].tolist()
 
 
 def test_decode_is_translation_invariant():
@@ -644,7 +648,7 @@ def test_code_parameters_p23():
 
 
 def test_verify_quasi_perfect_p13():
-    rep = verify_quasi_perfect(build_code(13, 1, "plus"))
+    rep = verified(build_code(13, 1, "plus"))
     assert rep.quasi_perfect
     assert rep.census_consistent and rep.unique_minimal
     assert (rep.error_correction, rep.covering_radius) == (2, 3)
@@ -664,7 +668,7 @@ def test_verify_skips_radius_three_ball_by_pigeonhole(monkeypatch):
         return real(n, p, radius)
 
     monkeypatch.setattr(codes, "lee_ball", no_radius_three)
-    rep = verify_quasi_perfect(code)
+    rep = verified(code)
     assert (rep.error_correction, rep.covering_radius) == (2, 3)
     assert rep.quasi_perfect
 
@@ -695,18 +699,18 @@ def test_verify_rejects_mismatched_table():
 def test_verify_q5_minus_not_quasi_perfect():
     code = build_code(5, 1, "minus")
     assert (code.dimension, code.codeword_count) == (0, 1)
-    rep = verify_quasi_perfect(code)
+    rep = verified(code)
     assert not rep.quasi_perfect
     assert (rep.error_correction, rep.covering_radius) == (2, 4)
     assert rep.census_consistent
 
 
 def test_verify_q7_minus_low_correction():
-    rep = verify_quasi_perfect(build_code(7, 1, "minus"))
+    rep = verified(build_code(7, 1, "minus"))
     assert (rep.error_correction, rep.covering_radius) == (1, 4)
     assert not rep.unique_minimal
     assert not rep.quasi_perfect
 
 
 def test_verify_q11_minus_is_quasi_perfect():
-    assert verify_quasi_perfect(build_code(11, 1, "minus")).quasi_perfect
+    assert verified(build_code(11, 1, "minus")).quasi_perfect

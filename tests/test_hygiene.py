@@ -1,8 +1,9 @@
 """Repository hygiene: no assert-based verification in the library, one
-size gate, every demo runs to completion with its pinned stdout, every
-library name the benchmark reaches exists, every call of the benchmark's
-plan exits 0 and passes its checks, and no library function or class is
-there for the tests alone."""
+size gate, every demo runs to completion with its pinned stdout, README's
+quickstart runs as written, every library name the benchmark reaches
+exists, every call of the benchmark's plan exits 0 and passes its checks,
+and no library callable or dataclass field is there for the tests
+alone."""
 
 import ast
 import hashlib
@@ -111,6 +112,25 @@ def test_demo_exits_zero(path):
     assert hashlib.sha256(res.stdout).hexdigest() == DEMO_STDOUT_SHA256[path.name]
 
 
+def test_readme_quickstart_runs_as_written():
+    # each statement of README's Library quickstart runs in order; one
+    # followed by a comment on its line is an expression whose value, an
+    # array read with tolist(), must equal the comment
+    text = (ROOT / "README.md").read_text().split("## Library quickstart\n", 1)[1]
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    lines, scope, checked = block.splitlines(), {}, 0
+    for stmt in ast.parse(block).body:
+        rest = lines[stmt.end_lineno - 1][stmt.end_col_offset:].strip()
+        if isinstance(stmt, ast.Expr) and rest.startswith("#"):
+            got = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), scope)
+            got = got.tolist() if hasattr(got, "tolist") else got
+            assert got == ast.literal_eval(rest[1:].strip()), ast.unparse(stmt)
+            checked += 1
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), scope)
+    assert checked == 4
+
+
 def _perfbench_layers():
     """perfbench/layers.py as a module, compiled from its text so that
     nothing is written under perfbench/."""
@@ -192,32 +212,77 @@ def test_benchmark_plan_runs_clean(tmp_path):
     assert _tree_state(ROOT / "perfbench") == before
 
 
-def _names_used_outside_tests() -> set:
-    """Every name that the library, the demos and perfbench reach: names,
-    attributes, imported names and identifier strings such as the entries
-    of ``TRACED``.  The export lists of ``quasilee/__init__.py`` do not
-    count.  Files are parsed from their text, so nothing is written."""
-    used = set()
-    for path in SOURCES + DEMOS + BENCH:
-        exports = path == ROOT / "src" / "quasilee" / "__init__.py"
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.ImportFrom) and not exports:
-                used.update(alias.name for alias in node.names)
-            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-                  and re.fullmatch(r"[\w.]+", node.value)):
-                used.add(node.value.rsplit(".", 1)[-1])
-    return used
+def _uses(path) -> dict:
+    """What the file at ``path`` refers to, by the kind of reference:
+    ``names`` holds names, attributes, imported names and identifier
+    strings such as the entries of ``TRACED``; ``members`` only the
+    attributes and the strings, the ways to reach a method or a property;
+    ``read`` the attributes loaded and the keyword names.  A use inside the
+    definition of the same name does not count, nor do the export lists of
+    ``quasilee/__init__.py``.  Parsed from the text, so nothing is written."""
+    uses = {"names": set(), "members": set(), "read": set()}
+    exports = path == ROOT / "src" / "quasilee" / "__init__.py"
+
+    def visit(node, defining):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defining = defining | {node.name}
+        kinds, found = (), []
+        if isinstance(node, ast.Name):
+            kinds, found = ("names",), [node.id]
+        elif isinstance(node, ast.Attribute):
+            kinds, found = ("names", "members"), [node.attr]
+            if isinstance(node.ctx, ast.Load):
+                kinds += ("read",)
+        elif isinstance(node, ast.keyword) and node.arg:
+            kinds, found = ("read",), [node.arg]
+        elif isinstance(node, ast.ImportFrom) and not exports:
+            kinds, found = ("names",), [alias.name for alias in node.names]
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and re.fullmatch(r"[\w.]+", node.value)):
+            kinds, found = ("names", "members"), [node.value.rsplit(".", 1)[-1]]
+        for kind in kinds:
+            uses[kind].update(name for name in found if name not in defining)
+        for child in ast.iter_child_nodes(node):
+            visit(child, defining)
+
+    visit(ast.parse(path.read_text()), frozenset())
+    return uses
+
+
+def _library_definitions() -> list:
+    """(key, name, kind of use that counts) for every module function and
+    class of the library ("names"), every method and property of its
+    classes other than dunders ("members"), and every field of its
+    dataclasses ("read")."""
+    defs = []
+    for path in SOURCES:
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defs.append((f"{path.stem}.{node.name}", node.name, "names"))
+            if not isinstance(node, ast.ClassDef):
+                continue
+            data = any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+            for item in node.body:
+                key = f"{path.stem}.{node.name}."
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    defs.append((key + item.name, item.name, "members"))
+                elif data and isinstance(item, ast.AnnAssign):
+                    defs.append((key + item.target.id, item.target.id, "read"))
+    return defs
 
 
 def test_no_library_name_serves_only_the_tests():
+    # a callable is there for the library or the benchmark: the demos call
+    # the library, they do not keep a name in it; a dataclass field is there
+    # for a reader outside the tests, and the demos count as readers
     assert BENCH
-    used = _names_used_outside_tests()
-    unused = [f"{path.stem}.{node.name}" for path in SOURCES
-              for node in ast.parse(path.read_text()).body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and node.name not in used]
-    assert unused == [], "used only by tests (move them to tests/oracles.py)"
+    used = {"names": set(), "members": set(), "read": set()}
+    for path in SOURCES + BENCH + DEMOS:
+        for kind, found in _uses(path).items():
+            if kind == "read" or path not in DEMOS:
+                used[kind] |= found
+    unused = [key for key, name, kind in _library_definitions()
+              if name not in used[kind]]
+    assert unused == [], ("used only by tests or demos (move them to "
+                          "tests/oracles.py), or fields only tests read")

@@ -11,9 +11,9 @@ import oracles
 import pytest
 
 from quasilee import curves, fields, lemmas
-from quasilee.fields import (VERTEX_CAP, CharacterSumValue, QuadExt,
+from quasilee.fields import (SUM_TOL, VERTEX_CAP, CharacterSumValue, QuadExt,
                              SizeCapError, VerificationError, chunk_rows,
-                             gauss_counts, gauss_quadratic_sum, kloosterman,
+                             gauss_closed_form, gauss_counts, kloosterman,
                              kloosterman_counts, make_field)
 from quasilee.lemmas import (abscissa_grid, cubic_counts, lemma_battery,
                              shifted_sum_masks)
@@ -70,7 +70,7 @@ def test_unclosed_circle_fails_the_class_route(monkeypatch):
 
 
 # the broadcast tables are the battery's calls; each row is compared with
-# the per-x oracle and, folded, with the scalar sum it is one row of
+# the per-x oracle and, folded, with the closed form or the scalar sum
 @pytest.mark.parametrize("p,k", [(5, 1), (7, 1), (3, 2), (3, 3)])
 def test_gauss_count_rows_match_scalar(p, k):
     ctx = make_field(p, k)
@@ -80,8 +80,10 @@ def test_gauss_count_rows_match_scalar(p, k):
     for c in range(1, ctx.q):
         for a in range(ctx.q):
             assert rows[c - 1, a].tolist() == oracles.gauss_counts(ctx, c, a)
-            assert CharacterSumValue.from_counts(p, rows[c - 1, a]) == \
-                gauss_quadratic_sum(ctx, c, a)
+            v = CharacterSumValue.from_counts(p, rows[c - 1, a])
+            closed = gauss_closed_form(ctx, c, a)
+            assert abs(v.re - closed.real) <= SUM_TOL
+            assert abs(v.im - closed.imag) <= SUM_TOL
     assert gauss_counts(ctx, 1, 0).shape == (p,)
 
 
