@@ -27,8 +27,7 @@ from .codes import (VerificationError, code_parameters, coset_leader_table,
                     decode_words, matrix_from_json_dict, matrix_from_text,
                     parity_check_matrix, round_trip_check, verify_quasi_perfect)
 from .curves import admissibility, generator_set
-from .fields import (AMBIENT_CAP, VERTEX_CAP, check_ambient, chunk_rows,
-                     make_field)
+from .fields import AMBIENT_CAP, VERTEX_CAP, check_ambient, make_field
 from .lemmas import lemma_battery
 from .spectra import class_counts, full_spectrum
 from .sumsets import classify
@@ -219,33 +218,11 @@ def cmd_code_verify(args) -> str:
             f"round_trip: {ok}/{total} seed={args.seed}\n")
 
 
-def _pieces(stream, size):
-    """The text of ``stream`` in pieces of whole lines, each ended by a
-    newline: every ``read(size)`` is cut after its last newline, and the
-    partial line after the cut is carried as a list of parts, so that a
-    line longer than many reads is joined once.  Lines are split as line
-    iteration splits them, on the newlines the text layer hands out.  A
-    last line without a newline gets one."""
-    parts = []
-    while chunk := stream.read(size):
-        cut = chunk.rfind("\n") + 1
-        if cut:
-            parts.append(chunk[:cut])
-            # the read and its parts go before the piece is used (cmd_decode)
-            piece, parts = "".join(parts), [chunk[cut:]]
-            del chunk
-            yield piece
-        else:
-            parts.append(chunk)
-    rest = "".join(parts)
-    if rest:
-        yield rest + "\n"
-
-
 def _plain_words(text, n):
-    """The lines of ``text``, one or more, each ended by a newline, as an
-    m x n int64 array when each is n ASCII digit strings joined by single
-    spaces, every one below 10^18; otherwise None."""
+    """The lines of ``text`` (a batch of stdin, or its stripped lines), one
+    or more, each ended by a newline, as an m x n int64 array when each is
+    n ASCII digit strings joined by single spaces, every one below 10^18;
+    otherwise None."""
     if not text.isascii():
         return None
     raw = text.encode()
@@ -287,43 +264,33 @@ def _int_words(block, n) -> list:
     return rows
 
 
-def _block_words(block, n):
-    """The words of a block of (line number, stripped line) pairs: the
-    plain parse, else ``int``."""
-    words = _plain_words("".join(line + "\n" for _, line in block), n)
-    return _int_words(block, n) if words is None else words
-
-
 def _stdin_words(stream, n):
     """The words of the non-comment lines of ``stream``, in order, as
-    arrays or lists of rows.  Stdin is read in pieces of whole lines of
-    about 2 * CHUNK_ENTRIES characters; a plain entry takes at least two
-    (a digit and a separator), so a plain piece holds at most
-    CHUNK_ENTRIES entries, and is parsed whole, with no Python loop over
-    its lines.  The lines of any other piece are stripped, blanks and
-    ``#`` comments dropped, and the rest parsed in blocks of
-    ``chunk_rows(n)`` lines; a block also ends where a plain piece
-    begins."""
-    size, block, lineno = chunk_rows(n), [], 0
-    for piece in _pieces(stream, 2 * fields.CHUNK_ENTRIES):
-        words = _plain_words(piece, n)
-        if words is not None:
-            del piece  # its words are all that is kept (cmd_decode)
+    arrays or lists of rows.  Stdin is read by ``readlines`` in batches of
+    whole lines: about 2 * CHUNK_ENTRIES characters, plus at most one line.
+    A plain entry takes at least two (a digit and a separator), so a plain
+    batch holds at most CHUNK_ENTRIES entries and one line, and is parsed
+    whole, with no Python loop over its lines.  The lines of any other
+    batch are stripped, blanks and ``#`` comments dropped, and the rest
+    parsed by the same plain parse, else by ``int``, each line numbered by
+    its place in stdin.  A last line without a newline gets one."""
+    lineno = 0
+    while lines := stream.readlines(2 * fields.CHUNK_ENTRIES):
+        if not lines[-1].endswith("\n"):
+            lines[-1] += "\n"
+        words = _plain_words("".join(lines), n)
+        if words is None:
+            block = [(i, line) for i, line in enumerate(
+                         (line.strip() for line in lines), start=lineno + 1)
+                     if line and not line.startswith("#")]
             if block:
-                yield _block_words(block, n)
-                block = []
+                words = _plain_words("".join(line + "\n" for _, line in block), n)
+                words = _int_words(block, n) if words is None else words
+            del block
+        lineno += len(lines)
+        del lines  # its words are all that is kept (cmd_decode)
+        if words is not None:
             yield words
-            lineno += len(words)
-            continue
-        for lineno, line in enumerate(piece[:-1].split("\n"), start=lineno + 1):
-            line = line.strip()
-            if line and not line.startswith("#"):
-                block.append((lineno, line))
-                if len(block) == size:
-                    yield _block_words(block, n)
-                    block = []
-    if block:
-        yield _block_words(block, n)
 
 
 # the literal pieces of one output line: the separator of two entries, then
@@ -373,21 +340,21 @@ def _line_formatter(p, max_weight, fmt):
 
 
 def cmd_decode(args) -> bytearray:
-    """Decode the words of stdin (``_stdin_words``) a piece or block at a
-    time, each parsed, decoded and formatted as arrays: pieces, not all of
-    stdin, so the parsed words do not grow with the input.  The output is
-    held to the end, so that a bad line leaves it empty, and held once: as
-    the returned bytearray, which ``_emit`` writes as it is.  A plain piece
-    or block goes through numpy's text parser; any other block goes token
-    by token through ``int``, so every token is read or refused as ``int``
+    """Decode the words of stdin (``_stdin_words``) a batch of lines at a
+    time, each parsed, decoded and formatted as arrays: batches, not all
+    of stdin, so the parsed words do not grow with the input.  The output
+    is held to the end, so that a bad line leaves it empty, and held once:
+    as the returned bytearray, which ``_emit`` writes as it is.  A plain
+    batch goes through numpy's text parser; any other batch goes token by
+    token through ``int``, so every token is read or refused as ``int``
     does, and the first bad line of stdin is the one named, since the
     earlier lines parsed cleanly."""
     mat = _matrix(args)
     table = coset_leader_table(mat)
     format_lines = _line_formatter(mat.p, table.max_weight, args.fmt)
-    # one growing buffer rather than a list of blocks joined at the end,
+    # one growing buffer rather than a list of outputs joined at the end,
     # so the output is held once, not twice.  It grows in the heap, so a
-    # piece's text, words and decoded arrays are each dropped once the next
+    # batch's text, words and decoded arrays are each dropped once the next
     # stage has what it needs: with them alive longer, repeated decodes in
     # one process fragment the heap and peak up to 4 MiB higher
     out = bytearray()

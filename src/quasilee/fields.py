@@ -66,8 +66,8 @@ AMBIENT_CAP = 1 << 26
 VERTEX_CAP = 1 << 20  # the cap of q**2-array routes and the battery's q**3 work
 # int64 entries per array operation of every loop over ``chunks``: 2n steps
 # a BFS frontier row, |H| sums a class, (q+1)^2 sums a battery shift, q terms
-# a battery table row, n entries a round-trip trial or decode line, q a
-# row of characters of the FFT check.  CPU on a 2-core VM, old chunk -> 2^13:
+# a battery table row, n entries a round-trip trial, q a row of
+# characters of the FFT check.  CPU on a 2-core VM, old chunk -> 2^13:
 # BFS p=1021 0.8 -> 0.6 s; class route p=8191 plus 2.9 s (2^20: 5 s).
 # At 2^14 (128 KiB arrays, glibc's trim threshold) some heap layouts returned
 # and refaulted the heap top every chunk (lemma-suite 5^2: 24 -> 34 ms).
@@ -199,7 +199,7 @@ class FieldCtx:
     constructor and every operation is a pure function of its inputs.
     """
 
-    def __init__(self, p: int, k: int = 1):
+    def __init__(self, p: int, k: int):
         # the cap comes first: trial division of a huge p would not end
         check_ambient(p, k)
         if not is_prime(p):

@@ -131,7 +131,7 @@ def cubic_counts(ctx):
     return counts
 
 
-def lemma_battery(p: int, k: int = 1) -> list:
+def lemma_battery(p: int, k: int) -> list:
     """Run every check over F_{p^k}; returns a list of LemmaCheck.  Refuses
     q^2 above VERTEX_CAP (SizeCapError), a cap on its q^3 work, before
     building anything."""

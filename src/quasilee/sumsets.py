@@ -72,10 +72,7 @@ def lee_ball_size(n: int, r: int) -> int:
     if r == 2:
         return 2 * n * n + 2 * n + 1
     if r == 3:
-        num = (1 + 2 * n) * (3 + 2 * n + 2 * n * n)
-        if num % 3:
-            raise VerificationError(f"#B_3 numerator {num} is not divisible by 3")
-        return num // 3
+        return (1 + 2 * n) * (3 + 2 * n + 2 * n * n) // 3
     raise ValueError(f"Lee ball size only supported up to radius {MAX_BALL_RADIUS}")
 
 

@@ -204,7 +204,7 @@ def _coset_table(p):
 LIBRARY_STAGES = {
     "code-verify": (_coset_table, VERTEX_CAP),
     "decode": (_coset_table, VERTEX_CAP),
-    "lemma-suite": (lemma_battery, 1 << 20),
+    "lemma-suite": (lambda p: lemma_battery(p, 1), 1 << 20),
 }
 
 
@@ -634,7 +634,7 @@ def test_decode_reduces_huge_and_negative_tokens(capsys, monkeypatch):
                    "10 0 0 0 0 12 1 | 1 0 0 0 0 1 0 | 2\n")
     # single-spaced lines that reach the array parse: entries at or beyond
     # 10^18 (which numpy would clamp to 2^63 - 1) and spellings only int
-    # reads must decode as the words of their residues, alone in a block or not
+    # reads must decode as the words of their residues, alone in a batch or not
     tokens = ["999999999999999999", str(10 ** 18), "9223372036854775807",
               "9223372036854775808", "18446744073709551617", "007",
               "+5", "1_0", "\u0663"]
@@ -658,19 +658,20 @@ def test_decode_reduces_huge_and_negative_tokens(capsys, monkeypatch):
      "line 2: length mismatch: expected 7, got 3"),
     (["0 0 0 0 0 0 0", "0 x", "1 2 3"],
      "line 2: invalid literal for int() with base 10: 'x'"),
-    # 6 + 8 tokens: the block still holds 7 per line on average
+    # 6 + 8 tokens: the batch still holds 7 per line on average
     (["0 0 0 0 0 0 0", "1 2 3 4 5 6", "1 2 3 4 5 6 7 8"],
      "line 2: length mismatch: expected 7, got 6"),
     # short lines whose ends fall where lines of 7 tokens would end: 3 + 1 + 3
     # + 1 = 8 tokens with their line-end markers, 16 with a line of 7 after
     (["0 0 0", "0 0 0"], "line 1: length mismatch: expected 7, got 3"),
     (["0 0 0", "0 0 0", "0 0 0 0 0 0 0"], "line 1: length mismatch: expected 7, got 3"),
-    # the same after a comment, which sends the piece to the line blocks
+    # the same after a comment, which sends the batch to the stripped lines
     (["# c", "0 0 0", "0 0 0"], "line 2: length mismatch: expected 7, got 3"),
 ], ids=["short-then-unparsable", "unparsable-then-short", "short-then-long",
         "short-lines-aligned", "short-lines-aligned-then-full", "comment-then-short-lines"])
 def test_decode_reports_first_bad_line(capsys, monkeypatch, block, lines, message):
-    # lines 2 and 3 share a block by default; blocks of 1 or 2 split them
+    # lines 2 and 3 share a batch by default; budgets of 1 or 2 lines of 7
+    # entries batch them otherwise
     if block is not None:
         monkeypatch.setattr(fields, "CHUNK_ENTRIES", block * 7)  # n = 7
     monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
@@ -816,20 +817,20 @@ def test_decode_stream_pinned(capsys, monkeypatch, tmp_path, stream, p, k,
     ids=["-".join(map(str, key)) for key in sorted(DECODE_SHA256)])
 def test_decode_stream_pinned_in_one_entry_pieces(capsys, monkeypatch, tmp_path,
                                                   stream, p, k, family, fmt):
-    # CHUNK_ENTRIES = 1: every read is shorter than a line, every block one line
+    # CHUNK_ENTRIES = 1: a budget of 2 characters, so every batch holds one word
     monkeypatch.setattr(fields, "CHUNK_ENTRIES", 1)
     test_decode_stream_pinned(capsys, monkeypatch, tmp_path, stream, p, k,
                               family, fmt, None)
 
 
 def test_decode_plain_blocks_skip_int(capsys, monkeypatch, tmp_path):
-    # plain blocks take the array parse and every other block the int loop,
+    # plain batches take the array parse and every other batch the int loop,
     # so the alternating stream falls back in exactly its 333 odd groups
     calls = []
     int_words = cli._int_words
     monkeypatch.setattr(cli, "_int_words",
                         lambda block, n: calls.append(block) or int_words(block, n))
-    monkeypatch.setattr(fields, "CHUNK_ENTRIES", 3 * 7)  # blocks of 3, n = 7
+    monkeypatch.setattr(fields, "CHUNK_ENTRIES", 3 * 7)  # about 3 lines, n = 7
     for stream, fallbacks in (("plain", 0), ("alternating", 333)):
         monkeypatch.setattr("sys.stdin", io.StringIO(STREAMS[stream](13, 7)))
         code, out, err = run(capsys, "decode", "--p", "13", "--family", "plus")
@@ -858,7 +859,7 @@ def test_decode_wide_entries_match_scalar_lines(capsys, monkeypatch, stream, p,
     assert out.endswith("\n") and len(out.splitlines()) == 150
 
 
-# -- decode: lines and pieces of stdin --------------------------------------------------
+# -- decode: lines and batches of stdin -------------------------------------------------
 
 def decode_13(capsys, monkeypatch, stdin, *argv):
     """``decode --p 13 --family plus`` of ``stdin``: a str read through a
@@ -926,7 +927,7 @@ def test_decode_splits_lines_as_line_iteration(capsys, monkeypatch, stdin, code,
 ], ids=["unparsable", "short", "long"])
 def test_decode_names_first_bad_line_of_a_late_piece(capsys, monkeypatch, entries,
                                                      bad, message):
-    # 4000 plain lines of about 16 characters span four pieces of the default
+    # 4000 plain lines of about 16 characters span four batches of the default
     # 2 * CHUNK_ENTRIES characters; the bad lines sit in the last
     lines = plain_stream(13, 7, words=4000).splitlines()
     lines[3499], lines[3700] = bad, "x"
@@ -951,10 +952,41 @@ def test_decode_line_longer_than_many_pieces(capsys, monkeypatch, entries):
         assert decode_13(capsys, monkeypatch, "\n".join(stdin) + "\n") == want
 
 
+@pytest.mark.parametrize("entries", [64, 1])
+def test_decode_reads_stdin_in_batches_of_whole_lines(capsys, monkeypatch, entries):
+    # the memory bound of the reader: each text the plain parse gets (a
+    # batch, or its stripped lines) is whole lines, those before its last
+    # at most 2 * CHUNK_ENTRIES characters.  At CHUNK_ENTRIES = 1 that
+    # leaves one word a batch: readlines counts the one or two characters
+    # of a blank line against its budget, so only blank lines precede it
+    texts = []
+    plain_words = cli._plain_words
+    monkeypatch.setattr(cli, "_plain_words",
+                        lambda text, n: texts.append(text) or plain_words(text, n))
+    monkeypatch.setattr(fields, "CHUNK_ENTRIES", entries)
+    stdin = decode_stream(13, 7)
+    lines = set(stdin.splitlines())
+    code, out, err = decode_13(capsys, monkeypatch, stdin)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        DECODE_SHA256[("mixed", 13, 1, "plus", "text")]
+    batches = [text[:-1].split("\n") for text in texts]
+    assert all(text.endswith("\n") for text in texts)
+    assert all(set(batch) <= lines | {line.strip() for line in lines}
+               for batch in batches)
+    assert all(sum(len(line) + 1 for line in batch[:-1]) <= 2 * entries
+               for batch in batches)
+    if entries == 1:
+        assert all(not line.strip() for batch in batches for line in batch[:-1])
+        assert len(texts) >= 2000
+    else:
+        assert max(map(len, batches)) > 1
+
+
 # -- one chunk budget ------------------------------------------------------------------
 
 # a call of each chunked loop: the class route (subset), the BFS and the
-# round trip (code-verify), the stdin blocks (decode of the mixed stream),
+# round trip (code-verify), the stdin batches (decode of the mixed stream),
 # the class counts and the FFT check (spectrum) and the battery's shifts
 # (lemma-suite)
 BUDGET_CALLS = {

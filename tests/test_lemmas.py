@@ -63,7 +63,7 @@ def test_unclosed_circle_fails_the_class_route(monkeypatch):
         two = np.flatnonzero(ext.norm(np.arange(ext.size)) == 2)
         return dataclasses.replace(gen, members=tuple(two.tolist()))
     monkeypatch.setattr(lemmas, "norm_circle", fiber)
-    checks = {c.name: c for c in lemma_battery(13)}
+    checks = {c.name: c for c in lemma_battery(13, 1)}
     assert not checks["shifted_double_sums"].passed
     assert checks["shifted_double_sums"].detail == (
         "VerificationError: H is not the norm-one fiber, closed under products")
@@ -130,7 +130,7 @@ def test_failing_fact_is_reported_not_raised(monkeypatch):
     # a wrong cubic count fails its own check and leaves the rest passing
     monkeypatch.setattr("quasilee.lemmas.cubic_counts",
                         lambda ctx: np.full(ctx.q, ctx.q + 1 + 2 * ctx.q))
-    checks = {c.name: c for c in lemma_battery(13)}
+    checks = {c.name: c for c in lemma_battery(13, 1)}
     assert [n for n, c in checks.items() if not c.passed] == ["cubic_point_bounds"]
     assert checks["cubic_point_bounds"].detail.startswith("VerificationError: t=0:")
 
@@ -141,7 +141,7 @@ def test_failing_spectrum_fails_both_spectral_checks(monkeypatch):
     def broken(gen):
         raise VerificationError("spectrum not real")
     monkeypatch.setattr("quasilee.lemmas.full_spectrum", broken)
-    checks = {c.name: c for c in lemma_battery(13)}
+    checks = {c.name: c for c in lemma_battery(13, 1)}
     failed = [n for n, c in checks.items() if not c.passed]
     assert failed == ["circle_eigenvalue_identity", "spectral_bounds"]
     for name in failed:
@@ -157,7 +157,7 @@ def test_battery_gates_itself_before_allocating(p):
     try:
         with pytest.raises(SizeCapError,
                            match=rf"^q\^2 = {p * p} exceeds cap {VERTEX_CAP}$"):
-            lemma_battery(p)
+            lemma_battery(p, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -170,7 +170,7 @@ def test_battery_memory_is_bounded_by_the_chunks():
     # battery holds q^2-sized arrays and chunks, never a q^3 one
     tracemalloc.start()
     try:
-        checks = lemma_battery(97)
+        checks = lemma_battery(97, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -230,7 +230,7 @@ def test_battery_chunks_see_every_row_once(monkeypatch, entries):
         got.append(None)  # the loop ran to its end
     monkeypatch.setattr(lemmas, "chunks", recording)
 
-    checks = lemma_battery(p)
+    checks = lemma_battery(p, 1)
     assert all(c.passed for c in checks)
     for items, got in loops:
         assert got[-1] is None
