@@ -8,6 +8,7 @@ the decoder against the sumset layers.
 """
 
 import random
+from itertools import accumulate
 
 from quasilee import (build_code, coset_leader_table, cumulative_layers,
                       decode, verify_quasi_perfect)
@@ -20,9 +21,9 @@ print(f"error correction t={code.error_correction}  "
       f"covering radius R={code.covering_radius}  verdict={code.verdict}")
 
 # the coset-leader table assigns a minimal-weight error to each of the
-# 169 syndromes; weight histogram 1/14/98/56 sums to 169
+# 169 syndromes; its BFS levels, the weight histogram 1/14/98/56, sum to 169
 table = coset_leader_table(code.matrix)
-print("\nleader weight histogram:", table.histogram())
+print("\nleader weight histogram:", dict(enumerate(table.levels)))
 
 # corrupt a codeword with a Lee-weight-2 error and decode it back
 rng = random.Random(42)
@@ -47,8 +48,7 @@ print("\nweight-3 error decodes to a codeword at Lee distance",
 
 # two independent routes to the same numbers: BFS census vs sumset layers
 layers = cumulative_layers(code.generator)
-print("\nsyndrome census by weight:",
-      [table.census(w) for w in range(4)])
+print("\nsyndrome census by weight:", list(accumulate(table.levels)))
 print("cumulative layer sizes:   ", list(layers.sizes))
 
 report = verify_quasi_perfect(code, table)

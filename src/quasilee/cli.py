@@ -208,7 +208,7 @@ def cmd_code_verify(args) -> str:
         d["round_trip"] = {"ok": ok, "trials": total, "seed": args.seed}
         return _json(d)
     g = code.generator
-    hist = " ".join(f"{w}:{c}" for w, c in sorted(table.histogram().items()))
+    hist = " ".join(f"{w}:{c}" for w, c in enumerate(table.levels))
     return (f"family={g.family} p={g.p} k={g.k} n={code.n} "
             f"dimension={code.dimension}\n"
             f"verdict={code.verdict} quasi_perfect={_YESNO[rep.quasi_perfect]}\n"

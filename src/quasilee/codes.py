@@ -15,7 +15,8 @@ coset-leader table: for every syndrome, a minimal-Lee-weight error
 producing it.  The syndrome of a weight-w error is a sum of w steps
 +-beta_j, so that weight is a distance in the Cayley graph of F_q x F_q
 with these steps, and the table is a breadth-first search on that graph,
-stored as the BFS tree (a parent syndrome and a step per syndrome).  Lee
+stored as the BFS tree (a parent syndrome and a step per syndrome) and
+the size of each level, the number of cosets of each leader weight.  Lee
 balls are never held whole: ``lee_ball`` turns an array of ranks into the
 supports of those words, (position, value) pairs, to which the
 parity-check map is applied a chunk of ranks at a time.
@@ -235,22 +236,28 @@ class CosetLeaderTable:
     to the root 0, so leaders are not stored: ``_leaders`` rebuilds a
     batch of them in ``max_weight`` parent hops.
 
-    Built contiguously by weight, so the leader of s attains the true
-    minimal Lee weight ``weights[s]`` of the coset.  Ties resolve
-    deterministically: parents expand in first-recorded order, positions
-    ascend, and at each position the +1 step precedes the -1 step.
+    Built contiguously by weight, so the depth of s in the tree, the hops
+    of its path, is the minimal Lee weight of its coset, and ``levels[w]``
+    counts the syndromes at depth w: the leader-weight histogram.  Ties
+    resolve deterministically: parents expand in first-recorded order,
+    positions ascend, and at each position the +1 step precedes the -1
+    step.
     """
     matrix: ParityCheckMatrix
     parent: np.ndarray   # int32; parent[0] == 0
     step: np.ndarray     # int32; step[0] == -1
-    weights: np.ndarray  # int32
-    max_weight: int
+    levels: tuple        # syndromes per depth; levels[0] == 1
+
+    @property
+    def max_weight(self) -> int:
+        return len(self.levels) - 1
 
     def _leaders(self, syns) -> tuple:
         """Leaders of a batch of syndromes, one row each, entries in [0, p),
-        and the flat indices of the entries the steps touched.  Every row
-        takes ``max_weight`` hops to the root, so no row is dropped on the
-        way.  A hop adds one step per row, at flat index ``row * n + j``:
+        the flat indices of the entries the steps touched, and each row's
+        hop count: the Lee weight of its leader.  Every row takes
+        ``max_weight`` hops to the root, so no row is dropped on the way.
+        A hop adds one step per row, at flat index ``row * n + j``:
         distinct, so a plain ``+=`` is exact.  Only the touched entries are
         reduced mod p."""
         n = self.matrix.n
@@ -263,24 +270,18 @@ class CosetLeaderTable:
         cur = np.asarray(syns, dtype=np.int64).ravel()
         out = np.zeros((cur.size, n), dtype=np.int64)
         flat, rows = out.reshape(-1), np.arange(0, cur.size * n, n)
+        hops = np.zeros(cur.size, dtype=np.int64)
         touched = []
         for _ in range(self.max_weight):
             st = self.step[cur]
             at = rows + pos[st]
             flat[at] += sign[st]
+            hops += st >= 0
             touched.append(at)
             cur = self.parent[cur]
         touched = np.concatenate(touched)
         flat[touched] %= self.matrix.p
-        return out, touched
-
-    def histogram(self) -> dict:
-        cnts = np.bincount(self.weights)
-        return {int(v): int(cnts[v]) for v in np.flatnonzero(cnts)}
-
-    def census(self, w: int) -> int:
-        """Number of syndromes whose coset leader weight is <= w."""
-        return int((self.weights <= w).sum())
+        return out, touched, hops
 
 
 def _first_hits(hits, scratch) -> np.ndarray:
@@ -319,12 +320,10 @@ def coset_leader_table(matrix: ParityCheckMatrix) -> CosetLeaderTable:
 
     parent = np.full(size, -1, dtype=np.int32)
     step = np.full(size, -1, dtype=np.int32)
-    weights = np.full(size, -1, dtype=np.int32)
-    parent[0] = weights[0] = 0
+    parent[0] = 0
     frontier = np.zeros(1, dtype=np.int64)
-    filled = 1
-    w = 0
-    while filled < size and frontier.size and w < MAX_LAYERS:
+    filled, levels = 1, [1]
+    while filled < size and levels[-1] and len(levels) <= MAX_LAYERS:
         found = []
         for rows in chunks(frontier, shifts.size):
             if filled == size:
@@ -333,23 +332,22 @@ def coset_leader_table(matrix: ParityCheckMatrix) -> CosetLeaderTable:
             # at distance <= w, all filled before level w is expanded: so the
             # unfilled test alone keeps exactly the weight-raising steps
             cand = pair_add(ctx, rows[:, None], shifts)
-            pos = np.flatnonzero(weights[cand] < 0)
+            pos = np.flatnonzero(parent[cand] < 0)
             hits = cand.ravel()[pos]
             # step is free as scratch: every distinct hit is assigned below
             first = _first_hits(hits, step)
             new, pos = hits[first], pos[first]
             parent[new] = rows[pos // shifts.size]
             step[new] = pos % shifts.size
-            weights[new] = w + 1
             filled += new.size
             found.append(new)
         frontier = np.concatenate(found)
-        w += 1
+        levels.append(frontier.size)
     if filled < size:
-        reason = "stalled" if not frontier.size else f"exceeded {MAX_LAYERS} levels"
+        reason = "stalled" if not levels[-1] else f"exceeded {MAX_LAYERS} levels"
         raise CoverageError(
             f"coset table {reason} with {size - filled} syndromes unassigned")
-    return CosetLeaderTable(matrix, parent, step, weights, int(weights.max()))
+    return CosetLeaderTable(matrix, parent, step, tuple(levels))
 
 
 @dataclass(frozen=True)
@@ -386,12 +384,12 @@ def decode_words(table: CosetLeaderTable, words) -> tuple:
     p = table.matrix.p
     arr = _residues(words, p)
     syns = _residue_syndromes(table.matrix, arr)
-    errors, touched = table._leaders(syns)
+    errors, touched, weights = table._leaders(syns)
     # the difference leaves [0, p) only where a step touched the error; it
     # goes to a C-ordered array, so that its flat view writes through
     cws = np.subtract(arr, errors, out=np.empty_like(errors))
     cws.reshape(-1)[touched] %= p
-    return cws, errors, table.weights[syns], syns
+    return cws, errors, weights, syns
 
 
 def decode(table: CosetLeaderTable, word) -> DecodeResult:
@@ -459,7 +457,6 @@ class QuasiPerfectReport:
     table: CosetLeaderTable
     error_correction: int       # from the decoder table
     covering_radius: int        # from the decoder table
-    census_consistent: bool
     unique_minimal: bool   # weight <= 2 errors have pairwise distinct syndromes
     quasi_perfect: bool
 
@@ -470,8 +467,8 @@ class QuasiPerfectReport:
             "table_error_correction": self.error_correction,
             "table_covering_radius": self.covering_radius,
             "leader_weight_histogram":
-                {str(k_): v for k_, v in sorted(self.table.histogram().items())},
-            "census_consistent": self.census_consistent,
+                {str(w): c for w, c in enumerate(self.table.levels)},
+            "census_consistent": True,  # verify_quasi_perfect raises otherwise
             "unique_minimal": self.unique_minimal,
             "quasi_perfect": self.quasi_perfect,
         })
@@ -499,10 +496,9 @@ def verify_quasi_perfect(code: LeeCode,
         raise VerificationError(
             f"covering radius mismatch: table {r_table}, layers {layers.limit_index}")
 
-    census_ok = all(
-        table.census(w) == layers.sizes[w]
-        for w in range(min(r_table, len(layers.sizes) - 1) + 1))
-    if not census_ok:
+    # syndromes within weight w, w <= r_table, by the two routes
+    census = np.cumsum(table.levels).tolist()
+    if census != list(layers.sizes[:len(census)]):
         raise VerificationError("leader census disagrees with layer sizes")
 
     # injectivity of the syndrome map on the light Lee balls, those that
@@ -536,7 +532,7 @@ def verify_quasi_perfect(code: LeeCode,
     return QuasiPerfectReport(
         code=code, table=table,
         error_correction=t_table, covering_radius=r_table,
-        census_consistent=census_ok, unique_minimal=t_table >= 2,
+        unique_minimal=t_table >= 2,
         quasi_perfect=(t_table == 2 and r_table == 3))
 
 

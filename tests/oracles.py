@@ -470,18 +470,36 @@ def scalar_decode(table, word) -> DecodeResult:
     the word as Python ints, take its ``scalar_syndrome``, then subtract
     the leader that the table's tree spells, walked one parent hop at a
     time from the syndrome to the root, each step 2j + b adding +1 (b = 0)
-    or -1 at position j."""
+    or -1 at position j.  The weight is the number of hops."""
     p = table.matrix.p
     word = [int(c) % p for c in word]
     syn = node = scalar_syndrome(table.matrix, word)
     err = [0] * len(word)
+    hops = 0
     while node:
         st = int(table.step[node])
         err[st // 2] += 1 - 2 * (st % 2)
         node = int(table.parent[node])
+        hops += 1
     err = tuple(e % p for e in err)
     cw = tuple((c - e) % p for c, e in zip(word, err))
-    return DecodeResult(cw, err, int(table.weights[syn]), syn)
+    return DecodeResult(cw, err, hops, syn)
+
+
+def tree_depths(table) -> np.ndarray:
+    """The depth of every syndrome in the table's BFS tree, the hops of
+    its walk along ``parent`` to the root 0, one hop for all syndromes at
+    once.  A walk that has not reached the root after as many hops as
+    there are syndromes is a cycle, and fails the call."""
+    depth = np.zeros(len(table.parent), dtype=np.int64)
+    node = np.arange(len(table.parent))
+    for _ in range(len(table.parent)):
+        live = node != 0
+        if not live.any():
+            return depth
+        depth += live
+        node = table.parent[node]
+    raise AssertionError("the parent array has a cycle")
 
 
 def decoded_lines(table, stdin: str, fmt: str) -> list:

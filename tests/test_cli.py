@@ -230,6 +230,18 @@ def test_uncoverable_decode_is_verification_error(capsys, monkeypatch):
     assert "unassigned" in err
 
 
+def test_decode_past_the_level_cap_is_verification_error(capsys, monkeypatch, tmp_path):
+    # one representative (1, 0) over F_19: its 19 multiples are 9 steps
+    # deep, so the BFS passes MAX_LAYERS with 361 - 17 syndromes unassigned
+    path = tmp_path / "line.txt"
+    path.write_text("19 1 1 plus\n1\n0\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO("1\n"))
+    code, out, err = run(capsys, "decode", "--matrix", str(path))
+    assert (code, out) == (2, "")
+    assert err == ("error: verification: coset table exceeded 8 levels "
+                   "with 344 syndromes unassigned\n")
+
+
 # -- subset / spectrum -------------------------------------------------------------
 
 def test_subset_text_p13(capsys):

@@ -21,8 +21,7 @@ from quasilee.codes import (CosetLeaderTable, DecodeResult, VerificationError,
                             syndrome, syndromes, verify_quasi_perfect)
 from quasilee.curves import from_representatives, generator_set
 from quasilee.fields import make_field, pair_add, pair_index
-from quasilee.sumsets import (MAX_LAYERS, CoverageError, cumulative_layers,
-                              lee_ball_size)
+from quasilee.sumsets import CoverageError, cumulative_layers, lee_ball_size
 
 
 def gen_for(p, k, family):
@@ -44,7 +43,7 @@ def verified(code):
 
 def all_leaders(table) -> list:
     """Every leader as a list, index = syndrome."""
-    return table._leaders(np.arange(len(table.weights)))[0].tolist()
+    return table._leaders(np.arange(len(table.parent)))[0].tolist()
 
 
 def ball_words(n, p, radius) -> list:
@@ -320,19 +319,21 @@ def test_matrix_text_rejects_malformed(text, msg):
 def test_table_weights_and_syndromes_agree():
     table = table_for(13, 1, "plus")
     mat = table.matrix
+    depths = oracles.tree_depths(table)
     for syn, err in enumerate(all_leaders(table)):
         assert syndrome(mat, err) == syn
-        assert oracles.lee_weight(err, 13) == table.weights[syn]
+        assert oracles.lee_weight(err, 13) == depths[syn]
     assert table.max_weight == 3
-    assert table.histogram() == {0: 1, 1: 14, 2: 98, 3: 56}
+    assert table.levels == (1, 14, 98, 56)
 
 
 def test_table_census_equals_layer_sizes():
     for p, k, family in [(13, 1, "plus"), (23, 1, "minus"), (5, 1, "minus")]:
         table = table_for(p, k, family)
         layers = cumulative_layers(gen_for(p, k, family))
+        census = np.cumsum(table.levels)
         for w, s in enumerate(layers.sizes):
-            assert table.census(w) == s
+            assert census[min(w, table.max_weight)] == s
 
 
 @pytest.mark.parametrize("p,k,family", [
@@ -348,9 +349,10 @@ def test_leaders_attain_minimal_weight(p, k, family):
         s = syndrome(mat, v)
         w = oracles.lee_weight(v, p)
         best[s] = min(best.get(s, n * p), w)
-    assert len(best) == len(table.weights)
+    depths = oracles.tree_depths(table)
+    assert len(best) == len(depths)
     for s, w in best.items():
-        assert table.weights[s] == w
+        assert depths[s] == w
 
 
 @pytest.mark.parametrize("p,k,family", [
@@ -362,7 +364,7 @@ def test_table_matches_scalar_bfs_oracle(p, k, family):
     table = coset_leader_table(mat)
     leaders, weights = oracles.scalar_bfs_leaders(mat)
     assert all_leaders(table) == [list(v) for v in leaders]
-    assert table.weights.tolist() == weights
+    assert oracles.tree_depths(table).tolist() == weights
 
 
 def test_table_does_not_depend_on_chunk_size(monkeypatch):
@@ -371,14 +373,14 @@ def test_table_does_not_depend_on_chunk_size(monkeypatch):
     monkeypatch.setattr(fields, "CHUNK_ENTRIES", 1)  # one frontier row a chunk
     for config, want in default.items():
         got = coset_leader_table(matrix_for(*config))
-        for name in ("parent", "step", "weights"):
+        for name in ("parent", "step", "levels"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
     for config in [(13, 1, "plus"), (23, 1, "minus"), (5, 2, "plus")]:
         mat = matrix_for(*config)
         leaders, weights = oracles.scalar_bfs_leaders(mat)
         table = coset_leader_table(mat)
         assert all_leaders(table) == [list(v) for v in leaders]
-        assert table.weights.tolist() == weights
+        assert oracles.tree_depths(table).tolist() == weights
 
 
 def test_bfs_stops_at_the_chunk_that_fills_the_table(monkeypatch):
@@ -396,18 +398,21 @@ def test_bfs_stops_at_the_chunk_that_fills_the_table(monkeypatch):
     monkeypatch.setattr(codes, "pair_add", counted)
     table = coset_leader_table(mat)
     assert len(calls) == 6
-    assert table.histogram() == {0: 1, 1: 308, 2: 47432, 3: 46508}
+    assert table.levels == (1, 308, 47432, 46508)
 
 
 def test_table_is_a_bfs_tree():
     table = table_for(5, 1, "minus")  # radius 4
     assert table.max_weight == 4
-    assert (table.parent[0], table.step[0], table.weights[0]) == (0, -1, 0)
-    rest = np.arange(1, len(table.weights))
-    # every edge goes one level down and is a +-1 step at a valid position
-    assert (table.weights[table.parent[rest]] == table.weights[rest] - 1).all()
+    assert (table.parent[0], table.step[0]) == (0, -1)
+    depths = oracles.tree_depths(table)
+    rest = np.arange(1, len(depths))
+    # every edge goes one step closer to the root, is a +-1 step at a valid
+    # position, and the levels count the syndromes at each depth
+    assert (depths[rest] - depths[table.parent[rest]] == 1).all()
     assert ((table.step[rest] >= 0) & (table.step[rest] < 2 * table.matrix.n)).all()
     assert table.parent.dtype == table.step.dtype == np.int32
+    assert tuple(np.bincount(depths).tolist()) == table.levels
 
 
 def test_table_is_deterministic():
@@ -416,8 +421,9 @@ def test_table_is_deterministic():
     assert all_leaders(t1) == all_leaders(t2)
 
 
-# sha256 of parent.tobytes() + step.tobytes() + weights.tobytes(), taken
-# from the sort-based BFS that kept each syndrome's first hit by np.unique
+# sha256 of parent.tobytes() + step.tobytes() + depths.tobytes(), the depths
+# as int32, taken from the sort-based BFS that kept each syndrome's first
+# hit by np.unique and stored the depths as its weights array
 TREE_SHA256 = {
     (97, 1, "plus"): "f18027b33d0e5e3791dec82c7639cc7fa4a18794e3c952a0093b4d3af5e4f5f8",
     (5, 3, "minus"): "f6de1c36b1308a477daa8e3d8277b186bba1132afc6132b0318e5a1472d3b2df",
@@ -430,7 +436,8 @@ TREE_SHA256 = {
 @pytest.mark.parametrize("config", sorted(TREE_SHA256))
 def test_bfs_tree_is_pinned(config):
     table = coset_leader_table(matrix_for(*config))
-    raw = table.parent.tobytes() + table.step.tobytes() + table.weights.tobytes()
+    depths = oracles.tree_depths(table).astype(np.int32)
+    raw = table.parent.tobytes() + table.step.tobytes() + depths.tobytes()
     assert hashlib.sha256(raw).hexdigest() == TREE_SHA256[config]
 
 
@@ -444,16 +451,19 @@ def test_first_hits_match_sorted_unique(values):
 
 
 def test_histogram_counts_every_weight():
-    table = table_for(5, 1, "minus")  # radius 4
-    want = collections.Counter(table.weights.tolist())
-    assert table.histogram() == dict(sorted(want.items()))
-    assert list(table.histogram()) == sorted(want)
+    code = build_code(5, 1, "minus")  # radius 4
+    table = coset_leader_table(code.matrix)
+    want = collections.Counter(oracles.tree_depths(table).tolist())
+    hist = verify_quasi_perfect(code, table).to_json_dict()["leader_weight_histogram"]
+    assert hist == {str(w): c for w, c in sorted(want.items())}
+    assert list(hist) == [str(w) for w in sorted(want)]
 
 
 def test_uncoverable_generator_raises():
     gen = gen_for(3, 1, "minus")
-    with pytest.raises(CoverageError, match="stalled"):
+    with pytest.raises(CoverageError) as exc:
         coset_leader_table(parity_check_matrix(gen))
+    assert str(exc.value) == "coset table stalled with 6 syndromes unassigned"
 
 
 def test_cap_too_small_raises():
@@ -461,8 +471,23 @@ def test_cap_too_small_raises():
     base = make_field(23)
     gen = from_representatives(base, "minus",
                                [pair_index(base, 1, 0), pair_index(base, 0, 1)])
-    with pytest.raises(CoverageError, match=f"exceeded {MAX_LAYERS} levels"):
+    with pytest.raises(CoverageError) as exc:
         coset_leader_table(parity_check_matrix(gen))
+    assert str(exc.value) == "coset table exceeded 8 levels with 384 syndromes unassigned"
+
+
+def test_table_build_peaks_below_three_int32_tables():
+    # p = 1021 plus: q^2 = 1 042 441 syndromes, so one int32 table is
+    # 4 MiB; parent and step are two, the frontier and a chunk the rest
+    mat = matrix_for(1021, 1, "plus")
+    tracemalloc.start()
+    try:
+        table = coset_leader_table(mat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.max_weight == 3
+    assert peak < 22 << 20
 
 
 # -- decoding ---------------------------------------------------------------------
@@ -650,10 +675,10 @@ def test_code_parameters_p23():
 def test_verify_quasi_perfect_p13():
     rep = verified(build_code(13, 1, "plus"))
     assert rep.quasi_perfect
-    assert rep.census_consistent and rep.unique_minimal
+    assert rep.unique_minimal
     assert (rep.error_correction, rep.covering_radius) == (2, 3)
     d = rep.to_json_dict()
-    assert d["quasi_perfect"] is True
+    assert d["quasi_perfect"] is True and d["census_consistent"] is True
     assert d["leader_weight_histogram"] == {"0": 1, "1": 14, "2": 98, "3": 56}
 
 
@@ -696,13 +721,22 @@ def test_verify_rejects_mismatched_table():
         verify_quasi_perfect(code, other)
 
 
+def test_verify_rejects_a_table_whose_census_disagrees():
+    # both radii are 3, so the covering radii agree and the census fires
+    code = build_code(13, 1, "plus")
+    other = table_for(23, 1, "minus")
+    assert other.max_weight == code.covering_radius == 3
+    with pytest.raises(VerificationError,
+                       match="^leader census disagrees with layer sizes$"):
+        verify_quasi_perfect(code, other)
+
+
 def test_verify_q5_minus_not_quasi_perfect():
     code = build_code(5, 1, "minus")
     assert (code.dimension, code.codeword_count) == (0, 1)
     rep = verified(code)
     assert not rep.quasi_perfect
     assert (rep.error_correction, rep.covering_radius) == (2, 4)
-    assert rep.census_consistent
 
 
 def test_verify_q7_minus_low_correction():
