@@ -15,11 +15,11 @@ coset-leader table: for every syndrome, a minimal-Lee-weight error
 producing it.  The syndrome of a weight-w error is a sum of w steps
 +-beta_j, so that weight is a distance in the Cayley graph of F_q x F_q
 with these steps, and the table is a breadth-first search on that graph,
-stored as the BFS tree (a parent syndrome and a step per syndrome) and
-the size of each level, the number of cosets of each leader weight.  Lee
-balls are never held whole: ``lee_ball`` turns an array of ranks into the
-supports of those words, (position, value) pairs, to which the
-parity-check map is applied a chunk of ranks at a time.
+stored as the last step of each syndrome's path from 0 and the size of
+each level, the number of cosets of each leader weight.  Lee balls are
+never held whole: ``lee_ball`` turns an array of ranks into the supports
+of those words, (position, value) pairs, to which the parity-check map is
+applied a chunk of ranks at a time.
 
 The table construction and the sumset layer growth are independent
 computations of the same quantities (reachable syndromes per weight), so
@@ -29,6 +29,7 @@ computations of the same quantities (reachable syndromes per weight), so
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -207,16 +208,17 @@ def syndromes(matrix: ParityCheckMatrix, words) -> np.ndarray:
 
     Entries may be any integers; they are reduced mod p first.
     """
-    return _residue_syndromes(matrix, _residues(words, matrix.p))
+    digits = _syndrome_digits(matrix, _residues(words, matrix.p))
+    return index_pack(digits.T, matrix.p)
 
 
-def _residue_syndromes(matrix: ParityCheckMatrix, arr: np.ndarray) -> np.ndarray:
-    """``syndromes`` of an array already reduced by ``_residues``."""
+def _syndrome_digits(matrix: ParityCheckMatrix, arr: np.ndarray) -> np.ndarray:
+    """Syndrome digits, a row of 2k per word, of ``_residues`` output."""
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D array of words, got shape {arr.shape}")
     if arr.shape[1] != matrix.n:
         raise ValueError(f"length mismatch: expected {matrix.n}, got {arr.shape[1]}")
-    return index_pack(matrix.entries @ arr.T % matrix.p, matrix.p)
+    return arr @ matrix.entries.T % matrix.p
 
 
 def syndrome(matrix: ParityCheckMatrix, word) -> int:
@@ -230,11 +232,11 @@ def syndrome(matrix: ParityCheckMatrix, word) -> int:
 class CosetLeaderTable:
     """Minimal-weight error representative for every syndrome, as a BFS tree.
 
-    Each syndrome s != 0 stores the syndrome ``parent[s]`` it was reached
-    from and the ``step[s]`` = 2*j + b taken there: +1 (b = 0) or -1
-    (b = 1) at position j.  Its leader is the sum of the steps on the path
-    to the root 0, so leaders are not stored: ``_leaders`` rebuilds a
-    batch of them in ``max_weight`` parent hops.
+    Each syndrome s != 0 stores the ``step[s]`` = 2*j + b that reached it,
+    +1 (b = 0) or -1 (b = 1) at position j, so its parent is s minus the
+    shift +-beta_j; the root's step 2n shifts by 0.  A leader is the sum of
+    the steps on the path to the root, so leaders are not stored:
+    ``_leaders`` rebuilds a batch of them in ``max_weight`` hops.
 
     Built contiguously by weight, so the depth of s in the tree, the hops
     of its path, is the minimal Lee weight of its coset, and ``levels[w]``
@@ -244,52 +246,53 @@ class CosetLeaderTable:
     step.
     """
     matrix: ParityCheckMatrix
-    parent: np.ndarray   # int32; parent[0] == 0
-    step: np.ndarray     # int32; step[0] == -1
+    step: np.ndarray     # int32; step[0] == 2n
     levels: tuple        # syndromes per depth; levels[0] == 1
 
     @property
     def max_weight(self) -> int:
         return len(self.levels) - 1
 
-    def _leaders(self, syns) -> tuple:
-        """Leaders of a batch of syndromes, one row each, entries in [0, p),
-        the flat indices of the entries the steps touched, and each row's
-        hop count: the Lee weight of its leader.  Every row takes
-        ``max_weight`` hops to the root, so no row is dropped on the way.
-        A hop adds one step per row, at flat index ``row * n + j``:
-        distinct, so a plain ``+=`` is exact.  Only the touched entries are
-        reduced mod p."""
-        n = self.matrix.n
-        # the position j and the sign +-1 of each step 2j + b, indexed by
-        # step, and a last entry, read for the root's step -1, that adds 0
-        # at position 0: a walk that has reached the root stays there
+    @cached_property
+    def _walk(self) -> tuple:
+        """By step 2j + b: position j, sign +-1 and the 2k digits of the
+        shift to the parent; the root's step 2n adds 0 and stays at the
+        root.  Then the weights p**i that pack digits into a syndrome."""
+        p, n = self.matrix.p, self.matrix.n
         steps = np.arange(2 * n + 1)
         pos, sign = steps >> 1, 1 - 2 * (steps & 1)
         pos[-1] = sign[-1] = 0
-        cur = np.asarray(syns, dtype=np.int64).ravel()
-        out = np.zeros((cur.size, n), dtype=np.int64)
-        flat, rows = out.reshape(-1), np.arange(0, cur.size * n, n)
-        hops = np.zeros(cur.size, dtype=np.int64)
-        touched = []
-        for _ in range(self.max_weight):
-            st = self.step[cur]
-            at = rows + pos[st]
-            flat[at] += sign[st]
-            hops += st >= 0
-            touched.append(at)
-            cur = self.parent[cur]
-        touched = np.concatenate(touched)
-        flat[touched] %= self.matrix.p
-        return out, touched, hops
+        back = -sign[:, None] * self.matrix.entries.T[pos] % p
+        return pos, sign, back, p ** np.arange(back.shape[1])
+
+    def _leaders(self, digits) -> tuple:
+        """Leaders of a batch of syndromes given as an m x 2k array of
+        digits, one row each, entries in [0, p); the flat indices of the
+        entries the steps touched; and each row's hop count, its leader's
+        Lee weight.  Every row takes ``max_weight`` hops, each to its
+        parent's digits, so none is dropped on the way; the steps are added
+        in after the walk, and only the touched entries reduced mod p."""
+        pos, sign, back, powers = self._walk
+        p, n = self.matrix.p, self.matrix.n
+        cur = np.array(digits, dtype=np.int64)  # a copy: the walk moves it
+        steps = np.empty((self.max_weight, len(cur)), dtype=np.intp)
+        for st in steps:
+            st[:] = self.step[cur @ powers]
+            cur += back.take(st, axis=0)  # faster than back[st]
+            cur %= p
+        out = np.zeros((len(cur), n), dtype=np.int64)
+        touched = (np.arange(0, out.size, n) + pos[steps]).ravel()
+        np.add.at(out.reshape(-1), touched, sign[steps].ravel())
+        out.reshape(-1)[touched] %= p
+        return out, touched, (steps < 2 * n).sum(axis=0)
 
 
 def _first_hits(hits, scratch) -> np.ndarray:
     """Ascending positions of the first occurrence of each distinct value
     in ``hits``, without a sort: a scatter-min of the positions into the
-    int32 array ``scratch``, whose entries at ``hits`` it overwrites.  Its
-    own function so that the positions array is freed before the BFS
-    expands the next chunk."""
+    int32 array ``scratch``, whose entries at ``hits`` it overwrites (the
+    BFS's ``step``, which assigns them next).  Its own function so that the
+    positions array is freed before the BFS expands the next chunk."""
     order = np.arange(hits.size, dtype=np.int32)
     scratch[hits] = hits.size
     np.minimum.at(scratch, hits, order)
@@ -306,11 +309,12 @@ def coset_leader_table(matrix: ParityCheckMatrix) -> CosetLeaderTable:
     is every unfilled syndrome one step from level w; a syndrome keeps the
     first step that reaches it, with candidates ordered by (parent,
     position, +1 before -1): the least candidate order within the chunk,
-    no sort.  Each level is expanded as array operations
-    over frontier chunks x n x {+1, -1}, up to the chunk that fills the
-    last syndrome.  Refuses q^2 above VERTEX_CAP (SizeCapError) before
-    allocating; raises CoverageError if the search stalls or exceeds
-    MAX_LAYERS levels before assigning every syndrome.
+    no sort.  Syndromes are queued in one int32 array as they are filled,
+    so a level is a slice of it, expanded as array operations over chunks
+    x n x {+1, -1} up to the chunk that fills the last syndrome.  Refuses
+    q^2 above VERTEX_CAP (SizeCapError) before allocating; raises
+    CoverageError if the search stalls or exceeds MAX_LAYERS levels before
+    assigning every syndrome.
     """
     ctx, size = matrix.generator.base, matrix.generator.ambient_size
     check_ambient(ctx.p, ctx.k, VERTEX_CAP)
@@ -318,36 +322,34 @@ def coset_leader_table(matrix: ParityCheckMatrix) -> CosetLeaderTable:
     beta = np.array(matrix.generator.reps, dtype=np.int64)
     shifts = np.stack([beta, pair_neg(ctx, beta)], axis=1).ravel()
 
-    parent = np.full(size, -1, dtype=np.int32)
-    step = np.full(size, -1, dtype=np.int32)
-    parent[0] = 0
-    frontier = np.zeros(1, dtype=np.int64)
-    filled, levels = 1, [1]
+    step = np.full(size, -1, dtype=np.int32)  # unfilled while < 0
+    step[0] = shifts.size
+    queue = np.zeros(size, dtype=np.int32)
+    start, filled, levels = 0, 1, [1]
     while filled < size and levels[-1] and len(levels) <= MAX_LAYERS:
-        found = []
-        for rows in chunks(frontier, shifts.size):
+        for rows in chunks(queue[start:filled], shifts.size):
             if filled == size:
                 break  # a later chunk could only reach filled syndromes
             # a step that does not raise the weight of a level-w leader lands
             # at distance <= w, all filled before level w is expanded: so the
             # unfilled test alone keeps exactly the weight-raising steps
             cand = pair_add(ctx, rows[:, None], shifts)
-            pos = np.flatnonzero(parent[cand] < 0)
+            pos = np.flatnonzero(step[cand] < 0)
             hits = cand.ravel()[pos]
-            # step is free as scratch: every distinct hit is assigned below
+            # step is free as scratch at the hits: _first_hits writes only
+            # there, and every distinct hit is assigned its step below
             first = _first_hits(hits, step)
-            new, pos = hits[first], pos[first]
-            parent[new] = rows[pos // shifts.size]
-            step[new] = pos % shifts.size
+            new = hits[first]
+            step[new] = pos[first] % shifts.size
+            queue[filled:filled + new.size] = new
             filled += new.size
-            found.append(new)
-        frontier = np.concatenate(found)
-        levels.append(frontier.size)
+        start += levels[-1]
+        levels.append(filled - start)
     if filled < size:
         reason = "stalled" if not levels[-1] else f"exceeded {MAX_LAYERS} levels"
         raise CoverageError(
             f"coset table {reason} with {size - filled} syndromes unassigned")
-    return CosetLeaderTable(matrix, parent, step, tuple(levels))
+    return CosetLeaderTable(matrix, step, tuple(levels))
 
 
 @dataclass(frozen=True)
@@ -383,8 +385,9 @@ def decode_words(table: CosetLeaderTable, words) -> tuple:
     """
     p = table.matrix.p
     arr = _residues(words, p)
-    syns = _residue_syndromes(table.matrix, arr)
-    errors, touched, weights = table._leaders(syns)
+    digits = _syndrome_digits(table.matrix, arr)
+    errors, touched, weights = table._leaders(digits)
+    syns = index_pack(digits.T, p)
     # the difference leaves [0, p) only where a step touched the error; it
     # goes to a C-ordered array, so that its flat view writes through
     cws = np.subtract(arr, errors, out=np.empty_like(errors))

@@ -18,8 +18,9 @@ from ``FieldCtx.trace_table``, which ``tests/test_fields.py`` checks
 against ``field_mul`` and ``field_trace``.  The decoder-stack oracles at
 the end walk F_q x F_q the same way: the Lee weight and the syndrome of
 one word, the Lee ball by recursion, a breadth-first search over error
-vectors that keeps only the steps raising the Lee weight, and a decoder
-that follows the coset table's tree one parent hop at a time.
+vectors that keeps only the steps raising the Lee weight, the parent of
+every syndrome in the coset table's tree, and a decoder that follows the
+tree from a syndrome to the root one syndrome at a time.
 
 Some oracles work on arrays.  ``cubic_counts_by_t`` is the q^3
 enumeration that ``quasilee.lemmas.cubic_counts`` replaced.  It tests the
@@ -468,9 +469,9 @@ def scalar_bfs_leaders(mat) -> tuple:
 def scalar_decode(table, word) -> DecodeResult:
     """The one-word-at-a-time decoder that ``decode_words`` replaced: reduce
     the word as Python ints, take its ``scalar_syndrome``, then subtract
-    the leader that the table's tree spells, walked one parent hop at a
-    time from the syndrome to the root, each step 2j + b adding +1 (b = 0)
-    or -1 at position j.  The weight is the number of hops."""
+    the leader that the table's tree spells, walked by ``tree_parent``
+    from the syndrome to the root, each step 2j + b adding +1 (b = 0) or
+    -1 at position j.  The weight is the number of hops."""
     p = table.matrix.p
     word = [int(c) % p for c in word]
     syn = node = scalar_syndrome(table.matrix, word)
@@ -479,27 +480,47 @@ def scalar_decode(table, word) -> DecodeResult:
     while node:
         st = int(table.step[node])
         err[st // 2] += 1 - 2 * (st % 2)
-        node = int(table.parent[node])
+        node = tree_parent(table, node)
         hops += 1
     err = tuple(e % p for e in err)
     cw = tuple((c - e) % p for c, e in zip(word, err))
     return DecodeResult(cw, err, hops, syn)
 
 
+def tree_parent(table, syn: int) -> int:
+    """The parent of a syndrome in the table's BFS tree: the syndrome
+    minus the shift of its step 2j + b, +beta_j (b = 0) or -beta_j, by
+    scalar pair arithmetic.  The root's step 2n shifts by 0."""
+    gen = table.matrix.generator
+    st = int(table.step[syn])
+    if st == 2 * gen.n:
+        return syn
+    rep = gen.reps[st // 2]
+    back = rep if st % 2 else pair_neg(gen.base, rep)  # minus the shift
+    return pair_add(gen.base, syn, back)
+
+
+def tree_parents(table) -> np.ndarray:
+    """``tree_parent`` of every syndrome, index = syndrome."""
+    return np.array([tree_parent(table, s) for s in range(len(table.step))],
+                    dtype=np.int64)
+
+
 def tree_depths(table) -> np.ndarray:
     """The depth of every syndrome in the table's BFS tree, the hops of
-    its walk along ``parent`` to the root 0, one hop for all syndromes at
-    once.  A walk that has not reached the root after as many hops as
-    there are syndromes is a cycle, and fails the call."""
-    depth = np.zeros(len(table.parent), dtype=np.int64)
-    node = np.arange(len(table.parent))
-    for _ in range(len(table.parent)):
+    its walk along ``tree_parents`` to the root 0, one hop for all
+    syndromes at once.  A walk that has not reached the root after as many
+    hops as there are syndromes is a cycle, and fails the call."""
+    parents = tree_parents(table)
+    depth = np.zeros(len(parents), dtype=np.int64)
+    node = np.arange(len(parents))
+    for _ in range(len(parents)):
         live = node != 0
         if not live.any():
             return depth
         depth += live
-        node = table.parent[node]
-    raise AssertionError("the parent array has a cycle")
+        node = parents[node]
+    raise AssertionError("the tree's parents have a cycle")
 
 
 def decoded_lines(table, stdin: str, fmt: str) -> list:

@@ -41,9 +41,17 @@ def verified(code):
     return verify_quasi_perfect(code, coset_leader_table(code.matrix))
 
 
+def leaders_of(table, syns) -> np.ndarray:
+    """The leaders of packed syndromes, each taken apart into the 2k
+    digits that ``_leaders`` walks."""
+    mat = table.matrix
+    digits = fields.index_digits(np.asarray(syns), mat.p, len(mat.entries))
+    return table._leaders(np.array(digits).T)[0]
+
+
 def all_leaders(table) -> list:
     """Every leader as a list, index = syndrome."""
-    return table._leaders(np.arange(len(table.parent)))[0].tolist()
+    return leaders_of(table, np.arange(len(table.step))).tolist()
 
 
 def ball_words(n, p, radius) -> list:
@@ -373,7 +381,7 @@ def test_table_does_not_depend_on_chunk_size(monkeypatch):
     monkeypatch.setattr(fields, "CHUNK_ENTRIES", 1)  # one frontier row a chunk
     for config, want in default.items():
         got = coset_leader_table(matrix_for(*config))
-        for name in ("parent", "step", "levels"):
+        for name in ("step", "levels"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
     for config in [(13, 1, "plus"), (23, 1, "minus"), (5, 2, "plus")]:
         mat = matrix_for(*config)
@@ -404,14 +412,15 @@ def test_bfs_stops_at_the_chunk_that_fills_the_table(monkeypatch):
 def test_table_is_a_bfs_tree():
     table = table_for(5, 1, "minus")  # radius 4
     assert table.max_weight == 4
-    assert (table.parent[0], table.step[0]) == (0, -1)
+    assert table.step[0] == 2 * table.matrix.n  # the root's zero shift
     depths = oracles.tree_depths(table)
+    parents = oracles.tree_parents(table)
     rest = np.arange(1, len(depths))
     # every edge goes one step closer to the root, is a +-1 step at a valid
     # position, and the levels count the syndromes at each depth
-    assert (depths[rest] - depths[table.parent[rest]] == 1).all()
+    assert (depths[rest] - depths[parents[rest]] == 1).all()
     assert ((table.step[rest] >= 0) & (table.step[rest] < 2 * table.matrix.n)).all()
-    assert table.parent.dtype == table.step.dtype == np.int32
+    assert table.step.dtype == np.int32
     assert tuple(np.bincount(depths).tolist()) == table.levels
 
 
@@ -423,7 +432,8 @@ def test_table_is_deterministic():
 
 # sha256 of parent.tobytes() + step.tobytes() + depths.tobytes(), the depths
 # as int32, taken from the sort-based BFS that kept each syndrome's first
-# hit by np.unique and stored the depths as its weights array
+# hit by np.unique and stored the depths as its weights array; that BFS
+# stored the parents and the root's step -1, which the test rebuilds
 TREE_SHA256 = {
     (97, 1, "plus"): "f18027b33d0e5e3791dec82c7639cc7fa4a18794e3c952a0093b4d3af5e4f5f8",
     (5, 3, "minus"): "f6de1c36b1308a477daa8e3d8277b186bba1132afc6132b0318e5a1472d3b2df",
@@ -436,8 +446,11 @@ TREE_SHA256 = {
 @pytest.mark.parametrize("config", sorted(TREE_SHA256))
 def test_bfs_tree_is_pinned(config):
     table = coset_leader_table(matrix_for(*config))
+    parents = oracles.tree_parents(table).astype(np.int32)
+    step = table.step.copy()
+    step[0] = -1
     depths = oracles.tree_depths(table).astype(np.int32)
-    raw = table.parent.tobytes() + table.step.tobytes() + depths.tobytes()
+    raw = parents.tobytes() + step.tobytes() + depths.tobytes()
     assert hashlib.sha256(raw).hexdigest() == TREE_SHA256[config]
 
 
@@ -476,9 +489,9 @@ def test_cap_too_small_raises():
     assert str(exc.value) == "coset table exceeded 8 levels with 384 syndromes unassigned"
 
 
-def test_table_build_peaks_below_three_int32_tables():
+def test_table_build_peaks_below_two_int32_tables():
     # p = 1021 plus: q^2 = 1 042 441 syndromes, so one int32 table is
-    # 4 MiB; parent and step are two, the frontier and a chunk the rest
+    # 4 MiB; step and the BFS queue are two, a chunk the rest
     mat = matrix_for(1021, 1, "plus")
     tracemalloc.start()
     try:
@@ -487,7 +500,7 @@ def test_table_build_peaks_below_three_int32_tables():
     finally:
         tracemalloc.stop()
     assert table.max_weight == 3
-    assert peak < 22 << 20
+    assert peak < 10 << 20
 
 
 # -- decoding ---------------------------------------------------------------------
@@ -507,7 +520,7 @@ def test_decode_result_holds_python_ints():
     res = decode(table, [25, -1, 0, 3, 0, 0, 40])
     assert all(type(v) is int for v in res.codeword + res.error)
     assert type(res.weight) is int and type(res.syndrome) is int
-    assert list(res.error) == table._leaders([res.syndrome])[0][0].tolist()
+    assert list(res.error) == leaders_of(table, [res.syndrome])[0].tolist()
 
 
 def test_decode_is_translation_invariant():
@@ -524,9 +537,11 @@ def test_decode_is_translation_invariant():
 
 
 @pytest.mark.parametrize("p,k,family", [(13, 1, "plus"), (23, 1, "minus"),
-                                          (5, 2, "plus"), (7, 2, "minus")])
+                                          (5, 1, "minus"), (5, 2, "plus"),
+                                          (7, 2, "minus")])
 def test_decode_words_match_scalar_decode(p, k, family):
-    # random words with entries outside [0, p), then the whole radius-2 ball
+    # random words with entries outside [0, p), then the whole radius-2 ball;
+    # at p = 5 minus (radius 4) most rows reach the root before the last hop
     table = table_for(p, k, family)
     n = table.matrix.n
     rng = np.random.default_rng(p * k)
