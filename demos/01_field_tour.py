@@ -7,9 +7,11 @@ two exponential sums (quadratic Gauss sums and Kloosterman sums) that
 later control the Cayley spectra.
 """
 
+import numpy as np
+
 from quasilee import (CharacterSumValue, QuadExt, kloosterman, make_field,
                       residue_class_mod12)
-from quasilee.fields import gauss_counts, index_digits
+from quasilee.fields import index_digits, trace_counts
 
 # a prime field: elements are just 0..12
 f13 = make_field(13)
@@ -32,9 +34,11 @@ for z in range(1, 169):
     fibers.setdefault(ext.norm(z), []).append(z)
 print("\nnorm fiber sizes over F_13:", sorted({len(v) for v in fibers.values()}))
 
-# a quadratic Gauss sum is folded from the exact counts of its exponents;
-# the lemma battery checks every one against its closed form
-g = CharacterSumValue.from_counts(13, gauss_counts(f13, 1, 0))
+# a quadratic Gauss sum is folded from the exact counts of its exponents,
+# the traces of x**2; the lemma battery checks every one against its
+# closed form
+x = np.arange(13)
+g = CharacterSumValue.from_counts(13, trace_counts(f13, f13.mul(x, x)))
 print("\nGauss sum sum_x zeta^(x^2) over F_13 =", complex(round(g.re, 12), round(g.im, 12)))
 
 # Kloosterman sums are real and Hasse-Weil bounded: |K(a,b)| <= 2*sqrt(q)

@@ -42,10 +42,13 @@ On top of the ground field sit:
 * ``QuadExt`` -- the quadratic extension F_q[sqrt(delta)] for the
   canonical (smallest-index) nonsquare delta.  Elements are pairs
   (x, y) = x + sqrt(delta)*y packed into the single index x + q*y.
-* the exponent counts of quadratic Gauss sums (``gauss_counts``, with
-  their classical closed form ``gauss_closed_form``) and of Kloosterman
-  sums (``kloosterman_counts``, and ``kloosterman`` with the Hasse-Weil
-  bound), every character sum counted by the one kernel ``trace_counts``;
+* the classical closed form of quadratic Gauss sums
+  (``gauss_closed_form``) and the exponent counts of Kloosterman sums
+  (``kloosterman_counts``, and ``kloosterman`` with the Hasse-Weil bound),
+  every character sum counted by the one kernel ``trace_counts``;
+* ``trace_dual``, the one map from the trace pairing to the digits of
+  Z_p^k: trace(c*a*x) is the digit dot product of x with trace_dual(c)[a],
+  so a transform over the digits reads every character sum over F_q;
 * quadratic-residue predicates for -1, 3 and -3 modulo a prime,
   evaluated both by congruence rule and by direct character computation.
 
@@ -65,8 +68,8 @@ import numpy as np
 AMBIENT_CAP = 1 << 26
 VERTEX_CAP = 1 << 20  # the cap of q**2-array routes and the battery's q**3 work
 # int64 entries per array operation of every loop over ``chunks``: 2n steps
-# a BFS frontier row, |H| sums a class, (q+1)^2 sums a battery shift, q terms
-# a battery table row, n entries a round-trip trial, q a row of
+# a BFS frontier row, |H| sums a class, q+1 points a battery shift, q terms
+# a battery transform row, n entries a round-trip trial, q a row of
 # characters of the FFT check.  CPU on a 2-core VM, old chunk -> 2^13:
 # BFS p=1021 0.8 -> 0.6 s; class route p=8191 plus 2.9 s (2^20: 5 s).
 # At 2^14 (128 KiB arrays, glibc's trim threshold) some heap layouts returned
@@ -411,12 +414,14 @@ def kloosterman_counts(ctx: FieldCtx, a, b) -> np.ndarray:
     return trace_counts(ctx, ctx.add(ctx.mul(a, x), ctx.mul(b, ctx.inv(x))))
 
 
-def gauss_counts(ctx: FieldCtx, c, a) -> np.ndarray:
-    """Counts of the x in F_q with trace(c*x**2 + a*x) = j; ints or
-    broadcast arrays, shape broadcast(c, a).shape + (p,)."""
-    x = np.arange(ctx.q)
-    c, a = np.asarray(c)[..., None], np.asarray(a)[..., None]
-    return trace_counts(ctx, ctx.add(ctx.mul(c, ctx.mul(x, x)), ctx.mul(a, x)))
+def trace_dual(ctx: FieldCtx, c) -> np.ndarray:
+    """D(c*a) for every a in F_q: the index whose digit i is
+    trace(c*a*p**i), p**i being the power basis element x**i.  x has
+    digits x_i with x = sum(x_i * p**i), so trace(c*a*x) is the sum of
+    x_i * trace(c*a*p**i): the digit dot product of x with D(c*a), mod p."""
+    elems = np.arange(ctx.q)
+    return index_pack([ctx.trace_table[ctx.mul(elems, ctx.mul(c, ctx.p ** i))]
+                       for i in range(ctx.k)], ctx.p)
 
 
 def gauss_closed_form(ctx: FieldCtx, c, a):

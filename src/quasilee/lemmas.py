@@ -1,27 +1,43 @@
 """Brute-force verification battery for the counting facts behind the codes.
 
 Every closed-form count, membership predicate, bound and identity that the
-construction relies on is checked here by direct enumeration over a chosen
-ground field: norm fiber sizes, abscissa sets of norm fibers, norm images
-of shifted double sums, double- and triple-sum sizes and coverage for both
-families, the membership predicates for hyperbola double and triple sums,
-point counts of the certifying projective cubic, the quadratic Gauss sum
-closed form, Kloosterman bounds, the eigenvalue-Kloosterman identity for
-the norm-one circle, mod-12 residue rules, and the spectral bounds.
+construction relies on is checked here over a chosen ground field, by
+enumeration or by one transform a row: norm fiber sizes, abscissa sets of
+norm fibers, norm images of shifted double sums, double- and triple-sum
+sizes and coverage for both families, the membership predicates for
+hyperbola double and triple sums, point counts of the certifying
+projective cubic, the quadratic Gauss sum closed form, Kloosterman bounds,
+the eigenvalue-Kloosterman identity for the norm-one circle, mod-12
+residue rules, and the spectral bounds.
 
-Each enumeration is a numpy computation that still visits every term, in
-``fields.chunks`` of rows of about q entries, so no q^3 array is held:
-the Gauss table by (c, a), the Kloosterman table by (a, b) and the
-triple sums C_2 + H by member of C_2.  The cubic counts solve the cubic
-for t at each point (x, y), so they take q^2 work, a chunk of points at
-a time.  The shifted double sums H + H*w are taken once per norm
-class: once H is certified, by brute force, as the whole norm-one fiber
-(q + 1 points) closed under its (q + 1)^2 products, H*(u*w) = H*w for u
-in H, so the least w of each norm stands for its fiber w*H.  The sums
-are broadcast additions, not the FFT layers of ``sumsets``, so the
-battery stays independent of the code it certifies.  The tests compare each enumeration
-with the scalar oracles of ``tests/oracles.py``, and every shift with the
-least shift of its norm.
+The set-up enumerates the double and triple sums of both families in
+``fields.chunks`` of rows of about q entries, so no q^3 array is held;
+the triple sums C_2 + H and H_2 + H are still q^3 work, and the battery's
+work cap, ``VERTEX_CAP`` on q^2, is for them.  The checks take q^2 work:
+
+* ``gauss_closed_form`` reads each row c of the Gauss sums G(c, a) off
+  one inverse transform of x -> zeta_p**trace(c*x**2) over the digits of
+  Z_p^k (``gauss_rows``), and ``kloosterman_bound`` each row b of the
+  Kloosterman sums K(a, b) off one transform of x -> zeta_p**trace(b/x)
+  (``kloosterman_rows``); ``fields.trace_dual`` turns trace(a*x) into a
+  digit dot product.  They compare float values within ``SUM_TOL`` with
+  the closed form and with K(1, ab), where the q^3 tables they replaced
+  compared exact exponent counts.  K(1, b) itself is still folded from
+  exact counts.
+* ``shifted_double_sums`` first certifies, by brute force, that H is the
+  whole norm-one fiber (q + 1 points), closed under its (q + 1)^2
+  products; then it counts each H + H*w = H*(1 + H*w) by the norm orbits
+  of the q + 1 points of 1 + H*w (``shifted_sum_counts``), once per norm
+  of w.
+* the cubic counts solve the cubic for t at each point (x, y), a chunk
+  of points at a time.
+
+The sums are broadcast additions and the transforms numpy's FFT of one
+row, not the FFT layers of ``sumsets``, so the battery stays independent
+of the code it certifies.  The exact q^3 routes are oracles in
+``tests/oracles.py`` (``gauss_count_table``, ``kloosterman_count_table``,
+``shifted_sum_masks``); the tests compare each route of the battery with
+its oracle, and with the scalar oracles there.
 
 ``lemma_battery(p, k)`` returns one ``LemmaCheck`` per fact; a check never
 raises, it reports failure with the offending detail instead.  Inside a
@@ -38,9 +54,9 @@ import numpy as np
 from .curves import norm_circle, unit_hyperbola
 from .fields import (SUM_TOL, VERTEX_CAP, CharacterSumValue, QuadExt,
                      VerificationError, check_ambient, chunks,
-                     gauss_closed_form, gauss_counts, index_mask,
-                     kloosterman_counts, make_field, minus3_character,
-                     pair_add, residue_class_mod12, unity_cos_sin)
+                     gauss_closed_form, index_mask, kloosterman_counts,
+                     make_field, minus3_character, pair_add,
+                     residue_class_mod12, trace_dual, unity_cos_sin)
 from .spectra import full_spectrum
 
 
@@ -78,23 +94,61 @@ def _sum_mask(ext: QuadExt, a, b):
     return mask
 
 
-def shifted_sum_masks(ext: QuadExt, members, ws, norms):
-    """The shifted double sums H + H*w and their norm images.
+def _dual_transform(ctx, values):
+    """Entry [r, a] is the sum over x in F_q of values[r, x] *
+    zeta_p**trace(a*x), for every a: the unscaled inverse transform of
+    each row over the digits of Z_p^k, read at ``trace_dual(ctx, 1)``,
+    where trace(a*x) is a digit dot product."""
+    p, k, q = ctx.p, ctx.k, ctx.q
+    spectrum = np.fft.ifftn(values.reshape((len(values),) + (p,) * k),
+                            axes=range(1, k + 1), norm="forward")
+    return spectrum.reshape(len(values), q)[:, trace_dual(ctx, 1)]
 
-    ``members`` is H as an index array, ``ws`` the shifts and ``norms``
-    the norm of every index of F_{q^2}.  Returns boolean masks of shape
-    (len(ws), q^2), row i marking every z1 + z2*ws[i] over (z1, z2) in
-    H x H, and (len(ws), q), row i marking their norms.
+
+def _roots(ctx, args):
+    """zeta_p**trace(args), complex, elementwise."""
+    cos, sin = unity_cos_sin(ctx.p)
+    t = ctx.trace_table[args]
+    return cos[t] + 1j * sin[t]
+
+
+def gauss_rows(ctx, c):
+    """The quadratic Gauss sums G(c, a) = sum over x of
+    zeta_p**trace(c*x**2 + a*x): row r holds them for c[r] at every a,
+    by one transform of x -> zeta_p**trace(c[r]*x**2)."""
+    x = np.arange(ctx.q)
+    return _dual_transform(ctx, _roots(ctx, ctx.mul(np.asarray(c)[:, None],
+                                                    ctx.mul(x, x))))
+
+
+def kloosterman_rows(ctx, b):
+    """The Kloosterman sums K(a, b) = sum over x != 0 of
+    zeta_p**trace(a*x + b/x): row r holds them for b[r] at every a
+    (K(0, b) = -1 for b != 0), by one transform of x -> zeta_p**trace(b[r]/x),
+    taken as 0 at x = 0."""
+    values = np.zeros((len(b), ctx.q), dtype=complex)
+    values[:, 1:] = _roots(ctx, ctx.mul(np.asarray(b)[:, None],
+                                        ctx.inv(np.arange(1, ctx.q))))
+    return _dual_transform(ctx, values)
+
+
+def shifted_sum_counts(ext: QuadExt, members, ws, norms):
+    """Sizes and norm images of the shifted double sums H + H*w.
+
+    ``members`` is H, which must be the norm-one fiber and closed under
+    products, ``ws`` the shifts and ``norms`` the norm of every index of
+    F_{q^2}.  Then H + H*w = H*S_w with S_w = 1 + H*w, q + 1 points, and
+    H*s is the whole norm fiber of each s != 0: #(H + H*w) is q + 1 times
+    the number of nonzero norms on S_w, plus one if 0 is in S_w, and the
+    norm image is the set of norms on S_w.  Returns the sizes, one per
+    shift, and a boolean mask (len(ws), q), row i marking the norm image
+    of ws[i].
     """
     ws = np.asarray(ws)
-    rows = np.arange(len(ws))[:, None, None]
-    scaled = ext.mul(ws[:, None], members[None, :])
-    sums = pair_add(ext.base, members[None, :, None], scaled[:, None, :])
-    seen = np.zeros((len(ws), ext.size), dtype=bool)
-    seen[rows, sums] = True
+    shifted = pair_add(ext.base, 1, ext.mul(ws[:, None], members))
     image = np.zeros((len(ws), ext.q), dtype=bool)
-    image[rows, norms[sums]] = True
-    return seen, image
+    image[np.arange(len(ws))[:, None], norms[shifted]] = True
+    return (ext.q + 1) * image[:, 1:].sum(axis=1) + image[:, 0], image
 
 
 def abscissa_grid(ctx):
@@ -152,9 +206,9 @@ def lemma_battery(p: int, k: int) -> list:
     c3 = _sum_mask(ext, np.flatnonzero(c2), ones)
     h2 = _sum_mask(ext, units, units)
     h3 = _sum_mask(ext, np.flatnonzero(h2), units)
-    # row b-1 counts K(1, b), folded exactly as ``kloosterman`` does
-    k1_counts = kloosterman_counts(ctx, 1, x[1:])
-    k1 = [CharacterSumValue.from_counts(p, row) for row in k1_counts]
+    # K(1, b) at index b-1, folded exactly as ``kloosterman`` does
+    k1 = [CharacterSumValue.from_counts(p, row)
+          for row in kloosterman_counts(ctx, 1, x[1:])]
 
     # built once, at its first use; a raise fails each check that uses it
     circle_spectrum = functools.cache(lambda: full_spectrum(circle))
@@ -169,18 +223,15 @@ def lemma_battery(p: int, k: int) -> list:
         _run(results, "reciprocity_mod12", reciprocity)
 
     def gauss():
-        cos, sin = unity_cos_sin(p)
-        for rows in chunks(np.arange(q, q * q), q):
-            c, a = rows // q, rows % q
-            counts = gauss_counts(ctx, c, a)
-            re, im = counts @ cos, counts @ sin
-            closed = gauss_closed_form(ctx, c, a)
-            bad = _first(~((np.abs(re - closed.real) <= SUM_TOL)
-                           & (np.abs(im - closed.imag) <= SUM_TOL)))
+        for c in chunks(x[1:], q):
+            got = gauss_rows(ctx, c)
+            closed = gauss_closed_form(ctx, c[:, None], x)
+            bad = _first(~((np.abs(got.real - closed.real) <= SUM_TOL)
+                           & (np.abs(got.imag - closed.imag) <= SUM_TOL)))
             if bad is not None:
                 raise VerificationError(
-                    f"Gauss sum at (c, a) = ({c[bad]}, {a[bad]}) disagrees with "
-                    f"the closed form: {complex(re[bad], im[bad])} vs {closed[bad]}")
+                    f"Gauss sum at (c, a) = ({c[bad[0]]}, {bad[1]}) disagrees with "
+                    f"the closed form: {got[bad]} vs {closed[bad]}")
         return f"{(q - 1) * q} sums match the closed form within {SUM_TOL}"
     _run(results, "gauss_closed_form", gauss)
 
@@ -191,15 +242,17 @@ def lemma_battery(p: int, k: int) -> list:
                 raise VerificationError(f"K(1, {b}) is not real: im={v.im}")
             if not abs(v.re) <= bound + SUM_TOL:
                 raise VerificationError(f"|K(1, {b})| = {abs(v.re)} > 2*sqrt(q)")
-        # substitution x -> x/a shows the sum depends only on a*b: the
-        # exponent counts of K(a, b) are those of K(1, ab)
-        for rows in chunks(np.arange((q - 1) ** 2), q - 1):
-            a, b = 1 + rows // (q - 1), 1 + rows % (q - 1)
-            ab = ctx.mul(a, b)
-            bad = _first((kloosterman_counts(ctx, a, b) != k1_counts[ab - 1]).any(1))
+        # substitution x -> x/a shows the sum depends only on a*b: every
+        # K(a, b) must be K(1, ab)
+        k1_re = np.array([v.re for v in k1])
+        for b in chunks(x[1:], q):
+            ab = ctx.mul(b[:, None], x[1:])
+            off = np.abs(kloosterman_rows(ctx, b)[:, 1:] - k1_re[ab - 1])
+            bad = _first(~(off <= SUM_TOL))
             if bad is not None:
                 raise VerificationError(
-                    f"K({a[bad]}, {b[bad]}) counts differ from K(1, {ab[bad]})")
+                    f"K({bad[1] + 1}, {b[bad[0]]}) differs from K(1, {ab[bad]}) "
+                    f"by {off[bad]:.3g}")
         worst = max(abs(v.re) for v in k1)
         return f"max |K| = {worst:.6f} <= 2*sqrt(q) = {bound:.6f}"
     _run(results, "kloosterman_bound", kloost)
@@ -231,15 +284,15 @@ def lemma_battery(p: int, k: int) -> list:
     _run(results, "circle_abscissas", abscissas)
 
     def shifted_sums():
-        # the least w of each norm stands for its fiber w*H once H is
-        # certified; off the circle its double-sum size is checked too
+        # once H is certified, H*w and so H + H*w depend only on the norm
+        # of w: the least w of each norm stands for its fiber.  Off the
+        # circle its double-sum size is checked too
         if not (np.array_equal(on_circle, norms == 1) and on_circle.sum() == q + 1
                 and on_circle[ext.mul(ones[:, None], ones)].all()):
             raise VerificationError("H is not the norm-one fiber, closed under products")
-        for ws in chunks(1 + np.unique(norms[1:], return_index=True)[1],
-                         (q + 1) ** 2):
-            seen, image = shifted_sum_masks(ext, ones, ws, norms)
-            n_sums, n_norms = seen.sum(axis=1), image.sum(axis=1)
+        for ws in chunks(1 + np.unique(norms[1:], return_index=True)[1], q + 1):
+            n_sums, image = shifted_sum_counts(ext, ones, ws, norms)
+            n_norms = image.sum(axis=1)
             square = ctx.quad_character(norms[ws]) == 1
             want = np.where(square, (q + 1) * (q + 3) // 2, (q + 1) ** 2 // 2)
             bad = _first((n_norms != np.where(square, (q + 3) // 2, (q + 1) // 2))

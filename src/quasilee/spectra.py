@@ -48,7 +48,7 @@ import numpy as np
 
 from .curves import PLUS, CurveClasses, GeneratorSet, curve_classes
 from .fields import (SUM_TOL, VERTEX_CAP, VerificationError, chunks,
-                     index_neg, index_pack, trace_counts, unity_cos_sin)
+                     index_neg, trace_counts, trace_dual, unity_cos_sin)
 
 # largest allowed distance between a class eigenvalue and the FFT of 1_H
 FFT_TOL = 1e-6
@@ -123,8 +123,8 @@ def _fourier_distance(gen: GeneratorSet, classes: CurveClasses,
                       eigs: np.ndarray) -> float:
     """The largest distance of a class eigenvalue from the transform of 1_H
     at its characters, a chunk of rows ay at a time.  alpha = (ax, ay) has
-    Fourier index dx[ax] + q*dy[ay], digit i of dx[a] being trace(cx*a*e_i)
-    over the power basis e_i = p**i, and dy likewise with cy.
+    Fourier index dx[ax] + q*dy[ay], dx = ``trace_dual`` of cx and dy
+    that of cy.
     ``indicator_fft`` holds the indices whose digit 0, that of dx[ax], is
     at most p // 2; any other is read at its digitwise negation, which
     holds the conjugate, as far from a real eigenvalue.  So the flip and
@@ -132,9 +132,7 @@ def _fourier_distance(gen: GeneratorSet, classes: CurveClasses,
     ctx = gen.base
     q, p, k = ctx.q, ctx.p, ctx.k
     elems = np.arange(q)
-    dx, dy = (index_pack([ctx.trace_table[ctx.mul(elems, ctx.mul(c, p ** i))]
-                          for i in range(k)], p)
-              for c in _pairing_coefficients(gen))
+    dx, dy = (trace_dual(ctx, c) for c in _pairing_coefficients(gen))
     flip = dx % p > p // 2
     dx = np.where(flip, index_neg(dx, p, k), dx)
     # flat index into the half array: digit 0, then the others in steps

@@ -29,7 +29,14 @@ so it checks the program at fields too large for
 ``projective_cubic_count``.  ``gathered_lee_ball`` builds the whole Lee
 ball from tails of the smaller balls, as the program did before it
 enumerated the ball by rank, so it checks the ranked rows at balls too
-large for ``scalar_lee_ball``.  ``norm_by_mul`` and ``minus_class_by_mul``
+large for ``scalar_lee_ball``.  ``gauss_count_table``,
+``kloosterman_count_table`` and ``shifted_sum_masks`` are the lemma
+battery's exact q^3 routes: the exponent counts of every Gauss sum
+G(c, a) and Kloosterman sum K(a, b), and every sum z1 + z2*w of every
+shifted double sum.  The battery now reads the sums off one transform a
+row and counts the double sums by norm orbits; these check both at small
+q, and the count tables against the per-x oracles above.
+``norm_by_mul`` and ``minus_class_by_mul``
 are the class maps by field products that the lookup tables of
 ``QuadExt.norm`` and ``CurveClasses.of`` replaced, and
 ``fourier_distance`` is the spectrum's FFT check on the full fftn, which
@@ -40,8 +47,9 @@ import functools
 
 import numpy as np
 
+from quasilee import fields
 from quasilee.codes import DecodeResult
-from quasilee.fields import chunks
+from quasilee.fields import chunks, trace_counts
 from quasilee.spectra import _pairing_coefficients
 from quasilee.sumsets import MAX_LAYERS
 
@@ -185,6 +193,24 @@ def gauss_counts(ctx, c: int, a: int) -> list:
     return counts
 
 
+def gauss_count_table(ctx, c, a) -> np.ndarray:
+    """Counts of the x in F_q with trace(c*x**2 + a*x) = j; ints or
+    broadcast arrays, shape broadcast(c, a).shape + (p,).  The Gauss
+    table the battery counted before it read each row c off one
+    transform."""
+    x = np.arange(ctx.q)
+    c, a = np.asarray(c)[..., None], np.asarray(a)[..., None]
+    return trace_counts(ctx, ctx.add(ctx.mul(c, ctx.mul(x, x)), ctx.mul(a, x)))
+
+
+def kloosterman_count_table(ctx) -> np.ndarray:
+    """Entry [a - 1, b - 1] holds the exponent counts of K(a, b), for all
+    a, b != 0: the Kloosterman table the battery counted before it read
+    each row b off one transform."""
+    units = np.arange(1, ctx.q)
+    return fields.kloosterman_counts(ctx, units[:, None], units)
+
+
 # -- point counts behind the lemma battery ---------------------------------------
 
 def circle_abscissas(ctx, c: int) -> frozenset:
@@ -222,6 +248,27 @@ def shifted_norm_image(ext, members, w: int) -> frozenset:
     if w == 0:
         raise ValueError("w must be nonzero")
     return frozenset(ext_norm(ext, z) for z in shifted_circle_sum(ext, members, w))
+
+
+def shifted_sum_masks(ext, members, ws, norms):
+    """The shifted double sums H + H*w and their norm images, every sum
+    z1 + z2*w over H x H enumerated: the route of the battery before it
+    counted norm orbits.
+
+    ``members`` is H as an index array, ``ws`` the shifts and ``norms``
+    the norm of every index of F_{q^2}.  Returns boolean masks of shape
+    (len(ws), q^2), row i marking every z1 + z2*ws[i] over (z1, z2) in
+    H x H, and (len(ws), q), row i marking their norms.
+    """
+    ws = np.asarray(ws)
+    rows = np.arange(len(ws))[:, None, None]
+    scaled = ext.mul(ws[:, None], members[None, :])
+    sums = fields.pair_add(ext.base, members[None, :, None], scaled[:, None, :])
+    seen = np.zeros((len(ws), ext.size), dtype=bool)
+    seen[rows, sums] = True
+    image = np.zeros((len(ws), ext.q), dtype=bool)
+    image[rows, norms[sums]] = True
+    return seen, image
 
 
 def projective_cubic_count(ctx, t: int) -> int:

@@ -1096,6 +1096,63 @@ def test_injected_lemma_fault_exits_2_under_optimize():
     assert res.stdout.endswith("15/16 checks passed\n")
 
 
+# Each snippet breaks one input of a q^2-scale check of the battery at
+# p = 13: (snippet, the checks that must fail, the start of the first's
+# detail).  Every check reports by raising, never by ``assert``.
+BATTERY_FAULTS = {
+    # the closed form turned by one root of unity at (c, a) = (2, 5) only
+    "gauss": ("import numpy as np\n"
+              "closed = lemmas.gauss_closed_form\n"
+              "def turned(ctx, c, a):\n"
+              "    c, a = np.broadcast_arrays(c, a)\n"
+              "    at = (c == 2) & (a == 5)\n"
+              "    return closed(ctx, c, a) * np.where(at, np.exp(2j * np.pi / 13), 1)\n"
+              "lemmas.gauss_closed_form = turned\n",
+              ["gauss_closed_form"], "Gauss sum at (c, a) = (2, 5) disagrees"),
+    # one count too many in the row of K(1, 3): K(1, 3) grows by one, so
+    # the transform rows disagree with it, and the eigenvalue identity too
+    "kloosterman": ("counts = lemmas.kloosterman_counts\n"
+                    "def grown(ctx, a, b):\n"
+                    "    table = counts(ctx, a, b)\n"
+                    "    table[2, 0] += 1\n"
+                    "    return table\n"
+                    "lemmas.kloosterman_counts = grown\n",
+                    ["kloosterman_bound", "circle_eigenvalue_identity"],
+                    "K(3, 1) differs from K(1, 3) by 1"),
+    # the norm-2 fiber in place of H: symmetric, q + 1 points, not closed;
+    # the circle's spectrum refuses it as well
+    "unclosed": ("import dataclasses\n"
+                 "import numpy as np\n"
+                 "circle = lemmas.norm_circle\n"
+                 "def fiber(ext):\n"
+                 "    two = np.flatnonzero(ext.norm(np.arange(ext.size)) == 2)\n"
+                 "    return dataclasses.replace(circle(ext), members=tuple(two.tolist()))\n"
+                 "lemmas.norm_circle = fiber\n",
+                 ["shifted_double_sums", "circle_eigenvalue_identity",
+                  "spectral_bounds"],
+                 "H is not the norm-one fiber, closed under products\n"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(BATTERY_FAULTS))
+def test_injected_battery_fault_exits_2_under_optimize(fault):
+    snippet, failing, detail = BATTERY_FAULTS[fault]
+    script = ("import sys\n"
+              "import quasilee.lemmas as lemmas\n" + snippet
+              + "from quasilee.cli import main\n"
+              "sys.exit(main(['lemma-suite', '--p', '13']))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    res = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error: verification:")
+    fails = [line.split()[1].rstrip(":") for line in res.stdout.splitlines()
+             if line.startswith("FAIL ")]
+    assert fails == failing
+    assert f"FAIL {failing[0]}: VerificationError: {detail}" in res.stdout
+    assert res.stdout.endswith(f"{16 - len(failing)}/16 checks passed\n")
+
+
 # one run of each subcommand that succeeds when its output can be written
 SUCCEEDING = {
     "admissible": ["--p", "13", "--family", "plus"],

@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasilee.fields import (AMBIENT_CAP, CharacterSumValue, QuadExt,
-                             SizeCapError, check_ambient, gauss_counts,
-                             index_add, index_digits, index_neg, index_pack,
-                             is_prime, kloosterman, make_field,
-                             minus3_character, pair_add, pair_index, pair_neg,
-                             residue_class_mod12, unity_cos_sin)
+                             SizeCapError, check_ambient, index_add,
+                             index_digits, index_neg, index_pack, is_prime,
+                             kloosterman, make_field, minus3_character,
+                             pair_add, pair_index, pair_neg,
+                             residue_class_mod12, trace_dual, unity_cos_sin)
 
 F5 = make_field(5)
 F7 = make_field(7)
@@ -393,16 +393,28 @@ def test_gauss_sum_magnitude(ctx):
     # |sum| = sqrt(q) for every nonzero quadratic coefficient
     for c in (1, ctx.nonsquare):
         for a in (0, 1, ctx.q - 1):
-            counts = gauss_counts(ctx, c, a)
+            counts = oracles.gauss_count_table(ctx, c, a)
             assert counts.sum() == ctx.q
             v = CharacterSumValue.from_counts(ctx.p, counts)
             assert abs(complex(v.re, v.im)) == pytest.approx(math.sqrt(ctx.q), abs=1e-9)
 
 
 def test_gauss_frozen_value():
-    v = CharacterSumValue.from_counts(5, gauss_counts(F5, 1, 0))
+    v = CharacterSumValue.from_counts(5, oracles.gauss_count_table(F5, 1, 0))
     assert v.re == pytest.approx(math.sqrt(5), abs=1e-12)
     assert v.im == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("ctx", [F7, F9, F25, F27], ids=lambda c: f"q{c.q}")
+def test_trace_dual_turns_the_trace_pairing_into_digit_dot_products(ctx):
+    # trace(c*a*x) = <digits(x), digits(D(c*a))> mod p for every (a, x)
+    p, k, q = ctx.p, ctx.k, ctx.q
+    x = np.arange(q)
+    digits = np.array(index_digits(x, p, k))
+    for c in (1, ctx.nonsquare):
+        dual = trace_dual(ctx, c)
+        dots = np.array(index_digits(dual, p, k)).T @ digits % p
+        assert np.array_equal(dots, ctx.trace_table[ctx.mul(ctx.mul(c, x)[:, None], x)])
 
 
 def test_character_sum_counts_fold():

@@ -13,10 +13,23 @@ import pytest
 from quasilee import curves, fields, lemmas
 from quasilee.fields import (SUM_TOL, VERTEX_CAP, CharacterSumValue, QuadExt,
                              SizeCapError, VerificationError, chunk_rows,
-                             gauss_closed_form, gauss_counts, kloosterman,
-                             kloosterman_counts, make_field)
-from quasilee.lemmas import (abscissa_grid, cubic_counts, lemma_battery,
-                             shifted_sum_masks)
+                             gauss_closed_form, kloosterman,
+                             kloosterman_counts, make_field, unity_cos_sin)
+from quasilee.lemmas import (abscissa_grid, cubic_counts, gauss_rows,
+                             kloosterman_rows, lemma_battery,
+                             shifted_sum_counts)
+
+# the fields of the route-against-oracle tests: primes and extensions
+ROUTE_FIELDS = [(3, 1), (5, 1), (7, 1), (13, 1), (3, 2), (5, 2), (3, 3)]
+# the battery's transforms sum q terms in float64; against the exact
+# counts, folded, they may differ by rounding only
+TRANSFORM_TOL = 1e-12
+
+
+def _folded(p, counts):
+    """The complex character sums of an array of exponent counts."""
+    cos, sin = unity_cos_sin(p)
+    return counts @ cos + 1j * (counts @ sin)
 
 
 # every shift w is compared; the oracle circle is found once
@@ -31,7 +44,7 @@ def test_shifted_sum_masks_match_scalar(p, k, stride):
     chunk = chunk_rows((ext.q + 1) ** 2)
     for start in range(0, len(shifts), chunk):
         ws = shifts[start:start + chunk]
-        seen, image = shifted_sum_masks(ext, members, ws, norms)
+        seen, image = oracles.shifted_sum_masks(ext, members, ws, norms)
         for i, w in enumerate(ws):
             assert np.flatnonzero(seen[i]).tolist() == \
                 sorted(oracles.shifted_circle_sum(ext, circle, w))
@@ -47,7 +60,7 @@ def test_every_shift_matches_the_least_shift_of_its_norm(p, k):
     members = np.array(curves.norm_circle(ext).members)
     norms = ext.norm(np.arange(ext.size))
     ws = np.arange(1, ext.size)
-    seen, image = shifted_sum_masks(ext, members, ws, norms)
+    seen, image = oracles.shifted_sum_masks(ext, members, ws, norms)
     values, first = np.unique(norms[1:], return_index=True)
     assert values.tolist() == list(range(1, ext.q)) and first[0] == 0  # w = 1
     least = first[norms[ws] - 1]
@@ -69,13 +82,46 @@ def test_unclosed_circle_fails_the_class_route(monkeypatch):
         "VerificationError: H is not the norm-one fiber, closed under products")
 
 
-# the broadcast tables are the battery's calls; each row is compared with
-# the per-x oracle and, folded, with the closed form or the scalar sum
+# the norm-orbit count of every shift w != 0, not only the least of its
+# norm, against the sums enumerated over H x H
+@pytest.mark.parametrize("p,k", ROUTE_FIELDS)
+def test_shifted_sum_counts_match_the_masks(p, k):
+    ext = QuadExt(make_field(p, k))
+    members = np.array(curves.norm_circle(ext).members)
+    norms = ext.norm(np.arange(ext.size))
+    ws = np.arange(1, ext.size)
+    seen, image = oracles.shifted_sum_masks(ext, members, ws, norms)
+    sizes, got = shifted_sum_counts(ext, members, ws, norms)
+    assert np.array_equal(sizes, seen.sum(axis=1))
+    assert np.array_equal(got, image)
+
+
+# every row of the two transforms against the exact count tables, folded
+@pytest.mark.parametrize("p,k", ROUTE_FIELDS)
+def test_gauss_rows_match_the_count_table(p, k):
+    ctx = make_field(p, k)
+    x = np.arange(ctx.q)
+    want = _folded(p, oracles.gauss_count_table(ctx, x[1:, None], x))
+    assert np.abs(gauss_rows(ctx, x[1:]) - want).max() <= TRANSFORM_TOL
+
+
+@pytest.mark.parametrize("p,k", ROUTE_FIELDS)
+def test_kloosterman_rows_match_the_count_table(p, k):
+    ctx = make_field(p, k)
+    rows = kloosterman_rows(ctx, np.arange(1, ctx.q))
+    want = _folded(p, oracles.kloosterman_count_table(ctx))
+    assert np.abs(rows[:, 1:] - want.T).max() <= TRANSFORM_TOL
+    # K(0, b) sums every nontrivial character once
+    assert np.abs(rows[:, 0] + 1).max() <= TRANSFORM_TOL
+
+
+# the q^3 count tables are checked against the per-x oracles and, folded,
+# with the closed form or the scalar sum
 @pytest.mark.parametrize("p,k", [(5, 1), (7, 1), (3, 2), (3, 3)])
 def test_gauss_count_rows_match_scalar(p, k):
     ctx = make_field(p, k)
     x = np.arange(ctx.q)
-    rows = gauss_counts(ctx, x[1:, None], x)
+    rows = oracles.gauss_count_table(ctx, x[1:, None], x)
     assert rows.shape == (ctx.q - 1, ctx.q, p)
     for c in range(1, ctx.q):
         for a in range(ctx.q):
@@ -84,7 +130,7 @@ def test_gauss_count_rows_match_scalar(p, k):
             closed = gauss_closed_form(ctx, c, a)
             assert abs(v.re - closed.real) <= SUM_TOL
             assert abs(v.im - closed.imag) <= SUM_TOL
-    assert gauss_counts(ctx, 1, 0).shape == (p,)
+    assert oracles.gauss_count_table(ctx, 1, 0).shape == (p,)
 
 
 @pytest.mark.parametrize("p,k", [(5, 1), (7, 1), (3, 2), (3, 3)])
@@ -207,12 +253,13 @@ def test_battery_chunks_see_every_row_once(monkeypatch, entries):
     c2, h2 = lemmas._sum_mask(ext, circle, circle), lemmas._sum_mask(ext, hyper, hyper)
     seen = {}
 
-    def pairs(a, b):
-        return np.stack(np.broadcast_arrays(a, b), axis=-1).reshape(-1, 2)
-    _counted(monkeypatch, "gauss_counts", lambda ctx, c, a: pairs(c, a), seen)
-    _counted(monkeypatch, "kloosterman_counts", lambda ctx, a, b: pairs(a, b), seen)
-    _counted(monkeypatch, "shifted_sum_masks",
-             lambda ext, members, ws, norms: np.asarray(ws)[:, None], seen)
+    def column(rows):
+        return np.asarray(rows)[:, None]
+    _counted(monkeypatch, "gauss_rows", lambda ctx, c: column(c), seen)
+    _counted(monkeypatch, "kloosterman_rows", lambda ctx, b: column(b), seen)
+    _counted(monkeypatch, "kloosterman_counts", lambda ctx, a, b: column(b), seen)
+    _counted(monkeypatch, "shifted_sum_counts",
+             lambda ext, members, ws, norms: column(ws), seen)
     # _sum_mask adds a chunk of its left operand as a column
     _counted(monkeypatch, "pair_add",
              lambda ctx, a, b: a if np.ndim(a) == 2 and a.shape[1] == 1 else None,
@@ -235,20 +282,47 @@ def test_battery_chunks_see_every_row_once(monkeypatch, entries):
     for items, got in loops:
         assert got[-1] is None
         assert np.array_equal(np.concatenate(got[:-1]), items)
-    # Gauss (c, a) and Kloosterman (a, b) rows, the table's once and the
-    # K(1, b) fold once more; one shift per nonzero norm
-    grid = [(u, v) for u in range(q) for v in range(q)]
-    assert sorted(seen["gauss_counts"]) == [(c, a) for c, a in grid if c]
-    units = [(a, b) for a, b in grid if a and b]
-    assert sorted(seen["kloosterman_counts"]) == sorted(units + [(1, b) for b in range(1, q)])
-    assert sorted(norms[[w for (w,) in seen["shifted_sum_masks"]]].tolist()) == \
+    # one transform per Gauss row c and per Kloosterman row b, the K(1, b)
+    # counts once; one shift per nonzero norm
+    units = [(u,) for u in range(1, q)]
+    for name in ("gauss_rows", "kloosterman_rows", "kloosterman_counts"):
+        assert sorted(seen[name]) == units
+    assert sorted(norms[[w for (w,) in seen["shifted_sum_counts"]]].tolist()) == \
         list(range(1, q))
     # the sum masks: H + H and C_2 + H of both families, each member of
     # the left operand once
     sums = sorted(w for (w,) in seen["pair_add"])
     assert sums == sorted(circle.tolist() + np.flatnonzero(c2).tolist()
                           + hyper.tolist() + np.flatnonzero(h2).tolist())
-    # and every chunk loop: the five above and the cubic's (t, x) rows
+    # and every chunk loop: the seven above and the cubic's points
     assert sorted(len(items) for items, _ in loops) == sorted(
         [len(circle), int(c2.sum()), len(hyper), int(h2.sum()), q - 1,
-         (q - 1) * q, (q - 1) ** 2, q * q])
+         q - 1, q - 1, q * q])
+
+
+def test_table_checks_enumerate_at_most_4_q_squared(monkeypatch):
+    # the Gauss, Kloosterman and shifted-sum checks each walk one chunk loop
+    # of q - 1 rows of about q entries: 3 q^2 at most, where their tables
+    # enumerated q^3.  Each loop's rows x width is charged to the check
+    # that runs it
+    p = q = 97
+    running, work = [None], {}
+    run, chunks = lemmas._run, lemmas.chunks
+
+    def tracking(results, name, fn):
+        running[0] = name
+        try:
+            run(results, name, fn)
+        finally:
+            running[0] = None
+
+    def charged(items, width):
+        work[running[0]] = work.get(running[0], 0) + len(items) * width
+        return chunks(items, width)
+    monkeypatch.setattr(lemmas, "_run", tracking)
+    monkeypatch.setattr(lemmas, "chunks", charged)
+    assert all(c.passed for c in lemma_battery(p, 1))
+    three = [work.get(name, 0) for name in
+             ("gauss_closed_form", "kloosterman_bound", "shifted_double_sums")]
+    assert all(three)
+    assert sum(three) <= 4 * q * q
