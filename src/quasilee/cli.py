@@ -222,30 +222,51 @@ def _plain_words(text, n):
     """The lines of ``text`` (a batch of stdin, or its stripped lines), one
     or more, each ended by a newline, as an m x n int64 array when each is
     n ASCII digit strings joined by single spaces, every one below 10^18;
-    otherwise None."""
+    otherwise None.  It is read from the text's bytes: the separators give
+    the token ends, and the values come from a Horner pass over the last
+    digits of every token at once, one array operation a digit column."""
     if not text.isascii():
         return None
     raw = text.encode()
-    if raw.translate(None, b"0123456789 \n"):
+    if raw.translate(None, b"0123456789 \n") or not raw.endswith(b"\n"):
         return None
-    # a digit string begins the text and follows every separator
-    sep = np.frombuffer(raw, dtype=np.uint8) <= 32
+    data = np.frombuffer(raw, dtype=np.uint8)
+    # a digit string begins the text and follows every separator, so each
+    # separator ends one token, and the text ends with one
+    sep = data <= 32
     if sep[0] or (sep[1:] & sep[:-1]).any():
         return None
-    # a -1 after each of the m lines: no plain token is negative, so with
-    # m * (n + 1) tokens in all, the m markers fill column n of the m x (n + 1)
-    # reshape exactly when each line holds n tokens.  Each marker adds 3
-    # bytes, which counts the lines without another pass
-    marked = raw.replace(b"\n", b" -1 ")
-    m = (len(marked) - len(raw)) // 3
-    words = np.fromstring(marked, dtype=np.int64, sep=" ")
-    if words.size != m * (n + 1):
+    ends = np.flatnonzero(sep)
+    # each line holds n tokens when the token count is m * n and the m
+    # newlines end tokens n, 2n, ..., mn
+    m, rest = divmod(ends.size, n)
+    if (rest or np.count_nonzero(data == 10) != m
+            or (data.take(ends[n - 1::n]) != 10).any()):
         return None
-    words = words.reshape(m, n + 1)
-    # numpy clamps a value beyond int64 to 2^63 - 1 without a warning
-    if (words[:, n] != -1).any() or words.max() >= 10 ** 18:
-        return None
-    return words[:, :n]
+    # the separator before each token: the text's last byte, a newline, for
+    # the first, as index -1 reads it
+    before = np.empty_like(ends)
+    before[0] = -1
+    before[1:] = ends[:-1]
+    width = int((ends - before).max()) - 1
+    if width > 18:
+        # a token is below 10^18 when no digit before its last 18 is nonzero
+        long = np.flatnonzero(ends - before > 19)
+        nonzero = np.zeros(data.size + 1, dtype=np.int64)  # in data[:i]
+        np.cumsum(data > 48, out=nonzero[1:])
+        if (nonzero[ends[long] - 18] != nonzero[before[long] + 1]).any():
+            return None
+        width = 18
+    # Horner over the last `width` bytes of every token, the bytes before
+    # it read as its separator, which the maximum turns into "0"; the sum
+    # then holds 48 * 11...1 (`width` ones) too much, and stays below
+    # 58 * 11...1 < 2^63
+    words = np.zeros(ends.size, dtype=np.int64)
+    for back in range(width, 0, -1):
+        words *= 10
+        words += np.maximum(data.take(np.maximum(ends - back, before)), 48)
+    words -= 48 * (10 ** width - 1) // 9
+    return words.reshape(m, n)
 
 
 def _int_words(block, n) -> list:
@@ -345,10 +366,11 @@ def cmd_decode(args) -> bytearray:
     of stdin, so the parsed words do not grow with the input.  The output
     is held to the end, so that a bad line leaves it empty, and held once:
     as the returned bytearray, which ``_emit`` writes as it is.  A plain
-    batch goes through numpy's text parser; any other batch goes token by
-    token through ``int``, so every token is read or refused as ``int``
-    does, and the first bad line of stdin is the one named, since the
-    earlier lines parsed cleanly."""
+    batch is read from its bytes by array operations over all its tokens
+    at once (``_plain_words``); any other batch goes token by token
+    through ``int``, so every token is read or refused as ``int`` does,
+    and the first bad line of stdin is the one named, since the earlier
+    lines parsed cleanly."""
     mat = _matrix(args)
     table = coset_leader_table(mat)
     format_lines = _line_formatter(mat.p, table.max_weight, args.fmt)

@@ -645,7 +645,7 @@ def test_decode_reduces_huge_and_negative_tokens(capsys, monkeypatch):
     assert out == ("3 0 0 0 0 1 12 | 12 0 0 0 0 12 0 | 2\n"
                    "10 0 0 0 0 12 1 | 1 0 0 0 0 1 0 | 2\n")
     # single-spaced lines that reach the array parse: entries at or beyond
-    # 10^18 (which numpy would clamp to 2^63 - 1) and spellings only int
+    # 10^18 (past the 18 digits the plain parse reads) and spellings only int
     # reads must decode as the words of their residues, alone in a batch or not
     tokens = ["999999999999999999", str(10 ** 18), "9223372036854775807",
               "9223372036854775808", "18446744073709551617", "007",
@@ -837,20 +837,168 @@ def test_decode_stream_pinned_in_one_entry_pieces(capsys, monkeypatch, tmp_path,
 
 def test_decode_plain_blocks_skip_int(capsys, monkeypatch, tmp_path):
     # plain batches take the array parse and every other batch the int loop,
-    # so the alternating stream falls back in exactly its 333 odd groups
+    # so the alternating stream falls back in exactly its 333 odd groups, and
+    # neither the benchmark's two-digit words at p = 97 nor tokens padded
+    # with zeros past 18 digits fall back at all
     calls = []
     int_words = cli._int_words
     monkeypatch.setattr(cli, "_int_words",
                         lambda block, n: calls.append(block) or int_words(block, n))
+    table = coset_leader_table(parity_check_matrix(generator_set(make_field(97), "plus")))
+    stdin = STREAMS["plain"](97, table.matrix.n, words=300)
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code, out, err = run(capsys, "decode", "--p", "97", "--family", "plus")
+    assert code == 0 and err == "" and calls == []
+    assert out.splitlines() == oracles.decoded_lines(table, stdin, "text")
+    rng = random.Random(11)
+    padded = "".join(" ".join(t.zfill(rng.randint(19, 40)) for t in line.split(" "))
+                     + "\n" for line in STREAMS["plain"](13, 7).splitlines())
     monkeypatch.setattr(fields, "CHUNK_ENTRIES", 3 * 7)  # about 3 lines, n = 7
-    for stream, fallbacks in (("plain", 0), ("alternating", 333)):
-        monkeypatch.setattr("sys.stdin", io.StringIO(STREAMS[stream](13, 7)))
+    for stream, stdin, fallbacks in (("plain", None, 0), ("alternating", None, 333),
+                                     ("plain", padded, 0)):
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin or STREAMS[stream](13, 7)))
         code, out, err = run(capsys, "decode", "--p", "13", "--family", "plus")
         assert code == 0 and err == ""
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == DECODE_SHA256[(stream, 13, 1, "plus", "text")]
         assert len(calls) == fallbacks
         calls.clear()
+
+
+# -- decode: the plain parse against the int route --------------------------------------
+
+def assert_plain_words_match_int(text, n):
+    """``_plain_words(text, n)`` is the rows of ``_int_words`` as int64 when
+    every value of ``text`` (plain lines of n tokens) is below 10^18, else
+    None."""
+    rows = cli._int_words(list(enumerate(text[:-1].split("\n"), start=1)), n)
+    got = cli._plain_words(text, n)
+    if max(map(max, rows)) >= 10 ** 18:
+        assert got is None, text
+    else:
+        assert got.dtype == np.int64 and got.shape == (len(rows), n), text
+        assert got.tolist() == rows, text
+
+
+EDGE_VALUES = [10 ** 18 - 1, 10 ** 18, 2 ** 63 - 1, 2 ** 63]
+
+
+def plain_token(rng):
+    """A seeded plain token: 1 to 18 digits, or a value (one of EDGE_VALUES
+    now and then) zero-padded to 19 to 40 digits, or an edge value."""
+    roll = rng.random()
+    if roll < 0.02:
+        return str(rng.choice(EDGE_VALUES))
+    digits = "".join(rng.choices("0123456789", k=rng.randint(1, 18)))
+    if roll < 0.12:
+        value = rng.choice(EDGE_VALUES) if roll < 0.03 else int(digits)
+        return str(value).zfill(rng.randint(19, 40))
+    return digits
+
+
+def plain_batch(rng, n, lines):
+    """``lines`` seeded lines of n plain tokens, as lists of tokens."""
+    return [[plain_token(rng) for _ in range(n)] for _ in range(lines)]
+
+
+def batch_text(lines):
+    return "".join(" ".join(line) + "\n" for line in lines)
+
+
+def test_plain_words_match_int_words_on_seeded_batches():
+    rng = random.Random(2024)
+    refused = 0
+    for _ in range(2000):
+        n = rng.randint(1, 7)
+        text = batch_text(plain_batch(rng, n, rng.randint(1, 5)))
+        assert_plain_words_match_int(text, n)
+        refused += cli._plain_words(text, n) is None
+    assert 200 < refused < 1800  # both outcomes well represented
+
+
+def _shift_token(rng, lines):
+    # one line loses its last token to another: n - 1 and n + 1 tokens, the
+    # batch total still m * n
+    i, j = rng.sample(range(len(lines)), 2)
+    lines[j].append(lines[i].pop())
+
+
+def _split_line(rng, lines):
+    # a line cut in two where a space was: lines of fewer than n tokens whose
+    # ends still fall at every n-th token end, the total still m * n
+    i = rng.randrange(len(lines))
+    cut = rng.randint(1, max(len(lines[i]) - 1, 1))
+    lines[i:i + 1] = [lines[i][:cut], lines[i][cut:]]
+
+
+def _replace_separator(rng, text, by):
+    at = rng.choice([i for i, c in enumerate(text) if c in " \n"])
+    return text[:at] + by(text[at]) + text[at + 1:]
+
+
+def _sign_token(rng, lines):
+    line = rng.choice(lines)
+    j = rng.randrange(len(line))
+    line[j] = rng.choice("+-") + line[j]
+
+
+def _non_ascii_digit(rng, text):
+    at = rng.choice([i for i, c in enumerate(text) if c.isdigit()])
+    return text[:at] + chr(rng.choice([0x660, 0xFF10]) + int(text[at])) + text[at + 1:]
+
+
+# each takes (rng, lines of tokens) and changes the lines, or takes (rng, text)
+# and returns the changed text
+PLAIN_REFUSALS = {
+    "short-line": (lambda rng, lines: rng.choice(lines).pop(), None),
+    "long-line": (lambda rng, lines: rng.choice(lines).append(plain_token(rng)), None),
+    "short-and-long-lines": (_shift_token, None),
+    "split-line": (_split_line, None),
+    "leading-separator": (None, lambda rng, text: " " + text),
+    "separator-after-newline": (None, lambda rng, text: text.replace(
+        "\n", "\n ", 1) if text.count("\n") > 1 else " " + text),
+    "doubled-separator": (None, lambda rng, text: _replace_separator(
+        rng, text, lambda c: 2 * c)),
+    "tab": (None, lambda rng, text: _replace_separator(rng, text, lambda c: "\t")),
+    "sign": (_sign_token, None),
+    "non-ascii-digit": (None, _non_ascii_digit),
+}
+
+
+@pytest.mark.parametrize("change_lines,change_text", PLAIN_REFUSALS.values(),
+                         ids=PLAIN_REFUSALS.keys())
+def test_plain_words_refuse_what_is_not_plain(change_lines, change_text):
+    rng = random.Random(len(PLAIN_REFUSALS) * 31)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        lines = plain_batch(rng, n, rng.randint(2, 5))
+        if change_lines is not None:
+            change_lines(rng, lines)
+        text = batch_text(lines)
+        if change_text is not None:
+            text = change_text(rng, text)
+        assert cli._plain_words(text, n) is None, text
+
+
+@pytest.mark.parametrize("n,lines", [
+    # a long token first in the batch, with no separator before it, and last,
+    # ending at the final newline
+    (3, ["0" * 30 + "7 1 2", "3 4 " + "0" * 22 + "9" * 18]),
+    (3, ["1" + "0" * 18 + " 1 2", "3 4 5"]),
+    (3, ["1 2 3", "4 5 " + "0" * 21 + "1" + "0" * 18]),
+    # one line
+    (3, ["0" * 40 + "5 6 " + "0" * 19 + "1"]),
+    (2, ["0" * 19 + "9" * 18 + " " + "0" * 20 + "1" + "9" * 18]),
+    # n = 1: every token ends a line
+    (1, ["0" * 25 + "3", "4", "0" * 19 + "9" * 18]),
+    (1, ["5", "0" * 30 + "2" + "0" * 17]),
+    (1, ["0" * 50 + "1"]),
+    (1, ["9" * 19]),
+], ids=["first-and-last", "first-too-large", "last-too-large", "one-line",
+        "one-line-too-large", "n1", "n1-last-long", "n1-one-line",
+        "n1-one-line-too-large"])
+def test_plain_words_long_tokens_at_the_batch_edges(n, lines):
+    assert_plain_words_match_int("\n".join(lines) + "\n", n)
 
 
 # the digit table holds 8-byte words once sep + str(p - 1) passes 4 bytes:
