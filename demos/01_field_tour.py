@@ -9,7 +9,7 @@ later control the Cayley spectra.
 
 import numpy as np
 
-from quasilee import (CharacterSumValue, QuadExt, kloosterman, make_field,
+from quasilee import (QuadExt, fold_counts, kloosterman, make_field,
                       residue_class_mod12)
 from quasilee.fields import index_digits, trace_counts
 
@@ -38,8 +38,8 @@ print("\nnorm fiber sizes over F_13:", sorted({len(v) for v in fibers.values()})
 # the traces of x**2; the lemma battery checks every one against its
 # closed form
 x = np.arange(13)
-g = CharacterSumValue.from_counts(13, trace_counts(f13, f13.mul(x, x)))
-print("\nGauss sum sum_x zeta^(x^2) over F_13 =", complex(round(g.re, 12), round(g.im, 12)))
+g = fold_counts(13, trace_counts(f13, f13.mul(x, x)))
+print("\nGauss sum sum_x zeta^(x^2) over F_13 =", complex(round(g.real, 12), round(g.imag, 12)))
 
 # Kloosterman sums are real and Hasse-Weil bounded: |K(a,b)| <= 2*sqrt(q)
 print("K_13(1, b) for b = 1..6:",

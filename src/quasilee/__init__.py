@@ -18,8 +18,8 @@ from .codes import (CosetLeaderTable, DecodeResult, LeeCode, ParityCheckMatrix,
 from .curves import (AdmissibilityReport, GeneratorSet, admissibility,
                      from_representatives, generator_set, norm_circle,
                      unit_hyperbola)
-from .fields import (CharacterSumValue, FieldCtx, QuadExt, ResidueClassReport,
-                     SizeCapError, is_prime, kloosterman, make_field,
+from .fields import (FieldCtx, QuadExt, ResidueClassReport, SizeCapError,
+                     fold_counts, is_prime, kloosterman, make_field,
                      minus3_character, pair_add, pair_index, pair_neg,
                      residue_class_mod12)
 from .lemmas import LemmaCheck, lemma_battery

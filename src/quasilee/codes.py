@@ -173,6 +173,8 @@ def matrix_from_json_dict(d: dict) -> ParityCheckMatrix:
 
 
 def _matrix_from_parts(p, k, n, family, rows) -> ParityCheckMatrix:
+    if n < 1:
+        raise ValueError(f"matrix needs n >= 1 columns, got n = {n}")
     if len(rows) != 2 * k or any(len(r) != n for r in rows):
         raise ValueError(f"matrix body must be {2 * k} rows of {n} entries")
     ctx = make_field(p, k)

@@ -46,6 +46,8 @@ On top of the ground field sit:
   (``gauss_closed_form``) and the exponent counts of Kloosterman sums
   (``kloosterman_counts``, and ``kloosterman`` with the Hasse-Weil bound),
   every character sum counted by the one kernel ``trace_counts``;
+* ``fold_counts``, the one fold of exponent counts into a complex value,
+  and ``trace_roots``, the one map x -> zeta_p**trace(x);
 * ``trace_dual``, the one map from the trace pairing to the digits of
   Z_p^k: trace(c*a*x) is the digit dot product of x with trace_dual(c)[a],
   so a transform over the digits reads every character sum over F_q;
@@ -380,21 +382,20 @@ def unity_cos_sin(p: int):
     return np.cos(ang), np.sin(ang)
 
 
-@dataclass(frozen=True)
-class CharacterSumValue:
-    """A root-of-unity sum folded from its exact exponent counts: with
-    counts[j] the number of summation terms whose exponent is j mod p,
-    re + i*im is sum(counts[j] * exp(2*pi*i*j/p)) up to float rounding.
-    """
-    p: int
-    re: float
-    im: float
+def fold_counts(p: int, counts) -> complex:
+    """The root-of-unity sum of exact exponent counts: with counts[j] the
+    number of summation terms whose exponent is j mod p, the sum of
+    counts[j] * exp(2*pi*i*j/p) up to float rounding."""
+    cos, sin = unity_cos_sin(p)
+    vec = np.array(counts, dtype=np.float64)
+    return complex(vec @ cos, vec @ sin)
 
-    @classmethod
-    def from_counts(cls, p: int, counts) -> "CharacterSumValue":
-        cos, sin = unity_cos_sin(p)
-        vec = np.array(counts, dtype=np.float64)
-        return cls(p, float(vec @ cos), float(vec @ sin))
+
+def trace_roots(ctx: FieldCtx, args):
+    """zeta_p**trace(args), complex; ints or broadcast arrays."""
+    cos, sin = unity_cos_sin(ctx.p)
+    t = ctx.trace_table[args]
+    return cos[t] + 1j * sin[t]
 
 
 def trace_counts(ctx: FieldCtx, args: np.ndarray) -> np.ndarray:
@@ -429,12 +430,10 @@ def gauss_closed_form(ctx: FieldCtx, c, a):
     classical value of the quadratic Gauss sum at (c, a), c nonzero, with
     p* = (-1)**((p-1)/2) * p.  Complex; ints or broadcast arrays."""
     p, k = ctx.p, ctx.k
-    cos, sin = unity_cos_sin(p)
-    shift = ctx.trace_table[ctx.neg(
-        ctx.mul(ctx.mul(a, a), ctx.inv(ctx.mul(c, ctx.embed(4)))))]
+    shift = ctx.neg(ctx.mul(ctx.mul(a, a), ctx.inv(ctx.mul(c, ctx.embed(4)))))
     sqrt_pstar = math.sqrt(p) * (1 if p % 4 == 1 else 1j)
     return ((-1) ** (k - 1) * sqrt_pstar ** k * ctx.quad_character(c)
-            * (cos[shift] + 1j * sin[shift]))
+            * trace_roots(ctx, shift))
 
 
 def kloosterman(ctx: FieldCtx, a: int, b: int) -> float:
@@ -445,13 +444,13 @@ def kloosterman(ctx: FieldCtx, a: int, b: int) -> float:
     """
     if b == 0:
         raise ValueError("kloosterman requires a nonzero second argument")
-    v = CharacterSumValue.from_counts(ctx.p, kloosterman_counts(ctx, a, b))
-    if not abs(v.im) <= SUM_TOL:
-        raise VerificationError(f"Kloosterman sum not real: im={v.im}")
-    if not abs(v.re) <= 2.0 * math.sqrt(ctx.q) + SUM_TOL:
+    v = fold_counts(ctx.p, kloosterman_counts(ctx, a, b))
+    if not abs(v.imag) <= SUM_TOL:
+        raise VerificationError(f"Kloosterman sum not real: im={v.imag}")
+    if not abs(v.real) <= 2.0 * math.sqrt(ctx.q) + SUM_TOL:
         raise VerificationError(
-            f"Hasse-Weil bound violated: |{v.re}| > 2*sqrt({ctx.q})")
-    return v.re
+            f"Hasse-Weil bound violated: |{v.real}| > 2*sqrt({ctx.q})")
+    return v.real
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,12 @@ work cap, ``VERTEX_CAP`` on q^2, is for them.  The checks take q^2 work:
   one inverse transform of x -> zeta_p**trace(c*x**2) over the digits of
   Z_p^k (``gauss_rows``), and ``kloosterman_bound`` each row b of the
   Kloosterman sums K(a, b) off one transform of x -> zeta_p**trace(b/x)
-  (``kloosterman_rows``); ``fields.trace_dual`` turns trace(a*x) into a
-  digit dot product.  They compare float values within ``SUM_TOL`` with
-  the closed form and with K(1, ab), where the q^3 tables they replaced
-  compared exact exponent counts.  K(1, b) itself is still folded from
-  exact counts.
+  (``kloosterman_rows``); ``fields.trace_roots`` gives the roots and
+  ``fields.trace_dual`` turns trace(a*x) into a digit dot product.  They
+  compare float values within ``SUM_TOL`` with the closed form and with
+  K(1, ab), where the q^3 tables they replaced compared exact exponent
+  counts.  K(1, b) itself is still folded from exact counts, by
+  ``fields.fold_counts``, into one complex array.
 * ``shifted_double_sums`` first certifies, by brute force, that H is the
   whole norm-one fiber (q + 1 points), closed under its (q + 1)^2
   products; then it counts each H + H*w = H*(1 + H*w) by the norm orbits
@@ -52,11 +53,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import norm_circle, unit_hyperbola
-from .fields import (SUM_TOL, VERTEX_CAP, CharacterSumValue, QuadExt,
-                     VerificationError, check_ambient, chunks,
-                     gauss_closed_form, index_mask, kloosterman_counts,
-                     make_field, minus3_character, pair_add,
-                     residue_class_mod12, trace_dual, unity_cos_sin)
+from .fields import (SUM_TOL, VERTEX_CAP, QuadExt, VerificationError,
+                     check_ambient, chunks, fold_counts, gauss_closed_form,
+                     index_mask, kloosterman_counts, make_field,
+                     minus3_character, pair_add, residue_class_mod12,
+                     trace_dual, trace_roots)
 from .spectra import full_spectrum
 
 
@@ -105,30 +106,23 @@ def _dual_transform(ctx, values):
     return spectrum.reshape(len(values), q)[:, trace_dual(ctx, 1)]
 
 
-def _roots(ctx, args):
-    """zeta_p**trace(args), complex, elementwise."""
-    cos, sin = unity_cos_sin(ctx.p)
-    t = ctx.trace_table[args]
-    return cos[t] + 1j * sin[t]
-
-
 def gauss_rows(ctx, c):
     """The quadratic Gauss sums G(c, a) = sum over x of
     zeta_p**trace(c*x**2 + a*x): row r holds them for c[r] at every a,
-    by one transform of x -> zeta_p**trace(c[r]*x**2)."""
+    by one transform of x -> zeta_p**trace(c[r]*x**2) (``trace_roots``)."""
     x = np.arange(ctx.q)
-    return _dual_transform(ctx, _roots(ctx, ctx.mul(np.asarray(c)[:, None],
-                                                    ctx.mul(x, x))))
+    return _dual_transform(ctx, trace_roots(ctx, ctx.mul(np.asarray(c)[:, None],
+                                                         ctx.mul(x, x))))
 
 
 def kloosterman_rows(ctx, b):
     """The Kloosterman sums K(a, b) = sum over x != 0 of
     zeta_p**trace(a*x + b/x): row r holds them for b[r] at every a
     (K(0, b) = -1 for b != 0), by one transform of x -> zeta_p**trace(b[r]/x),
-    taken as 0 at x = 0."""
+    taken as 0 at x = 0 (``trace_roots``)."""
     values = np.zeros((len(b), ctx.q), dtype=complex)
-    values[:, 1:] = _roots(ctx, ctx.mul(np.asarray(b)[:, None],
-                                        ctx.inv(np.arange(1, ctx.q))))
+    values[:, 1:] = trace_roots(ctx, ctx.mul(np.asarray(b)[:, None],
+                                             ctx.inv(np.arange(1, ctx.q))))
     return _dual_transform(ctx, values)
 
 
@@ -207,8 +201,8 @@ def lemma_battery(p: int, k: int) -> list:
     h2 = _sum_mask(ext, units, units)
     h3 = _sum_mask(ext, np.flatnonzero(h2), units)
     # K(1, b) at index b-1, folded exactly as ``kloosterman`` does
-    k1 = [CharacterSumValue.from_counts(p, row)
-          for row in kloosterman_counts(ctx, 1, x[1:])]
+    k1 = np.array([fold_counts(p, row)
+                   for row in kloosterman_counts(ctx, 1, x[1:])])
 
     # built once, at its first use; a raise fails each check that uses it
     circle_spectrum = functools.cache(lambda: full_spectrum(circle))
@@ -237,23 +231,22 @@ def lemma_battery(p: int, k: int) -> list:
 
     def kloost():
         bound = 2.0 * math.sqrt(q)
-        for b, v in enumerate(k1, start=1):
-            if not abs(v.im) <= SUM_TOL:
-                raise VerificationError(f"K(1, {b}) is not real: im={v.im}")
-            if not abs(v.re) <= bound + SUM_TOL:
-                raise VerificationError(f"|K(1, {b})| = {abs(v.re)} > 2*sqrt(q)")
+        for b, v in enumerate(k1.tolist(), start=1):
+            if not abs(v.imag) <= SUM_TOL:
+                raise VerificationError(f"K(1, {b}) is not real: im={v.imag}")
+            if not abs(v.real) <= bound + SUM_TOL:
+                raise VerificationError(f"|K(1, {b})| = {abs(v.real)} > 2*sqrt(q)")
         # substitution x -> x/a shows the sum depends only on a*b: every
         # K(a, b) must be K(1, ab)
-        k1_re = np.array([v.re for v in k1])
         for b in chunks(x[1:], q):
             ab = ctx.mul(b[:, None], x[1:])
-            off = np.abs(kloosterman_rows(ctx, b)[:, 1:] - k1_re[ab - 1])
+            off = np.abs(kloosterman_rows(ctx, b)[:, 1:] - k1.real[ab - 1])
             bad = _first(~(off <= SUM_TOL))
             if bad is not None:
                 raise VerificationError(
                     f"K({bad[1] + 1}, {b[bad[0]]}) differs from K(1, {ab[bad]}) "
                     f"by {off[bad]:.3g}")
-        worst = max(abs(v.re) for v in k1)
+        worst = float(np.abs(k1.real).max())
         return f"max |K| = {worst:.6f} <= 2*sqrt(q) = {bound:.6f}"
     _run(results, "kloosterman_bound", kloost)
 
@@ -419,7 +412,7 @@ def lemma_battery(p: int, k: int) -> list:
     def eig_identity():
         rep = circle_spectrum()
         # the class of a character is its norm
-        worst = float(np.max(np.abs(rep.class_eigenvalues[1:] + [v.re for v in k1])))
+        worst = float(np.max(np.abs(rep.class_eigenvalues[1:] + k1.real)))
         if not worst <= SUM_TOL:
             raise VerificationError(f"worst deviation {worst}")
         return f"eigenvalue(alpha) = -K(1, norm(alpha)); worst deviation {worst:.2e}"

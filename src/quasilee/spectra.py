@@ -32,9 +32,10 @@ reindexed character, whose digits are trace(c * e_i) over the power basis
 e_i, with c = 2*a_x and 2*delta*a_y for plus and c = a, b for minus.  1_H
 is real, so rfftn, half the transform, holds it: a character whose index
 has digit 0 above p // 2 is read, conjugated, at the negated index, and
-every one of the q^2 characters is compared.  The tests also check it
-against the full fftn, a pairing summed one member at a time and a dense
-eigensolver, all in ``tests/oracles.py``.
+every one of the q^2 characters is compared within ``SUM_TOL``, the one
+tolerance of every eigenvalue check.  The tests also check it against the
+full fftn, a pairing summed one member at a time and a dense eigensolver,
+all in ``tests/oracles.py``.
 
 For the plus family every nontrivial eigenvalue obeys the Ramanujan bound
 2*sqrt(q) = 2*sqrt(degree - 1); the minus family obeys the slightly
@@ -50,8 +51,6 @@ from .curves import PLUS, CurveClasses, GeneratorSet, curve_classes
 from .fields import (SUM_TOL, VERTEX_CAP, VerificationError, chunks,
                      index_neg, trace_counts, trace_dual, unity_cos_sin)
 
-# largest allowed distance between a class eigenvalue and the FFT of 1_H
-FFT_TOL = 1e-6
 # count rows per fold through cos (see full_spectrum)
 _FOLD_ROWS = 16
 
@@ -152,9 +151,10 @@ def _fourier_distance(gen: GeneratorSet, classes: CurveClasses,
 
 def full_spectrum(gen: GeneratorSet) -> SpectrumReport:
     """The eigenvalue of every class, from exact counts, with its bound
-    classification.  Raises VerificationError when a check fails; refuses
-    a generator set that is not its family's curve (ValueError), and no
-    size: above VERTEX_CAP it holds no array of q^2 entries."""
+    classification.  Raises VerificationError when a check fails, the FFT
+    check within ``SUM_TOL``; refuses a generator set that is not its
+    family's curve (ValueError), and no size: above VERTEX_CAP it holds no
+    array of q^2 entries."""
     classes = curve_classes(gen)
     if classes is None:
         raise ValueError(f"the generator set is not the {gen.family} curve over "
@@ -194,7 +194,7 @@ def full_spectrum(gen: GeneratorSet) -> SpectrumReport:
                                 f"tr A^2 = q^2 * |H| = {total}: {square_sum!r}")
     if gen.ambient_size <= VERTEX_CAP:
         worst = _fourier_distance(gen, classes, eigs)
-        if worst > FFT_TOL:
+        if worst > SUM_TOL:
             raise VerificationError(
                 f"class eigenvalues differ from the FFT of 1_H by up to {worst:.3g}")
 

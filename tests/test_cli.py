@@ -580,6 +580,25 @@ def test_malformed_json_matrix_is_precondition_error(capsys, monkeypatch,
     assert field in err
 
 
+@pytest.mark.parametrize("command", ["decode", "code-verify"])
+@pytest.mark.parametrize("name,body", [
+    ("m.json", json.dumps({"p": 5, "k": 1, "n": 0, "family": "plus",
+                           "rows": [[], []]})),
+    ("m.txt", "5 1 0 plus\n\n\n"),
+])
+def test_matrix_without_columns_is_precondition_error(capsys, monkeypatch,
+                                                      tmp_path, command, name,
+                                                      body):
+    # both formats refuse n = 0 with one message, before any table is built
+    mat = tmp_path / name
+    mat.write_text(body)
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    code, out, err = run(capsys, command, "--matrix", str(mat))
+    assert code == 1 and out == ""
+    assert err == "error: precondition: matrix needs n >= 1 columns, got n = 0\n"
+    assert "division" not in err
+
+
 def test_code_verify_not_quasi_perfect_still_exits_zero(capsys):
     # verification = all routes agree; the verdict itself may be negative
     code, out, _ = run(capsys, "code-verify", "--p", "5", "--family", "minus")

@@ -88,6 +88,18 @@ def test_two_size_caps():
     assert caps == {"AMBIENT_CAP", "VERTEX_CAP"}
 
 
+def test_two_tolerances():
+    # every float comparison of a character sum or an eigenvalue is within
+    # SUM_TOL, the FFT check too; the sumset layers round within their own
+    tols = {target.id for path in SOURCES
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+            if isinstance(target, ast.Name) and target.id.endswith("_TOL")}
+    assert tols == {"SUM_TOL", "INTEGRALITY_TOL"}
+
+
 # sha256 of each demo's stdout; the demos are deterministic, and 01 and 03
 # print Gauss and Kloosterman values
 DEMO_STDOUT_SHA256 = {
