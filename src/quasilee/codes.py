@@ -18,13 +18,14 @@ with these steps, and the table is a breadth-first search on that graph,
 stored as the last step of each syndrome's path from 0 and the size of
 each level, the number of cosets of each leader weight.  Lee balls are
 never held whole: ``lee_ball`` turns an array of ranks into the supports
-of those words, (position, value) pairs, to which the parity-check map is
-applied a chunk of ranks at a time.
+of those words, (position, value) pairs, so the round trip unranks only
+the errors it picks.
 
 The table construction and the sumset layer growth are independent
 computations of the same quantities (reachable syndromes per weight), so
 ``verify_quasi_perfect`` cross-checks one against the other and raises
-``VerificationError`` on any disagreement.
+``VerificationError`` on any disagreement; the error correction then
+follows from the census, with no Lee ball enumerated.
 """
 
 import random
@@ -460,7 +461,7 @@ def build_code(p: int, k: int, family: str) -> LeeCode:
 class QuasiPerfectReport:
     code: LeeCode
     table: CosetLeaderTable
-    error_correction: int       # from the decoder table
+    error_correction: int       # from the census, as the layers' critical index
     covering_radius: int        # from the decoder table
     unique_minimal: bool   # weight <= 2 errors have pairwise distinct syndromes
     quasi_perfect: bool
@@ -484,16 +485,17 @@ def verify_quasi_perfect(code: LeeCode,
                          table: CosetLeaderTable) -> QuasiPerfectReport:
     """Cross-check decoder-table parameters against the sumset layers.
 
-    Three routes must agree: the layer census (by orbit classes, or by the
-    FFT off the curves), the leader-weight histogram (coset BFS), and the
-    injectivity of the syndrome map on Lee balls.  Injectivity is checked
-    on the syndromes of the ball's words, unranked a chunk of ranks at a
-    time, unless #B_w > q^2, where the pigeonhole principle already rules
-    it out, or the ball wraps around.  Only the largest such ball with
-    w <= 3 is walked, and the smaller ones in turn only if it fails.
-    Raises VerificationError on any mismatch.
+    Two routes must agree: the layer census (by orbit classes, or by the
+    FFT off the curves) and the leader-weight histogram (coset BFS), in
+    the covering radius and in the syndromes within each weight.  Raises
+    VerificationError on any mismatch.  Then t needs no route of its own:
+    the syndromes within weight w are the image of the Lee ball B_w, so
+    the syndrome map is injective on B_w exactly when the census at w is
+    ``lee_ball_size(n, w)``, and the largest such w <= min(3, R) is the
+    layers' critical index, which is defined by the same comparison.  At
+    p = 5 and w = 3 the formula overcounts the wrapped ball, so the
+    equality cannot hold where the ball wraps around.
     """
-    gen = code.generator
     layers = code.classification.layers
 
     r_table = table.max_weight
@@ -506,39 +508,12 @@ def verify_quasi_perfect(code: LeeCode,
     if census != list(layers.sizes[:len(census)]):
         raise VerificationError("leader census disagrees with layer sizes")
 
-    # injectivity of the syndrome map on the light Lee balls, those that
-    # pass the pigeonhole and wraparound tests; B_{w-1} lies in B_w, so the
-    # largest is walked first and a smaller one only when it fails
-    t_table = 0
-    for w in range(min(3, r_table), 0, -1):
-        ball_size = lee_ball_size(gen.n, w)
-        if ball_size > gen.ambient_size:
-            continue  # more light errors than syndromes: cannot be injective
-        rows, support = lee_ball(gen.n, gen.p, w)
-        if rows != ball_size:
-            continue  # wraparound regime (p < 2w + 1): formula no longer counts
-        # the parity-check map on the supports, M[:, pos] . val mod p summed
-        # over the support's pairs, a chunk of ranks at a time into one
-        # mask of the syndromes hit
-        mat = code.matrix.entries
-        hit = np.zeros(gen.ambient_size, dtype=bool)
-        for ranks in chunks(range(rows), len(mat) * min(w, gen.n)):
-            pos, val = support(np.arange(ranks.start, ranks.stop))
-            syn = sum(mat[:, ps] * vs for ps, vs in zip(pos, val))
-            hit[index_pack(syn % gen.p, gen.p)] = True
-        if np.count_nonzero(hit) == ball_size:
-            t_table = w
-            break
-    if t_table != code.error_correction:
-        raise VerificationError(
-            f"error correction mismatch: enumeration {t_table}, "
-            f"layers {code.error_correction}")
-
+    t = code.error_correction
     return QuasiPerfectReport(
         code=code, table=table,
-        error_correction=t_table, covering_radius=r_table,
-        unique_minimal=t_table >= 2,
-        quasi_perfect=(t_table == 2 and r_table == 3))
+        error_correction=t, covering_radius=r_table,
+        unique_minimal=t >= 2,
+        quasi_perfect=(t == 2 and r_table == 3))
 
 
 def _trial_draws(rng, trials: int, n: int, p: int, size: int):

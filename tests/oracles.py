@@ -29,7 +29,9 @@ so it checks the program at fields too large for
 ``projective_cubic_count``.  ``gathered_lee_ball`` builds the whole Lee
 ball from tails of the smaller balls, as the program did before it
 enumerated the ball by rank, so it checks the ranked rows at balls too
-large for ``scalar_lee_ball``.  ``gauss_count_table``,
+large for ``scalar_lee_ball``; ``ball_injective`` applies the parity-check
+map to that whole ball, the walk that ``verify_quasi_perfect`` replaced
+by the census.  ``gauss_count_table``,
 ``kloosterman_count_table`` and ``shifted_sum_masks`` are the lemma
 battery's exact q^3 routes: the exponent counts of every Gauss sum
 G(c, a) and Kloosterman sum K(a, b), and every sum z1 + z2*w of every
@@ -465,6 +467,16 @@ def gathered_lee_ball(n, p, radius) -> tuple:
         ball[:, 1:, 1:] = tab[:, src]
         balls.append(ball)
     return tuple(balls[radius])
+
+
+def ball_injective(matrix, w) -> bool:
+    """Whether distinct words of the radius-w Lee ball have distinct
+    syndromes: the parity-check map on the whole ball, M[:, pos] . val
+    mod p summed over each word's support, and a count of the distinct
+    syndrome columns."""
+    pos, val = gathered_lee_ball(matrix.n, matrix.p, w)
+    syn = (matrix.entries[:, pos] * val).sum(axis=-1) % matrix.p
+    return np.unique(syn, axis=1).shape[1] == len(pos)
 
 
 def scalar_trial_draws(rng, trials, n, p, size) -> tuple:

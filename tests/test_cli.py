@@ -447,9 +447,8 @@ def test_code_verify_direct(capsys):
 
 @pytest.mark.parametrize("p,n", [(13, 7), (97, 49)])
 def test_code_verify_unranks_each_rank_once(capsys, monkeypatch, p, n):
-    # the injectivity walk unranks every rank of the radius-2 ball once, in
-    # order (B_1 lies in it, so it is not walked), and the round trip one
-    # rank per trial
+    # only the round trip unranks its ball, one rank per trial: the
+    # verification takes t from the census and enumerates no ball
     balls, ranks = [], []
 
     def counted(*args):
@@ -467,10 +466,8 @@ def test_code_verify_unranks_each_rank_once(capsys, monkeypatch, p, n):
     code, out, _ = run(capsys, "code-verify", "--p", str(p), "--family", "plus")
     assert code == 0 and "round_trip: 200/200 seed=0" in out
     b2 = 2 * n * n + 2 * n + 1
-    assert balls == [((n, p, 2), b2), ((n, p, 2), b2)]
-    assert ranks[0] == list(range(b2))
-    assert len(ranks[1]) == 200 and all(0 <= r < b2 for r in ranks[1])
-    assert sum(map(len, ranks)) == b2 + 200
+    assert balls == [((n, p, 2), b2)]
+    assert len(ranks[0]) == 200 and all(0 <= r < b2 for r in ranks[0])
 
 
 # sha256 of code-verify's stdout before the Lee ball was enumerated by
@@ -517,6 +514,24 @@ def test_code_verify_pinned(capsys, tmp_path, name, fmt):
     code, out, err = run(capsys, "code-verify", *argv, "--format", fmt)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == CODE_VERIFY_SHA256[(name, fmt)]
+
+
+@pytest.mark.parametrize("name", sorted(CODE_VERIFY_ARGS))
+def test_code_verify_error_correction_is_the_largest_injective_ball(
+        capsys, tmp_path, name):
+    # the largest w <= min(3, R) with p >= 2w + 1 whose Lee ball the
+    # syndrome map takes injectively, by the whole-ball oracle
+    matrix = tmp_path / "m.txt"
+    assert run(capsys, "code-gen", "--p", "23", "--family", "minus",
+               "--out", str(matrix))[0] == 0
+    argv = ["code-verify"] + [a.format(matrix=matrix) for a in CODE_VERIFY_ARGS[name]]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    d = json.loads(out)
+    mat = cli._matrix(cli.build_parser().parse_args(argv))
+    assert d["error_correction"] == d["table_error_correction"] == max(
+        w for w in range(min(3, d["table_covering_radius"]) + 1)
+        if mat.p >= 2 * w + 1 and oracles.ball_injective(mat, w))
 
 
 def test_code_verify_roundtrip_through_text_file(capsys, tmp_path):

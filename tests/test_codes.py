@@ -697,20 +697,54 @@ def test_verify_quasi_perfect_p13():
     assert d["leader_weight_histogram"] == {"0": 1, "1": 14, "2": 98, "3": 56}
 
 
-def test_verify_skips_radius_three_ball_by_pigeonhole(monkeypatch):
-    code = build_code(97, 1, "plus")
-    assert lee_ball_size(code.n, 3) > 97 ** 2
-    real = codes.lee_ball
+def test_verify_enumerates_no_lee_ball(monkeypatch):
+    # t comes from the census: no Lee ball is enumerated at any radius
+    def refuse(*args):
+        raise AssertionError("verify_quasi_perfect enumerated a Lee ball")
 
-    def no_radius_three(n, p, radius):
-        if radius >= 3:
-            raise AssertionError("radius-3 ball must not be enumerated")
-        return real(n, p, radius)
+    for p in (13, 97):
+        code = build_code(p, 1, "plus")
+        table = coset_leader_table(code.matrix)
+        monkeypatch.setattr(codes, "lee_ball", refuse)
+        rep = verify_quasi_perfect(code, table)
+        monkeypatch.undo()
+        assert (rep.error_correction, rep.covering_radius) == (2, 3)
+        assert rep.quasi_perfect
 
-    monkeypatch.setattr(codes, "lee_ball", no_radius_three)
-    rep = verified(code)
-    assert (rep.error_correction, rep.covering_radius) == (2, 3)
-    assert rep.quasi_perfect
+
+# every prime 5 <= p <= 101, and the extension fields; p = 5 is the edge
+# where the radius-3 ball wraps around
+VERIFY_FIELDS = [(p, 1) for p in range(5, 102)
+                 if fields.is_prime(p)] + [(5, 2), (5, 3), (7, 2)]
+
+
+@pytest.mark.parametrize("p,k", VERIFY_FIELDS)
+def test_verify_error_correction_is_the_largest_injective_ball(p, k):
+    # the largest w <= min(3, R) with p >= 2w + 1 whose Lee ball the
+    # syndrome map takes injectively, by the whole-ball oracle
+    for family in ("plus", "minus"):
+        code = build_code(p, k, family)
+        rep = verified(code)
+        assert rep.error_correction == max(
+            w for w in range(min(3, rep.covering_radius) + 1)
+            if p >= 2 * w + 1 and oracles.ball_injective(code.matrix, w))
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (5, 3)])
+def test_census_meets_the_ball_exactly_where_the_map_is_injective(p, k):
+    # census[w] = #B_w decides injectivity on B_w while p >= 2w + 1; past
+    # that the formula overcounts the wrapped ball, which the census, the
+    # size of its image, then never reaches, injective or not (3^2 plus:
+    # census[2] = 51, the wrapped ball's size, and the formula says 61)
+    for family in ("plus", "minus"):
+        table = table_for(p, k, family)
+        n, census = table.matrix.n, np.cumsum(table.levels)
+        for w in range(1, min(3, table.max_weight) + 1):
+            at_ball = census[w] == lee_ball_size(n, w)
+            if p >= 2 * w + 1:
+                assert at_ball == oracles.ball_injective(table.matrix, w)
+            else:
+                assert not at_ball
 
 
 def test_verify_and_round_trip_build_no_dense_ball():
