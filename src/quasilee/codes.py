@@ -16,7 +16,10 @@ producing it.  The syndrome of a weight-w error is a sum of w steps
 +-beta_j, so that weight is a distance in the Cayley graph of F_q x F_q
 with these steps, and the table is a breadth-first search on that graph,
 stored as the last step of each syndrome's path from 0 and the size of
-each level, the number of cosets of each leader weight.  Lee balls are
+each level, the number of cosets of each leader weight.  The search adds
+its fixed shifts to a chunk of syndromes by lookups in base 2p, where
+digit sums carry nothing, rather than by ``fields.index_add``; the cap
+q^2 <= VERTEX_CAP bounds those tables at q + 2 (2p)^k entries.  Lee balls are
 never held whole: ``lee_ball`` turns an array of ranks into the supports
 of those words, (position, value) pairs, so the round trip unranks only
 the errors it picks.
@@ -36,7 +39,7 @@ import numpy as np
 
 from .curves import GeneratorSet, from_representatives, generator_set
 from .fields import (VERTEX_CAP, VerificationError, check_ambient, chunk_rows,
-                     chunks, index_pack, make_field, pair_add, pair_neg)
+                     chunks, index_digits, index_pack, make_field, pair_neg)
 from .sumsets import (MAX_LAYERS, Classification, CoverageError, classify,
                       lee_ball_size)
 
@@ -302,6 +305,31 @@ def _first_hits(hits, scratch) -> np.ndarray:
     return np.flatnonzero(scratch[hits] == order)
 
 
+def _shift_adder(ctx, shifts):
+    """A function from an array of pair indices ``rows`` to the intp array
+    of pair sums ``rows[:, None] + shifts`` in F_q x F_q.
+
+    Each coordinate x in F_q is rewritten with its base-p digits as a
+    base-2p number ``wide[x]``: a digit sum of two reduced coordinates is
+    at most 2p - 2, so ``wide[x1] + wide[x2]`` is carry-free, and one take
+    from a table of (2p)^k entries reduces every digit mod p back to a
+    base-p index, scaled by q for the y coordinate.  Under VERTEX_CAP that
+    table has at most 6^6 entries."""
+    p, k, q = ctx.p, ctx.k, ctx.q
+    wide = index_pack(index_digits(np.arange(q), p, k), 2 * p)
+    sums = index_digits(np.arange((2 * p) ** k), 2 * p, k)
+    low = index_pack([d % p for d in sums], p)
+    high = low * q
+    sx, sy = wide[shifts % q], wide[shifts // q]
+
+    def add(rows):
+        y, x = np.divmod(rows, q)
+        return (low.take(wide.take(x)[:, None] + sx)
+                + high.take(wide.take(y)[:, None] + sy))
+
+    return add
+
+
 def coset_leader_table(matrix: ParityCheckMatrix) -> CosetLeaderTable:
     """Breadth-first search on the Cayley graph of F_q x F_q with the steps
     +-beta_j.
@@ -314,8 +342,11 @@ def coset_leader_table(matrix: ParityCheckMatrix) -> CosetLeaderTable:
     position, +1 before -1): the least candidate order within the chunk,
     no sort.  Syndromes are queued in one int32 array as they are filled,
     so a level is a slice of it, expanded as array operations over chunks
-    x n x {+1, -1} up to the chunk that fills the last syndrome.  Refuses
-    q^2 above VERTEX_CAP (SizeCapError) before allocating; raises
+    x n x {+1, -1} up to the chunk that fills the last syndrome.  A chunk's
+    candidates are ``_shift_adder`` lookups, np.intp so that every later
+    index into ``step`` goes without a cast.  Refuses q^2 above VERTEX_CAP
+    (SizeCapError) before allocating, which also bounds the adder's
+    tables; raises
     CoverageError if the search stalls or exceeds MAX_LAYERS levels before
     assigning every syndrome.
     """
@@ -324,6 +355,7 @@ def coset_leader_table(matrix: ParityCheckMatrix) -> CosetLeaderTable:
     # the syndrome shift of step 2*j + b: +beta_j, then -beta_j
     beta = np.array(matrix.generator.reps, dtype=np.int64)
     shifts = np.stack([beta, pair_neg(ctx, beta)], axis=1).ravel()
+    shifted = _shift_adder(ctx, shifts)
 
     step = np.full(size, -1, dtype=np.int32)  # unfilled while < 0
     step[0] = shifts.size
@@ -336,7 +368,7 @@ def coset_leader_table(matrix: ParityCheckMatrix) -> CosetLeaderTable:
             # a step that does not raise the weight of a level-w leader lands
             # at distance <= w, all filled before level w is expanded: so the
             # unfilled test alone keeps exactly the weight-raising steps
-            cand = pair_add(ctx, rows[:, None], shifts)
+            cand = shifted(rows)
             pos = np.flatnonzero(step[cand] < 0)
             hits = cand.ravel()[pos]
             # step is free as scratch at the hits: _first_hits writes only

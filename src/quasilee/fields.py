@@ -21,9 +21,11 @@ k >= 2, g >= p) whose orbit of 1 holds all q - 1 units: the exp table.
 
 Each additive group here is Z_p^m held as packed base-p indices: F_q
 (m = k) and the pair group F_q x F_q (m = 2k, (x, y) packed as x + q*y).
-``index_add``/``index_neg`` are its one addition and negation,
-``index_digits``/``index_pack`` its one digit conversion, and
-``index_mask`` its one indicator of a set of indices.  Every field
+``index_add``/``index_neg`` are its one addition and negation, but for
+the coset-table BFS, which adds its fixed shifts by base-2p table lookups
+built from ``index_digits``/``index_pack`` (``codes._shift_adder``);
+those two are the one digit conversion, and ``index_mask`` the one
+indicator of a set of indices.  Every field
 operation (``add``, ``neg``, ``mul``, ``inv``, ``quad_character``, and
 ``QuadExt.mul``/``norm``) is one kernel that takes Python ints or
 broadcast int64 arrays; an int in gives an int out.  The independent

@@ -394,19 +394,53 @@ def test_table_does_not_depend_on_chunk_size(monkeypatch):
 def test_bfs_stops_at_the_chunk_that_fills_the_table(monkeypatch):
     # p = 307 plus: 94 249 syndromes, 49 frontier chunks of 1024 rows (2n =
     # 308 entries each) up to level 3, of which the sixth fills the table;
-    # every chunk makes one pair_add call
+    # every chunk makes one _first_hits call
     monkeypatch.setattr(fields, "CHUNK_ENTRIES", 1024 * 308)
     mat = matrix_for(307, 1, "plus")
-    calls = []
-
-    def counted(ctx, z1, z2):
-        calls.append(1)
-        return pair_add(ctx, z1, z2)
-
-    monkeypatch.setattr(codes, "pair_add", counted)
+    calls, first_hits = [], codes._first_hits
+    monkeypatch.setattr(codes, "_first_hits",
+                        lambda *args: calls.append(1) or first_hits(*args))
     table = coset_leader_table(mat)
     assert len(calls) == 6
     assert table.levels == (1, 308, 47432, 46508)
+
+
+def bfs_shifts(gen) -> np.ndarray:
+    """The BFS's shift array: +beta_j, then -beta_j, for each j."""
+    beta = np.array(gen.reps, dtype=np.int64)
+    return np.stack([beta, fields.pair_neg(gen.base, beta)], axis=1).ravel()
+
+
+@pytest.mark.parametrize("p,k", [(5, 1), (13, 1), (97, 1), (3, 2), (3, 3),
+                                 (5, 2), (5, 3), (7, 2)])
+@pytest.mark.parametrize("family", ["plus", "minus"])
+def test_shift_adder_matches_pair_add(p, k, family):
+    gen = gen_for(p, k, family)
+    ctx, shifts = gen.base, bfs_shifts(gen)
+    add = codes._shift_adder(ctx, shifts)
+    # int32 rows, as the BFS queue hands them over
+    every = np.arange(gen.ambient_size, dtype=np.int32)
+    for rows in fields.chunks(every, shifts.size):
+        got = add(rows)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, pair_add(ctx, rows[:, None], shifts))
+
+
+@pytest.mark.parametrize("config", [(307, 1, "plus"), (5, 3, "minus")])
+def test_bfs_adds_without_index_add(monkeypatch, config):
+    # the per-chunk addition is table lookups: index_add is called a fixed
+    # number of times, none, whatever the chunk count
+    mat = matrix_for(*config)
+    calls, add = [], fields.index_add
+    monkeypatch.setattr(fields, "index_add",
+                        lambda *args: calls.append(1) or add(*args))
+    counts = []
+    for entries in (fields.CHUNK_ENTRIES, 64 * mat.n):
+        monkeypatch.setattr(fields, "CHUNK_ENTRIES", entries)
+        before = len(calls)
+        coset_leader_table(mat)
+        counts.append(len(calls) - before)
+    assert counts == [0, 0]
 
 
 def test_table_is_a_bfs_tree():
