@@ -165,7 +165,8 @@ def cmd_spectrum(args) -> str:
             counts = np.concatenate(list(class_counts(gen, rep.classes))).tolist()
             rows = [f"{eig!r}," + ",".join(map(str, r))
                     for eig, r in zip(rep.class_eigenvalues.tolist(), counts)]
-            keys = rep.classes.of(np.arange(gen.ambient_size))
+            elems = np.arange(gen.q)
+            keys = rep.classes.of(elems, elems[:, None]).ravel()
             for alpha, c in enumerate(keys.tolist()):
                 fh.write(f"{alpha},{rows[c]}\n")
     if args.fmt == "json":

@@ -17,9 +17,9 @@ producing it.  The syndrome of a weight-w error is a sum of w steps
 with these steps, and the table is a breadth-first search on that graph,
 stored as the last step of each syndrome's path from 0 and the size of
 each level, the number of cosets of each leader weight.  The search adds
-its fixed shifts to a chunk of syndromes by lookups in base 2p, where
-digit sums carry nothing, rather than by ``fields.index_add``; the cap
-q^2 <= VERTEX_CAP bounds those tables at q + 2 (2p)^k entries.  Lee balls are
+its fixed shifts to a chunk of syndromes coordinate by coordinate with
+the field's one addition, ``FieldCtx.adder`` on the base-2p table pair,
+where digit sums carry nothing; it builds no table of its own.  Lee balls are
 never held whole: ``lee_ball`` turns an array of ranks into the supports
 of those words, (position, value) pairs, so the round trip unranks only
 the errors it picks.
@@ -39,7 +39,7 @@ import numpy as np
 
 from .curves import GeneratorSet, from_representatives, generator_set
 from .fields import (VERTEX_CAP, VerificationError, check_ambient, chunk_rows,
-                     chunks, index_digits, index_pack, make_field, pair_neg)
+                     chunks, index_pack, make_field, pair_neg)
 from .sumsets import (MAX_LAYERS, Classification, CoverageError, classify,
                       lee_ball_size)
 
@@ -307,25 +307,18 @@ def _first_hits(hits, scratch) -> np.ndarray:
 
 def _shift_adder(ctx, shifts):
     """A function from an array of pair indices ``rows`` to the intp array
-    of pair sums ``rows[:, None] + shifts`` in F_q x F_q.
-
-    Each coordinate x in F_q is rewritten with its base-p digits as a
-    base-2p number ``wide[x]``: a digit sum of two reduced coordinates is
-    at most 2p - 2, so ``wide[x1] + wide[x2]`` is carry-free, and one take
-    from a table of (2p)^k entries reduces every digit mod p back to a
-    base-p index, scaled by q for the y coordinate.  Under VERTEX_CAP that
-    table has at most 6^6 entries."""
-    p, k, q = ctx.p, ctx.k, ctx.q
-    wide = index_pack(index_digits(np.arange(q), p, k), 2 * p)
-    sums = index_digits(np.arange((2 * p) ** k), 2 * p, k)
-    low = index_pack([d % p for d in sums], p)
-    high = low * q
-    sx, sy = wide[shifts % q], wide[shifts // q]
+    of pair sums ``rows[:, None] + shifts`` in F_q x F_q: the field's one
+    addition (``FieldCtx.adder``) on each coordinate, the shifts' widened
+    once."""
+    q = ctx.q
+    add_x, add_y = ctx.adder(shifts % q), ctx.adder(shifts // q)
 
     def add(rows):
         y, x = np.divmod(rows, q)
-        return (low.take(wide.take(x)[:, None] + sx)
-                + high.take(wide.take(y)[:, None] + sy))
+        out = add_y(y)
+        out *= q
+        out += add_x(x)
+        return out
 
     return add
 
@@ -345,10 +338,8 @@ def coset_leader_table(matrix: ParityCheckMatrix) -> CosetLeaderTable:
     x n x {+1, -1} up to the chunk that fills the last syndrome.  A chunk's
     candidates are ``_shift_adder`` lookups, np.intp so that every later
     index into ``step`` goes without a cast.  Refuses q^2 above VERTEX_CAP
-    (SizeCapError) before allocating, which also bounds the adder's
-    tables; raises
-    CoverageError if the search stalls or exceeds MAX_LAYERS levels before
-    assigning every syndrome.
+    (SizeCapError) before allocating; raises CoverageError if the search
+    stalls or exceeds MAX_LAYERS levels before assigning every syndrome.
     """
     ctx, size = matrix.generator.base, matrix.generator.ambient_size
     check_ambient(ctx.p, ctx.k, VERTEX_CAP)

@@ -13,18 +13,20 @@ parity-check matrix with n columns over F_p.  Each set is built by O(q)
 array operations over its field, the circle by its Cayley
 parametrization.  ``curve_classes`` gives the orbits of each curve's
 symmetry group on F_q x F_q: the sumset layers and the eigenvalues are
-constant on them.  The class of a point is table lookups over F_q: the
-norm x^2 - delta*y^2 as the sum of two looked-up terms (plus), the key
-x*y or an axis class in one gather (minus).
+constant on them.  The class of a point is table lookups over F_q on its
+coordinates (x, y): the norm x^2 - delta*y^2 as the sum of two looked-up
+terms (plus), the key x*y or an axis class in one gather (minus).
+``GeneratorSet.indicator_fft`` is computed from the members: their sum
+along digit 0, then numpy's FFT over the other digits.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import (FieldCtx, QuadExt, VerificationError, _gathered,
+from .fields import (FieldCtx, QuadExt, VerificationError, _gathered, chunks,
                      index_digits, make_field, minus3_character, pair_index,
-                     pair_neg, residue_class_mod12)
+                     pair_neg, residue_class_mod12, unity_cos_sin)
 
 PLUS = "plus"
 MINUS = "minus"
@@ -80,10 +82,23 @@ class GeneratorSet:
         (p,) * (2k - 1) + ((p + 1) // 2,): the input is real, so the value
         at a Fourier index f is the conjugate of the value at -f, taken
         digitwise.  It is real, up to rounding, because H = -H.
+
+        No q^2 indicator is formed.  Along digit 0 the transform is summed
+        over the members, a chunk at a time: a member with digit 0 d and
+        other digits r adds zeta_p**(-j*d) at j <= p // 2 to row r.  The
+        members ascend, so a row's members are consecutive.  numpy's FFT
+        then transforms the other 2k - 1 axes.
         """
-        ind = np.zeros(self.ambient_size)
-        ind[list(self.members)] = 1.0
-        return np.fft.rfftn(ind.reshape((self.p,) * (2 * self.k)))
+        p, half = self.p, self.p // 2 + 1
+        cos, sin = unity_cos_sin(p)
+        roots, j = cos - 1j * sin, np.arange(half)
+        rows = np.zeros((self.ambient_size // p, half), dtype=complex)
+        for chunk in chunks(np.asarray(self.members, dtype=np.int64), half):
+            r, d = np.divmod(chunk, p)
+            first = np.flatnonzero(np.diff(r, prepend=-1))
+            rows[r[first]] += np.add.reduceat(roots[d[:, None] * j % p], first)
+        return np.fft.fftn(rows.reshape((p,) * (2 * self.k - 1) + (half,)),
+                           axes=range(2 * self.k - 1))
 
     def coordinate_matrix(self) -> np.ndarray:
         """2k x n matrix over F_p whose j-th column stacks the coefficient
@@ -192,15 +207,17 @@ class CurveClasses:
     sizes: np.ndarray
     keys: tuple
 
-    def of(self, z):
-        """Class of each index, an int or an int64 array: the norm for plus
-        (q classes); for minus a*b off the axes, q on b = 0, q + 1 on a = 0,
-        one gather from the sum of the two coordinates' keys."""
-        q = self.gen.q
+    def of(self, x, y):
+        """Class of each point (x, y), ints or broadcast int64 arrays of
+        coordinates: the norm x^2 - delta*y^2 for plus (q classes), the sum
+        of two looked-up terms; for minus x*y off the axes, q on y = 0,
+        q + 1 on x = 0, one gather from the sum of the two coordinates'
+        keys."""
         if self.gen.family == PLUS:
-            return self.gen.ext.norm(z)
+            ext = self.gen.ext
+            return ext.base.add(ext._squares[x], ext._neg_delta_squares[y])
         x_keys, y_keys, classes = self.keys
-        return _gathered(classes[x_keys[z % q] + y_keys[z // q]])
+        return _gathered(classes[x_keys[x] + y_keys[y]])
 
 
 def _minus_keys(ctx: FieldCtx) -> tuple:

@@ -15,21 +15,31 @@ monic product g*h with 1 <= deg g <= k/2 is formed at once by
 broadcasting and marked at the rank of its coefficients, and the first
 unmarked rank wins (for k = 1 nothing is marked and the modulus is x).
 Multiplication by x on all q indices shifts the digits up and adds the
-top digit times -modulus; multiplication by g contracts g's digits with
-the k shifted copies x**i * a.  The generator is the first g >= 2 (for
-k >= 2, g >= p) whose orbit of 1 holds all q - 1 units: the exp table.
+top digit times -modulus, so column j of the k x k matrix of
+multiplication by g holds the digits of x**j * g.  The generator is the
+first g >= 2 (for k >= 2, g >= p) of multiplicative order q - 1, the
+first none of whose powers g**((q - 1)/r), r a prime factor of q - 1,
+is 1: by ``pow`` in a prime field, else with a block of candidates'
+matrices raised to every (q - 1)/r at once.  Its orbit of 1, grown by
+doubling, is the exp table, and must hold all q - 1 units.
 
 Each additive group here is Z_p^m held as packed base-p indices: F_q
 (m = k) and the pair group F_q x F_q (m = 2k, (x, y) packed as x + q*y).
-``index_add``/``index_neg`` are its one addition and negation, but for
-the coset-table BFS, which adds its fixed shifts by base-2p table lookups
-built from ``index_digits``/``index_pack`` (``codes._shift_adder``);
-those two are the one digit conversion, and ``index_mask`` the one
-indicator of a set of indices.  Every field
-operation (``add``, ``neg``, ``mul``, ``inv``, ``quad_character``, and
-``QuadExt.mul``/``norm``) is one kernel that takes Python ints or
-broadcast int64 arrays; an int in gives an int out.  The independent
-routes they are checked with live in ``tests/oracles.py``.
+The one addition of F_q is a table pair on ``FieldCtx``: ``_wide``
+rewrites an index's base-p digits as a base-2p number, where two reduced
+digit vectors add without a carry, and ``_low`` takes the sum, one of
+(2p)^k numbers, back to the base-p index of its digits mod p.
+``FieldCtx.add``, ``pair_add`` (each coordinate apart) and the trace
+table read it, and so, through ``FieldCtx.adder``, which widens a fixed
+operand once, do the coset-table BFS and the layer growth's class steps;
+``index_neg`` is the one negation.  ``index_digits``/``index_pack`` are
+the one digit conversion, and ``index_mask`` the one indicator of a set
+of indices.  Every field operation (``add``, ``neg``, ``mul``, ``inv``,
+``quad_character``, and ``QuadExt.mul``/``norm``) is one kernel that
+takes Python ints or broadcast int64 arrays; an int in gives an int out.
+The independent routes they are checked with, the per-digit addition
+loop that the table pair replaced among them, live in
+``tests/oracles.py``.
 
 ``AMBIENT_CAP`` bounds q^2, ``VERTEX_CAP`` the q^2 of the coset BFS, the
 FFT layers, ``--dump-csv`` and the lemma battery; above it the spectrum
@@ -149,18 +159,14 @@ def index_pack(digits, p: int):
     return a
 
 
-def index_add(a, b, p: int, m: int):
-    """Digitwise sum mod p of packed m-digit indices, ints or broadcast
-    int64 arrays.  a + b is the sum of d_i * p**i over the digit sums d_i;
-    p**(i+1) comes off for each d_i >= p, read from the high parts a // p**i.
-    """
-    s = t = a + b
-    for i in range(1, m):
-        a, b = a // p, b // p
-        u = a + b
-        s = s - (t - u * p >= p) * p ** i
-        t = u
-    return s - (s >= p ** m) * p ** m
+def _digit_map(values: np.ndarray, weight: int, k: int) -> np.ndarray:
+    """The table over the k-digit numbers in base len(values), in order, of
+    sum(values[d_i] * weight**i) over their digits d_i: one broadcast sum
+    per digit, the new digit the most significant."""
+    table = values
+    for i in range(1, k):
+        table = (values[:, None] * weight ** i + table).ravel()
+    return table
 
 
 def index_neg(a, p: int, m: int):
@@ -197,6 +203,50 @@ def _smallest_irreducible(p: int, k: int) -> tuple:
     return tuple(index_digits(int(np.argmin(marked)), p, k)[::-1]) + (1,)
 
 
+def _prime_factors(n: int) -> list:
+    """The distinct prime factors of n >= 1, ascending, by trial division."""
+    factors, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            factors.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return factors + [n] if n > 1 else factors
+
+
+def _first_primitive(shifted, p: int, q: int) -> int:
+    """The first g >= 2 (g >= p for k >= 2: the units below p have order
+    dividing p - 1 < q - 1) of multiplicative order q - 1: the first none
+    of whose powers g**((q - 1)/r), r a prime factor of q - 1, is 1.  In a
+    prime field these are ``pow``.  Otherwise ``shifted[j]`` holds the
+    digits of x**j * a for every index a, so the matrix of multiplication
+    by g has column j shifted[j][:, g], and a block of candidates'
+    matrices is raised to every (q - 1)/r at once, by repeated squaring.
+    That makes two k x k matrix products per r and bit, k^3
+    multiplications each, and a block holds ``chunk_rows`` of that work
+    per candidate, so a block's test makes about ``CHUNK_ENTRIES``."""
+    k = len(shifted)
+    exps = [(q - 1) // r for r in _prime_factors(q - 1)]
+    if k == 1:
+        return next(g for g in range(2, q) if all(pow(g, e, q) != 1 for e in exps))
+    bits = max(exps).bit_length()
+    odd = (np.array(exps)[:, None] >> np.arange(bits) & 1 == 1)[..., None, None, None]
+    eye = np.eye(k, dtype=np.int64)
+    for block in chunks(range(p, q), 2 * len(exps) * k ** 3 * bits):
+        base = np.stack([s[:, block.start:block.stop] for s in shifted], axis=-1)
+        base = base.transpose(1, 0, 2)  # (block, k, k): row i, column j
+        power = np.broadcast_to(eye, (len(exps),) + base.shape)
+        for i in range(bits):
+            if i:
+                base = base @ base % p
+            power = np.where(odd[:, i], power @ base % p, power)
+        full = ~(power == eye).all(axis=(2, 3)).any(axis=0)
+        if full.any():
+            return block.start + int(np.argmax(full))
+    raise VerificationError(f"no element of order {q - 1} below {q}")
+
+
 # ---------------------------------------------------------------------------
 
 class FieldCtx:
@@ -231,17 +281,19 @@ class FieldCtx:
             a = shifted[-1]
             up = np.concatenate([np.zeros_like(a[:1]), a[:-1]])
             shifted.append((up - a[-1] * np.array(self.modulus[:k])[:, None]) % p)
-        # the generator is the first g >= 2 whose orbit of 1 holds all q - 1
-        # units: the exp table, grown by doubling (next n steps = g**n * first n);
-        # for k >= 2 the units below p have order dividing p - 1 < q - 1
-        for gen in range(2 if k == 1 else p, q):
-            step = index_pack(np.tensordot(index_digits(gen, p, k), shifted, 1) % p, p)
-            exp = np.ones(1, dtype=np.int64)
-            while len(exp) < q - 1:
-                exp, step = np.concatenate([exp, step[exp]]), step[step]
-            exp = exp[:q - 1]
-            if np.count_nonzero(exp == 1) == 1:
-                break
+        # the one addition: digits in base 2p add without a carry, and _low
+        # reduces each digit sum mod p (see the module docstring)
+        self._wide = _digit_map(np.arange(p), 2 * p, k)
+        self._low = _digit_map(np.arange(2 * p) % p, p, k)
+        gen = _first_primitive(shifted, p, q)
+        # its orbit of 1, grown by doubling (next n steps = g**n * first n)
+        step = index_pack(np.tensordot(index_digits(gen, p, k), shifted, 1) % p, p)
+        exp = np.ones(1, dtype=np.int64)
+        while len(exp) < q - 1:
+            exp, step = np.concatenate([exp, step[exp]]), step[step]
+        exp = exp[:q - 1]
+        if np.count_nonzero(exp == 1) != 1:
+            raise VerificationError(f"the orbit of generator {gen} is not all units")
         # log[0] = 2(q-1) lies past every sum of two logs of units, and exp
         # is zero from 2(q-1) on, so a product is exp[log[a] + log[b]]: no
         # reduction mod q-1 and no test for zero
@@ -257,7 +309,7 @@ class FieldCtx:
         for i in range(k):
             conj = self._exp[self._log * p ** i % (q - 1)]
             conj[0] = 0
-            tr = index_add(tr, conj, p, k)
+            tr = self.add(tr, conj)
         escaped = np.flatnonzero(tr >= p)
         if escaped.size:
             raise VerificationError(
@@ -267,8 +319,14 @@ class FieldCtx:
     # -- operations: ints, or int64 arrays broadcast against each other -----
 
     def add(self, a, b):
-        """Index addition."""
-        return index_add(a, b, self.p, self.k)
+        """Index addition: the base-2p sum of the two indices, reduced."""
+        return _gathered(self._low[self._wide[a] + self._wide[b]])
+
+    def adder(self, b):
+        """The function from an index array a to the intp array of sums
+        a[..., None] + b, for a fixed index array b widened once."""
+        wide, low, wide_b = self._wide, self._low, self._wide[b]
+        return lambda a: low.take(wide.take(a)[..., None] + wide_b)
 
     def neg(self, a):
         """Index negation."""
@@ -324,8 +382,9 @@ def pair_index(ctx: FieldCtx, x, y):
     return x + ctx.q * y
 
 def pair_add(ctx: FieldCtx, z1, z2):
-    """Addition in F_q x F_q: ``index_add`` over the 2k digits of (x, y)."""
-    return index_add(z1, z2, ctx.p, 2 * ctx.k)
+    """Addition in F_q x F_q: ``FieldCtx.add`` on x, then on y."""
+    q = ctx.q
+    return ctx.add(z1 % q, z2 % q) + q * ctx.add(z1 // q, z2 // q)
 
 def pair_neg(ctx: FieldCtx, z):
     return index_neg(z, ctx.p, 2 * ctx.k)

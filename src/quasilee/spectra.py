@@ -30,10 +30,13 @@ the Fourier transform: G is Z_p^{2k} and both pairings are linear in the
 digits of beta, so the eigenvalue at alpha is fftn(1_H) at a linearly
 reindexed character, whose digits are trace(c * e_i) over the power basis
 e_i, with c = 2*a_x and 2*delta*a_y for plus and c = a, b for minus.  1_H
-is real, so rfftn, half the transform, holds it: a character whose index
-has digit 0 above p // 2 is read, conjugated, at the negated index, and
+is real, so half the transform holds it (``GeneratorSet.indicator_fft``,
+summed along digit 0 from the members): a character whose index has
+digit 0 above p // 2 is read, conjugated, at the negated index, and
 every one of the q^2 characters is compared within ``SUM_TOL``, the one
-tolerance of every eigenvalue check.  The tests also check it against the
+tolerance of every eigenvalue check, its class read by
+``CurveClasses.of`` on its coordinates (ax, ay), a chunk of rows ay at
+a time.  The tests also check it against the
 full fftn, a pairing summed one member at a time and a dense eigensolver,
 all in ``tests/oracles.py``.
 
@@ -145,7 +148,7 @@ def _fourier_distance(gen: GeneratorSet, classes: CurveClasses,
     for ay in chunks(range(q), q):
         ay = np.arange(ay.start, ay.stop)[:, None]
         got = fourier[x_at + y_at[y_row + ay]]
-        worst = max(worst, float(np.abs(got - eigs[classes.of(ay * q + elems)]).max()))
+        worst = max(worst, float(np.abs(got - eigs[classes.of(elems, ay)]).max()))
     return worst
 
 

@@ -15,10 +15,13 @@ When H is exactly its curve, every C_t is a union of the curve's classes
 (``curves.curve_classes``) and is held as a boolean array over them: the
 class c' is in C + H when class(rep_c + h) = c' for some class c of C and
 h in H, so the growth looks up (classes x |H|) classes, no q^2 array.
-Any other H (a parity-check matrix read from a file) takes the FFT: G is
-Z_p^{2k} (see ``GeneratorSet.indicator_fft``), and C + H is the support
-of irfftn(rfftn(1_C) * rfftn(1_H)), whose values count the ways to write
-a point as c + h; one more than 0.25 from an integer raises
+Each rep_c + h is two coordinate sums by the field's one addition
+(``FieldCtx.adder``), against the members' coordinates widened once,
+and goes to ``CurveClasses.of`` as (x, y).  Any other H (a parity-check
+matrix read from a file) takes the FFT: G is Z_p^{2k} (see
+``GeneratorSet.indicator_fft``), and C + H is the support of
+irfftn(rfftn(1_C) * rfftn(1_H)), whose values count the ways to write a
+point as c + h; one more than 0.25 from an integer raises
 VerificationError.  Both indicators are real, so the half transforms over
 the last axis determine the convolution.  The FFT route refuses q^2 above
 ``VERTEX_CAP``.
@@ -143,14 +146,17 @@ def _class_layers(gen: GeneratorSet, classes) -> tuple:
     its class and sum_c #c * T[c, c'] = |H| * #c' for every class c', with
     T[c, c'] = #{h : class(rep_c + h) = c'}: both count the (r, h) with
     r + h in c'."""
+    q = gen.q
     members = np.asarray(gen.members, dtype=np.int64)
     reps, sizes = classes.reps, classes.sizes
+    add_x, add_y = gen.base.adder(members % q), gen.base.adder(members // q)
+    rx, ry = reps % q, reps // q
     weighted = np.zeros(len(reps))  # exact: every value is below 2^53
 
     def step(new):
         reached = np.zeros(len(reps), dtype=bool)
         for cs in chunks(np.flatnonzero(new), len(members)):
-            keys = classes.of(pair_add(gen.base, reps[cs, None], members)).ravel()
+            keys = classes.of(add_x(rx[cs]), add_y(ry[cs])).ravel()
             reached[keys] = True
             weighted[:] += np.bincount(keys, np.repeat(sizes[cs], len(members)),
                                        len(reps))
@@ -160,7 +166,7 @@ def _class_layers(gen: GeneratorSet, classes) -> tuple:
     grown = _grow(start, step, lambda c: int(sizes[c].sum()), gen.ambient_size)
     step(~grown[0][-2])  # the steps expanded exactly C_{T-1}
     bad = np.flatnonzero(weighted != len(members) * sizes)
-    if bad.size or (classes.of(reps) != np.arange(len(reps))).any():
+    if bad.size or (classes.of(rx, ry) != np.arange(len(reps))).any():
         raise VerificationError(
             f"the class map fails the double-counting identity at classes "
             f"{bad[:3].tolist()} or misplaces a representative")

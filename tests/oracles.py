@@ -7,9 +7,11 @@ result together again.  ``field_mul`` multiplies the lists of digits as
 polynomials mod the field's modulus, ``field_trace`` sums the Frobenius
 conjugates, each a power by ``field_mul``, and ``smallest_primitive_root``
 finds a prime field's generator by ``pow`` over the prime factors of
-p - 1.  None of this shares code with ``quasilee.fields.index_add``/
-``index_neg`` or with the log tables of ``FieldCtx.mul``, so a test that
-compares the two does not check a kernel against itself.
+p - 1.  None of this shares code with the base-2p tables of
+``FieldCtx.add``, with ``quasilee.fields.index_neg`` or with the log
+tables of ``FieldCtx.mul``, so a test that compares the two does not
+check a kernel against itself.  ``index_add`` is the digit loop that
+the table pair replaced: a carry test per digit over whole arrays.
 
 The character sums, the point counts, the shifted double sums and the
 spectrum oracles below add only with ``field_add``/``pair_add``, one term
@@ -40,9 +42,11 @@ row and counts the double sums by norm orbits; these check both at small
 q, and the count tables against the per-x oracles above.
 ``norm_by_mul`` and ``minus_class_by_mul``
 are the class maps by field products that the lookup tables of
-``QuadExt.norm`` and ``CurveClasses.of`` replaced, and
+``QuadExt.norm`` and ``CurveClasses.of`` replaced,
 ``fourier_distance`` is the spectrum's FFT check on the full fftn, which
-``quasilee.spectra`` reads from half the transform.
+``quasilee.spectra`` reads from half the transform, and
+``indicator_rfftn`` is the rfftn of the q^2 float indicator, the route
+that ``GeneratorSet.indicator_fft`` replaced by a sum over the members.
 """
 
 import functools
@@ -130,6 +134,20 @@ def smallest_primitive_root(p: int) -> int:
         factors.add(n)
     return next(g for g in range(2, p)
                 if all(pow(g, (p - 1) // r, p) != 1 for r in factors))
+
+
+def index_add(a, b, p: int, m: int):
+    """Digitwise sum mod p of packed m-digit indices, ints or broadcast
+    int64 arrays.  a + b is the sum of d_i * p**i over the digit sums d_i;
+    p**(i+1) comes off for each d_i >= p, read from the high parts a // p**i.
+    """
+    s = t = a + b
+    for i in range(1, m):
+        a, b = a // p, b // p
+        u = a + b
+        s = s - (t - u * p >= p) * p ** i
+        t = u
+    return s - (s >= p ** m) * p ** m
 
 
 def pair_add(ctx, z1: int, z2: int) -> int:
@@ -371,7 +389,15 @@ def fourier_distance(gen, classes, eigs) -> float:
               for c in _pairing_coefficients(gen))
     alpha = np.arange(q * q)
     got = fourier[dx[alpha % q] + q * dy[alpha // q]]
-    return float(np.abs(got - eigs[classes.of(alpha)]).max())
+    return float(np.abs(got - eigs[classes.of(alpha % q, alpha // q)]).max())
+
+
+def indicator_rfftn(gen) -> np.ndarray:
+    """rfftn of the float indicator 1_H over the q^2 indices, reshaped to
+    (p,) * 2k: the reference for ``GeneratorSet.indicator_fft``."""
+    ind = np.zeros(gen.ambient_size)
+    ind[list(gen.members)] = 1.0
+    return np.fft.rfftn(ind.reshape((gen.p,) * (2 * gen.k)))
 
 
 def adjacency_matrix(gen) -> np.ndarray:

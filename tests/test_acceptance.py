@@ -163,7 +163,8 @@ def test_c06_eigenvalues_are_kloosterman_values():
             ext = QuadExt(base)
             gen = generator_set(base, "plus")
             rep = full_spectrum(gen)
-            eigs = rep.class_eigenvalues[rep.classes.of(np.arange(gen.ambient_size))]
+            z = np.arange(gen.ambient_size)
+            eigs = rep.class_eigenvalues[rep.classes.of(z % base.q, z // base.q)]
             by_norm = {}
             for alpha in range(1, gen.ambient_size):
                 by_norm.setdefault(ext.norm(alpha), []).append(float(eigs[alpha]))

@@ -317,7 +317,7 @@ INJECTED = {
     # eigenvalue and the FFT check catch it
     "spectrum": ("import quasilee.curves as c\n"
                  "of = c.CurveClasses.of\n"
-                 "c.CurveClasses.of = lambda self, z: np.roll(of(self, z), 1)\n",
+                 "c.CurveClasses.of = lambda self, x, y: np.roll(of(self, x, y), 1)\n",
                  ["spectrum", "--p", "13", "--family", "plus"], "eigenvalue"),
     # one class size one too large at q^2 > 2^20, where only the two
     # identities check the classes: the exact count identity fails
@@ -342,7 +342,7 @@ INJECTED = {
     # every class key one higher: the layers' double-counting identity fails
     "subset": ("import quasilee.curves as c\n"
                "of = c.CurveClasses.of\n"
-               "c.CurveClasses.of = lambda self, z: (of(self, z) + 1) % len(self.sizes)\n",
+               "c.CurveClasses.of = lambda self, x, y: (of(self, x, y) + 1) % len(self.sizes)\n",
                ["subset", "--p", "13", "--family", "plus"], "double-counting identity"),
     # every convolution value moved 0.4 off its integer, on the FFT route
     "code-verify-matrix": ("inv = np.fft.irfftn\n"

@@ -418,29 +418,44 @@ def test_shift_adder_matches_pair_add(p, k, family):
     gen = gen_for(p, k, family)
     ctx, shifts = gen.base, bfs_shifts(gen)
     add = codes._shift_adder(ctx, shifts)
-    # int32 rows, as the BFS queue hands them over
+    # int32 rows, as the BFS queue hands them over; pair_add reads the same
+    # tables, the digit loop of tests/oracles.py none
     every = np.arange(gen.ambient_size, dtype=np.int32)
     for rows in fields.chunks(every, shifts.size):
         got = add(rows)
         assert got.dtype == np.intp
         assert np.array_equal(got, pair_add(ctx, rows[:, None], shifts))
+        assert np.array_equal(got, oracles.index_add(rows[:, None].astype(np.int64),
+                                                     shifts, p, 2 * k))
 
 
 @pytest.mark.parametrize("config", [(307, 1, "plus"), (5, 3, "minus")])
 def test_bfs_adds_without_index_add(monkeypatch, config):
-    # the per-chunk addition is table lookups: index_add is called a fixed
-    # number of times, none, whatever the chunk count
+    # the per-chunk addition is lookups in the field's tables: no addition
+    # call (FieldCtx.add, pair_add, the digit loop of tests/oracles.py) and
+    # no table build, whatever the chunk count, and the tree is the one
+    # found with the digit loop as the BFS's adder
     mat = matrix_for(*config)
-    calls, add = [], fields.index_add
-    monkeypatch.setattr(fields, "index_add",
-                        lambda *args: calls.append(1) or add(*args))
+    want = coset_leader_table(mat)
+    calls = []
+    for home, name in ((fields.FieldCtx, "add"), (fields, "pair_add"),
+                       (fields, "_digit_map"), (oracles, "index_add")):
+        monkeypatch.setattr(home, name, lambda *args, fn=getattr(home, name):
+                            calls.append(1) or fn(*args))
     counts = []
     for entries in (fields.CHUNK_ENTRIES, 64 * mat.n):
         monkeypatch.setattr(fields, "CHUNK_ENTRIES", entries)
         before = len(calls)
-        coset_leader_table(mat)
+        table = coset_leader_table(mat)
         counts.append(len(calls) - before)
+        assert np.array_equal(table.step, want.step) and table.levels == want.levels
     assert counts == [0, 0]
+    p, k = mat.p, mat.generator.k
+    monkeypatch.setattr(codes, "_shift_adder", lambda ctx, shifts: (
+        lambda rows: oracles.index_add(rows[:, None].astype(np.int64), shifts,
+                                       p, 2 * k)))
+    table = coset_leader_table(mat)
+    assert np.array_equal(table.step, want.step) and table.levels == want.levels
 
 
 def test_table_is_a_bfs_tree():

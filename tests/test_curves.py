@@ -4,7 +4,7 @@ import numpy as np
 import oracles
 import pytest
 
-from quasilee import curves
+from quasilee import curves, fields
 from quasilee.codes import rank_mod_p
 from quasilee.curves import (GeneratorSet, admissibility, curve_classes,
                              from_representatives, generator_set, norm_circle,
@@ -63,9 +63,10 @@ def test_curve_classes_are_the_orbits(p, k, family):
     gen = generator_set(make_field(p, k), family)
     classes = curve_classes(gen)
     z = np.arange(gen.ambient_size)
-    keys = classes.of(z)
+    keys = classes.of(z % gen.q, z // gen.q)
     assert keys.tolist() == [oracle_class(gen, int(a)) for a in z]
-    assert classes.of(classes.reps).tolist() == list(range(len(classes.reps)))
+    reps = classes.reps
+    assert classes.of(reps % gen.q, reps // gen.q).tolist() == list(range(len(reps)))
     assert np.bincount(keys).tolist() == classes.sizes.tolist()
     assert classes.sizes.tolist() == [1] + [gen.degree] * (len(classes.sizes) - 1)
     # the symmetry group permutes H and maps every class onto itself
@@ -75,7 +76,7 @@ def test_curve_classes_are_the_orbits(p, k, family):
         t = np.array(gen.members) % gen.q
         moved = (gen.base.mul(t[:, None], z % gen.q)
                  + gen.q * gen.base.mul(gen.base.inv(t)[:, None], z // gen.q))
-    assert (classes.of(moved) == keys).all()
+    assert (classes.of(moved % gen.q, moved // gen.q) == keys).all()
 
 
 @pytest.mark.parametrize("family", ["plus", "minus"])
@@ -94,9 +95,36 @@ def test_class_maps_by_lookup_match_the_product_formulas(p, k, family):
         assert ints == want.tolist() and {type(v) for v in ints} == {int}
     else:
         want = oracles.minus_class_by_mul(gen.base, z)
-    assert np.array_equal(classes.of(z), want)
-    ints = [classes.of(int(a)) for a in z]
+    assert np.array_equal(classes.of(z % gen.q, z // gen.q), want)
+    ints = [classes.of(int(a) % gen.q, int(a) // gen.q) for a in z]
     assert ints == want.tolist() and {type(v) for v in ints} == {int}
+
+
+@pytest.mark.parametrize("family", ["plus", "minus"])
+@pytest.mark.parametrize("p,k", [(5, 1), (13, 1), (31, 1), (3, 2), (5, 2), (7, 2),
+                                 (5, 3), (3, 4)])
+def test_indicator_fft_matches_rfftn_of_the_indicator(monkeypatch, p, k, family):
+    # the digit-0 axis summed over the members equals numpy's rfftn of the
+    # q^2 float indicator, also in chunks of one and of three members, so
+    # that the members of one row straddle chunks
+    gen = generator_set(make_field(p, k), family)
+    want = oracles.indicator_rfftn(gen)
+    for entries in (fields.CHUNK_ENTRIES, 1, 3 * (p // 2 + 1)):
+        monkeypatch.setattr(fields, "CHUNK_ENTRIES", entries)
+        got = gen.indicator_fft()
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12
+
+
+def test_indicator_fft_of_a_set_off_the_curve(monkeypatch):
+    # p = 13 plus with its last representative moved off the circle to (8, 6)
+    gen = from_representatives(make_field(13), "plus",
+                               [1, 4 + 13, 9 + 13, 3 + 26, 10 + 26, 5 + 65, 8 + 78])
+    assert curve_classes(gen) is None
+    want = oracles.indicator_rfftn(gen)
+    for entries in (fields.CHUNK_ENTRIES, 1, 21):
+        monkeypatch.setattr(fields, "CHUNK_ENTRIES", entries)
+        assert np.abs(gen.indicator_fft() - want).max() <= 1e-12
 
 
 @pytest.mark.parametrize("family", ["plus", "minus"])

@@ -1,5 +1,6 @@
 """Field contexts, quadratic extensions and character sums."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quasilee import fields
 from quasilee.fields import (AMBIENT_CAP, QuadExt, SizeCapError,
-                             check_ambient, fold_counts, index_add,
+                             VerificationError, check_ambient, fold_counts,
                              index_digits, index_neg, index_pack, is_prime,
                              kloosterman, make_field, minus3_character,
                              pair_add, pair_index, pair_neg,
@@ -132,6 +134,39 @@ def test_prime_field_generators_are_smallest_primitive_roots():
     for p in range(3, 2000):
         if is_prime(p):
             assert make_field(p).generator == oracles.smallest_primitive_root(p)
+
+
+# sha256 of the little-endian int64 bytes of _exp, _log and trace_table,
+# as built when each candidate generator's whole orbit was grown
+FROZEN_TABLES = {
+    (3, 8): "e972e50b151fbf922130ff0f101162d4982de142d5d0abd281b1440824a25943",
+    (5, 5): "39d14b201c58bc1f73fa52f498944f62b58e669ec3166527bfa11a62b3f1a473",
+    (7, 4): "984536cd27e47ad23b9c5b6ba47f48bfd96ea2d390f78f0eabbe84145b39a526",
+    (13, 2): "31ec2749c93911c1d62cbc9502245ef287887ae6166b371e408d6d46ade8645b",
+    (31, 2): "a5a1c0ecf88b34a421f4551f222d6b61e5fe803c4f9b6e6409bdd4acef9a9209",
+    (89, 2): "e00d82b11d394234398de6a0b82f8d8a2cf59c39290c6c293713f2a3c4db53b7",
+    (307, 1): "72d571b399f383c1134f476ef2148799dbc0c1a0de5307587ccd412abe756b4a",
+    (311, 1): "7f2ab4e0ea9831fcd9d44c3d76af3da54a48dc9bf29f2d8e07701e9250e4c781",
+    (8191, 1): "fac337ba392252ca1a6ca44ea51d6c6ec9e62dcbc1f2c08ab87529e6917fccce",
+}
+
+
+@pytest.mark.parametrize("p,k", sorted(FROZEN_TABLES))
+def test_field_tables_frozen(p, k):
+    ctx = make_field(p, k)
+    digest = hashlib.sha256()
+    for table in (ctx._exp, ctx._log, ctx.trace_table):
+        digest.update(np.ascontiguousarray(table, dtype="<i8").tobytes())
+    assert digest.hexdigest() == FROZEN_TABLES[(p, k)]
+
+
+@pytest.mark.parametrize("p,k", [(13, 1), (5, 2)])
+def test_generator_without_full_orbit_is_refused(monkeypatch, p, k):
+    # the order test picks the generator; its orbit, grown apart, must
+    # still hold every unit: -1 has order 2
+    monkeypatch.setattr(fields, "_first_primitive", lambda *args: p - 1)
+    with pytest.raises(VerificationError, match=f"generator {p - 1} is not all units"):
+        make_field(p, k)
 
 
 def test_frozen_trace_and_character_values():
@@ -268,16 +303,19 @@ def test_mul_inv_character_match_polynomial_oracle(p, k):
 
 @pytest.mark.parametrize("p,k", [(5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (5, 3)])
 def test_index_kernel_matches_digit_oracle(p, k):
+    # the table addition and the digit-loop negation against the scalar
+    # oracles, and the array digit loop of tests/oracles.py with them
     ctx = make_field(p, k)
     elems = range(ctx.q)
     add = [[oracles.field_add(ctx, a, b) for b in elems] for a in elems]
     neg = [oracles.field_neg(ctx, a) for a in elems]
     z = np.arange(ctx.q)
-    assert index_add(z[:, None], z, p, k).tolist() == add
+    assert ctx.add(z[:, None], z).tolist() == add
+    assert oracles.index_add(z[:, None], z, p, k).tolist() == add
     assert index_neg(z, p, k).tolist() == neg
-    assert [[index_add(a, b, p, k) for b in elems] for a in elems] == add
+    assert [[ctx.add(a, b) for b in elems] for a in elems] == add
     assert [index_neg(a, p, k) for a in elems] == neg
-    assert type(index_add(1, ctx.q - 1, p, k)) is int
+    assert type(ctx.add(1, ctx.q - 1)) is int
     assert type(index_neg(1, p, k)) is int
 
 
@@ -292,7 +330,7 @@ def test_pair_kernel_matches_digit_oracle(p, k):
     x, y = z % q, z // q
     want = field[x[:, None], x] + q * field[y[:, None], y]
     assert np.array_equal(pair_add(ctx, z[:, None], z), want)
-    assert np.array_equal(index_add(z[:, None], z, p, 2 * k), want)
+    assert np.array_equal(oracles.index_add(z[:, None], z, p, 2 * k), want)
     neg = [oracles.pair_neg(ctx, v) for v in range(size)]
     assert pair_neg(ctx, z).tolist() == neg
     assert [pair_neg(ctx, v) for v in range(size)] == neg
@@ -302,6 +340,28 @@ def test_pair_kernel_matches_digit_oracle(p, k):
         got = [pair_add(ctx, z1, z2) for z2 in cols]
         assert got == [oracles.pair_add(ctx, z1, z2) for z2 in cols]
         assert got == want[z1, cols].tolist()
+
+
+@pytest.mark.parametrize("p,k", [(5, 1), (13, 1), (3, 2), (3, 3), (5, 2), (7, 2),
+                                 (5, 3)])
+def test_table_addition_matches_digit_loop(p, k):
+    # FieldCtx.add on every pair of F_q and pair_add on every pair of
+    # F_q x F_q (at 5^3, every 31st column) against the digit loop; an int
+    # in gives an int out
+    ctx = make_field(p, k)
+    q, size = ctx.q, ctx.q ** 2
+    z = np.arange(q)
+    assert np.array_equal(ctx.add(z[:, None], z), oracles.index_add(z[:, None], z, p, k))
+    cols = np.arange(0, size, 1 if size <= 2401 else 31)
+    for rows in np.array_split(np.arange(size), max(1, size // 128)):
+        assert np.array_equal(pair_add(ctx, rows[:, None], cols),
+                              oracles.index_add(rows[:, None], cols, p, 2 * k))
+    for a, b in ((0, 0), (1, q - 1), (q - 1, q - 1)):
+        assert type(ctx.add(a, b)) is int
+        assert ctx.add(a, b) == oracles.index_add(a, b, p, k)
+    for a, b in ((0, 0), (1, size - 1), (size - 1, size - 1)):
+        assert type(pair_add(ctx, a, b)) is int
+        assert pair_add(ctx, a, b) == oracles.index_add(a, b, p, 2 * k)
 
 
 @pytest.mark.parametrize("p,m", [(5, 1), (3, 4), (7, 3)])

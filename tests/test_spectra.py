@@ -21,7 +21,9 @@ def spectrum(p, k, family) -> SpectrumReport:
 
 def vertex_classes(rep) -> np.ndarray:
     """The class of every character alpha."""
-    return rep.classes.of(np.arange(rep.generator.ambient_size))
+    q = rep.generator.q
+    alpha = np.arange(q * q)
+    return rep.classes.of(alpha % q, alpha // q)
 
 
 def vertex_eigenvalues(rep) -> np.ndarray:
@@ -185,9 +187,9 @@ def test_fft_check_compares_each_half(monkeypatch, p, k, family, half):
     ctx, cx = gen.base, _pairing_coefficients(gen)[0]
     of = CurveClasses.of
 
-    def shifted(self, z):
-        keys = of(self, z)
-        mirrored = ctx.trace_table[ctx.mul(cx, z % gen.q)] > p // 2
+    def shifted(self, x, y):
+        keys = of(self, x, y)
+        mirrored = ctx.trace_table[ctx.mul(cx, x)] > p // 2
         return np.where(mirrored == (half == "mirrored"),
                         (keys + 1) % len(self.sizes), keys)
     monkeypatch.setattr(CurveClasses, "of", shifted)
@@ -197,9 +199,10 @@ def test_fft_check_compares_each_half(monkeypatch, p, k, family, half):
 
 @pytest.mark.parametrize("family", ["plus", "minus"])
 def test_spectrum_at_the_vertex_cap_holds_half_a_transform(family):
-    # p = 1021, q^2 = 1 042 441 <= 2^20, so the FFT check runs: the float64
-    # indicator and rfftn's two half arrays (q(p + 1)/2 complex128 each)
-    # fit under 26 MiB, where the full fftn took 40.3 MiB
+    # p = 1021, q^2 = 1 042 441 <= 2^20, so the FFT check runs: the member
+    # sums along digit 0 and the transform of the other axes, two half
+    # arrays of q(p + 1)/2 complex128 each, fit under 26 MiB, where the
+    # full fftn took 40.3 MiB
     gen = generator_set(make_field(1021), family)
     tracemalloc.start()
     try:

@@ -27,7 +27,8 @@ def layer_masks(lay):
     """The class route's layers as masks over the q^2 indices."""
     gen = lay.generator
     classes = curve_classes(gen)
-    keys = classes.of(np.arange(gen.ambient_size))
+    z = np.arange(gen.ambient_size)
+    keys = classes.of(z % gen.q, z // gen.q)
     return [c[keys] for c in sumsets._class_layers(gen, classes)[0]]
 
 
