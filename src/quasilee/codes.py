@@ -18,11 +18,11 @@ with these steps, and the table is a breadth-first search on that graph,
 stored as the last step of each syndrome's path from 0 and the size of
 each level, the number of cosets of each leader weight.  The search adds
 its fixed shifts to a chunk of syndromes coordinate by coordinate with
-the field's one addition, ``FieldCtx.adder`` on the base-2p table pair,
-where digit sums carry nothing; it builds no table of its own.  Lee balls are
-never held whole: ``lee_ball`` turns an array of ranks into the supports
-of those words, (position, value) pairs, so the round trip unranks only
-the errors it picks.
+the field's one addition, ``FieldCtx.adder`` on the base-(2p - 1) table
+pair, where digit sums carry nothing; it builds no table of its own.  Lee
+balls are never held: the round trip plants errors of Lee weight <= 2,
+the weight the codes correct, and ``_unrank_ball`` turns the ranks it
+picks into those errors' (position, value) pairs in closed form.
 
 The table construction and the sumset layer growth are independent
 computations of the same quantities (reachable syndromes per weight), so
@@ -40,73 +40,41 @@ import numpy as np
 from .curves import GeneratorSet, from_representatives, generator_set
 from .fields import (VERTEX_CAP, VerificationError, check_ambient, chunk_rows,
                      chunks, index_pack, make_field, pair_neg)
-from .sumsets import (MAX_LAYERS, Classification, CoverageError, classify,
-                      lee_ball_size)
+from .sumsets import MAX_LAYERS, Classification, CoverageError, classify
 
 
-def lee_ball(n: int, p: int, radius: int) -> tuple:
-    """The words of Z_p^n with Lee weight <= radius, by rank: the exact
-    word count ``rows`` and a function ``support`` from an array of ranks
-    in [0, rows) to int64 arrays ``pos`` and ``val`` of shape
-    min(radius, n) x len(ranks).  The word of rank ranks[i] has entry
-    val[t, i] at position pos[t, i], positions ascending, and (0, 0) pairs
-    past its support; a rank outside [0, rows) raises ValueError.  Exact
-    for any odd p; ``rows`` agrees with ``lee_ball_size`` whenever the
-    radius is at most (p-1)/2.
+def _unrank_ball(n: int, p: int, radius: int) -> tuple:
+    """The words of Z_p^n with Lee weight <= radius <= 2, by rank: the word
+    count ``rows`` and a function ``support`` from an array of ranks in
+    [0, rows) to int64 arrays ``pos`` and ``val`` of shape 2 x len(ranks).
+    The word of rank ranks[i] has entry val[t, i] at position pos[t, i],
+    and a (0, 0) pair adds nothing; a rank outside [0, rows) raises
+    ValueError.  Exact for any odd p, p = 3 included.
 
-    Ranks go depth-first: the ball of radius b over positions s .. n-1 is
-    the zero word and then, for each position j >= s, weight w and value
-    w, then p - w, a block: the ball of radius b - w over the positions
-    past j, whose zero word is the word with that value at j.  The blocks
-    of every radius b <= radius make one flat table in (b, j, w, value)
-    order; each pair of a support is one ``searchsorted`` of the ranks'
-    keys in it, which leaves each rank within its block's ball."""
-    half, width = (p - 1) // 2, min(radius, n)
-    # size[b, m]: rows of the radius-b ball over m positions
-    size = np.ones((radius + 1, n + 1), dtype=np.int64)
-    for b in range(1, radius + 1):
-        size[b, 1:] += 2 * np.cumsum(size[b - min(b, half):b, :-1].sum(axis=0))
-    # block i = ((b * n + j) * W + w - 1) * 2 + v holds value w (v = 0) or
-    # p - w; those with w > b are empty, block 0 among them: the key -1 of
-    # a finished row lands there, at the pair (0, 0)
-    W = min(radius, half)
-    i = np.arange((radius + 1) * n * 2 * W)
-    j, b, w = i // (2 * W) % n, i // (2 * W * n), (i >> 1) % W + 1
-    sub = b - w  # the radius of the block's ball
-    sizes = np.where(sub >= 0, size[sub, n - 1 - j], 0)
-    val = np.where(i & 1, p - w, w)
-    val[:1] = 0
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-    # a rank r > 0 of the ball (b, s) over positions s .. n-1 is the key
-    # base[b, s] + r; past the last position a ball is its zero word alone
-    first = 2 * W * (n * np.arange(radius + 1)[:, None] + np.arange(n + 1))
-    base = np.append(starts, 0)[first] - 1
-    child = base[sub, j + 1]
-
-    rows = int(size[radius, n])
+    Ranks go depth-first: rank 0 is the zero word; then position j owns,
+    at radius 2, two blocks of 1 + 2(n - 1 - j) ranks, the word with value
+    1, then p - 1, at j, each followed by its extensions by +-1 at a
+    position past j, in that order; then the words 2 and p - 2 at j, when
+    p >= 5.  At radius 1 position j owns its two words, at radius 0 none.
+    So a rank's position j is one ``searchsorted`` over the n ends."""
+    block = 1 + 2 * (radius == 2) * np.arange(n - 1, -1, -1)
+    own = (2 * block + 2 * (radius == 2 and p >= 5)) * (radius > 0)
+    ends = np.cumsum(own)
+    rows = 1 + int(ends[-1])
 
     def support(ranks) -> tuple:
-        ranks = np.asarray(ranks, dtype=np.int64)
-        if ranks.size and not 0 <= ranks.min() <= ranks.max() < rows:
+        key = np.asarray(ranks, dtype=np.int64) - 1
+        if key.size and not -1 <= key.min() <= key.max() < rows - 1:
             raise ValueError(f"ranks must lie in [0, {rows})")
-        key = np.where(ranks > 0, base[radius, 0] + ranks, -1)
-        out = np.empty((2, width, ranks.size), dtype=np.int64)
-        for t in range(width):
-            blk = np.searchsorted(ends, key, side="right")
-            if t + 1 < width:
-                # the pair t + 1 is scratch until it is filled: beyond
-                # the output only key and blk are held (every blk is in
-                # range, and take with mode="raise" would copy its out)
-                r, c = out[0, t + 1], out[1, t + 1]
-                np.subtract(key, starts.take(blk, out=r, mode="clip"), out=r)
-                np.add(child.take(blk, out=c, mode="clip"), r, out=c)
-                key.fill(-1)
-                np.copyto(key, c, where=r > 0)
-            j.take(blk, out=out[0, t], mode="clip")
-            val.take(blk, out=out[1, t], mode="clip")
-            del blk  # before the next searchsorted allocates its own
-        return out[0], out[1]
+        j = np.searchsorted(ends, key, side="right")
+        off, b = key - ends[j] + own[j], block[j]  # off: among j's ranks
+        first = np.where(off < 2 * b, np.where(off < b, 1, p - 1),
+                         np.where(off == 2 * b, 2, p - 2))
+        s = np.where(off < 2 * b, off % b, 0)  # s > 0: a +-1 past j follows
+        pos = np.stack([j, np.where(s > 0, j + (s + 1) // 2, 0)])
+        val = np.stack([first, np.where(s > 0, np.where(s % 2, 1, p - 1), 0)])
+        live = key >= 0  # rank 0, the zero word
+        return pos * live, val * live
 
     return rows, support
 
@@ -587,25 +555,28 @@ def round_trip_check(table: CosetLeaderTable, trials: int, seed: int,
     """Seeded random decode round trips: (successes, trials).
 
     A codeword is sampled by decoding a uniform random word (uniform over
-    the code), a random error of Lee weight <= max_weight is added, and
-    the decoder must return exactly the original pair.  Per trial the
+    the code), a random error of Lee weight <= max_weight <= 2 is added,
+    and the decoder must return exactly the original pair.  Per trial the
     draws are those of ``random.Random(seed)``'s ``randrange(p)`` for each
     of the n entries and then ``randrange`` over the Lee ball, in that
     order, but taken from the generator in bulk a chunk of trials at a
-    time (``_trial_draws``); each chunk unranks only its picked errors and
-    is decoded as n-entry rows, so memory grows neither with ``trials``
-    nor with the ball.  ValueError if ``trials`` < 0, or for a Lee ball of
-    more than ``VERTEX_CAP`` words: the ball is not held, but the bulk
-    draws are exact only for a ball below 2^32 words.
+    time (``_trial_draws``); each chunk unranks only its picked errors
+    (``_unrank_ball``) and is decoded as n-entry rows, so memory grows
+    neither with ``trials`` nor with the ball.  ValueError, before any
+    draw, if ``trials`` < 0, if ``max_weight`` is not in [0, 2], or for a
+    Lee ball of more than ``VERTEX_CAP`` words: the ball is not held, but
+    the bulk draws are exact only for a ball below 2^32 words.
     """
     if trials < 0:
         raise ValueError(f"trial count must be nonnegative, got {trials}")
+    if not 0 <= max_weight <= 2:
+        raise ValueError(f"round trip errors have Lee weight at most 2, "
+                         f"got max_weight = {max_weight}")
     p, n = table.matrix.p, table.matrix.n
-    ball = lee_ball_size(n, max_weight)
-    if ball > VERTEX_CAP:
+    rows, support = _unrank_ball(n, p, max_weight)
+    if rows > VERTEX_CAP:
         raise ValueError(f"the radius-{max_weight} Lee ball at n = {n} holds "
-                         f"{ball} words, more than {VERTEX_CAP}")
-    rows, support = lee_ball(n, p, max_weight)
+                         f"{rows} words, more than {VERTEX_CAP}")
     ok = 0
     for words, picked in _trial_draws(random.Random(seed), trials, n, p, rows):
         # dense rows for the picked errors only; a padding pair adds 0

@@ -26,9 +26,10 @@ doubling, is the exp table, and must hold all q - 1 units.
 Each additive group here is Z_p^m held as packed base-p indices: F_q
 (m = k) and the pair group F_q x F_q (m = 2k, (x, y) packed as x + q*y).
 The one addition of F_q is a table pair on ``FieldCtx``: ``_wide``
-rewrites an index's base-p digits as a base-2p number, where two reduced
-digit vectors add without a carry, and ``_low`` takes the sum, one of
-(2p)^k numbers, back to the base-p index of its digits mod p.
+rewrites an index's base-p digits as a base-(2p - 1) number, where two
+reduced digit vectors add without a carry (a digit sum is at most
+2p - 2), and ``_low`` takes the sum, one of (2p - 1)^k numbers, back to
+the base-p index of its digits mod p.
 ``FieldCtx.add``, ``pair_add`` (each coordinate apart) and the trace
 table read it, and so, through ``FieldCtx.adder``, which widens a fixed
 operand once, do the coset-table BFS and the layer growth's class steps;
@@ -281,10 +282,10 @@ class FieldCtx:
             a = shifted[-1]
             up = np.concatenate([np.zeros_like(a[:1]), a[:-1]])
             shifted.append((up - a[-1] * np.array(self.modulus[:k])[:, None]) % p)
-        # the one addition: digits in base 2p add without a carry, and _low
-        # reduces each digit sum mod p (see the module docstring)
-        self._wide = _digit_map(np.arange(p), 2 * p, k)
-        self._low = _digit_map(np.arange(2 * p) % p, p, k)
+        # the one addition: digits in base 2p - 1 add without a carry, and
+        # _low reduces each digit sum mod p (see the module docstring)
+        self._wide = _digit_map(np.arange(p), 2 * p - 1, k)
+        self._low = _digit_map(np.arange(2 * p - 1) % p, p, k)
         gen = _first_primitive(shifted, p, q)
         # its orbit of 1, grown by doubling (next n steps = g**n * first n)
         step = index_pack(np.tensordot(index_digits(gen, p, k), shifted, 1) % p, p)
@@ -319,7 +320,7 @@ class FieldCtx:
     # -- operations: ints, or int64 arrays broadcast against each other -----
 
     def add(self, a, b):
-        """Index addition: the base-2p sum of the two indices, reduced."""
+        """Index addition: the base-(2p - 1) sum of the two indices, reduced."""
         return _gathered(self._low[self._wide[a] + self._wide[b]])
 
     def adder(self, b):

@@ -7,7 +7,7 @@ result together again.  ``field_mul`` multiplies the lists of digits as
 polynomials mod the field's modulus, ``field_trace`` sums the Frobenius
 conjugates, each a power by ``field_mul``, and ``smallest_primitive_root``
 finds a prime field's generator by ``pow`` over the prime factors of
-p - 1.  None of this shares code with the base-2p tables of
+p - 1.  None of this shares code with the base-(2p - 1) tables of
 ``FieldCtx.add``, with ``quasilee.fields.index_neg`` or with the log
 tables of ``FieldCtx.mul``, so a test that compares the two does not
 check a kernel against itself.  ``index_add`` is the digit loop that
@@ -30,8 +30,8 @@ cubic's equation at every (t, x, y), where the program solves it for t,
 so it checks the program at fields too large for
 ``projective_cubic_count``.  ``gathered_lee_ball`` builds the whole Lee
 ball from tails of the smaller balls, as the program did before it
-enumerated the ball by rank, so it checks the ranked rows at balls too
-large for ``scalar_lee_ball``; ``ball_injective`` applies the parity-check
+unranked the ball, so it checks the round trip's closed-form unranker at
+balls too large for ``scalar_lee_ball``; ``ball_injective`` applies the parity-check
 map to that whole ball, the walk that ``verify_quasi_perfect`` replaced
 by the census.  ``gauss_count_table``,
 ``kloosterman_count_table`` and ``shifted_sum_masks`` are the lemma
@@ -450,8 +450,8 @@ def gathered_lee_ball(n, p, radius) -> tuple:
     """The Lee ball's supports as whole arrays ``pos`` and ``val`` of shape
     rows x min(radius, n), in ``scalar_lee_ball``'s row order, built one
     radius at a time by gathering tails of the smaller balls: the builder
-    that ``quasilee.codes.lee_ball`` replaced, kept as the reference that
-    its ranked rows must match.
+    that the ranked ball replaced, kept as the reference that the round
+    trip's unranked rows (``quasilee.codes._unrank_ball``) must match.
 
     The ball of radius b is the zero word and then, for each position j,
     weight w and value w, then p - w, a block: the word with that value at

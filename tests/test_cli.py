@@ -461,8 +461,8 @@ def test_code_verify_unranks_each_rank_once(capsys, monkeypatch, p, n):
             return support(r)
         return rows, unrank
 
-    real = codes.lee_ball
-    monkeypatch.setattr(codes, "lee_ball", counted)
+    real = codes._unrank_ball
+    monkeypatch.setattr(codes, "_unrank_ball", counted)
     code, out, _ = run(capsys, "code-verify", "--p", str(p), "--family", "plus")
     assert code == 0 and "round_trip: 200/200 seed=0" in out
     b2 = 2 * n * n + 2 * n + 1

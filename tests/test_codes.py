@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 from quasilee import codes, fields
 from quasilee.codes import (CosetLeaderTable, DecodeResult, VerificationError,
                             build_code, code_parameters, coset_leader_table,
-                            decode, decode_words, lee_ball,
-                            matrix_from_json_dict, matrix_from_text,
-                            parity_check_matrix, rank_mod_p, round_trip_check,
-                            syndrome, syndromes, verify_quasi_perfect)
+                            decode, decode_words, matrix_from_json_dict,
+                            matrix_from_text, parity_check_matrix, rank_mod_p,
+                            round_trip_check, syndrome, syndromes,
+                            verify_quasi_perfect)
 from quasilee.curves import from_representatives, generator_set
 from quasilee.fields import make_field, pair_add, pair_index
 from quasilee.sumsets import CoverageError, cumulative_layers, lee_ball_size
@@ -55,24 +55,26 @@ def all_leaders(table) -> list:
 
 
 def ball_words(n, p, radius) -> list:
-    """The words of ``lee_ball``, every rank in order.  Each word's
+    """The words of ``_unrank_ball``, every rank in order.  Each word's
     support must list its pairs first, positions ascending and values
     nonzero, and then only (0, 0) pairs."""
-    rows, support = lee_ball(n, p, radius)
+    rows, support = codes._unrank_ball(n, p, radius)
     pos, val = support(np.arange(rows))
     assert pos.dtype == val.dtype == np.int64
-    width = min(radius, n)
-    assert pos.shape == val.shape == (width, rows)
-    words = []
-    for ps, vs in zip(pos.T.tolist(), val.T.tolist()):
-        m = sum(v != 0 for v in vs)
-        assert all(0 < v < p for v in vs[:m]) and ps[:m] == sorted(set(ps[:m]))
-        assert ps[m:] == vs[m:] == [0] * (width - m)
-        word = [0] * n
-        for j, v in zip(ps[:m], vs[:m]):
-            word[j] = v
-        words.append(tuple(word))
-    return words
+    assert pos.shape == val.shape == (2, rows)
+    return [dense_word(n, ps, vs, p) for ps, vs in zip(pos.T.tolist(), val.T.tolist())]
+
+
+def dense_word(n, ps, vs, p) -> tuple:
+    """The word whose support is the pairs (ps[t], vs[t]): the nonzero
+    pairs first, positions strictly ascending, then (0, 0) pairs only."""
+    m = sum(v != 0 for v in vs)
+    assert all(0 < v < p for v in vs[:m]) and ps[:m] == sorted(set(ps[:m]))
+    assert list(ps[m:]) == list(vs[m:]) == [0] * (len(vs) - m)
+    word = [0] * n
+    for j, v in zip(ps[:m], vs[:m]):
+        word[j] = v
+    return tuple(word)
 
 
 # -- Lee metric ----------------------------------------------------------------
@@ -110,26 +112,41 @@ BALL_SWEEP = [(0, 5, 2), (1, 3, 1), (2, 3, 2), (3, 7, 2), (5, 5, 3), (7, 13, 4),
 
 @pytest.mark.parametrize("n,p,radius", BALL_SWEEP)
 def test_ball_array_matches_scalar_oracle(n, p, radius):
-    assert ball_words(n, p, radius) == oracles.scalar_lee_ball(n, p, radius)
+    # the whole-ball reference of the unranker and, up to radius 3, of
+    # ball_injective
+    pos, val = oracles.gathered_lee_ball(n, p, radius)
+    assert [dense_word(n, ps, vs, p) for ps, vs in zip(pos.tolist(), val.tolist())] \
+        == oracles.scalar_lee_ball(n, p, radius)
 
 
-@pytest.mark.parametrize("n,p,radius", BALL_SWEEP)
+# the round trip's radii 0, 1 and 2; n = 1; the wraparound regime at p = 3;
+# and the code-verify rungs p = 97 plus and p = 5, k = 3 minus
+UNRANK_SWEEP = [(1, 3, 1), (2, 3, 2), (3, 7, 2), (62, 5, 2), (4, 7, 0), (1, 5, 2),
+                (2, 5, 2), (7, 13, 2), (12, 23, 2), (1, 3, 2), (4, 3, 2), (5, 3, 2),
+                (49, 97, 2), (7, 13, 1), (3, 3, 1), (62, 5, 1), (1, 5, 0)]
+
+
+@pytest.mark.parametrize("n,p,radius", UNRANK_SWEEP)
 def test_any_ranks_unrank_to_the_gathered_rows(n, p, radius):
-    # ranks shuffled, repeated, the first and the last, and none at all
+    # ranks shuffled, repeated, the first and the last, and none at all;
+    # past the gathered ball's min(radius, n) columns only (0, 0) pairs
     ref_pos, ref_val = oracles.gathered_lee_ball(n, p, radius)
-    rows, support = lee_ball(n, p, radius)
+    width = ref_pos.shape[1]
+    rows, support = codes._unrank_ball(n, p, radius)
     assert rows == len(ref_pos)
     rng = np.random.default_rng(rows)
     ranks = np.concatenate([[rows - 1, 0], rng.permutation(rows),
                             rng.integers(0, rows, 40), [0, rows - 1, rows - 1]])
     for r in (ranks, ranks[:0]):
         pos, val = support(r)
-        assert pos.shape == val.shape == (min(radius, n), len(r))
-        assert (pos.T == ref_pos[r]).all() and (val.T == ref_val[r]).all()
+        assert pos.shape == val.shape == (2, len(r))
+        assert (pos[:width].T == ref_pos[r]).all() and (val[:width].T == ref_val[r]).all()
+        assert not pos[width:].any() and not val[width:].any()
 
 
 def test_ball_vectors_are_distinct_and_light():
     ball = ball_words(3, 7, 2)
+    assert ball == oracles.scalar_lee_ball(3, 7, 2)
     assert len(ball) == len(set(ball)) == 25
     assert all(oracles.lee_weight(v, 7) <= 2 for v in ball)
     assert all(0 <= c < 7 for v in ball for c in v)
@@ -157,36 +174,19 @@ def test_ball_arrays_are_read_only():
     # to its callers: no ball is shared, each call returns arrays of its
     # own, and writing into them changes neither the ranks nor later rows
     ref_pos, ref_val = oracles.gathered_lee_ball(7, 13, 2)
-    rows, support = lee_ball(7, 13, 2)
+    rows, support = codes._unrank_ball(7, 13, 2)
     ranks = np.arange(rows)
     pos, val = support(ranks)
     pos[...] = val[...] = -1
-    for again in (support, lee_ball(7, 13, 2)[1]):
+    for again in (support, codes._unrank_ball(7, 13, 2)[1]):
         pos, val = again(ranks)
         assert (pos.T == ref_pos).all() and (val.T == ref_val).all()
     assert (ranks == np.arange(rows)).all()
 
 
-def test_ball_enumeration_holds_little_beyond_its_result():
-    # the radius-2 ball at p = 1021 plus: 523 265 ranks unrank to 16.7 MB
-    # of positions and values; beyond them only a rank key and a block
-    # index are held (an int64 key matrix and its sort took 60 MiB when
-    # the ball was built whole)
-    ranks = np.arange(lee_ball_size(511, 2))
-    tracemalloc.start()
-    try:
-        rows, support = lee_ball(511, 1021, 2)
-        pos, val = support(ranks)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rows == len(ranks) and pos.shape == val.shape == (2, rows)
-    assert peak < 1.6 * (pos.nbytes + val.nbytes)
-
-
 @pytest.mark.parametrize("bad", [[-1], [0, 25], [25]])
 def test_ranks_outside_the_ball_are_refused(bad):
-    rows, support = lee_ball(3, 7, 2)
+    rows, support = codes._unrank_ball(3, 7, 2)
     assert rows == 25
     with pytest.raises(ValueError, match=r"\[0, 25\)"):
         support(np.array(bad))
@@ -659,13 +659,32 @@ def test_round_trips_both_example_codes():
 
 @pytest.mark.parametrize("block", [None, 7])
 def test_round_trip_rng_stream_is_pinned(monkeypatch, block):
-    # the value of the one-word-at-a-time decoder, which drew a random word
-    # and then an error index per trial; batches of any size (the default
-    # budget's or 7 trials, the last one short) keep that order
+    # each trial decodes a random word, then that codeword plus the error
+    # of a random rank: the words and the planted errors are those of the
+    # per-trial randrange loop, the error the scalar ball's row at the
+    # picked rank, in batches of any size (the default budget's or 7
+    # trials, the last one short)
     if block is not None:
         monkeypatch.setattr(fields, "CHUNK_ENTRIES", block * 7)  # n = 7
     table = table_for(13, 1, "plus")
-    assert round_trip_check(table, trials=300, seed=1, max_weight=3) == (99, 300)
+    calls = []
+
+    def recorded(tab, words):
+        out = decode_words(tab, words)
+        calls.append((np.array(words), out[0]))
+        return out
+
+    monkeypatch.setattr(codes, "decode_words", recorded)
+    assert round_trip_check(table, trials=300, seed=1) == (300, 300)
+    words = np.concatenate([w for w, _ in calls[::2]])
+    planted = np.concatenate([w - cw for (w, cw), _ in
+                              zip(calls[1::2], calls[::2])])
+    ball = oracles.scalar_lee_ball(7, 13, 2)
+    want_words, picks = oracles.scalar_trial_draws(
+        random.Random(1), 300, 7, 13, len(ball))
+    assert words.tolist() == want_words
+    assert [tuple(e) for e in planted.tolist()] == [ball[i] for i in picks]
+    assert block is None or max(len(w) for w, _ in calls) == block
     assert round_trip_check(table, trials=0, seed=1) == (0, 0)
 
 
@@ -695,27 +714,31 @@ def test_round_trip_rejects_negative_trials():
 
 
 def test_round_trip_refuses_a_ball_above_the_cap_before_enumerating(monkeypatch):
-    # #B_3 = 1 235 975 words at n = 97 exceeds VERTEX_CAP = 2^20; a
-    # radius above 3 is refused by lee_ball_size itself.  The ball is not
-    # held, but the cap keeps the picks' bulk 32-bit draws exact
+    # 724 representatives over p = 41: q^2 = 1 681 is far below the BFS's
+    # gate, yet #B_2 = 1 049 801 words exceeds VERTEX_CAP = 2^20.  The ball
+    # is not held, but the cap keeps the picks' bulk 32-bit draws exact.
+    # A weight above 2, the codes' guarantee, is refused by name
     assert fields.VERTEX_CAP < 2 ** 32
+    ctx = make_field(41)
+    idx = np.arange(1, ctx.q ** 2)
+    reps = idx[idx < fields.pair_neg(ctx, idx)][:724]
+    table = coset_leader_table(parity_check_matrix(
+        from_representatives(ctx, "plus", reps)))
 
     def refuse(*args):
-        raise AssertionError("the Lee ball was enumerated")
-    table = table_for(193, 1, "plus")
-    monkeypatch.setattr(codes, "lee_ball", refuse)
-    with pytest.raises(ValueError, match="1235975 words, more than 1048576"):
-        round_trip_check(table, trials=10, seed=0, max_weight=3)
-    with pytest.raises(ValueError, match="radius 3"):
-        round_trip_check(table, trials=10, seed=0, max_weight=4)
+        raise AssertionError("the round trip drew or unranked")
 
-
-def test_round_trip_at_weight_three_can_fail():
-    # beyond the guarantee: radius-3 errors are corrected only when the
-    # planted error happens to be its coset's chosen leader
-    table = table_for(13, 1, "plus")
-    ok, trials = round_trip_check(table, trials=300, seed=1, max_weight=3)
-    assert ok < trials
+    def unranked(*args):
+        rows, _ = real(*args)
+        return rows, refuse
+    real = codes._unrank_ball
+    monkeypatch.setattr(codes, "_unrank_ball", unranked)
+    monkeypatch.setattr(codes, "_trial_draws", refuse)
+    with pytest.raises(ValueError, match="1049801 words, more than 1048576"):
+        round_trip_check(table, trials=10, seed=0, max_weight=2)
+    for bad in (3, -1):
+        with pytest.raises(ValueError, match=f"at most 2, got max_weight = {bad}"):
+            round_trip_check(table, trials=10, seed=0, max_weight=bad)
 
 
 # -- code parameters and verification ----------------------------------------------
@@ -754,7 +777,7 @@ def test_verify_enumerates_no_lee_ball(monkeypatch):
     for p in (13, 97):
         code = build_code(p, 1, "plus")
         table = coset_leader_table(code.matrix)
-        monkeypatch.setattr(codes, "lee_ball", refuse)
+        monkeypatch.setattr(codes, "_unrank_ball", refuse)
         rep = verify_quasi_perfect(code, table)
         monkeypatch.undo()
         assert (rep.error_correction, rep.covering_radius) == (2, 3)

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import oracles
@@ -362,6 +363,21 @@ def test_table_addition_matches_digit_loop(p, k):
     for a, b in ((0, 0), (1, size - 1), (size - 1, size - 1)):
         assert type(pair_add(ctx, a, b)) is int
         assert pair_add(ctx, a, b) == oracles.index_add(a, b, p, 2 * k)
+
+
+def test_addition_tables_take_base_2p_minus_1():
+    # two reduced digits sum to at most 2p - 2, so the tables are built in
+    # base 2p - 1: at 3^8 _low holds 5^8 entries, 3.0 MiB, and make_field
+    # peaks at 10.2 MiB of tracemalloc (base 2p: 6^8 entries, 20.1 MiB)
+    make_field(3, 2)  # imports and first-call caches outside the trace
+    tracemalloc.start()
+    try:
+        ctx = make_field(3, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ctx._low.size == 5 ** 8
+    assert peak < 14 << 20
 
 
 @pytest.mark.parametrize("p,m", [(5, 1), (3, 4), (7, 3)])
