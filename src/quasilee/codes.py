@@ -531,13 +531,14 @@ def _trial_draws(rng, trials: int, n: int, p: int, size: int):
         more = int(rows * per_trial * 1.02) + 64
         buf = np.concatenate([buf, np.frombuffer(
             rng.getrandbits(32 * more).to_bytes(4 * more, "little"), dtype="<u4")])
-        at_p = np.flatnonzero(buf >> shift_p < p)
-        at_s = np.flatnonzero(buf >> shift_s < size)
+        ok_p, ok_s = buf >> shift_p < p, buf >> shift_s < size
+        at_p, at_s = np.flatnonzero(ok_p), np.flatnonzero(ok_s)
         # a trial whose words start at at_p[i] picks at_s[pick[i]], and the
-        # next trial starts at at_p[after[i]]; only i < whole fit in buf
-        pick = np.searchsorted(at_s, at_p[n - 1:], side="right")
+        # next trial starts at at_p[after[i]]; only i < whole fit in buf.
+        # pick and after count the accepted outputs up to and including one
+        pick = np.cumsum(ok_s)[at_p[n - 1:]]
         whole = np.searchsorted(pick, at_s.size)
-        after = np.searchsorted(at_p, at_s[pick[:whole]], side="right")
+        after = np.cumsum(ok_p)[at_s[pick[:whole]]]
         starts, i = [], 0
         while len(starts) < rows and i < whole:
             starts.append(i)

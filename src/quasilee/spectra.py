@@ -31,14 +31,14 @@ digits of beta, so the eigenvalue at alpha is fftn(1_H) at a linearly
 reindexed character, whose digits are trace(c * e_i) over the power basis
 e_i, with c = 2*a_x and 2*delta*a_y for plus and c = a, b for minus.  1_H
 is real, so half the transform holds it (``GeneratorSet.indicator_fft``,
-summed along digit 0 from the members): a character whose index has
-digit 0 above p // 2 is read, conjugated, at the negated index, and
-every one of the q^2 characters is compared within ``SUM_TOL``, the one
-tolerance of every eigenvalue check, its class read by
-``CurveClasses.of`` on its coordinates (ax, ay), a chunk of rows ay at
-a time.  The tests also check it against the
-full fftn, a pairing summed one member at a time and a dense eigensolver,
-all in ``tests/oracles.py``.
+summed along digit 0 from the members), and the check walks that half
+in its own order, a chunk of rows at a time: each entry is compared with
+the class of its character and, conjugated, with that of the digitwise
+negated one.  So every one of the q^2 characters is compared within
+``SUM_TOL``, the one tolerance of every eigenvalue check, its class read
+by ``CurveClasses.of`` on its coordinates.  The tests also check it
+against the full fftn, a pairing summed one member at a time and a dense
+eigensolver, all in ``tests/oracles.py``.
 
 For the plus family every nontrivial eigenvalue obeys the Ramanujan bound
 2*sqrt(q) = 2*sqrt(degree - 1); the minus family obeys the slightly
@@ -124,31 +124,26 @@ def class_counts(gen: GeneratorSet, classes: CurveClasses):
 def _fourier_distance(gen: GeneratorSet, classes: CurveClasses,
                       eigs: np.ndarray) -> float:
     """The largest distance of a class eigenvalue from the transform of 1_H
-    at its characters, a chunk of rows ay at a time.  alpha = (ax, ay) has
-    Fourier index dx[ax] + q*dy[ay], dx = ``trace_dual`` of cx and dy
-    that of cy.
-    ``indicator_fft`` holds the indices whose digit 0, that of dx[ax], is
-    at most p // 2; any other is read at its digitwise negation, which
-    holds the conjugate, as far from a real eigenvalue.  So the flip and
-    each coordinate's offset into the half array are tables over F_q."""
+    at its characters.  Character (ax, ay) has Fourier index dx[ax] +
+    q*dy[ay], dx = ``trace_dual`` of cx and dy that of cy.  Reshaped to
+    (q, len(fx)), ``indicator_fft`` holds at row fy, column fx the
+    character (ix[fx], iy[fy]), ix and iy the inverses of dx and dy, fx the
+    x-indices whose digit 0 is at most p // 2; it is walked a chunk of rows
+    at a time.  1_H is real, so each value also belongs, conjugated, to the
+    digitwise negated index, and those cover every index not held."""
     ctx = gen.base
     q, p, k = ctx.q, ctx.p, ctx.k
-    elems = np.arange(q)
-    dx, dy = (trace_dual(ctx, c) for c in _pairing_coefficients(gen))
-    flip = dx % p > p // 2
-    dx = np.where(flip, index_neg(dx, p, k), dx)
-    # flat index into the half array: digit 0, then the others in steps
-    # of (p + 1) // 2; y's offsets plain, then negated where x flipped
-    half = (p + 1) // 2
-    x_at = dx % p + half * (dx // p)
-    y_at = half * (q // p) * np.concatenate((dy, index_neg(dy, p, k)))
-    y_row = flip * q
-    fourier = gen.indicator_fft().ravel()
+    ix, iy = (np.argsort(trace_dual(ctx, c)) for c in _pairing_coefficients(gen))
+    fx = (np.arange(q // p)[:, None] * p + np.arange((p + 1) // 2)).ravel()
+    fy = np.arange(q)
+    sides = ((ix[fx], iy), (ix[index_neg(fx, p, k)], iy[index_neg(fy, p, k)]))
+    held = gen.indicator_fft().reshape(q, len(fx))
     worst = 0.0
-    for ay in chunks(range(q), q):
-        ay = np.arange(ay.start, ay.stop)[:, None]
-        got = fourier[x_at + y_at[y_row + ay]]
-        worst = max(worst, float(np.abs(got - eigs[classes.of(elems, ay)]).max()))
+    for rows in chunks(range(q), len(fx)):
+        got = held[rows.start:rows.stop]
+        for x, y in sides:
+            keys = classes.of(x, y[rows.start:rows.stop, None])
+            worst = max(worst, float(np.abs(got - eigs[keys]).max()))
     return worst
 
 

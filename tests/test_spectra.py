@@ -10,9 +10,9 @@ from quasilee.codes import coset_leader_table, parity_check_matrix
 from quasilee.curves import CurveClasses, from_representatives, generator_set
 from quasilee.fields import (QuadExt, SizeCapError, VerificationError,
                              kloosterman, make_field, pair_neg, unity_cos_sin)
-from quasilee.spectra import (RAMANUJAN, SpectrumReport, _fourier_distance,
-                              _pairing_coefficients, class_counts,
-                              full_spectrum)
+from quasilee.spectra import (_FOLD_ROWS, RAMANUJAN, SpectrumReport,
+                              _fourier_distance, _pairing_coefficients,
+                              class_counts, full_spectrum)
 
 
 def spectrum(p, k, family) -> SpectrumReport:
@@ -148,6 +148,25 @@ def test_class_fold_is_bitwise_the_per_vertex_fold(p, k, family):
     assert np.array_equal(vertex_eigenvalues(rep), vertex_counts(rep) @ cos)
 
 
+@pytest.mark.parametrize("p,k,family", [
+    (307, 1, "plus"), (311, 1, "minus"), (13, 2, "plus"),
+    (23, 1, "plus"), (23, 1, "minus"), (5, 2, "plus"), (5, 2, "minus"),
+])
+def test_each_chunk_folded_alone_keeps_the_bits(p, k, family):
+    # the fold's bits do not depend on a row's place in its _FOLD_ROWS
+    # block: each class_counts chunk folded alone, zero-padded to whole
+    # blocks, gives full_spectrum's eigenvalues bit for bit (the spectra of
+    # the benchmark's cayley and lemmas inputs)
+    gen = generator_set(make_field(p, k), family)
+    rep = full_spectrum(gen)
+    cos, _ = unity_cos_sin(p)
+    alone = []
+    for counts in class_counts(gen, rep.classes):
+        pad = np.zeros((-len(counts) % _FOLD_ROWS, p), dtype=np.int64)
+        alone.extend((np.concatenate((counts, pad)) @ cos)[:len(counts)])
+    assert np.array_equal(alone, rep.class_eigenvalues)
+
+
 @pytest.mark.parametrize("family", ["plus", "minus"])
 def test_refuses_generator_set_off_the_curve(family):
     base = make_field(13)
@@ -168,6 +187,8 @@ def test_refuses_generator_set_off_the_curve(family):
     (5, 1, "plus"), (5, 1, "minus"), (7, 1, "plus"), (7, 1, "minus"),
     (13, 1, "plus"), (13, 1, "minus"), (3, 2, "plus"), (5, 2, "plus"),
     (7, 2, "minus"), (5, 3, "minus"),
+    # p = 3: digit 0 holds only {0, 1}, and the negation of 1 wraps to 2
+    (3, 1, "minus"), (3, 3, "minus"),
 ])
 def test_half_transform_check_matches_the_full_fftn(p, k, family):
     rep = spectrum(p, k, family)
