@@ -21,6 +21,7 @@ along digit 0, then numpy's FFT over the other digits.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -72,32 +73,38 @@ class GeneratorSet:
     def ambient_size(self) -> int:
         return self.base.q ** 2
 
-    def indicator_fft(self) -> np.ndarray:
+    @cached_property
+    def member_array(self) -> np.ndarray:
+        """``members`` as one read-only int64 array, built once."""
+        members = np.array(self.members, dtype=np.int64)
+        members.flags.writeable = False
+        return members
+
+    def indicator_fft(self, cols=slice(None)) -> np.ndarray:
         """rfftn of the indicator 1_H over F_q x F_q read as Z_p^{2k}.
 
         An index is the base-p number whose 2k digits are the coefficient
         vectors of (x, y), so a flat array over the q^2 indices, reshaped
         to (p,) * 2k, has one axis per digit, the last one digit 0 (of x).
-        The result holds the transform at digit 0 <= p // 2 only, shape
-        (p,) * (2k - 1) + ((p + 1) // 2,): the input is real, so the value
-        at a Fourier index f is the conjugate of the value at -f, taken
-        digitwise.  It is real, up to rounding, because H = -H.
+        The result holds the transform at digit 0 in ``cols`` (a range or
+        slice, default all of 0 .. p // 2), along the last axis: the input is
+        real, so the value at a Fourier index f is the conjugate of the value
+        at -f, taken digitwise.  It is real, up to rounding, because H = -H.
 
         No q^2 indicator is formed.  Along digit 0 the transform is summed
         over the members, a chunk at a time: a member with digit 0 d and
-        other digits r adds zeta_p**(-j*d) at j <= p // 2 to row r.  The
+        other digits r adds zeta_p**(-j*d) at j in ``cols`` to row r.  The
         members ascend, so a row's members are consecutive.  numpy's FFT
-        then transforms the other 2k - 1 axes.
+        then transforms the other 2k - 1 axes, each column on its own.
         """
-        p, half = self.p, self.p // 2 + 1
-        cos, sin = unity_cos_sin(p)
-        roots, j = cos - 1j * sin, np.arange(half)
-        rows = np.zeros((self.ambient_size // p, half), dtype=complex)
-        for chunk in chunks(np.asarray(self.members, dtype=np.int64), half):
+        p, (cos, sin) = self.p, unity_cos_sin(self.p)
+        roots, j = cos - 1j * sin, np.arange(p // 2 + 1)[cols]
+        rows = np.zeros((self.ambient_size // p, len(j)), dtype=complex)
+        for chunk in chunks(self.member_array, len(j)):
             r, d = np.divmod(chunk, p)
             first = np.flatnonzero(np.diff(r, prepend=-1))
             rows[r[first]] += np.add.reduceat(roots[d[:, None] * j % p], first)
-        return np.fft.fftn(rows.reshape((p,) * (2 * self.k - 1) + (half,)),
+        return np.fft.fftn(rows.reshape((p,) * (2 * self.k - 1) + (len(j),)),
                            axes=range(2 * self.k - 1))
 
     def coordinate_matrix(self) -> np.ndarray:
@@ -238,9 +245,8 @@ def curve_classes(gen: GeneratorSet):
     """The classes of ``gen``'s curve, or None unless ``gen`` is exactly
     that curve: only then does the group permute H."""
     ctx, ext, q, x = gen.base, gen.ext, gen.q, np.arange(gen.q)
-    members = np.asarray(gen.members, dtype=np.int64)
     if gen.family == PLUS:
-        on_curve = ext.norm(members) == 1
+        on_curve = ext.norm(gen.member_array) == 1
         # nonsquare c = norm(root(c / norm(z0)) * z0) for the first z0 =
         # u + sqrt(delta) of nonsquare norm: u^2 - delta takes (q + 1)/2 values
         root = np.zeros(q, dtype=np.int64)
@@ -249,7 +255,7 @@ def curve_classes(gen: GeneratorSet):
         reps = np.where(ctx.quad_character(x) == -1,
                         ext.mul(root[ctx.mul(x, ctx.inv(ext.norm(z0)))], z0), root)
     else:
-        on_curve = ctx.mul(members % q, members // q) == 1
+        on_curve = ctx.mul(gen.member_array % q, gen.member_array // q) == 1
         reps = np.concatenate(([0], x[1:] + q, [1, q]))  # (c, 1), (1, 0), (0, 1)
     if gen.degree != q + (1 if gen.family == PLUS else -1) or not on_curve.all():
         return None

@@ -30,15 +30,14 @@ the Fourier transform: G is Z_p^{2k} and both pairings are linear in the
 digits of beta, so the eigenvalue at alpha is fftn(1_H) at a linearly
 reindexed character, whose digits are trace(c * e_i) over the power basis
 e_i, with c = 2*a_x and 2*delta*a_y for plus and c = a, b for minus.  1_H
-is real, so half the transform holds it (``GeneratorSet.indicator_fft``,
-summed along digit 0 from the members), and the check walks that half
-in its own order, a chunk of rows at a time: each entry is compared with
-the class of its character and, conjugated, with that of the digitwise
-negated one.  So every one of the q^2 characters is compared within
-``SUM_TOL``, the one tolerance of every eigenvalue check, its class read
-by ``CurveClasses.of`` on its coordinates.  The tests also check it
-against the full fftn, a pairing summed one member at a time and a dense
-eigensolver, all in ``tests/oracles.py``.
+is real, so half the transform, digit 0 <= p // 2, holds it, and each of
+its digit-0 columns stands alone: the check builds them a block of about
+max(CHUNK_ENTRIES, q^2 / p) entries at a time (``indicator_fft``) and
+compares each entry with the class of its character and, conjugated, with
+that of the digitwise negated one.  So no q^2 array is held, and all q^2
+characters are compared within ``SUM_TOL``, the one tolerance of every
+eigenvalue check.  The tests check it against the full fftn, a pairing
+summed per member and a dense eigensolver (``tests/oracles.py``).
 
 For the plus family every nontrivial eigenvalue obeys the Ramanujan bound
 2*sqrt(q) = 2*sqrt(degree - 1); the minus family obeys the slightly
@@ -112,9 +111,8 @@ def class_counts(gen: GeneratorSet, classes: CurveClasses):
     """The exponent counts of the classes, one (rows, p) array per chunk of
     classes: entry [c, j] counts the members beta with <rep_c, beta> = j,
     each pairing read as the trace of an element of F_q."""
-    ctx, q = gen.base, gen.q
+    ctx, q, beta = gen.base, gen.q, gen.member_array
     cx, cy = _pairing_coefficients(gen)
-    beta = np.asarray(gen.members, dtype=np.int64)
     bx, by = ctx.mul(cx, beta % q), ctx.mul(cy, beta // q)
     for reps in chunks(classes.reps, len(beta)):
         yield trace_counts(ctx, ctx.add(ctx.mul(reps[:, None] % q, bx),
@@ -125,25 +123,21 @@ def _fourier_distance(gen: GeneratorSet, classes: CurveClasses,
                       eigs: np.ndarray) -> float:
     """The largest distance of a class eigenvalue from the transform of 1_H
     at its characters.  Character (ax, ay) has Fourier index dx[ax] +
-    q*dy[ay], dx = ``trace_dual`` of cx and dy that of cy.  Reshaped to
-    (q, len(fx)), ``indicator_fft`` holds at row fy, column fx the
-    character (ix[fx], iy[fy]), ix and iy the inverses of dx and dy, fx the
-    x-indices whose digit 0 is at most p // 2; it is walked a chunk of rows
-    at a time.  1_H is real, so each value also belongs, conjugated, to the
-    digitwise negated index, and those cover every index not held."""
-    ctx = gen.base
-    q, p, k = ctx.q, ctx.p, ctx.k
+    q*dy[ay], dx = ``trace_dual`` of cx and dy that of cy.  A block of
+    digit-0 columns of ``indicator_fft``, reshaped to (q, len(fx)), holds
+    at row fy, column fx the character (ix[fx], iy[fy]), ix and iy the
+    inverses of dx and dy, fx the x-indices whose digit 0 is in the block.
+    1_H is real, so each value also belongs, conjugated, to the digitwise
+    negated index, and those cover every index not held."""
+    ctx, q, p, k = gen.base, gen.q, gen.p, gen.k
     ix, iy = (np.argsort(trace_dual(ctx, c)) for c in _pairing_coefficients(gen))
-    fx = (np.arange(q // p)[:, None] * p + np.arange((p + 1) // 2)).ravel()
-    fy = np.arange(q)
-    sides = ((ix[fx], iy), (ix[index_neg(fx, p, k)], iy[index_neg(fy, p, k)]))
-    held = gen.indicator_fft().reshape(q, len(fx))
+    ys = (iy[:, None], iy[index_neg(np.arange(q), p, k), None])
     worst = 0.0
-    for rows in chunks(range(q), len(fx)):
-        got = held[rows.start:rows.stop]
-        for x, y in sides:
-            keys = classes.of(x, y[rows.start:rows.stop, None])
-            worst = max(worst, float(np.abs(got - eigs[keys]).max()))
+    for cols in chunks(range((p + 1) // 2), q * q // p):
+        fx = (np.arange(q // p)[:, None] * p + np.arange(p)[cols]).ravel()
+        got = gen.indicator_fft(cols).reshape(q, len(fx))
+        for x, y in zip((ix[fx], ix[index_neg(fx, p, k)]), ys):
+            worst = max(worst, float(np.abs(got - eigs[classes.of(x, y)]).max()))
     return worst
 
 
@@ -151,8 +145,8 @@ def full_spectrum(gen: GeneratorSet) -> SpectrumReport:
     """The eigenvalue of every class, from exact counts, with its bound
     classification.  Raises VerificationError when a check fails, the FFT
     check within ``SUM_TOL``; refuses a generator set that is not its
-    family's curve (ValueError), and no size: above VERTEX_CAP it holds no
-    array of q^2 entries."""
+    family's curve (ValueError), and no size.  No array of q^2 entries is
+    held; VERTEX_CAP bounds only the FFT check's O(q^2 log q) work."""
     classes = curve_classes(gen)
     if classes is None:
         raise ValueError(f"the generator set is not the {gen.family} curve over "

@@ -106,14 +106,17 @@ def test_class_maps_by_lookup_match_the_product_formulas(p, k, family):
 def test_indicator_fft_matches_rfftn_of_the_indicator(monkeypatch, p, k, family):
     # the digit-0 axis summed over the members equals numpy's rfftn of the
     # q^2 float indicator, also in chunks of one and of three members, so
-    # that the members of one row straddle chunks
+    # that the members of one row straddle chunks; and a range of digit-0
+    # columns (the first, a middle range, the last) is the oracle's slice
     gen = generator_set(make_field(p, k), family)
-    want = oracles.indicator_rfftn(gen)
-    for entries in (fields.CHUNK_ENTRIES, 1, 3 * (p // 2 + 1)):
+    want, half = oracles.indicator_rfftn(gen), p // 2 + 1
+    for entries in (fields.CHUNK_ENTRIES, 1, 3 * half):
         monkeypatch.setattr(fields, "CHUNK_ENTRIES", entries)
-        got = gen.indicator_fft()
-        assert got.shape == want.shape
-        assert np.abs(got - want).max() <= 1e-12
+        for cols in (slice(None), range(1), range(half // 3, half - half // 3),
+                     range(half - 1, half)):
+            got = gen.indicator_fft(cols)
+            assert got.shape == want[..., cols].shape
+            assert np.abs(got - want[..., cols]).max() <= 1e-12
 
 
 def test_indicator_fft_of_a_set_off_the_curve(monkeypatch):

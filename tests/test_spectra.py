@@ -6,6 +6,7 @@ import numpy as np
 import oracles
 import pytest
 
+from quasilee import fields
 from quasilee.codes import coset_leader_table, parity_check_matrix
 from quasilee.curves import CurveClasses, from_representatives, generator_set
 from quasilee.fields import (QuadExt, SizeCapError, VerificationError,
@@ -190,10 +191,14 @@ def test_refuses_generator_set_off_the_curve(family):
     # p = 3: digit 0 holds only {0, 1}, and the negation of 1 wraps to 2
     (3, 1, "minus"), (3, 3, "minus"),
 ])
-def test_half_transform_check_matches_the_full_fftn(p, k, family):
+def test_half_transform_check_matches_the_full_fftn(monkeypatch, p, k, family):
+    # also with blocks of one digit-0 column each
     rep = spectrum(p, k, family)
     args = rep.generator, rep.classes, rep.class_eigenvalues
-    assert abs(_fourier_distance(*args) - oracles.fourier_distance(*args)) <= 1e-12
+    want = oracles.fourier_distance(*args)
+    for entries in (fields.CHUNK_ENTRIES, 1):
+        monkeypatch.setattr(fields, "CHUNK_ENTRIES", entries)
+        assert abs(_fourier_distance(*args) - want) <= 1e-12
 
 
 @pytest.mark.parametrize("half", ["mirrored", "held"])
@@ -203,7 +208,7 @@ def test_fft_check_compares_each_half(monkeypatch, p, k, family, half):
     # the class shifted on the characters whose Fourier index has digit 0,
     # trace(cx * ax), above p // 2 (read off the mirror) or not (held): the
     # two count identities never read the class map, so only the FFT check
-    # can see it
+    # can see it, also with blocks of one digit-0 column each
     gen = generator_set(make_field(p, k), family)
     ctx, cx = gen.base, _pairing_coefficients(gen)[0]
     of = CurveClasses.of
@@ -214,24 +219,27 @@ def test_fft_check_compares_each_half(monkeypatch, p, k, family, half):
         return np.where(mirrored == (half == "mirrored"),
                         (keys + 1) % len(self.sizes), keys)
     monkeypatch.setattr(CurveClasses, "of", shifted)
-    with pytest.raises(VerificationError, match="differ from the FFT"):
-        full_spectrum(gen)
+    for entries in (fields.CHUNK_ENTRIES, 1):
+        monkeypatch.setattr(fields, "CHUNK_ENTRIES", entries)
+        with pytest.raises(VerificationError, match="differ from the FFT"):
+            full_spectrum(gen)
 
 
-@pytest.mark.parametrize("family", ["plus", "minus"])
-def test_spectrum_at_the_vertex_cap_holds_half_a_transform(family):
-    # p = 1021, q^2 = 1 042 441 <= 2^20, so the FFT check runs: the member
-    # sums along digit 0 and the transform of the other axes, two half
-    # arrays of q(p + 1)/2 complex128 each, fit under 26 MiB, where the
-    # full fftn took 40.3 MiB
-    gen = generator_set(make_field(1021), family)
+@pytest.mark.parametrize("p,k,family", [(1021, 1, "plus"), (1021, 1, "minus"),
+                                        (31, 2, "minus")])
+def test_spectrum_at_the_vertex_cap_holds_no_q2_sized_array(p, k, family):
+    # q^2 = 1 042 441 and 923 521 <= 2^20, so the FFT check runs, one block
+    # of digit-0 columns at a time: about max(CHUNK_ENTRIES, q^2 / p)
+    # complex entries, one column of q^2 / p = 29 791 at 31^2.  Holding the
+    # whole half transform (16 B per character) takes 16.5 and 22.0 MiB
+    gen = generator_set(make_field(p, k), family)
     tracemalloc.start()
     try:
         rep = full_spectrum(gen)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 26 << 20
+    assert peak < 4 << 20
     assert rep.classification == RAMANUJAN and rep.connected
 
 
