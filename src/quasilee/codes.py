@@ -18,8 +18,8 @@ with these steps, and the table is a breadth-first search on that graph,
 stored as the last step of each syndrome's path from 0 and the size of
 each level, the number of cosets of each leader weight.  The search adds
 its fixed shifts to a chunk of syndromes coordinate by coordinate with
-the field's one addition, ``FieldCtx.adder`` on the base-(2p - 1) table
-pair, where digit sums carry nothing; it builds no table of its own.  Lee
+the field's one addition, the base-(2p - 1) table pair (``_low_q`` for y),
+where digit sums carry nothing; it builds no table of its own.  Lee
 balls are never held: the round trip plants errors of Lee weight <= 2,
 the weight the codes correct, and ``_unrank_ball`` turns the ranks it
 picks into those errors' (position, value) pairs in closed form.
@@ -276,16 +276,15 @@ def _first_hits(hits, scratch) -> np.ndarray:
 def _shift_adder(ctx, shifts):
     """A function from an array of pair indices ``rows`` to the intp array
     of pair sums ``rows[:, None] + shifts`` in F_q x F_q: the field's one
-    addition (``FieldCtx.adder``) on each coordinate, the shifts' widened
-    once."""
-    q = ctx.q
-    add_x, add_y = ctx.adder(shifts % q), ctx.adder(shifts // q)
+    addition on each coordinate, the shifts' widened once: y's sum read
+    from ``_low_q``, already times q, then x's from ``_low``."""
+    q, wide, low, low_q = ctx.q, ctx._wide, ctx._low, ctx._low_q
+    wide_x, wide_y = wide[shifts % q], wide[shifts // q]
 
     def add(rows):
         y, x = np.divmod(rows, q)
-        out = add_y(y)
-        out *= q
-        out += add_x(x)
+        out = low_q.take(wide.take(y)[:, None] + wide_y)
+        out += low.take(wide.take(x)[:, None] + wide_x)
         return out
 
     return add

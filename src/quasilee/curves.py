@@ -13,11 +13,12 @@ parity-check matrix with n columns over F_p.  Each set is built by O(q)
 array operations over its field, the circle by its Cayley
 parametrization.  ``curve_classes`` gives the orbits of each curve's
 symmetry group on F_q x F_q: the sumset layers and the eigenvalues are
-constant on them.  The class of a point is table lookups over F_q on its
-coordinates (x, y): the norm x^2 - delta*y^2 as the sum of two looked-up
-terms (plus), the key x*y or an axis class in one gather (minus).
+constant on them.  The class of a point (x, y) is one gather from the sum
+of its coordinates' keys: the norm x^2 - delta*y^2 (plus), x*y or an axis
+class (minus); ``CurveClasses.sum_keys`` takes unreduced sums instead.
 ``GeneratorSet.indicator_fft`` is computed from the members: their sum
-along digit 0, then numpy's FFT over the other digits.
+along digit 0, then numpy's real inverse FFT over the other digits, as
+H = -H makes each digit-0 column Hermitian: half of it holds it.
 """
 
 from dataclasses import dataclass, field
@@ -25,9 +26,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .fields import (FieldCtx, QuadExt, VerificationError, _gathered, chunks,
-                     index_digits, make_field, minus3_character, pair_index,
-                     pair_neg, residue_class_mod12, unity_cos_sin)
+from .fields import (FieldCtx, QuadExt, VerificationError, _frozen, _gathered,
+                     chunks, index_digits, make_field, minus3_character,
+                     pair_index, pair_neg, residue_class_mod12, unity_cos_sin)
 
 PLUS = "plus"
 MINUS = "minus"
@@ -76,36 +77,40 @@ class GeneratorSet:
     @cached_property
     def member_array(self) -> np.ndarray:
         """``members`` as one read-only int64 array, built once."""
-        members = np.array(self.members, dtype=np.int64)
-        members.flags.writeable = False
-        return members
+        return _frozen(np.array(self.members, dtype=np.int64))
 
     def indicator_fft(self, cols=slice(None)) -> np.ndarray:
-        """rfftn of the indicator 1_H over F_q x F_q read as Z_p^{2k}.
+        """rfftn of the indicator 1_H over F_q x F_q read as Z_p^{2k}, float64:
+        H = -H makes it real (ValueError for a set that is not closed).
 
         An index is the base-p number whose 2k digits are the coefficient
         vectors of (x, y), so a flat array over the q^2 indices, reshaped
         to (p,) * 2k, has one axis per digit, the last one digit 0 (of x).
         The result holds the transform at digit 0 in ``cols`` (a range or
-        slice, default all of 0 .. p // 2), along the last axis: the input is
-        real, so the value at a Fourier index f is the conjugate of the value
-        at -f, taken digitwise.  It is real, up to rounding, because H = -H.
+        slice, default all of 0 .. p // 2), along the last axis: the value
+        at a Fourier index f equals the value at -f, taken digitwise.
 
-        No q^2 indicator is formed.  Along digit 0 the transform is summed
-        over the members, a chunk at a time: a member with digit 0 d and
-        other digits r adds zeta_p**(-j*d) at j in ``cols`` to row r.  The
-        members ascend, so a row's members are consecutive.  numpy's FFT
-        then transforms the other 2k - 1 axes, each column on its own.
+        No q^2 indicator is formed.  The value (its own conjugate) at digit
+        0 j and other digits f is sum_r g_j(r) * zeta_p**<f, r>, g_j(r) the
+        sum of zeta_p**(j*d) over the members of digit 0 d and other digits r.
+        Members h and -h make g_j(-r) = conj(g_j(r)), so half of g_j, digit
+        1 <= p // 2, holds it: only the members there are summed, a chunk at
+        a time (they ascend, so a row's members are consecutive), and
+        numpy's real inverse FFT, unscaled, finishes each column on its own.
         """
-        p, (cos, sin) = self.p, unity_cos_sin(self.p)
-        roots, j = cos - 1j * sin, np.arange(p // 2 + 1)[cols]
-        rows = np.zeros((self.ambient_size // p, len(j)), dtype=complex)
-        for chunk in chunks(self.member_array, len(j)):
+        p, k, (cos, sin), half = self.p, self.k, unity_cos_sin(self.p), self.p // 2 + 1
+        members, j, roots = self.member_array, np.arange(half)[cols], cos + 1j * sin
+        if not np.array_equal(np.sort(pair_neg(self.base, members)), members):
+            raise ValueError("the transform of 1_H is real only for H = -H")
+        rows = np.zeros((self.ambient_size // p ** 2 * half, len(j)), dtype=complex)
+        for chunk in chunks(members[members // p % p < half], len(j)):
             r, d = np.divmod(chunk, p)
+            r -= r // p * (p - half)  # the row of digits r, digit 1 below half
             first = np.flatnonzero(np.diff(r, prepend=-1))
             rows[r[first]] += np.add.reduceat(roots[d[:, None] * j % p], first)
-        return np.fft.fftn(rows.reshape((p,) * (2 * self.k - 1) + (len(j),)),
-                           axes=range(2 * self.k - 1))
+        return np.fft.irfftn(rows.reshape((p,) * (2 * k - 2) + (half, len(j))),
+                             s=(p,) * (2 * k - 1), axes=range(2 * k - 1),
+                             norm="forward")
 
     def coordinate_matrix(self) -> np.ndarray:
         """2k x n matrix over F_p whose j-th column stacks the coefficient
@@ -208,7 +213,7 @@ class CurveClasses:
     (plus), (a, b) -> (a*t, b/t) (minus).  So the layers C_t and the
     eigenvalues are constant on each orbit.  Class 0 is the origin alone,
     every other class has |H| points; ``reps`` holds one index per class.
-    ``keys`` holds the minus family's lookup tables (see ``of``)."""
+    ``keys`` holds the class tables (x_keys, y_keys, classes) of ``of``."""
     gen: GeneratorSet
     reps: np.ndarray
     sizes: np.ndarray
@@ -216,15 +221,18 @@ class CurveClasses:
 
     def of(self, x, y):
         """Class of each point (x, y), ints or broadcast int64 arrays of
-        coordinates: the norm x^2 - delta*y^2 for plus (q classes), the sum
-        of two looked-up terms; for minus x*y off the axes, q on y = 0,
-        q + 1 on x = 0, one gather from the sum of the two coordinates'
-        keys."""
-        if self.gen.family == PLUS:
-            ext = self.gen.ext
-            return ext.base.add(ext._squares[x], ext._neg_delta_squares[y])
+        coordinates: the norm x^2 - delta*y^2 for plus (q classes); for
+        minus x*y off the axes, q on y = 0, q + 1 on x = 0.  Either is one
+        gather from the sum of the two coordinates' keys."""
         x_keys, y_keys, classes = self.keys
         return _gathered(classes[x_keys[x] + y_keys[y]])
+
+    @cached_property
+    def sum_keys(self) -> tuple:
+        """``keys`` with ``_low`` folded in, read-only: the class of (x, y)
+        from sums of two widened indices that reduce to x and to y."""
+        (x_keys, y_keys, classes), low = self.keys, self.gen.base._low
+        return _frozen(x_keys[low]), _frozen(y_keys[low]), classes
 
 
 def _minus_keys(ctx: FieldCtx) -> tuple:
@@ -261,8 +269,8 @@ def curve_classes(gen: GeneratorSet):
         return None
     sizes = np.full(len(reps), gen.degree)
     sizes[0] = 1
-    return CurveClasses(gen, reps, sizes,
-                        None if gen.family == PLUS else _minus_keys(ctx))
+    return CurveClasses(gen, reps, sizes, ext.norm_terms + (ctx._low,)
+                        if gen.family == PLUS else _minus_keys(ctx))
 
 
 # ---------------------------------------------------------------------------

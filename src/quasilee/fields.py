@@ -30,9 +30,11 @@ rewrites an index's base-p digits as a base-(2p - 1) number, where two
 reduced digit vectors add without a carry (a digit sum is at most
 2p - 2), and ``_low`` takes the sum, one of (2p - 1)^k numbers, back to
 the base-p index of its digits mod p.
-``FieldCtx.add``, ``pair_add`` (each coordinate apart) and the trace
-table read it, and so, through ``FieldCtx.adder``, which widens a fixed
-operand once, do the coset-table BFS and the layer growth's class steps;
+``FieldCtx.add``, ``pair_add`` (each coordinate apart), the trace table
+and the coset-table BFS read it.  Composed tables, read-only and not
+built by ``make_field``, send a sum of two widened indices (or logs)
+straight on: ``_trace_low``, ``_low_q``, ``_wide_exp``,
+``QuadExt.norm_terms`` and ``CurveClasses.sum_keys``.
 ``index_neg`` is the one negation.  ``index_digits``/``index_pack`` are
 the one digit conversion, and ``index_mask`` the one indicator of a set
 of indices.  Every field operation (``add``, ``neg``, ``mul``, ``inv``,
@@ -253,8 +255,8 @@ def _first_primitive(shifted, p: int, q: int) -> int:
 class FieldCtx:
     """Immutable context for F_{p**k} with index-encoded elements.
 
-    Safe to share across workers: all tables are built once in the
-    constructor and every operation is a pure function of its inputs.
+    Safe to share across workers: each table is built once (composed ones on
+    first use, read-only) and every operation is a pure function of its inputs.
     """
 
     def __init__(self, p: int, k: int):
@@ -323,11 +325,20 @@ class FieldCtx:
         """Index addition: the base-(2p - 1) sum of the two indices, reduced."""
         return _gathered(self._low[self._wide[a] + self._wide[b]])
 
-    def adder(self, b):
-        """The function from an index array a to the intp array of sums
-        a[..., None] + b, for a fixed index array b widened once."""
-        wide, low, wide_b = self._wide, self._low, self._wide[b]
-        return lambda a: low.take(wide.take(a)[..., None] + wide_b)
+    @functools.cached_property
+    def _wide_exp(self) -> np.ndarray:
+        """_wide[_exp]: a product exp[log a + log b] in wide form."""
+        return _frozen(self._wide[self._exp])
+
+    @functools.cached_property
+    def _trace_low(self) -> np.ndarray:
+        """trace_table[_low]: the trace of a sum of two wide indices."""
+        return _frozen(self.trace_table[self._low])
+
+    @functools.cached_property
+    def _low_q(self) -> np.ndarray:
+        """q * _low: a sum of two wide indices as the y part of a pair."""
+        return _frozen(self._low * self.q)
 
     def neg(self, a):
         """Index negation."""
@@ -376,6 +387,12 @@ def _gathered(v):
     return v if isinstance(v, np.ndarray) else int(v)
 
 
+def _frozen(table: np.ndarray) -> np.ndarray:
+    """``table``, made read-only: a cached table is shared by every caller."""
+    table.flags.writeable = False
+    return table
+
+
 # ---------------------------------------------------------------------------
 # the additive group F_q x F_q, shared by both generator-set families
 
@@ -399,10 +416,11 @@ class QuadExt:
         self.base = base
         self.delta = base.nonsquare
         self.size = base.q ** 2
-        # the norm's two terms x**2 and -delta*y**2 for every x, y in F_q
+        # the norm's two terms x**2 and -delta*y**2 for every x, y, widened
         elems = np.arange(base.q)
-        self._squares = base.mul(elems, elems)
-        self._neg_delta_squares = base.mul(self._squares, base.neg(self.delta))
+        squares = base.mul(elems, elems)
+        self.norm_terms = tuple(_frozen(base._wide[t]) for t in
+                                (squares, base.mul(squares, base.neg(self.delta))))
 
     @property
     def q(self) -> int:
@@ -419,11 +437,10 @@ class QuadExt:
         return x + q * y
 
     def norm(self, z):
-        """x**2 - delta*y**2, the multiplicative norm down to F_q, as the sum
-        of two table lookups; an int or an int64 array."""
-        q = self.base.q
-        return _gathered(self.base.add(self._squares[z % q],
-                                       self._neg_delta_squares[z // q]))
+        """x**2 - delta*y**2, the multiplicative norm down to F_q: ``_low`` of
+        the sum of its two widened terms; an int or an int64 array."""
+        q, (x_terms, y_terms) = self.base.q, self.norm_terms
+        return _gathered(self.base._low[x_terms[z % q] + y_terms[z // q]])
 
     def to_json_dict(self) -> dict:
         d = self.base.to_json_dict()
@@ -461,12 +478,17 @@ def trace_roots(ctx: FieldCtx, args):
 
 
 def trace_counts(ctx: FieldCtx, args: np.ndarray) -> np.ndarray:
-    """How many entries along the last axis of ``args`` have trace j, shape
-    args.shape[:-1] + (p,): one bincount over row * p + trace(arg)."""
-    lead = args.shape[:-1]
+    """``exponent_counts`` of the traces of ``args``."""
+    return exponent_counts(ctx.p, ctx.trace_table[args])
+
+
+def exponent_counts(p: int, exps: np.ndarray) -> np.ndarray:
+    """How many entries along the last axis of ``exps`` (in [0, p)) equal j,
+    shape exps.shape[:-1] + (p,): one bincount over row * p + exponent."""
+    lead = exps.shape[:-1]
     rows = math.prod(lead)
-    keys = np.arange(rows).reshape(lead + (1,)) * ctx.p + ctx.trace_table[args]
-    return np.bincount(keys.ravel(), minlength=rows * ctx.p).reshape(lead + (ctx.p,))
+    keys = np.arange(rows).reshape(lead + (1,)) * p + exps
+    return np.bincount(keys.ravel(), minlength=rows * p).reshape(lead + (p,))
 
 
 def kloosterman_counts(ctx: FieldCtx, a, b) -> np.ndarray:

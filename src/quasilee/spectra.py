@@ -15,8 +15,8 @@ The exponent counts of alpha depend only on its class under
 ``curves.curve_classes``, so the spectrum is one eigenvalue per class
 (q classes for plus, q + 2 for minus): -K(1, norm(alpha)) for plus and
 K(1, a*b) off the axes for minus.  ``class_counts`` counts them a chunk
-of class representatives at a time by ``fields.trace_counts``, the kernel
-that counts every character sum, and the float eigenvalue is their fold
+of class representatives at a time, each pairing a sum of logs, a gather,
+an add and a gather of its trace, and the float eigenvalue is their fold
 through cos(2*pi*j/p), so the real-ness and bound checks run on exactly
 counted data.  Only a generator set that is exactly its curve has these
 classes; any other is refused.
@@ -30,14 +30,15 @@ the Fourier transform: G is Z_p^{2k} and both pairings are linear in the
 digits of beta, so the eigenvalue at alpha is fftn(1_H) at a linearly
 reindexed character, whose digits are trace(c * e_i) over the power basis
 e_i, with c = 2*a_x and 2*delta*a_y for plus and c = a, b for minus.  1_H
-is real, so half the transform, digit 0 <= p // 2, holds it, and each of
-its digit-0 columns stands alone: the check builds them a block of about
-max(CHUNK_ENTRIES, q^2 / p) entries at a time (``indicator_fft``) and
-compares each entry with the class of its character and, conjugated, with
-that of the digitwise negated one.  So no q^2 array is held, and all q^2
-characters are compared within ``SUM_TOL``, the one tolerance of every
-eigenvalue check.  The tests check it against the full fftn, a pairing
-summed per member and a dense eigensolver (``tests/oracles.py``).
+is real and H = -H, so the transform is real and even: half of it, digit
+0 <= p // 2, holds it, and each of its digit-0 columns stands alone.  The
+check builds them a block of about max(CHUNK_ENTRIES, q^2 / p) real
+entries at a time (``indicator_fft``) and compares each with the class of
+its character and with that of the digitwise negated one.  So no q^2
+array is held, and all q^2 characters are compared within ``SUM_TOL``,
+the one tolerance of every eigenvalue check.  The tests check it against
+the full fftn, a pairing summed per member and a dense eigensolver
+(``tests/oracles.py``).
 
 For the plus family every nontrivial eigenvalue obeys the Ramanujan bound
 2*sqrt(q) = 2*sqrt(degree - 1); the minus family obeys the slightly
@@ -51,7 +52,7 @@ import numpy as np
 
 from .curves import PLUS, CurveClasses, GeneratorSet, curve_classes
 from .fields import (SUM_TOL, VERTEX_CAP, VerificationError, chunks,
-                     index_neg, trace_counts, trace_dual, unity_cos_sin)
+                     exponent_counts, index_neg, trace_dual, unity_cos_sin)
 
 # count rows per fold through cos (see full_spectrum)
 _FOLD_ROWS = 16
@@ -110,13 +111,15 @@ def _pairing_coefficients(gen: GeneratorSet) -> tuple:
 def class_counts(gen: GeneratorSet, classes: CurveClasses):
     """The exponent counts of the classes, one (rows, p) array per chunk of
     classes: entry [c, j] counts the members beta with <rep_c, beta> = j,
-    each pairing read as the trace of an element of F_q."""
+    the trace (``_trace_low``) of two widened products (``_wide_exp``)."""
     ctx, q, beta = gen.base, gen.q, gen.member_array
     cx, cy = _pairing_coefficients(gen)
-    bx, by = ctx.mul(cx, beta % q), ctx.mul(cy, beta // q)
-    for reps in chunks(classes.reps, len(beta)):
-        yield trace_counts(ctx, ctx.add(ctx.mul(reps[:, None] % q, bx),
-                                        ctx.mul(reps[:, None] // q, by)))
+    log, wide_exp, reps = ctx._log, ctx._wide_exp, classes.reps
+    bx, by = log[ctx.mul(cx, beta % q)], log[ctx.mul(cy, beta // q)]
+    for logs in chunks(log[np.stack((reps % q, reps // q), 1)], len(beta)):
+        sums = wide_exp[logs[:, :1] + bx]
+        sums += wide_exp[logs[:, 1:] + by]
+        yield exponent_counts(gen.p, ctx._trace_low[sums])
 
 
 def _fourier_distance(gen: GeneratorSet, classes: CurveClasses,
@@ -127,8 +130,8 @@ def _fourier_distance(gen: GeneratorSet, classes: CurveClasses,
     digit-0 columns of ``indicator_fft``, reshaped to (q, len(fx)), holds
     at row fy, column fx the character (ix[fx], iy[fy]), ix and iy the
     inverses of dx and dy, fx the x-indices whose digit 0 is in the block.
-    1_H is real, so each value also belongs, conjugated, to the digitwise
-    negated index, and those cover every index not held."""
+    The transform is real and even, so each value also belongs to the
+    digitwise negated index, and those cover every index not held."""
     ctx, q, p, k = gen.base, gen.q, gen.p, gen.k
     ix, iy = (np.argsort(trace_dual(ctx, c)) for c in _pairing_coefficients(gen))
     ys = (iy[:, None], iy[index_neg(np.arange(q), p, k), None])

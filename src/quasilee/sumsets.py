@@ -15,9 +15,9 @@ When H is exactly its curve, every C_t is a union of the curve's classes
 (``curves.curve_classes``) and is held as a boolean array over them: the
 class c' is in C + H when class(rep_c + h) = c' for some class c of C and
 h in H, so the growth looks up (classes x |H|) classes, no q^2 array.
-Each rep_c + h is two coordinate sums by the field's one addition
-(``FieldCtx.adder``), against the members' coordinates widened once,
-and goes to ``CurveClasses.of`` as (x, y).  Any other H (a parity-check
+Each rep_c + h stays two unreduced sums wide[rep] + wide[h], whose class
+is three gathers in ``CurveClasses.sum_keys``; an exact int64 identity
+checks the counts.  Any other H (a parity-check
 matrix read from a file) takes the FFT: G is Z_p^{2k} (see
 ``GeneratorSet.indicator_fft``), and C + H is the support of
 irfftn(rfftn(1_C) * rfftn(1_H)), whose values count the ways to write a
@@ -142,34 +142,36 @@ def _sumset_support(mask: np.ndarray, h_hat: np.ndarray) -> np.ndarray:
 def _class_layers(gen: GeneratorSet, classes) -> tuple:
     """``_grow`` over the curve's classes, each expanded once: the steps
     expand what is new, and the classes outside C_{T-1} are expanded after
-    them.  Raises VerificationError unless every representative lies in
-    its class and sum_c #c * T[c, c'] = |H| * #c' for every class c', with
-    T[c, c'] = #{h : class(rep_c + h) = c'}: both count the (r, h) with
-    r + h in c'."""
-    q = gen.q
-    members = np.asarray(gen.members, dtype=np.int64)
-    reps, sizes = classes.reps, classes.sizes
-    add_x, add_y = gen.base.adder(members % q), gen.base.adder(members // q)
-    rx, ry = reps % q, reps // q
-    weighted = np.zeros(len(reps))  # exact: every value is below 2^53
+    them.  Raises VerificationError unless sum_c #c * T[c, c'] = |H| * #c'
+    for every class c', with T[c, c'] = #{h : class(rep_c + h) = c'} (both
+    count the (r, h) with r + h in c'), and every representative lies in
+    its class.  The left side is |H| * hits - (|H| - 1) * T[0, c'] (#0 = 1),
+    hits the steps' column sums of T; ``of`` gives T[0, c'] off H itself."""
+    q, wide, members = gen.q, gen.base._wide, gen.member_array
+    reps, sizes, n_h = classes.reps, classes.sizes, len(members)
+    x_sums, y_sums, table = classes.sum_keys
+    hx, hy = wide[members % q], wide[members // q]
+    rx, ry = wide[reps % q, None], wide[reps // q, None]
+    hits = np.zeros(len(reps), dtype=np.int64)
 
     def step(new):
-        reached = np.zeros(len(reps), dtype=bool)
+        counts = np.zeros(len(reps), dtype=np.int64)
         for cs in chunks(np.flatnonzero(new), len(members)):
-            keys = classes.of(add_x(rx[cs]), add_y(ry[cs])).ravel()
-            reached[keys] = True
-            weighted[:] += np.bincount(keys, np.repeat(sizes[cs], len(members)),
-                                       len(reps))
-        return reached
+            keys = table.take(x_sums.take(rx[cs] + hx) + y_sums.take(ry[cs] + hy))
+            counts += np.bincount(keys.ravel(), minlength=len(reps))
+        hits[:] += counts
+        return counts > 0
 
     start = np.arange(len(reps)) == 0
     grown = _grow(start, step, lambda c: int(sizes[c].sum()), gen.ambient_size)
     step(~grown[0][-2])  # the steps expanded exactly C_{T-1}
-    bad = np.flatnonzero(weighted != len(members) * sizes)
-    if bad.size or (classes.of(rx, ry) != np.arange(len(reps))).any():
-        raise VerificationError(
-            f"the class map fails the double-counting identity at classes "
-            f"{bad[:3].tolist()} or misplaces a representative")
+    origin = np.bincount(classes.of(members % q, members // q), minlength=len(reps))
+    bad = np.flatnonzero(n_h * hits - (n_h - 1) * origin != n_h * sizes)
+    if bad.size:
+        raise VerificationError(f"the class map fails the double-counting "
+                                f"identity at classes {bad[:3].tolist()}")
+    if (classes.of(reps % q, reps // q) != np.arange(len(reps))).any():
+        raise VerificationError("the class map misplaces a representative")
     return grown
 
 

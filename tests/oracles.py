@@ -47,6 +47,12 @@ are the class maps by field products that the lookup tables of
 ``quasilee.spectra`` reads from half the transform, and
 ``indicator_rfftn`` is the rfftn of the q^2 float indicator, the route
 that ``GeneratorSet.indicator_fft`` replaced by a sum over the members.
+``indicator_fft_complex`` is that sum over every member, finished by the
+complex FFT, which ``indicator_fft`` replaced by half the members and the
+real inverse transform, and ``class_counts_by_mul`` counts the class
+pairings by ``FieldCtx.mul``, ``FieldCtx.add`` and ``trace_counts``, the
+member route that ``quasilee.spectra.class_counts`` replaced by composed
+tables.  The tests compare each kernel with its route at ``KERNEL_FIELDS``.
 """
 
 import functools
@@ -55,7 +61,7 @@ import numpy as np
 
 from quasilee import fields
 from quasilee.codes import DecodeResult
-from quasilee.fields import chunks, trace_counts
+from quasilee.fields import chunks, trace_counts, unity_cos_sin
 from quasilee.spectra import _pairing_coefficients
 from quasilee.sumsets import MAX_LAYERS
 
@@ -398,6 +404,37 @@ def indicator_rfftn(gen) -> np.ndarray:
     ind = np.zeros(gen.ambient_size)
     ind[list(gen.members)] = 1.0
     return np.fft.rfftn(ind.reshape((gen.p,) * (2 * gen.k)))
+
+
+def indicator_fft_complex(gen, cols=slice(None)) -> np.ndarray:
+    """The half transform of ``GeneratorSet.indicator_fft`` as complex
+    values: every member summed along digit 0 with zeta_p**(-j*d), then
+    numpy's complex FFT over the other 2k - 1 digits."""
+    p, (cos, sin) = gen.p, unity_cos_sin(gen.p)
+    roots, j = cos - 1j * sin, np.arange(p // 2 + 1)[cols]
+    rows = np.zeros((gen.ambient_size // p, len(j)), dtype=complex)
+    for chunk in chunks(gen.member_array, len(j)):
+        r, d = np.divmod(chunk, p)
+        first = np.flatnonzero(np.diff(r, prepend=-1))
+        rows[r[first]] += np.add.reduceat(roots[d[:, None] * j % p], first)
+    return np.fft.fftn(rows.reshape((p,) * (2 * gen.k - 1) + (len(j),)),
+                       axes=range(2 * gen.k - 1))
+
+
+def class_counts_by_mul(gen, classes) -> np.ndarray:
+    """The exponent counts of every class, (classes, p): each pairing
+    trace(cx*rx*bx + cy*ry*by) by field products and additions."""
+    ctx, q, beta = gen.base, gen.q, gen.member_array
+    cx, cy = _pairing_coefficients(gen)
+    bx, by = ctx.mul(cx, beta % q), ctx.mul(cy, beta // q)
+    reps = classes.reps[:, None]
+    return trace_counts(ctx, ctx.add(ctx.mul(reps % q, bx), ctx.mul(reps // q, by)))
+
+
+# the fields of every kernel-against-oracle test: p = 3 (digit 0 holds only
+# {0, 1}), towers up to k = 4, and the benchmark's cayley rungs
+KERNEL_FIELDS = [(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (13, 1), (31, 1),
+                 (5, 2), (7, 2), (13, 2), (5, 3), (307, 1), (311, 1)]
 
 
 def adjacency_matrix(gen) -> np.ndarray:

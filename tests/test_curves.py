@@ -1,5 +1,7 @@
 """Generator families, point counts and admissibility."""
 
+import dataclasses
+
 import numpy as np
 import oracles
 import pytest
@@ -128,6 +130,47 @@ def test_indicator_fft_of_a_set_off_the_curve(monkeypatch):
     for entries in (fields.CHUNK_ENTRIES, 1, 21):
         monkeypatch.setattr(fields, "CHUNK_ENTRIES", entries)
         assert np.abs(gen.indicator_fft() - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("family", ["plus", "minus"])
+@pytest.mark.parametrize("p,k", oracles.KERNEL_FIELDS)
+def test_real_indicator_fft_matches_the_complex_route(monkeypatch, p, k, family):
+    # half the members and the real inverse transform give float64 values
+    # within 1e-12 of every member summed and the complex FFT, also in
+    # chunks of one member, and at one digit-0 column
+    gen = generator_set(make_field(p, k), family)
+    want = oracles.indicator_fft_complex(gen)
+    for entries in (fields.CHUNK_ENTRIES, 1):
+        monkeypatch.setattr(fields, "CHUNK_ENTRIES", entries)
+        for cols in (slice(None), range(p // 2, p // 2 + 1)):
+            got = gen.indicator_fft(cols)
+            assert got.dtype == np.float64 and got.shape == want[..., cols].shape
+            assert np.abs(got - want[..., cols]).max() <= 1e-12
+
+
+def test_indicator_fft_refuses_a_set_not_closed_under_negation():
+    # the real transform is that of the symmetrised set, so a set with
+    # H != -H is refused: one member dropped, or one moved off its pair
+    gen = generator_set(make_field(13), "plus")
+    off = next(z for z in range(1, gen.ambient_size)
+               if z not in gen.members and pair_neg(gen.base, z) not in gen.members)
+    for members in (gen.members[1:], tuple(sorted(gen.members[1:] + (off,)))):
+        with pytest.raises(ValueError, match="H = -H"):
+            dataclasses.replace(gen, members=members).indicator_fft()
+
+
+@pytest.mark.parametrize("family", ["plus", "minus"])
+def test_composed_tables_are_built_on_first_use_and_read_only(family):
+    ctx = make_field(5, 2)
+    names = ("_wide_exp", "_trace_low", "_low_q")
+    assert not vars(ctx).keys() & set(names)  # make_field builds none
+    classes = curve_classes(generator_set(ctx, family))
+    tables = [getattr(ctx, name) for name in names] + list(classes.sum_keys[:2])
+    if family == "plus":
+        tables += classes.gen.ext.norm_terms
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = table[0]
 
 
 @pytest.mark.parametrize("family", ["plus", "minus"])

@@ -8,7 +8,8 @@ import pytest
 
 from quasilee import fields
 from quasilee.codes import coset_leader_table, parity_check_matrix
-from quasilee.curves import CurveClasses, from_representatives, generator_set
+from quasilee.curves import (CurveClasses, curve_classes, from_representatives,
+                             generator_set)
 from quasilee.fields import (QuadExt, SizeCapError, VerificationError,
                              kloosterman, make_field, pair_neg, unity_cos_sin)
 from quasilee.spectra import (_FOLD_ROWS, RAMANUJAN, SpectrumReport,
@@ -137,6 +138,19 @@ def test_class_counts_match_scalar_oracle(p, k, family):
     assert np.array_equal(vertex_counts(rep), want)
     assert len(rep.class_eigenvalues) == gen.q + (0 if family == "plus" else 2)
     assert rep.class_eigenvalues.shape == rep.classes.sizes.shape
+
+
+@pytest.mark.parametrize("family", ["plus", "minus"])
+@pytest.mark.parametrize("p,k", oracles.KERNEL_FIELDS)
+def test_class_counts_match_the_member_route(monkeypatch, p, k, family):
+    # the counts read off the composed tables equal the field products and
+    # additions bit for bit, also with one class per chunk
+    gen = generator_set(make_field(p, k), family)
+    classes = curve_classes(gen)
+    want = oracles.class_counts_by_mul(gen, classes)
+    for entries in (fields.CHUNK_ENTRIES, 1):
+        monkeypatch.setattr(fields, "CHUNK_ENTRIES", entries)
+        assert np.array_equal(np.concatenate(list(class_counts(gen, classes))), want)
 
 
 @pytest.mark.parametrize("p,k,family", [(11, 1, "plus"), (17, 1, "minus"),

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasilee import sumsets
+from quasilee import fields, sumsets
 from quasilee.cli import main
 from quasilee.curves import (admissibility, curve_classes, from_representatives,
                              generator_set)
@@ -118,6 +118,21 @@ def test_layers_match_scalar_sumset_oracle(p, k, family):
     masks = layer_masks(lay)
     for t, grown in enumerate(oracle_layers(gen, len(masks))):
         assert set(np.flatnonzero(masks[t]).tolist()) == grown, f"layer {t}"
+
+
+@pytest.mark.parametrize("family", ["plus", "minus"])
+@pytest.mark.parametrize("p,k", oracles.KERNEL_FIELDS)
+def test_class_layers_match_the_rfftn_of_the_indicator(monkeypatch, p, k, family):
+    # the class steps from wide sums grow the layer sizes that numpy's rfftn
+    # of the q^2 indicator grows, also with one class per chunk
+    gen = generator_set(make_field(p, k), family)
+    h_hat, size = oracles.indicator_rfftn(gen), gen.ambient_size
+    want = sumsets._grow(np.arange(size) == 0,
+                         lambda new: sumsets._sumset_support(new, h_hat),
+                         np.count_nonzero, size)[1]
+    for entries in (fields.CHUNK_ENTRIES, 1):
+        monkeypatch.setattr(fields, "CHUNK_ENTRIES", entries)
+        assert cumulative_layers(gen).sizes == tuple(int(s) for s in want)
 
 
 @pytest.mark.parametrize("p,k,family", [(7, 1, "plus"), (13, 1, "minus"),
