@@ -27,7 +27,7 @@ from .codes import (VerificationError, code_parameters, coset_leader_table,
                     decode_words, matrix_from_json_dict, matrix_from_text,
                     parity_check_matrix, round_trip_check, verify_quasi_perfect)
 from .curves import admissibility, generator_set
-from .fields import AMBIENT_CAP, VERTEX_CAP, check_ambient, make_field
+from .fields import AMBIENT_CAP, VERTEX_CAP, check_ambient, chunks, make_field
 from .lemmas import lemma_battery
 from .spectra import class_counts, full_spectrum
 from .sumsets import classify
@@ -162,13 +162,15 @@ def cmd_spectrum(args) -> str:
         with open(args.dump_csv, "w") as fh:
             heads = ",".join(f"count_{j}" for j in range(gen.p))
             fh.write(f"alpha,eigenvalue,{heads}\n")
-            counts = np.concatenate(list(class_counts(gen, rep.classes))).tolist()
-            rows = [f"{eig!r}," + ",".join(map(str, r))
-                    for eig, r in zip(rep.class_eigenvalues.tolist(), counts)]
-            elems = np.arange(gen.q)
-            keys = rep.classes.of(elems, elems[:, None]).ravel()
-            for alpha, c in enumerate(keys.tolist()):
-                fh.write(f"{alpha},{rows[c]}\n")
+            # in bounded memory: one chunk of counts, one block of y's keys
+            eigs, rows, x = iter(rep.class_eigenvalues.tolist()), [], np.arange(gen.q)
+            for counts in class_counts(gen, rep.classes):
+                rows += [f"{eig!r}," + ",".join(map(str, r))
+                         for r, eig in zip(counts.tolist(), eigs)]
+            for ys in chunks(range(gen.q), gen.q):
+                keys = rep.classes.of(x, np.array(ys)[:, None]).ravel().tolist()
+                for alpha, c in enumerate(keys, ys.start * gen.q):
+                    fh.write(f"{alpha},{rows[c]}\n")
     if args.fmt == "json":
         return _json(rep.to_json_dict())
     return (f"family={gen.family} p={gen.p} k={gen.k} "

@@ -153,8 +153,7 @@ def _matrix_from_parts(p, k, n, family, rows) -> ParityCheckMatrix:
     # row i holds digit i of every representative's pair index; entries are
     # reduced as Python ints, so that any integer is accepted
     reps = index_pack(np.array([[v % p for v in r] for r in rows], dtype=np.int64), p)
-    gen = from_representatives(ctx, family, reps.tolist())
-    return parity_check_matrix(gen)
+    return parity_check_matrix(from_representatives(ctx, family, reps))
 
 
 def rank_mod_p(entries: np.ndarray, p: int) -> int:
@@ -311,7 +310,7 @@ def coset_leader_table(matrix: ParityCheckMatrix) -> CosetLeaderTable:
     ctx, size = matrix.generator.base, matrix.generator.ambient_size
     check_ambient(ctx.p, ctx.k, VERTEX_CAP)
     # the syndrome shift of step 2*j + b: +beta_j, then -beta_j
-    beta = np.array(matrix.generator.reps, dtype=np.int64)
+    beta = matrix.generator.reps
     shifts = np.stack([beta, pair_neg(ctx, beta)], axis=1).ravel()
     shifted = _shift_adder(ctx, shifts)
 

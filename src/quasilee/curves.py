@@ -16,9 +16,11 @@ symmetry group on F_q x F_q: the sumset layers and the eigenvalues are
 constant on them.  The class of a point (x, y) is one gather from the sum
 of its coordinates' keys: the norm x^2 - delta*y^2 (plus), x*y or an axis
 class (minus); ``CurveClasses.sum_keys`` takes unreduced sums instead.
-``GeneratorSet.indicator_fft`` is computed from the members: their sum
-along digit 0, then numpy's real inverse FFT over the other digits, as
-H = -H makes each digit-0 column Hermitian: half of it holds it.
+A ``GeneratorSet`` holds its representatives and members as read-only
+int64 arrays, made once by ``from_representatives``, and compares by
+identity.  ``GeneratorSet.indicator_fft`` is computed from the members:
+their sum along digit 0, then numpy's real inverse FFT over the other
+digits, as H = -H makes each digit-0 column Hermitian: half of it holds it.
 """
 
 from dataclasses import dataclass, field
@@ -35,19 +37,20 @@ MINUS = "minus"
 FAMILIES = (PLUS, MINUS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorSet:
     """A symmetric, zero-free subset of F_q x F_q given by representatives.
 
     ``reps`` holds one index per {h, -h} pair, ascending on the curves;
-    ``members`` is the full set, ascending.  ``ext`` carries the quadratic
+    ``members`` is the full set, ascending.  Both are read-only int64
+    arrays, so two sets compare by identity.  ``ext`` carries the quadratic
     extension for the plus family (None for minus).
     """
     family: str
     base: FieldCtx
-    reps: tuple
-    members: tuple
-    ext: QuadExt = field(default=None, compare=False, repr=False)
+    reps: np.ndarray
+    members: np.ndarray
+    ext: QuadExt = field(default=None, repr=False)
 
     @property
     def p(self) -> int:
@@ -74,11 +77,6 @@ class GeneratorSet:
     def ambient_size(self) -> int:
         return self.base.q ** 2
 
-    @cached_property
-    def member_array(self) -> np.ndarray:
-        """``members`` as one read-only int64 array, built once."""
-        return _frozen(np.array(self.members, dtype=np.int64))
-
     def indicator_fft(self, cols=slice(None)) -> np.ndarray:
         """rfftn of the indicator 1_H over F_q x F_q read as Z_p^{2k}, float64:
         H = -H makes it real (ValueError for a set that is not closed).
@@ -99,7 +97,7 @@ class GeneratorSet:
         numpy's real inverse FFT, unscaled, finishes each column on its own.
         """
         p, k, (cos, sin), half = self.p, self.k, unity_cos_sin(self.p), self.p // 2 + 1
-        members, j, roots = self.member_array, np.arange(half)[cols], cos + 1j * sin
+        members, j, roots = self.members, np.arange(half)[cols], cos + 1j * sin
         if not np.array_equal(np.sort(pair_neg(self.base, members)), members):
             raise ValueError("the transform of 1_H is real only for H = -H")
         rows = np.zeros((self.ambient_size // p ** 2 * half, len(j)), dtype=complex)
@@ -115,8 +113,7 @@ class GeneratorSet:
     def coordinate_matrix(self) -> np.ndarray:
         """2k x n matrix over F_p whose j-th column stacks the coefficient
         vectors of (x_j, y_j): the 2k digits of the j-th representative."""
-        reps = np.array(self.reps, dtype=np.int64)
-        return np.array(index_digits(reps, self.p, 2 * self.k), dtype=np.int64)
+        return np.array(index_digits(self.reps, self.p, 2 * self.k), dtype=np.int64)
 
     @property
     def context_json(self) -> dict:
@@ -138,7 +135,7 @@ def _curve_set(family, base, points) -> GeneratorSet:
     reps = points[points < pair_neg(base, points)]
     # a repeated point is passed once, and the set built comes out short
     gen = from_representatives(base, family, reps[np.diff(reps, prepend=0) > 0])
-    if gen.members != tuple(points.tolist()) or curve_classes(gen) is None:
+    if not np.array_equal(gen.members, points) or curve_classes(gen) is None:
         curve = "norm-one circle" if family == PLUS else "unit hyperbola"
         raise VerificationError(
             f"the {len(points)} points made are not exactly the {curve}")
@@ -188,7 +185,7 @@ def from_representatives(base: FieldCtx, family: str, reps) -> GeneratorSet:
     arbitrary input is not assumed."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    reps = np.asarray(reps, dtype=np.int64)
+    reps = _frozen(np.array(reps, dtype=np.int64))
     neg = pair_neg(base, reps)
     # {z, -z} is keyed by its smaller index, 0 only for z = 0; a stable sort
     # puts the first representative of each key first
@@ -202,8 +199,8 @@ def from_representatives(base: FieldCtx, family: str, reps) -> GeneratorSet:
     ext = QuadExt(base) if family == PLUS else None
     # keep the representative order as given: it fixes the column order of
     # a parity-check matrix parsed from a file
-    return GeneratorSet(family, base, tuple(reps.tolist()),
-                        tuple(np.sort(np.concatenate((reps, neg))).tolist()), ext)
+    return GeneratorSet(family, base, reps,
+                        _frozen(np.sort(np.concatenate((reps, neg)))), ext)
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,7 +251,7 @@ def curve_classes(gen: GeneratorSet):
     that curve: only then does the group permute H."""
     ctx, ext, q, x = gen.base, gen.ext, gen.q, np.arange(gen.q)
     if gen.family == PLUS:
-        on_curve = ext.norm(gen.member_array) == 1
+        on_curve = ext.norm(gen.members) == 1
         # nonsquare c = norm(root(c / norm(z0)) * z0) for the first z0 =
         # u + sqrt(delta) of nonsquare norm: u^2 - delta takes (q + 1)/2 values
         root = np.zeros(q, dtype=np.int64)
@@ -263,7 +260,7 @@ def curve_classes(gen: GeneratorSet):
         reps = np.where(ctx.quad_character(x) == -1,
                         ext.mul(root[ctx.mul(x, ctx.inv(ext.norm(z0)))], z0), root)
     else:
-        on_curve = ctx.mul(gen.member_array % q, gen.member_array // q) == 1
+        on_curve = ctx.mul(gen.members % q, gen.members // q) == 1
         reps = np.concatenate(([0], x[1:] + q, [1, q]))  # (c, 1), (1, 0), (0, 1)
     if gen.degree != q + (1 if gen.family == PLUS else -1) or not on_curve.all():
         return None

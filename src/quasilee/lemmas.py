@@ -193,8 +193,7 @@ def lemma_battery(p: int, k: int) -> list:
     x = np.arange(q)
 
     norms = ext.norm(np.arange(q * q))
-    ones = np.array(circle.members)
-    units = np.array(hyper.members)
+    ones, units = circle.members, hyper.members
     on_circle, on_hyper = index_mask(q * q, ones), index_mask(q * q, units)
     c2 = _sum_mask(ext, ones, ones)
     c3 = _sum_mask(ext, np.flatnonzero(c2), ones)

@@ -112,7 +112,7 @@ def class_counts(gen: GeneratorSet, classes: CurveClasses):
     """The exponent counts of the classes, one (rows, p) array per chunk of
     classes: entry [c, j] counts the members beta with <rep_c, beta> = j,
     the trace (``_trace_low``) of two widened products (``_wide_exp``)."""
-    ctx, q, beta = gen.base, gen.q, gen.member_array
+    ctx, q, beta = gen.base, gen.q, gen.members
     cx, cy = _pairing_coefficients(gen)
     log, wide_exp, reps = ctx._log, ctx._wide_exp, classes.reps
     bx, by = log[ctx.mul(cx, beta % q)], log[ctx.mul(cy, beta // q)]

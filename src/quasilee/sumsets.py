@@ -147,7 +147,7 @@ def _class_layers(gen: GeneratorSet, classes) -> tuple:
     count the (r, h) with r + h in c'), and every representative lies in
     its class.  The left side is |H| * hits - (|H| - 1) * T[0, c'] (#0 = 1),
     hits the steps' column sums of T; ``of`` gives T[0, c'] off H itself."""
-    q, wide, members = gen.q, gen.base._wide, gen.member_array
+    q, wide, members = gen.q, gen.base._wide, gen.members
     reps, sizes, n_h = classes.reps, classes.sizes, len(members)
     x_sums, y_sums, table = classes.sum_keys
     hx, hy = wide[members % q], wide[members // q]

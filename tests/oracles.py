@@ -199,6 +199,12 @@ def circle(ext) -> tuple:
     return tuple(z for z in range(ext.q ** 2) if ext_norm(ext, z) == 1)
 
 
+def hyperbola(ctx) -> tuple:
+    """The unit hyperbola {(x, 1/x)}, index x + q*y, ascending."""
+    q = ctx.q
+    return tuple(z for z in range(q * q) if field_mul(ctx, z % q, z // q) == 1)
+
+
 # -- character sums ----------------------------------------------------------------
 
 def kloosterman_counts(ctx, a: int, b: int) -> list:
@@ -413,7 +419,7 @@ def indicator_fft_complex(gen, cols=slice(None)) -> np.ndarray:
     p, (cos, sin) = gen.p, unity_cos_sin(gen.p)
     roots, j = cos - 1j * sin, np.arange(p // 2 + 1)[cols]
     rows = np.zeros((gen.ambient_size // p, len(j)), dtype=complex)
-    for chunk in chunks(gen.member_array, len(j)):
+    for chunk in chunks(gen.members, len(j)):
         r, d = np.divmod(chunk, p)
         first = np.flatnonzero(np.diff(r, prepend=-1))
         rows[r[first]] += np.add.reduceat(roots[d[:, None] * j % p], first)
@@ -424,7 +430,7 @@ def indicator_fft_complex(gen, cols=slice(None)) -> np.ndarray:
 def class_counts_by_mul(gen, classes) -> np.ndarray:
     """The exponent counts of every class, (classes, p): each pairing
     trace(cx*rx*bx + cy*ry*by) by field products and additions."""
-    ctx, q, beta = gen.base, gen.q, gen.member_array
+    ctx, q, beta = gen.base, gen.q, gen.members
     cx, cy = _pairing_coefficients(gen)
     bx, by = ctx.mul(cx, beta % q), ctx.mul(cy, beta // q)
     reps = classes.reps[:, None]

@@ -296,13 +296,16 @@ CSV_SHA256 = {
 
 
 @pytest.mark.parametrize("p,k,family", sorted(CSV_SHA256))
-def test_spectrum_dump_csv_pinned(capsys, tmp_path, p, k, family):
+def test_spectrum_dump_csv_pinned(capsys, monkeypatch, tmp_path, p, k, family):
+    # CHUNK_ENTRIES = 1: one class a chunk of counts, one y a block of keys
     csv = tmp_path / "spectrum.csv"
-    code, _, _ = run(capsys, "spectrum", "--p", p, "--k", k, "--family", family,
-                     "--dump-csv", str(csv))
-    assert code == 0
-    digest = hashlib.sha256(csv.read_bytes()).hexdigest()
-    assert digest == CSV_SHA256[(p, k, family)]
+    for entries in (fields.CHUNK_ENTRIES, 1):
+        monkeypatch.setattr(fields, "CHUNK_ENTRIES", entries)
+        code, _, _ = run(capsys, "spectrum", "--p", p, "--k", k, "--family", family,
+                         "--dump-csv", str(csv))
+        assert code == 0
+        digest = hashlib.sha256(csv.read_bytes()).hexdigest()
+        assert digest == CSV_SHA256[(p, k, family)]
 
 
 # p = 13, plus, with the last column moved off the circle to (8, 6): a
@@ -1320,7 +1323,7 @@ BATTERY_FAULTS = {
                  "circle = lemmas.norm_circle\n"
                  "def fiber(ext):\n"
                  "    two = np.flatnonzero(ext.norm(np.arange(ext.size)) == 2)\n"
-                 "    return dataclasses.replace(circle(ext), members=tuple(two.tolist()))\n"
+                 "    return dataclasses.replace(circle(ext), members=two)\n"
                  "lemmas.norm_circle = fiber\n",
                  ["shifted_double_sums", "circle_eigenvalue_identity",
                   "spectral_bounds"],

@@ -256,7 +256,7 @@ def test_matrix_text_roundtrip():
     mat = parity_check_matrix(gen_for(23, 1, "minus"))
     back = matrix_from_text(mat.to_text())
     assert back.entries.tolist() == mat.entries.tolist()
-    assert back.generator.reps == mat.generator.reps
+    assert back.generator.reps.tolist() == mat.generator.reps.tolist()
     # comments and blank lines are ignored
     noisy = mat.to_text() + "\n# trailing comment\n\n"
     assert matrix_from_text(noisy).entries.tolist() == mat.entries.tolist()

@@ -7,7 +7,7 @@ import oracles
 import pytest
 
 from quasilee import curves, fields
-from quasilee.codes import rank_mod_p
+from quasilee.codes import matrix_from_text, parity_check_matrix, rank_mod_p
 from quasilee.curves import (GeneratorSet, admissibility, curve_classes,
                              from_representatives, generator_set, norm_circle,
                              unit_hyperbola)
@@ -22,7 +22,7 @@ def test_norm_circle_structure(p, k):
     ext = QuadExt(ctx)
     gen = norm_circle(ext)
     # the Cayley parametrization gives the norm scan's members exactly
-    assert gen.members == oracles.circle(ext)
+    assert gen.members.tolist() == list(oracles.circle(ext))
     assert gen.degree == ctx.q + 1
     assert gen.n == (ctx.q + 1) // 2
     assert all(ext.norm(z) == 1 for z in gen.members)
@@ -154,7 +154,7 @@ def test_indicator_fft_refuses_a_set_not_closed_under_negation():
     gen = generator_set(make_field(13), "plus")
     off = next(z for z in range(1, gen.ambient_size)
                if z not in gen.members and pair_neg(gen.base, z) not in gen.members)
-    for members in (gen.members[1:], tuple(sorted(gen.members[1:] + (off,)))):
+    for members in (gen.members[1:], np.sort(np.append(gen.members[1:], off))):
         with pytest.raises(ValueError, match="H = -H"):
             dataclasses.replace(gen, members=members).indicator_fft()
 
@@ -221,6 +221,29 @@ def test_from_representatives_preserves_order():
     rebuilt = from_representatives(ctx, "plus", shuffled)
     assert list(rebuilt.reps) == shuffled
     assert set(rebuilt.members) == set(original.members)
+
+
+@pytest.mark.parametrize("p,k", [(13, 1), (3, 2)])
+@pytest.mark.parametrize("family", ["plus", "minus"])
+def test_every_route_makes_read_only_int64_arrays(p, k, family):
+    ctx = make_field(p, k)
+    gen = generator_set(ctx, family)
+    given = gen.reps.copy()
+    made = [gen, from_representatives(ctx, family, gen.reps.tolist()),
+            from_representatives(ctx, family, given),
+            matrix_from_text(parity_check_matrix(gen).to_text()).generator]
+    given[::-1] = given.copy()  # the caller's array, changed after the set
+    # the oracle's points ascend
+    want = oracles.circle(QuadExt(ctx)) if family == "plus" else oracles.hyperbola(ctx)
+    for got in made:
+        for array in (got.reps, got.members):
+            assert isinstance(array, np.ndarray) and array.dtype == np.int64
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
+        assert got.reps.tolist() == gen.reps.tolist()
+        assert got.members.tolist() == list(want)
+    # array fields leave equality to identity
+    assert made[0] == gen and made[1] != gen
 
 
 def test_from_representatives_validation():
@@ -322,7 +345,7 @@ def test_shifted_circle_sum_sizes():
     ext = QuadExt(make_field(7))
     q = 7
     circle = oracles.circle(ext)
-    assert circle == norm_circle(ext).members
+    assert list(circle) == norm_circle(ext).members.tolist()
     for w in range(1, q * q):
         if w in circle:
             continue

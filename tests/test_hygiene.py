@@ -75,6 +75,29 @@ def test_only_from_representatives_constructs_a_generator_set():
     assert lines == [], f"GeneratorSet(...) called outside from_representatives: {lines}"
 
 
+def _is_set_field(node) -> bool:
+    """Is ``node`` a ``.members`` or ``.reps`` attribute?"""
+    return isinstance(node, ast.Attribute) and node.attr in ("members", "reps")
+
+
+def test_generator_set_fields_are_not_converted():
+    # a GeneratorSet's reps and members are read-only int64 arrays already,
+    # so np.array, np.asarray or .tolist() on one, or a second copy named
+    # member_array, is a round trip
+    lines = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            named = getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
+            func = getattr(node, "func", None)
+            called = getattr(func, "id", getattr(func, "attr", None))
+            if (named == "member_array"
+                    or called in ("array", "asarray") and any(map(_is_set_field, node.args))
+                    or called == "tolist" and _is_set_field(getattr(func, "value", None))):
+                lines.append(f"{path.name}:{node.lineno}")
+    assert lines == [], f"GeneratorSet fields converted or copied at {lines}"
+
+
 def test_two_size_caps():
     # every stage's memory is bounded by the chunk budget, so a cap bounds
     # only work: the ambient one and the cap of the q^2-array routes

@@ -74,7 +74,7 @@ def test_unclosed_circle_fails_the_class_route(monkeypatch):
     def fiber(ext):
         gen = curves.norm_circle(ext)
         two = np.flatnonzero(ext.norm(np.arange(ext.size)) == 2)
-        return dataclasses.replace(gen, members=tuple(two.tolist()))
+        return dataclasses.replace(gen, members=two)
     monkeypatch.setattr(lemmas, "norm_circle", fiber)
     checks = {c.name: c for c in lemma_battery(13, 1)}
     assert not checks["shifted_double_sums"].passed
