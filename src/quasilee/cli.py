@@ -10,8 +10,9 @@ code-verify  cross-check decoder table against sumset layers
 decode       decode words read from stdin, one per line
 lemma-suite  run the brute-force verification battery
 
-Exit codes: 0 success, 1 precondition violation, 2 verification mismatch.
-Identical configurations produce byte-identical output.
+Exit codes: 0 success, 1 precondition violation (out of memory among
+them), 2 verification mismatch.  Identical configurations produce
+byte-identical output on one BLAS kernel family (see README).
 """
 
 import argparse
@@ -30,7 +31,7 @@ from .curves import admissibility, generator_set
 from .fields import AMBIENT_CAP, VERTEX_CAP, check_ambient, chunks, make_field
 from .lemmas import lemma_battery
 from .spectra import class_counts, full_spectrum
-from .sumsets import classify
+from .sumsets import check_classifiable, classify
 
 _YESNO = {True: "yes", False: "no"}
 
@@ -83,18 +84,22 @@ def _check_cap(args, p, k):
     check_ambient(p, k, min(args.cap, AMBIENT_CAP))
 
 
-def _generator(args):
+def _generator(args, classified=False):
+    """The generator set of --p/--k/--family.  ``classified`` refuses p = 3,
+    the one odd prime ``classify`` refuses, after the cap, before the field."""
     _require(args, "p", "family")
     _check_cap(args, args.p, args.k)
+    if classified and args.p == 3:
+        check_classifiable(args.p)
     return generator_set(make_field(args.p, args.k), args.family)
 
 
-def _matrix(args):
+def _matrix(args, classified=False):
     """The parity-check matrix of the --matrix file, else of --p/--k/--family.
     The cap applies to the p and k of the file's JSON fields or header line
     before the parse builds anything; a malformed header is the parser's."""
     if not args.matrix:
-        return parity_check_matrix(_generator(args))
+        return parity_check_matrix(_generator(args, classified))
     with open(args.matrix) as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):
@@ -140,7 +145,7 @@ def cmd_admissible(args) -> str:
 
 
 def cmd_subset(args) -> str:
-    cls = classify(_generator(args))
+    cls = classify(_generator(args, classified=True))
     if args.fmt == "json":
         return _json(cls.to_json_dict())
     lay = cls.layers
@@ -164,11 +169,11 @@ def cmd_spectrum(args) -> str:
             fh.write(f"alpha,eigenvalue,{heads}\n")
             # in bounded memory: one chunk of counts, one block of y's keys
             eigs, rows, x = iter(rep.class_eigenvalues.tolist()), [], np.arange(gen.q)
-            for counts in class_counts(gen, rep.classes):
+            for counts in class_counts(gen):
                 rows += [f"{eig!r}," + ",".join(map(str, r))
                          for r, eig in zip(counts.tolist(), eigs)]
             for ys in chunks(range(gen.q), gen.q):
-                keys = rep.classes.of(x, np.array(ys)[:, None]).ravel().tolist()
+                keys = gen.classes.of(x, np.array(ys)[:, None]).ravel().tolist()
                 for alpha, c in enumerate(keys, ys.start * gen.q):
                     fh.write(f"{alpha},{rows[c]}\n")
     if args.fmt == "json":
@@ -183,7 +188,7 @@ def cmd_spectrum(args) -> str:
 
 
 def cmd_code_gen(args) -> str:
-    code = code_parameters(_generator(args))
+    code = code_parameters(_generator(args, classified=True))
     if args.fmt == "json":
         return _json(code.to_json_dict())
     radius = "none" if code.covering_radius is None else code.covering_radius
@@ -196,9 +201,8 @@ def cmd_code_gen(args) -> str:
 
 
 def cmd_code_verify(args) -> str:
-    mat = _matrix(args)
-    if mat.p < 5:
-        classify(mat.generator)  # its p >= 5 precondition comes before the BFS
+    mat = _matrix(args, classified=True)
+    check_classifiable(mat.p)  # a --matrix file's p, before the BFS
     table = coset_leader_table(mat)  # before any layer: its BFS refuses q^2 > 2^20
     code = code_parameters(mat.generator)
     rep = verify_quasi_perfect(code, table)
@@ -454,6 +458,10 @@ def main(argv=None) -> int:
         _emit(text, args.out)
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: precondition: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's _ArrayMemoryError among them
+        print("error: precondition: out of memory" + (f": {exc}" if str(exc) else ""),
+              file=sys.stderr)
         return 1
     except (VerificationError, AssertionError) as exc:
         print(f"error: verification: {exc}", file=sys.stderr)

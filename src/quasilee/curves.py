@@ -11,9 +11,11 @@ Both are closed under negation and exclude zero, so each yields a
 2n-regular Cayley graph on q^2 vertices (n = half the set size) and a
 parity-check matrix with n columns over F_p.  Each set is built by O(q)
 array operations over its field, the circle by its Cayley
-parametrization.  ``curve_classes`` gives the orbits of each curve's
-symmetry group on F_q x F_q: the sumset layers and the eigenvalues are
-constant on them.  The class of a point (x, y) is one gather from the sum
+parametrization.  ``GeneratorSet.classes`` holds the orbits of the
+curve's symmetry group on F_q x F_q, on which the sumset layers and the
+eigenvalues are constant: built on first read, once per set, and shared
+by every stage that reads them (None unless the set is exactly its
+curve).  The class of a point (x, y) is one gather from the sum
 of its coordinates' keys: the norm x^2 - delta*y^2 (plus), x*y or an axis
 class (minus); ``CurveClasses.sum_keys`` takes unreduced sums instead.
 A ``GeneratorSet`` holds its representatives and members as read-only
@@ -115,6 +117,30 @@ class GeneratorSet:
         vectors of (x_j, y_j): the 2k digits of the j-th representative."""
         return np.array(index_digits(self.reps, self.p, 2 * self.k), dtype=np.int64)
 
+    @cached_property
+    def classes(self):
+        """The classes of the set's curve (``CurveClasses``), built on first
+        read and shared by every stage, or None unless the set is exactly
+        that curve: only then does the group permute H."""
+        ctx, ext, q, x = self.base, self.ext, self.q, np.arange(self.q)
+        if self.family == PLUS:
+            on_curve = ext.norm(self.members) == 1
+            # nonsquare c = norm(root(c / norm(z0)) * z0) for the first z0 =
+            # u + sqrt(delta) of nonsquare norm: u^2 - delta takes (q + 1)/2 values
+            root = np.zeros(q, dtype=np.int64)
+            root[ctx.mul(x, x)] = x
+            z0 = next(z for z in x + q if ctx.quad_character(ext.norm(z)) == -1)
+            reps = np.where(ctx.quad_character(x) == -1,
+                            ext.mul(root[ctx.mul(x, ctx.inv(ext.norm(z0)))], z0), root)
+        else:
+            on_curve = ctx.mul(self.members % q, self.members // q) == 1
+            reps = np.concatenate(([0], x[1:] + q, [1, q]))  # (c, 1), (1, 0), (0, 1)
+        if self.degree != q + (1 if self.family == PLUS else -1) or not on_curve.all():
+            return None
+        sizes = np.where(reps == 0, 1, self.degree)  # the origin's class is itself
+        keys = ext.norm_terms + (ctx._low,) if self.family == PLUS else _minus_keys(ctx)
+        return CurveClasses(ctx, _frozen(reps), _frozen(sizes), keys)
+
     @property
     def context_json(self) -> dict:
         """The field context as JSON: the extension's for plus, else the
@@ -129,13 +155,13 @@ class GeneratorSet:
 def _curve_set(family, base, points) -> GeneratorSet:
     """The generator set of a curve's ``points``: ``from_representatives``
     of the smaller index of each {z, -z}.  VerificationError unless the set
-    built is exactly the points made, none twice, and ``curve_classes``
-    accepts it as the whole curve."""
+    built is exactly the points made, none twice, and has the classes of
+    the whole curve."""
     points = np.sort(points)
     reps = points[points < pair_neg(base, points)]
     # a repeated point is passed once, and the set built comes out short
     gen = from_representatives(base, family, reps[np.diff(reps, prepend=0) > 0])
-    if not np.array_equal(gen.members, points) or curve_classes(gen) is None:
+    if not np.array_equal(gen.members, points) or gen.classes is None:
         curve = "norm-one circle" if family == PLUS else "unit hyperbola"
         raise VerificationError(
             f"the {len(points)} points made are not exactly the {curve}")
@@ -210,8 +236,10 @@ class CurveClasses:
     (plus), (a, b) -> (a*t, b/t) (minus).  So the layers C_t and the
     eigenvalues are constant on each orbit.  Class 0 is the origin alone,
     every other class has |H| points; ``reps`` holds one index per class.
-    ``keys`` holds the class tables (x_keys, y_keys, classes) of ``of``."""
-    gen: GeneratorSet
+    ``keys`` holds the class tables (x_keys, y_keys, classes) of ``of``.
+    Every array is read-only, since every stage shares them; ``base`` is the
+    ground field, not the set, which holds its classes."""
+    base: FieldCtx
     reps: np.ndarray
     sizes: np.ndarray
     keys: tuple
@@ -228,7 +256,7 @@ class CurveClasses:
     def sum_keys(self) -> tuple:
         """``keys`` with ``_low`` folded in, read-only: the class of (x, y)
         from sums of two widened indices that reduce to x and to y."""
-        (x_keys, y_keys, classes), low = self.keys, self.gen.base._low
+        (x_keys, y_keys, classes), low = self.keys, self.base._low
         return _frozen(x_keys[low]), _frozen(y_keys[low]), classes
 
 
@@ -243,31 +271,7 @@ def _minus_keys(ctx: FieldCtx) -> tuple:
     y_keys[0] = 3 * q1
     classes = np.concatenate((ctx._exp[:2 * q1],
                               np.repeat([ctx.q + 1, ctx.q, 0], q1), [0]))
-    return ctx._log, y_keys, classes
-
-
-def curve_classes(gen: GeneratorSet):
-    """The classes of ``gen``'s curve, or None unless ``gen`` is exactly
-    that curve: only then does the group permute H."""
-    ctx, ext, q, x = gen.base, gen.ext, gen.q, np.arange(gen.q)
-    if gen.family == PLUS:
-        on_curve = ext.norm(gen.members) == 1
-        # nonsquare c = norm(root(c / norm(z0)) * z0) for the first z0 =
-        # u + sqrt(delta) of nonsquare norm: u^2 - delta takes (q + 1)/2 values
-        root = np.zeros(q, dtype=np.int64)
-        root[ctx.mul(x, x)] = x
-        z0 = next(z for z in x + q if ctx.quad_character(ext.norm(z)) == -1)
-        reps = np.where(ctx.quad_character(x) == -1,
-                        ext.mul(root[ctx.mul(x, ctx.inv(ext.norm(z0)))], z0), root)
-    else:
-        on_curve = ctx.mul(gen.members % q, gen.members // q) == 1
-        reps = np.concatenate(([0], x[1:] + q, [1, q]))  # (c, 1), (1, 0), (0, 1)
-    if gen.degree != q + (1 if gen.family == PLUS else -1) or not on_curve.all():
-        return None
-    sizes = np.full(len(reps), gen.degree)
-    sizes[0] = 1
-    return CurveClasses(gen, reps, sizes, ext.norm_terms + (ctx._low,)
-                        if gen.family == PLUS else _minus_keys(ctx))
+    return ctx._log, _frozen(y_keys), _frozen(classes)
 
 
 # ---------------------------------------------------------------------------
@@ -313,19 +317,12 @@ def admissibility(p: int, k: int, family: str) -> AdmissibilityReport:
     if (residue_class_mod12(p).minus3_square or k % 2 == 0) != (eta == 1):
         raise VerificationError("mod-12 rule disagrees with character")
 
-    if family == PLUS:
-        if eta == 1:
-            return AdmissibilityReport(family, p, k, ctx.q, cls, True,
-                                       f"-3 is a square in F_{ctx.q}")
-        return AdmissibilityReport(family, p, k, ctx.q, cls, False,
-                                   f"-3 is a nonsquare in F_{ctx.q}")
-    # minus family
-    if eta == 1:
-        return AdmissibilityReport(family, p, k, ctx.q, cls, False,
-                                   f"-3 is a square in F_{ctx.q}")
-    if ctx.q <= 12:
-        return AdmissibilityReport(family, p, k, ctx.q, cls, False,
-                                   f"q = {ctx.q} <= 12")
-    return AdmissibilityReport(family, p, k, ctx.q, cls, True,
-                               f"-3 is a nonsquare in F_{ctx.q} and q > 12")
-
+    q = ctx.q
+    admissible, reason = {
+        (PLUS, 1): (True, f"-3 is a square in F_{q}"),
+        (PLUS, -1): (False, f"-3 is a nonsquare in F_{q}"),
+        (MINUS, 1): (False, f"-3 is a square in F_{q}"),
+        (MINUS, -1): (q > 12, f"-3 is a nonsquare in F_{q} and q > 12"
+                      if q > 12 else f"q = {q} <= 12"),
+    }[family, eta]
+    return AdmissibilityReport(family, p, k, q, cls, admissible, reason)

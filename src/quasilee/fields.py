@@ -15,13 +15,11 @@ monic product g*h with 1 <= deg g <= k/2 is formed at once by
 broadcasting and marked at the rank of its coefficients, and the first
 unmarked rank wins (for k = 1 nothing is marked and the modulus is x).
 Multiplication by x on all q indices shifts the digits up and adds the
-top digit times -modulus, so column j of the k x k matrix of
-multiplication by g holds the digits of x**j * g.  The generator is the
-first g >= 2 (for k >= 2, g >= p) of multiplicative order q - 1, the
-first none of whose powers g**((q - 1)/r), r a prime factor of q - 1,
-is 1: by ``pow`` in a prime field, else with a block of candidates'
-matrices raised to every (q - 1)/r at once.  Its orbit of 1, grown by
-doubling, is the exp table, and must hold all q - 1 units.
+top digit times -modulus, and multiplication by g sums the maps of x**j
+weighted by g's digits.  The generator is found by its definition: for
+k >= 2 the first g >= p whose orbit of 1, grown by doubling, holds all
+q - 1 units; that orbit is the exp table.  A prime field's one candidate
+is the first g >= 2 of order p - 1 by ``pow``, its orbit checked alike.
 
 Each additive group here is Z_p^m held as packed base-p indices: F_q
 (m = k) and the pair group F_q x F_q (m = 2k, (x, y) packed as x + q*y).
@@ -218,46 +216,31 @@ def _prime_factors(n: int) -> list:
     return factors + [n] if n > 1 else factors
 
 
-def _first_primitive(shifted, p: int, q: int) -> int:
-    """The first g >= 2 (g >= p for k >= 2: the units below p have order
-    dividing p - 1 < q - 1) of multiplicative order q - 1: the first none
-    of whose powers g**((q - 1)/r), r a prime factor of q - 1, is 1.  In a
-    prime field these are ``pow``.  Otherwise ``shifted[j]`` holds the
-    digits of x**j * a for every index a, so the matrix of multiplication
-    by g has column j shifted[j][:, g], and a block of candidates'
-    matrices is raised to every (q - 1)/r at once, by repeated squaring.
-    That makes two k x k matrix products per r and bit, k^3
-    multiplications each, and a block holds ``chunk_rows`` of that work
-    per candidate, so a block's test makes about ``CHUNK_ENTRIES``."""
-    k = len(shifted)
-    exps = [(q - 1) // r for r in _prime_factors(q - 1)]
-    if k == 1:
-        return next(g for g in range(2, q) if all(pow(g, e, q) != 1 for e in exps))
-    bits = max(exps).bit_length()
-    odd = (np.array(exps)[:, None] >> np.arange(bits) & 1 == 1)[..., None, None, None]
-    eye = np.eye(k, dtype=np.int64)
-    for block in chunks(range(p, q), 2 * len(exps) * k ** 3 * bits):
-        base = np.stack([s[:, block.start:block.stop] for s in shifted], axis=-1)
-        base = base.transpose(1, 0, 2)  # (block, k, k): row i, column j
-        power = np.broadcast_to(eye, (len(exps),) + base.shape)
-        for i in range(bits):
-            if i:
-                base = base @ base % p
-            power = np.where(odd[:, i], power @ base % p, power)
-        full = ~(power == eye).all(axis=(2, 3)).any(axis=0)
-        if full.any():
-            return block.start + int(np.argmax(full))
-    raise VerificationError(f"no element of order {q - 1} below {q}")
+def _primitive_root(p: int) -> int:
+    """The first g >= 2 of multiplicative order p - 1 in F_p: the first none
+    of whose powers g**((p - 1)/r), r a prime factor of p - 1, is 1."""
+    exps = [(p - 1) // r for r in _prime_factors(p - 1)]
+    return next(g for g in range(2, p) if all(pow(g, e, p) != 1 for e in exps))
+
+
+def _unit_orbit(times: np.ndarray, q: int):
+    """The orbit 1, g, ..., g**(q - 2) of 1 under ``times``, multiplication
+    by g on every index, grown by doubling (the next n entries are g**n
+    times the first n); None unless it holds all q - 1 units, that is
+    unless 1 occurs in it once."""
+    exp = np.ones(1, dtype=np.int64)
+    while len(exp) < q - 1:
+        exp, times = np.concatenate([exp, times[exp]]), times[times]
+    exp = exp[:q - 1]
+    return exp if np.count_nonzero(exp == 1) == 1 else None
 
 
 # ---------------------------------------------------------------------------
 
 class FieldCtx:
-    """Immutable context for F_{p**k} with index-encoded elements.
-
-    Safe to share across workers: each table is built once (composed ones on
-    first use, read-only) and every operation is a pure function of its inputs.
-    """
+    """Immutable context for F_{p**k} with index-encoded elements: each table
+    is built once (composed ones on first use) and read-only, and every
+    operation is a pure function of its inputs."""
 
     def __init__(self, p: int, k: int):
         # the cap comes first: trial division of a huge p would not end
@@ -288,15 +271,16 @@ class FieldCtx:
         # _low reduces each digit sum mod p (see the module docstring)
         self._wide = _digit_map(np.arange(p), 2 * p - 1, k)
         self._low = _digit_map(np.arange(2 * p - 1) % p, p, k)
-        gen = _first_primitive(shifted, p, q)
-        # its orbit of 1, grown by doubling (next n steps = g**n * first n)
-        step = index_pack(np.tensordot(index_digits(gen, p, k), shifted, 1) % p, p)
-        exp = np.ones(1, dtype=np.int64)
-        while len(exp) < q - 1:
-            exp, step = np.concatenate([exp, step[exp]]), step[step]
-        exp = exp[:q - 1]
-        if np.count_nonzero(exp == 1) != 1:
-            raise VerificationError(f"the orbit of generator {gen} is not all units")
+        # the generator: the first candidate whose orbit of 1 is all units;
+        # for k >= 2 the units below p have order dividing p - 1 < q - 1
+        for gen in [_primitive_root(p)] if k == 1 else range(p, q):
+            times = np.tensordot(index_digits(gen, p, k), shifted, 1) % p
+            exp = _unit_orbit(index_pack(times, p), q)
+            if exp is not None:
+                break
+        else:
+            raise VerificationError(
+                f"no candidate generator's orbit holds all {q - 1} units")
         # log[0] = 2(q-1) lies past every sum of two logs of units, and exp
         # is zero from 2(q-1) on, so a product is exp[log[a] + log[b]]: no
         # reduction mod q-1 and no test for zero
@@ -318,6 +302,8 @@ class FieldCtx:
             raise VerificationError(
                 f"trace of {escaped[0]} escaped the prime subfield")
         self.trace_table = tr
+        for table in (self._wide, self._low, self._exp, self._log, self._chi, tr):
+            _frozen(table)
 
     # -- operations: ints, or int64 arrays broadcast against each other -----
 

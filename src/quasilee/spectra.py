@@ -11,8 +11,8 @@ pairing depends on the family:
   z + conj(z) = 2 * xpart(z) down to F_q);
 * minus: <(a, b), (x, y)> = trace(a*x + b*y) componentwise.
 
-The exponent counts of alpha depend only on its class under
-``curves.curve_classes``, so the spectrum is one eigenvalue per class
+The exponent counts of alpha depend only on its class in
+``GeneratorSet.classes``, so the spectrum is one eigenvalue per class
 (q classes for plus, q + 2 for minus): -K(1, norm(alpha)) for plus and
 K(1, a*b) off the axes for minus.  ``class_counts`` counts them a chunk
 of class representatives at a time, each pairing a sum of logs, a gather,
@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import PLUS, CurveClasses, GeneratorSet, curve_classes
+from .curves import PLUS, GeneratorSet
 from .fields import (SUM_TOL, VERTEX_CAP, VerificationError, chunks,
                      exponent_counts, index_neg, trace_dual, unity_cos_sin)
 
@@ -65,8 +65,7 @@ NEITHER_BOUND = "Neither"
 @dataclass(frozen=True)
 class SpectrumReport:
     generator: GeneratorSet
-    classes: CurveClasses
-    class_eigenvalues: np.ndarray  # float64, index = class of ``classes``
+    class_eigenvalues: np.ndarray  # float64, index = class of generator.classes
     max_nontrivial_abs: float
     ramanujan_bound: float
     almost_bound: float
@@ -82,7 +81,7 @@ class SpectrumReport:
         class sizes summed per rounded value."""
         vals, where = np.unique(np.round(self.class_eigenvalues, 6),
                                 return_inverse=True)
-        cnts = np.bincount(where, self.classes.sizes)
+        cnts = np.bincount(where, self.generator.classes.sizes)
         return {float(v): int(c) for v, c in zip(vals, cnts)}
 
     def to_json_dict(self) -> dict:
@@ -108,13 +107,13 @@ def _pairing_coefficients(gen: GeneratorSet) -> tuple:
     return 1, 1
 
 
-def class_counts(gen: GeneratorSet, classes: CurveClasses):
+def class_counts(gen: GeneratorSet):
     """The exponent counts of the classes, one (rows, p) array per chunk of
     classes: entry [c, j] counts the members beta with <rep_c, beta> = j,
     the trace (``_trace_low``) of two widened products (``_wide_exp``)."""
     ctx, q, beta = gen.base, gen.q, gen.members
     cx, cy = _pairing_coefficients(gen)
-    log, wide_exp, reps = ctx._log, ctx._wide_exp, classes.reps
+    log, wide_exp, reps = ctx._log, ctx._wide_exp, gen.classes.reps
     bx, by = log[ctx.mul(cx, beta % q)], log[ctx.mul(cy, beta // q)]
     for logs in chunks(log[np.stack((reps % q, reps // q), 1)], len(beta)):
         sums = wide_exp[logs[:, :1] + bx]
@@ -122,8 +121,7 @@ def class_counts(gen: GeneratorSet, classes: CurveClasses):
         yield exponent_counts(gen.p, ctx._trace_low[sums])
 
 
-def _fourier_distance(gen: GeneratorSet, classes: CurveClasses,
-                      eigs: np.ndarray) -> float:
+def _fourier_distance(gen: GeneratorSet, eigs: np.ndarray) -> float:
     """The largest distance of a class eigenvalue from the transform of 1_H
     at its characters.  Character (ax, ay) has Fourier index dx[ax] +
     q*dy[ay], dx = ``trace_dual`` of cx and dy that of cy.  A block of
@@ -132,7 +130,7 @@ def _fourier_distance(gen: GeneratorSet, classes: CurveClasses,
     inverses of dx and dy, fx the x-indices whose digit 0 is in the block.
     The transform is real and even, so each value also belongs to the
     digitwise negated index, and those cover every index not held."""
-    ctx, q, p, k = gen.base, gen.q, gen.p, gen.k
+    ctx, q, p, k, classes = gen.base, gen.q, gen.p, gen.k, gen.classes
     ix, iy = (np.argsort(trace_dual(ctx, c)) for c in _pairing_coefficients(gen))
     ys = (iy[:, None], iy[index_neg(np.arange(q), p, k), None])
     worst = 0.0
@@ -150,8 +148,7 @@ def full_spectrum(gen: GeneratorSet) -> SpectrumReport:
     check within ``SUM_TOL``; refuses a generator set that is not its
     family's curve (ValueError), and no size.  No array of q^2 entries is
     held; VERTEX_CAP bounds only the FFT check's O(q^2 log q) work."""
-    classes = curve_classes(gen)
-    if classes is None:
+    if gen.classes is None:
         raise ValueError(f"the generator set is not the {gen.family} curve over "
                          f"F_{gen.q}; the class spectrum is exact only there")
 
@@ -161,9 +158,9 @@ def full_spectrum(gen: GeneratorSet) -> SpectrumReport:
     # eigenvalues by some ulp.  So each row is summed as in the full (q^2, p)
     # count matrix, and every eigenvalue keeps its bits.
     cos, sin = unity_cos_sin(gen.p)
-    sizes, weighted = classes.sizes, np.zeros(gen.p, dtype=np.int64)
+    sizes, weighted = gen.classes.sizes, np.zeros(gen.p, dtype=np.int64)
     folded, held, done = [], [], 0
-    for counts in class_counts(gen, classes):
+    for counts in class_counts(gen):
         if np.abs(counts @ sin).max() > SUM_TOL:
             raise VerificationError("spectrum not real")
         weighted += sizes[done:done + len(counts)] @ counts
@@ -188,7 +185,7 @@ def full_spectrum(gen: GeneratorSet) -> SpectrumReport:
         raise VerificationError(f"class eigenvalues fail the identity "
                                 f"tr A^2 = q^2 * |H| = {total}: {square_sum!r}")
     if gen.ambient_size <= VERTEX_CAP:
-        worst = _fourier_distance(gen, classes, eigs)
+        worst = _fourier_distance(gen, eigs)
         if worst > SUM_TOL:
             raise VerificationError(
                 f"class eigenvalues differ from the FFT of 1_H by up to {worst:.3g}")
@@ -203,4 +200,4 @@ def full_spectrum(gen: GeneratorSet) -> SpectrumReport:
     else:
         cls = NEITHER_BOUND
     connected = not np.any(np.abs(eigs[1:] - gen.degree) <= SUM_TOL)
-    return SpectrumReport(gen, classes, eigs, max_nt, ram, almost, cls, connected)
+    return SpectrumReport(gen, eigs, max_nt, ram, almost, cls, connected)

@@ -12,7 +12,7 @@ r with C_r = G (so every syndrome is reachable by weight <= r).  H gives
 a 2-quasi-perfect code exactly when the pair is (2, 3).
 
 When H is exactly its curve, every C_t is a union of the curve's classes
-(``curves.curve_classes``) and is held as a boolean array over them: the
+(``GeneratorSet.classes``) and is held as a boolean array over them: the
 class c' is in C + H when class(rep_c + h) = c' for some class c of C and
 h in H, so the growth looks up (classes x |H|) classes, no q^2 array.
 Each rep_c + h stays two unreduced sums wide[rep] + wide[h], whose class
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import GeneratorSet, curve_classes
+from .curves import GeneratorSet
 from .fields import (VERTEX_CAP, FieldCtx, VerificationError, check_ambient,
                      chunks, pair_add)
 
@@ -139,7 +139,7 @@ def _sumset_support(mask: np.ndarray, h_hat: np.ndarray) -> np.ndarray:
     return counts > 0
 
 
-def _class_layers(gen: GeneratorSet, classes) -> tuple:
+def _class_layers(gen: GeneratorSet) -> tuple:
     """``_grow`` over the curve's classes, each expanded once: the steps
     expand what is new, and the classes outside C_{T-1} are expanded after
     them.  Raises VerificationError unless sum_c #c * T[c, c'] = |H| * #c'
@@ -147,7 +147,7 @@ def _class_layers(gen: GeneratorSet, classes) -> tuple:
     count the (r, h) with r + h in c'), and every representative lies in
     its class.  The left side is |H| * hits - (|H| - 1) * T[0, c'] (#0 = 1),
     hits the steps' column sums of T; ``of`` gives T[0, c'] off H itself."""
-    q, wide, members = gen.q, gen.base._wide, gen.members
+    q, wide, members, classes = gen.q, gen.base._wide, gen.members, gen.classes
     reps, sizes, n_h = classes.reps, classes.sizes, len(members)
     x_sums, y_sums, table = classes.sum_keys
     hx, hy = wide[members % q], wide[members // q]
@@ -180,15 +180,14 @@ def cumulative_layers(gen: GeneratorSet) -> SumsetLayers:
     t = MAX_LAYERS, always to t = 3 at least; by classes when H is
     exactly its curve, else by the FFT."""
     size = gen.ambient_size
-    classes = curve_classes(gen)
-    if classes is None:
+    if gen.classes is None:
         check_ambient(gen.p, gen.k, VERTEX_CAP)  # the FFT holds q^2 complex
         h_hat = gen.indicator_fft()
         sizes = _grow(np.arange(size) == 0,
                       lambda new: _sumset_support(new, h_hat),
                       lambda mask: int(np.count_nonzero(mask)), size)[1]
     else:
-        sizes = _class_layers(gen, classes)[1]
+        sizes = _class_layers(gen)[1]
 
     covered = sizes[-1] == size
     limit = None
@@ -212,15 +211,20 @@ class Classification:
         return d
 
 
+def check_classifiable(p: int) -> None:
+    """ValueError unless p >= 5, where the radius-2 ball formula counts Z_p^n words."""
+    if p < 5:
+        raise ValueError("classification requires p >= 5")
+
+
 def classify(gen: GeneratorSet) -> Classification:
     """Decide Perfect2 / QuasiPerfect2 / Neither from the layer growth.
 
     Perfect2:      #C_2 = #B_2 = q^2 (radius-2 spheres tile the group).
     QuasiPerfect2: #B_2 < q^2 < #B_3, #C_2 = #B_2, and C_3 = G.
-    Requires p >= 5 so the radius-2 ball formula counts Z_p^n words.
+    Requires p >= 5 (``check_classifiable``).
     """
-    if gen.p < 5:
-        raise ValueError("classification requires p >= 5")
+    check_classifiable(gen.p)
     layers = cumulative_layers(gen)
     n, size = gen.n, gen.ambient_size
     b2, b3 = lee_ball_size(n, 2), lee_ball_size(n, 3)

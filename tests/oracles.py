@@ -385,7 +385,7 @@ def minus_class_by_mul(ctx, z):
     return keys + (keys == 0) * ((z % q != 0) * q + (z >= q) * (q + 1))
 
 
-def fourier_distance(gen, classes, eigs) -> float:
+def fourier_distance(gen, eigs) -> float:
     """The largest distance of a class eigenvalue from the full fftn(1_H)
     over Z_p^{2k} at every character alpha = (ax, ay), read at the index
     dx[ax] + q*dy[ay] with digit i of dx[a] = trace(cx*a*p**i): the
@@ -401,7 +401,7 @@ def fourier_distance(gen, classes, eigs) -> float:
               for c in _pairing_coefficients(gen))
     alpha = np.arange(q * q)
     got = fourier[dx[alpha % q] + q * dy[alpha // q]]
-    return float(np.abs(got - eigs[classes.of(alpha % q, alpha // q)]).max())
+    return float(np.abs(got - eigs[gen.classes.of(alpha % q, alpha // q)]).max())
 
 
 def indicator_rfftn(gen) -> np.ndarray:
@@ -427,13 +427,13 @@ def indicator_fft_complex(gen, cols=slice(None)) -> np.ndarray:
                        axes=range(2 * gen.k - 1))
 
 
-def class_counts_by_mul(gen, classes) -> np.ndarray:
+def class_counts_by_mul(gen) -> np.ndarray:
     """The exponent counts of every class, (classes, p): each pairing
     trace(cx*rx*bx + cy*ry*by) by field products and additions."""
     ctx, q, beta = gen.base, gen.q, gen.members
     cx, cy = _pairing_coefficients(gen)
     bx, by = ctx.mul(cx, beta % q), ctx.mul(cy, beta // q)
-    reps = classes.reps[:, None]
+    reps = gen.classes.reps[:, None]
     return trace_counts(ctx, ctx.add(ctx.mul(reps % q, bx), ctx.mul(reps // q, by)))
 
 

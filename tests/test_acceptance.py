@@ -164,7 +164,7 @@ def test_c06_eigenvalues_are_kloosterman_values():
             gen = generator_set(base, "plus")
             rep = full_spectrum(gen)
             z = np.arange(gen.ambient_size)
-            eigs = rep.class_eigenvalues[rep.classes.of(z % base.q, z // base.q)]
+            eigs = rep.class_eigenvalues[rep.generator.classes.of(z % base.q, z // base.q)]
             by_norm = {}
             for alpha in range(1, gen.ambient_size):
                 by_norm.setdefault(ext.norm(alpha), []).append(float(eigs[alpha]))

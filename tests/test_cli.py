@@ -14,7 +14,7 @@ import numpy as np
 import oracles
 import pytest
 
-from quasilee import cli, codes, fields
+from quasilee import cli, codes, curves, fields
 from quasilee.cli import main
 from quasilee.codes import coset_leader_table, parity_check_matrix
 from quasilee.curves import generator_set
@@ -66,6 +66,53 @@ def test_usage_errors_map_to_exit_1(capsys):
 
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
+
+
+def _numpy_out_of_memory():
+    # 4 EiB: past every address space, so the allocation fails at once
+    np.empty(1 << 62, dtype=np.uint8)
+
+
+def _plain_out_of_memory():
+    raise MemoryError
+
+
+@pytest.mark.parametrize("raiser", [_plain_out_of_memory, _numpy_out_of_memory])
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_out_of_memory_is_a_precondition_error(capsys, monkeypatch, command, raiser):
+    # each handler swapped for one that runs out of memory: one error line,
+    # exit 1, nothing on stdout, no traceback
+    monkeypatch.setitem(cli._COMMANDS, command,
+                        (lambda args: raiser(), cli._COMMANDS[command][1]))
+    code, out, err = run(capsys, command)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: precondition: out of memory")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("command", ["subset", "code-gen", "code-verify"])
+def test_p3_is_refused_before_the_field_is_built(capsys, monkeypatch, command):
+    # the commands that classify refuse p = 3 with classify's message and
+    # build no field (3^8 takes a quarter second); --cap is checked before,
+    # and p = 2 or a non-prime p get the field's own error, as before
+    built = []
+    init = fields.FieldCtx.__init__
+
+    def counted(self, p, k):
+        built.append((p, k))
+        init(self, p, k)
+    monkeypatch.setattr(fields.FieldCtx, "__init__", counted)
+    argv = [command, "--family", "plus", "--k"]
+    assert run(capsys, *argv, "8", "--p", "3") == \
+        (1, "", "error: precondition: classification requires p >= 5\n")
+    assert built == []
+    assert run(capsys, *argv, "8", "--p", "3", "--cap", "1000")[2] == \
+        "error: precondition: q^2 exceeds cap 1000: p^7 already does\n"
+    assert run(capsys, *argv, "1", "--p", "2")[2] == \
+        "error: precondition: p must be an odd prime\n"
+    assert run(capsys, *argv, "1", "--p", "9")[2] == \
+        "error: precondition: p = 9 is not prime\n"
+    assert built == [(2, 1), (9, 1)]
 
 
 @pytest.fixture
@@ -308,6 +355,35 @@ def test_spectrum_dump_csv_pinned(capsys, monkeypatch, tmp_path, p, k, family):
         assert digest == CSV_SHA256[(p, k, family)]
 
 
+# each command's generator sets: every stage reads its set's one CurveClasses
+CLASS_BUILDS = {
+    "subset": (["--p", "13", "--family", "plus"], 1),
+    "spectrum": (["--p", "5", "--k", "2", "--family", "minus", "--dump-csv", "CSV"], 1),
+    "code-gen": (["--p", "13", "--family", "minus"], 1),
+    "code-verify": (["--p", "13", "--family", "plus"], 1),
+    "decode": (["--p", "13", "--family", "plus"], 1),
+    "lemma-suite": (["--p", "13"], 2),  # the circle and the hyperbola
+}
+
+
+@pytest.mark.parametrize("command", sorted(CLASS_BUILDS))
+def test_each_generator_set_builds_its_classes_once(capsys, monkeypatch, tmp_path,
+                                                    command):
+    built = []
+    real = curves.CurveClasses
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+    monkeypatch.setattr(curves, "CurveClasses", counted)
+    monkeypatch.setattr("sys.stdin", io.StringIO("1 2 3 4 5 6 7\n"))
+    argv, builds = CLASS_BUILDS[command]
+    argv = [str(tmp_path / "dump.csv") if a == "CSV" else a for a in argv]
+    code, _, err = run(capsys, command, *argv)
+    assert (code, err) == (0, "")
+    assert len(built) == builds
+
+
 # p = 13, plus, with the last column moved off the circle to (8, 6): a
 # symmetric generator set that is not its curve, so its layers take the FFT
 OFF_CURVE_MATRIX = "13 1 7 plus\n1 4 9 3 10 5 8\n0 1 1 2 2 5 6\n"
@@ -323,14 +399,17 @@ INJECTED = {
                  "c.CurveClasses.of = lambda self, x, y: np.roll(of(self, x, y), 1)\n",
                  ["spectrum", "--p", "13", "--family", "plus"], "eigenvalue"),
     # one class size one too large at q^2 > 2^20, where only the two
-    # identities check the classes: the exact count identity fails
-    "spectrum-1031": ("import quasilee.spectra as s\n"
-                      "classes = s.curve_classes\n"
+    # identities check the classes: the exact count identity fails (the
+    # sizes are read-only, so the grown ones are a copy)
+    "spectrum-1031": ("import dataclasses\n"
+                      "import quasilee.curves as c\n"
+                      "classes = c.GeneratorSet.classes.func\n"
                       "def grown(gen):\n"
                       "    cls = classes(gen)\n"
-                      "    cls.sizes[1] += 1\n"
-                      "    return cls\n"
-                      "s.curve_classes = grown\n",
+                      "    sizes = cls.sizes.copy()\n"
+                      "    sizes[1] += 1\n"
+                      "    return dataclasses.replace(cls, sizes=sizes)\n"
+                      "c.GeneratorSet.classes = property(grown)\n",
                       ["spectrum", "--p", "1031", "--family", "minus"],
                       "sum_c #c * counts[c, j]"),
     # the fold of the exact counts skewed off the trivial character: the

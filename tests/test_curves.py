@@ -8,9 +8,8 @@ import pytest
 
 from quasilee import curves, fields
 from quasilee.codes import matrix_from_text, parity_check_matrix, rank_mod_p
-from quasilee.curves import (GeneratorSet, admissibility, curve_classes,
-                             from_representatives, generator_set, norm_circle,
-                             unit_hyperbola)
+from quasilee.curves import (GeneratorSet, admissibility, from_representatives,
+                             generator_set, norm_circle, unit_hyperbola)
 from quasilee.fields import (QuadExt, VerificationError, make_field, pair_index,
                              pair_neg)
 
@@ -63,7 +62,7 @@ def oracle_class(gen, z):
                                  (5, 2), (3, 3)])
 def test_curve_classes_are_the_orbits(p, k, family):
     gen = generator_set(make_field(p, k), family)
-    classes = curve_classes(gen)
+    classes = gen.classes
     z = np.arange(gen.ambient_size)
     keys = classes.of(z % gen.q, z // gen.q)
     assert keys.tolist() == [oracle_class(gen, int(a)) for a in z]
@@ -88,7 +87,7 @@ def test_class_maps_by_lookup_match_the_product_formulas(p, k, family):
     # the norm by two looked-up terms and the minus class by one gather
     # equal the formulas by field products at every index, ints and arrays
     gen = generator_set(make_field(p, k), family)
-    classes = curve_classes(gen)
+    classes = gen.classes
     z = np.arange(gen.ambient_size)
     if family == "plus":
         want = oracles.norm_by_mul(gen.ext, z)
@@ -125,7 +124,7 @@ def test_indicator_fft_of_a_set_off_the_curve(monkeypatch):
     # p = 13 plus with its last representative moved off the circle to (8, 6)
     gen = from_representatives(make_field(13), "plus",
                                [1, 4 + 13, 9 + 13, 3 + 26, 10 + 26, 5 + 65, 8 + 78])
-    assert curve_classes(gen) is None
+    assert gen.classes is None
     want = oracles.indicator_rfftn(gen)
     for entries in (fields.CHUNK_ENTRIES, 1, 21):
         monkeypatch.setattr(fields, "CHUNK_ENTRIES", entries)
@@ -164,10 +163,10 @@ def test_composed_tables_are_built_on_first_use_and_read_only(family):
     ctx = make_field(5, 2)
     names = ("_wide_exp", "_trace_low", "_low_q")
     assert not vars(ctx).keys() & set(names)  # make_field builds none
-    classes = curve_classes(generator_set(ctx, family))
-    tables = [getattr(ctx, name) for name in names] + list(classes.sum_keys[:2])
+    gen = generator_set(ctx, family)
+    tables = [getattr(ctx, name) for name in names] + list(gen.classes.sum_keys[:2])
     if family == "plus":
-        tables += classes.gen.ext.norm_terms
+        tables += gen.ext.norm_terms
     for table in tables:
         with pytest.raises(ValueError, match="read-only"):
             table[0] = table[0]
@@ -177,11 +176,30 @@ def test_composed_tables_are_built_on_first_use_and_read_only(family):
 def test_curve_classes_only_on_the_curve(family):
     base = make_field(13)
     gen = generator_set(base, family)
-    assert curve_classes(from_representatives(base, family, gen.reps)) is not None
+    assert from_representatives(base, family, gen.reps).classes is not None
     off = next(z for z in range(1, gen.ambient_size)
                if z not in gen.members and pair_neg(base, z) not in gen.members)
     for reps in ([1, 2, 3], list(gen.reps[:-1]) + [off]):
-        assert curve_classes(from_representatives(base, family, reps)) is None
+        assert from_representatives(base, family, reps).classes is None
+
+
+@pytest.mark.parametrize("family", ["plus", "minus"])
+def test_classes_are_built_once_and_read_only(family):
+    # the stages share one CurveClasses per set, so none may write to it;
+    # an off-curve set's None is kept too, not rebuilt on the next read
+    base = make_field(13)
+    gen = generator_set(base, family)
+    classes = gen.classes
+    assert vars(gen)["classes"] is classes and gen.classes is classes
+    assert vars(classes)["base"] is base  # the field, not the set
+    for table in (classes.reps, classes.sizes, *classes.keys, *classes.sum_keys):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = table[0]
+    off = next(z for z in range(1, gen.ambient_size)
+               if z not in gen.members and pair_neg(base, z) not in gen.members)
+    odd = from_representatives(base, family, list(gen.reps[:-1]) + [off])
+    assert "classes" not in vars(odd)
+    assert odd.classes is None and vars(odd)["classes"] is None
 
 
 def test_frozen_p13_plus_representatives():

@@ -163,10 +163,13 @@ def test_field_tables_frozen(p, k):
 
 @pytest.mark.parametrize("p,k", [(13, 1), (5, 2)])
 def test_generator_without_full_orbit_is_refused(monkeypatch, p, k):
-    # the order test picks the generator; its orbit, grown apart, must
-    # still hold every unit: -1 has order 2
-    monkeypatch.setattr(fields, "_first_primitive", lambda *args: p - 1)
-    with pytest.raises(VerificationError, match=f"generator {p - 1} is not all units"):
+    # every candidate's map is swapped for multiplication by 1, whose orbit
+    # of 1 is 1 alone: the pow-picked root (k = 1) and every g >= p (k = 2)
+    # are refused, and no field is made
+    orbit = fields._unit_orbit
+    monkeypatch.setattr(fields, "_unit_orbit",
+                        lambda times, q: orbit(np.arange(len(times)), q))
+    with pytest.raises(VerificationError, match=f"orbit holds all {p ** k - 1} units"):
         make_field(p, k)
 
 

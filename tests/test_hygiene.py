@@ -16,6 +16,7 @@ import sys
 import types
 from pathlib import Path
 
+import mutants
 import pytest
 
 import quasilee
@@ -61,7 +62,7 @@ def test_only_check_ambient_raises_size_cap_error(path):
 
 def test_only_from_representatives_constructs_a_generator_set():
     # one constructor builds reps and -reps and refuses zero or a collision,
-    # so every GeneratorSet's members are distinct, as curve_classes assumes
+    # so every GeneratorSet's members are distinct, as GeneratorSet.classes assumes
     lines = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -96,6 +97,19 @@ def test_generator_set_fields_are_not_converted():
                     or called == "tolist" and _is_set_field(getattr(func, "value", None))):
                 lines.append(f"{path.name}:{node.lineno}")
     assert lines == [], f"GeneratorSet fields converted or copied at {lines}"
+
+
+def test_each_mutant_snippet_occurs_once():
+    # tests/mutants.py applies each snippet's replacement in a copy of src/;
+    # a snippet a refactor removed, or one that occurs twice, mutates nothing
+    # or the wrong place, and a named test that is gone catches nothing
+    for name, mutant in mutants.MUTANTS.items():
+        source = mutants.module_path(ROOT, mutant).read_text()
+        assert source.count(mutant.snippet) == 1, name
+        assert mutant.replacement != mutant.snippet and mutant.tests, name
+        for test in mutant.tests:
+            path, func = test.split("::")
+            assert f"\ndef {func}(" in (ROOT / path).read_text(), (name, test)
 
 
 def test_two_size_caps():

@@ -8,8 +8,7 @@ import pytest
 
 from quasilee import fields
 from quasilee.codes import coset_leader_table, parity_check_matrix
-from quasilee.curves import (CurveClasses, curve_classes, from_representatives,
-                             generator_set)
+from quasilee.curves import CurveClasses, from_representatives, generator_set
 from quasilee.fields import (QuadExt, SizeCapError, VerificationError,
                              kloosterman, make_field, pair_neg, unity_cos_sin)
 from quasilee.spectra import (_FOLD_ROWS, RAMANUJAN, SpectrumReport,
@@ -25,7 +24,7 @@ def vertex_classes(rep) -> np.ndarray:
     """The class of every character alpha."""
     q = rep.generator.q
     alpha = np.arange(q * q)
-    return rep.classes.of(alpha % q, alpha // q)
+    return rep.generator.classes.of(alpha % q, alpha // q)
 
 
 def vertex_eigenvalues(rep) -> np.ndarray:
@@ -35,7 +34,7 @@ def vertex_eigenvalues(rep) -> np.ndarray:
 
 def vertex_counts(rep) -> np.ndarray:
     """The exponent counts of every character alpha, read off its class."""
-    counts = np.concatenate(list(class_counts(rep.generator, rep.classes)))
+    counts = np.concatenate(list(class_counts(rep.generator)))
     return counts[vertex_classes(rep)]
 
 
@@ -137,7 +136,7 @@ def test_class_counts_match_scalar_oracle(p, k, family):
     want = np.array([oracles.character_counts(gen, a) for a in range(gen.ambient_size)])
     assert np.array_equal(vertex_counts(rep), want)
     assert len(rep.class_eigenvalues) == gen.q + (0 if family == "plus" else 2)
-    assert rep.class_eigenvalues.shape == rep.classes.sizes.shape
+    assert rep.class_eigenvalues.shape == gen.classes.sizes.shape
 
 
 @pytest.mark.parametrize("family", ["plus", "minus"])
@@ -146,11 +145,10 @@ def test_class_counts_match_the_member_route(monkeypatch, p, k, family):
     # the counts read off the composed tables equal the field products and
     # additions bit for bit, also with one class per chunk
     gen = generator_set(make_field(p, k), family)
-    classes = curve_classes(gen)
-    want = oracles.class_counts_by_mul(gen, classes)
+    want = oracles.class_counts_by_mul(gen)
     for entries in (fields.CHUNK_ENTRIES, 1):
         monkeypatch.setattr(fields, "CHUNK_ENTRIES", entries)
-        assert np.array_equal(np.concatenate(list(class_counts(gen, classes))), want)
+        assert np.array_equal(np.concatenate(list(class_counts(gen))), want)
 
 
 @pytest.mark.parametrize("p,k,family", [(11, 1, "plus"), (17, 1, "minus"),
@@ -176,7 +174,7 @@ def test_each_chunk_folded_alone_keeps_the_bits(p, k, family):
     rep = full_spectrum(gen)
     cos, _ = unity_cos_sin(p)
     alone = []
-    for counts in class_counts(gen, rep.classes):
+    for counts in class_counts(gen):
         pad = np.zeros((-len(counts) % _FOLD_ROWS, p), dtype=np.int64)
         alone.extend((np.concatenate((counts, pad)) @ cos)[:len(counts)])
     assert np.array_equal(alone, rep.class_eigenvalues)
@@ -208,7 +206,7 @@ def test_refuses_generator_set_off_the_curve(family):
 def test_half_transform_check_matches_the_full_fftn(monkeypatch, p, k, family):
     # also with blocks of one digit-0 column each
     rep = spectrum(p, k, family)
-    args = rep.generator, rep.classes, rep.class_eigenvalues
+    args = rep.generator, rep.class_eigenvalues
     want = oracles.fourier_distance(*args)
     for entries in (fields.CHUNK_ENTRIES, 1):
         monkeypatch.setattr(fields, "CHUNK_ENTRIES", entries)

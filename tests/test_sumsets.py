@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 from quasilee import fields, sumsets
 from quasilee.cli import main
-from quasilee.curves import (admissibility, curve_classes, from_representatives,
-                             generator_set)
+from quasilee.curves import admissibility, from_representatives, generator_set
 from quasilee.fields import SizeCapError, is_prime, make_field, pair_neg
 from quasilee.spectra import ALMOST_RAMANUJAN, RAMANUJAN, full_spectrum
 from quasilee.sumsets import (NEITHER, QUASI_PERFECT_2, classify,
@@ -26,10 +25,9 @@ def layers(p, k, family):
 def layer_masks(lay):
     """The class route's layers as masks over the q^2 indices."""
     gen = lay.generator
-    classes = curve_classes(gen)
     z = np.arange(gen.ambient_size)
-    keys = classes.of(z % gen.q, z // gen.q)
-    return [c[keys] for c in sumsets._class_layers(gen, classes)[0]]
+    keys = gen.classes.of(z % gen.q, z // gen.q)
+    return [c[keys] for c in sumsets._class_layers(gen)[0]]
 
 
 def fft_sizes(gen):
@@ -144,7 +142,7 @@ def test_off_curve_set_takes_the_fft_route(p, k, family):
     off = next(z for z in range(1, gen.ambient_size)
                if z not in gen.members and pair_neg(base, z) not in gen.members)
     odd = from_representatives(base, family, list(gen.reps[:-1]) + [off])
-    assert curve_classes(odd) is None
+    assert odd.classes is None
     lay = cumulative_layers(odd)
     want = oracle_layers(odd, len(lay.sizes))
     assert lay.sizes == tuple(len(c) for c in want)
@@ -263,7 +261,7 @@ def test_off_curve_layers_json_holds_python_ints():
                if z not in gen.members and pair_neg(base, z) not in gen.members)
     odd = classify(from_representatives(base, "plus", list(gen.reps[:-1]) + [off]))
     d = json.loads(json.dumps(odd.to_json_dict()))
-    assert curve_classes(odd.layers.generator) is None
+    assert odd.layers.generator.classes is None
     assert all(type(s) is int for s in odd.layers.sizes)
     assert odd.layers.covered is True
     assert d["layer_sizes"] == [1, 15, 101, 169] and d["verdict"] == NEITHER
